@@ -56,11 +56,15 @@ fn groupby() -> GroupByInstance {
     GroupByInstance::new(probs).expect("rows are normalised")
 }
 
-/// The serving engine: default thread count, 64 Kendall distance samples,
-/// group-by attached. `obs` is a disabled sink except in the traced run.
+/// The serving engine: one thread, 64 Kendall distance samples, group-by
+/// attached. `obs` is a disabled sink except in the traced run. One thread
+/// keeps every engine computation on the client's thread: on a host with
+/// two shared vCPUs, a fork-join split measures the other tenants as much
+/// as the code.
 pub fn engine(tree: AndXorTree, seed: u64, obs: Obs) -> ConsensusEngine {
     ConsensusEngineBuilder::new(tree)
         .seed(seed)
+        .threads(1)
         .kendall_distance_samples(64)
         .groupby(groupby())
         .obs(obs)
@@ -101,21 +105,6 @@ pub fn mixed_queries() -> Vec<Query> {
     qs.push(Query::Aggregate {
         variant: Variant::Mean,
     });
-    qs.push(Query::Clustering { restarts: 4 });
-    qs
-}
-
-/// The `k`s `serve_ranked` spreads its Top-k traffic over.
-pub const RANKED_KS: [usize; 10] = [1, 2, 3, 4, 5, 8, 12, 16, 24, 32];
-
-/// `serve_ranked`: every metric's mean plus the sym-diff median at each
-/// `k` of [`RANKED_KS`], plus clustering — no Jaccard, no set queries.
-pub fn ranked_queries() -> Vec<Query> {
-    let mut qs = Vec::new();
-    for k in RANKED_KS {
-        qs.extend(MEAN_METRICS.map(|m| topk(k, m, Variant::Mean)));
-        qs.push(topk(k, TopKMetric::SymmetricDifference, Variant::Median));
-    }
     qs.push(Query::Clustering { restarts: 4 });
     qs
 }

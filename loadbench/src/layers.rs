@@ -2,7 +2,7 @@
 //! artifact builders, and folding spans, cache counters and `cpdb_obs`
 //! histograms into the artifact and answer metrics.
 
-use crate::stats::{fastest_quarter, median, pick};
+use crate::stats::median;
 use crate::trace::Tracer;
 use crate::{inputs, Metrics};
 use cpdb_engine::{CacheStats, ConsensusEngine, MetricsSnapshot};
@@ -147,16 +147,11 @@ pub fn answer_metrics(m: &mut Metrics, tracer: &Tracer, read_ms: f64) {
     }
 }
 
-/// `trace.overhead_pct`: how much slower the mean operation ran traced,
-/// each phase read in its least-contended quarter of `block`-op blocks.
-pub fn overhead_pct(untraced_ms: &[f64], traced_ms: &[f64], block: usize) -> f64 {
-    let mean = |xs: &[f64]| {
-        let fast = pick(xs, &fastest_quarter(xs, block));
-        fast.iter().sum::<f64>() / fast.len().max(1) as f64
-    };
-    let base = mean(untraced_ms);
-    if base > 0.0 {
-        (mean(traced_ms) - base) / base * 100.0
+/// `trace.overhead_pct`: how much slower the mean operation ran traced
+/// than untraced, both at the reference host speed.
+pub fn overhead_pct(untraced_mean_ms: f64, traced_mean_ms: f64) -> f64 {
+    if untraced_mean_ms > 0.0 {
+        (traced_mean_ms - untraced_mean_ms) / untraced_mean_ms * 100.0
     } else {
         0.0
     }

@@ -1,18 +1,20 @@
 //! `loadbench` — one closed-loop load generator for the consensus stack.
 //!
 //! ```text
-//! loadbench --workload <serve_mix|serve_ranked|write_mix|recover>
+//! loadbench --workload <serve_mix|write_mix|recover>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! One client thread drives the public API of `cpdb_engine`, `cpdb_live`,
 //! `cpdb_store` and `cpdb_replica` at n = 120 on the seeded scored-BID tree
-//! family; the engine uses its default thread count. Every operation's
-//! output is checked. With `--trace 0` the run measures for `--seconds`
-//! and reports the end-to-end metrics; with `--trace 1` it measures half
-//! the time untraced and half traced, and reports the per-layer metrics
-//! (see `DESIGN.md`). The last stdout line is one JSON object:
-//! `{"correct", "attempted", "failed", "metrics"}`.
+//! family; the engine runs on that thread too. Every operation's output is
+//! checked. Timings are reported at a reference host speed, measured by a
+//! fixed kernel timed between operations (see `stats::HostSpeed`). With
+//! `--trace 0` the run measures for `--seconds` and reports the end-to-end
+//! metrics; with `--trace 1` it measures half the time untraced and half
+//! traced, and reports the per-layer metrics (see `DESIGN.md`). The last
+//! stdout line is one JSON object: `{"correct", "attempted", "failed",
+//! "metrics"}`.
 
 mod inputs;
 mod layers;
@@ -96,6 +98,7 @@ fn per_layer() -> Vec<(String, &'static str)> {
         ("catchup_p50_ms", "ms"),
         ("catchup_p90_ms", "ms"),
         ("error_rate", "ratio"),
+        ("host.kernel_ms", "ms"),
     ]
     .map(|(n, u)| (n.to_string(), u))
     .into();
@@ -141,7 +144,7 @@ fn per_layer() -> Vec<(String, &'static str)> {
     v
 }
 
-const USAGE: &str = "usage: loadbench --workload <serve_mix|serve_ranked|write_mix|recover> \
+const USAGE: &str = "usage: loadbench --workload <serve_mix|write_mix|recover> \
                      --seed <n> --seconds <s> --trace <0|1>";
 
 struct Args {
@@ -205,8 +208,7 @@ fn main() -> ExitCode {
     };
     std::fs::create_dir_all(&cfg.dir).expect("creating the scratch directory");
     let (outcome, tracer) = match args.workload.as_str() {
-        "serve_mix" => serve::run(&cfg, inputs::mixed_queries(), 8, 0.97),
-        "serve_ranked" => serve::run(&cfg, inputs::ranked_queries(), 4, 0.99),
+        "serve_mix" => serve::run(&cfg),
         "write_mix" => write::run(&cfg),
         "recover" => recover::run(&cfg),
         other => {

@@ -1,12 +1,16 @@
-//! `recover`: restart and replica catch-up from a prepared primary holding a
-//! snapshot plus a 31-record WAL tail — the longest tail replayed at the
-//! default compaction cadence of 32. Each operation is a pair: (a)
-//! `LiveEngine::open` on the primary's store, then (b) a cold
+//! `recover`: restart and replica catch-up from prepared primaries, each
+//! holding a snapshot plus a 31-record WAL tail — the longest tail replayed
+//! at the default compaction cadence of 32. Each operation is a pair on one
+//! primary: (a) `LiveEngine::open` on its store, then (b) a cold
 //! `Follower::open` + `sync` from the shipped anchor and segment into fresh
 //! directories.
+//!
+//! A run prepares [`TREES`] primaries on trees drawn from its seed and
+//! visits them in seeded shuffles of complete rounds, so a run averages
+//! over trees rather than reading one tree's cost.
 
 use crate::inputs::{self, DeltaStream};
-use crate::stats::{fastest_quarter, median, peak_rss_mb, per_second, pick, quantile};
+use crate::stats::{mean, median, peak_rss_mb, per_second, quantile, HostSpeed};
 use crate::trace::Tracer;
 use crate::vfs::{take_thread_io, CountingVfs};
 use crate::write::newest_snapshot_bytes;
@@ -15,20 +19,20 @@ use cpdb_engine::{Answer, ConsensusEngine, EngineError, Obs, Query, TreeDelta};
 use cpdb_live::{LiveEngine, Snapshot, StoreOptions};
 use cpdb_replica::{check_divergence, Follower, Primary, Transport};
 use cpdb_store::{std_vfs, Store, Vfs};
+use rand::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Prepared primaries (one tree each) a run recovers.
+const TREES: usize = 8;
+
 /// WAL records behind the snapshot: one short of the default cadence.
 const TAIL: usize = 31;
 
-/// Pairs per block: a few, so the block selection follows host contention
-/// rather than one pair's own variation.
-const BLOCK: usize = 4;
-
 /// The percentile `op_tail_ms` reports: the highest one with at least ten
-/// pairs beyond it in the least-contended quarter of a run.
-const TAIL_Q: f64 = 0.7;
+/// pairs beyond it in a run of 50 pairs or more.
+const TAIL_Q: f64 = 0.8;
 
 /// The prepared primary, closed: its store and outbox on disk, plus the
 /// writer's final epoch and answers to check recoveries against.
@@ -41,10 +45,12 @@ struct Prepared {
     ship_ms: f64,
 }
 
-fn prepare(cfg: &Config, i: usize, reads: &[Query], vfs: Arc<dyn Vfs>) -> Prepared {
-    let store = cfg.dir.join(format!("primary-{i}"));
-    let outbox = cfg.dir.join(format!("outbox-{i}"));
-    let engine = inputs::engine(inputs::tree(cfg.seed), cfg.seed, Obs::disabled());
+/// Set-up `i` of the primary on tree `j`.
+fn prepare(cfg: &Config, i: usize, j: usize, reads: &[Query], vfs: Arc<dyn Vfs>) -> Prepared {
+    let store = cfg.dir.join(format!("primary-{i}-{j}"));
+    let outbox = cfg.dir.join(format!("outbox-{i}-{j}"));
+    let seed = inputs::tree_seed(cfg.seed, j);
+    let engine = inputs::engine(inputs::tree(seed), seed, Obs::disabled());
     for q in reads {
         let _ = engine.run(q);
     }
@@ -55,7 +61,7 @@ fn prepare(cfg: &Config, i: usize, reads: &[Query], vfs: Arc<dyn Vfs>) -> Prepar
     let live = LiveEngine::new_durable_with(engine, &store, options).expect("fresh store");
     let primary = Primary::attach(live, std_vfs(), &outbox).expect("fresh outbox");
     primary.ship().expect("anchor ship");
-    let mut stream = DeltaStream::new(cfg.seed);
+    let mut stream = DeltaStream::new(seed);
     let mut deltas = Vec::with_capacity(TAIL);
     for _ in 0..TAIL {
         let (kind, delta) = stream.next(primary.snapshot().tree());
@@ -87,17 +93,30 @@ fn dir_bytes(dir: &Path) -> u64 {
         .sum()
 }
 
-#[derive(Default)]
 struct Phase {
     pair_ms: Vec<f64>,
     open_ms: Vec<f64>,
+    /// When each open and catch-up ran (see [`HostSpeed::now`]).
+    open_at: Vec<f64>,
     catchup_ms: Vec<f64>,
+    catchup_at: Vec<f64>,
     failed: u64,
     /// Traced only: per replayed record `(kept, patched, invalidated)`.
     decisions: (usize, usize, usize),
     /// Traced only: the follower's WAL fsyncs and bytes in `sync`.
     sync_fsyncs: u64,
     sync_bytes: u64,
+    speed: HostSpeed,
+}
+
+impl Phase {
+    /// Pair, open and catch-up latencies at the reference host speed.
+    fn scaled(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let open = self.speed.scale_each(&self.open_ms, &self.open_at);
+        let catchup = self.speed.scale_each(&self.catchup_ms, &self.catchup_at);
+        let pairs = open.iter().zip(&catchup).map(|(a, b)| a + b).collect();
+        (pairs, open, catchup)
+    }
 }
 
 /// Replays `deltas` onto `engine` through the patch layer, one span each.
@@ -125,9 +144,10 @@ fn replay(
 
 fn measure(
     cfg: &Config,
-    p: &Prepared,
+    prepared: &[Prepared],
     reads: &[Query],
     obs: &Obs,
+    rng: &mut StdRng,
     tracer: &mut Tracer,
     length: Duration,
 ) -> Phase {
@@ -137,14 +157,33 @@ fn measure(
         obs: obs.clone(),
         ..StoreOptions::default()
     };
-    let epoch = p.reference.epoch();
-    let mut ph = Phase::default();
+    let mut ph = Phase {
+        pair_ms: Vec::new(),
+        open_ms: Vec::new(),
+        open_at: Vec::new(),
+        catchup_ms: Vec::new(),
+        catchup_at: Vec::new(),
+        failed: 0,
+        decisions: (0, 0, 0),
+        sync_fsyncs: 0,
+        sync_bytes: 0,
+        speed: HostSpeed::new(2),
+    };
+    let mut order: Vec<usize> = Vec::new();
     let start = Instant::now();
     while start.elapsed() < length {
+        if order.is_empty() {
+            order = (0..prepared.len()).collect();
+            order.shuffle(rng);
+        }
+        let p = &prepared[order.pop().expect("refilled above")];
+        let epoch = p.reference.epoch();
+        ph.speed.tick();
         let op = ph.pair_ms.len() as u64;
         let pair = tracer.open(op, None, "recover", "pair");
 
         // (a) Warm open of the primary's store.
+        let open_at = ph.speed.now();
         let t0 = Instant::now();
         let open = tracer.open(op, Some(pair), "recover", "open");
         let opened = LiveEngine::open_with(&p.store, options.clone());
@@ -154,6 +193,8 @@ fn measure(
         // (b) Cold follower catch-up into fresh directories.
         let inbox = cfg.dir.join(format!("inbox-{op}"));
         let local = cfg.dir.join(format!("follower-{op}"));
+        ph.speed.tick();
+        let catchup_at = ph.speed.now();
         let t1 = Instant::now();
         let catchup = tracer.open(op, Some(pair), "recover", "catchup");
         let boot = tracer.open(op, Some(catchup), "replica", "bootstrap");
@@ -171,7 +212,9 @@ fn measure(
         tracer.close(pair);
         let catchup_ms = t1.elapsed().as_secs_f64() * 1e3;
         ph.open_ms.push(open_ms);
+        ph.open_at.push(open_at + open_ms / 2e3);
         ph.catchup_ms.push(catchup_ms);
+        ph.catchup_at.push(catchup_at + catchup_ms / 2e3);
         ph.pair_ms.push(open_ms + catchup_ms);
 
         // Outside timing: the reopened epoch and its probe answers, and a
@@ -217,6 +260,7 @@ fn measure(
             ph.sync_bytes += sync_io.bytes_written;
         }
     }
+    ph.speed.sample(2);
     ph
 }
 
@@ -225,24 +269,35 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     let (vfs, _) = CountingVfs::std(false);
     let mut setup_s = Vec::new();
     let mut ship_ms = Vec::new();
-    let mut prepared: Option<Prepared> = None;
+    let mut prepared: Vec<Prepared> = Vec::new();
     for i in 0..SETUPS {
-        let t = Instant::now();
-        let p = prepare(cfg, i, &reads, vfs.clone());
-        setup_s.push(t.elapsed().as_secs_f64());
-        ship_ms.push(p.ship_ms);
-        if let Some(old) = prepared.replace(p) {
+        // One set of primaries on disk at a time.
+        for old in prepared.drain(..) {
             let _ = std::fs::remove_dir_all(&old.store);
             let _ = std::fs::remove_dir_all(&old.outbox);
         }
+        // Set-up time is the preparations alone, scaled by the host speed
+        // sampled between them.
+        let mut speed = HostSpeed::new(2);
+        let mut secs = 0.0;
+        for j in 0..TREES {
+            let t = Instant::now();
+            let p = prepare(cfg, i, j, &reads, vfs.clone());
+            secs += t.elapsed().as_secs_f64();
+            speed.sample(2);
+            ship_ms.push(p.ship_ms);
+            prepared.push(p);
+        }
+        setup_s.push(secs * speed.scale());
     }
-    let p = prepared.expect("at least one set-up");
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x2ec0_0000_0000_0001);
     let (untraced_len, traced_len) = cfg.phases();
     let base = measure(
         cfg,
-        &p,
+        &prepared,
         &reads,
         &Obs::disabled(),
+        &mut rng,
         &mut Tracer::new(false),
         untraced_len,
     );
@@ -250,9 +305,7 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     let mut m = Metrics::default();
     let mut attempted = 2 * base.pair_ms.len() as u64;
     let mut failed = base.failed;
-    let fast = fastest_quarter(&base.pair_ms, BLOCK);
-    let pairs = pick(&base.pair_ms, &fast);
-    let (open, catchup) = (pick(&base.open_ms, &fast), pick(&base.catchup_ms, &fast));
+    let (pairs, open, catchup) = base.scaled();
     m.set("setup_s", median(&setup_s));
     m.set("ops_per_s", per_second(&pairs));
     m.set("op_p50_ms", median(&pairs));
@@ -261,11 +314,12 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     m.set("open_p90_ms", quantile(&open, 0.9));
     m.set("catchup_p50_ms", median(&catchup));
     m.set("catchup_p90_ms", quantile(&catchup, 0.9));
+    m.set("host.kernel_ms", base.speed.kernel_ms());
 
     let mut tracer = Tracer::new(cfg.trace);
     if let Some(len) = traced_len {
         let obs = Obs::enabled();
-        let traced = measure(cfg, &p, &reads, &obs, &mut tracer, len);
+        let traced = measure(cfg, &prepared, &reads, &obs, &mut rng, &mut tracer, len);
         let snap = obs.snapshot();
         attempted += 2 * traced.pair_ms.len() as u64;
         failed += traced.failed;
@@ -288,7 +342,10 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
             "snapshot.decode_ms",
             median(&tracer.ms("snapshot", "decode")),
         );
-        m.set("snapshot.bytes", newest_snapshot_bytes(&p.store) as f64);
+        m.set(
+            "snapshot.bytes",
+            newest_snapshot_bytes(&prepared[0].store) as f64,
+        );
         m.set(
             "open.from_export_ms",
             median(&tracer.ms("open", "from_export")),
@@ -297,7 +354,7 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
         m.set("open.replay_ms_per_record", per_record("open"));
         m.set("replica.replay_ms_per_record", per_record("replica"));
         m.set("replica.ship_ms", median(&ship_ms));
-        m.set("replica.ship_bytes", dir_bytes(&p.outbox) as f64);
+        m.set("replica.ship_bytes", dir_bytes(&prepared[0].outbox) as f64);
         m.set(
             "replica.bootstrap_ms",
             median(&tracer.ms("replica", "bootstrap")),
@@ -305,7 +362,10 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
         m.set("replica.sync_ms", median(&tracer.ms("replica", "sync")));
         m.set(
             "trace.overhead_pct",
-            layers::overhead_pct(&base.pair_ms, &traced.pair_ms, BLOCK),
+            layers::overhead_pct(
+                mean(&pairs),
+                mean(&traced.scaled().0),
+            ),
         );
         // Layer parts of a pair: the open's decomposition plus the
         // follower's bootstrap and sync.

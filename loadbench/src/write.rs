@@ -1,24 +1,29 @@
-//! `write_mix`: a durable `LiveEngine` (fsync on every append, background
+//! `write_mix`: durable `LiveEngine`s (fsync on every append, background
 //! compaction every 32 epochs) absorbing one client's cycles of one
 //! stationary delta followed by cheap reads on the new epoch.
+//!
+//! A run writes to [`TREES`] engines on trees drawn from its seed, each
+//! with its own store and delta stream, in seeded shuffles of complete
+//! rounds, so a run averages over trees rather than reading one tree's
+//! cost.
 
 use crate::inputs::{self, DeltaStream, DELTA_KINDS, WRITE_READ_K};
 use crate::layers::{answer_metrics, artifact_metrics, overhead_pct, prebuild};
-use crate::stats::{fastest_quarter, median, peak_rss_mb, per_second, pick, quantile};
+use crate::stats::{mean, median, peak_rss_mb, per_second, quantile, HostSpeed};
 use crate::trace::Tracer;
 use crate::vfs::{take_thread_io, CountingVfs, Totals};
 use crate::{Config, Metrics, Outcome, SETUPS};
-use cpdb_engine::{Obs, Query};
+use cpdb_engine::{CacheStats, Obs, Query};
 use cpdb_live::{LiveEngine, StoreOptions};
 use cpdb_store::Store;
-use std::path::Path;
+use rand::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cycles per block: one default compaction period, so every block pays
-/// for one background compaction.
-const BLOCK: usize = 32;
+/// Durable engines (one tree and store each) a run writes to.
+const TREES: usize = 12;
 
 /// The percentile `op_tail_ms` reports. The ~3% of cycles that overlap a
 /// compaction make the percentiles near p97 jump between two classes, so
@@ -26,10 +31,11 @@ const BLOCK: usize = 32;
 const TAIL: f64 = 0.9;
 
 /// One measured phase.
-#[derive(Default)]
 struct Phase {
     /// Whole cycle: apply plus its reads.
     cycle_ms: Vec<f64>,
+    /// When each cycle ran (see [`HostSpeed::now`]).
+    cycle_at: Vec<f64>,
     write_ms: Vec<f64>,
     read_ms: Vec<f64>,
     failed: u64,
@@ -42,6 +48,24 @@ struct Phase {
     live_self_ms: Vec<f64>,
     /// Traced only: `(kept, patched, invalidated)` summed over deltas.
     decisions: (usize, usize, usize),
+    speed: HostSpeed,
+}
+
+impl Phase {
+    /// Cycle, write and read latencies at the reference host speed.
+    fn scaled(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let per_cycle = self.read_ms.len() / self.cycle_at.len().max(1);
+        let read_at: Vec<f64> = self
+            .cycle_at
+            .iter()
+            .flat_map(|&t| std::iter::repeat(t).take(per_cycle))
+            .collect();
+        (
+            self.speed.scale_each(&self.cycle_ms, &self.cycle_at),
+            self.speed.scale_each(&self.write_ms, &self.cycle_at),
+            self.speed.scale_each(&self.read_ms, &read_at),
+        )
+    }
 }
 
 fn options(vfs: Arc<dyn cpdb_store::Vfs>, obs: Obs) -> StoreOptions {
@@ -53,21 +77,43 @@ fn options(vfs: Arc<dyn cpdb_store::Vfs>, obs: Obs) -> StoreOptions {
 }
 
 fn measure(
-    live: &LiveEngine,
+    lives: &[LiveEngine],
     totals: &Totals,
-    stream: &mut DeltaStream,
+    streams: &mut [DeltaStream],
     reads: &[Query],
+    rng: &mut StdRng,
     tracer: &mut Tracer,
     length: Duration,
 ) -> Phase {
-    let mut p = Phase::default();
+    let mut p = Phase {
+        cycle_ms: Vec::new(),
+        cycle_at: Vec::new(),
+        write_ms: Vec::new(),
+        read_ms: Vec::new(),
+        failed: 0,
+        bytes: 0,
+        wal_bytes: 0,
+        wal_fsyncs: 0,
+        live_self_ms: Vec::new(),
+        decisions: (0, 0, 0),
+        speed: HostSpeed::new(2),
+    };
     let bytes0 = totals.bytes_written.load(Relaxed);
+    let mut order: Vec<usize> = Vec::new();
     let start = Instant::now();
     while start.elapsed() < length {
+        if order.is_empty() {
+            order = (0..lives.len()).collect();
+            order.shuffle(rng);
+        }
+        let j = order.pop().expect("refilled above");
+        let live = &lives[j];
+        p.speed.tick();
         let op = p.cycle_ms.len() as u64;
         let before = live.snapshot();
-        let (kind, delta) = stream.next(before.tree());
+        let (kind, delta) = streams[j].next(before.tree());
         take_thread_io();
+        let at = p.speed.now();
         let t0 = Instant::now();
         let cycle = tracer.open(op, None, "cycle", "");
         let write = tracer.open(op, Some(cycle), "write", "");
@@ -89,7 +135,9 @@ fn measure(
             ok &= answer.is_ok();
         }
         tracer.close(cycle);
-        p.cycle_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let cycle_ms = t0.elapsed().as_secs_f64() * 1e3;
+        p.cycle_ms.push(cycle_ms);
+        p.cycle_at.push(at + cycle_ms / 2e3);
         p.write_ms.push(write_ms);
         p.wal_bytes += io.bytes_written;
         p.wal_fsyncs += io.fsyncs;
@@ -113,15 +161,23 @@ fn measure(
         }
     }
     // Background compaction finishes inside the phase, so its bytes count.
-    live.await_compaction();
+    lives.iter().for_each(LiveEngine::await_compaction);
+    p.speed.sample(2);
     p.bytes = totals.bytes_written.load(Relaxed) - bytes0;
     p
 }
 
-/// Set-up: a warm engine, made durable in `dir` (writes the epoch-0
-/// snapshot).
-fn setup(cfg: &Config, dir: &Path, reads: &[Query], vfs: Arc<dyn cpdb_store::Vfs>) -> LiveEngine {
-    let engine = inputs::engine(inputs::tree(cfg.seed), cfg.seed, Obs::disabled());
+/// Set-up of tree `j`: a warm engine, made durable in `dir` (writes the
+/// epoch-0 snapshot).
+fn setup(
+    cfg: &Config,
+    j: usize,
+    dir: &Path,
+    reads: &[Query],
+    vfs: Arc<dyn cpdb_store::Vfs>,
+) -> LiveEngine {
+    let seed = inputs::tree_seed(cfg.seed, j);
+    let engine = inputs::engine(inputs::tree(seed), seed, Obs::disabled());
     for q in reads {
         let _ = engine.run(q);
     }
@@ -152,25 +208,39 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     let reads = inputs::write_reads();
     let (vfs, totals) = CountingVfs::std(false);
     let mut setup_s = Vec::new();
-    let mut live = None;
+    let mut lives: Vec<LiveEngine> = Vec::new();
+    let mut dirs: Vec<PathBuf> = Vec::new();
     for i in 0..SETUPS {
-        let dir = cfg.dir.join(format!("store-{i}"));
-        let t = Instant::now();
-        let fresh = setup(cfg, &dir, &reads, vfs.clone());
-        setup_s.push(t.elapsed().as_secs_f64());
-        if let Some(old) = live.replace((fresh, dir)) {
-            drop(old.0);
-            let _ = std::fs::remove_dir_all(&old.1);
+        // One set of engines alive at a time.
+        lives.clear();
+        dirs.drain(..).for_each(|d| {
+            let _ = std::fs::remove_dir_all(d);
+        });
+        // Set-up time is the set-ups alone, scaled by the host speed
+        // sampled between them.
+        let mut speed = HostSpeed::new(2);
+        let mut secs = 0.0;
+        for j in 0..TREES {
+            let dir = cfg.dir.join(format!("store-{i}-{j}"));
+            let t = Instant::now();
+            lives.push(setup(cfg, j, &dir, &reads, vfs.clone()));
+            secs += t.elapsed().as_secs_f64();
+            speed.sample(2);
+            dirs.push(dir);
         }
+        setup_s.push(secs * speed.scale());
     }
-    let (live, dir) = live.expect("at least one set-up");
-    let mut stream = DeltaStream::new(cfg.seed);
+    let mut streams: Vec<DeltaStream> = (0..TREES)
+        .map(|j| DeltaStream::new(inputs::tree_seed(cfg.seed, j)))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x3717_e000_0000_0001);
     let (untraced_len, traced_len) = cfg.phases();
     let base = measure(
-        &live,
+        &lives,
         &totals,
-        &mut stream,
+        &mut streams,
         &reads,
+        &mut rng,
         &mut Tracer::new(false),
         untraced_len,
     );
@@ -179,15 +249,7 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     let mut attempted = base.cycle_ms.len() as u64;
     let mut failed = base.failed;
     let deltas = base.write_ms.len().max(1) as f64;
-    let fast = fastest_quarter(&base.cycle_ms, BLOCK);
-    let cycles = pick(&base.cycle_ms, &fast);
-    let writes = pick(&base.write_ms, &fast);
-    let per_cycle = reads.len();
-    let fast_reads: Vec<usize> = fast
-        .iter()
-        .flat_map(|&c| c * per_cycle..(c + 1) * per_cycle)
-        .collect();
-    let read_ms = pick(&base.read_ms, &fast_reads);
+    let (cycles, writes, read_ms) = base.scaled();
     m.set("setup_s", median(&setup_s));
     m.set("ops_per_s", per_second(&cycles));
     m.set("op_p50_ms", median(&cycles));
@@ -201,54 +263,75 @@ pub fn run(cfg: &Config) -> (Outcome, Tracer) {
     m.set("write_bytes_per_delta", base.bytes as f64 / deltas);
     m.set("wal.bytes_per_delta", base.wal_bytes as f64 / deltas);
     m.set("wal.fsyncs_per_delta", base.wal_fsyncs as f64 / deltas);
+    m.set("host.kernel_ms", base.speed.kernel_ms());
 
     let mut tracer = Tracer::new(cfg.trace);
-    let live = match traced_len {
-        None => live,
+    let lives = match traced_len {
+        None => lives,
         Some(len) => {
-            // Reopen the same store with timing on and a sink attached, so
+            // Reopen the same stores with timing on and a sink attached, so
             // the store's WAL-append and snapshot-write histograms and the
             // live layer's compaction histogram cover this phase only.
-            drop(live);
+            drop(lives);
             let obs = Obs::enabled();
             let (timed_vfs, timed_totals) = CountingVfs::std(true);
-            let live = LiveEngine::open_with(&dir, options(timed_vfs, obs.clone()))
-                .expect("reopening the store");
-            let (stats0, obs0) = (live.snapshot().cache_stats(), obs.snapshot());
-            let traced = measure(&live, &timed_totals, &mut stream, &reads, &mut tracer, len);
-            let (stats1, obs1) = (live.snapshot().cache_stats(), obs.snapshot());
+            let lives: Vec<LiveEngine> = dirs
+                .iter()
+                .map(|d| {
+                    LiveEngine::open_with(d, options(timed_vfs.clone(), obs.clone()))
+                        .expect("reopening the store")
+                })
+                .collect();
+            let stats =
+                || -> Vec<CacheStats> { lives.iter().map(|l| l.snapshot().cache_stats()).collect() };
+            let (stats0, obs0) = (stats(), obs.snapshot());
+            let traced = measure(
+                &lives,
+                &timed_totals,
+                &mut streams,
+                &reads,
+                &mut rng,
+                &mut tracer,
+                len,
+            );
+            let (stats1, obs1) = (stats(), obs.snapshot());
             attempted += traced.cycle_ms.len() as u64;
             failed += traced.failed;
             traced_metrics(&mut m, &tracer, &traced, (&obs0, &obs1));
-            artifact_metrics(&mut m, &tracer, (&[stats0], &[stats1]), (&obs0, &obs1));
+            artifact_metrics(&mut m, &tracer, (&stats0, &stats1), (&obs0, &obs1));
             m.set(
                 "trace.overhead_pct",
-                overhead_pct(&base.cycle_ms, &traced.cycle_ms, BLOCK),
+                overhead_pct(
+                    mean(&cycles),
+                    mean(&traced.scaled().0),
+                ),
             );
-            live
+            lives
         }
     };
 
-    // Once per run, outside timing: the final epoch answers exactly like a
-    // from-scratch engine on the final tree.
-    let last = live.snapshot();
-    let scratch = inputs::engine(last.tree().clone(), cfg.seed, Obs::disabled());
-    if reads.iter().any(|q| last.run(q) != scratch.run(q)) {
-        failed += 1;
+    // Once per run, outside timing: each final epoch answers exactly like a
+    // from-scratch engine on its final tree.
+    for (j, live) in lives.iter().enumerate() {
+        let last = live.snapshot();
+        let seed = inputs::tree_seed(cfg.seed, j);
+        let scratch = inputs::engine(last.tree().clone(), seed, Obs::disabled());
+        if reads.iter().any(|q| last.run(q) != scratch.run(q)) {
+            failed += 1;
+        }
+        attempted += 1;
     }
-    attempted += 1;
-    drop(last);
-    drop(live);
+    drop(lives);
     if cfg.trace {
         let mut decode = Vec::new();
         for _ in 0..SETUPS {
             let t = Instant::now();
-            let opened = Store::open(&dir);
+            let opened = Store::open(&dirs[0]);
             decode.push(t.elapsed().as_secs_f64() * 1e3);
             failed += u64::from(opened.is_err());
         }
         m.set("snapshot.decode_ms", median(&decode));
-        m.set("snapshot.bytes", newest_snapshot_bytes(&dir) as f64);
+        m.set("snapshot.bytes", newest_snapshot_bytes(&dirs[0]) as f64);
     }
     m.set("peak_rss_mb", peak_rss_mb());
     (
