@@ -1,5 +1,5 @@
 //! Sustained query throughput of one shared `ConsensusEngine`: the serial
-//! `run` loop vs. the two-phase parallel `run_batch` on mixed serving
+//! `run` loop vs. the parallel `run_batch` on mixed serving
 //! batches, warm (artifacts cached — the paper's serving regime) and cold
 //! (first batch pays the artifact builds). The `query_throughput` binary
 //! emits the same measurements as JSON for the perf-smoke CI gate.
@@ -31,7 +31,7 @@ fn bench_query_throughput(c: &mut Criterion) {
                 |b, (engine, batch)| b.iter(|| black_box(engine.run_batch(batch))),
             );
             // Cold: a fresh engine per iteration, so the measured time
-            // includes the artifact builds the batch planner parallelises.
+            // includes the artifact builds.
             group.bench_with_input(
                 BenchmarkId::new("cold_parallel_batch", format!("n{n}_dup{dup}")),
                 &batch,

@@ -31,7 +31,7 @@ fn bench_topk_kendall(c: &mut Criterion) {
             &(&tree, &ctx),
             |b, (tree, ctx)| {
                 let mut rng = StdRng::seed_from_u64(1);
-                b.iter(|| black_box(kendall::mean_topk_kendall_pivot(tree, ctx, 30, 4, &mut rng)))
+                b.iter(|| black_box(kendall::mean_topk_kendall_pivot(tree, ctx, 4, &mut rng)))
             },
         );
     }

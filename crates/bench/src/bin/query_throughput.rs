@@ -1,6 +1,6 @@
 //! `BENCH_query_throughput.json` emitter: measures sustained mixed-workload
 //! query throughput (QPS) of one `ConsensusEngine` under the serial `run`
-//! loop vs. the two-phase parallel `run_batch`, warm and cold, at several
+//! loop vs. the parallel `run_batch`, warm and cold, at several
 //! batch-duplication factors and thread counts, verifying on every
 //! measurement that the two executors return bit-identical batches.
 //!
@@ -190,8 +190,8 @@ fn main() {
             "  \"workload\": {{ \"n\": {}, \"seed\": {}, \"reps\": {}, \"ks\": [5, 10], ",
             "\"machine_threads\": {} }},\n",
             "  \"note\": \"mixed serving batches; dup = copies of each distinct query per batch ",
-            "(production traffic repeats popular queries). Parallel = two-phase run_batch ",
-            "(concurrent artifact prefetch + deduplicated fan-out); serial = plain run loop. ",
+            "(production traffic repeats popular queries). Parallel = run_batch ",
+            "(dedup + parallel fan-out over run); serial = plain run loop. ",
             "Answers bit-identical between executors on every measurement. On a 1-thread ",
             "machine the parallel win is dedup amortisation; extra cores multiply it.\",\n",
             "  \"scenarios\": {{\n",

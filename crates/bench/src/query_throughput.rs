@@ -10,9 +10,9 @@
 //! the batch executor's dedup amortises. Two executors answer the same batch:
 //!
 //! * **serial** — [`ConsensusEngine::run_batch_serial`], the plain `run`
-//!   loop (one query at a time, no prefetch, no dedup);
-//! * **parallel** — [`ConsensusEngine::run_batch`], the two-phase executor
-//!   (concurrent artifact prefetch, deduplicated fan-out dispatch).
+//!   loop (one query at a time, no dedup);
+//! * **parallel** — [`ConsensusEngine::run_batch`]: dedup plus a parallel
+//!   fan-out of the distinct queries over `run`.
 //!
 //! Both are measured **cold** (fresh engine, artifact builds included) and
 //! **warm** (engine already holds every artifact — the paper's serving

@@ -91,85 +91,39 @@ pub fn preference_matrix_patched(
     matrix_from_weights(keys, &weights)
 }
 
-/// The candidate pool the pivot aggregation works on: the `pool_size` (at
-/// least `k`) most promising tuples by `Pr(r(t) ≤ k)`, in that order.
-pub fn candidate_pool(ctx: &TopKContext, pool_size: usize) -> Vec<TupleKey> {
-    candidate_pool_with_coverage(ctx, pool_size).0
-}
-
-/// [`candidate_pool`] together with the pool's **coverage**: the fraction of
-/// the total Top-k probability mass `Σ_t Pr(r(t) ≤ k)` retained by the pool.
-/// A truncated pool silently drops candidates; the coverage quantifies how
-/// much of the mass the aggregation can still see (`1.0` when nothing was
-/// clipped), so heuristic answers can report it instead of hiding the
-/// truncation.
-pub fn candidate_pool_with_coverage(ctx: &TopKContext, pool_size: usize) -> (Vec<TupleKey>, f64) {
-    let ranked = ctx.keys_by_topk_probability();
-    let total: f64 = ranked.iter().map(|(_, p)| *p).sum();
-    let take = pool_size.max(ctx.k());
-    let retained: f64 = ranked.iter().take(take).map(|(_, p)| *p).sum();
-    let pool = ranked.into_iter().take(take).map(|(t, _)| t).collect();
-    let coverage = if total > 0.0 {
-        (retained / total).min(1.0)
-    } else {
-        1.0
-    };
-    (pool, coverage)
-}
-
-/// Restricts a precomputed pairwise-order tournament to a candidate pool,
-/// copying the weights instead of recomputing the generating functions. This
-/// is the caching seam used by `cpdb_engine`: the full tournament is computed
-/// once per tree, and per-query pools are carved out of it for free.
-pub fn preference_submatrix(full: &PreferenceMatrix, pool: &[TupleKey]) -> PreferenceMatrix {
-    let items: Vec<u64> = pool.iter().map(|t| t.0).collect();
-    let mut m = PreferenceMatrix::new(&items);
-    for (idx, &a) in pool.iter().enumerate() {
-        for &b in pool.iter().skip(idx + 1) {
-            m.set_weight(a.0, b.0, full.weight(a.0, b.0));
-            m.set_weight(b.0, a.0, full.weight(b.0, a.0));
-        }
-    }
-    m
-}
-
 /// Kendall consensus answer via pivot aggregation: run seeded KwikSort over
-/// the pairwise-order tournament (restricted to the `candidate_pool` most
-/// promising tuples by `Pr(r(t) ≤ k)`), take the best of `trials` runs, and
-/// return its Top-k prefix.
+/// the pairwise-order tournament of every tuple, take the best of `trials`
+/// runs, and return its Top-k prefix.
 pub fn mean_topk_kendall_pivot<R: Rng + ?Sized>(
     tree: &AndXorTree,
     ctx: &TopKContext,
-    candidate_pool_size: usize,
     trials: usize,
     rng: &mut R,
 ) -> TopKList {
-    let k = ctx.k();
-    if k == 0 {
+    if ctx.k() == 0 {
         return TopKList::empty();
     }
-    let pool = candidate_pool(ctx, candidate_pool_size);
-    if pool.is_empty() {
-        return TopKList::empty();
-    }
-    let prefs = preference_matrix(tree, &pool);
+    let prefs = preference_matrix(tree, &tree.keys());
     mean_topk_kendall_pivot_from_prefs(ctx, &prefs, trials, rng)
 }
 
-/// The pivot aggregation step alone, given an already pool-restricted
-/// tournament (see [`preference_submatrix`]): best-of-`trials` KwikSort,
-/// truncated to the Top-k prefix.
+/// The pivot aggregation step alone, given an already-built tournament:
+/// best-of-`trials` KwikSort, truncated to the Top-k prefix. An empty
+/// tournament (the only way a tournament over distinct keys has no ranking,
+/// `RankError::Empty`) yields the empty list.
 pub fn mean_topk_kendall_pivot_from_prefs<R: Rng + ?Sized>(
     ctx: &TopKContext,
     prefs: &PreferenceMatrix,
     trials: usize,
     rng: &mut R,
 ) -> TopKList {
-    if ctx.k() == 0 || prefs.items().is_empty() {
+    if ctx.k() == 0 {
         return TopKList::empty();
     }
-    let ranking = pivot_best_of(prefs, trials, rng).expect("tournament is non-empty");
-    ranking.top_k(ctx.k())
+    match pivot_best_of(prefs, trials, rng) {
+        Ok(ranking) => ranking.top_k(ctx.k()),
+        Err(_) => TopKList::empty(),
+    }
 }
 
 /// Kendall consensus answer via the footrule-optimal answer — a
@@ -267,7 +221,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
-            let pivot = mean_topk_kendall_pivot(&tree, &ctx, items.len(), 8, &mut rng);
+            let pivot = mean_topk_kendall_pivot(&tree, &ctx, 8, &mut rng);
             let pivot_cost = expected_kendall_distance_enumerated(&tree, &ctx, &pivot);
             let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
             assert!(
@@ -315,44 +269,8 @@ mod tests {
         let tree = independent_tree(&[(1, 100.0, 0.99), (2, 90.0, 0.99), (3, 80.0, 0.99)]);
         let ctx = TopKContext::new(&tree, 3);
         let mut rng = StdRng::seed_from_u64(1);
-        let pivot = mean_topk_kendall_pivot(&tree, &ctx, 3, 4, &mut rng);
+        let pivot = mean_topk_kendall_pivot(&tree, &ctx, 4, &mut rng);
         assert_eq!(pivot.items(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn preference_submatrix_path_is_bit_identical_to_direct() {
-        let tree = tree_small();
-        let ctx = TopKContext::new(&tree, 2);
-        let full = preference_matrix(&tree, &tree.keys());
-        let pool = candidate_pool(&ctx, 4);
-        let sub = preference_submatrix(&full, &pool);
-        assert_eq!(sub, preference_matrix(&tree, &pool));
-        let mut direct_rng = StdRng::seed_from_u64(9);
-        let mut cached_rng = StdRng::seed_from_u64(9);
-        assert_eq!(
-            mean_topk_kendall_pivot(&tree, &ctx, 4, 4, &mut direct_rng),
-            mean_topk_kendall_pivot_from_prefs(&ctx, &sub, 4, &mut cached_rng)
-        );
-    }
-
-    #[test]
-    fn pool_coverage_reports_retained_topk_mass() {
-        let tree = tree_small();
-        let ctx = TopKContext::new(&tree, 2);
-        // Full pool: nothing clipped.
-        let (pool, coverage) = candidate_pool_with_coverage(&ctx, 4);
-        assert_eq!(pool.len(), 4);
-        assert!((coverage - 1.0).abs() < 1e-12);
-        // Clipped pool: coverage is the retained fraction of Σ Pr(r(t) ≤ k).
-        let (pool, coverage) = candidate_pool_with_coverage(&ctx, 2);
-        assert_eq!(pool.len(), 2);
-        let ranked = ctx.keys_by_topk_probability();
-        let total: f64 = ranked.iter().map(|(_, p)| *p).sum();
-        let retained: f64 = ranked.iter().take(2).map(|(_, p)| *p).sum();
-        assert!((coverage - retained / total).abs() < 1e-12);
-        assert!(coverage < 1.0);
-        // The wrapper returns the same pool.
-        assert_eq!(candidate_pool(&ctx, 2), pool);
     }
 
     #[test]
@@ -360,7 +278,11 @@ mod tests {
         let tree = tree_small();
         let ctx = TopKContext::new(&tree, 0);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(mean_topk_kendall_pivot(&tree, &ctx, 4, 2, &mut rng).is_empty());
+        assert!(mean_topk_kendall_pivot(&tree, &ctx, 2, &mut rng).is_empty());
+        // An empty tournament is the empty list, not a panic.
+        let empty = PreferenceMatrix::new(&[]);
+        let ctx = TopKContext::new(&tree, 2);
+        assert!(mean_topk_kendall_pivot_from_prefs(&ctx, &empty, 2, &mut rng).is_empty());
         assert_eq!(
             expected_kendall_distance_sampled(
                 &tree,

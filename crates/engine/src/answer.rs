@@ -123,21 +123,6 @@ impl fmt::Display for Value {
     }
 }
 
-/// Supplementary, non-binding information attached to an [`Answer`] —
-/// quantities that qualify *how* the answer was produced without changing
-/// what it is. Extended as the engine grows more honest about its shortcuts.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[non_exhaustive]
-pub struct Diagnostics {
-    /// For Kendall pivot answers: the fraction of the total Top-k probability
-    /// mass `Σ_t Pr(r(t) ≤ k)` retained by the candidate pool the
-    /// aggregation ran on. `1.0` means no candidate was clipped; a value
-    /// below `1.0` means the pool truncation discarded tuples carrying the
-    /// complementary mass, so a `Heuristic` tag comes with a measure of how
-    /// much the heuristic could not see.
-    pub pool_coverage: Option<f64>,
-}
-
 /// A consensus answer: the result itself, its expected distance to the random
 /// world's answer under the query's metric, and how optimal it is.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,26 +138,16 @@ pub struct Answer {
     pub expected_distance: f64,
     /// Optimality guarantee of `value` for the query's objective.
     pub optimality: Optimality,
-    /// Supplementary information qualifying the answer (e.g. candidate-pool
-    /// coverage for clipped Kendall pivots).
-    pub diagnostics: Diagnostics,
 }
 
 impl Answer {
-    /// Builds an answer with empty diagnostics.
+    /// Builds an answer.
     pub fn new(value: Value, expected_distance: f64, optimality: Optimality) -> Self {
         Answer {
             value,
             expected_distance,
             optimality,
-            diagnostics: Diagnostics::default(),
         }
-    }
-
-    /// Attaches the candidate-pool coverage diagnostic.
-    pub fn with_pool_coverage(mut self, coverage: f64) -> Self {
-        self.diagnostics.pool_coverage = Some(coverage);
-        self
     }
 }
 
@@ -180,21 +155,9 @@ impl fmt::Display for Answer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (E[d] = {:.6}, {}",
+            "{} (E[d] = {:.6}, {})",
             self.value, self.expected_distance, self.optimality
-        )?;
-        if let Some(coverage) = self.diagnostics.pool_coverage {
-            if coverage < 1.0 {
-                let pct = coverage * 100.0;
-                if pct >= 99.95 {
-                    // Would round to "100.0%" and contradict the clipping.
-                    write!(f, ", pool coverage <100%")?;
-                } else {
-                    write!(f, ", pool coverage {pct:.1}%")?;
-                }
-            }
-        }
-        write!(f, ")")
+        )
     }
 }
 
@@ -225,17 +188,7 @@ mod tests {
         );
         let s = a.to_string();
         assert!(s.contains("0.250000"), "{s}");
-        assert!(s.contains("2.000-approx"), "{s}");
-        assert!(!s.contains("pool coverage"), "{s}");
-
-        let clipped = Answer::new(
-            Value::TopK(TopKList::new(vec![3]).unwrap()),
-            0.5,
-            Optimality::Heuristic,
-        )
-        .with_pool_coverage(0.873);
-        let s = clipped.to_string();
-        assert!(s.contains("pool coverage 87.3%"), "{s}");
+        assert!(s.ends_with("2.000-approx)"), "{s}");
 
         let c = Value::Clustering(vec![
             vec![cpdb_model::TupleKey(1), cpdb_model::TupleKey(2)],

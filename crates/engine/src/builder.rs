@@ -11,14 +11,9 @@ use std::ops::RangeInclusive;
 /// exactly, §5.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KendallStrategy {
-    /// Seeded KwikSort over the pairwise-order tournament, best of `trials`
-    /// runs, restricted to the `pool` most promising tuples by
-    /// `Pr(r(t) ≤ k)`. A `pool` of `0` means "all tuples". The factor-2
-    /// guarantee only holds over the full pool: answers from a restricted
-    /// pool are tagged `Heuristic` (the pool can exclude the optimum).
+    /// Seeded KwikSort over the pairwise-order tournament of every tuple,
+    /// best of `trials` runs. One cached tournament serves every `k`.
     Pivot {
-        /// Candidate-pool size (`0` = every tuple; always at least `k`).
-        pool: usize,
         /// Number of randomised KwikSort runs to take the best of.
         trials: usize,
     },
@@ -71,16 +66,16 @@ pub struct ConsensusEngineBuilder {
 impl ConsensusEngineBuilder {
     /// Starts a builder for the given and/xor tree with default knobs:
     /// seed 0, k-range `1..=n` (the number of distinct tuple keys), exact
-    /// intersection assignment, Kendall pivot over the full pool with 8
-    /// trials, 1024 samples for Kendall expected-distance estimates, and an
-    /// automatic thread count for artifact builds.
+    /// intersection assignment, Kendall pivot with 8 trials, 1024 samples
+    /// for Kendall expected-distance estimates, and an automatic thread
+    /// count for artifact builds.
     #[must_use = "builder methods return the updated builder"]
     pub fn new(tree: AndXorTree) -> Self {
         ConsensusEngineBuilder {
             tree,
             seed: 0,
             k_range: None,
-            kendall: KendallStrategy::Pivot { pool: 0, trials: 8 },
+            kendall: KendallStrategy::Pivot { trials: 8 },
             intersection: IntersectionStrategy::Assignment,
             kendall_distance_samples: 1024,
             groupby: None,
@@ -141,9 +136,8 @@ impl ConsensusEngineBuilder {
     /// Thread count used both by the batch artifact *builds* (rank-PMF
     /// tables, Kendall tournament, co-clustering weights — each a
     /// `cpdb_parallel` fork-join over targets/pairs) and by
-    /// [`crate::ConsensusEngine::run_batch`]'s query *dispatch* (phase 1
-    /// builds the batch's distinct artifacts concurrently, phase 2 fans the
-    /// deduplicated queries out across worker threads). `0` (the default)
+    /// [`crate::ConsensusEngine::run_batch`]'s query *dispatch* (the
+    /// deduplicated queries fan out across worker threads). `0` (the default)
     /// means "auto": the `CPDB_THREADS` environment variable if set,
     /// otherwise the machine's available parallelism. Answers never depend on
     /// this knob — the batch evaluators and per-query RNG streams are
@@ -188,7 +182,7 @@ impl ConsensusEngineBuilder {
                 context: "kendall_distance_samples must be at least 1".to_string(),
             });
         }
-        if let KendallStrategy::Pivot { trials, .. } = self.kendall {
+        if let KendallStrategy::Pivot { trials } = self.kendall {
             if trials == 0 {
                 return Err(EngineError::InvalidConfig {
                     context: "Kendall pivot needs at least 1 trial".to_string(),
@@ -261,7 +255,7 @@ mod tests {
         ));
         assert!(matches!(
             ConsensusEngineBuilder::new(tiny_tree())
-                .kendall_strategy(KendallStrategy::Pivot { pool: 0, trials: 0 })
+                .kendall_strategy(KendallStrategy::Pivot { trials: 0 })
                 .build(),
             Err(EngineError::InvalidConfig { .. })
         ));

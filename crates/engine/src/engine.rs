@@ -22,7 +22,7 @@ use cpdb_sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use cpdb_sync::{OnceLock, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -187,13 +187,11 @@ where
 
 /// Initialises a slot (exactly once, even under races) and keeps the
 /// build/hit counters truthful: the build counter is bumped by the one thread
-/// whose closure ran; every other access bumps `hits` — unless `hits` is
-/// `None`, the prefetch mode used by the batch planner, where an
-/// already-built artifact is simply left alone (a prefetch is not a query).
+/// whose closure ran; every other access bumps `hits`.
 fn slot_get_or_build<'a, T>(
     slot: &'a OnceLock<T>,
     builds: &AtomicUsize,
-    hits: Option<&AtomicUsize>,
+    hits: &AtomicUsize,
     build: impl FnOnce() -> T,
 ) -> &'a T {
     let mut built = false;
@@ -203,34 +201,14 @@ fn slot_get_or_build<'a, T>(
     });
     if built {
         builds.fetch_add(1, Relaxed);
-    } else if let Some(hits) = hits {
+    } else {
         hits.fetch_add(1, Relaxed);
     }
     value
 }
 
-/// The per-`k` Kendall pool artifact: the pool-restricted pairwise-order
-/// tournament plus the pool's retained `Σ Pr(r(t) ≤ k)` coverage (the pool
-/// knob is fixed, so `k` determines both).
-#[derive(Debug)]
-struct PoolTournament {
-    prefs: PreferenceMatrix,
-    coverage: f64,
-}
-
-/// Leaf-count ceiling for exhaustive U-Top-k world enumeration. Shared by the
-/// run path (which rejects over-budget queries) and the batch planner (which
-/// must skip exactly the queries the run path rejects, so the build counters
-/// match a serial run).
+/// Leaf-count ceiling for exhaustive U-Top-k world enumeration.
 const UTOPK_EXACT_LEAF_BUDGET: usize = 20;
-
-/// Whether a Top-k `(metric, variant)` combination is rejected before any
-/// artifact is touched — only the symmetric-difference metric has a
-/// polynomial median algorithm (Theorem 4). Shared by the run path and the
-/// batch planner for the same reason as [`UTOPK_EXACT_LEAF_BUDGET`].
-fn topk_median_unsupported(metric: TopKMetric, variant: Variant) -> bool {
-    variant == Variant::Median && metric != TopKMetric::SymmetricDifference
-}
 
 /// Which model class the engine's tree belongs to — decides whether the
 /// Jaccard prefix scans carry their proven guarantees (Lemma 2 is stated for
@@ -299,20 +277,16 @@ pub struct ConsensusEngine {
     threads: usize,
     /// Per-`k` rank-PMF contexts, sharded so distinct `k`s build in parallel.
     contexts: RwLock<HashMap<usize, Slot<Arc<TopKContext>>>>,
-    /// The full n² pairwise-order tournament.
+    /// The full n² pairwise-order tournament every Kendall pivot runs on.
     prefs: Slot<PreferenceMatrix>,
-    /// Per-`k` Kendall tournaments over the candidate pool, with the pool's
-    /// coverage — carved from `prefs` when the full matrix exists, built
-    /// pool-sized otherwise.
-    pool_prefs: RwLock<HashMap<usize, Slot<Arc<PoolTournament>>>>,
     cocluster: Slot<CoClusteringWeights>,
     marginals: Slot<HashMap<Alternative, f64>>,
     jaccard_candidates: Slot<Vec<(Alternative, f64)>>,
-    /// The sorted tuple-key table. Every ranked query path needs it (pool
-    /// sizing, tournament building); caching it replaces an `O(n log n)`
-    /// re-sort per query with a shared read. It depends only on tuple
-    /// *membership* — not on probabilities or values — so it is the artifact
-    /// live updates keep across probability-only epochs.
+    /// The sorted tuple-key table the tournament is built over; caching it
+    /// replaces an `O(n log n)` re-sort per build with a shared read. It
+    /// depends only on tuple *membership* — not on probabilities or values —
+    /// so it is the artifact live updates keep across probability-only
+    /// epochs.
     key_index: Slot<Arc<Vec<cpdb_model::TupleKey>>>,
     stats: AtomicCacheStats,
     /// Pre-registered observability handles (inert unless a sink was
@@ -339,7 +313,6 @@ impl Clone for ConsensusEngine {
             threads: self.threads,
             contexts: clone_built_map(&self.contexts),
             prefs: clone_built_slot(&self.prefs),
-            pool_prefs: clone_built_map(&self.pool_prefs),
             cocluster: clone_built_slot(&self.cocluster),
             marginals: clone_built_slot(&self.marginals),
             jaccard_candidates: clone_built_slot(&self.jaccard_candidates),
@@ -376,7 +349,6 @@ impl ConsensusEngine {
             threads,
             contexts: RwLock::new(HashMap::new()),
             prefs: Slot::default(),
-            pool_prefs: RwLock::new(HashMap::new()),
             cocluster: Slot::default(),
             marginals: Slot::default(),
             jaccard_candidates: Slot::default(),
@@ -473,14 +445,12 @@ impl ConsensusEngine {
         Ok(self.context_arc(k))
     }
 
-    /// The memoised sorted tuple-key table shared by the ranked query paths
-    /// (`count_hit = false` is the batch-planner / delta-maintenance prefetch
-    /// mode).
-    fn key_index_arc(&self, count_hit: bool) -> Arc<Vec<cpdb_model::TupleKey>> {
+    /// The memoised sorted tuple-key table the tournament build reads.
+    fn key_index_arc(&self) -> Arc<Vec<cpdb_model::TupleKey>> {
         slot_get_or_build(
             &self.key_index,
             &self.stats.key_index_builds,
-            count_hit.then_some(&self.stats.key_index_hits),
+            &self.stats.key_index_hits,
             || {
                 let _build = self
                     .obs
@@ -497,14 +467,14 @@ impl ConsensusEngine {
         slot_get_or_build(
             &self.prefs,
             &self.stats.preference_builds,
-            Some(&self.stats.preference_hits),
+            &self.stats.preference_hits,
             || {
                 let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
                     "preference_matrix".to_string()
                 });
                 kendall::preference_matrix_with_parallelism(
                     &self.tree,
-                    &self.key_index_arc(false),
+                    &self.key_index_arc(),
                     self.threads,
                 )
             },
@@ -517,7 +487,7 @@ impl ConsensusEngine {
         slot_get_or_build(
             &self.cocluster,
             &self.stats.coclustering_builds,
-            Some(&self.stats.coclustering_hits),
+            &self.stats.coclustering_hits,
             || {
                 let _build = self
                     .obs
@@ -544,20 +514,13 @@ impl ConsensusEngine {
         }
     }
 
-    /// Answers a batch of queries with a two-phase parallel executor, sharing
-    /// every cached artifact across them.
-    ///
-    /// **Phase 1 (plan + build):** the distinct artifacts the batch needs —
-    /// the [`TopKContext`] per distinct `k`, the Kendall tournament(s), the
-    /// co-clustering weights, the marginal tables — are identified up front
-    /// and built concurrently on the engine's thread pool (the
-    /// [`threads`](crate::ConsensusEngineBuilder::threads) knob), each via
-    /// the single-sweep batch evaluators.
-    ///
-    /// **Phase 2 (dispatch):** query execution fans out across the same
-    /// thread pool. Duplicate queries are answered once and their [`Answer`]
-    /// cloned for the other occurrences
-    /// ([`CacheStats::batch_dedup_hits`] counts them).
+    /// Answers a batch of queries: duplicates are answered once and their
+    /// [`Answer`] cloned for the other occurrences
+    /// ([`CacheStats::batch_dedup_hits`] counts them), and the distinct
+    /// queries fan out over [`run`](Self::run) on the engine's thread pool
+    /// (the [`threads`](crate::ConsensusEngineBuilder::threads) knob). Each
+    /// artifact is built by the first query that needs it, exactly as in the
+    /// serial loop.
     ///
     /// Every query's result is **bit-identical** to what the serial loop
     /// [`run_batch_serial`](Self::run_batch_serial) returns, at any thread
@@ -581,7 +544,6 @@ impl ConsensusEngine {
                 }
             }
         }
-        self.prime_artifacts(&uniques);
         let answers = parallel_map_indexed(self.threads, uniques.len(), |i| self.run(uniques[i]));
         canonical
             .into_iter()
@@ -590,8 +552,8 @@ impl ConsensusEngine {
     }
 
     /// The serial reference executor: answers the batch with a plain
-    /// `for` loop over [`run`](Self::run) on the calling thread — no artifact
-    /// prefetch, no dispatch parallelism, no dedup.
+    /// `for` loop over [`run`](Self::run) on the calling thread — no dispatch
+    /// parallelism, no dedup.
     /// [`run_batch`](Self::run_batch) is required
     /// (and tested) to return bit-identical results; this loop exists as the
     /// baseline for that contract and for throughput comparisons.
@@ -609,7 +571,7 @@ impl ConsensusEngine {
     ) -> Result<Answer, EngineError> {
         match metric {
             SetMetric::SymmetricDifference => {
-                let marginals = self.marginals_ref(true);
+                let marginals = self.marginals_ref();
                 // Theorem 2 (mean) and Corollary 1 (median coincides with the
                 // mean for and/xor trees): one algorithm serves both variants.
                 let world = set_distance::mean_world_from_marginals(marginals);
@@ -637,7 +599,7 @@ impl ConsensusEngine {
                 ))
             }
             SetMetric::Jaccard => {
-                let candidates = self.jaccard_candidates_ref(true);
+                let candidates = self.jaccard_candidates_ref();
                 let consensus = jaccard::best_prefix_world(&self.tree, candidates);
                 // Lemma 2 proves the prefix structure for tuple-independent
                 // mean worlds; the §4.2 scan over block-best alternatives is
@@ -665,20 +627,13 @@ impl ConsensusEngine {
         variant: Variant,
     ) -> Result<Answer, EngineError> {
         self.check_k(k)?;
-        if topk_median_unsupported(metric, variant) {
-            return Err(EngineError::Unsupported {
-                query: format!("{query:?}"),
-                reason: "only the symmetric-difference metric has a polynomial median \
-                         algorithm (Theorem 4)"
-                    .to_string(),
-            });
-        }
-        let ctx = self.context_arc(k);
-        let ctx = &*ctx;
+        // Each supported (metric, variant) pair fetches its rank context; the
+        // unsupported pairs are rejected before any artifact is touched.
         match (metric, variant) {
             (TopKMetric::SymmetricDifference, Variant::Mean) => {
-                let answer = sym_diff::mean_topk_sym_diff(ctx);
-                let expected_distance = sym_diff::expected_sym_diff_distance(ctx, &answer);
+                let ctx = self.context_arc(k);
+                let answer = sym_diff::mean_topk_sym_diff(&ctx);
+                let expected_distance = sym_diff::expected_sym_diff_distance(&ctx, &answer);
                 Ok(Answer::new(
                     Value::TopK(answer),
                     expected_distance,
@@ -686,7 +641,8 @@ impl ConsensusEngine {
                 ))
             }
             (TopKMetric::SymmetricDifference, Variant::Median) => {
-                let median = median_dp::median_topk_sym_diff(&self.tree, ctx);
+                let ctx = self.context_arc(k);
+                let median = median_dp::median_topk_sym_diff(&self.tree, &ctx);
                 Ok(Answer::new(
                     Value::TopK(median.answer),
                     median.expected_distance,
@@ -694,18 +650,20 @@ impl ConsensusEngine {
                 ))
             }
             (TopKMetric::Intersection, Variant::Mean) => {
+                let ctx = self.context_arc(k);
                 let (answer, optimality) = match self.intersection {
-                    IntersectionStrategy::Assignment => {
-                        (intersection::mean_topk_intersection(ctx), Optimality::Exact)
-                    }
+                    IntersectionStrategy::Assignment => (
+                        intersection::mean_topk_intersection(&ctx),
+                        Optimality::Exact,
+                    ),
                     IntersectionStrategy::Harmonic => (
-                        intersection::mean_topk_upsilon_h(ctx),
+                        intersection::mean_topk_upsilon_h(&ctx),
                         Optimality::Approx {
                             factor: intersection::harmonic(k),
                         },
                     ),
                 };
-                let expected_distance = intersection::expected_intersection_distance(ctx, &answer);
+                let expected_distance = intersection::expected_intersection_distance(&ctx, &answer);
                 Ok(Answer::new(
                     Value::TopK(answer),
                     expected_distance,
@@ -713,8 +671,9 @@ impl ConsensusEngine {
                 ))
             }
             (TopKMetric::Footrule, Variant::Mean) => {
-                let answer = footrule::mean_topk_footrule(ctx);
-                let expected_distance = footrule::expected_footrule_distance(ctx, &answer);
+                let ctx = self.context_arc(k);
+                let answer = footrule::mean_topk_footrule(&ctx);
+                let expected_distance = footrule::expected_footrule_distance(&ctx, &answer);
                 Ok(Answer::new(
                     Value::TopK(answer),
                     expected_distance,
@@ -722,60 +681,40 @@ impl ConsensusEngine {
                 ))
             }
             (TopKMetric::Kendall, Variant::Mean) => {
+                let ctx = self.context_arc(k);
                 let mut rng = self.query_rng(query);
-                let n = self.key_index_arc(true).len();
-                let (answer, optimality, pool_coverage) = match self.kendall {
-                    KendallStrategy::Pivot { pool, trials } => {
-                        let pool_size = if pool == 0 { n } else { pool };
-                        // The pool-restricted tournament — and the pool's
-                        // coverage, the fraction of Σ Pr(r(t) ≤ k) mass it
-                        // retains, reported with the answer so clipped-pool
-                        // heuristics are honest about what the truncation
-                        // discarded — is deterministic per k (the pool knob
-                        // is fixed), so both are memoised: the matrix carved
-                        // out of the full tournament when that is cached,
-                        // pool-sized generating-function work otherwise.
-                        let tournament =
-                            self.pool_tournament(k, ctx, pool, pool_size, n, true, self.threads);
-                        let coverage = tournament.coverage;
-                        let answer = kendall::mean_topk_kendall_pivot_from_prefs(
-                            ctx,
-                            &tournament.prefs,
+                let answer = match self.kendall {
+                    KendallStrategy::Pivot { trials } => {
+                        kendall::mean_topk_kendall_pivot_from_prefs(
+                            &ctx,
+                            self.preference_matrix(),
                             trials,
                             &mut rng,
-                        );
-                        // The factor-2 guarantee holds when every tuple can
-                        // be considered; a restricted pool can exclude the
-                        // optimum entirely, so tag such answers honestly.
-                        let optimality = if pool_size.max(k) >= n {
-                            Optimality::Approx { factor: 2.0 }
-                        } else {
-                            Optimality::Heuristic
-                        };
-                        (answer, optimality, Some(coverage))
+                        )
                     }
-                    KendallStrategy::FootruleProxy => (
-                        kendall::mean_topk_kendall_via_footrule(ctx),
-                        Optimality::Approx { factor: 2.0 },
-                        None,
-                    ),
+                    KendallStrategy::FootruleProxy => kendall::mean_topk_kendall_via_footrule(&ctx),
                 };
                 // Evaluating E[d_K] exactly is exponential: report a seeded
                 // Monte-Carlo estimate (sample count is a builder knob).
                 let expected_distance = kendall::expected_kendall_distance_sampled(
                     &self.tree,
-                    ctx,
+                    &ctx,
                     &answer,
                     self.kendall_distance_samples,
                     &mut rng,
                 );
-                let mut answer = Answer::new(Value::TopK(answer), expected_distance, optimality);
-                if let Some(coverage) = pool_coverage {
-                    answer = answer.with_pool_coverage(coverage);
-                }
-                Ok(answer)
+                Ok(Answer::new(
+                    Value::TopK(answer),
+                    expected_distance,
+                    Optimality::Approx { factor: 2.0 },
+                ))
             }
-            (_, Variant::Median) => unreachable!("rejected above"),
+            (_, Variant::Median) => Err(EngineError::Unsupported {
+                query: format!("{query:?}"),
+                reason: "only the symmetric-difference metric has a polynomial median \
+                         algorithm (Theorem 4)"
+                    .to_string(),
+            }),
         }
     }
 
@@ -881,7 +820,7 @@ impl ConsensusEngine {
         slot_get_or_build(
             &cell,
             &self.stats.rank_context_builds,
-            Some(&self.stats.rank_context_hits),
+            &self.stats.rank_context_hits,
             || {
                 let _build = self
                     .obs
@@ -896,13 +835,12 @@ impl ConsensusEngine {
         .clone()
     }
 
-    /// The memoised marginal-probability table. `count_hit` distinguishes a
-    /// query access (counts a cache hit) from a batch-planner prefetch.
-    fn marginals_ref(&self, count_hit: bool) -> &HashMap<Alternative, f64> {
+    /// The memoised marginal-probability table.
+    fn marginals_ref(&self) -> &HashMap<Alternative, f64> {
         slot_get_or_build(
             &self.marginals,
             &self.stats.marginal_builds,
-            count_hit.then_some(&self.stats.marginal_hits),
+            &self.stats.marginal_hits,
             || {
                 let _build = self
                     .obs
@@ -915,223 +853,16 @@ impl ConsensusEngine {
     /// The memoised Jaccard candidate list — a cheap derivation of the
     /// marginal table, so it shares that table with the symmetric-difference
     /// set queries instead of walking the tree a second time.
-    fn jaccard_candidates_ref(&self, count_hit: bool) -> &[(Alternative, f64)] {
+    fn jaccard_candidates_ref(&self) -> &[(Alternative, f64)] {
         let mut built = false;
         let candidates = self.jaccard_candidates.get_or_init(|| {
             built = true;
-            let marginals = self.marginals_ref(count_hit);
-            jaccard::prefix_candidates_from_marginals(marginals)
+            jaccard::prefix_candidates_from_marginals(self.marginals_ref())
         });
-        if !built && count_hit {
+        if !built {
             self.stats.marginal_hits.fetch_add(1, Relaxed);
         }
         candidates
-    }
-
-    /// The memoised per-`k` Kendall pool tournament (pool-restricted
-    /// preference matrix + pool coverage). Mirrors the serial caching policy:
-    /// the full n² tournament is only paid for when the pool covers every key
-    /// (or already exists, in which case the pool matrix is carved out of
-    /// it); a clipped pool gets its own cheap pool-sized matrix.
-    #[allow(clippy::too_many_arguments)]
-    fn pool_tournament(
-        &self,
-        k: usize,
-        ctx: &TopKContext,
-        pool: usize,
-        pool_size: usize,
-        n: usize,
-        count_hit: bool,
-        build_threads: usize,
-    ) -> Arc<PoolTournament> {
-        let cell = shard(&self.pool_prefs, k);
-        if cell.get().is_none() && (pool == 0 || pool.max(k) >= n || self.prefs.get().is_some()) {
-            if count_hit {
-                let _ = self.preference_matrix();
-            } else {
-                self.prime_prefs(build_threads);
-            }
-        }
-        let mut built = false;
-        let tournament = cell
-            .get_or_init(|| {
-                built = true;
-                let _build = self
-                    .obs
-                    .artifact_span(Artifact::KendallPool, || format!("kendall_pool[k={k}]"));
-                let (pool_keys, coverage) = kendall::candidate_pool_with_coverage(ctx, pool_size);
-                let prefs = match self.prefs.get() {
-                    Some(full) => kendall::preference_submatrix(full, &pool_keys),
-                    None => {
-                        self.stats.preference_builds.fetch_add(1, Relaxed);
-                        kendall::preference_matrix_with_parallelism(
-                            &self.tree,
-                            &pool_keys,
-                            build_threads,
-                        )
-                    }
-                };
-                Arc::new(PoolTournament { prefs, coverage })
-            })
-            .clone();
-        if !built && count_hit {
-            self.stats.preference_hits.fetch_add(1, Relaxed);
-        }
-        tournament
-    }
-
-    // ---- batch planning (run_batch phase 1) --------------------------------
-
-    /// Prefetch variants: build the artifact if missing (counting the build),
-    /// but do not count cache hits — a prefetch is planning, not a query.
-    /// `build_threads` is the planner's per-build share of the thread budget
-    /// (the run path passes the full `self.threads`), so a wave of concurrent
-    /// prefetches does not oversubscribe the machine with nested fork-joins.
-    fn prime_context(&self, k: usize, build_threads: usize) -> Arc<TopKContext> {
-        let cell = shard(&self.contexts, k);
-        slot_get_or_build(&cell, &self.stats.rank_context_builds, None, || {
-            let _build = self
-                .obs
-                .artifact_span(Artifact::RankContext, || format!("rank_context[k={k}]"));
-            Arc::new(TopKContext::new_with_parallelism(
-                &self.tree,
-                k,
-                build_threads,
-            ))
-        })
-        .clone()
-    }
-
-    fn prime_prefs(&self, build_threads: usize) {
-        slot_get_or_build(&self.prefs, &self.stats.preference_builds, None, || {
-            let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
-                "preference_matrix".to_string()
-            });
-            kendall::preference_matrix_with_parallelism(
-                &self.tree,
-                &self.key_index_arc(false),
-                build_threads,
-            )
-        });
-    }
-
-    fn prime_cocluster(&self, build_threads: usize) {
-        slot_get_or_build(
-            &self.cocluster,
-            &self.stats.coclustering_builds,
-            None,
-            || {
-                let _build = self
-                    .obs
-                    .artifact_span(Artifact::CoClustering, || "coclustering".to_string());
-                CoClusteringWeights::from_tree_with_parallelism(&self.tree, build_threads)
-            },
-        );
-    }
-
-    fn prime_kendall_pool(&self, k: usize, build_threads: usize) {
-        let KendallStrategy::Pivot { pool, .. } = self.kendall else {
-            return;
-        };
-        let ctx = self.prime_context(k, build_threads);
-        let n = self.key_index_arc(false).len();
-        let pool_size = if pool == 0 { n } else { pool };
-        let _ = self.pool_tournament(k, &ctx, pool, pool_size, n, false, build_threads);
-    }
-
-    /// Phase 1 of [`Self::run_batch`]: walk the (deduplicated) batch, collect
-    /// the distinct artifacts it will need, and build them concurrently on
-    /// the engine's thread pool. Queries the serial path would reject before
-    /// touching any artifact (bad `k`, unsupported variants, over-budget
-    /// exact U-Top-k) are skipped, so the build counters end up exactly where
-    /// a serial run of the same batch would put them.
-    fn prime_artifacts(&self, queries: &[&Query]) {
-        let mut context_ks = BTreeSet::new();
-        let mut kendall_ks = BTreeSet::new();
-        let mut need_prefs = false;
-        let mut need_cocluster = false;
-        let mut need_marginals = false;
-        let mut need_jaccard = false;
-        let n = self.key_index_arc(false).len();
-        for query in queries {
-            match query {
-                Query::SetConsensus { metric, .. } => match metric {
-                    SetMetric::SymmetricDifference => need_marginals = true,
-                    SetMetric::Jaccard => need_jaccard = true,
-                },
-                Query::TopK { k, metric, variant } => {
-                    if self.check_k(*k).is_err() || topk_median_unsupported(*metric, *variant) {
-                        continue;
-                    }
-                    context_ks.insert(*k);
-                    if *metric == TopKMetric::Kendall {
-                        if let KendallStrategy::Pivot { pool, .. } = self.kendall {
-                            kendall_ks.insert(*k);
-                            if pool == 0 || pool.max(*k) >= n {
-                                need_prefs = true;
-                            }
-                        }
-                    }
-                }
-                Query::Aggregate { .. } => {}
-                Query::Clustering { .. } => need_cocluster = true,
-                Query::Baseline { kind } => {
-                    if self.check_k(kind.k()).is_err() {
-                        continue;
-                    }
-                    if matches!(kind, BaselineKind::UTopKExact { .. })
-                        && self.tree.leaf_count() > UTOPK_EXACT_LEAF_BUDGET
-                    {
-                        continue;
-                    }
-                    context_ks.insert(kind.k());
-                }
-            }
-        }
-        // Wave 1: independent artifacts, built concurrently. (The Jaccard
-        // candidate list derives from the marginal table; both primes may run
-        // at once — the OnceLock makes the shared table build exactly once.)
-        // The thread budget is split between the wave's fan-out and each
-        // build's internal fork-join, so a cold batch never oversubscribes
-        // the machine with outer × inner worker threads.
-        let total_threads = cpdb_parallel::resolve_threads(self.threads);
-        let split_budget = |wave_len: usize| {
-            let outer = total_threads.min(wave_len.max(1));
-            (outer, (total_threads / outer).max(1))
-        };
-        let mut builds: Vec<Box<dyn Fn(usize) + Sync>> = Vec::new();
-        for &k in &context_ks {
-            builds.push(Box::new(move |build_threads| {
-                self.prime_context(k, build_threads);
-            }));
-        }
-        if need_prefs {
-            builds.push(Box::new(|build_threads| self.prime_prefs(build_threads)));
-        }
-        if need_cocluster {
-            builds.push(Box::new(|build_threads| {
-                self.prime_cocluster(build_threads)
-            }));
-        }
-        if need_marginals {
-            builds.push(Box::new(|_| {
-                self.marginals_ref(false);
-            }));
-        }
-        if need_jaccard {
-            builds.push(Box::new(|_| {
-                self.jaccard_candidates_ref(false);
-            }));
-        }
-        let (outer, inner) = split_budget(builds.len());
-        parallel_map_indexed(outer, builds.len(), |i| builds[i](inner));
-        // Wave 2: the per-k pool tournaments, which read the contexts (and
-        // possibly the full tournament) produced by wave 1.
-        let kendall_ks: Vec<usize> = kendall_ks.into_iter().collect();
-        let (outer, inner) = split_budget(kendall_ks.len());
-        parallel_map_indexed(outer, kendall_ks.len(), |i| {
-            self.prime_kendall_pool(kendall_ks[i], inner)
-        });
     }
 
     // ---- delta-aware artifact maintenance (live-update epoch builds) -------
@@ -1277,35 +1008,6 @@ impl ConsensusEngine {
             }
         };
 
-        // Per-k Kendall pool tournaments: kept only when their rank context
-        // survived *and* the pool's keys are untouched (their coverage reads
-        // the context, their matrix the pool's pairwise entries).
-        let pool_prefs = {
-            let mut kept_pools: HashMap<usize, Slot<Arc<PoolTournament>>> = HashMap::new();
-            for (&k, cell) in self
-                .pool_prefs
-                .read()
-                .expect("artifact map lock poisoned")
-                .iter()
-            {
-                let Some(tournament) = cell.get() else {
-                    continue;
-                };
-                let pool_untouched = tournament
-                    .prefs
-                    .items()
-                    .iter()
-                    .all(|&item| !affected.contains(&cpdb_model::TupleKey(item)));
-                if impact.rank_order_preserved && pool_untouched {
-                    report.record(format!("kendall_pool[k={k}]"), Kept);
-                    kept_pools.insert(k, Arc::clone(cell));
-                } else {
-                    report.record(format!("kendall_pool[k={k}]"), Invalidated);
-                }
-            }
-            RwLock::new(kept_pools)
-        };
-
         let stats = AtomicCacheStats::from_snapshot(self.stats.snapshot());
         stats.delta_kept.fetch_add(report.kept(), Relaxed);
         stats.delta_patched.fetch_add(report.patched(), Relaxed);
@@ -1326,7 +1028,6 @@ impl ConsensusEngine {
             threads: self.threads,
             contexts,
             prefs,
-            pool_prefs,
             cocluster,
             marginals,
             jaccard_candidates,
@@ -1680,10 +1381,10 @@ mod tests {
         let results = engine.run_batch(&queries);
         assert!(results.iter().all(|r| r.is_ok()));
         let stats = engine.cache_stats();
+        // As in the serial loop: the first query builds the context, the
+        // other three hit it.
         assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
-        // The batch planner prefetches the context, so all four queries are
-        // cache hits (a prefetch is planning, not a query).
-        assert_eq!(stats.rank_context_hits, 4, "{stats:?}");
+        assert_eq!(stats.rank_context_hits, 3, "{stats:?}");
         assert_eq!(stats.batch_dedup_hits, 0, "{stats:?}");
     }
 
@@ -1787,9 +1488,9 @@ mod tests {
         assert_eq!(answers[1], answers[4]);
         let stats = engine.cache_stats();
         assert_eq!(stats.batch_dedup_hits, 3, "{stats:?}");
-        // Only the two distinct queries executed: one build + two hits.
+        // Only the two distinct queries executed: one build + one hit.
         assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
-        assert_eq!(stats.rank_context_hits, 2, "{stats:?}");
+        assert_eq!(stats.rank_context_hits, 1, "{stats:?}");
         // The dedup answers are bit-identical to the serial loop's.
         let serial = small_engine().run_batch_serial(&batch);
         assert_eq!(answers, serial);
@@ -1938,11 +1639,9 @@ mod tests {
         // Replay the engine's stream through the free function.
         let ctx = TopKContext::new(engine.tree(), 2);
         let mut rng = engine.query_rng(&q);
-        let direct =
-            kendall::mean_topk_kendall_pivot(engine.tree(), &ctx, ctx.keys().len(), 8, &mut rng);
+        let direct = kendall::mean_topk_kendall_pivot(engine.tree(), &ctx, 8, &mut rng);
         assert_eq!(a.value.as_topk().unwrap(), &direct);
-        // The full pool clips nothing: coverage 1.
-        assert_eq!(a.diagnostics.pool_coverage, Some(1.0));
+        assert_eq!(a.optimality, Optimality::Approx { factor: 2.0 });
         // Determinism: running the same query again gives the same answer.
         assert_eq!(engine.run(&q).unwrap(), a);
     }
@@ -2145,45 +1844,66 @@ mod tests {
     }
 
     #[test]
-    fn small_kendall_pool_skips_the_full_tournament() {
-        let tree = independent_tree(&[
-            (1, 90.0, 0.3),
-            (2, 80.0, 0.9),
-            (3, 70.0, 0.6),
-            (4, 60.0, 0.7),
-        ]);
-        let engine = ConsensusEngineBuilder::new(tree.clone())
-            .seed(7)
-            .kendall_strategy(KendallStrategy::Pivot { pool: 2, trials: 4 })
+    fn kendall_at_every_k_shares_one_tournament() {
+        let obs = cpdb_obs::Obs::enabled();
+        let engine = ConsensusEngineBuilder::new(bid_tree())
+            .seed(5)
+            .kendall_distance_samples(16)
+            .obs(obs.clone())
             .build()
             .unwrap();
-        let q = Query::TopK {
-            k: 2,
-            metric: TopKMetric::Kendall,
-            variant: Variant::Mean,
-        };
-        let a = engine.run(&q).unwrap();
-        // Bit-identical to the free function over the same 2-tuple pool.
-        let ctx = TopKContext::new(&tree, 2);
-        let mut rng = engine.query_rng(&q);
-        let direct = kendall::mean_topk_kendall_pivot(&tree, &ctx, 2, 4, &mut rng);
-        assert_eq!(a.value.as_topk().unwrap(), &direct);
-        // A restricted pool can exclude the optimum, so no factor-2 claim —
-        // and the answer reports how much Pr(r(t) ≤ k) mass the clipped pool
-        // retained.
-        assert_eq!(a.optimality, Optimality::Heuristic);
-        let coverage = a.diagnostics.pool_coverage.expect("pivot reports coverage");
-        assert!(coverage < 1.0, "clipped pool must report partial coverage");
-        let (_, direct_coverage) = kendall::candidate_pool_with_coverage(&ctx, 2);
-        assert!((coverage - direct_coverage).abs() < 1e-12);
-        // The full n² tournament was never built: only the pool-sized matrix
-        // was paid for, and a repeated query is served from its cache.
-        assert_eq!(engine.cache_stats().preference_builds, 1);
-        assert_eq!(engine.cache_stats().preference_hits, 0);
-        let b = engine.run(&q).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(engine.cache_stats().preference_builds, 1);
-        assert_eq!(engine.cache_stats().preference_hits, 1);
+        let queries: Vec<Query> = engine
+            .k_range()
+            .map(|k| Query::TopK {
+                k,
+                metric: TopKMetric::Kendall,
+                variant: Variant::Mean,
+            })
+            .collect();
+        for r in engine.run_batch_serial(&queries) {
+            r.unwrap();
+        }
+        let stats = engine.cache_stats();
+        assert_eq!(stats.preference_builds, 1, "{stats:?}");
+        assert_eq!(stats.preference_hits, queries.len() - 1, "{stats:?}");
+        // One build histogram per artifact family, none per k.
+        let snapshot = obs.snapshot();
+        let artifacts: Vec<&str> = snapshot
+            .entries()
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("engine.artifact."))
+            .collect();
+        assert_eq!(
+            artifacts,
+            [
+                "coclustering",
+                "key_index",
+                "marginals",
+                "preference_matrix",
+                "rank_context"
+            ]
+        );
+        // A write patches that one tournament; the only per-k decisions are
+        // the rank contexts'.
+        let leaf = engine.tree().leaves_of_key(2)[0];
+        let (_, report) = engine
+            .apply_delta(&TreeDelta::LeafValue { leaf, value: 81.0 })
+            .unwrap();
+        let mut names: Vec<&str> = report
+            .decisions
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .filter(|n| !n.starts_with("rank_context[k="))
+            .collect();
+        names.sort_unstable();
+        assert_eq!(names, ["key_index", "preference_matrix"], "{report:?}");
+        assert!(
+            report
+                .decisions
+                .iter()
+                .any(|(n, d)| n == "preference_matrix" && *d == crate::ArtifactDecision::Patched),
+            "{report:?}"
+        );
     }
 
     #[test]
@@ -2239,7 +1959,7 @@ mod tests {
         b.build(root).unwrap()
     }
 
-    /// A batch warming every artifact family the delta planner maintains.
+    /// A batch warming every artifact family `apply_delta` maintains.
     fn warming_batch() -> Vec<Query> {
         vec![
             Query::TopK {

@@ -21,9 +21,9 @@
 //! entry point takes `&self`: one warm engine can be shared across threads
 //! and serve queries concurrently, each artifact built exactly once.
 //! [`ConsensusEngine::run_batch`] amortises the generating-function work
-//! across queries with a two-phase parallel executor (plan + build the
-//! distinct artifacts concurrently, then fan query execution out across
-//! threads, answering duplicate queries once). Randomised paths draw from an
+//! across queries: it answers duplicate queries once and fans the distinct
+//! ones out across threads, each artifact built by the first query that
+//! needs it. Randomised paths draw from an
 //! owned seeded RNG with per-query stream derivation, so results are
 //! deterministic and independent of batch order, thread count, and
 //! interleaving — parallel batches are bit-identical to a serial loop.
@@ -77,7 +77,7 @@ mod export;
 mod obs;
 mod query;
 
-pub use answer::{Answer, Diagnostics, Optimality, Value};
+pub use answer::{Answer, Optimality, Value};
 pub use builder::{ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy};
 pub use delta::{ArtifactDecision, DeltaReport};
 pub use engine::{CacheStats, ConsensusEngine};

@@ -20,7 +20,6 @@ pub(crate) struct EngineObs {
     query_baseline: Histogram,
     artifact_rank_context: Histogram,
     artifact_prefs: Histogram,
-    artifact_kendall_pool: Histogram,
     artifact_cocluster: Histogram,
     artifact_marginals: Histogram,
     artifact_key_index: Histogram,
@@ -36,7 +35,6 @@ impl EngineObs {
             query_baseline: obs.histogram("engine.query.baseline"),
             artifact_rank_context: obs.histogram("engine.artifact.rank_context"),
             artifact_prefs: obs.histogram("engine.artifact.preference_matrix"),
-            artifact_kendall_pool: obs.histogram("engine.artifact.kendall_pool"),
             artifact_cocluster: obs.histogram("engine.artifact.coclustering"),
             artifact_marginals: obs.histogram("engine.artifact.marginals"),
             artifact_key_index: obs.histogram("engine.artifact.key_index"),
@@ -73,7 +71,6 @@ impl EngineObs {
         let histogram = match artifact {
             Artifact::RankContext => &self.artifact_rank_context,
             Artifact::PreferenceMatrix => &self.artifact_prefs,
-            Artifact::KendallPool => &self.artifact_kendall_pool,
             Artifact::CoClustering => &self.artifact_cocluster,
             Artifact::Marginals => &self.artifact_marginals,
             Artifact::KeyIndex => &self.artifact_key_index,
@@ -90,7 +87,6 @@ impl EngineObs {
 pub(crate) enum Artifact {
     RankContext,
     PreferenceMatrix,
-    KendallPool,
     CoClustering,
     Marginals,
     KeyIndex,

@@ -140,9 +140,8 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 impl BaselineKind {
-    /// The result size `k` of the baseline — every baseline has one, and both
-    /// the engine's run path and its batch planner need it, so it lives here
-    /// rather than being pattern-matched in two places.
+    /// The result size `k` of the baseline — every baseline has one, so it
+    /// lives here rather than being pattern-matched by each caller.
     pub fn k(&self) -> usize {
         match self {
             BaselineKind::ExpectedScore { k }

@@ -319,9 +319,10 @@ pub fn encode_config(w: &mut ByteWriter, e: &EngineExport) {
     w.put_usize(e.k_range.0);
     w.put_usize(e.k_range.1);
     match e.kendall {
-        KendallStrategy::Pivot { pool, trials } => {
+        KendallStrategy::Pivot { trials } => {
             w.put_u8(KENDALL_PIVOT);
-            w.put_usize(pool);
+            // The retired candidate-pool slot: written as 0, ignored on read.
+            w.put_usize(0);
             w.put_usize(trials);
         }
         KendallStrategy::FootruleProxy => {
@@ -359,9 +360,9 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
     let k_hi = r.get_u64()? as usize;
     let kendall = match r.get_u8()? {
         KENDALL_PIVOT => {
-            let pool = r.get_u64()? as usize;
+            let _ = r.get_u64()?;
             let trials = r.get_u64()? as usize;
-            KendallStrategy::Pivot { pool, trials }
+            KendallStrategy::Pivot { trials }
         }
         KENDALL_FOOTRULE_PROXY => {
             let _ = r.get_u64()?;
@@ -636,6 +637,60 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn kendall_config_round_trips_and_reads_the_retired_pool_slot() {
+        let tree = RawTree {
+            nodes: vec![RawNode::Leaf { key: 1, value: 1.0 }],
+            root: 0,
+        };
+        let config = EngineExport {
+            tree: tree.clone(),
+            seed: 7,
+            k_range: (1, 3),
+            kendall: KendallStrategy::Pivot { trials: 8 },
+            intersection: IntersectionStrategy::Assignment,
+            kendall_distance_samples: 64,
+            threads: 2,
+            groupby: None,
+            contexts: Vec::new(),
+            prefs: None,
+            cocluster: None,
+            marginals: None,
+            jaccard_candidates: None,
+            key_index: None,
+        };
+        let decode = |bytes: &[u8], pool: u64| {
+            let mut bytes = bytes.to_vec();
+            // seed, k-range low and high, strategy tag, then the pool slot.
+            bytes[25..33].copy_from_slice(&pool.to_le_bytes());
+            let mut r = ByteReader::new(&bytes, "config");
+            let back = decode_config(&mut r, tree.clone()).unwrap();
+            r.expect_end().unwrap();
+            back
+        };
+        let mut w = ByteWriter::new();
+        encode_config(&mut w, &config);
+        let bytes = w.into_bytes();
+        // The earlier layout, with 0 in the pool slot, byte for byte.
+        let mut earlier = ByteWriter::new();
+        for field in [7u64, 1, 3] {
+            earlier.put_u64(field);
+        }
+        earlier.put_u8(KENDALL_PIVOT);
+        for field in [0u64, 8] {
+            earlier.put_u64(field);
+        }
+        earlier.put_u8(INTERSECTION_ASSIGNMENT);
+        for field in [64u64, 2] {
+            earlier.put_u64(field);
+        }
+        earlier.put_u8(0);
+        assert_eq!(bytes, earlier.into_bytes());
+        assert_eq!(decode(&bytes, 0), config);
+        // A non-zero pool from an older snapshot is discarded on read.
+        assert_eq!(decode(&bytes, 5), config);
     }
 
     #[test]

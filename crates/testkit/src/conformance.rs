@@ -16,8 +16,8 @@ use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
 use cpdb_consensus::{baselines, clustering, jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{
-    BaselineKind, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy, Query, SetMetric,
-    TopKMetric, Variant,
+    BaselineKind, CacheStats, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy, Query,
+    SetMetric, TopKMetric, Variant,
 };
 use cpdb_model::{PossibleWorld, TupleIndependentDb, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
@@ -225,7 +225,7 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     assert_within_factor("topk/kendall via footrule", cost_footrule, opt, 2.0);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_0FC4);
-    let pivot = kendall::mean_topk_kendall_pivot(tree, &ctx, items.len(), 4, &mut rng);
+    let pivot = kendall::mean_topk_kendall_pivot(tree, &ctx, 4, &mut rng);
     let cost_pivot = kendall::expected_kendall_distance_enumerated(tree, &ctx, &pivot);
     assert_within_factor("topk/kendall pivot", cost_pivot, opt, 2.0);
     5
@@ -559,9 +559,9 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
             }
             (TopKMetric::Kendall, Variant::Mean) => {
                 // Replay the engine's owned RNG stream through the free
-                // function (pool = all keys, 8 trials: the default knobs).
+                // function (8 trials: the default knob).
                 let mut rng = engine.query_rng(query);
-                let list = kendall::mean_topk_kendall_pivot(tree, &ctx, n, 8, &mut rng);
+                let list = kendall::mean_topk_kendall_pivot(tree, &ctx, 8, &mut rng);
                 let d = kendall::expected_kendall_distance_sampled(
                     tree,
                     &ctx,
@@ -736,7 +736,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
 }
 
 /// Concurrent ↔ serial engine equivalence: a mixed batch covering every
-/// query family, executed through the parallel two-phase
+/// query family, executed through the parallel
 /// [`cpdb_engine::ConsensusEngine::run_batch`] at several thread counts and
 /// through a shared-engine multi-thread `run` loop, must be **bit-identical**
 /// to the serial reference loop — including the errors — and the concurrent
@@ -794,15 +794,23 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
         variant: Variant::Mean, // out of range: errors must round-trip too
     });
 
-    let serial = build(1).run_batch_serial(&queries);
+    let reference = build(1);
+    let serial = reference.run_batch_serial(&queries);
+    let serial_stats = reference.cache_stats();
     let mut checks = 0;
 
-    // Parallel run_batch at several thread counts, fresh engine each time.
+    // Parallel run_batch at several thread counts, fresh engine each time,
+    // on the batch plus one repeat: the repeat is answered by dedup, and
+    // the distinct queries leave exactly the serial loop's counters.
+    let mut batch = queries.clone();
+    batch.push(queries[0].clone());
+    let mut expected = serial.clone();
+    expected.push(serial[0].clone());
     for threads in [1usize, 2, 3, 8] {
         let engine = build(threads);
-        let parallel = engine.run_batch(&queries);
+        let parallel = engine.run_batch(&batch);
         assert_eq!(
-            serial, parallel,
+            expected, parallel,
             "parallel run_batch diverges from the serial loop at {threads} threads"
         );
         let stats = engine.cache_stats();
@@ -817,7 +825,16 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
         );
         assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
         assert_eq!(stats.marginal_builds, 1, "{stats:?}");
-        checks += 5;
+        assert_eq!(stats.batch_dedup_hits, 1, "{stats:?}");
+        assert_eq!(
+            CacheStats {
+                batch_dedup_hits: 0,
+                ..stats
+            },
+            serial_stats,
+            "run_batch counters differ from the serial loop at {threads} threads"
+        );
+        checks += 7;
     }
 
     // A shared engine hammered by raw `run` calls from several threads, each

@@ -1,7 +1,7 @@
 //! Concurrency gate for the shared-cache `ConsensusEngine`: N threads
 //! running shuffled mixed-query batches against **one** shared engine must
 //! produce answers bit-identical to a serial `run` loop, with every shared
-//! artifact built exactly once, and the parallel two-phase `run_batch` must
+//! artifact built exactly once, and the parallel `run_batch` must
 //! match the serial reference at every thread count (the testkit runs the
 //! same check inside the per-seed conformance sweep; this test hammers a
 //! larger instance harder).
