@@ -41,6 +41,7 @@ use cpdb_genfunc::{clamp_probability, Poly1, Truncation};
 use cpdb_model::TupleKey;
 use cpdb_parallel::{parallel_map_indexed, parallel_map_with};
 use std::collections::HashMap;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Balanced product tree over the children of one ∧ node.
@@ -366,45 +367,51 @@ impl<'a> SweepPlan<'a> {
 // Co-presence primitive shared by the pairwise batch statistics.
 // ---------------------------------------------------------------------------
 
-/// One leaf's ∨-edge path from the root: `(xor node, child index, edge
-/// probability)` triples in root-to-leaf order, with cumulative prefix and
-/// suffix products.
-#[derive(Debug, Clone)]
-struct LeafPath {
-    /// `(node, child index)` pairs identifying each ∨ edge on the path.
-    edges: Vec<(usize, usize)>,
-    /// `prefix[d]` = product of the first `d` edge probabilities.
-    prefix: Vec<f64>,
-    /// `suffix[d]` = product of the edge probabilities from `d` to the end.
-    suffix: Vec<f64>,
-}
-
-/// One distinct alternative of a key, with its leaf (path) indices.
+/// One distinct alternative of a key: its value, its leaves (a range of
+/// [`CopresencePlan::group_leaves`]) and its marginal presence probability
+/// (leaf presences sum; same-key leaves are mutually exclusive).
 #[derive(Debug, Clone)]
 struct AltGroup {
     value: f64,
-    /// Indices into [`CopresencePlan::paths`].
-    leaves: Vec<usize>,
-    /// Marginal presence probability of the alternative (leaf presences sum;
-    /// same-key leaves are mutually exclusive).
+    leaves: Range<usize>,
     presence: f64,
 }
 
 /// Root-to-leaf ∨-edge paths for every leaf, grouped per key — the shared
 /// precomputation behind [`AndXorTree::batch_pairwise_order`] and
-/// [`AndXorTree::batch_cocluster_weights`].
+/// [`AndXorTree::batch_cocluster_weights`]. Every table is one flat vector
+/// indexed through offsets, so building a plan costs a handful of
+/// allocations however large the tree.
 struct CopresencePlan {
-    paths: Vec<LeafPath>,
-    /// Per key: distinct alternatives sorted by decreasing value.
-    groups: HashMap<TupleKey, Vec<AltGroup>>,
-    /// Per key: marginal presence probability (sum over its alternatives).
-    key_presence: HashMap<TupleKey, f64>,
+    /// Per leaf (in DFS order): offset of its path in `edges`, offset of
+    /// its `len + 1` products in `prefix` / `suffix`, and the path length.
+    paths: Vec<(usize, usize, usize)>,
+    /// `(xor node, child index)` per ∨ edge, root to leaf, all paths
+    /// concatenated.
+    edges: Vec<(usize, usize)>,
+    /// `prefix[off + d]` = product of the path's first `d` edge
+    /// probabilities.
+    prefix: Vec<f64>,
+    /// `suffix[off + d]` = product of the path's edge probabilities from
+    /// `d` to the end.
+    suffix: Vec<f64>,
+    /// Leaf (path) indices, grouped per alternative.
+    group_leaves: Vec<usize>,
+    /// Alternative groups, per key in decreasing value order.
+    groups: Vec<AltGroup>,
+    /// Per key, sorted by key: its range of `groups` and its marginal
+    /// presence probability (sum over its alternatives).
+    keys: Vec<(TupleKey, Range<usize>, f64)>,
 }
 
 impl CopresencePlan {
     fn new(tree: &AndXorTree) -> Self {
         let mut paths = Vec::new();
-        let mut grouped: HashMap<TupleKey, HashMap<u64, AltGroup>> = HashMap::new();
+        let mut edges = Vec::new();
+        let mut prefix = Vec::new();
+        let mut suffix = Vec::new();
+        // `(key, value, path index, presence)` per leaf, in DFS order.
+        let mut leaves: Vec<(TupleKey, f64, usize, f64)> = Vec::new();
 
         // Iterative DFS carrying the current ∨-edge stack; each stack frame
         // is `(node, next child index to visit)`.
@@ -414,35 +421,19 @@ impl CopresencePlan {
             let (id, next) = frame;
             match &tree.nodes[id] {
                 Node::Leaf(a) => {
-                    let edges: Vec<(usize, usize)> =
-                        edge_stack.iter().map(|&(n, c, _)| (n, c)).collect();
-                    let len = edges.len();
-                    let mut prefix = vec![1.0; len + 1];
+                    let len = edge_stack.len();
+                    let (edge_off, prob_off) = (edges.len(), prefix.len());
+                    edges.extend(edge_stack.iter().map(|&(n, c, _)| (n, c)));
+                    prefix.push(1.0);
                     for d in 0..len {
-                        prefix[d + 1] = prefix[d] * edge_stack[d].2;
+                        prefix.push(prefix[prob_off + d] * edge_stack[d].2);
                     }
-                    let mut suffix = vec![1.0; len + 1];
+                    suffix.resize(prob_off + len + 1, 1.0);
                     for d in (0..len).rev() {
-                        suffix[d] = suffix[d + 1] * edge_stack[d].2;
+                        suffix[prob_off + d] = suffix[prob_off + d + 1] * edge_stack[d].2;
                     }
-                    let path_index = paths.len();
-                    let presence = suffix[0];
-                    paths.push(LeafPath {
-                        edges,
-                        prefix,
-                        suffix,
-                    });
-                    let group = grouped
-                        .entry(a.key)
-                        .or_default()
-                        .entry(a.value.0.to_bits())
-                        .or_insert_with(|| AltGroup {
-                            value: a.value.0,
-                            leaves: Vec::new(),
-                            presence: 0.0,
-                        });
-                    group.leaves.push(path_index);
-                    group.presence += presence;
+                    leaves.push((a.key, a.value.0, paths.len(), suffix[prob_off]));
+                    paths.push((edge_off, prob_off, len));
                     stack.pop();
                 }
                 Node::Inner { kind, children } => {
@@ -464,18 +455,35 @@ impl CopresencePlan {
             }
         }
 
-        let mut groups: HashMap<TupleKey, Vec<AltGroup>> = HashMap::new();
-        let mut key_presence = HashMap::new();
-        for (key, by_value) in grouped {
-            let mut v: Vec<AltGroup> = by_value.into_values().collect();
-            v.sort_by(|a, b| b.value.total_cmp(&a.value));
-            key_presence.insert(key, v.iter().map(|g| g.presence).sum());
-            groups.insert(key, v);
+        // Group the leaves per key and, within a key, per value (bit-equal
+        // values share a group) in decreasing value order. The sort is
+        // stable, so each group's leaves stay in DFS order.
+        leaves.sort_by(|x, y| x.0.cmp(&y.0).then(y.1.total_cmp(&x.1)));
+        let mut group_leaves = Vec::with_capacity(leaves.len());
+        let mut groups = Vec::new();
+        let mut keys = Vec::new();
+        for run in leaves.chunk_by(|x, y| x.0 == y.0) {
+            let first = groups.len();
+            for alt in run.chunk_by(|x, y| x.1.to_bits() == y.1.to_bits()) {
+                let start = group_leaves.len();
+                group_leaves.extend(alt.iter().map(|l| l.2));
+                groups.push(AltGroup {
+                    value: alt[0].1,
+                    leaves: start..group_leaves.len(),
+                    presence: alt.iter().fold(0.0, |acc, l| acc + l.3),
+                });
+            }
+            let presence = groups[first..].iter().map(|g| g.presence).sum();
+            keys.push((run[0].0, first..groups.len(), presence));
         }
         CopresencePlan {
             paths,
+            edges,
+            prefix,
+            suffix,
+            group_leaves,
             groups,
-            key_presence,
+            keys,
         }
     }
 
@@ -484,16 +492,19 @@ impl CopresencePlan {
     /// counted once), or `0` when the paths take different children of a
     /// common ∨ ancestor (mutual exclusion).
     fn leaf_copresence(&self, i: usize, j: usize) -> f64 {
-        let (a, b) = (&self.paths[i], &self.paths[j]);
+        let (a_edge, a_prob, a_len) = self.paths[i];
+        let (b_edge, b_prob, b_len) = self.paths[j];
+        let a = &self.edges[a_edge..a_edge + a_len];
+        let b = &self.edges[b_edge..b_edge + b_len];
         let mut d = 0;
-        while d < a.edges.len() && d < b.edges.len() && a.edges[d] == b.edges[d] {
+        while d < a.len() && d < b.len() && a[d] == b[d] {
             d += 1;
         }
-        if d < a.edges.len() && d < b.edges.len() && a.edges[d].0 == b.edges[d].0 {
+        if d < a.len() && d < b.len() && a[d].0 == b[d].0 {
             // Same ∨ node, different child: the leaves are mutually exclusive.
             return 0.0;
         }
-        a.prefix[d] * a.suffix[d] * b.suffix[d]
+        self.prefix[a_prob + d] * self.suffix[a_prob + d] * self.suffix[b_prob + d]
     }
 
     /// `Pr(α present ∧ β present)` for two alternative groups of *different*
@@ -501,13 +512,46 @@ impl CopresencePlan {
     /// present in any world).
     fn group_copresence(&self, a: &AltGroup, b: &AltGroup) -> f64 {
         let mut total = 0.0;
-        for &la in &a.leaves {
-            for &lb in &b.leaves {
+        for &la in &self.group_leaves[a.leaves.clone()] {
+            for &lb in &self.group_leaves[b.leaves.clone()] {
                 total += self.leaf_copresence(la, lb);
             }
         }
         total
     }
+
+    /// Each key's side of a pairwise entry, resolved once per key so the
+    /// per-pair evaluation does no lookup.
+    fn sides(&self, keys: &[TupleKey]) -> Vec<KeySide<'_>> {
+        keys.iter()
+            .map(
+                |&key| match self.keys.binary_search_by(|probe| probe.0.cmp(&key)) {
+                    Ok(at) => {
+                        let (_, range, presence) = &self.keys[at];
+                        KeySide {
+                            key,
+                            groups: Some(&self.groups[range.clone()]),
+                            presence: *presence,
+                        }
+                    }
+                    Err(_) => KeySide {
+                        key,
+                        groups: None,
+                        presence: 0.0,
+                    },
+                },
+            )
+            .collect()
+    }
+}
+
+/// One key's side of a pairwise entry.
+struct KeySide<'p> {
+    key: TupleKey,
+    /// The key's alternative groups; `None` for a key with no leaves.
+    groups: Option<&'p [AltGroup]>,
+    /// Marginal presence probability (0 for a key with no leaves).
+    presence: f64,
 }
 
 /// One entry of the pairwise-order tournament:
@@ -516,15 +560,16 @@ impl CopresencePlan {
 /// `b` present" expands into disjoint co-presences. Shared by the full batch
 /// build and the partial (live-update) patch path so both produce
 /// bit-identical values for the same tree.
-fn pairwise_entry(plan: &CopresencePlan, a: TupleKey, b: TupleKey) -> f64 {
-    let (Some(ga), gb) = (plan.groups.get(&a), plan.groups.get(&b)) else {
+fn pairwise_entry(plan: &CopresencePlan, a: &KeySide<'_>, b: &KeySide<'_>) -> f64 {
+    let Some(ga) = a.groups else {
         return 0.0;
     };
     let mut total: f64 = ga.iter().map(|g| g.presence).sum();
-    if let Some(gb) = gb {
+    if let Some(gb) = b.groups {
         for alt_a in ga {
             for alt_b in gb {
-                let outranks = alt_b.value > alt_a.value || (alt_b.value == alt_a.value && b < a);
+                let outranks =
+                    alt_b.value > alt_a.value || (alt_b.value == alt_a.value && b.key < a.key);
                 if outranks {
                     total -= plan.group_copresence(alt_a, alt_b);
                 }
@@ -537,13 +582,11 @@ fn pairwise_entry(plan: &CopresencePlan, a: TupleKey, b: TupleKey) -> f64 {
 /// One entry of the co-clustering weight matrix:
 /// `w_{ab} = Pr(a, b take the same value) + Pr(a, b both absent)`. Shared by
 /// the full batch build and the partial patch path (see [`pairwise_entry`]).
-fn cocluster_entry(plan: &CopresencePlan, a: TupleKey, b: TupleKey) -> f64 {
-    let (Some(ga), Some(gb)) = (plan.groups.get(&a), plan.groups.get(&b)) else {
+fn cocluster_entry(plan: &CopresencePlan, a: &KeySide<'_>, b: &KeySide<'_>) -> f64 {
+    let (Some(ga), Some(gb)) = (a.groups, b.groups) else {
         // A key with no leaves is never present; it co-clusters with
         // another exactly when that other key is absent too.
-        let pa = plan.key_presence.get(&a).copied().unwrap_or(0.0);
-        let pb = plan.key_presence.get(&b).copied().unwrap_or(0.0);
-        return clamp_probability(1.0 - pa - pb);
+        return clamp_probability(1.0 - a.presence - b.presence);
     };
     let mut same_value = 0.0;
     let mut both_present = 0.0;
@@ -557,9 +600,48 @@ fn cocluster_entry(plan: &CopresencePlan, a: TupleKey, b: TupleKey) -> f64 {
         }
     }
     let same_value = clamp_probability(same_value);
-    let both_absent =
-        clamp_probability(1.0 - plan.key_presence[&a] - plan.key_presence[&b] + both_present);
+    let both_absent = clamp_probability(1.0 - a.presence - b.presence + both_present);
     (same_value + both_absent).clamp(0.0, 1.0)
+}
+
+/// Below this many entries a pairwise evaluation runs on the calling
+/// thread: an entry costs well under a microsecond, so spawning workers
+/// would cost more than it saves (a live patch touches a few rows only).
+const MIN_PARALLEL_ENTRIES: usize = 4096;
+
+/// Evaluates `entry` for the key pairs at the row-major positions `fresh`
+/// of the `keys × keys` matrix `out` (on one shared [`CopresencePlan`], in
+/// parallel when there are enough of them) and writes the results in place.
+/// The plan is built only when there is something to evaluate, so a patch
+/// that touches no key costs one copy of the old matrix.
+fn fill_fresh<F>(
+    tree: &AndXorTree,
+    keys: &[TupleKey],
+    out: &mut [f64],
+    fresh: &[usize],
+    threads: usize,
+    entry: F,
+) where
+    F: Fn(&CopresencePlan, &KeySide<'_>, &KeySide<'_>) -> f64 + Sync,
+{
+    if fresh.is_empty() {
+        return;
+    }
+    let threads = if fresh.len() < MIN_PARALLEL_ENTRIES {
+        1
+    } else {
+        threads
+    };
+    let plan = CopresencePlan::new(tree);
+    let sides = plan.sides(keys);
+    let n = keys.len();
+    let values = parallel_map_indexed(threads, fresh.len(), |t| {
+        let idx = fresh[t];
+        entry(&plan, &sides[idx / n], &sides[idx % n])
+    });
+    for (&idx, w) in fresh.iter().zip(values) {
+        out[idx] = w;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -651,19 +733,20 @@ impl AndXorTree {
         F: Fn(usize, usize) -> f64 + Sync,
     {
         assert_eq!(keys.len(), recompute.len(), "one recompute flag per key");
-        let plan = CopresencePlan::new(self);
         let n = keys.len();
-        parallel_map_indexed(threads, n * n, |idx| {
-            let (i, j) = (idx / n, idx % n);
-            if i == j {
-                return 0.0;
+        let mut out = vec![0.0; n * n];
+        let mut fresh = Vec::new();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                if recompute[i] || recompute[j] {
+                    fresh.push(i * n + j);
+                } else {
+                    out[i * n + j] = old_entry(i, j);
+                }
             }
-            if recompute[i] || recompute[j] {
-                pairwise_entry(&plan, keys[i], keys[j])
-            } else {
-                old_entry(i, j)
-            }
-        })
+        }
+        fill_fresh(self, keys, &mut out, &fresh, threads, pairwise_entry);
+        out
     }
 
     /// The co-clustering weights `w_{ij} = Pr(i, j take the same value) +
@@ -703,26 +786,24 @@ impl AndXorTree {
         F: Fn(usize, usize) -> f64 + Sync,
     {
         assert_eq!(keys.len(), recompute.len(), "one recompute flag per key");
-        let plan = CopresencePlan::new(self);
         let n = keys.len();
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .collect();
-        let values = parallel_map_indexed(threads, pairs.len(), |idx| {
-            let (i, j) = pairs[idx];
-            if recompute[i] || recompute[j] {
-                cocluster_entry(&plan, keys[i], keys[j])
-            } else {
-                old_entry(i, j)
-            }
-        });
         let mut out = vec![0.0; n * n];
+        let mut fresh = Vec::new();
         for i in 0..n {
             out[i * n + i] = 1.0;
+            for j in i + 1..n {
+                if recompute[i] || recompute[j] {
+                    fresh.push(i * n + j);
+                } else {
+                    out[i * n + j] = old_entry(i, j);
+                }
+            }
         }
-        for ((i, j), w) in pairs.into_iter().zip(values) {
-            out[i * n + j] = w;
-            out[j * n + i] = w;
+        fill_fresh(self, keys, &mut out, &fresh, threads, cocluster_entry);
+        for i in 0..n {
+            for j in i + 1..n {
+                out[j * n + i] = out[i * n + j];
+            }
         }
         out
     }

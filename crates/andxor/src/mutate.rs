@@ -122,6 +122,37 @@ impl AndXorTree {
         delta.apply(self)
     }
 
+    /// Applies `deltas` in order, returning the final tree and one
+    /// [`DeltaImpact`] covering them all: the union of the affected keys,
+    /// each change flag or-ed, and `rank_order_preserved` only when every
+    /// delta preserved the rank order. Artifacts maintained once against it
+    /// match those maintained after every delta, because each maintained
+    /// artifact equals a rebuild on its tree. Fails on the first delta that
+    /// does not apply.
+    pub fn apply_deltas<'a>(
+        &self,
+        deltas: impl IntoIterator<Item = &'a TreeDelta>,
+    ) -> Result<(AndXorTree, DeltaImpact), ModelError> {
+        let mut tree = self.clone();
+        let mut total = DeltaImpact {
+            affected_keys: BTreeSet::new(),
+            probabilities_changed: false,
+            values_changed: false,
+            membership_changed: false,
+            rank_order_preserved: true,
+        };
+        for delta in deltas {
+            let (next, impact) = delta.apply(&tree)?;
+            tree = next;
+            total.affected_keys.extend(impact.affected_keys);
+            total.probabilities_changed |= impact.probabilities_changed;
+            total.values_changed |= impact.values_changed;
+            total.membership_changed |= impact.membership_changed;
+            total.rank_order_preserved &= impact.rank_order_preserved;
+        }
+        Ok((tree, total))
+    }
+
     /// The parent of a node (`None` for the root). Linear scan — intended
     /// for delta authoring, not hot paths.
     pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
@@ -199,32 +230,37 @@ impl AndXorTree {
     }
 }
 
-/// The rank-sweep signature: the distinct `(key, value)` alternatives in the
-/// chronological activation order (decreasing value, key tie-break — exactly
-/// the batch sweep's target order) with their sorted leaf ids, values
-/// erased. Two trees with equal signatures and equal edge probabilities
-/// produce bit-identical rank PMFs.
-fn rank_signature(tree: &AndXorTree) -> Vec<(TupleKey, Vec<usize>)> {
-    let mut groups: std::collections::HashMap<(TupleKey, u64), (f64, Vec<usize>)> =
-        std::collections::HashMap::new();
-    for (id, node) in tree.nodes.iter().enumerate() {
-        if let Node::Leaf(a) = node {
-            groups
-                .entry((a.key, a.value.0.to_bits()))
-                .or_insert_with(|| (a.value.0, Vec::new()))
-                .1
-                .push(id);
-        }
-    }
-    let mut targets: Vec<(TupleKey, f64, Vec<usize>)> = groups
-        .into_iter()
-        .map(|((key, _), (value, mut leaves))| {
-            leaves.sort_unstable();
-            (key, value, leaves)
+/// Whether two trees share the rank-sweep signature: the distinct
+/// `(key, value)` alternatives in the chronological activation order
+/// (decreasing value, key tie-break — exactly the batch sweep's target
+/// order) with their sorted leaf ids, values erased. Two trees with equal
+/// signatures and equal edge probabilities produce bit-identical rank PMFs.
+fn same_rank_signature(a: &AndXorTree, b: &AndXorTree) -> bool {
+    let (x, y) = (sweep_order(a), sweep_order(b));
+    // A target starts wherever the key or the value's bits change.
+    let starts = |v: &[(f64, TupleKey, usize)], i: usize| {
+        i == 0 || v[i].1 != v[i - 1].1 || v[i].0.to_bits() != v[i - 1].0.to_bits()
+    };
+    x.len() == y.len()
+        && (0..x.len())
+            .all(|i| x[i].1 == y[i].1 && x[i].2 == y[i].2 && starts(&x, i) == starts(&y, i))
+}
+
+/// Every leaf as `(value, key, id)`, sorted by decreasing value, then key,
+/// then id: each sweep target's leaves are then adjacent, in ascending id
+/// order.
+fn sweep_order(tree: &AndXorTree) -> Vec<(f64, TupleKey, usize)> {
+    let mut leaves: Vec<(f64, TupleKey, usize)> = tree
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(id, node)| match node {
+            Node::Leaf(a) => Some((a.value.0, a.key, id)),
+            _ => None,
         })
         .collect();
-    targets.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    targets.into_iter().map(|(k, _, l)| (k, l)).collect()
+    leaves.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+    leaves
 }
 
 impl TreeDelta {
@@ -349,7 +385,7 @@ fn apply_leaf_value(
     let mut nodes = tree.nodes.clone();
     nodes[leaf.0] = Node::Leaf(Alternative::new(old.key.0, value));
     let new_tree = AndXorTree::from_raw_parts(nodes, tree.root());
-    let rank_order_preserved = rank_signature(tree) == rank_signature(&new_tree);
+    let rank_order_preserved = same_rank_signature(tree, &new_tree);
     let mut affected_keys = BTreeSet::new();
     affected_keys.insert(old.key);
     let impact = DeltaImpact {

@@ -17,7 +17,7 @@
 
 use cpdb_model::error::{validate_probability, ModelError};
 use cpdb_model::{Alternative, TupleKey};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// Identifier of a node inside one tree/builder.
@@ -299,7 +299,11 @@ impl AndXorTree {
             {
                 let mut total = 0.0;
                 for (_, p) in children {
-                    validate_probability(*p, &format!("edge of xor node {idx}"))?;
+                    // The context is formatted only for a rejected edge.
+                    validate_probability(*p, "").map_err(|_| ModelError::InvalidProbability {
+                        value: *p,
+                        context: format!("edge of xor node {idx}"),
+                    })?;
                     total += p;
                 }
                 if total > 1.0 + 1e-9 {
@@ -313,25 +317,25 @@ impl AndXorTree {
 
         // Key constraint: the key sets of the subtrees under an ∧ node must be
         // pairwise disjoint.
-        self.check_keys(self.root)?;
+        self.check_keys(self.root, &mut Vec::new())?;
         Ok(())
     }
 
-    /// Returns the set of keys in the subtree, checking disjointness at ∧
-    /// nodes along the way.
-    fn check_keys(&self, id: NodeId) -> Result<BTreeSet<TupleKey>, ModelError> {
+    /// Appends the sorted, distinct keys of the subtree at `id` to `keys`,
+    /// checking disjointness at ∧ nodes along the way: the first child that
+    /// shares a key with an earlier sibling is reported with the smallest
+    /// shared key.
+    fn check_keys(&self, id: NodeId, keys: &mut Vec<TupleKey>) -> Result<(), ModelError> {
         match &self.nodes[id.0] {
-            Node::Leaf(a) => {
-                let mut s = BTreeSet::new();
-                s.insert(a.key);
-                Ok(s)
-            }
+            Node::Leaf(a) => keys.push(a.key),
             Node::Inner { kind, children } => {
-                let mut union: BTreeSet<TupleKey> = BTreeSet::new();
+                let start = keys.len();
+                let mut earlier: HashSet<TupleKey> = HashSet::new();
                 for (c, _) in children {
-                    let child_keys = self.check_keys(*c)?;
+                    let child = keys.len();
+                    self.check_keys(*c, keys)?;
                     if *kind == NodeKind::And {
-                        if let Some(dup) = child_keys.intersection(&union).next() {
+                        if let Some(dup) = keys[child..].iter().find(|k| earlier.contains(k)) {
                             return Err(ModelError::DuplicateKey {
                                 key: dup.0,
                                 context: format!(
@@ -340,12 +344,22 @@ impl AndXorTree {
                                 ),
                             });
                         }
+                        earlier.extend(&keys[child..]);
                     }
-                    union.extend(child_keys);
                 }
-                Ok(union)
+                keys[start..].sort_unstable();
+                // Siblings under an ∨ node may share keys: keep one of each.
+                let mut kept = start;
+                for i in start..keys.len() {
+                    if kept == start || keys[i] != keys[kept - 1] {
+                        keys[kept] = keys[i];
+                        kept += 1;
+                    }
+                }
+                keys.truncate(kept);
             }
         }
+        Ok(())
     }
 
     /// Per-key marginal presence probability computed bottom-up in a single
@@ -549,6 +563,28 @@ mod tests {
         assert!(matches!(
             b.build(root),
             Err(ModelError::DuplicateKey { key: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn key_constraint_reports_the_smallest_shared_key() {
+        // ∧( ∨(k5, k3), ∨(k9), ∨(k5, k3) ): the third child shares keys 3
+        // and 5 with the first; the smaller one is reported.
+        let mut b = AndXorTreeBuilder::new();
+        let block = |b: &mut AndXorTreeBuilder, keys: &[u64]| {
+            let edges = keys
+                .iter()
+                .map(|&k| (b.leaf_parts(k, k as f64), 0.3))
+                .collect();
+            b.xor_node(edges)
+        };
+        let first = block(&mut b, &[5, 3]);
+        let middle = block(&mut b, &[9]);
+        let last = block(&mut b, &[5, 3]);
+        let root = b.and_node(vec![first, middle, last]);
+        assert!(matches!(
+            b.build(root),
+            Err(ModelError::DuplicateKey { key: 3, .. })
         ));
     }
 

@@ -28,7 +28,7 @@ fn bench_jaccard(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("lemma2_mean_world", n), &db, |b, db| {
-            b.iter(|| black_box(jaccard::mean_world_tuple_independent(db)));
+            b.iter(|| black_box(jaccard::mean_world_tuple_independent(db).unwrap()));
         });
     }
     // One small exhaustive check to keep the bench honest about correctness.

@@ -1,5 +1,5 @@
 //! Experiment runner: regenerates every figure of the paper and every
-//! validation/scaling table recorded in `EXPERIMENTS.md`.
+//! validation/scaling table (see the README's "Benchmarks" section).
 //!
 //! Usage:
 //!
@@ -43,7 +43,7 @@ fn tables_for(name: &str) -> Vec<Table> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     println!("# Consensus answers over probabilistic databases — experiment report");
-    println!("# (paper: Li & Deshpande, PODS 2009; see EXPERIMENTS.md for the archived run)");
+    println!("# (paper: Li & Deshpande, PODS 2009)");
     let tables = if args.is_empty() {
         experiments::run_all()
     } else {

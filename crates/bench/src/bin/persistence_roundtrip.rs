@@ -132,11 +132,12 @@ fn main() {
             "  \"workload\": {{ \"seed\": {}, \"reps\": {}, \"deltas\": \"one per TreeDelta kind\" }},\n",
             "  \"note\": \"durable scored-BID serving engine: every apply appends a checksummed, ",
             "fsynced WAL record before the epoch publishes. warm open = LiveEngine::open ",
-            "(versioned snapshot decode with per-section CRC verification + WAL tail replay ",
-            "through the delta-aware maintenance path); snapshot-only open = the same after ",
+            "(versioned snapshot decode with per-section CRC verification + the WAL tail ",
+            "replayed as one batch through the delta-aware maintenance path); snapshot-only ",
+            "open = the same after ",
             "persist_snapshot compacted the WAL; cold build = fresh engine from the final tree ",
-            "+ recomputing the warm artifact families. Recovered engines answer bit-identically ",
-            "to their writer on every measurement.\",\n",
+            "+ recomputing the warm artifact families, including one Jaccard set query. ",
+            "Recovered engines answer bit-identically to their writer on every measurement.\",\n",
             "  \"sizes\": {{\n",
             "{}\n",
             "  }}\n",

@@ -107,8 +107,8 @@ fn main() {
             "pairwise/marginal artifacts patched on the affected keys only, global-rank ",
             "artifacts dropped for lazy rebuild); full rebuild = fresh engine + rebuilding ",
             "the same warm artifact families (O(n^2) tournament, co-clustering weights, ",
-            "set-query tables). Patched and rebuilt engines answer bit-identically on every ",
-            "measurement.\",\n",
+            "set-query tables, including one Jaccard set query). Patched and rebuilt engines ",
+            "answer bit-identically on every measurement.\",\n",
             "  \"kinds\": {{\n",
             "{}\n",
             "  }}\n",

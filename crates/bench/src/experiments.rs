@@ -1,9 +1,8 @@
-//! The experiment implementations (F1, F2, E1–E13 of DESIGN.md).
+//! The experiment implementations (F1, F2, E1–E13).
 //!
 //! Every function returns one or more [`Table`]s; the `experiments` binary
-//! prints them and `EXPERIMENTS.md` records a captured run next to what the
-//! paper states. The Criterion benches in `benches/` time the same building
-//! blocks.
+//! prints them (see the README's "Benchmarks" section). The Criterion
+//! benches in `benches/` time the same building blocks.
 
 use crate::table::Table;
 use cpdb_andxor::figure1;
@@ -264,20 +263,28 @@ pub fn jaccard_validation_table() -> Table {
     validation
 }
 
-/// E3 scaling table only.
+/// E3 scaling table only: one dual-number prefix sweep per answer, on a
+/// tuple-independent relation (`O(n²)`) and on the scored-BID
+/// [`scaling_tree`] the engine serves (`O(n³/6)`).
 pub fn jaccard_scaling_table() -> Table {
     let mut scaling = Table::new(
-        "E3 scaling: Jaccard mean world (n prefixes × O(n²) genfunc each)",
-        &["n tuples", "time (ms)"],
+        "E3 scaling: Jaccard prefix scan (one incremental dual-number sweep)",
+        &["n", "tuple-independent mean (ms)", "scored-BID scan (ms)"],
     );
-    for n in [50usize, 100, 200] {
+    for n in [50usize, 100, 200, 400, 1000] {
         let db = random_tuple_independent(&TupleIndependentConfig {
             num_tuples: n,
             ..Default::default()
         });
         let start = Instant::now();
-        let _ = jaccard::mean_world_tuple_independent(&db);
-        scaling.add_row(vec![n.to_string(), fmt_ms(start.elapsed().as_secs_f64())]);
+        jaccard::mean_world_tuple_independent(&db).expect("generated relations are valid");
+        let ti = start.elapsed().as_secs_f64();
+        let tree = scaling_tree(n, 42);
+        let candidates = jaccard::prefix_candidates(&tree);
+        let start = Instant::now();
+        jaccard::best_prefix_world(&tree, &candidates).expect("one candidate per key");
+        let bid = start.elapsed().as_secs_f64();
+        scaling.add_row(vec![n.to_string(), fmt_ms(ti), fmt_ms(bid)]);
     }
     scaling
 }

@@ -4,7 +4,7 @@
 //! The paper has no empirical section, so the "tables and figures" this
 //! harness regenerates are (a) the two figures of the paper, reproduced
 //! exactly, and (b) one validation + one scaling experiment per algorithmic
-//! claim, as catalogued in `DESIGN.md` and reported in `EXPERIMENTS.md`.
+//! claim (E1–E13, listed in the `experiments` binary's docs).
 //!
 //! The heavy lifting lives here so that the Criterion benches and the
 //! `experiments` binary print exactly the same numbers.

@@ -190,7 +190,7 @@ fn instrumented_engine(n: usize, seed: u64, obs: Obs) -> ConsensusEngine {
 fn probe_mix() -> Vec<(&'static str, Query)> {
     vec![
         (
-            "set_consensus",
+            "set.sym_diff",
             Query::SetConsensus {
                 metric: SetMetric::SymmetricDifference,
                 variant: Variant::Mean,

@@ -8,7 +8,8 @@
 //!
 //! * **warm start** — [`cpdb_live::LiveEngine::open`]: decode the epoch-0
 //!   snapshot (configuration, tree, and every built artifact, bit-exact) and
-//!   replay the WAL tail through the delta-aware maintenance path;
+//!   replay the WAL tail as one batch through the delta-aware maintenance
+//!   path;
 //! * **snapshot-only start** — the same open after [`persist_snapshot`]
 //!   compacted the WAL into a fresh snapshot (no replay work left);
 //! * **cold rebuild** — the pre-`cpdb_store` alternative: build a fresh

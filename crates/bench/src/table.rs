@@ -1,8 +1,7 @@
 //! Minimal fixed-width table printer for experiment output.
 
 /// A simple table: a header row plus data rows, rendered with fixed-width
-/// columns so experiment output is readable in a terminal and diffable in
-/// `EXPERIMENTS.md`.
+/// columns so experiment output is readable in a terminal and diffable.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,

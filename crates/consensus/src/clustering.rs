@@ -27,7 +27,10 @@ pub type Clustering = Vec<Vec<TupleKey>>;
 #[derive(Debug, Clone)]
 pub struct CoClusteringWeights {
     keys: Vec<TupleKey>,
-    weights: HashMap<(TupleKey, TupleKey), f64>,
+    /// Row (and column) of each key in `weights`.
+    index: HashMap<TupleKey, usize>,
+    /// Row-major symmetric `keys.len() × keys.len()` matrix.
+    weights: Vec<f64>,
 }
 
 impl CoClusteringWeights {
@@ -47,23 +50,18 @@ impl CoClusteringWeights {
     pub fn from_tree_with_parallelism(tree: &AndXorTree, threads: usize) -> Self {
         let keys = tree.keys();
         let matrix = tree.batch_cocluster_weights(&keys, threads);
-        Self::from_matrix(keys, &matrix)
+        Self::from_matrix(keys, matrix)
     }
 
-    /// Assembles the symmetric weight map from a row-major matrix over
-    /// `keys` — the shared back end of the batch build and the live-update
-    /// patch path.
-    fn from_matrix(keys: Vec<TupleKey>, matrix: &[f64]) -> Self {
-        let n = keys.len();
-        let mut weights = HashMap::new();
-        for (idx, &i) in keys.iter().enumerate() {
-            for (jdx, &j) in keys.iter().enumerate().skip(idx + 1) {
-                let w = matrix[idx * n + jdx];
-                weights.insert((i, j), w);
-                weights.insert((j, i), w);
-            }
+    /// Wraps a symmetric row-major matrix over `keys` — the shared back end
+    /// of every constructor.
+    fn from_matrix(keys: Vec<TupleKey>, weights: Vec<f64>) -> Self {
+        let index = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        CoClusteringWeights {
+            keys,
+            index,
+            weights,
         }
-        CoClusteringWeights { keys, weights }
     }
 
     /// The per-pair reference construction (one generating-function sweep per
@@ -71,9 +69,10 @@ impl CoClusteringWeights {
     /// legacy side of the `rank_artifacts` benchmark.
     pub fn from_tree_per_pair(tree: &AndXorTree) -> Self {
         let keys = tree.keys();
-        let mut weights = HashMap::new();
+        let n = keys.len();
+        let mut weights = vec![0.0; n * n];
         for (idx, &i) in keys.iter().enumerate() {
-            for &j in keys.iter().skip(idx + 1) {
+            for (jdx, &j) in keys.iter().enumerate().skip(idx + 1) {
                 let same_value = tree.cluster_weight(i, j);
                 // Pr(both absent): assign x to every leaf of either key; the
                 // coefficient of x^0 is the probability neither appears.
@@ -81,11 +80,11 @@ impl CoClusteringWeights {
                     .genfunc1(Truncation::Degree(0), |a| a.key == i || a.key == j)
                     .coeff(0);
                 let w = (same_value + both_absent).clamp(0.0, 1.0);
-                weights.insert((i, j), w);
-                weights.insert((j, i), w);
+                weights[idx * n + jdx] = w;
+                weights[jdx * n + idx] = w;
             }
         }
-        CoClusteringWeights { keys, weights }
+        Self::from_matrix(keys, weights)
     }
 
     /// The **patch path** of [`CoClusteringWeights::from_tree`] for live
@@ -105,28 +104,40 @@ impl CoClusteringWeights {
     ) -> Self {
         let keys = tree.keys();
         let recompute: Vec<bool> = keys.iter().map(|k| affected.contains(k)).collect();
+        // Old entries are read by matrix position, not looked up per pair.
+        let old_pos: Vec<Option<usize>> = keys.iter().map(|k| self.index.get(k).copied()).collect();
+        let old_n = self.keys.len();
         let matrix = tree.batch_cocluster_weights_partial(
             &keys,
             &recompute,
-            |i, j| self.weight(keys[i], keys[j]),
+            |i, j| match (old_pos[i], old_pos[j]) {
+                (Some(a), Some(b)) => self.weights[a * old_n + b],
+                _ => 0.0,
+            },
             threads,
         );
-        Self::from_matrix(keys, &matrix)
+        Self::from_matrix(keys, matrix)
+    }
+
+    /// Weights from a symmetric row-major `keys.len() × keys.len()` matrix,
+    /// taken as is. `None` when the matrix has the wrong size.
+    pub fn from_row_major(keys: Vec<TupleKey>, weights: Vec<f64>) -> Option<Self> {
+        (weights.len() == keys.len() * keys.len()).then(|| Self::from_matrix(keys, weights))
     }
 
     /// Builds weights directly from a map (for tests and other models). Only
     /// pairs present in the map are considered co-clustered with non-zero
-    /// probability.
+    /// probability; pairs with a key outside `keys` are ignored.
     pub fn from_map(keys: Vec<TupleKey>, weights: HashMap<(TupleKey, TupleKey), f64>) -> Self {
-        let mut symmetric = HashMap::with_capacity(weights.len() * 2);
-        for (&(i, j), &w) in &weights {
-            symmetric.insert((i, j), w);
-            symmetric.insert((j, i), w);
+        let n = keys.len();
+        let mut out = Self::from_matrix(keys, vec![0.0; n * n]);
+        for ((i, j), w) in weights {
+            if let (Some(&a), Some(&b)) = (out.index.get(&i), out.index.get(&j)) {
+                out.weights[a * n + b] = w;
+                out.weights[b * n + a] = w;
+            }
         }
-        CoClusteringWeights {
-            keys,
-            weights: symmetric,
-        }
+        out
     }
 
     /// The tuple keys being clustered.
@@ -140,7 +151,23 @@ impl CoClusteringWeights {
         if i == j {
             return 1.0;
         }
-        self.weights.get(&(i, j)).copied().unwrap_or(0.0)
+        match (self.index.get(&i), self.index.get(&j)) {
+            (Some(&a), Some(&b)) => self.weights[a * self.keys.len() + b],
+            _ => 0.0,
+        }
+    }
+
+    /// The upper-triangle pairs `(i, j, w_{ij})`, `i` before `j` in
+    /// [`keys`](Self::keys) order — the snapshot layout.
+    pub fn pairs(&self) -> impl Iterator<Item = (TupleKey, TupleKey, f64)> + '_ {
+        let n = self.keys.len();
+        self.keys.iter().enumerate().flat_map(move |(idx, &i)| {
+            self.keys
+                .iter()
+                .enumerate()
+                .skip(idx + 1)
+                .map(move |(jdx, &j)| (i, j, self.weights[idx * n + jdx]))
+        })
     }
 
     /// The expected pairwise-disagreement distance `E[d(C, C_pw)]` of a
@@ -153,13 +180,26 @@ impl CoClusteringWeights {
                 cluster_of.insert(t, c);
             }
         }
+        // Per position of `keys`: the candidate cluster (`None` when the
+        // candidate leaves the key out) and the key's row of `weights`, so
+        // the O(n²) pair loop does no hashing.
+        let cluster: Vec<Option<usize>> = self
+            .keys
+            .iter()
+            .map(|k| cluster_of.get(k).copied())
+            .collect();
+        let row: Vec<usize> = self.keys.iter().map(|k| self.index[k]).collect();
+        let n = self.keys.len();
         let mut total = 0.0;
-        for (idx, &i) in self.keys.iter().enumerate() {
-            for &j in self.keys.iter().skip(idx + 1) {
-                let together = cluster_of.get(&i) == cluster_of.get(&j)
-                    && cluster_of.contains_key(&i)
-                    && cluster_of.contains_key(&j);
-                let w = self.weight(i, j);
+        for idx in 0..n {
+            for jdx in idx + 1..n {
+                let together = cluster[idx].is_some() && cluster[idx] == cluster[jdx];
+                // Same as `self.weight(keys[idx], keys[jdx])`.
+                let w = if self.keys[idx] == self.keys[jdx] {
+                    1.0
+                } else {
+                    self.weights[row[idx] * n + row[jdx]]
+                };
                 total += if together { 1.0 - w } else { w };
             }
         }

@@ -45,24 +45,16 @@ pub fn preference_matrix_with_parallelism(
     threads: usize,
 ) -> PreferenceMatrix {
     let weights = tree.batch_pairwise_order(keys, threads);
-    matrix_from_weights(keys, &weights)
+    matrix_from_weights(keys, weights)
 }
 
 /// Assembles a [`PreferenceMatrix`] from a row-major weight matrix over
 /// `keys` — the shared back end of the batch build and the live-update
 /// patch path.
-fn matrix_from_weights(keys: &[TupleKey], weights: &[f64]) -> PreferenceMatrix {
+fn matrix_from_weights(keys: &[TupleKey], weights: Vec<f64>) -> PreferenceMatrix {
     let items: Vec<u64> = keys.iter().map(|t| t.0).collect();
-    let n = keys.len();
-    let mut m = PreferenceMatrix::new(&items);
-    for (i, &a) in keys.iter().enumerate() {
-        for (j, &b) in keys.iter().enumerate() {
-            if i != j {
-                m.set_weight(a.0, b.0, weights[i * n + j]);
-            }
-        }
-    }
-    m
+    PreferenceMatrix::from_row_major(&items, weights)
+        .expect("the batch evaluator returns one entry per ordered key pair")
 }
 
 /// The **patch path** of [`preference_matrix`] for live updates: rebuilds
@@ -82,13 +74,19 @@ pub fn preference_matrix_patched(
     threads: usize,
 ) -> PreferenceMatrix {
     let recompute: Vec<bool> = keys.iter().map(|k| affected.contains(k)).collect();
+    // Old entries are read by matrix position, not looked up per pair.
+    let old_pos: Vec<Option<usize>> = keys.iter().map(|k| old.position(k.0)).collect();
+    let old_n = old.items().len();
     let weights = tree.batch_pairwise_order_partial(
         keys,
         &recompute,
-        |i, j| old.weight(keys[i].0, keys[j].0),
+        |i, j| match (old_pos[i], old_pos[j]) {
+            (Some(a), Some(b)) => old.row_major()[a * old_n + b],
+            _ => 0.0,
+        },
         threads,
     );
-    matrix_from_weights(keys, &weights)
+    matrix_from_weights(keys, weights)
 }
 
 /// Kendall consensus answer via pivot aggregation: run seeded KwikSort over

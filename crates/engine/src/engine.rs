@@ -9,7 +9,7 @@ use crate::error::EngineError;
 use crate::export::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
 use crate::obs::{Artifact, EngineObs};
 use crate::query::{splitmix64, BaselineKind, Query, SetMetric, TopKMetric, Variant};
-use cpdb_andxor::{AndXorTree, NodeKind, TreeDelta};
+use cpdb_andxor::{AndXorTree, DeltaImpact, NodeKind, TreeDelta};
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::clustering::{self, CoClusteringWeights};
 use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
@@ -600,7 +600,7 @@ impl ConsensusEngine {
             }
             SetMetric::Jaccard => {
                 let candidates = self.jaccard_candidates_ref();
-                let consensus = jaccard::best_prefix_world(&self.tree, candidates);
+                let consensus = jaccard::best_prefix_world(&self.tree, candidates)?;
                 // Lemma 2 proves the prefix structure for tuple-independent
                 // mean worlds; the §4.2 scan over block-best alternatives is
                 // the BID median. Outside those classes the scan is served as
@@ -887,9 +887,30 @@ impl ConsensusEngine {
         &self,
         delta: &TreeDelta,
     ) -> Result<(ConsensusEngine, DeltaReport), EngineError> {
+        let (tree, impact) = self.tree.apply_delta(delta)?;
+        Ok(self.maintained(tree, impact))
+    }
+
+    /// [`apply_delta`](Self::apply_delta) for a run of deltas that only
+    /// their final epoch serves, such as a WAL tail replayed on open: the
+    /// tree takes every delta in order and the artifacts are maintained
+    /// once, against the combined impact
+    /// ([`AndXorTree::apply_deltas`](cpdb_andxor::AndXorTree::apply_deltas)).
+    /// The result answers bit-identically to applying the deltas one at a
+    /// time; the one [`DeltaReport`] describes the whole run.
+    pub fn apply_deltas<'a>(
+        &self,
+        deltas: impl IntoIterator<Item = &'a TreeDelta>,
+    ) -> Result<(ConsensusEngine, DeltaReport), EngineError> {
+        let (tree, impact) = self.tree.apply_deltas(deltas)?;
+        Ok(self.maintained(tree, impact))
+    }
+
+    /// The next-epoch engine on the mutated `tree`, carrying every built
+    /// artifact across according to `impact`.
+    fn maintained(&self, tree: AndXorTree, impact: DeltaImpact) -> (ConsensusEngine, DeltaReport) {
         use crate::delta::ArtifactDecision::{Invalidated, Kept, Patched};
 
-        let (tree, impact) = self.tree.apply_delta(delta)?;
         let mut report = DeltaReport::new(impact);
         let impact = report.impact.clone();
         let affected = &impact.affected_keys;
@@ -1035,8 +1056,45 @@ impl ConsensusEngine {
             stats,
             obs: self.obs.clone(),
         };
-        Ok((next, report))
+        (next, report)
     }
+}
+
+/// The co-clustering weights of a snapshot. [`ConsensusEngine::export`]
+/// writes every upper-triangle pair once, in key order, so each pair lands
+/// at the next matrix position; an export in any other layout is rejected.
+fn cocluster_from_export(ce: &CoClusterExport) -> Result<CoClusteringWeights, EngineError> {
+    let n = ce.keys.len();
+    let mut weights = vec![0.0; n * n];
+    let mut pairs = ce.pairs.iter();
+    for a in 0..n {
+        weights[a * n + a] = 1.0;
+        for b in a + 1..n {
+            match pairs.next() {
+                Some(&(i, j, w)) if i == ce.keys[a] && j == ce.keys[b] => {
+                    weights[a * n + b] = w;
+                    weights[b * n + a] = w;
+                }
+                _ => {
+                    return Err(EngineError::InvalidConfig {
+                        context: format!(
+                            "co-clustering export lacks the pair ({}, {}) at its place",
+                            ce.keys[a], ce.keys[b]
+                        ),
+                    })
+                }
+            }
+        }
+    }
+    if pairs.next().is_some() {
+        return Err(EngineError::InvalidConfig {
+            context: format!("co-clustering export has more than the {n}-key pairs"),
+        });
+    }
+    let keys = ce.keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
+    CoClusteringWeights::from_row_major(keys, weights).ok_or_else(|| EngineError::InvalidConfig {
+        context: "co-clustering export does not fit its key count".to_string(),
+    })
 }
 
 /// A slot whose artifact is already built (the delta-maintenance patch
@@ -1071,25 +1129,14 @@ impl ConsensusEngine {
             .collect();
         contexts.sort_by_key(|c| c.k);
 
-        let prefs = self.prefs.get().map(|m| {
-            let items = m.items().to_vec();
-            let weights = items
-                .iter()
-                .flat_map(|&i| items.iter().map(move |&j| (i, j)))
-                .map(|(i, j)| m.weight(i, j))
-                .collect();
-            PreferenceExport { items, weights }
+        let prefs = self.prefs.get().map(|m| PreferenceExport {
+            items: m.items().to_vec(),
+            weights: m.row_major().to_vec(),
         });
 
-        let cocluster = self.cocluster.get().map(|w| {
-            let keys: Vec<u64> = w.keys().iter().map(|k| k.0).collect();
-            let mut pairs = Vec::new();
-            for (idx, &i) in w.keys().iter().enumerate() {
-                for &j in w.keys().iter().skip(idx + 1) {
-                    pairs.push((i.0, j.0, w.weight(i, j)));
-                }
-            }
-            CoClusterExport { keys, pairs }
+        let cocluster = self.cocluster.get().map(|w| CoClusterExport {
+            keys: w.keys().iter().map(|k| k.0).collect(),
+            pairs: w.pairs().map(|(i, j, p)| (i.0, j.0, p)).collect(),
         });
 
         let marginals = self.marginals.get().map(|m| {
@@ -1176,33 +1223,20 @@ impl ConsensusEngine {
         engine.contexts = RwLock::new(contexts);
 
         if let Some(pe) = &export.prefs {
-            let n = pe.items.len();
-            if pe.weights.len() != n * n {
-                return Err(EngineError::InvalidConfig {
+            let m = PreferenceMatrix::from_row_major(&pe.items, pe.weights.clone()).ok_or_else(
+                || EngineError::InvalidConfig {
                     context: format!(
-                        "preference export has {} weights for {n} items",
-                        pe.weights.len()
+                        "preference export has {} weights for {} items",
+                        pe.weights.len(),
+                        pe.items.len()
                     ),
-                });
-            }
-            let mut m = PreferenceMatrix::new(&pe.items);
-            for (a, &i) in pe.items.iter().enumerate() {
-                for (b, &j) in pe.items.iter().enumerate() {
-                    m.set_weight(i, j, pe.weights[a * n + b]);
-                }
-            }
+                },
+            )?;
             engine.prefs = prebuilt_slot(m);
         }
 
         if let Some(ce) = &export.cocluster {
-            let keys: Vec<cpdb_model::TupleKey> =
-                ce.keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
-            let weights = ce
-                .pairs
-                .iter()
-                .map(|&(i, j, w)| ((cpdb_model::TupleKey(i), cpdb_model::TupleKey(j)), w))
-                .collect();
-            engine.cocluster = prebuilt_slot(CoClusteringWeights::from_map(keys, weights));
+            engine.cocluster = prebuilt_slot(cocluster_from_export(ce)?);
         }
 
         if let Some(rows) = &export.marginals {
@@ -2109,6 +2143,97 @@ mod tests {
         );
     }
 
+    /// Applies `deltas` one epoch at a time and as one batch, and checks
+    /// that both engines hold the same tree, the same artifacts bit for bit,
+    /// and answer alike.
+    fn assert_batch_matches_sequence(
+        engine: &ConsensusEngine,
+        deltas: &[TreeDelta],
+    ) -> DeltaReport {
+        let (batched, report) = engine.apply_deltas(deltas).unwrap();
+        let mut sequential = engine.apply_delta(&deltas[0]).unwrap().0;
+        for delta in &deltas[1..] {
+            sequential = sequential.apply_delta(delta).unwrap().0;
+        }
+        assert_eq!(batched.tree(), sequential.tree());
+        assert_eq!(batched.export(), sequential.export());
+        assert_eq!(
+            batched.run_batch_serial(&warming_batch()),
+            sequential.run_batch_serial(&warming_batch())
+        );
+        report
+    }
+
+    #[test]
+    fn batched_deltas_match_one_at_a_time() {
+        let engine = delta_engine(bid_tree());
+        for r in engine.run_batch_serial(&warming_batch()) {
+            r.unwrap();
+        }
+        // Each delta addresses the tree the previous ones produced; the
+        // structural ones renumber node ids.
+        let mut tree = engine.tree().clone();
+        let mut deltas = Vec::new();
+        for step in 0..3 {
+            let delta = match step {
+                0 => TreeDelta::InsertTupleBlock {
+                    under: tree.root(),
+                    key: 9,
+                    alternatives: vec![(77.0, 0.4)],
+                },
+                1 => {
+                    let leaf = tree.leaves_of_key(2)[0];
+                    TreeDelta::XorEdgeProbability {
+                        xor: tree.parent_of(leaf).unwrap(),
+                        child: leaf,
+                        probability: 0.7,
+                    }
+                }
+                _ => {
+                    let leaf = tree.leaves_of_key(4)[1];
+                    TreeDelta::RemoveAlternative {
+                        xor: tree.parent_of(leaf).unwrap(),
+                        leaf,
+                    }
+                }
+            };
+            tree = tree.apply_delta(&delta).unwrap().0;
+            deltas.push(delta);
+        }
+        let report = assert_batch_matches_sequence(&engine, &deltas);
+        let affected: Vec<u64> = report.impact.affected_keys.iter().map(|k| k.0).collect();
+        assert_eq!(affected, vec![2, 4, 9]);
+        assert!(report.impact.membership_changed && !report.impact.rank_order_preserved);
+    }
+
+    #[test]
+    fn batched_order_preserving_deltas_keep_rank_contexts() {
+        let engine = delta_engine(bid_tree());
+        for r in engine.run_batch_serial(&warming_batch()) {
+            r.unwrap();
+        }
+        // 70 → 72.5 and 40 → 41 both keep the global score order.
+        let deltas = [
+            TreeDelta::LeafValue {
+                leaf: engine.tree().leaves_of_key(3)[0],
+                value: 72.5,
+            },
+            TreeDelta::LeafValue {
+                leaf: engine.tree().leaves_of_key(1)[1],
+                value: 41.0,
+            },
+        ];
+        let report = assert_batch_matches_sequence(&engine, &deltas);
+        assert!(report.impact.rank_order_preserved, "{report:?}");
+        assert!(
+            report
+                .decisions
+                .iter()
+                .any(|(n, d)| n.starts_with("rank_context") && *d == crate::ArtifactDecision::Kept),
+            "{report:?}"
+        );
+    }
+
     #[test]
     fn delta_application_errors_are_typed_and_leave_self_untouched() {
         let engine = delta_engine(bid_tree());
@@ -2210,6 +2335,25 @@ mod tests {
             ConsensusEngine::from_export(&export),
             Err(EngineError::InvalidConfig { .. })
         ));
+
+        // Co-clustering pairs out of their upper-triangle order, missing, or
+        // surplus are rejected rather than silently zeroed.
+        for corrupt in [
+            |pairs: &mut Vec<(u64, u64, f64)>| pairs.swap(0, 1),
+            |pairs: &mut Vec<(u64, u64, f64)>| {
+                pairs.pop();
+            },
+            |pairs: &mut Vec<(u64, u64, f64)>| pairs.push((1, 2, 0.5)),
+        ] {
+            let mut export = engine.export();
+            if let Some(ce) = &mut export.cocluster {
+                corrupt(&mut ce.pairs);
+            }
+            assert!(matches!(
+                ConsensusEngine::from_export(&export),
+                Err(EngineError::InvalidConfig { .. })
+            ));
+        }
 
         // A corrupted tree (mass overflow) is caught by re-validation.
         let mut export = engine.export();

@@ -3,17 +3,18 @@
 //! latency and events without any name lookup — and pays one `Option`
 //! branch per record when no sink is attached.
 
-use crate::query::Query;
+use crate::query::{Query, SetMetric};
 use cpdb_obs::{EventKind, Histogram, Obs, Span};
 
 /// Pre-registered engine metrics: one latency histogram per [`Query`] kind
-/// plus one build-latency histogram per shared artifact. Cloning shares the
-/// underlying handles, so a cloned or delta-built engine keeps recording
-/// into the same sink.
+/// (set consensus split per metric) plus one build-latency histogram per
+/// shared artifact. Cloning shares the underlying handles, so a cloned or
+/// delta-built engine keeps recording into the same sink.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineObs {
     obs: Obs,
-    query_set: Histogram,
+    query_set_sym_diff: Histogram,
+    query_set_jaccard: Histogram,
     query_topk: Histogram,
     query_aggregate: Histogram,
     query_clustering: Histogram,
@@ -28,7 +29,8 @@ pub(crate) struct EngineObs {
 impl EngineObs {
     pub(crate) fn new(obs: Obs) -> Self {
         EngineObs {
-            query_set: obs.histogram("engine.query.set_consensus"),
+            query_set_sym_diff: obs.histogram("engine.query.set.sym_diff"),
+            query_set_jaccard: obs.histogram("engine.query.set.jaccard"),
             query_topk: obs.histogram("engine.query.topk"),
             query_aggregate: obs.histogram("engine.query.aggregate"),
             query_clustering: obs.histogram("engine.query.clustering"),
@@ -51,7 +53,14 @@ impl EngineObs {
     /// query-start/finish events in the flight recorder.
     pub(crate) fn query_span(&self, query: &Query) -> Span {
         let histogram = match query {
-            Query::SetConsensus { .. } => &self.query_set,
+            Query::SetConsensus {
+                metric: SetMetric::SymmetricDifference,
+                ..
+            } => &self.query_set_sym_diff,
+            Query::SetConsensus {
+                metric: SetMetric::Jaccard,
+                ..
+            } => &self.query_set_jaccard,
             Query::TopK { .. } => &self.query_topk,
             Query::Aggregate { .. } => &self.query_aggregate,
             Query::Clustering { .. } => &self.query_clustering,

@@ -609,8 +609,8 @@ impl LiveEngine {
 
     /// Warm-starts from the store in `dir`: loads the newest valid snapshot
     /// (tree + built artifacts, no rebuild), replays the WAL suffix on top
-    /// (truncating a torn tail record), and serves the exact pre-crash
-    /// epoch. Answers are bit-identical to the engine that wrote the store.
+    /// as one batch ([`ConsensusEngine::apply_deltas`]; a torn tail record
+    /// is truncated), and serves the exact pre-crash epoch. Answers are bit-identical to the engine that wrote the store.
     pub fn open(dir: &Path) -> Result<Self, LiveError> {
         LiveEngine::open_with(dir, StoreOptions::default())
     }
@@ -621,11 +621,12 @@ impl LiveEngine {
         let (store, recovered) = Store::open_with(dir, options)?;
         let (snap_epoch, export) = recovered.snapshot.ok_or(StoreError::NoSnapshot)?;
         let mut engine = ConsensusEngine::from_export(&export)?;
-        let mut epoch = snap_epoch;
-        for (record_epoch, delta) in &recovered.wal {
-            engine = engine.apply_delta(delta)?.0;
-            epoch = *record_epoch;
+        // Only the last replayed epoch is served, so the tail is maintained
+        // as one batch.
+        if !recovered.wal.is_empty() {
+            engine = engine.apply_deltas(recovered.wal.iter().map(|(_, d)| d))?.0;
         }
+        let epoch = recovered.wal.last().map_or(snap_epoch, |(e, _)| *e);
         Ok(LiveEngine {
             current: ArcCell::new(Arc::new(Epoch { epoch, engine })),
             writer: Mutex::new(()),

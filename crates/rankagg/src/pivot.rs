@@ -65,9 +65,35 @@ impl PreferenceMatrix {
         m
     }
 
+    /// A tournament from a row-major `items.len() × items.len()` weight
+    /// matrix, taken as is (no per-entry indexing). `None` when the matrix
+    /// has the wrong size.
+    pub fn from_row_major(items: &[u64], weights: Vec<f64>) -> Option<Self> {
+        if weights.len() != items.len() * items.len() {
+            return None;
+        }
+        let index = items.iter().enumerate().map(|(i, &it)| (it, i)).collect();
+        Some(PreferenceMatrix {
+            items: items.to_vec(),
+            index,
+            weights,
+        })
+    }
+
     /// The items of the tournament.
     pub fn items(&self) -> &[u64] {
         &self.items
+    }
+
+    /// The row (and column) of `item` in the weight matrix.
+    pub fn position(&self, item: u64) -> Option<usize> {
+        self.index.get(&item).copied()
+    }
+
+    /// The row-major weight matrix, rows and columns in
+    /// [`items`](Self::items) order.
+    pub fn row_major(&self) -> &[f64] {
+        &self.weights
     }
 
     /// The preference weight for `i` over `j` (0 for unknown items).

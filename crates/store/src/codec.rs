@@ -67,6 +67,12 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(b)
 }
 
+/// An `f64` from its little-endian bit pattern (exactly 8 bytes,
+/// caller-checked).
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_bits(le_u64(bytes))
+}
+
 impl<'a> ByteReader<'a> {
     pub fn new(buf: &'a [u8], what: &'a str) -> Self {
         ByteReader { buf, pos: 0, what }
@@ -127,6 +133,19 @@ impl<'a> ByteReader<'a> {
 
     pub fn get_f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// `count` fixed-width records of `width` bytes, taken with one bounds
+    /// check, so a corrupt count fails before anything is allocated.
+    pub fn get_records(
+        &mut self,
+        count: usize,
+        width: usize,
+    ) -> Result<std::slice::ChunksExact<'a, u8>, StoreError> {
+        let len = count
+            .checked_mul(width)
+            .ok_or_else(|| self.corrupt(&format!("{count} records of {width} bytes")))?;
+        Ok(self.take(len)?.chunks_exact(width))
     }
 
     pub fn expect_end(&self) -> Result<(), StoreError> {
@@ -473,14 +492,9 @@ pub fn encode_prefs(w: &mut ByteWriter, prefs: &PreferenceExport) {
 
 pub fn decode_prefs(r: &mut ByteReader<'_>) -> Result<PreferenceExport, StoreError> {
     let n = r.get_bounded(1 << 20)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(r.get_u64()?);
-    }
-    let mut weights = Vec::new();
-    for _ in 0..n * n {
-        weights.push(r.get_f64()?);
-    }
+    let items = r.get_records(n, 8)?.map(le_u64).collect();
+    // Saturates on a 32-bit target; the bounds check then rejects it.
+    let weights = r.get_records(n.saturating_mul(n), 8)?.map(le_f64).collect();
     Ok(PreferenceExport { items, weights })
 }
 
@@ -499,17 +513,12 @@ pub fn encode_cocluster(w: &mut ByteWriter, c: &CoClusterExport) {
 
 pub fn decode_cocluster(r: &mut ByteReader<'_>) -> Result<CoClusterExport, StoreError> {
     let n = r.get_count()?;
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(r.get_u64()?);
-    }
+    let keys = r.get_records(n, 8)?.map(le_u64).collect();
     let pairs_len = r.get_count()?;
-    let mut pairs = Vec::with_capacity(pairs_len);
-    for _ in 0..pairs_len {
-        let i = r.get_u64()?;
-        let j = r.get_u64()?;
-        pairs.push((i, j, r.get_f64()?));
-    }
+    let pairs = r
+        .get_records(pairs_len, 24)?
+        .map(|c| (le_u64(&c[..8]), le_u64(&c[8..16]), le_f64(&c[16..])))
+        .collect();
     Ok(CoClusterExport { keys, pairs })
 }
 
@@ -525,12 +534,10 @@ pub fn encode_triples(w: &mut ByteWriter, rows: &[(u64, f64, f64)]) {
 
 pub fn decode_triples(r: &mut ByteReader<'_>) -> Result<Vec<(u64, f64, f64)>, StoreError> {
     let n = r.get_count()?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.get_u64()?;
-        let value = r.get_f64()?;
-        rows.push((key, value, r.get_f64()?));
-    }
+    let rows = r
+        .get_records(n, 24)?
+        .map(|c| (le_u64(&c[..8]), le_f64(&c[8..16]), le_f64(&c[16..])))
+        .collect();
     Ok(rows)
 }
 
@@ -543,11 +550,7 @@ pub fn encode_key_index(w: &mut ByteWriter, keys: &[u64]) {
 
 pub fn decode_key_index(r: &mut ByteReader<'_>) -> Result<Vec<u64>, StoreError> {
     let n = r.get_count()?;
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(r.get_u64()?);
-    }
-    Ok(keys)
+    Ok(r.get_records(n, 8)?.map(le_u64).collect())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! the directory), so a crash leaves either the old snapshot or the new one
 //! — never a hybrid.
 
-use crate::checksum::crc32;
+use crate::checksum::crc32_parts;
 use crate::codec::{
     decode_cocluster, decode_config, decode_contexts, decode_key_index, decode_prefs, decode_tree,
     decode_triples, encode_cocluster, encode_config, encode_contexts, encode_key_index,
@@ -45,11 +45,7 @@ const SECTION_KEY_INDEX: u8 = 8;
 /// payload, so a bit flip cannot silently relabel a valid payload as a
 /// different artifact kind.
 fn section_crc(tag: u8, payload: &[u8]) -> u32 {
-    let mut framed = Vec::with_capacity(1 + 8 + payload.len());
-    framed.push(tag);
-    framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    framed.extend_from_slice(payload);
-    crc32(&framed)
+    crc32_parts(&[&[tag], &(payload.len() as u64).to_le_bytes(), payload])
 }
 
 fn push_section(out: &mut Vec<u8>, tag: u8, payload: Vec<u8>) {

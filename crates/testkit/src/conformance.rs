@@ -10,16 +10,18 @@
 //! can report coverage.
 
 use crate::fixtures;
+use crate::reference;
 use crate::TOL;
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::aggregate::GroupByInstance;
+use cpdb_consensus::jaccard::JaccardConsensus;
 use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
 use cpdb_consensus::{baselines, clustering, jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{
     BaselineKind, CacheStats, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy, Query,
     SetMetric, TopKMetric, Variant,
 };
-use cpdb_model::{PossibleWorld, TupleIndependentDb, WorldModel};
+use cpdb_model::{Alternative, BidDb, PossibleWorld, TupleIndependentDb, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,9 +78,78 @@ pub fn check_set_consensus(tree: &AndXorTree) -> usize {
     4
 }
 
-/// Lemmas 1–2: the generating-function Jaccard expectation is exact for
-/// arbitrary candidates, and the prefix-scan mean world is the enumerated
-/// optimum.
+/// Largest `|ΔE|` allowed between the dual-number Jaccard scan and the
+/// `Poly2` reference on any one prefix.
+const JACCARD_REFERENCE_TOL: f64 = 1e-12;
+
+fn jaccard_world(a: &PossibleWorld, b: &PossibleWorld) -> f64 {
+    a.jaccard_distance(b)
+}
+
+/// The dual-number prefix scan over `candidates` against the `Poly2`
+/// reference scan (every prefix score within [`JACCARD_REFERENCE_TOL`], the
+/// same winning prefix) and against the worlds oracle (the winner's score
+/// within [`TOL`]). Returns the scan's answer and the assertion count.
+fn check_jaccard_scan(
+    label: &str,
+    tree: &AndXorTree,
+    candidates: &[(Alternative, f64)],
+) -> (JaccardConsensus, usize) {
+    let fast = jaccard::prefix_distances(tree, candidates).expect("one alternative per key");
+    let slow = reference::prefix_distances_poly2(tree, candidates);
+    assert_eq!(
+        fast.len(),
+        candidates.len() + 1,
+        "{label}: one score per prefix"
+    );
+    for (t, (f, s)) in fast.iter().zip(&slow).enumerate() {
+        assert!(
+            (f - s).abs() <= JACCARD_REFERENCE_TOL,
+            "{label}: prefix {t} scores {f} in the dual sweep, {s} in the Poly2 reference"
+        );
+    }
+    let got = jaccard::best_prefix_world(tree, candidates).expect("one alternative per key");
+    let want = reference::best_prefix_world_poly2(tree, candidates);
+    assert_eq!(
+        got.world, want.world,
+        "{label}: the dual sweep and the Poly2 reference pick different prefixes"
+    );
+    let ws = tree.enumerate_worlds();
+    let brute = oracle::expected_world_distance(&got.world, &ws, jaccard_world);
+    assert_close(
+        &format!("{label}: scan score vs enumeration"),
+        got.expected_distance,
+        brute,
+    );
+    (got, fast.len() + 2)
+}
+
+/// Lemma 1 on the empty world and on up to 24 possible worlds of `tree`,
+/// spread evenly over the enumeration: the dual-number score matches
+/// enumeration and the `Poly2` reference.
+fn check_jaccard_lemma1(label: &str, tree: &AndXorTree) -> usize {
+    let ws = tree.enumerate_worlds();
+    let mut checks = 0;
+    let stride = ws.worlds().len().div_ceil(24).max(1);
+    let candidates = std::iter::once(PossibleWorld::empty())
+        .chain(ws.worlds().iter().step_by(stride).map(|(w, _)| w.clone()));
+    for candidate in candidates {
+        let exact = jaccard::expected_jaccard_distance(tree, &candidate);
+        let brute = oracle::expected_world_distance(&candidate, &ws, jaccard_world);
+        assert_close(&format!("{label}: Lemma 1 on {candidate}"), exact, brute);
+        let poly2 = reference::expected_jaccard_distance_poly2(tree, &candidate);
+        assert!(
+            (exact - poly2).abs() <= JACCARD_REFERENCE_TOL,
+            "{label}: Lemma 1 on {candidate}: dual {exact} vs Poly2 {poly2}"
+        );
+        checks += 2;
+    }
+    checks
+}
+
+/// Lemmas 1–2 on a tuple-independent relation: the Jaccard expectation is
+/// exact for arbitrary candidates, the prefix scan agrees with the `Poly2`
+/// reference, and its mean world is the enumerated optimum.
 pub fn check_jaccard(db: &TupleIndependentDb) -> usize {
     let tree = cpdb_andxor::convert::from_tuple_independent(db)
         .expect("tuple-independent relations always convert");
@@ -101,19 +172,62 @@ pub fn check_jaccard(db: &TupleIndependentDb) -> usize {
             .collect();
         let candidate = PossibleWorld::new(chosen).expect("distinct keys by construction");
         let exact = jaccard::expected_jaccard_distance(&tree, &candidate);
-        let brute = oracle::expected_world_distance(&candidate, &ws, |a, b| a.jaccard_distance(b));
+        let brute = oracle::expected_world_distance(&candidate, &ws, jaccard_world);
         assert_close("jaccard expectation (Lemma 1)", exact, brute);
         checks += 1;
     }
 
-    let consensus = jaccard::mean_world_tuple_independent(db);
-    let (_, brute) = oracle::brute_force_mean_world(&ws, |a, b| a.jaccard_distance(b));
+    let (scan, scan_checks) = check_jaccard_scan(
+        "jaccard/tuple-independent",
+        &tree,
+        &db.sorted_by_probability_desc(),
+    );
+    let consensus = jaccard::mean_world_tuple_independent(db).expect("valid relation");
+    assert_eq!(
+        consensus, scan,
+        "mean_world_tuple_independent is the tree scan"
+    );
+    let (_, brute) = oracle::brute_force_mean_world(&ws, jaccard_world);
     assert_close(
         "jaccard mean-world optimality (Lemma 2)",
         consensus.expected_distance,
         brute,
     );
-    checks + 1
+    checks + scan_checks + 2
+}
+
+/// §4.2 on a BID relation: the block-best prefix scan agrees with the
+/// `Poly2` reference, equals the engine-facing tree scan, and is the
+/// enumerated median world.
+pub fn check_jaccard_bid(db: &BidDb) -> usize {
+    let tree = cpdb_andxor::convert::from_bid(db).expect("BID relations always convert");
+    let median = jaccard::median_world_bid(db).expect("valid relation");
+    let (scan, scan_checks) =
+        check_jaccard_scan("jaccard/bid", &tree, &jaccard::prefix_candidates(&tree));
+    assert_eq!(median, scan, "median_world_bid is the tree scan");
+    let ws = tree.enumerate_worlds();
+    assert!(
+        ws.worlds()
+            .iter()
+            .any(|(w, p)| *p > 0.0 && *w == median.world),
+        "jaccard/bid median {} is not a possible world",
+        median.world
+    );
+    let (_, brute) = oracle::brute_force_median_world(&ws, jaccard_world);
+    assert_close(
+        "jaccard BID median-world optimality (§4.2)",
+        median.expected_distance,
+        brute,
+    );
+    check_jaccard_lemma1("jaccard/bid", &tree) + scan_checks + 3
+}
+
+/// Lemma 1 and the prefix scan on an arbitrary and/xor tree, where the scan
+/// is a heuristic: sampled possible worlds are scored exactly, and the scan
+/// agrees with the `Poly2` reference and with enumeration.
+pub fn check_jaccard_tree(label: &str, tree: &AndXorTree) -> usize {
+    let (_, scan_checks) = check_jaccard_scan(label, tree, &jaccard::prefix_candidates(tree));
+    check_jaccard_lemma1(label, tree) + scan_checks
 }
 
 /// Theorem 3 / §5.3 / §5.4: the mean Top-k answers under symmetric
@@ -653,7 +767,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
             variant: Variant::Mean,
         })
         .expect("supported");
-    let direct_jac = jaccard::best_prefix_world(tree, &jaccard::prefix_candidates(tree));
+    let direct_jac = jaccard::best_prefix_world(tree, &jaccard::prefix_candidates(tree))
+        .expect("prefix candidates hold one alternative per key");
     assert_eq!(jac.value.as_world().expect("world"), &direct_jac.world);
     assert_eq!(
         jac.expected_distance.to_bits(),
@@ -1435,7 +1550,8 @@ pub struct ConformanceSummary {
 }
 
 /// Runs every conformance check against the full fixture family for one
-/// seed: set consensus and Jaccard on tuple-independent instances, all Top-k
+/// seed: set consensus on tuple-independent instances, the Jaccard scan on
+/// tuple-independent, BID, clustering and nested trees, all Top-k
 /// algorithms on BID trees (k = 1..3) and tuple-independent trees, aggregates
 /// on group-by instances, clustering on attribute-uncertainty trees, the
 /// batch ↔ per-tuple generating-function equivalence on all three tree
@@ -1455,6 +1571,9 @@ pub fn run_seed(seed: u64) -> ConformanceSummary {
     checks += check_set_consensus(&ti_tree);
     checks += check_set_consensus(&bid_tree);
     checks += check_jaccard(&ti_db);
+    checks += check_jaccard_bid(&fixtures::small_bid(seed));
+    checks += check_jaccard_tree("jaccard/clustering", &fixtures::small_clustering_tree(seed));
+    checks += check_jaccard_tree("jaccard/nested", &fixtures::small_nested_tree(seed));
     for k in 1..=3 {
         checks += check_topk_means(&bid_tree, k);
         checks += check_topk_median_dp(&bid_tree, k);

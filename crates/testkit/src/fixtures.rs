@@ -7,13 +7,14 @@
 //! comfortably cheap. Varying the seed varies both the drawn probabilities
 //! *and* the instance shape, so a seed sweep covers a spread of sizes.
 
-use cpdb_andxor::AndXorTree;
+use cpdb_andxor::{AndXorTree, AndXorTreeBuilder};
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_model::{BidDb, TupleIndependentDb};
 use cpdb_workloads::distributions::{ProbabilityDistribution, ScoreDistribution};
 use cpdb_workloads::generators::{
-    random_bid_db, random_clustering_tree, random_groupby_instance, random_tuple_independent,
-    BidConfig, ClusteringConfig, GroupByConfig, TupleIndependentConfig,
+    random_andxor_tree, random_bid_db, random_clustering_tree, random_groupby_instance,
+    random_tuple_independent, AndXorTreeConfig, BidConfig, ClusteringConfig, GroupByConfig,
+    TupleIndependentConfig,
 };
 
 /// A small tuple-independent relation: 4–7 tuples, probabilities bounded
@@ -72,6 +73,103 @@ pub fn small_clustering_tree(seed: u64) -> AndXorTree {
         absence: 0.15,
         seed,
     })
+}
+
+/// A small nested and/xor tree: 5–7 leaves under two or three alternating
+/// ∨/∧ layers of fan-out 2–3, so ∨ and ∧ nodes sit above leaves of several
+/// keys — the general (non-BID) shape.
+pub fn small_nested_tree(seed: u64) -> AndXorTree {
+    random_andxor_tree(&AndXorTreeConfig {
+        num_leaves: 5 + (seed % 3) as usize,
+        depth: 2 + (seed % 2) as usize,
+        fanout: 2 + (seed % 2) as usize,
+        scores: ScoreDistribution::Uniform { lo: 0.0, hi: 100.0 },
+        seed,
+    })
+}
+
+/// Degenerate trees for the Jaccard scan, each labelled: the empty relation,
+/// a single tuple, certain tuples and blocks (`Σp = 1`), a ∨ node whose mass
+/// exceeds 1 inside the builder's `1 + 1e-9` tolerance, tied marginals, and
+/// one alternative stored on several leaves.
+pub fn jaccard_edge_trees() -> Vec<(&'static str, AndXorTree)> {
+    let ti = |triples: &[(u64, f64, f64)]| {
+        let db = TupleIndependentDb::from_triples(triples).expect("valid triples");
+        cpdb_andxor::convert::from_tuple_independent(&db)
+            .expect("tuple-independent relations convert")
+    };
+    let bid = |blocks: &[(u64, &[(f64, f64)])]| {
+        let blocks = blocks
+            .iter()
+            .map(|(key, alts)| cpdb_model::BidBlock::from_pairs(*key, alts).expect("valid block"))
+            .collect();
+        let db = BidDb::new(blocks).expect("distinct blocks");
+        cpdb_andxor::convert::from_bid(&db).expect("BID relations convert")
+    };
+    let build = |f: &dyn Fn(&mut AndXorTreeBuilder) -> cpdb_andxor::NodeId| {
+        let mut b = AndXorTreeBuilder::new();
+        let root = f(&mut b);
+        b.build(root)
+            .expect("edge tree satisfies the tree constraints")
+    };
+    vec![
+        ("empty", ti(&[])),
+        ("single tuple", ti(&[(1, 1.0, 0.4)])),
+        ("single certain tuple", ti(&[(1, 1.0, 1.0)])),
+        (
+            "certain tuples and blocks",
+            bid(&[
+                (1, &[(10.0, 0.6), (11.0, 0.4)]),
+                (2, &[(20.0, 1.0)]),
+                (3, &[(30.0, 0.3)]),
+            ]),
+        ),
+        (
+            "xor mass inside tolerance",
+            build(&|b| {
+                let a = b.leaf_parts(1, 1.0);
+                let c = b.leaf_parts(1, 2.0);
+                let x1 = b.xor_node(vec![(a, 0.7), (c, 0.3 + 5e-10)]);
+                let d = b.leaf_parts(2, 3.0);
+                let x2 = b.xor_node(vec![(d, 0.45)]);
+                b.and_node(vec![x1, x2])
+            }),
+        ),
+        (
+            "tied marginals",
+            ti(&[(1, 1.0, 0.5), (2, 2.0, 0.5), (3, 3.0, 0.5), (4, 4.0, 0.25)]),
+        ),
+        (
+            "tied block alternatives",
+            bid(&[(1, &[(10.0, 0.5), (11.0, 0.5)]), (2, &[(20.0, 0.5)])]),
+        ),
+        (
+            "one alternative on several leaves",
+            build(&|b| {
+                // (1, 1.0) sits on three leaves under one ∨, inside two ∧
+                // bundles and alone; the ∧ root adds an independent tuple.
+                let w1 = {
+                    let l1 = b.leaf_parts(1, 1.0);
+                    let l2 = b.leaf_parts(2, 2.0);
+                    b.and_node(vec![l1, l2])
+                };
+                let w2 = {
+                    let l1 = b.leaf_parts(1, 1.0);
+                    let l3 = b.leaf_parts(3, 3.0);
+                    b.and_node(vec![l1, l3])
+                };
+                let alone = b.leaf_parts(1, 1.0);
+                let x = b.xor_node(vec![(w1, 0.4), (w2, 0.35), (alone, 0.15)]);
+                let l4 = b.leaf_parts(4, 4.0);
+                let x4 = b.xor_node(vec![(l4, 0.7)]);
+                b.and_node(vec![x, x4])
+            }),
+        ),
+        (
+            "figure 1(iii)",
+            cpdb_andxor::figure1::figure1_correlated_tree(),
+        ),
+    ]
 }
 
 #[cfg(test)]

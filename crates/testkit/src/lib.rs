@@ -12,7 +12,9 @@
 //! * [`conformance`] — an oracle runner that cross-checks every consensus
 //!   algorithm (set symmetric-difference, Jaccard, Top-k under
 //!   symmetric-difference / intersection / footrule / Kendall, group-by
-//!   aggregates, and clustering) against brute-force enumeration.
+//!   aggregates, and clustering) against brute-force enumeration;
+//! * [`reference`](mod@reference) — slow literal implementations kept as oracles (the
+//!   per-prefix `Poly2` Jaccard scan).
 //!
 //! The root-level `tests/conformance_oracle.rs` suite sweeps these checks
 //! over many seeds and is the repo's standing conformance gate: any future
@@ -25,6 +27,7 @@ pub mod chaos;
 pub mod conformance;
 pub mod fixtures;
 pub mod observability;
+pub mod reference;
 pub mod replication;
 
 /// Absolute tolerance used by all exact-equality conformance checks.

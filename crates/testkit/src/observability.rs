@@ -25,7 +25,7 @@
 
 use crate::conformance::{live_probe, random_live_delta};
 use cpdb_andxor::AndXorTree;
-use cpdb_engine::{Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query};
+use cpdb_engine::{Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric};
 use cpdb_live::LiveEngine;
 use cpdb_obs::{EventKind, MetricsSnapshot, Obs};
 use cpdb_store::{FaultVfs, RetryPolicy, StoreOptions};
@@ -62,12 +62,25 @@ fn options(vfs: &FaultVfs, obs: Obs) -> StoreOptions {
     }
 }
 
+fn is_jaccard(query: &Query) -> bool {
+    matches!(
+        query,
+        Query::SetConsensus {
+            metric: SetMetric::Jaccard,
+            ..
+        }
+    )
+}
+
 /// One fully instrumented (or fully uninstrumented) run of the standard
 /// delta workload: per-epoch probe answers plus the finished engine.
 struct Run {
     answers: Vec<Vec<Result<Answer, EngineError>>>,
     live: LiveEngine,
     queries_issued: u64,
+    /// The Jaccard set queries among them, which time into their own
+    /// histogram.
+    jaccard_issued: u64,
 }
 
 fn run_workload(tree: &AndXorTree, seed: u64, probe: &[Query], obs: &Obs) -> Run {
@@ -89,6 +102,7 @@ fn run_workload(tree: &AndXorTree, seed: u64, probe: &[Query], obs: &Obs) -> Run
         answers,
         live,
         queries_issued: ((STEPS + 1) * probe.len()) as u64,
+        jaccard_issued: ((STEPS + 1) * probe.iter().filter(|q| is_jaccard(q)).count()) as u64,
     }
 }
 
@@ -165,19 +179,31 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
 
     // Every query recorded exactly one latency sample, whatever its kind.
     let recorded: u64 = [
-        "set_consensus",
+        "set.sym_diff",
+        "set.jaccard",
         "topk",
         "aggregate",
         "clustering",
         "baseline",
     ]
     .iter()
-    .filter_map(|kind| snapshot.histogram(&format!("engine.query.{kind}")))
-    .map(|h| h.count)
+    .map(|kind| {
+        snapshot
+            .histogram(&format!("engine.query.{kind}"))
+            .unwrap_or_else(|| panic!("engine.query.{kind} is not pre-registered"))
+            .count
+    })
     .sum();
     assert_eq!(
         recorded, run.queries_issued,
         "query-latency histograms disagree with the number of queries issued"
+    );
+    assert_eq!(
+        snapshot
+            .histogram("engine.query.set.jaccard")
+            .map(|h| h.count),
+        Some(run.jaccard_issued),
+        "Jaccard set queries must time into their own histogram"
     );
 
     // ... and a matching start/finish event pair in the flight recorder.

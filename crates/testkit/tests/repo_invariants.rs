@@ -55,3 +55,16 @@ fn store_and_live_keep_their_unwrap_gates() {
         );
     }
 }
+
+/// The Jaccard scan runs on the serving path of every set query; its
+/// module keeps the same panic-freedom gate as the serving crates.
+#[test]
+fn jaccard_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("consensus/src/jaccard.rs");
+    let src = std::fs::read_to_string(&module).expect("jaccard module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}

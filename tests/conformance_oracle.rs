@@ -46,6 +46,16 @@ fn set_and_jaccard_checks_run_on_larger_independent_instances() {
 }
 
 #[test]
+fn jaccard_scan_matches_the_oracle_and_reference_on_edge_trees() {
+    for (label, tree) in fixtures::jaccard_edge_trees() {
+        assert!(
+            conformance::check_jaccard_tree(label, &tree) > 0,
+            "{label}: no Jaccard checks ran"
+        );
+    }
+}
+
+#[test]
 fn topk_checks_cover_k_beyond_instance_size() {
     // k larger than the number of keys must degrade gracefully (k is clamped
     // inside the checks) and still verify optimality.

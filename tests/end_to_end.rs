@@ -41,7 +41,7 @@ fn pipeline_consensus_world_matches_oracle_over_generated_workloads() {
         assert!((set_distance::expected_distance(&tree, &mean) - brute_cost).abs() < 1e-9);
 
         // Jaccard: Lemmas 1–2.
-        let jc = jaccard::mean_world_tuple_independent(&db);
+        let jc = jaccard::mean_world_tuple_independent(&db).unwrap();
         let (_, brute_jaccard) = oracle::brute_force_mean_world(&ws, |a, b| a.jaccard_distance(b));
         assert!((jc.expected_distance - brute_jaccard).abs() < 1e-9);
     }

@@ -82,7 +82,7 @@ proptest! {
     #[test]
     fn jaccard_mean_world_is_optimal(db in small_db()) {
         let ws = db.enumerate_worlds();
-        let consensus = jaccard::mean_world_tuple_independent(&db);
+        let consensus = jaccard::mean_world_tuple_independent(&db).unwrap();
         let (_, brute) = oracle::brute_force_mean_world(&ws, |a, b| a.jaccard_distance(b));
         prop_assert!((consensus.expected_distance - brute).abs() < 1e-9);
     }
