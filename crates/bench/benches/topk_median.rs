@@ -18,7 +18,9 @@ fn bench_topk_median(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("theorem4_dp", format!("n{n}_k{k}")),
                 &(&tree, &ctx),
-                |b, (tree, ctx)| b.iter(|| black_box(median_dp::median_topk_sym_diff(tree, ctx))),
+                |b, (tree, ctx)| {
+                    b.iter(|| black_box(median_dp::median_topk_sym_diff(tree, ctx).unwrap()))
+                },
             );
         }
     }

@@ -399,7 +399,8 @@ pub fn topk_median_tables() -> Vec<Table> {
             let tree = scaling_tree(n, 3);
             let ctx = TopKContext::new(&tree, k);
             let start = Instant::now();
-            let _ = median_dp::median_topk_sym_diff(&tree, &ctx);
+            let _ = median_dp::median_topk_sym_diff(&tree, &ctx)
+                .expect("valid trees have distinct keys");
             scaling.add_row(vec![
                 n.to_string(),
                 k.to_string(),

@@ -1,4 +1,4 @@
-//! Fault-recovery workload behind the `fault_recovery` JSON emitter binary.
+//! Fault-recovery workload: the `fault` suite of the `ledger` driver.
 //!
 //! Two questions the robustness layer must answer with numbers:
 //!
@@ -18,19 +18,20 @@
 //!   per record; the workload times identical operations through the
 //!   production [`cpdb_store::StdVfs`] (dynamic dispatch through
 //!   `Box<dyn VfsFile>`) and through `std::fs::File` directly, on the same
-//!   buffers. The emitter's `--check` gate asserts the indirection costs
+//!   buffers. The ledger's gate asserts the indirection costs
 //!   at most 2% of a durable append: the dispatch delta is resolved on
 //!   the buffered write path (where ~25 ns is measurable) and divided by
 //!   the durable-append floor (see [`VfsOverheadResult::overhead_pct`]).
 //!   The abstraction the fault injection hangs off must be free in
 //!   production.
 
-use cpdb_engine::TreeDelta;
+use crate::persistence::temp_dir;
+use crate::sample::{time_ms, Sample};
+use crate::update_throughput::{leaf_deltas, live_engine, live_tree};
 use cpdb_live::{LiveEngine, LiveError};
 use cpdb_store::{std_vfs, FaultVfs, RetryPolicy, Store, StoreOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,43 +42,37 @@ pub struct RecoveryResult {
     /// WAL file size (header + records).
     pub wal_bytes: u64,
     /// Milliseconds for the store-level recovery scan
-    /// ([`Store::open`]: snapshot read + WAL scan, best of `reps`).
-    pub store_scan_ms: f64,
+    /// ([`Store::open`]: snapshot read + WAL scan).
+    pub store_scan_ms: Sample,
     /// Milliseconds for the full warm start ([`LiveEngine::open`]:
-    /// scan + export decode + delta replay, best of `reps`).
-    pub warm_open_ms: f64,
+    /// scan + export decode + delta replay).
+    pub warm_open_ms: Sample,
     /// Milliseconds for the degraded-mode round-trip
-    /// ([`LiveEngine::try_recover`]: WAL re-probe + epoch verification,
-    /// best of `reps`).
-    pub try_recover_ms: f64,
+    /// ([`LiveEngine::try_recover`]: WAL re-probe + epoch verification).
+    pub try_recover_ms: Sample,
 }
 
 /// The VFS-indirection measurement on the durable-apply hot path.
 pub struct VfsOverheadResult {
-    /// Buffered `write_all` samples per side in the gated measurement.
-    pub writes: usize,
     /// Bytes per write.
     pub buf_bytes: usize,
-    /// Interquartile-mean microseconds per buffered `write_all` through
-    /// `std::fs::File`, sampled op-interleaved with the VFS side.
-    pub direct_write_us: f64,
-    /// The same statistic through the production [`cpdb_store::StdVfs`]
-    /// (dynamic dispatch through `Box<dyn VfsFile>`).
-    pub via_vfs_write_us: f64,
-    /// Durable appends (`write_all` + `sync_data`) per side in the
-    /// floor measurement that supplies the gate's denominator.
-    pub durable_appends: usize,
-    /// Fastest single durable append through `std::fs::File`, in
-    /// microseconds — the cost of one hot-path operation, and the
-    /// denominator of [`overhead_pct`](Self::overhead_pct).
-    pub direct_durable_us: f64,
-    /// The same floor through the production [`cpdb_store::StdVfs`].
-    pub via_vfs_durable_us: f64,
+    /// Microseconds per buffered `write_all` through `std::fs::File`,
+    /// sampled op-interleaved with the VFS side.
+    pub direct_write_us: Sample,
+    /// The same through the production [`cpdb_store::StdVfs`] (dynamic
+    /// dispatch through `Box<dyn VfsFile>`).
+    pub via_vfs_write_us: Sample,
+    /// Microseconds per durable append (`write_all` + `sync_data`) through
+    /// `std::fs::File`; its fastest sample is the denominator of
+    /// [`overhead_pct`](Self::overhead_pct).
+    pub direct_durable_us: Sample,
+    /// The same through the production [`cpdb_store::StdVfs`].
+    pub via_vfs_durable_us: Sample,
 }
 
 impl VfsOverheadResult {
-    /// The indirection's measured cost per call, in microseconds:
-    /// `via_vfs_write_us - direct_write_us`.
+    /// The indirection's measured cost per call, in microseconds: the
+    /// difference of the two buffered-write interquartile means.
     ///
     /// Measured on the buffered write path because that is where a
     /// ~tens-of-nanoseconds dynamic dispatch is actually resolvable:
@@ -86,11 +81,12 @@ impl VfsOverheadResult {
     /// scheduler/steal spikes that make extreme statistics (minima,
     /// burst totals) diverge by several percent on virtualised hardware.
     pub fn indirection_us(&self) -> f64 {
-        self.via_vfs_write_us - self.direct_write_us
+        self.via_vfs_write_us.iq_mean() - self.direct_write_us.iq_mean()
     }
 
     /// The gated number: the indirection cost as a percentage of one
-    /// durable append — `indirection_us / direct_durable_us`.
+    /// durable append — `indirection_us` over the fastest direct durable
+    /// append.
     ///
     /// The durable-apply hot path pays the dispatch in front of the same
     /// syscalls on both sides, so its overhead is the dispatch cost
@@ -104,55 +100,14 @@ impl VfsOverheadResult {
     /// fast-path drift (several percent on virtualised disks) in the
     /// numerator and swamp a 2% budget with noise.
     pub fn overhead_pct(&self) -> f64 {
-        self.indirection_us() / self.direct_durable_us * 100.0
+        self.indirection_us() / self.direct_durable_us.best() * 100.0
     }
-}
-
-/// Mean of the middle half of `samples` — robust to the heavy upper tail
-/// (scheduler preemption, CPU steal) and to the occasional
-/// too-fast-to-trust clock reading at the bottom.
-fn iq_mean(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let (lo, hi) = (samples.len() / 4, samples.len() * 3 / 4);
-    samples[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-}
-
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "cpdb_fault_recovery_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// A WAL-growing delta sequence: leaf-value updates cycling over the
-/// tree's leaves — always valid, and each one replays through the
-/// delta-aware maintenance path on recovery.
-fn leaf_deltas(tree: &cpdb_andxor::AndXorTree, count: usize) -> Vec<TreeDelta> {
-    let leaves = tree.leaf_nodes();
-    (0..count)
-        .map(|i| TreeDelta::LeafValue {
-            leaf: leaves[i % leaves.len()],
-            value: 40.0 + (i % 53) as f64,
-        })
-        .collect()
 }
 
 /// Measures recovery latency at each WAL length in `wal_lens` for an
 /// `n`-block fleet: the writer logs that many deltas (compaction held
 /// off), then the store scan, the warm start, and the degraded-mode
-/// round-trip are each timed best-of-`reps`.
+/// round-trip are each timed `reps` times.
 pub fn measure_recovery(
     n: usize,
     seed: u64,
@@ -162,17 +117,13 @@ pub fn measure_recovery(
     wal_lens
         .iter()
         .map(|&records| {
-            let tree = crate::update_throughput::live_tree(n, seed);
+            let tree = live_tree(n, seed);
             let deltas = leaf_deltas(&tree, records);
 
             // On-disk writer for the open-path measurements.
-            let dir = temp_dir("open");
-            let _ = std::fs::remove_dir_all(&dir);
-            let live = LiveEngine::new_durable(
-                crate::update_throughput::live_engine(tree.clone(), seed),
-                &dir,
-            )
-            .expect("fresh store directory is creatable");
+            let dir = temp_dir("fault_open");
+            let live = LiveEngine::new_durable(live_engine(tree.clone(), seed), &dir)
+                .expect("fresh store directory is creatable");
             live.set_snapshot_every(u64::MAX); // hold compaction off: pure WAL replay
             for delta in &deltas {
                 live.apply(delta).expect("leaf updates are valid");
@@ -183,11 +134,11 @@ pub fn measure_recovery(
                 .expect("wal file exists")
                 .len();
 
-            let store_scan_ms = best_ms(reps, || {
+            let store_scan_ms = time_ms(reps, || {
                 let (_store, recovered) = Store::open(&dir).expect("store recovers");
                 assert_eq!(recovered.epoch(), final_epoch, "scan lost an epoch");
             });
-            let warm_open_ms = best_ms(reps, || {
+            let warm_open_ms = time_ms(reps, || {
                 let reopened = LiveEngine::open(&dir).expect("warm start succeeds");
                 assert_eq!(reopened.epoch(), final_epoch, "warm start lost an epoch");
             });
@@ -204,18 +155,14 @@ pub fn measure_recovery(
                 ..StoreOptions::default()
             };
             let fault_dir = PathBuf::from("/bench/fault");
-            let live = LiveEngine::new_durable_with(
-                crate::update_throughput::live_engine(tree, seed),
-                &fault_dir,
-                options(),
-            )
-            .expect("fresh in-memory store is creatable");
+            let live = LiveEngine::new_durable_with(live_engine(tree, seed), &fault_dir, options())
+                .expect("fresh in-memory store is creatable");
             live.set_snapshot_every(u64::MAX);
             for delta in &deltas {
                 live.apply(delta).expect("leaf updates are valid");
             }
             let poison = &deltas[0];
-            let mut try_recover_ms = f64::INFINITY;
+            let mut try_recover_ms = Vec::with_capacity(reps.max(1));
             for _ in 0..reps.max(1) {
                 vfs.fail_at(vfs.op_count(), std::io::ErrorKind::StorageFull, false);
                 match live.apply(poison) {
@@ -225,7 +172,7 @@ pub fn measure_recovery(
                 vfs.clear_faults();
                 let start = Instant::now();
                 let health = live.try_recover().expect("recovery succeeds");
-                try_recover_ms = try_recover_ms.min(start.elapsed().as_secs_f64() * 1e3);
+                try_recover_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 assert!(health.is_healthy(), "recovery left the engine degraded");
             }
 
@@ -234,7 +181,7 @@ pub fn measure_recovery(
                 wal_bytes,
                 store_scan_ms,
                 warm_open_ms,
-                try_recover_ms,
+                try_recover_ms: Sample::new(try_recover_ms),
             }
         })
         .collect()
@@ -245,9 +192,10 @@ pub fn measure_recovery(
 /// of the VFS indirection on the durable-apply hot path. The gated
 /// statistic is the op-interleaved interquartile mean of buffered
 /// `write_all` latencies; full durable appends (`write_all` +
-/// `sync_data`, `appends × reps` per side) are floor-timed for context.
+/// `sync_data`, `appends × reps` per side) supply the floor it is divided
+/// by.
 pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> VfsOverheadResult {
-    let dir = temp_dir("vfs");
+    let dir = temp_dir("fault_vfs");
     std::fs::create_dir_all(&dir).expect("temp dir is creatable");
     let buf = vec![0xA5u8; buf_bytes];
 
@@ -282,8 +230,6 @@ pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> Vf
         f_via.write_all(&buf).expect("write succeeds");
         via_samples.push(start.elapsed().as_secs_f64() * 1e6);
     }
-    let direct_write_us = iq_mean(direct_samples);
-    let via_vfs_write_us = iq_mean(via_samples);
 
     // Floors on the full durable append (write + fsync), also
     // op-interleaved: the denominator of the gated overhead. The two
@@ -297,27 +243,25 @@ pub fn measure_vfs_overhead(appends: usize, buf_bytes: usize, reps: usize) -> Vf
     let mut d_via = vfs
         .create_truncated(&dir.join("durable_via_vfs.bin"))
         .expect("file is creatable");
-    let mut direct_durable_us = f64::INFINITY;
-    let mut via_vfs_durable_us = f64::INFINITY;
+    let mut direct_durable = Vec::with_capacity(durable_appends);
+    let mut via_durable = Vec::with_capacity(durable_appends);
     for _ in 0..durable_appends {
         let start = Instant::now();
         d_direct.write_all(&buf).expect("write succeeds");
         d_direct.sync_data().expect("fsync succeeds");
-        direct_durable_us = direct_durable_us.min(start.elapsed().as_secs_f64() * 1e6);
+        direct_durable.push(start.elapsed().as_secs_f64() * 1e6);
         let start = Instant::now();
         d_via.write_all(&buf).expect("write succeeds");
         d_via.sync_data().expect("fsync succeeds");
-        via_vfs_durable_us = via_vfs_durable_us.min(start.elapsed().as_secs_f64() * 1e6);
+        via_durable.push(start.elapsed().as_secs_f64() * 1e6);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
     VfsOverheadResult {
-        writes: WRITES,
         buf_bytes,
-        direct_write_us,
-        via_vfs_write_us,
-        durable_appends,
-        direct_durable_us,
-        via_vfs_durable_us,
+        direct_write_us: Sample::new(direct_samples),
+        via_vfs_write_us: Sample::new(via_samples),
+        direct_durable_us: Sample::new(direct_durable),
+        via_vfs_durable_us: Sample::new(via_durable),
     }
 }

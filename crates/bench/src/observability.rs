@@ -1,4 +1,4 @@
-//! Observability workload behind the `observability` JSON emitter binary.
+//! Observability workload: the `observability` suite of the `ledger` driver.
 //!
 //! Two questions the instrumentation layer must answer with numbers:
 //!
@@ -12,8 +12,8 @@
 //!   measured per-query floor of an uninstrumented engine running the
 //!   standard probe mix — the same four query kinds (consensus world,
 //!   Top-k symmetric difference, footrule, Kendall) the testkit, the
-//!   `cpdb_stat` binary, and the other emitters treat as the serving
-//!   workload. The emitter's `--check` gate asserts the result stays
+//!   `cpdb_stat` binary, and the other ledger suites treat as the serving
+//!   workload. The ledger's gate asserts the result stays
 //!   within 2% of a mix query — the sink must be attachable in production
 //!   without moving any number the other benches report. Two numbers are
 //!   reported but never gated, for honesty about the construction: the
@@ -33,6 +33,7 @@
 //!   populated registry and a full ring, because `cpdb_stat` and the
 //!   degraded-health dumps run them against exactly that.
 
+use crate::sample::{time_ms, Sample};
 use cpdb_engine::{ConsensusEngine, Query, SetMetric, TopKMetric, Variant};
 use cpdb_obs::{EventKind, Obs};
 use std::time::{Duration, Instant};
@@ -41,19 +42,16 @@ use std::time::{Duration, Instant};
 pub struct MixQueryResult {
     /// The kind's histogram name suffix (`engine.query.*` notation).
     pub kind: &'static str,
-    /// Interquartile-mean microseconds per warm query, sink disabled.
-    pub plain_us: f64,
-    /// The same statistic with an enabled sink threaded through the
-    /// engine, sampled op-interleaved with the plain side.
-    pub instrumented_us: f64,
+    /// Microseconds per warm query, sink disabled.
+    pub plain_us: Sample,
+    /// The same with an enabled sink threaded through the engine, sampled
+    /// op-interleaved with the plain side.
+    pub instrumented_us: Sample,
 }
 
 /// The sink cost on the hot query path, and the per-query floor it is
 /// gated against.
 pub struct ObsOverheadResult {
-    /// Op-interleaved per-query samples per side *per kind* in the
-    /// end-to-end comparison (context only).
-    pub queries: usize,
     /// The probe mix, one entry per query kind.
     pub mix: Vec<MixQueryResult>,
     /// Tight-loop iterations behind each primitive timing.
@@ -88,24 +86,20 @@ impl ObsOverheadResult {
         (self.enabled_span_ns - self.disabled_span_ns).max(0.0)
     }
 
-    /// Mean uninstrumented microseconds per query across the probe mix's
-    /// kinds — the floor, and the denominator of
-    /// [`overhead_pct`](Self::overhead_pct).
+    /// Mean over the probe mix's kinds of each kind's interquartile-mean
+    /// uninstrumented microseconds per query — the floor, and the
+    /// denominator of [`overhead_pct`](Self::overhead_pct).
     pub fn plain_query_us(&self) -> f64 {
-        self.mix.iter().map(|m| m.plain_us).sum::<f64>() / self.mix.len().max(1) as f64
+        self.mix.iter().map(|m| m.plain_us.iq_mean()).sum::<f64>() / self.mix.len().max(1) as f64
     }
 
-    /// Mean instrumented microseconds per query across the mix (context).
-    pub fn instrumented_query_us(&self) -> f64 {
-        self.mix.iter().map(|m| m.instrumented_us).sum::<f64>() / self.mix.len().max(1) as f64
-    }
-
-    /// The mix's cheapest kind, uninstrumented — the denominator of the
-    /// reported-but-not-gated [`worst_case_pct`](Self::worst_case_pct).
+    /// The mix's cheapest kind (interquartile mean, uninstrumented) — the
+    /// denominator of the reported-but-not-gated
+    /// [`worst_case_pct`](Self::worst_case_pct).
     pub fn min_plain_query_us(&self) -> f64 {
         self.mix
             .iter()
-            .map(|m| m.plain_us)
+            .map(|m| m.plain_us.iq_mean())
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -121,12 +115,6 @@ impl ObsOverheadResult {
     pub fn worst_case_pct(&self) -> f64 {
         self.per_query_obs_ns() / 1e3 / self.min_plain_query_us() * 100.0
     }
-
-    /// Flight-recorder throughput implied by [`event_ns`](Self::event_ns),
-    /// in million events per second.
-    pub fn events_per_us(&self) -> f64 {
-        1e3 / self.event_ns
-    }
 }
 
 /// Introspection-path costs against a populated sink.
@@ -135,35 +123,14 @@ pub struct SnapshotCostResult {
     pub series: usize,
     /// Flight-recorder capacity, filled to the brim before timing.
     pub events: usize,
-    /// Microseconds per [`Obs::snapshot`] (best of the sample loop).
-    pub snapshot_us: f64,
-    /// Microseconds per
+    /// Milliseconds per [`Obs::snapshot`].
+    pub snapshot_ms: Sample,
+    /// Milliseconds per
     /// [`MetricsSnapshot::to_json`](cpdb_obs::MetricsSnapshot::to_json).
-    pub to_json_us: f64,
-    /// Microseconds per [`Obs::recent_events`](cpdb_obs::Obs::recent_events)
+    pub to_json_ms: Sample,
+    /// Milliseconds per [`Obs::recent_events`](cpdb_obs::Obs::recent_events)
     /// copying the full ring.
-    pub recent_events_us: f64,
-}
-
-/// Mean of the middle half of `samples` — robust to the heavy upper tail
-/// (scheduler preemption, CPU steal) and to the occasional
-/// too-fast-to-trust clock reading at the bottom.
-fn iq_mean(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let (lo, hi) = (samples.len() / 4, samples.len() * 3 / 4);
-    samples[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-}
-
-/// Best (fastest) time for one call of `f` over `calls` calls, in
-/// microseconds.
-fn best_us(calls: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..calls.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e6);
-    }
-    best
+    pub recent_events_ms: Sample,
 }
 
 /// Nanoseconds per iteration of `f`, timed over `ops` iterations.
@@ -185,7 +152,7 @@ fn instrumented_engine(n: usize, seed: u64, obs: Obs) -> ConsensusEngine {
 }
 
 /// The standard probe mix: the four warm query kinds every harness in the
-/// repo (testkit conformance, `cpdb_stat`, the other emitters) treats as
+/// repo (testkit conformance, `cpdb_stat`, the other ledger suites) treats as
 /// the serving workload.
 fn probe_mix() -> Vec<(&'static str, Query)> {
     vec![
@@ -260,8 +227,8 @@ pub fn measure_obs_overhead(n: usize, seed: u64, reps: usize, ops: usize) -> Obs
         }
         mix.push(MixQueryResult {
             kind,
-            plain_us: iq_mean(plain_samples),
-            instrumented_us: iq_mean(instr_samples),
+            plain_us: Sample::new(plain_samples),
+            instrumented_us: Sample::new(instr_samples),
         });
     }
 
@@ -302,7 +269,6 @@ pub fn measure_obs_overhead(n: usize, seed: u64, reps: usize, ops: usize) -> Obs
     });
 
     ObsOverheadResult {
-        queries,
         mix,
         ops,
         counter_ns,
@@ -316,8 +282,8 @@ pub fn measure_obs_overhead(n: usize, seed: u64, reps: usize, ops: usize) -> Obs
 /// Times the introspection path against a sink with `series` registered
 /// metrics and a flight recorder of `events` capacity filled to the brim:
 /// [`Obs::snapshot`], `to_json` on the result, and the full-ring
-/// [`Obs::recent_events`](cpdb_obs::Obs::recent_events) copy, each best of
-/// `reps × 8` calls.
+/// [`Obs::recent_events`](cpdb_obs::Obs::recent_events) copy, each sampled
+/// over `reps × 8` calls.
 pub fn measure_snapshot_cost(series: usize, events: usize, reps: usize) -> SnapshotCostResult {
     let obs = Obs::with_event_capacity(events.max(1));
     for i in 0..series {
@@ -341,22 +307,16 @@ pub fn measure_snapshot_cost(series: usize, events: usize, reps: usize) -> Snaps
     }
 
     let calls = reps.max(1) * 8;
-    let snapshot_us = best_us(calls, || {
-        std::hint::black_box(obs.snapshot());
-    });
+    let snapshot_ms = time_ms(calls, || obs.snapshot());
     let snapshot = obs.snapshot();
-    let to_json_us = best_us(calls, || {
-        std::hint::black_box(snapshot.to_json());
-    });
-    let recent_events_us = best_us(calls, || {
-        std::hint::black_box(obs.recent_events(events.max(1)));
-    });
+    let to_json_ms = time_ms(calls, || snapshot.to_json());
+    let recent_events_ms = time_ms(calls, || obs.recent_events(events.max(1)));
 
     SnapshotCostResult {
         series,
         events: events.max(1),
-        snapshot_us,
-        to_json_us,
-        recent_events_us,
+        snapshot_ms,
+        to_json_ms,
+        recent_events_ms,
     }
 }

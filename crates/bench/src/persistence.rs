@@ -1,5 +1,5 @@
-//! Persistence round-trip workload shared by the `persistence_roundtrip`
-//! Criterion bench and the `persistence_roundtrip` JSON emitter binary.
+//! Persistence round-trip workload: the `persistence` suite of the `ledger`
+//! driver, and the scratch directories every on-disk suite uses.
 //!
 //! The workload models the restart path of a durable serving engine: a
 //! [`cpdb_live::LiveEngine`] is created on disk, absorbs one delta of every
@@ -21,6 +21,7 @@
 //!
 //! [`persist_snapshot`]: cpdb_live::LiveEngine::persist_snapshot
 
+use crate::sample::{time_ms, Sample};
 use crate::update_throughput::{
     delta_suite, live_engine, live_tree, probe, warm_maintained_artifacts,
 };
@@ -39,78 +40,50 @@ pub struct PersistenceResult {
     pub snapshot_bytes: u64,
     /// Size of the WAL before compaction (header + logged records).
     pub wal_bytes: u64,
-    /// Milliseconds for a durable apply (WAL append + fsync + publish),
-    /// averaged over the delta suite.
-    pub durable_apply_ms: f64,
+    /// Milliseconds for a durable apply (WAL append + fsync + publish), one
+    /// sample per delta of the suite.
+    pub durable_apply_ms: Sample,
     /// Milliseconds to write + fsync + atomically publish a snapshot of the
-    /// final epoch (best of `reps`).
-    pub snapshot_write_ms: f64,
-    /// Milliseconds for `LiveEngine::open`: snapshot decode + WAL replay
-    /// (best of `reps`).
-    pub warm_open_ms: f64,
+    /// final epoch.
+    pub snapshot_write_ms: Sample,
+    /// Milliseconds for `LiveEngine::open`: snapshot decode + WAL replay.
+    pub warm_open_ms: Sample,
     /// Milliseconds for `LiveEngine::open` after compaction: snapshot decode
-    /// only (best of `reps`).
-    pub snapshot_only_open_ms: f64,
+    /// only.
+    pub snapshot_only_open_ms: Sample,
     /// Milliseconds to rebuild the same serving state cold: fresh engine
-    /// from the final tree + recomputing the warm artifact families (best of
-    /// `reps`).
-    pub cold_build_ms: f64,
+    /// from the final tree + recomputing the warm artifact families.
+    pub cold_build_ms: Sample,
 }
 
 impl PersistenceResult {
-    /// `cold / warm` — how much faster a restart is when it recovers the
-    /// persisted artifacts instead of recomputing them.
+    /// `cold / warm` on the best-of timings — how much faster a restart is
+    /// when it recovers the persisted artifacts instead of recomputing them.
     pub fn cold_over_warm(&self) -> f64 {
-        self.cold_build_ms / self.warm_open_ms
-    }
-
-    /// Snapshot write throughput in MB/s.
-    pub fn snapshot_write_mbps(&self) -> f64 {
-        (self.snapshot_bytes as f64 / 1e6) / (self.snapshot_write_ms / 1e3)
-    }
-
-    /// Snapshot load throughput in MB/s (decode + validate + rebuild).
-    pub fn snapshot_load_mbps(&self) -> f64 {
-        (self.snapshot_bytes as f64 / 1e6) / (self.snapshot_only_open_ms / 1e3)
+        self.cold_build_ms.best() / self.warm_open_ms.best()
     }
 }
 
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e3
-}
-
-/// A fresh, unique scratch directory under the system temp dir.
-fn scratch_dir(n: usize, seed: u64) -> PathBuf {
+/// A fresh, unique path under the system temp dir, not yet created (a stale
+/// directory left there by an earlier process with the same id is removed).
+pub fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let unique = format!(
-        "cpdb-bench-persistence-{}-{}-{}-{}",
+    let dir = std::env::temp_dir().join(format!(
+        "cpdb_bench_{tag}_{}_{}",
         std::process::id(),
-        n,
-        seed,
-        SEQ.fetch_add(1, Ordering::Relaxed),
-    );
-    let dir = std::env::temp_dir().join(unique);
-    std::fs::create_dir_all(&dir).expect("creating scratch dir");
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// Builds a durable engine in a fresh scratch directory and logs one delta
-/// of every supported kind to its WAL. Returns the directory and the number
-/// of logged deltas (= the final epoch). The caller owns the directory.
-pub fn scratch_engine(n: usize, seed: u64) -> (PathBuf, usize) {
-    let (dir, deltas_applied, _) = scratch_engine_timed(n, seed);
-    (dir, deltas_applied)
-}
-
-fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
+/// of every supported kind to its WAL. Returns the directory, the number of
+/// logged deltas (= the final epoch), and each durable apply's wall-clock.
+/// The caller owns the directory.
+fn scratch_engine(n: usize, seed: u64) -> (PathBuf, usize, Sample) {
     let tree = live_tree(n, seed);
-    let dir = scratch_dir(n, seed);
+    let dir = temp_dir("persistence");
     let engine = live_engine(tree.clone(), seed);
     warm_maintained_artifacts(&engine);
     let live = LiveEngine::new_durable(engine, &dir).expect("creating durable engine");
@@ -118,16 +91,16 @@ fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
     // the epoch publishes. Deltas address nodes by id, so each one is
     // regenerated against the tree it will actually mutate.
     let kinds = delta_suite(&tree).len();
-    let mut apply_total_ms = 0.0;
+    let mut apply_ms = Vec::with_capacity(kinds);
     for i in 0..kinds {
         let current = live.snapshot().tree().clone();
         let (kind, delta) = delta_suite(&current).swap_remove(i);
         let start = Instant::now();
         live.apply(&delta)
             .unwrap_or_else(|e| panic!("applying suite delta {kind}: {e}"));
-        apply_total_ms += start.elapsed().as_secs_f64() * 1e3;
+        apply_ms.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    (dir, kinds, apply_total_ms / kinds as f64)
+    (dir, kinds, Sample::new(apply_ms))
 }
 
 /// Measures one persistence round-trip: durable writes, snapshot write, warm
@@ -135,7 +108,7 @@ fn scratch_engine_timed(n: usize, seed: u64) -> (PathBuf, usize, f64) {
 /// rebuild it replaces — asserting recovered ≡ writer answers throughout.
 pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResult {
     let queries = probe();
-    let (dir, deltas_applied, durable_apply_ms) = scratch_engine_timed(n, seed);
+    let (dir, deltas_applied, durable_apply_ms) = scratch_engine(n, seed);
     let live = LiveEngine::open(&dir).expect("reopening the writer");
 
     let expected = live.snapshot();
@@ -148,7 +121,7 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     drop(live);
 
     // Warm start: epoch-0 snapshot decode + full WAL replay.
-    let warm_open_ms = best_ms(reps, || {
+    let warm_open_ms = time_ms(reps, || {
         let reopened = LiveEngine::open(&dir).expect("warm reopen");
         assert_eq!(reopened.epoch(), deltas_applied as u64);
         reopened
@@ -161,7 +134,7 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     );
 
     // Snapshot of the final epoch (also compacts the WAL).
-    let snapshot_write_ms = best_ms(reps, || {
+    let snapshot_write_ms = time_ms(reps, || {
         reopened
             .persist_snapshot()
             .expect("snapshotting the final epoch")
@@ -172,7 +145,7 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     drop(reopened);
 
     // Snapshot-only start: the WAL was compacted, so open is pure decode.
-    let snapshot_only_open_ms = best_ms(reps, || {
+    let snapshot_only_open_ms = time_ms(reps, || {
         let reopened = LiveEngine::open(&dir).expect("snapshot-only reopen");
         assert_eq!(reopened.epoch(), deltas_applied as u64);
         reopened
@@ -186,7 +159,7 @@ pub fn measure_persistence(n: usize, seed: u64, reps: usize) -> PersistenceResul
     drop(reopened);
 
     // The alternative: recompute everything from the final tree.
-    let cold_build_ms = best_ms(reps, || {
+    let cold_build_ms = time_ms(reps, || {
         let cold = live_engine(final_tree.clone(), seed);
         warm_maintained_artifacts(&cold);
         cold
@@ -225,12 +198,15 @@ mod tests {
         assert!(r.snapshot_bytes > 0);
         // Header + five framed records.
         assert!(r.wal_bytes > 12);
-        assert!(r.durable_apply_ms > 0.0);
-        assert!(r.snapshot_write_ms > 0.0);
-        assert!(r.warm_open_ms > 0.0);
-        assert!(r.snapshot_only_open_ms > 0.0);
-        assert!(r.cold_build_ms > 0.0);
-        assert!(r.snapshot_write_mbps() > 0.0);
-        assert!(r.snapshot_load_mbps() > 0.0);
+        assert_eq!(r.durable_apply_ms.reps(), 5);
+        for timing in [
+            &r.durable_apply_ms,
+            &r.snapshot_write_ms,
+            &r.warm_open_ms,
+            &r.snapshot_only_open_ms,
+            &r.cold_build_ms,
+        ] {
+            assert!(timing.best() > 0.0);
+        }
     }
 }

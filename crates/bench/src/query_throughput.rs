@@ -1,6 +1,5 @@
-//! Sustained query-throughput workload shared by the `query_throughput`
-//! Criterion bench and the `query_throughput` JSON emitter binary, so both
-//! report the same computation.
+//! Sustained query-throughput workload: the `query` suite of the `ledger`
+//! driver.
 //!
 //! The workload models production serving traffic against one
 //! [`ConsensusEngine`]: mixed batches of Top-k queries (all four metrics plus
@@ -17,15 +16,15 @@
 //! Both are measured **cold** (fresh engine, artifact builds included) and
 //! **warm** (engine already holds every artifact — the paper's serving
 //! regime, where consensus answers are cheap once the generating-function
-//! work is done). Answers are bit-identical between the two executors; the
-//! emitter asserts it on every run.
+//! work is done). Answers are bit-identical between the two executors;
+//! [`measure`] asserts it on every scenario.
 
+use crate::sample::{time_ms, Sample};
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_engine::{
     Answer, BaselineKind, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric,
     TopKMetric, Variant,
 };
-use std::time::Instant;
 
 /// The scored-BID serving tree (`n` blocks × 2 alternatives, the same
 /// `scaling_tree` family the artifact benches use).
@@ -122,16 +121,60 @@ pub fn assert_identical(
     );
 }
 
-/// Queries per second of the best of `reps` timed runs of `f` over a batch
-/// of `batch_len` queries (minimum wall-clock, the least-noisy estimator).
-pub fn qps_best_of<T>(reps: usize, batch_len: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
+/// Queries per second of the best timed run in `batch_ms` over a batch of
+/// `batch_len` queries.
+pub fn qps(batch_len: usize, batch_ms: &Sample) -> f64 {
+    batch_len as f64 / (batch_ms.best() / 1e3)
+}
+
+/// One measured (duplication factor, thread count) scenario: the mixed
+/// batch's wall-clock under both executors, warm and cold.
+pub struct Scenario {
+    /// Copies of each distinct query in the batch.
+    pub dup: usize,
+    /// Builder thread count.
+    pub threads: usize,
+    /// Queries per batch.
+    pub batch_len: usize,
+    /// Warm engine, serial `run` loop.
+    pub warm_serial_ms: Sample,
+    /// Warm engine, parallel `run_batch`.
+    pub warm_parallel_ms: Sample,
+    /// Fresh engine per run, serial loop (artifact builds on the clock).
+    pub cold_serial_ms: Sample,
+    /// Fresh engine per run, parallel `run_batch`.
+    pub cold_parallel_ms: Sample,
+}
+
+impl Scenario {
+    /// `dup<d>_t<t>`.
+    pub fn label(&self) -> String {
+        format!("dup{}_t{}", self.dup, self.threads)
     }
-    batch_len as f64 / best
+
+    /// Warm parallel QPS over warm serial QPS, on the best-of timings.
+    pub fn warm_speedup(&self) -> f64 {
+        self.warm_serial_ms.best() / self.warm_parallel_ms.best()
+    }
+}
+
+/// Measures one scenario on an `n`-block serving engine, asserting the two
+/// executors answer the batch bit-identically first.
+pub fn measure(n: usize, seed: u64, reps: usize, dup: usize, threads: usize) -> Scenario {
+    let batch = mixed_batch(&[5, 10], dup);
+    let warm = serving_engine(n, seed, threads);
+    assert_identical(&warm.run_batch_serial(&batch), &warm.run_batch(&batch));
+    Scenario {
+        dup,
+        threads,
+        batch_len: batch.len(),
+        warm_serial_ms: time_ms(reps, || warm.run_batch_serial(&batch)),
+        warm_parallel_ms: time_ms(reps, || warm.run_batch(&batch)),
+        cold_serial_ms: time_ms(reps, || {
+            serving_engine(n, seed, threads).run_batch_serial(&batch)
+        }),
+        cold_parallel_ms: time_ms(reps, || serving_engine(n, seed, threads).run_batch(&batch)),
+    }
 }
 
 #[cfg(test)]
@@ -156,9 +199,11 @@ mod tests {
 
     #[test]
     fn qps_counts_the_whole_batch() {
-        let qps = qps_best_of(2, 100, || {
+        let batch_ms = time_ms(2, || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
+        let qps = qps(100, &batch_ms);
         assert!(qps > 0.0 && qps.is_finite());
+        assert!(qps <= 100.0 / 1e-3, "100 queries took at least 1 ms");
     }
 }

@@ -1,6 +1,4 @@
-//! Legacy-vs-batch artifact builds shared by the `rank_artifacts` Criterion
-//! bench and the `rank_artifacts` JSON emitter binary, so both report the
-//! same computation.
+//! Legacy-vs-batch artifact builds: the `rank` suite of the `ledger` driver.
 //!
 //! "Legacy" is the pre-batch cold-build path: one generating-function sweep
 //! per key for the rank-PMF table, one per ordered pair for the Kendall
@@ -8,12 +6,12 @@
 //! single-sweep evaluator of `cpdb_andxor::batch` the engine now routes
 //! through.
 
+use crate::sample::{time_ms, Sample};
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::clustering::CoClusteringWeights;
 use cpdb_model::TupleKey;
 use cpdb_workloads::{random_clustering_tree, ClusteringConfig};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// The scored-BID workload both rank-table and tournament measurements run
 /// on (`n` blocks × 2 alternatives, the `scaling_tree` family).
@@ -117,17 +115,75 @@ pub fn cocluster_max_diff(a: &CoClusteringWeights, b: &CoClusteringWeights) -> f
     max
 }
 
-/// Wall-clock of the fastest of `reps` runs of `f`, in milliseconds (the
-/// minimum is the standard cold-build estimator: every run does the full
-/// build, so the minimum is the least-noisy sample).
-pub fn time_best_of_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+/// One artifact family's cold builds: legacy, batch on one thread, and
+/// batch on `threads`, with how far the batch result strays from legacy.
+pub struct Comparison {
+    /// Artifact family label.
+    pub name: &'static str,
+    /// Legacy per-tuple / per-pair cold build.
+    pub legacy_ms: Sample,
+    /// Batch cold build on one thread.
+    pub batch_single_ms: Sample,
+    /// Batch cold build on the parallel thread count.
+    pub batch_parallel_ms: Sample,
+    /// Largest absolute difference between the batch and legacy results.
+    pub max_abs_diff: f64,
+}
+
+impl Comparison {
+    /// `legacy / batch(1)` on the best-of timings — the gated speedup.
+    pub fn speedup_single(&self) -> f64 {
+        self.legacy_ms.best() / self.batch_single_ms.best()
     }
-    best
+}
+
+/// Times the three cold builds (rank-PMF table at `k`, Kendall tournament,
+/// co-clustering weights) legacy vs batch on `n`-block workloads, `reps`
+/// runs each, the parallel batch on `threads` threads.
+pub fn measure_cold_builds(
+    n: usize,
+    k: usize,
+    seed: u64,
+    reps: usize,
+    threads: usize,
+) -> Vec<Comparison> {
+    let tree = rank_workload(n, seed);
+    let keys = tree.keys();
+    let ctree = clustering_workload(n, seed);
+    // Each literal evaluates its agreement check first: that untimed run
+    // warms the tree's shared caches before any timed one.
+    vec![
+        Comparison {
+            name: "rank_pmf_table",
+            max_abs_diff: rank_table_max_diff(
+                &legacy_rank_table(&tree, k),
+                &batch_rank_table(&tree, k, 1),
+            ),
+            legacy_ms: time_ms(reps, || legacy_rank_table(&tree, k)),
+            batch_single_ms: time_ms(reps, || batch_rank_table(&tree, k, 1)),
+            batch_parallel_ms: time_ms(reps, || batch_rank_table(&tree, k, threads)),
+        },
+        Comparison {
+            name: "kendall_tournament",
+            max_abs_diff: matrix_max_diff(
+                &legacy_tournament(&tree, &keys),
+                &batch_tournament(&tree, &keys, 1),
+            ),
+            legacy_ms: time_ms(reps, || legacy_tournament(&tree, &keys)),
+            batch_single_ms: time_ms(reps, || batch_tournament(&tree, &keys, 1)),
+            batch_parallel_ms: time_ms(reps, || batch_tournament(&tree, &keys, threads)),
+        },
+        Comparison {
+            name: "coclustering_weights",
+            max_abs_diff: cocluster_max_diff(
+                &legacy_cocluster(&ctree),
+                &batch_cocluster(&ctree, 1),
+            ),
+            legacy_ms: time_ms(reps, || legacy_cocluster(&ctree)),
+            batch_single_ms: time_ms(reps, || batch_cocluster(&ctree, 1)),
+            batch_parallel_ms: time_ms(reps, || batch_cocluster(&ctree, threads)),
+        },
+    ]
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Live-update maintenance workload shared by the `update_throughput`
-//! Criterion bench and the `update_throughput` JSON emitter binary.
+//! Live-update maintenance workload: the `update` suite of the `ledger`
+//! driver, and the live-engine fixtures the durable suites share.
 //!
 //! The workload models a warm serving engine absorbing one [`TreeDelta`] of
 //! each kind and compares, per kind:
@@ -16,11 +16,11 @@
 //! Every measurement first asserts the two engines answer a probe batch
 //! identically — the speedups below are for *bit-identical* serving state.
 
+use crate::sample::{time_ms, Sample};
 use cpdb_engine::{
     ConsensusEngine, ConsensusEngineBuilder, DeltaReport, Query, SetMetric, TopKMetric, TreeDelta,
     Variant,
 };
-use std::time::Instant;
 
 /// The warm serving tree (`n` scored BID blocks × 2 alternatives — the same
 /// family the artifact and throughput benches use).
@@ -160,31 +160,34 @@ pub fn delta_suite(tree: &cpdb_andxor::AndXorTree) -> Vec<(&'static str, TreeDel
 pub struct KindResult {
     /// Delta-kind label.
     pub kind: &'static str,
-    /// Milliseconds for `apply_delta` (best of `reps`).
-    pub patch_ms: f64,
+    /// Milliseconds for `apply_delta`.
+    pub patch_ms: Sample,
     /// Milliseconds for the fresh-engine rebuild of the same warm artifact
-    /// families (best of `reps`).
-    pub rebuild_ms: f64,
+    /// families.
+    pub rebuild_ms: Sample,
     /// Artifact decisions of the patch path.
     pub report: DeltaReport,
 }
 
 impl KindResult {
-    /// `rebuild / patch` — how much faster the maintenance path publishes a
-    /// warm next epoch.
+    /// `rebuild / patch` on the best-of timings — how much faster the
+    /// maintenance path publishes a warm next epoch.
     pub fn speedup(&self) -> f64 {
-        self.rebuild_ms / self.patch_ms
+        self.rebuild_ms.best() / self.patch_ms.best()
     }
 }
 
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e3
+/// A WAL-growing delta sequence: leaf-value updates cycling over the
+/// tree's leaves — always valid, and each one replays through the
+/// delta-aware maintenance path on recovery.
+pub fn leaf_deltas(tree: &cpdb_andxor::AndXorTree, count: usize) -> Vec<TreeDelta> {
+    let leaves = tree.leaf_nodes();
+    (0..count)
+        .map(|i| TreeDelta::LeafValue {
+            leaf: leaves[i % leaves.len()],
+            value: 40.0 + (i % 53) as f64,
+        })
+        .collect()
 }
 
 /// Measures every delta kind against one warm engine of `n` blocks,
@@ -210,8 +213,8 @@ pub fn measure_kinds(n: usize, seed: u64, reps: usize) -> Vec<KindResult> {
                 rebuilt.run_batch_serial(&queries),
                 "patched epoch diverges from full rebuild for {kind}"
             );
-            let patch_ms = best_ms(reps, || warm.apply_delta(&delta).expect("valid"));
-            let rebuild_ms = best_ms(reps, || {
+            let patch_ms = time_ms(reps, || warm.apply_delta(&delta).expect("valid"));
+            let rebuild_ms = time_ms(reps, || {
                 let fresh = live_engine(patched.tree().clone(), seed);
                 warm_maintained_artifacts(&fresh);
                 fresh
@@ -243,6 +246,6 @@ mod tests {
         // built in this workload (set/pairwise only), so just check it ran.
         assert!(results
             .iter()
-            .all(|r| r.patch_ms > 0.0 && r.rebuild_ms > 0.0));
+            .all(|r| r.patch_ms.best() > 0.0 && r.rebuild_ms.best() > 0.0));
     }
 }

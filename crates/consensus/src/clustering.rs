@@ -66,7 +66,7 @@ impl CoClusteringWeights {
 
     /// The per-pair reference construction (one generating-function sweep per
     /// pair), kept as the conformance baseline for the batch path and as the
-    /// legacy side of the `rank_artifacts` benchmark.
+    /// legacy side of the perf ledger's `rank` suite.
     pub fn from_tree_per_pair(tree: &AndXorTree) -> Self {
         let keys = tree.keys();
         let n = keys.len();

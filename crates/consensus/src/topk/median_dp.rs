@@ -19,10 +19,12 @@
 //! (such a world *is* its own Top-k answer), scored with the size-aware
 //! objective `Σ (P(t) − ½)`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use super::context::TopKContext;
 use cpdb_andxor::{AndXorTree, NodeId, NodeKind};
-use cpdb_model::TupleKey;
-use cpdb_rankagg::TopKList;
+use cpdb_model::{ModelError, TupleKey};
+use cpdb_rankagg::{RankError, TopKList};
 
 /// One DP cell: the best achievable objective and the witnessing set of
 /// tuple keys, for a fixed subtree and a fixed world size.
@@ -39,8 +41,13 @@ pub struct MedianTopK {
 }
 
 /// Theorem 4: computes the median Top-k answer of an and/xor tree in
-/// polynomial time.
-pub fn median_topk_sym_diff(tree: &AndXorTree, ctx: &TopKContext) -> MedianTopK {
+/// polynomial time. A witness naming one key twice (impossible in a valid
+/// tree, whose ∧ children have disjoint keys) is
+/// [`ModelError::DuplicateKey`].
+pub fn median_topk_sym_diff(
+    tree: &AndXorTree,
+    ctx: &TopKContext,
+) -> Result<MedianTopK, ModelError> {
     let k = ctx.k();
     let mut thresholds = tree.distinct_values();
     // Highest thresholds first is conventional; order does not matter.
@@ -77,12 +84,20 @@ pub fn median_topk_sym_diff(tree: &AndXorTree, ctx: &TopKContext) -> MedianTopK 
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.cmp(b))
     });
-    let answer = TopKList::new(keys.iter().map(|t| t.0).collect()).expect("keys are distinct");
+    let answer = TopKList::new(keys.iter().map(|t| t.0).collect()).map_err(|e| match e {
+        RankError::DuplicateItem { item } => ModelError::DuplicateKey {
+            key: item,
+            context: "Theorem-4 median witness".to_string(),
+        },
+        other => ModelError::Invalid {
+            context: other.to_string(),
+        },
+    })?;
     let expected_distance = super::sym_diff::expected_sym_diff_distance(ctx, &answer);
-    MedianTopK {
+    Ok(MedianTopK {
         answer,
         expected_distance,
-    }
+    })
 }
 
 /// Dynamic program over the subtree rooted at `node`, restricted to leaves
@@ -98,12 +113,10 @@ fn subtree_dp(
     threshold: Option<f64>,
 ) -> Vec<Cell> {
     let mut table: Vec<Cell> = vec![None; k + 1];
-    match tree.node_kind(node) {
-        None => {
-            // Leaf.
-            let alt = tree
-                .leaf_alternative(node)
-                .expect("nodes are either leaves or inner nodes");
+    match (tree.node_kind(node), tree.leaf_alternative(node)) {
+        // A node id outside the tree generates no world at all.
+        (None, None) => {}
+        (None, Some(alt)) => {
             let included = threshold.is_none_or(|a| alt.value.0 >= a);
             if included {
                 if k >= 1 {
@@ -116,7 +129,7 @@ fn subtree_dp(
                 table[0] = Some((0.0, Vec::new()));
             }
         }
-        Some(NodeKind::Xor) => {
+        (Some(NodeKind::Xor), _) => {
             let children = tree.children(node);
             let leftover: f64 = 1.0 - children.iter().map(|(_, p)| *p).sum::<f64>();
             if leftover > 1e-12 {
@@ -139,7 +152,7 @@ fn subtree_dp(
                 }
             }
         }
-        Some(NodeKind::And) => {
+        (Some(NodeKind::And), _) => {
             // Knapsack combination of the children.
             table[0] = Some((0.0, Vec::new()));
             for (child, _) in tree.children(node) {
@@ -195,7 +208,7 @@ mod tests {
 
     fn assert_matches_brute_force(tree: &AndXorTree, k: usize) {
         let ctx = TopKContext::new(tree, k);
-        let median = median_topk_sym_diff(tree, &ctx);
+        let median = median_topk_sym_diff(tree, &ctx).unwrap();
         let ws = tree.enumerate_worlds();
         let (brute, brute_cost) = oracle::brute_force_median_topk(&ws, k, |a, b| {
             oracle::sym_diff_distance_fixed_k(k, a, b)
@@ -293,7 +306,7 @@ mod tests {
         // tuple (the Top-3 of the only non-empty world).
         let tree = independent_tree(&[(7, 42.0, 0.9)]);
         let ctx = TopKContext::new(&tree, 3);
-        let median = median_topk_sym_diff(&tree, &ctx);
+        let median = median_topk_sym_diff(&tree, &ctx).unwrap();
         assert_eq!(median.answer.items(), &[7]);
     }
 }

@@ -22,7 +22,7 @@ use cpdb_sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use cpdb_sync::{OnceLock, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -642,7 +642,7 @@ impl ConsensusEngine {
             }
             (TopKMetric::SymmetricDifference, Variant::Median) => {
                 let ctx = self.context_arc(k);
-                let median = median_dp::median_topk_sym_diff(&self.tree, &ctx);
+                let median = median_dp::median_topk_sym_diff(&self.tree, &ctx)?;
                 Ok(Answer::new(
                     Value::TopK(median.answer),
                     median.expected_distance,
@@ -1097,6 +1097,40 @@ fn cocluster_from_export(ce: &CoClusterExport) -> Result<CoClusteringWeights, En
     })
 }
 
+/// Rejects an exported artifact whose key list is not exactly `keys`, the
+/// tree's sorted tuple keys: injected as is, it would answer over foreign or
+/// missing tuples.
+fn check_tree_keys(artifact: &str, got: &[u64], keys: &[u64]) -> Result<(), EngineError> {
+    if got == keys {
+        return Ok(());
+    }
+    Err(EngineError::InvalidConfig {
+        context: format!(
+            "{artifact} lists {} keys that are not the tree's {} sorted keys",
+            got.len(),
+            keys.len()
+        ),
+    })
+}
+
+/// Rejects an exported `(key, value, probability)` table with a row naming
+/// an alternative the tree does not have.
+fn check_tree_alternatives(
+    artifact: &str,
+    rows: &[(u64, f64, f64)],
+    alternatives: &HashSet<Alternative>,
+) -> Result<(), EngineError> {
+    match rows
+        .iter()
+        .find(|&&(key, value, _)| !alternatives.contains(&Alternative::new(key, value)))
+    {
+        None => Ok(()),
+        Some((key, value, _)) => Err(EngineError::InvalidConfig {
+            context: format!("{artifact} names ({key}, {value}), which is not a tree alternative"),
+        }),
+    }
+}
+
 /// A slot whose artifact is already built (the delta-maintenance patch
 /// paths construct these eagerly on the writer's clock).
 fn prebuilt_slot<T>(value: T) -> Slot<T> {
@@ -1185,7 +1219,9 @@ impl ConsensusEngine {
     /// produced the export (its cache counters start from zero).
     ///
     /// Malformed exports — an invalid tree, a bad configuration, artifact
-    /// tables whose shapes do not match — surface as typed [`EngineError`]s.
+    /// tables whose shapes do not match, artifacts over other keys or
+    /// alternatives than the tree's, rank contexts at a `k` outside the
+    /// k-range or repeated — surface as typed [`EngineError`]s.
     pub fn from_export(export: &EngineExport) -> Result<ConsensusEngine, EngineError> {
         let tree = AndXorTree::from_raw(&export.tree)?;
         let mut builder = crate::builder::ConsensusEngineBuilder::new(tree)
@@ -1199,9 +1235,34 @@ impl ConsensusEngine {
             builder = builder.groupby(GroupByInstance::new(probs.clone())?);
         }
         let mut engine = builder.build()?;
+        let keys: Vec<u64> = engine.tree.keys().iter().map(|k| k.0).collect();
+        let alternatives: HashSet<Alternative> =
+            if export.marginals.is_some() || export.jaccard_candidates.is_some() {
+                engine.tree.alternatives().into_iter().collect()
+            } else {
+                HashSet::new()
+            };
 
         let mut contexts = HashMap::with_capacity(export.contexts.len());
+        let (lo, hi) = engine.k_range;
+        let mut previous_k = None;
         for rce in &export.contexts {
+            if rce.k < lo || rce.k > hi || previous_k.is_some_and(|p| rce.k <= p) {
+                return Err(EngineError::InvalidConfig {
+                    context: format!(
+                        "rank-context export at k={} is outside the k-range [{lo}, {hi}], \
+                         repeated, or out of order",
+                        rce.k
+                    ),
+                });
+            }
+            previous_k = Some(rce.k);
+            let pmf_keys: Vec<u64> = rce.pmf.iter().map(|(key, _)| *key).collect();
+            check_tree_keys(
+                &format!("rank-context export at k={}", rce.k),
+                &pmf_keys,
+                &keys,
+            )?;
             let mut pmf = HashMap::with_capacity(rce.pmf.len());
             for (key, row) in &rce.pmf {
                 if row.len() != rce.k {
@@ -1223,6 +1284,7 @@ impl ConsensusEngine {
         engine.contexts = RwLock::new(contexts);
 
         if let Some(pe) = &export.prefs {
+            check_tree_keys("preference export", &pe.items, &keys)?;
             let m = PreferenceMatrix::from_row_major(&pe.items, pe.weights.clone()).ok_or_else(
                 || EngineError::InvalidConfig {
                     context: format!(
@@ -1236,10 +1298,12 @@ impl ConsensusEngine {
         }
 
         if let Some(ce) = &export.cocluster {
+            check_tree_keys("co-clustering export", &ce.keys, &keys)?;
             engine.cocluster = prebuilt_slot(cocluster_from_export(ce)?);
         }
 
         if let Some(rows) = &export.marginals {
+            check_tree_alternatives("marginal export", rows, &alternatives)?;
             let map = rows
                 .iter()
                 .map(|&(key, value, p)| (Alternative::new(key, value), p))
@@ -1248,6 +1312,7 @@ impl ConsensusEngine {
         }
 
         if let Some(rows) = &export.jaccard_candidates {
+            check_tree_alternatives("Jaccard-candidate export", rows, &alternatives)?;
             let list = rows
                 .iter()
                 .map(|&(key, value, p)| (Alternative::new(key, value), p))
@@ -1255,9 +1320,10 @@ impl ConsensusEngine {
             engine.jaccard_candidates = prebuilt_slot(list);
         }
 
-        if let Some(keys) = &export.key_index {
+        if let Some(index) = &export.key_index {
+            check_tree_keys("key-index export", index, &keys)?;
             let idx: Vec<cpdb_model::TupleKey> =
-                keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
+                index.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
             engine.key_index = prebuilt_slot(Arc::new(idx));
         }
 
@@ -1270,7 +1336,6 @@ impl ConsensusEngine {
 /// subtree checks that it can generate precisely the restriction of `world`
 /// to its own keys. Used to certify the Corollary-1 median tag.
 fn world_is_attainable(tree: &AndXorTree, world: &cpdb_model::PossibleWorld) -> bool {
-    use std::collections::HashSet;
     let want: HashMap<cpdb_model::TupleKey, Alternative> =
         world.alternatives().iter().map(|a| (a.key, *a)).collect();
 
@@ -2353,6 +2418,65 @@ mod tests {
                 ConsensusEngine::from_export(&export),
                 Err(EngineError::InvalidConfig { .. })
             ));
+        }
+
+        // Artifacts over other keys or alternatives than the tree's, and rank
+        // contexts at an inadmissible or repeated `k`, are rejected rather
+        // than injected as is.
+        fn rename_key_1(key: &mut u64) {
+            if *key == 1 {
+                *key = 99;
+            }
+        }
+        type Corruption = (&'static str, fn(&mut EngineExport));
+        let corruptions: [Corruption; 8] = [
+            ("key index misses a key", |e| {
+                e.key_index.as_mut().unwrap().pop();
+            }),
+            ("preference items out of order", |e| {
+                e.prefs.as_mut().unwrap().items.swap(0, 1);
+            }),
+            ("co-clustering over a foreign key", |e| {
+                let ce = e.cocluster.as_mut().unwrap();
+                ce.keys.iter_mut().for_each(rename_key_1);
+                for (i, j, _) in &mut ce.pairs {
+                    rename_key_1(i);
+                    rename_key_1(j);
+                }
+            }),
+            ("rank PMFs over a foreign key", |e| {
+                for (key, _) in &mut e.contexts[0].pmf {
+                    rename_key_1(key);
+                }
+            }),
+            ("rank context above the k-range", |e| {
+                let k = e.k_range.1 + 1;
+                e.contexts[0].k = k;
+                for (_, row) in &mut e.contexts[0].pmf {
+                    row.resize(k, 0.0);
+                }
+            }),
+            ("rank context repeated", |e| {
+                let again = e.contexts[0].clone();
+                e.contexts.push(again);
+            }),
+            ("marginal row for a foreign alternative", |e| {
+                e.marginals.as_mut().unwrap().push((9, 1.0, 0.1));
+            }),
+            ("Jaccard candidate for a foreign alternative", |e| {
+                e.jaccard_candidates.as_mut().unwrap()[0].1 = 12345.0;
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut export = engine.export();
+            corrupt(&mut export);
+            assert!(
+                matches!(
+                    ConsensusEngine::from_export(&export),
+                    Err(EngineError::InvalidConfig { .. })
+                ),
+                "{what} was accepted"
+            );
         }
 
         // A corrupted tree (mass overflow) is caught by re-validation.

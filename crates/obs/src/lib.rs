@@ -21,7 +21,7 @@
 //! ([`Obs::counter`] / [`Obs::gauge`] / [`Obs::histogram`]) and then record
 //! without any name lookup; [`Obs::snapshot`] produces a cloneable
 //! [`MetricsSnapshot`] with a stable, hand-rolled JSON emitter (same idiom
-//! as the `BENCH_*.json` emitters). [`Span`]s time a region and optionally
+//! as the bench crate's `BENCH_ledger.json` writer). [`Span`]s time a region and optionally
 //! leave start/finish events in the recorder.
 //!
 //! The crate is a leaf: it depends only on `cpdb_sync`, so every layer —

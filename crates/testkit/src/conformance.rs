@@ -298,7 +298,8 @@ pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
         return 0;
     }
     let ctx = TopKContext::new(tree, k);
-    let median = median_dp::median_topk_sym_diff(tree, &ctx);
+    let median =
+        median_dp::median_topk_sym_diff(tree, &ctx).expect("valid trees have distinct keys");
     let fixed_k = |a: &_, b: &_| oracle::sym_diff_distance_fixed_k(k, a, b);
     let direct = oracle::expected_topk_distance(&median.answer, &ws, k, fixed_k);
     assert_close(
@@ -643,7 +644,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
                 (list, d)
             }
             (TopKMetric::SymmetricDifference, Variant::Median) => {
-                let median = median_dp::median_topk_sym_diff(tree, &ctx);
+                let median = median_dp::median_topk_sym_diff(tree, &ctx)
+                    .expect("valid trees have distinct keys");
                 let fixed_k = |a: &_, b: &_| oracle::sym_diff_distance_fixed_k(*k, a, b);
                 let (_, brute) = oracle::brute_force_median_topk(&ws, *k, fixed_k);
                 assert_close(

@@ -68,3 +68,43 @@ fn jaccard_module_keeps_its_unwrap_gate() {
         module.display()
     );
 }
+
+/// The Theorem-4 median DP answers every `TopK{SymDiff, Median}` query; it
+/// keeps the same panic-freedom gate as the Jaccard scan.
+#[test]
+fn median_dp_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("consensus/src/topk/median_dp.rs");
+    let src = std::fs::read_to_string(&module).expect("median_dp module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}
+
+/// Every perf number comes from the one `ledger` driver and lands in
+/// `BENCH_ledger.json`: no per-suite emitter binary or bench JSON grows back.
+#[test]
+fn perf_numbers_have_one_driver_and_one_ledger() {
+    let names_in = |dir: PathBuf| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", dir.display()))
+            .map(|entry| {
+                let entry = entry.expect("readable dir entry");
+                entry.file_name().to_string_lossy().into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(
+        names_in(crates_dir().join("bench/src/bin")),
+        ["experiments.rs", "ledger.rs"],
+        "crates/bench/src/bin holds a binary besides the ledger and experiments drivers"
+    );
+    let bench_json: Vec<String> = names_in(crates_dir().join(".."))
+        .into_iter()
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    assert_eq!(bench_json, ["BENCH_ledger.json"]);
+}

@@ -67,7 +67,7 @@ fn pipeline_topk_consensus_matches_oracle_over_generated_workloads() {
             );
 
             // Theorem 4 (median, d_Δ).
-            let median = median_dp::median_topk_sym_diff(&tree, &ctx);
+            let median = median_dp::median_topk_sym_diff(&tree, &ctx).unwrap();
             let (_, brute_median) = oracle::brute_force_median_topk(&ws, k, |a, b| {
                 oracle::sym_diff_distance_fixed_k(k, a, b)
             });
@@ -159,7 +159,7 @@ fn median_dp_beats_or_matches_every_sampled_world_answer() {
     let tree = small_bid_tree(7);
     let k = 2;
     let ctx = TopKContext::new(&tree, k);
-    let median = median_dp::median_topk_sym_diff(&tree, &ctx);
+    let median = median_dp::median_topk_sym_diff(&tree, &ctx).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..200 {
         let w = tree.sample_world(&mut rng);
