@@ -18,7 +18,7 @@ fn bench_baselines(c: &mut Criterion) {
     let tree = scaling_tree(n, 21);
     let ctx = TopKContext::new(&tree, k);
     group.bench_with_input(BenchmarkId::new("consensus_sym_diff", n), &ctx, |b, ctx| {
-        b.iter(|| black_box(sym_diff::mean_topk_sym_diff(ctx)))
+        b.iter(|| black_box(sym_diff::mean_topk_sym_diff(ctx).unwrap()))
     });
     group.bench_with_input(BenchmarkId::new("consensus_footrule", n), &ctx, |b, ctx| {
         b.iter(|| black_box(footrule::mean_topk_footrule(ctx)))

@@ -81,7 +81,7 @@ fn bench_engine_dispatch(c: &mut Criterion) {
                 |b, tree| {
                     b.iter(|| {
                         let ctx = TopKContext::new(tree, k);
-                        let a = sym_diff::mean_topk_sym_diff(&ctx);
+                        let a = sym_diff::mean_topk_sym_diff(&ctx).unwrap();
                         let ctx = TopKContext::new(tree, k);
                         let b2 = intersection::mean_topk_intersection(&ctx);
                         let ctx = TopKContext::new(tree, k);

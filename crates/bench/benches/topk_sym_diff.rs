@@ -23,7 +23,7 @@ fn bench_topk_sym_diff(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("theorem3_selection", format!("n{n}_k{k}")),
                 &ctx,
-                |b, ctx| b.iter(|| black_box(sym_diff::mean_topk_sym_diff(ctx))),
+                |b, ctx| b.iter(|| black_box(sym_diff::mean_topk_sym_diff(ctx).unwrap())),
             );
         }
     }

@@ -25,13 +25,17 @@
 //! | `observability` | sink ≤ 2% of a probe-mix query | interquartile mean |
 //!
 //! Every suite also asserts its own bit-identity contracts (executors,
-//! patched vs rebuilt, recovered vs writer) while it measures.
+//! patched vs rebuilt, recovered vs writer) while it measures. The `median`
+//! suite times the warm Theorem 4 median Top-k and carries no gate.
 
-use cpdb_bench::sample::Sample;
+use cpdb_bench::experiments::scaling_tree;
+use cpdb_bench::sample::{time_ms, Sample};
 use cpdb_bench::{
     fault_recovery, observability, persistence, query_throughput, rank_artifacts, replication,
     update_throughput, Table,
 };
+use cpdb_consensus::topk::median_dp;
+use cpdb_consensus::TopKContext;
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
@@ -54,6 +58,10 @@ const SYNC_CADENCES: [usize; 2] = [1, 8];
 const OBS_OPS: usize = 200_000;
 const OBS_SERIES: usize = 48;
 const OBS_EVENTS: usize = 1024;
+const MEDIAN_NS: [usize; 2] = [120, 400];
+const MEDIAN_KS: [usize; 2] = [5, 10];
+/// A median call takes milliseconds, so it affords a real spread.
+const MEDIAN_REPS: usize = 15;
 
 /// What a row measured: a timing over repeated samples, or one value.
 enum Measure {
@@ -290,6 +298,19 @@ fn observability_suite(n: usize, reps: usize, ops: usize, series: usize, events:
     s
 }
 
+fn median_suite(ns: &[usize], ks: &[usize], reps: usize) -> Suite {
+    let mut s = Suite::new("median");
+    for &n in ns {
+        let tree = scaling_tree(n, SEED);
+        for &k in ks {
+            let ctx = TopKContext::new(&tree, k);
+            let sample = time_ms(reps, || median_dp::median_topk_sym_diff(&tree, &ctx));
+            s.timing(&format!("warm n={n} k={k}"), "median_topk", "ms", &sample);
+        }
+    }
+    s
+}
+
 /// One line per failed gate, over every suite.
 fn failed_gates(suites: &[Suite]) -> Vec<String> {
     suites
@@ -454,6 +475,7 @@ fn main() -> ExitCode {
         fault_suite(DURABLE_N, &WAL_LENS, VFS_APPENDS, REPS),
         replication_suite(DURABLE_N, &WAL_LENS, STALENESS_EPOCHS, &SYNC_CADENCES, REPS),
         observability_suite(DURABLE_N, REPS, OBS_OPS, OBS_SERIES, OBS_EVENTS),
+        median_suite(&MEDIAN_NS, &MEDIAN_KS, MEDIAN_REPS),
     ];
     for table in summary(&suites) {
         table.print();
@@ -535,5 +557,19 @@ mod tests {
             .all(|s| !s.rows.is_empty() && !s.gates.is_empty()));
         let json = render(&suites, 2);
         assert!(json.contains("\"machine_threads\": 2") && json.contains("\"gates\": ["));
+    }
+
+    #[test]
+    fn median_suite_times_every_size_without_a_gate() {
+        let s = median_suite(&[12, 20], &[2, 3], 3);
+        assert!(s.gates.is_empty());
+        assert_eq!(s.rows.len(), 4);
+        for row in &s.rows {
+            let Measure::Timing(t) = &row.measure else {
+                panic!("{} is not a timing", row.row);
+            };
+            assert_eq!(t.reps(), 3);
+            assert!(row.json().contains("\"suite\": \"median\""));
+        }
     }
 }

@@ -391,7 +391,7 @@ pub fn topk_median_tables() -> Vec<Table> {
     }
 
     let mut scaling = Table::new(
-        "E5 scaling: Theorem 4 DP (threshold loop × tree knapsack)",
+        "E5 scaling: Theorem 4 DP (one descending (max, +) threshold sweep)",
         &["n blocks", "k", "time (ms)"],
     );
     for &n in &[50usize, 100, 200] {

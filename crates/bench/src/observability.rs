@@ -164,7 +164,7 @@ fn probe_mix() -> Vec<(&'static str, Query)> {
             },
         ),
         (
-            "topk_sym_diff",
+            "topk.sym_diff.mean",
             Query::TopK {
                 k: 10,
                 metric: TopKMetric::SymmetricDifference,
@@ -172,7 +172,7 @@ fn probe_mix() -> Vec<(&'static str, Query)> {
             },
         ),
         (
-            "topk_footrule",
+            "topk.footrule",
             Query::TopK {
                 k: 10,
                 metric: TopKMetric::Footrule,
@@ -180,7 +180,7 @@ fn probe_mix() -> Vec<(&'static str, Query)> {
             },
         ),
         (
-            "topk_kendall",
+            "topk.kendall",
             Query::TopK {
                 k: 10,
                 metric: TopKMetric::Kendall,

@@ -10,7 +10,7 @@
 
 use crate::topk::context::TopKContext;
 use cpdb_andxor::AndXorTree;
-use cpdb_model::{TupleKey, WorldModel};
+use cpdb_model::{ModelError, TupleKey, WorldModel};
 use cpdb_rankagg::TopKList;
 use rand::Rng;
 use std::collections::HashMap;
@@ -46,8 +46,9 @@ pub fn ptk_answer(ctx: &TopKContext, threshold: f64) -> TopKList {
 /// **Global Top-k** (Zhang & Chomicki): the `k` tuples with the highest
 /// `Pr(r(t) ≤ k)`. Identical membership to the consensus mean answer under
 /// the symmetric-difference metric (Theorem 3) — which is exactly the
-/// connection the paper points out.
-pub fn global_topk(ctx: &TopKContext) -> TopKList {
+/// connection the paper points out. A context naming one key twice is
+/// [`ModelError::DuplicateKey`].
+pub fn global_topk(ctx: &TopKContext) -> Result<TopKList, ModelError> {
     crate::topk::sym_diff::mean_topk_sym_diff(ctx)
 }
 
@@ -176,7 +177,10 @@ mod tests {
     fn global_topk_equals_consensus_mean_under_sym_diff() {
         let t = tree();
         let ctx = TopKContext::new(&t, 2);
-        assert_eq!(global_topk(&ctx), mean_topk_sym_diff(&ctx));
+        assert_eq!(
+            global_topk(&ctx).unwrap(),
+            mean_topk_sym_diff(&ctx).unwrap()
+        );
     }
 
     #[test]
@@ -237,7 +241,7 @@ mod tests {
         // the consensus answer does not: this is the motivating divergence.
         let t = independent_tree(&[(1, 1000.0, 0.15), (2, 90.0, 0.9), (3, 80.0, 0.85)]);
         let ctx = TopKContext::new(&t, 2);
-        let consensus = mean_topk_sym_diff(&ctx);
+        let consensus = mean_topk_sym_diff(&ctx).unwrap();
         let by_score = expected_score_topk(&t, 2);
         assert!(by_score.contains(1));
         assert!(!consensus.contains(1));

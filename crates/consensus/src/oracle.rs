@@ -10,6 +10,7 @@
 
 use cpdb_model::{PossibleWorld, WorldSet};
 use cpdb_rankagg::TopKList;
+use std::collections::HashSet;
 
 /// Expected distance from a fixed candidate world to the random world.
 pub fn expected_world_distance<D>(candidate: &PossibleWorld, worlds: &WorldSet, mut d: D) -> f64
@@ -147,20 +148,28 @@ where
 }
 
 /// Brute-force *median* Top-k answer: the Top-k answer of some possible world
-/// minimising the expected distance.
+/// minimising the expected distance. Each world's answer is computed once
+/// and each distinct answer scored once, in world order, so the result is
+/// the one scoring every world's answer with [`expected_topk_distance`]
+/// would give.
 pub fn brute_force_median_topk<D>(worlds: &WorldSet, k: usize, mut d: D) -> (TopKList, f64)
 where
     D: FnMut(&TopKList, &TopKList) -> f64,
 {
+    let answers: Vec<(TopKList, f64)> = worlds
+        .worlds()
+        .iter()
+        .map(|(w, p)| (world_topk(w, k), *p))
+        .collect();
+    let mut scored = HashSet::new();
     let mut best: Option<(TopKList, f64)> = None;
-    for (w, p) in worlds.worlds() {
-        if *p <= 0.0 {
+    for (candidate, p) in &answers {
+        if *p <= 0.0 || !scored.insert(candidate) {
             continue;
         }
-        let candidate = world_topk(w, k);
-        let cost = expected_topk_distance(&candidate, worlds, k, &mut d);
+        let cost = answers.iter().map(|(a, p)| p * d(candidate, a)).sum();
         if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-            best = Some((candidate, cost));
+            best = Some((candidate.clone(), cost));
         }
     }
     best.expect("world set must contain at least one world")

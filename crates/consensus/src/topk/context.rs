@@ -7,29 +7,40 @@
 //! engine) and exposes the derived statistics the individual algorithms need:
 //! `Pr(r(t) ≤ i)`, `Pr(r(t) > k)`, and the Υ-statistics of §5.4.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use cpdb_andxor::AndXorTree;
 use cpdb_model::TupleKey;
 use std::collections::HashMap;
 
+/// The per-key statistic tables, in slab order.
+const PMF: usize = 0;
+const CDF: usize = 1;
+const PREFIX_MASS: usize = 2;
+const PREFIX_WEIGHTED: usize = 3;
+const PROFIT_SUFFIX: usize = 4;
+const TABLES: usize = 5;
+
 /// Precomputed rank statistics for a Top-k query over an and/xor tree.
+///
+/// Every statistic lives in one slab: for the key at position `p` of the
+/// sorted [`TopKContext::keys`], table `T` is the `k` entries from
+/// `(p·5 + T)·k`, entry `i − 1` belonging to position `i`:
+///
+/// * `pmf`: `Pr(r(t) = i)`;
+/// * `cdf`: `Pr(r(t) ≤ i)`;
+/// * `prefix_mass`: the raw (unclamped) prefix sums `Σ_{j ≤ i} Pr(r(t) = j)`,
+///   the O(1) backbone of the footrule placement cost;
+/// * `prefix_weighted`: the rank-weighted prefix sums
+///   `Σ_{j ≤ i} j·Pr(r(t) = j)`, whose last entry is Υ₂(t);
+/// * `profit_suffix`: the harmonic suffix sums `Σ_{i' = i..k} Pr(r(t) ≤ i')/i'`,
+///   the intersection-metric position profit in O(1), whose first entry is
+///   Υ_H(t).
 #[derive(Debug, Clone)]
 pub struct TopKContext {
     k: usize,
     keys: Vec<TupleKey>,
-    /// `pmf[t][i - 1] = Pr(r(t) = i)` for `1 ≤ i ≤ k`.
-    pmf: HashMap<TupleKey, Vec<f64>>,
-    /// `cdf[t][i - 1] = Pr(r(t) ≤ i)` for `1 ≤ i ≤ k`.
-    cdf: HashMap<TupleKey, Vec<f64>>,
-    /// Raw (unclamped) prefix sums `prefix_mass[t][i - 1] = Σ_{j ≤ i}
-    /// Pr(r(t) = j)`: the O(1) backbone of the footrule placement cost.
-    prefix_mass: HashMap<TupleKey, Vec<f64>>,
-    /// Rank-weighted prefix sums `prefix_weighted[t][i - 1] = Σ_{j ≤ i}
-    /// j·Pr(r(t) = j)`; the last entry is Υ₂(t).
-    prefix_weighted: HashMap<TupleKey, Vec<f64>>,
-    /// Harmonic suffix sums `profit_suffix[t][j - 1] = Σ_{i = j..k}
-    /// Pr(r(t) ≤ i)/i`: the intersection-metric position profit in O(1); the
-    /// first entry is Υ_H(t).
-    profit_suffix: HashMap<TupleKey, Vec<f64>>,
+    stats: Vec<f64>,
 }
 
 impl TopKContext {
@@ -49,7 +60,7 @@ impl TopKContext {
     pub fn new_with_parallelism(tree: &AndXorTree, k: usize, threads: usize) -> Self {
         let keys = tree.keys();
         let pmf = tree.batch_rank_pmfs(k, threads);
-        Self::from_parts(k, keys, pmf)
+        Self::from_parts(k, keys, &pmf)
     }
 
     /// Builds a context directly from per-tuple rank distributions (useful in
@@ -58,49 +69,47 @@ impl TopKContext {
     pub fn from_pmf(k: usize, pmf: HashMap<TupleKey, Vec<f64>>) -> Self {
         let mut keys: Vec<TupleKey> = pmf.keys().copied().collect();
         keys.sort();
-        Self::from_parts(k, keys, pmf)
+        Self::from_parts(k, keys, &pmf)
     }
 
     /// Derives every cached statistic (CDF, prefix sums, harmonic suffix
     /// sums) from the rank PMFs. All derived tables are O(n·k) to build and
     /// make the per-(tuple, position) queries of the assignment solvers O(1).
-    fn from_parts(k: usize, keys: Vec<TupleKey>, pmf: HashMap<TupleKey, Vec<f64>>) -> Self {
-        let mut cdf = HashMap::with_capacity(keys.len());
-        let mut prefix_mass = HashMap::with_capacity(keys.len());
-        let mut prefix_weighted = HashMap::with_capacity(keys.len());
-        let mut profit_suffix = HashMap::with_capacity(keys.len());
-        for (&key, p) in &pmf {
-            let mut c = Vec::with_capacity(k);
-            let mut mass = Vec::with_capacity(k);
-            let mut weighted = Vec::with_capacity(k);
+    /// A key without a PMF gets all-zero tables.
+    fn from_parts(k: usize, keys: Vec<TupleKey>, pmf: &HashMap<TupleKey, Vec<f64>>) -> Self {
+        let mut stats = vec![0.0; keys.len() * TABLES * k];
+        // `max(1)`: with k = 0 the slab is empty and there is nothing to fill.
+        for (key, tables) in keys.iter().zip(stats.chunks_exact_mut(TABLES * k.max(1))) {
+            let Some(p) = pmf.get(key) else {
+                continue;
+            };
+            let (pmf, rest) = tables.split_at_mut(k);
+            let (cdf, rest) = rest.split_at_mut(k);
+            let (mass, rest) = rest.split_at_mut(k);
+            let (weighted, suffix) = rest.split_at_mut(k);
             let (mut acc, mut wacc) = (0.0, 0.0);
-            for (i, &v) in p.iter().enumerate() {
+            for (i, &v) in p.iter().take(k).enumerate() {
                 acc += v;
                 wacc += (i + 1) as f64 * v;
-                c.push(acc.min(1.0));
-                mass.push(acc);
-                weighted.push(wacc);
+                pmf[i] = v;
+                cdf[i] = acc.min(1.0);
+                mass[i] = acc;
+                weighted[i] = wacc;
             }
-            let mut suffix = vec![0.0; k];
             let mut tail = 0.0;
             for i in (1..=k).rev() {
-                tail += c[i - 1] / i as f64;
+                tail += cdf[i - 1] / i as f64;
                 suffix[i - 1] = tail;
             }
-            cdf.insert(key, c);
-            prefix_mass.insert(key, mass);
-            prefix_weighted.insert(key, weighted);
-            profit_suffix.insert(key, suffix);
         }
-        TopKContext {
-            k,
-            keys,
-            pmf,
-            cdf,
-            prefix_mass,
-            prefix_weighted,
-            profit_suffix,
-        }
+        TopKContext { k, keys, stats }
+    }
+
+    /// Table `table` of key `t` (`k` entries), or `None` for an unknown key.
+    fn table(&self, t: TupleKey, table: usize) -> Option<&[f64]> {
+        let at = self.keys.binary_search(&t).ok()?;
+        let start = (at * TABLES + table) * self.k;
+        self.stats.get(start..start + self.k)
     }
 
     /// The query parameter `k`.
@@ -121,7 +130,7 @@ impl TopKContext {
         if i == 0 || i > self.k {
             return 0.0;
         }
-        self.pmf.get(&t).map(|p| p[i - 1]).unwrap_or(0.0)
+        self.table(t, PMF).map_or(0.0, |p| p[i - 1])
     }
 
     /// `Pr(r(t) ≤ i)` for `1 ≤ i ≤ k` (0 for `i = 0`, and the value at `k`
@@ -131,8 +140,7 @@ impl TopKContext {
             return 0.0;
         }
         let i = i.min(self.k);
-        self.cdf
-            .get(&t)
+        self.table(t, CDF)
             .and_then(|c| c.get(i - 1))
             .copied()
             .unwrap_or(0.0)
@@ -162,8 +170,7 @@ impl TopKContext {
     /// Υ₂(t) = `Σ_{i ≤ k} i · Pr(r(t) = i)` (§5.4). Served from the
     /// rank-weighted prefix sums in O(1).
     pub fn upsilon2(&self, t: TupleKey) -> f64 {
-        self.prefix_weighted
-            .get(&t)
+        self.table(t, PREFIX_WEIGHTED)
             .and_then(|w| w.last())
             .copied()
             .unwrap_or(0.0)
@@ -182,13 +189,14 @@ impl TopKContext {
     /// [`crate::topk::footrule::placement_cost_direct`] keeps the direct
     /// summation as the test reference.
     pub fn misplacement_mass(&self, t: TupleKey, i: usize) -> f64 {
-        let Some(mass) = self.prefix_mass.get(&t) else {
+        let (Some(mass), Some(weighted)) =
+            (self.table(t, PREFIX_MASS), self.table(t, PREFIX_WEIGHTED))
+        else {
             return 0.0;
         };
         if self.k == 0 {
             return 0.0;
         }
-        let weighted = &self.prefix_weighted[&t];
         let (s0_k, s1_k) = (mass[self.k - 1], weighted[self.k - 1]);
         let i_f = i as f64;
         if i == 0 {
@@ -209,7 +217,7 @@ impl TopKContext {
         if j == 0 || j > self.k {
             return 0.0;
         }
-        self.profit_suffix.get(&t).map(|s| s[j - 1]).unwrap_or(0.0)
+        self.table(t, PROFIT_SUFFIX).map_or(0.0, |s| s[j - 1])
     }
 
     /// Υ₃(t, i) = `Σ_{j ≤ k} Pr(r(t) = j)·|i − j| + i·Pr(r(t) > k)` (§5.4).

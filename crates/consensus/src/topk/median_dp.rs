@@ -8,27 +8,55 @@
 //! The paper's algorithm (Theorem 4) enumerates score thresholds `a`: a set
 //! `S` of `k` tuples all scoring `≥ a` is the Top-k answer of some possible
 //! world exactly when `S` is a possible world of the tree *restricted to
-//! leaves with score ≥ a* and has size exactly `k`. For each threshold a
-//! knapsack-style dynamic program over the tree computes, for every node and
-//! every size `i ≤ k`, the best achievable `Σ P(t)` over worlds of that size
-//! generated by the (restricted) subtree; the best root entry of size `k`
-//! over all thresholds is the median answer.
+//! leaves with score ≥ a* and has size exactly `k`. A knapsack-style program
+//! over the tree gives, for every node and every size `i ≤ k`, the best
+//! `Σ P(t)`, with `P(t) = Pr(r(t) ≤ k)`, over the worlds of that size the
+//! restricted subtree generates. The best root entry of size `k` over all
+//! thresholds is the median answer. A world with fewer than `k` tuples is
+//! its own Top-k answer, so the root entries of every size `i < k` of the
+//! unrestricted tree are candidates too, scored `Σ (P(t) − ½)`.
 //!
-//! Worlds with fewer than `k` tuples are handled by additionally considering,
-//! at the no-restriction threshold, root entries of every size `i < k`
-//! (such a world *is* its own Top-k answer), scored with the size-aware
-//! objective `Σ (P(t) − ½)`.
+//! # The (max, +) sweep
+//!
+//! Lowering the threshold only ever admits more leaves, so one descending
+//! sweep replaces one program per threshold. Every node keeps a table of
+//! `k + 1` entries in the (max, +) semiring, `−∞` marking an unreachable
+//! size:
+//!
+//! * a leaf restricted away is `[0, −∞, …]`, an admitted leaf
+//!   `[−∞, P(t), −∞, …]`;
+//! * a ∨ node is the entrywise max over its children with `p > 0`, plus `0`
+//!   at size 0 when its leftover mass exceeds `1e-12`;
+//! * an ∧ node is the truncated (max, +) convolution of its children.
+//!
+//! Every inner node keeps a balanced segment tree over its children under
+//! its operation, so one changed child costs `O(log fanout · k²)` at an ∧
+//! node. A step lowers the threshold to the next distinct score, admits
+//! that score's leaves, refreshes their root paths and reads the root's
+//! size-`k` entry. After the last step every leaf is admitted, so the root
+//! table is the unrestricted one the small worlds are read from. The sweep
+//! costs `O(n · depth · log(fanout) · k²)` for `n` leaves, against
+//! `O(n² k²)` for one program per threshold.
+//!
+//! No witness set rides in the tables. The sweep records the winning
+//! (step, size), replays to that step and rebuilds the one answer by
+//! descending the tables: at a ∨ segment node it takes the first side whose
+//! entry equals the node's, at an ∧ segment node the first split `j` with
+//! `left[j] + right[s − j]` equal to it.
+//!
+//! Ties go to the earlier candidate: higher thresholds first, a later one
+//! winning only when strictly better, then the small worlds by ascending
+//! size. The literal form, one recursive program per threshold with a
+//! witness set in every cell, is kept as the test oracle
+//! `cpdb_testkit::reference::median_topk_sym_diff_recursive`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use super::context::TopKContext;
-use cpdb_andxor::{AndXorTree, NodeId, NodeKind};
+use super::sym_diff::{expected_sym_diff_distance, topk_list};
+use cpdb_andxor::{AndXorTree, NodeKind};
 use cpdb_model::{ModelError, TupleKey};
-use cpdb_rankagg::{RankError, TopKList};
-
-/// One DP cell: the best achievable objective and the witnessing set of
-/// tuple keys, for a fixed subtree and a fixed world size.
-type Cell = Option<(f64, Vec<TupleKey>)>;
+use cpdb_rankagg::TopKList;
 
 /// The median Top-k answer under the symmetric-difference metric, together
 /// with its exact expected distance.
@@ -40,151 +68,381 @@ pub struct MedianTopK {
     pub expected_distance: f64,
 }
 
+impl MedianTopK {
+    /// The answer holding `keys`, ordered by decreasing `Pr(r(t) ≤ k)` with
+    /// ties broken by key, and its exact expected distance. A key named twice
+    /// (impossible for a witness of a valid tree, whose ∧ children have
+    /// disjoint keys) is [`ModelError::DuplicateKey`].
+    pub fn from_keys(ctx: &TopKContext, mut keys: Vec<TupleKey>) -> Result<Self, ModelError> {
+        keys.sort_by(|a, b| {
+            ctx.topk_probability(*b)
+                .partial_cmp(&ctx.topk_probability(*a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.cmp(b))
+        });
+        let answer = topk_list(keys, "Theorem-4 median witness")?;
+        let expected_distance = expected_sym_diff_distance(ctx, &answer);
+        Ok(MedianTopK {
+            answer,
+            expected_distance,
+        })
+    }
+}
+
 /// Theorem 4: computes the median Top-k answer of an and/xor tree in
-/// polynomial time. A witness naming one key twice (impossible in a valid
-/// tree, whose ∧ children have disjoint keys) is
-/// [`ModelError::DuplicateKey`].
+/// polynomial time, by the (max, +) sweep of the module docs. A witness
+/// naming one key twice is [`ModelError::DuplicateKey`].
 pub fn median_topk_sym_diff(
     tree: &AndXorTree,
     ctx: &TopKContext,
 ) -> Result<MedianTopK, ModelError> {
     let k = ctx.k();
-    let mut thresholds = tree.distinct_values();
-    // Highest thresholds first is conventional; order does not matter.
-    thresholds.reverse();
-
-    let mut best: Option<(f64, Vec<TupleKey>)> = None;
-    // Candidate Top-k answers of size exactly k, one DP per threshold.
-    for &a in &thresholds {
-        let table = subtree_dp(tree, tree.root(), ctx, k, Some(a));
-        if let Some((profit, keys)) = &table[k] {
-            let objective = profit - 0.5 * k as f64;
-            if best.as_ref().is_none_or(|(b, _)| objective > *b) {
-                best = Some((objective, keys.clone()));
+    if k == 0 {
+        return MedianTopK::from_keys(ctx, Vec::new());
+    }
+    let sweep = Sweep::new(tree, ctx);
+    let mut rows = Vec::new();
+    sweep.reset(&mut rows);
+    let root = sweep.nodes.last().map_or(0, |r| r.row) * sweep.width;
+    // The (objective, step, size) of the best candidate so far.
+    let mut best: Option<(f64, usize, usize)> = None;
+    for step in 0..sweep.steps {
+        sweep.admit(step, &mut rows);
+        // A threshold step offers its size-k worlds; the last step, with
+        // every leaf admitted, offers the small worlds.
+        let sizes = if step + 1 < sweep.steps {
+            k..k + 1
+        } else {
+            0..k
+        };
+        for size in sizes {
+            let profit = rows[root + size];
+            let objective = profit - 0.5 * size as f64;
+            if profit > f64::NEG_INFINITY && best.is_none_or(|(b, ..)| objective > b) {
+                best = Some((objective, step, size));
             }
         }
     }
-    // Candidate answers that are entire (small) worlds of size < k.
-    if k > 0 {
-        let table = subtree_dp(tree, tree.root(), ctx, k, None);
-        for (size, cell) in table.iter().enumerate().take(k) {
-            if let Some((profit, keys)) = cell {
-                let objective = profit - 0.5 * size as f64;
-                if best.as_ref().is_none_or(|(b, _)| objective > *b) {
-                    best = Some((objective, keys.clone()));
-                }
+    let keys = match best {
+        None => Vec::new(),
+        Some((_, step, size)) => {
+            sweep.reset(&mut rows);
+            for s in 0..=step {
+                sweep.admit(s, &mut rows);
             }
+            sweep.witness(&rows, size)
         }
-    }
-
-    let (_, mut keys) = best.unwrap_or((0.0, Vec::new()));
-    keys.sort_by(|a, b| {
-        ctx.topk_probability(*b)
-            .partial_cmp(&ctx.topk_probability(*a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(b))
-    });
-    let answer = TopKList::new(keys.iter().map(|t| t.0).collect()).map_err(|e| match e {
-        RankError::DuplicateItem { item } => ModelError::DuplicateKey {
-            key: item,
-            context: "Theorem-4 median witness".to_string(),
-        },
-        other => ModelError::Invalid {
-            context: other.to_string(),
-        },
-    })?;
-    let expected_distance = super::sym_diff::expected_sym_diff_distance(ctx, &answer);
-    Ok(MedianTopK {
-        answer,
-        expected_distance,
-    })
+    };
+    MedianTopK::from_keys(ctx, keys)
 }
 
-/// Dynamic program over the subtree rooted at `node`, restricted to leaves
-/// with score `≥ threshold` (no restriction when `threshold` is `None`).
-/// Returns, for each size `0 ≤ i ≤ k`, the best `Σ Pr(r(t) ≤ k)` over worlds
-/// of exactly that size generated by the restricted subtree (or `None` when
-/// no such world exists).
-fn subtree_dp(
-    tree: &AndXorTree,
-    node: NodeId,
-    ctx: &TopKContext,
-    k: usize,
-    threshold: Option<f64>,
-) -> Vec<Cell> {
-    let mut table: Vec<Cell> = vec![None; k + 1];
-    match (tree.node_kind(node), tree.leaf_alternative(node)) {
-        // A node id outside the tree generates no world at all.
-        (None, None) => {}
-        (None, Some(alt)) => {
-            let included = threshold.is_none_or(|a| alt.value.0 >= a);
-            if included {
-                if k >= 1 {
-                    table[1] = Some((ctx.topk_probability(alt.key), vec![alt.key]));
-                }
-                // A leaf that survives the restriction always materialises, so
-                // size 0 is unreachable from it.
-            } else {
-                // Restricted away: contributes the empty set.
-                table[0] = Some((0.0, Vec::new()));
+/// A parent or slot that does not exist (the root's).
+const NONE: usize = usize::MAX;
+
+/// How an inner node combines its children's tables.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    /// Entrywise max: a ∨ node picks one child.
+    Max,
+    /// Truncated (max, +) convolution: an ∧ node takes every child.
+    Conv,
+}
+
+#[derive(Debug)]
+enum Kind {
+    Leaf {
+        key: TupleKey,
+        profit: f64,
+    },
+    /// Segment node `i ∈ 1..2·size` sits in row `row + i − 1`, so the
+    /// node's own table is its `row`. Segment leaf `size + first + j` holds
+    /// child `j`'s table. The leaf before `first`, if any, is the ∨
+    /// leftover `[0, −∞, …]`, and the leaves after the children are the
+    /// operation's identity.
+    Inner {
+        op: Op,
+        size: usize,
+        first: usize,
+        children: Vec<usize>,
+    },
+}
+
+#[derive(Debug)]
+struct Node {
+    kind: Kind,
+    /// The parent's index in the layout.
+    parent: usize,
+    /// The row holding this node's table. A leaf's is its slot.
+    row: usize,
+    /// The parent's segment leaf for this node, a copy of an inner node's
+    /// table.
+    slot: usize,
+}
+
+/// The tree laid out children-first (the root last) for the sweep. The
+/// tables live in one flat buffer of `width` entries per row.
+struct Sweep {
+    /// Entries per table: sizes `0..=k`.
+    width: usize,
+    nodes: Vec<Node>,
+    /// Rows in the table buffer.
+    row_count: usize,
+    /// Highest threshold first, plus a last step admitting the leaves no
+    /// threshold does (a NaN score), which leaves every leaf admitted.
+    steps: usize,
+    /// `(step, leaf)`: the leaves (indices into `nodes`) in admission order.
+    admits: Vec<(usize, usize)>,
+}
+
+impl Sweep {
+    /// Lays out `tree`, reading each leaf's profit once. Needs `ctx.k() ≥ 1`.
+    fn new(tree: &AndXorTree, ctx: &TopKContext) -> Self {
+        let thresholds: Vec<f64> = tree
+            .distinct_values()
+            .into_iter()
+            .rev()
+            .filter(|a| !a.is_nan())
+            .collect();
+        let mut admits = Vec::new();
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut row_count = 0;
+        // Post-order: when a node is finished its children are the last
+        // entries of `done`.
+        let mut done: Vec<usize> = Vec::new();
+        let mut stack = vec![(tree.root(), false)];
+        while let Some((id, expanded)) = stack.pop() {
+            let kind = tree.node_kind(id);
+            // A ∨ child with p ≤ 0 never materialises and is not laid out.
+            let kept = || {
+                tree.children(id)
+                    .iter()
+                    .filter(move |(_, p)| kind != Some(NodeKind::Xor) || *p > 0.0)
+            };
+            if !expanded && kind.is_some() {
+                stack.push((id, true));
+                stack.extend(kept().rev().map(|(c, _)| (*c, false)));
+                continue;
             }
-        }
-        (Some(NodeKind::Xor), _) => {
-            let children = tree.children(node);
-            let leftover: f64 = 1.0 - children.iter().map(|(_, p)| *p).sum::<f64>();
-            if leftover > 1e-12 {
-                table[0] = Some((0.0, Vec::new()));
-            }
-            for (child, p) in children {
-                if *p <= 0.0 {
-                    continue;
-                }
-                let child_table = subtree_dp(tree, *child, ctx, k, threshold);
-                for (i, cell) in child_table.into_iter().enumerate() {
-                    if let Some((profit, keys)) = cell {
-                        if table[i]
-                            .as_ref()
-                            .is_none_or(|(existing, _)| profit > *existing)
-                        {
-                            table[i] = Some((profit, keys));
-                        }
-                    }
-                }
-            }
-        }
-        (Some(NodeKind::And), _) => {
-            // Knapsack combination of the children.
-            table[0] = Some((0.0, Vec::new()));
-            for (child, _) in tree.children(node) {
-                let child_table = subtree_dp(tree, *child, ctx, k, threshold);
-                let mut next: Vec<Cell> = vec![None; k + 1];
-                for (i, cell) in table.iter().enumerate() {
-                    let Some((profit_a, keys_a)) = cell else {
-                        continue;
+            let me = nodes.len();
+            let mut row = NONE;
+            let node_kind = match (kind, tree.leaf_alternative(id)) {
+                (None, Some(alt)) => {
+                    let value = alt.value.0;
+                    let step = if value.is_nan() {
+                        thresholds.len()
+                    } else {
+                        thresholds.partition_point(|&a| a > value)
                     };
-                    for (j, child_cell) in child_table.iter().enumerate() {
-                        if i + j > k {
-                            break;
-                        }
-                        let Some((profit_b, keys_b)) = child_cell else {
-                            continue;
-                        };
-                        let profit = profit_a + profit_b;
-                        if next[i + j]
-                            .as_ref()
-                            .is_none_or(|(existing, _)| profit > *existing)
-                        {
-                            let mut keys = keys_a.clone();
-                            keys.extend_from_slice(keys_b);
-                            next[i + j] = Some((profit, keys));
-                        }
+                    admits.push((step, me));
+                    Kind::Leaf {
+                        key: alt.key,
+                        profit: ctx.topk_probability(alt.key),
                     }
                 }
-                table = next;
+                (kind, _) => {
+                    let count = kept().count();
+                    let children = done.split_off(done.len().saturating_sub(count));
+                    let (op, first) = match kind {
+                        Some(NodeKind::And) => (Op::Conv, 0),
+                        Some(NodeKind::Xor) => {
+                            let mass: f64 = tree.children(id).iter().map(|(_, p)| *p).sum();
+                            (Op::Max, usize::from(1.0 - mass > 1e-12))
+                        }
+                        // An id outside the tree generates no world at all.
+                        None => (Op::Max, 0),
+                    };
+                    let size = (first + children.len()).next_power_of_two();
+                    row = row_count;
+                    row_count += 2 * size - 1;
+                    for (j, &c) in children.iter().enumerate() {
+                        let child = &mut nodes[c];
+                        child.parent = me;
+                        child.slot = row + size + first + j - 1;
+                        if let Kind::Leaf { .. } = child.kind {
+                            child.row = child.slot;
+                        }
+                    }
+                    Kind::Inner {
+                        op,
+                        size,
+                        first,
+                        children,
+                    }
+                }
+            };
+            nodes.push(Node {
+                kind: node_kind,
+                parent: NONE,
+                row,
+                slot: NONE,
+            });
+            done.push(me);
+        }
+        // A leaf root has no parent slot to live in.
+        if let Some(root) = nodes.last_mut().filter(|r| r.row == NONE) {
+            root.row = row_count;
+            row_count += 1;
+        }
+        admits.sort_by_key(|&(step, _)| step);
+        Sweep {
+            width: ctx.k() + 1,
+            nodes,
+            row_count,
+            steps: thresholds.len() + 1,
+            admits,
+        }
+    }
+
+    /// Sets `rows` to the tables with every leaf restricted away.
+    fn reset(&self, rows: &mut Vec<f64>) {
+        let w = self.width;
+        rows.clear();
+        rows.resize(self.row_count * w, f64::NEG_INFINITY);
+        for node in &self.nodes {
+            match &node.kind {
+                Kind::Leaf { .. } => rows[node.row * w] = 0.0,
+                Kind::Inner {
+                    op,
+                    size,
+                    first,
+                    children,
+                } => {
+                    // The ∨ leftover and the ∧ padding both hold `[0, −∞, …]`.
+                    for pos in 0..*size {
+                        if pos < *first || (*op == Op::Conv && pos >= first + children.len()) {
+                            rows[(node.row + size + pos - 1) * w] = 0.0;
+                        }
+                    }
+                    for i in (1..*size).rev() {
+                        combine(*op, rows, w, node.row, i);
+                    }
+                    if node.slot != NONE {
+                        rows.copy_within(node.row * w..(node.row + 1) * w, node.slot * w);
+                    }
+                }
             }
         }
     }
-    table
+
+    /// Admits the leaves of `step` and refreshes their root paths; steps run
+    /// in order from 0.
+    fn admit(&self, step: usize, rows: &mut [f64]) {
+        let w = self.width;
+        let from = self.admits.partition_point(|&(s, _)| s < step);
+        for &(_, leaf) in self.admits[from..].iter().take_while(|(s, _)| *s == step) {
+            let Kind::Leaf { profit, .. } = self.nodes[leaf].kind else {
+                continue;
+            };
+            let row = self.nodes[leaf].row;
+            let table = &mut rows[row * w..(row + 1) * w];
+            table.fill(f64::NEG_INFINITY);
+            table[1] = profit;
+            let mut v = leaf;
+            while let Some(parent) = self.nodes.get(self.nodes[v].parent) {
+                let Node { row, slot, .. } = self.nodes[v];
+                if row != slot {
+                    rows.copy_within(row * w..(row + 1) * w, slot * w);
+                }
+                let Kind::Inner { op, .. } = parent.kind else {
+                    break;
+                };
+                let mut i = slot + 1 - parent.row;
+                while i > 1 {
+                    i /= 2;
+                    combine(op, rows, w, parent.row, i);
+                }
+                v = self.nodes[v].parent;
+            }
+        }
+    }
+
+    /// The keys of a world of `size` tuples attaining the root's entry,
+    /// rebuilt by descending the tables in `rows`.
+    fn witness(&self, rows: &[f64], size: usize) -> Vec<TupleKey> {
+        let at = |row: usize, s: usize| rows[row * self.width + s];
+        let mut keys = Vec::with_capacity(size);
+        // (node, segment index, size); segment index 1 is the node's table.
+        let mut todo = vec![(self.nodes.len() - 1, 1, size)];
+        while let Some((v, i, s)) = todo.pop() {
+            let base = self.nodes[v].row;
+            match &self.nodes[v].kind {
+                Kind::Leaf { key, .. } => {
+                    if s == 1 {
+                        keys.push(*key);
+                    }
+                }
+                Kind::Inner {
+                    op,
+                    size: width,
+                    first,
+                    children,
+                } => {
+                    if i >= *width {
+                        // A segment leaf: a child, the ∨ leftover or padding,
+                        // the last two contributing no key.
+                        let child = (i - width)
+                            .checked_sub(*first)
+                            .and_then(|j| children.get(j));
+                        if let Some(&c) = child {
+                            todo.push((c, 1, s));
+                        }
+                        continue;
+                    }
+                    let (node, left, right) = (base + i - 1, base + 2 * i - 1, base + 2 * i);
+                    let target = at(node, s);
+                    match op {
+                        Op::Max => {
+                            let side = if at(left, s) == target {
+                                2 * i
+                            } else {
+                                2 * i + 1
+                            };
+                            todo.push((v, side, s));
+                        }
+                        Op::Conv => {
+                            if let Some(j) =
+                                (0..=s).find(|&j| at(left, j) + at(right, s - j) == target)
+                            {
+                                todo.push((v, 2 * i, j));
+                                todo.push((v, 2 * i + 1, s - j));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        keys
+    }
+}
+
+/// Recomputes segment node `i` of the inner node whose table is row `base`
+/// from the segment node's two children.
+fn combine(op: Op, rows: &mut [f64], width: usize, base: usize, i: usize) {
+    // The children's rows follow the node's: split there to borrow both.
+    let (head, tail) = rows.split_at_mut((base + 2 * i - 1) * width);
+    let out = &mut head[(base + i - 1) * width..(base + i) * width];
+    let (left, right) = tail[..2 * width].split_at(width);
+    match op {
+        Op::Max => {
+            for ((o, l), r) in out.iter_mut().zip(left).zip(right) {
+                *o = l.max(*r);
+            }
+        }
+        Op::Conv => {
+            out.fill(f64::NEG_INFINITY);
+            for (a, &l) in left.iter().enumerate() {
+                if l == f64::NEG_INFINITY {
+                    continue;
+                }
+                for (o, &r) in out[a..].iter_mut().zip(right) {
+                    let sum = l + r;
+                    if sum > *o {
+                        *o = sum;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! | sub-module | metric | algorithm | guarantee |
 //! |---|---|---|---|
 //! | [`sym_diff`] | normalised symmetric difference `d_Δ` | top-k by `Pr(r(t) ≤ k)` (the PT-k connection, Theorem 3) | exact mean |
-//! | [`median_dp`] | `d_Δ` restricted to possible answers | threshold + tree DP (Theorem 4) | exact median |
+//! | [`median_dp`] | `d_Δ` restricted to possible answers | one descending threshold sweep of a (max, +) tree DP (Theorem 4) | exact median |
 //! | [`intersection`] | intersection metric `d_I` | assignment problem; `Υ_H` ranking shortcut | exact mean; `1/H_k` approx |
 //! | [`footrule`] | Spearman footrule `F^{(k+1)}` | assignment problem (Figure 2 decomposition) | exact mean |
 //! | [`kendall`] | Kendall tau `K^{(0)}` | footrule answer (2-approx) and pivot aggregation over `Pr(r(t_i) < r(t_j))` | constant approx (NP-hard exactly) |

@@ -7,16 +7,39 @@
 //! threshold is tuned to return `k` tuples, which is how the paper puts the
 //! previously proposed PT-k semantics on a consensus-answer footing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use super::context::TopKContext;
-use cpdb_rankagg::TopKList;
+use cpdb_model::{ModelError, TupleKey};
+use cpdb_rankagg::{RankError, TopKList};
 
 /// The mean Top-k answer under `d_Δ`: the `k` tuples with the largest
 /// `Pr(r(t) ≤ k)`, ordered by that probability (the metric only cares about
-/// membership; the ordering is a deterministic convention).
-pub fn mean_topk_sym_diff(ctx: &TopKContext) -> TopKList {
+/// membership; the ordering is a deterministic convention). A context
+/// naming one key twice is [`ModelError::DuplicateKey`].
+pub fn mean_topk_sym_diff(ctx: &TopKContext) -> Result<TopKList, ModelError> {
     let ranked = ctx.keys_by_topk_probability();
-    TopKList::new(ranked.into_iter().take(ctx.k()).map(|(t, _)| t.0).collect())
-        .expect("keys are distinct")
+    topk_list(
+        ranked.into_iter().take(ctx.k()).map(|(t, _)| t),
+        "mean Top-k under d_Δ",
+    )
+}
+
+/// The Top-k list of `keys` in order; a key named twice is
+/// [`ModelError::DuplicateKey`], labelled with `context`.
+pub(crate) fn topk_list(
+    keys: impl IntoIterator<Item = TupleKey>,
+    context: &str,
+) -> Result<TopKList, ModelError> {
+    TopKList::new(keys.into_iter().map(|t| t.0).collect()).map_err(|e| match e {
+        RankError::DuplicateItem { item } => ModelError::DuplicateKey {
+            key: item,
+            context: context.to_string(),
+        },
+        other => ModelError::Invalid {
+            context: other.to_string(),
+        },
+    })
 }
 
 /// The exact expected (normalised) symmetric-difference distance
@@ -32,7 +55,7 @@ pub fn expected_sym_diff_distance(ctx: &TopKContext, candidate: &TopKList) -> f6
     let selected: f64 = candidate
         .items()
         .iter()
-        .map(|&t| ctx.topk_probability(cpdb_model::TupleKey(t)))
+        .map(|&t| ctx.topk_probability(TupleKey(t)))
         .sum();
     (candidate.len() as f64 + total - 2.0 * selected) / (2.0 * k)
 }
@@ -67,7 +90,7 @@ mod tests {
         ]);
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_sym_diff(&ctx);
+            let mean = mean_topk_sym_diff(&ctx).unwrap();
             let ws = tree.enumerate_worlds();
             let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
             let (_, brute_cost) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
@@ -93,7 +116,7 @@ mod tests {
         let tree = figure1_correlated_tree();
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_sym_diff(&ctx);
+            let mean = mean_topk_sym_diff(&ctx).unwrap();
             let ws = tree.enumerate_worlds();
             let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
             let (_, brute_cost) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
@@ -111,7 +134,7 @@ mod tests {
     fn mean_answer_contains_the_high_probability_tuples() {
         let tree = independent_tree(&[(1, 9.0, 0.95), (2, 8.0, 0.9), (3, 7.0, 0.05)]);
         let ctx = TopKContext::new(&tree, 2);
-        let mean = mean_topk_sym_diff(&ctx);
+        let mean = mean_topk_sym_diff(&ctx).unwrap();
         assert!(mean.contains(1));
         assert!(mean.contains(2));
         assert!(!mean.contains(3));
@@ -124,7 +147,7 @@ mod tests {
         // the tuple most likely to *be* the top-1, not the best-scored one.
         let tree = independent_tree(&[(1, 100.0, 0.2), (2, 90.0, 0.3), (3, 80.0, 0.95)]);
         let ctx = TopKContext::new(&tree, 1);
-        let mean = mean_topk_sym_diff(&ctx);
+        let mean = mean_topk_sym_diff(&ctx).unwrap();
         // Pr(r(3) ≤ 1) = 0.95·0.8·0.7 = 0.532 > Pr(r(1) ≤ 1) = 0.2.
         assert_eq!(mean.items(), &[3]);
     }

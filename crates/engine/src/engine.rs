@@ -632,7 +632,7 @@ impl ConsensusEngine {
         match (metric, variant) {
             (TopKMetric::SymmetricDifference, Variant::Mean) => {
                 let ctx = self.context_arc(k);
-                let answer = sym_diff::mean_topk_sym_diff(&ctx);
+                let answer = sym_diff::mean_topk_sym_diff(&ctx)?;
                 let expected_distance = sym_diff::expected_sym_diff_distance(&ctx, &answer);
                 Ok(Answer::new(
                     Value::TopK(answer),
@@ -788,7 +788,7 @@ impl ConsensusEngine {
                 baselines::u_topk(&self.tree, k, samples, &mut rng)
             }
             BaselineKind::UTopKExact { k } => baselines::u_topk_enumerated(&self.tree, k),
-            BaselineKind::GlobalTopK { .. } => baselines::global_topk(ctx),
+            BaselineKind::GlobalTopK { .. } => baselines::global_topk(ctx)?,
             BaselineKind::ProbabilisticThreshold { threshold, .. } => {
                 baselines::ptk_answer(ctx, threshold)
             }
@@ -1704,7 +1704,7 @@ mod tests {
         let a = engine.run(&q).unwrap();
         assert_eq!(
             a.value.as_topk().unwrap(),
-            &sym_diff::mean_topk_sym_diff(&ctx)
+            &sym_diff::mean_topk_sym_diff(&ctx).unwrap()
         );
         assert_eq!(a.optimality, Optimality::Exact);
 

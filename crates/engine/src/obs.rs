@@ -3,19 +3,24 @@
 //! latency and events without any name lookup — and pays one `Option`
 //! branch per record when no sink is attached.
 
-use crate::query::{Query, SetMetric};
+use crate::query::{Query, SetMetric, TopKMetric, Variant};
 use cpdb_obs::{EventKind, Histogram, Obs, Span};
 
 /// Pre-registered engine metrics: one latency histogram per [`Query`] kind
-/// (set consensus split per metric) plus one build-latency histogram per
-/// shared artifact. Cloning shares the underlying handles, so a cloned or
-/// delta-built engine keeps recording into the same sink.
+/// (set consensus split per metric, Top-k per metric family with the
+/// symmetric difference split into mean and median) plus one build-latency
+/// histogram per shared artifact. Cloning shares the underlying handles, so
+/// a cloned or delta-built engine keeps recording into the same sink.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineObs {
     obs: Obs,
     query_set_sym_diff: Histogram,
     query_set_jaccard: Histogram,
-    query_topk: Histogram,
+    query_topk_sym_diff_mean: Histogram,
+    query_topk_sym_diff_median: Histogram,
+    query_topk_intersection: Histogram,
+    query_topk_footrule: Histogram,
+    query_topk_kendall: Histogram,
     query_aggregate: Histogram,
     query_clustering: Histogram,
     query_baseline: Histogram,
@@ -31,7 +36,11 @@ impl EngineObs {
         EngineObs {
             query_set_sym_diff: obs.histogram("engine.query.set.sym_diff"),
             query_set_jaccard: obs.histogram("engine.query.set.jaccard"),
-            query_topk: obs.histogram("engine.query.topk"),
+            query_topk_sym_diff_mean: obs.histogram("engine.query.topk.sym_diff.mean"),
+            query_topk_sym_diff_median: obs.histogram("engine.query.topk.sym_diff.median"),
+            query_topk_intersection: obs.histogram("engine.query.topk.intersection"),
+            query_topk_footrule: obs.histogram("engine.query.topk.footrule"),
+            query_topk_kendall: obs.histogram("engine.query.topk.kendall"),
             query_aggregate: obs.histogram("engine.query.aggregate"),
             query_clustering: obs.histogram("engine.query.clustering"),
             query_baseline: obs.histogram("engine.query.baseline"),
@@ -61,7 +70,28 @@ impl EngineObs {
                 metric: SetMetric::Jaccard,
                 ..
             } => &self.query_set_jaccard,
-            Query::TopK { .. } => &self.query_topk,
+            Query::TopK {
+                metric: TopKMetric::SymmetricDifference,
+                variant: Variant::Mean,
+                ..
+            } => &self.query_topk_sym_diff_mean,
+            Query::TopK {
+                metric: TopKMetric::SymmetricDifference,
+                variant: Variant::Median,
+                ..
+            } => &self.query_topk_sym_diff_median,
+            Query::TopK {
+                metric: TopKMetric::Intersection,
+                ..
+            } => &self.query_topk_intersection,
+            Query::TopK {
+                metric: TopKMetric::Footrule,
+                ..
+            } => &self.query_topk_footrule,
+            Query::TopK {
+                metric: TopKMetric::Kendall,
+                ..
+            } => &self.query_topk_kendall,
             Query::Aggregate { .. } => &self.query_aggregate,
             Query::Clustering { .. } => &self.query_clustering,
             Query::Baseline { .. } => &self.query_baseline,

@@ -21,8 +21,9 @@ use cpdb_engine::{
     BaselineKind, CacheStats, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy, Query,
     SetMetric, TopKMetric, Variant,
 };
-use cpdb_model::{Alternative, BidDb, PossibleWorld, TupleIndependentDb, WorldModel};
+use cpdb_model::{Alternative, BidDb, PossibleWorld, TupleIndependentDb, TupleKey, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
+use cpdb_rankagg::TopKList;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -243,7 +244,7 @@ pub fn check_topk_means(tree: &AndXorTree, k: usize) -> usize {
     }
     let ctx = TopKContext::new(tree, k);
 
-    let mean = sym_diff::mean_topk_sym_diff(&ctx);
+    let mean = sym_diff::mean_topk_sym_diff(&ctx).expect("context keys are distinct");
     let closed = sym_diff::expected_sym_diff_distance(&ctx, &mean);
     let fixed_k = |a: &_, b: &_| oracle::sym_diff_distance_fixed_k(k, a, b);
     let direct = oracle::expected_topk_distance(&mean, &ws, k, fixed_k);
@@ -288,9 +289,10 @@ pub fn check_topk_means(tree: &AndXorTree, k: usize) -> usize {
     7
 }
 
-/// Theorem 4: the median-Top-k dynamic program under symmetric difference
-/// reports an exact expected distance and attains the enumerated median
-/// optimum.
+/// Theorem 4: the median-Top-k sweep under symmetric difference reports an
+/// exact expected distance, attains the enumerated median optimum, answers
+/// the same on a repeat call and agrees with the literal per-threshold
+/// program of [`mod@reference`].
 pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
     let ws = tree.enumerate_worlds();
     let k = k.min(tree.keys().len());
@@ -300,6 +302,12 @@ pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
     let ctx = TopKContext::new(tree, k);
     let median =
         median_dp::median_topk_sym_diff(tree, &ctx).expect("valid trees have distinct keys");
+    assert_eq!(
+        median_dp::median_topk_sym_diff(tree, &ctx).ok().as_ref(),
+        Some(&median),
+        "topk/median-dp: a repeat call answered differently"
+    );
+    check_topk_median_reference(tree, k);
     let fixed_k = |a: &_, b: &_| oracle::sym_diff_distance_fixed_k(k, a, b);
     let direct = oracle::expected_topk_distance(&median.answer, &ws, k, fixed_k);
     assert_close(
@@ -313,7 +321,45 @@ pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
         median.expected_distance,
         brute,
     );
-    2
+    4
+}
+
+/// The median sweep against [`reference::median_topk_sym_diff_recursive`]:
+/// both pick the same key set, or sets whose objectives
+/// `Σ_{t ∈ τ} (Pr(r(t) ≤ k) − ½)` tie within `1e-12` (the two sum in a
+/// different order, so an exact tie may fall either way). Needs no world
+/// enumeration, so it runs on trees of any size. Returns whether the key
+/// sets were equal.
+pub fn check_topk_median_reference(tree: &AndXorTree, k: usize) -> bool {
+    let ctx = TopKContext::new(tree, k);
+    let sweep =
+        median_dp::median_topk_sym_diff(tree, &ctx).expect("valid trees have distinct keys");
+    let literal = reference::median_topk_sym_diff_recursive(tree, &ctx)
+        .expect("valid trees have distinct keys");
+    let key_set = |answer: &TopKList| {
+        let mut keys = answer.items().to_vec();
+        keys.sort_unstable();
+        keys
+    };
+    if key_set(&sweep.answer) == key_set(&literal.answer) {
+        return true;
+    }
+    let objective = |answer: &TopKList| {
+        answer
+            .items()
+            .iter()
+            .map(|&t| ctx.topk_probability(TupleKey(t)) - 0.5)
+            .sum::<f64>()
+    };
+    let (got, want) = (objective(&sweep.answer), objective(&literal.answer));
+    assert!(
+        (got - want).abs() < 1e-12,
+        "topk/median-dp k={k}: sweep picked {} (objective {got}), the reference {} \
+         (objective {want})",
+        sweep.answer,
+        literal.answer
+    );
+    false
 }
 
 /// §5.5: the Kendall consensus heuristics never beat the enumerated optimum
@@ -634,7 +680,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
         let got = answer.value.as_topk().expect("Top-k queries return lists");
         let (direct, direct_distance) = match (metric, variant) {
             (TopKMetric::SymmetricDifference, Variant::Mean) => {
-                let list = sym_diff::mean_topk_sym_diff(&ctx);
+                let list = sym_diff::mean_topk_sym_diff(&ctx).expect("context keys are distinct");
                 let d = sym_diff::expected_sym_diff_distance(&ctx, &list);
                 // Exact: must also attain the enumerated optimum.
                 let fixed_k = |a: &_, b: &_| oracle::sym_diff_distance_fixed_k(*k, a, b);
@@ -835,7 +881,9 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
             }
             BaselineKind::UTopK { k, samples } => baselines::u_topk(tree, k, samples, &mut rng),
             BaselineKind::UTopKExact { k } => baselines::u_topk_enumerated(tree, k),
-            BaselineKind::GlobalTopK { .. } => baselines::global_topk(&ctx),
+            BaselineKind::GlobalTopK { .. } => {
+                baselines::global_topk(&ctx).expect("context keys are distinct")
+            }
             BaselineKind::ProbabilisticThreshold { threshold, .. } => {
                 baselines::ptk_answer(&ctx, threshold)
             }
@@ -1582,6 +1630,10 @@ pub fn run_seed(seed: u64) -> ConformanceSummary {
     }
     checks += check_topk_means(&ti_tree, 2);
     checks += check_topk_median_dp(&ti_tree, 2);
+    for k in [1, 3] {
+        checks += check_topk_median_dp(&fixtures::small_nested_tree(seed), k);
+        checks += check_topk_median_dp(&fixtures::small_clustering_tree(seed), k);
+    }
     checks += check_kendall(&bid_tree, 2, seed);
     checks += check_kendall(&ti_tree, 2, seed);
     checks += check_aggregate(&fixtures::small_groupby(seed));

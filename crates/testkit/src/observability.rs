@@ -25,7 +25,10 @@
 
 use crate::conformance::{live_probe, random_live_delta};
 use cpdb_andxor::AndXorTree;
-use cpdb_engine::{Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric};
+use cpdb_engine::{
+    Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric, TopKMetric,
+    Variant,
+};
 use cpdb_live::LiveEngine;
 use cpdb_obs::{EventKind, MetricsSnapshot, Obs};
 use cpdb_store::{FaultVfs, RetryPolicy, StoreOptions};
@@ -72,6 +75,17 @@ fn is_jaccard(query: &Query) -> bool {
     )
 }
 
+fn is_median_topk(query: &Query) -> bool {
+    matches!(
+        query,
+        Query::TopK {
+            metric: TopKMetric::SymmetricDifference,
+            variant: Variant::Median,
+            ..
+        }
+    )
+}
+
 /// One fully instrumented (or fully uninstrumented) run of the standard
 /// delta workload: per-epoch probe answers plus the finished engine.
 struct Run {
@@ -81,6 +95,8 @@ struct Run {
     /// The Jaccard set queries among them, which time into their own
     /// histogram.
     jaccard_issued: u64,
+    /// The median Top-k queries among them, likewise.
+    median_issued: u64,
 }
 
 fn run_workload(tree: &AndXorTree, seed: u64, probe: &[Query], obs: &Obs) -> Run {
@@ -103,6 +119,7 @@ fn run_workload(tree: &AndXorTree, seed: u64, probe: &[Query], obs: &Obs) -> Run
         live,
         queries_issued: ((STEPS + 1) * probe.len()) as u64,
         jaccard_issued: ((STEPS + 1) * probe.iter().filter(|q| is_jaccard(q)).count()) as u64,
+        median_issued: ((STEPS + 1) * probe.iter().filter(|q| is_median_topk(q)).count()) as u64,
     }
 }
 
@@ -181,7 +198,11 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
     let recorded: u64 = [
         "set.sym_diff",
         "set.jaccard",
-        "topk",
+        "topk.sym_diff.mean",
+        "topk.sym_diff.median",
+        "topk.intersection",
+        "topk.footrule",
+        "topk.kendall",
         "aggregate",
         "clustering",
         "baseline",
@@ -204,6 +225,13 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
             .map(|h| h.count),
         Some(run.jaccard_issued),
         "Jaccard set queries must time into their own histogram"
+    );
+    assert_eq!(
+        snapshot
+            .histogram("engine.query.topk.sym_diff.median")
+            .map(|h| h.count),
+        Some(run.median_issued),
+        "median Top-k queries must time into their own histogram"
     );
 
     // ... and a matching start/finish event pair in the flight recorder.
@@ -228,7 +256,7 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
 
     // The live gauges folded from Health agree with the epoch reached.
     assert_eq!(snapshot.gauge("live.epoch"), Some(STEPS as u64));
-    checks + 6
+    checks + 7
 }
 
 /// One chaos fault schedule: a permanent outage degrades the engine (the

@@ -7,11 +7,18 @@
 //! `G(x, y)` as a [`cpdb_genfunc::Poly2`] for every one of the `n + 1`
 //! prefixes (`~n⁴`) — so conformance checks can pin the fast scan to it
 //! prefix by prefix.
-
-use cpdb_andxor::{AndXorTree, VarAssignment};
+//!
+//! Likewise the production Theorem 4 median in
+//! [`cpdb_consensus::topk::median_dp`] is one descending (max, +) sweep that
+//! rebuilds only the winning witness. This module keeps the literal form:
+//! one recursive knapsack program per score threshold, a witness key set in
+//! every cell.
+use cpdb_andxor::{AndXorTree, NodeId, NodeKind, VarAssignment};
 use cpdb_consensus::jaccard::JaccardConsensus;
+use cpdb_consensus::topk::median_dp::MedianTopK;
+use cpdb_consensus::TopKContext;
 use cpdb_genfunc::Truncation;
-use cpdb_model::{Alternative, PossibleWorld};
+use cpdb_model::{Alternative, ModelError, PossibleWorld, TupleKey};
 use std::collections::HashSet;
 
 /// Lemma 1 read off the full bivariate generating function: the exact
@@ -69,4 +76,109 @@ pub fn best_prefix_world_poly2(
         world: PossibleWorld::from_trusted(sorted[..best].iter().map(|(a, _)| *a).collect()),
         expected_distance: distances[best],
     }
+}
+
+/// One program cell: the best `Σ Pr(r(t) ≤ k)` and the key set attaining
+/// it, for a fixed subtree and world size.
+type Cell = Option<(f64, Vec<TupleKey>)>;
+
+/// Theorem 4 as the paper states it: one recursive knapsack program over the
+/// tree per distinct score threshold (highest first) for the size-`k`
+/// candidates, then one over the unrestricted tree for the worlds of every
+/// size below `k`. A later candidate wins only when strictly better.
+pub fn median_topk_sym_diff_recursive(
+    tree: &AndXorTree,
+    ctx: &TopKContext,
+) -> Result<MedianTopK, ModelError> {
+    let k = ctx.k();
+    let mut best: Option<(f64, Vec<TupleKey>)> = None;
+    let mut offer = |size: usize, cell: &Cell| {
+        if let Some((profit, keys)) = cell {
+            let objective = profit - 0.5 * size as f64;
+            if best.as_ref().is_none_or(|(b, _)| objective > *b) {
+                best = Some((objective, keys.clone()));
+            }
+        }
+    };
+    for &a in tree.distinct_values().iter().rev() {
+        offer(k, &subtree_dp(tree, tree.root(), ctx, k, Some(a))[k]);
+    }
+    if k > 0 {
+        let table = subtree_dp(tree, tree.root(), ctx, k, None);
+        for (size, cell) in table.iter().enumerate().take(k) {
+            offer(size, cell);
+        }
+    }
+    MedianTopK::from_keys(ctx, best.map(|(_, keys)| keys).unwrap_or_default())
+}
+
+/// The program over the subtree rooted at `node`, restricted to leaves
+/// scoring `≥ threshold` (unrestricted for `None`): for each size `i ≤ k`
+/// the best `Σ Pr(r(t) ≤ k)` over the worlds of exactly that size.
+fn subtree_dp(
+    tree: &AndXorTree,
+    node: NodeId,
+    ctx: &TopKContext,
+    k: usize,
+    threshold: Option<f64>,
+) -> Vec<Cell> {
+    let mut table: Vec<Cell> = vec![None; k + 1];
+    match (tree.node_kind(node), tree.leaf_alternative(node)) {
+        (None, None) => {}
+        (None, Some(alt)) => {
+            if threshold.is_none_or(|a| alt.value.0 >= a) {
+                // An admitted leaf always materialises: size 0 is unreachable.
+                if k >= 1 {
+                    table[1] = Some((ctx.topk_probability(alt.key), vec![alt.key]));
+                }
+            } else {
+                table[0] = Some((0.0, Vec::new()));
+            }
+        }
+        (Some(NodeKind::Xor), _) => {
+            let children = tree.children(node);
+            let leftover: f64 = 1.0 - children.iter().map(|(_, p)| *p).sum::<f64>();
+            if leftover > 1e-12 {
+                table[0] = Some((0.0, Vec::new()));
+            }
+            for (child, p) in children {
+                if *p <= 0.0 {
+                    continue;
+                }
+                let child_table = subtree_dp(tree, *child, ctx, k, threshold);
+                for (i, cell) in child_table.into_iter().enumerate() {
+                    if let Some((profit, keys)) = cell {
+                        if table[i].as_ref().is_none_or(|(b, _)| profit > *b) {
+                            table[i] = Some((profit, keys));
+                        }
+                    }
+                }
+            }
+        }
+        (Some(NodeKind::And), _) => {
+            table[0] = Some((0.0, Vec::new()));
+            for (child, _) in tree.children(node) {
+                let child_table = subtree_dp(tree, *child, ctx, k, threshold);
+                let mut next: Vec<Cell> = vec![None; k + 1];
+                for (i, cell) in table.iter().enumerate() {
+                    let Some((profit_a, keys_a)) = cell else {
+                        continue;
+                    };
+                    for (j, child_cell) in child_table.iter().enumerate().take(k + 1 - i) {
+                        let Some((profit_b, keys_b)) = child_cell else {
+                            continue;
+                        };
+                        let profit = profit_a + profit_b;
+                        if next[i + j].as_ref().is_none_or(|(b, _)| profit > *b) {
+                            let mut keys = keys_a.clone();
+                            keys.extend_from_slice(keys_b);
+                            next[i + j] = Some((profit, keys));
+                        }
+                    }
+                }
+                table = next;
+            }
+        }
+    }
+    table
 }

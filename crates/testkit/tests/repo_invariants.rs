@@ -82,6 +82,22 @@ fn median_dp_module_keeps_its_unwrap_gate() {
     );
 }
 
+/// The median answer reads its profits from the rank context and builds its
+/// list through the symmetric-difference module; both keep the median's
+/// panic-freedom gate.
+#[test]
+fn median_neighbour_modules_keep_their_unwrap_gates() {
+    for module in ["context.rs", "sym_diff.rs"] {
+        let module = crates_dir().join("consensus/src/topk").join(module);
+        let src = std::fs::read_to_string(&module).expect("topk module is readable");
+        assert!(
+            src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+            "{} lost its unwrap/expect lint gate",
+            module.display()
+        );
+    }
+}
+
 /// Every perf number comes from the one `ledger` driver and lands in
 /// `BENCH_ledger.json`: no per-suite emitter binary or bench JSON grows back.
 #[test]

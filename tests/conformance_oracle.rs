@@ -8,6 +8,7 @@
 //! algorithms must keep this suite green — it pins the paper's theorems to
 //! executable checks, independently of the per-crate unit tests.
 
+use consensus_pdb::workloads::{random_scored_bid_tree, BidConfig, ScoreDistribution};
 use cpdb_testkit::conformance::{self, run_seed};
 use cpdb_testkit::fixtures;
 
@@ -62,4 +63,83 @@ fn topk_checks_cover_k_beyond_instance_size() {
     let tree = fixtures::small_bid_tree(1);
     assert!(conformance::check_topk_means(&tree, 10) > 0);
     assert!(conformance::check_topk_median_dp(&tree, 10) > 0);
+}
+
+#[test]
+fn median_sweep_matches_the_oracle_on_edge_trees() {
+    for (label, tree) in fixtures::jaccard_edge_trees() {
+        let checks: usize = (1..=3)
+            .map(|k| conformance::check_topk_median_dp(&tree, k))
+            .sum();
+        assert!(
+            checks > 0 || tree.keys().is_empty(),
+            "{label}: no median checks ran"
+        );
+    }
+}
+
+#[test]
+fn median_sweep_matches_the_reference_with_a_nan_score() {
+    // No threshold admits a NaN-scored leaf, so it can only appear in a
+    // small world of the unrestricted tree.
+    let mut b = consensus_pdb::andxor::AndXorTreeBuilder::new();
+    let mut blocks = Vec::new();
+    for (key, score, p) in [
+        (1, f64::NAN, 0.9),
+        (2, 5.0, 0.6),
+        (3, 7.0, 0.3),
+        (4, 5.0, 0.8),
+    ] {
+        let leaf = b.leaf_parts(key, score);
+        blocks.push(b.xor_node(vec![(leaf, p)]));
+    }
+    let root = b.and_node(blocks);
+    let tree = b.build(root).expect("a valid tree");
+    for k in 1..=4 {
+        conformance::check_topk_median_reference(&tree, k);
+    }
+}
+
+/// Tree `j` of the 16 a `serve_mix` load run at seed 1 serves, at `n`
+/// blocks: the scored-BID family with 2 alternatives per block, 30% maybe
+/// blocks and uniform scores in `[0, 1e6)`.
+fn serve_mix_tree(n: usize, j: u64) -> consensus_pdb::andxor::AndXorTree {
+    random_scored_bid_tree(&BidConfig {
+        num_blocks: n,
+        alternatives_per_block: 2,
+        maybe_fraction: 0.3,
+        scores: ScoreDistribution::Uniform { lo: 0.0, hi: 1e6 },
+        seed: 1 ^ j.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    })
+}
+
+/// The median sweep against the literal per-threshold program on the
+/// serving trees, too large for world enumeration: the same key set, or an
+/// objective tie within 1e-12.
+fn median_sweep_matches_the_reference_on_serving_trees(n: usize) {
+    let mut ties = 0;
+    for j in 0..16 {
+        let tree = serve_mix_tree(n, j);
+        for k in [5, 10] {
+            if !conformance::check_topk_median_reference(&tree, k) {
+                ties += 1;
+                eprintln!("n={n} tree {j} k={k}: different key set, tied objective");
+            }
+        }
+    }
+    eprintln!("n={n}: {ties} of 32 answers tie on a different key set");
+}
+
+#[test]
+fn median_sweep_matches_the_reference_on_serving_trees_n120() {
+    median_sweep_matches_the_reference_on_serving_trees(120);
+}
+
+/// Slow in a debug build (the reference is `O(n²k²)` with a witness copy
+/// per cell); run with
+/// `cargo test --release --test conformance_oracle -- --ignored`.
+#[test]
+#[ignore]
+fn median_sweep_matches_the_reference_on_serving_trees_n400() {
+    median_sweep_matches_the_reference_on_serving_trees(400);
 }

@@ -57,7 +57,7 @@ fn pipeline_topk_consensus_matches_oracle_over_generated_workloads() {
             let ctx = TopKContext::new(&tree, k);
 
             // Theorem 3 (mean, d_Δ).
-            let mean = sym_diff::mean_topk_sym_diff(&ctx);
+            let mean = sym_diff::mean_topk_sym_diff(&ctx).unwrap();
             let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
                 oracle::sym_diff_distance_fixed_k(k, a, b)
             });

@@ -97,7 +97,7 @@ proptest! {
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
         let k = k.min(items.len());
         let ctx = TopKContext::new(&tree, k);
-        let mean = sym_diff::mean_topk_sym_diff(&ctx);
+        let mean = sym_diff::mean_topk_sym_diff(&ctx).unwrap();
         let cost = sym_diff::expected_sym_diff_distance(&ctx, &mean);
         let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
             oracle::sym_diff_distance_fixed_k(k, a, b)
