@@ -51,6 +51,9 @@ const PERSISTENCE_SIZES: [usize; 3] = [50, 120, 200];
 /// Blocks in the engines of the fault, replication and observability suites.
 const DURABLE_N: usize = 80;
 const WAL_LENS: [usize; 3] = [8, 64, 256];
+/// The cold follower catch-up of loadbench's `recover` workload: a
+/// 31-record tail at the serving size, `(blocks, shipped records)`.
+const RECOVER_TAIL: (usize, usize) = (SERVING_N, 31);
 const VFS_APPENDS: usize = 256;
 const VFS_BUF_BYTES: usize = 4096;
 const STALENESS_EPOCHS: usize = 48;
@@ -244,22 +247,26 @@ fn fault_suite(n: usize, lens: &[usize], appends: usize, reps: usize) -> Suite {
     s
 }
 
+/// `catch_ups` lists the cold catch-ups as `(blocks, shipped records)`;
+/// the staleness rows run at `n` blocks.
 fn replication_suite(
     n: usize,
-    lens: &[usize],
+    catch_ups: &[(usize, usize)],
     epochs: usize,
     cadences: &[usize],
     reps: usize,
 ) -> Suite {
     let mut s = Suite::new("replication");
     let mut diverged = 0;
-    for r in replication::measure_catch_up(n, SEED, reps, lens) {
-        let row = format!("n={n} shipped_records={}", r.shipped_records);
-        s.timing(&row, "ship", "ms", &Sample::new(vec![r.ship_ms]));
-        s.timing(&row, "catch_up", "ms", &r.catch_up_ms);
-        s.value(&row, "shipped_bytes", "B", r.shipped_bytes as f64);
-        s.value(&row, "segment_bytes", "B", r.segment_bytes as f64);
-        diverged += r.diverged;
+    for &(blocks, records) in catch_ups {
+        for r in replication::measure_catch_up(blocks, SEED, reps, &[records]) {
+            let row = format!("n={blocks} shipped_records={}", r.shipped_records);
+            s.timing(&row, "ship", "ms", &Sample::new(vec![r.ship_ms]));
+            s.timing(&row, "catch_up", "ms", &r.catch_up_ms);
+            s.value(&row, "shipped_bytes", "B", r.shipped_bytes as f64);
+            s.value(&row, "segment_bytes", "B", r.segment_bytes as f64);
+            diverged += r.diverged;
+        }
     }
     for r in replication::measure_staleness(n, SEED, epochs, cadences) {
         let row = format!("n={n} epochs={epochs} sync_every={}", r.sync_every);
@@ -467,13 +474,24 @@ fn main() -> ExitCode {
         }
     };
     let machine_threads = cpdb_parallel::resolve_threads(0);
+    let catch_ups: Vec<(usize, usize)> = WAL_LENS
+        .iter()
+        .map(|&records| (DURABLE_N, records))
+        .chain([RECOVER_TAIL])
+        .collect();
     let suites = [
         rank_suite(RANK_N, RANK_K, REPS, machine_threads),
         query_suite(SERVING_N, REPS, &QUERY_DUPS, &QUERY_THREADS),
         update_suite(SERVING_N, REPS),
         persistence_suite(&PERSISTENCE_SIZES, REPS),
         fault_suite(DURABLE_N, &WAL_LENS, VFS_APPENDS, REPS),
-        replication_suite(DURABLE_N, &WAL_LENS, STALENESS_EPOCHS, &SYNC_CADENCES, REPS),
+        replication_suite(
+            DURABLE_N,
+            &catch_ups,
+            STALENESS_EPOCHS,
+            &SYNC_CADENCES,
+            REPS,
+        ),
         observability_suite(DURABLE_N, REPS, OBS_OPS, OBS_SERIES, OBS_EVENTS),
         median_suite(&MEDIAN_NS, &MEDIAN_KS, MEDIAN_REPS),
     ];
@@ -528,7 +546,7 @@ mod tests {
             update_suite(24, 2),
             persistence_suite(&[24], 2),
             fault_suite(16, &[4], 8, 2),
-            replication_suite(16, &[4], 6, &[1, 2], 2),
+            replication_suite(16, &[(16, 4)], 6, &[1, 2], 2),
             observability_suite(16, 1, 1000, 6, 16),
         ];
         let mut timed = 0;

@@ -24,7 +24,7 @@
 
 use crate::persistence::temp_dir;
 use crate::sample::Sample;
-use crate::update_throughput::{leaf_deltas, live_engine, live_tree};
+use crate::update_throughput::{leaf_deltas, live_engine, live_tree, warm_maintained_artifacts};
 use cpdb_engine::{Query, TopKMetric, Variant};
 use cpdb_live::LiveEngine;
 use cpdb_replica::{check_divergence, Follower, Primary, Transport};
@@ -74,13 +74,18 @@ fn probe() -> Vec<Query> {
 }
 
 /// A primary over `n` blocks with its store and outbox on fresh on-disk
-/// temp directories, anchor already shipped. Returns the primary and the
-/// two directories (store, outbox).
+/// temp directories, anchor already shipped. The engine is warm, as a
+/// serving primary's is: the anchor carries the pairwise tournament, the
+/// co-clustering weights and the marginal tables, so every replayed delta
+/// maintains them. Returns the primary and the two directories (store,
+/// outbox).
 fn on_disk_primary(n: usize, seed: u64) -> (Primary, PathBuf, PathBuf) {
     let store_dir = temp_dir("replication_pstore");
     let outbox = temp_dir("replication_outbox");
-    let live = LiveEngine::new_durable(live_engine(live_tree(n, seed), seed), &store_dir)
-        .expect("fresh store directory is creatable");
+    let engine = live_engine(live_tree(n, seed), seed);
+    warm_maintained_artifacts(&engine);
+    let live =
+        LiveEngine::new_durable(engine, &store_dir).expect("fresh store directory is creatable");
     live.set_snapshot_every(u64::MAX); // hold compaction off: pure WAL shipping
     let primary = Primary::attach(live, std_vfs(), &outbox).expect("fresh outbox is claimable");
     primary.ship().expect("anchor ship succeeds");

@@ -15,22 +15,21 @@ use std::collections::HashMap;
 
 /// The per-key statistic tables, in slab order.
 const PMF: usize = 0;
-const CDF: usize = 1;
-const PREFIX_MASS: usize = 2;
-const PREFIX_WEIGHTED: usize = 3;
-const PROFIT_SUFFIX: usize = 4;
-const TABLES: usize = 5;
+const PREFIX_MASS: usize = 1;
+const PREFIX_WEIGHTED: usize = 2;
+const PROFIT_SUFFIX: usize = 3;
+const TABLES: usize = 4;
 
 /// Precomputed rank statistics for a Top-k query over an and/xor tree.
 ///
 /// Every statistic lives in one slab: for the key at position `p` of the
 /// sorted [`TopKContext::keys`], table `T` is the `k` entries from
-/// `(p·5 + T)·k`, entry `i − 1` belonging to position `i`:
+/// `(p·4 + T)·k`, entry `i − 1` belonging to position `i`:
 ///
 /// * `pmf`: `Pr(r(t) = i)`;
-/// * `cdf`: `Pr(r(t) ≤ i)`;
 /// * `prefix_mass`: the raw (unclamped) prefix sums `Σ_{j ≤ i} Pr(r(t) = j)`,
-///   the O(1) backbone of the footrule placement cost;
+///   the O(1) backbone of the footrule placement cost; clamped to 1 it is
+///   the CDF `Pr(r(t) ≤ i)`;
 /// * `prefix_weighted`: the rank-weighted prefix sums
 ///   `Σ_{j ≤ i} j·Pr(r(t) = j)`, whose last entry is Υ₂(t);
 /// * `profit_suffix`: the harmonic suffix sums `Σ_{i' = i..k} Pr(r(t) ≤ i')/i'`,
@@ -72,8 +71,8 @@ impl TopKContext {
         Self::from_parts(k, keys, &pmf)
     }
 
-    /// Derives every cached statistic (CDF, prefix sums, harmonic suffix
-    /// sums) from the rank PMFs. All derived tables are O(n·k) to build and
+    /// Derives every cached statistic (prefix sums, harmonic suffix sums)
+    /// from the rank PMFs. All derived tables are O(n·k) to build and
     /// make the per-(tuple, position) queries of the assignment solvers O(1).
     /// A key without a PMF gets all-zero tables.
     fn from_parts(k: usize, keys: Vec<TupleKey>, pmf: &HashMap<TupleKey, Vec<f64>>) -> Self {
@@ -84,7 +83,6 @@ impl TopKContext {
                 continue;
             };
             let (pmf, rest) = tables.split_at_mut(k);
-            let (cdf, rest) = rest.split_at_mut(k);
             let (mass, rest) = rest.split_at_mut(k);
             let (weighted, suffix) = rest.split_at_mut(k);
             let (mut acc, mut wacc) = (0.0, 0.0);
@@ -92,13 +90,12 @@ impl TopKContext {
                 acc += v;
                 wacc += (i + 1) as f64 * v;
                 pmf[i] = v;
-                cdf[i] = acc.min(1.0);
                 mass[i] = acc;
                 weighted[i] = wacc;
             }
             let mut tail = 0.0;
             for i in (1..=k).rev() {
-                tail += cdf[i - 1] / i as f64;
+                tail += mass[i - 1].min(1.0) / i as f64;
                 suffix[i - 1] = tail;
             }
         }
@@ -140,10 +137,9 @@ impl TopKContext {
             return 0.0;
         }
         let i = i.min(self.k);
-        self.table(t, CDF)
+        self.table(t, PREFIX_MASS)
             .and_then(|c| c.get(i - 1))
-            .copied()
-            .unwrap_or(0.0)
+            .map_or(0.0, |m| m.min(1.0))
     }
 
     /// `Pr(r(t) ≤ k)` — the probability that `t` makes the Top-k at all.

@@ -62,7 +62,10 @@ pub struct CacheStats {
     pub key_index_hits: usize,
     /// Built artifacts `Arc`-shared unchanged into a delta-built next-epoch
     /// engine ([`ConsensusEngine::apply_delta`]): their dependencies were
-    /// untouched by the mutation.
+    /// untouched by the mutation. The three `delta_*` counters count one
+    /// maintenance round per call, so a run maintained as one batch
+    /// ([`ConsensusEngine::apply_deltas`], `LiveEngine::apply_all`) counts
+    /// each artifact once, not once per delta.
     pub delta_kept: usize,
     /// Built artifacts selectively patched (affected keys only, bit-identical
     /// to a full rebuild) across delta applications.

@@ -22,7 +22,10 @@
 //!   [`DeltaImpact`] dependency extract. A single-∨ probability update keeps
 //!   the key index, patches the marginal/candidate tables and the pairwise
 //!   tournaments in `O(n)` pair evaluations, and drops only the global-rank
-//!   PMFs.
+//!   PMFs. A batch ([`LiveEngine::apply_all`]) serves only its final epoch,
+//!   so it is maintained once against the run's combined impact
+//!   ([`ConsensusEngine::apply_deltas`]) and reported as one
+//!   [`DeltaReport`] for the whole run.
 //! * **Serving is snapshot-isolated** ([`LiveEngine`]): readers take a cheap
 //!   [`Snapshot`] handle (an `Arc` onto the current epoch) and keep querying
 //!   it for as long as they like — a writer swapping in the next epoch never
@@ -119,7 +122,7 @@
 #![warn(missing_docs)]
 
 use cpdb_engine::{ConsensusEngine, EngineError};
-use cpdb_obs::{EventKind, Gauge, Histogram, MetricsSnapshot, Obs};
+use cpdb_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Obs};
 use cpdb_store::Store;
 use std::fmt;
 use std::ops::Deref;
@@ -348,13 +351,16 @@ fn duplicate_store_error(e: &StoreError) -> StoreError {
 }
 
 /// Pre-registered live-layer metrics: apply/publish and snapshot-write
-/// latency histograms plus the served-epoch gauge. Cloning shares the
-/// underlying handles; the default is a disabled sink (one branch per
-/// record site, no allocation).
+/// latency histograms, the applied-delta counter and the served-epoch
+/// gauge. Cloning shares the underlying handles; the default is a disabled
+/// sink (one branch per record site, no allocation).
 #[derive(Debug, Clone, Default)]
 struct LiveObs {
     obs: Obs,
+    /// One sample per `apply`/`apply_all` call, whatever the batch length.
     apply: Histogram,
+    /// Deltas published: 1 per `apply`, N per `apply_all` of N deltas.
+    deltas: Counter,
     compaction: Histogram,
     epoch: Gauge,
 }
@@ -363,6 +369,7 @@ impl LiveObs {
     fn new(obs: Obs) -> Self {
         LiveObs {
             apply: obs.histogram("live.apply"),
+            deltas: obs.counter("live.apply.deltas"),
             compaction: obs.histogram("live.compaction"),
             epoch: obs.gauge("live.epoch"),
             obs,
@@ -488,13 +495,15 @@ impl Deref for Snapshot {
     }
 }
 
-/// The outcome of one applied delta: the epoch it published and the
-/// per-artifact maintenance record.
+/// The outcome of one published write — a single delta
+/// ([`LiveEngine::apply`]) or a whole batch ([`LiveEngine::apply_all`]):
+/// the epoch it published and the per-artifact maintenance record.
 #[derive(Debug)]
 pub struct AppliedDelta {
     /// The epoch the mutated engine was published as.
     pub epoch: u64,
-    /// Which built artifacts were kept / patched / invalidated.
+    /// Which built artifacts were kept / patched / invalidated — for a
+    /// batch, by the one maintenance round over the whole run.
     pub report: DeltaReport,
 }
 
@@ -732,21 +741,29 @@ impl LiveEngine {
         let next = Arc::new(Epoch { epoch, engine });
         self.current.store(next.clone());
         self.obs.published(epoch);
+        self.obs.deltas.incr();
         self.after_publish(1, next);
         Ok(AppliedDelta { epoch, report })
     }
 
-    /// Applies a sequence of deltas **atomically**: every delta is staged
-    /// against its predecessor first, then the whole batch is WAL-logged
-    /// under a single fsync (durable engines), then the final epoch is
-    /// published with one pointer store. If *any* delta fails, nothing is
-    /// published, no epoch advances, and no WAL record is written — readers
-    /// never observe a partially-applied batch.
+    /// Applies a sequence of deltas **atomically**: the tree takes every
+    /// delta in order and the next-epoch engine is staged once, its
+    /// artifacts maintained against the run's combined impact
+    /// ([`ConsensusEngine::apply_deltas`], bit-identical to applying the
+    /// deltas one at a time). Then the whole batch is WAL-logged under a
+    /// single fsync (durable engines), one record per delta, and the final
+    /// epoch `current + deltas.len()` is published with one pointer store.
+    /// If *any* delta fails, nothing is published, no epoch advances, and
+    /// no WAL record is written — readers never observe a partially-applied
+    /// batch.
     ///
-    /// On success the returned outcomes number the intermediate epochs
-    /// `current + 1 ..= current + deltas.len()`; only the last is ever
-    /// served, the others exist as maintenance records.
-    pub fn apply_all(&self, deltas: &[TreeDelta]) -> Result<Vec<AppliedDelta>, LiveError> {
+    /// The one outcome names the published epoch, and its [`DeltaReport`]
+    /// covers the whole run; the intermediate epochs are never served and
+    /// get no engine of their own. An empty batch publishes nothing and
+    /// returns `None`. The engine's
+    /// [`CacheStats`](cpdb_engine::CacheStats) `delta_*` counters therefore
+    /// count one maintenance round per batch, not per delta.
+    pub fn apply_all(&self, deltas: &[TreeDelta]) -> Result<Option<AppliedDelta>, LiveError> {
         let _span = self.obs.obs.span(&self.obs.apply);
         let _writer = self
             .writer
@@ -757,16 +774,13 @@ impl LiveEngine {
                 return Err(LiveError::Degraded(reason));
             }
         }
+        if deltas.is_empty() {
+            return Ok(None);
+        }
         let base = self.current_arc();
-
-        let mut staged: Vec<(ConsensusEngine, DeltaReport)> = Vec::with_capacity(deltas.len());
-        for delta in deltas {
-            let source = staged.last().map(|(e, _)| e).unwrap_or(&base.engine);
-            staged.push(source.apply_delta(delta)?);
-        }
-        if staged.is_empty() {
-            return Ok(Vec::new());
-        }
+        let (engine, report) = base.engine.apply_deltas(deltas)?;
+        let count = deltas.len() as u64;
+        let epoch = base.epoch + count;
         if let Some(d) = &self.durability {
             let appended = d.store.append_all(
                 deltas
@@ -784,31 +798,12 @@ impl LiveEngine {
                 return Err(err);
             }
         }
-
-        let count = staged.len();
-        let mut outcomes = Vec::with_capacity(count);
-        let mut last_engine = None;
-        for (i, (engine, report)) in staged.into_iter().enumerate() {
-            outcomes.push(AppliedDelta {
-                epoch: base.epoch + 1 + i as u64,
-                report,
-            });
-            if i + 1 == count {
-                last_engine = Some(engine);
-            }
-        }
-        let Some(engine) = last_engine else {
-            // Unreachable: the batch was checked non-empty above.
-            return Ok(outcomes);
-        };
-        let next = Arc::new(Epoch {
-            epoch: base.epoch + count as u64,
-            engine,
-        });
+        let next = Arc::new(Epoch { epoch, engine });
         self.current.store(next.clone());
-        self.obs.published(base.epoch + count as u64);
-        self.after_publish(count as u64, next);
-        Ok(outcomes)
+        self.obs.published(epoch);
+        self.obs.deltas.add(count);
+        self.after_publish(count, next);
+        Ok(Some(AppliedDelta { epoch, report }))
     }
 
     /// Bumps the durability delta counter and, when the snapshot cadence is
@@ -1225,11 +1220,12 @@ mod tests {
         let live = live();
         let snap = live.snapshot();
         let deltas = vec![reweight(&snap, 1, 0.25), reweight(&snap, 2, 0.65)];
-        let outcomes = live.apply_all(&deltas).unwrap();
-        assert_eq!(
-            outcomes.iter().map(|o| o.epoch).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
+        // One outcome for the published epoch: the epoch advances by N.
+        let outcome = live.apply_all(&deltas).unwrap().unwrap();
+        assert_eq!(outcome.epoch, 2);
+        assert_eq!(live.epoch(), 2);
+        // An empty batch publishes nothing.
+        assert!(live.apply_all(&[]).unwrap().is_none());
         assert_eq!(live.epoch(), 2);
     }
 
@@ -1316,7 +1312,7 @@ mod tests {
             assert_eq!(live.epoch(), 0);
             // A later, valid batch still commits at the right epochs.
             let ok = live.apply_all(&[reweight(&snap, 2, 0.7)]).unwrap();
-            assert_eq!(ok[0].epoch, 1);
+            assert_eq!(ok.map(|o| o.epoch), Some(1));
         }
         // Reopening proves the failed batch wrote nothing to the WAL: the
         // recovered epoch counts only the committed delta.

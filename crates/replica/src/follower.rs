@@ -198,10 +198,14 @@ impl Follower {
         Ok(follower)
     }
 
-    /// Fetches the latest manifest and replays every verified segment past
-    /// the applied epoch. Returns the new applied epoch. On failure the
-    /// served state is untouched and the replication link is marked
-    /// degraded; readers keep answering from the last verified epoch.
+    /// Fetches the latest manifest, then fetches and verifies every segment
+    /// past the applied epoch, and only then replays the whole tail as one
+    /// batch ([`LiveEngine::apply_all`]: one WAL group commit, artifacts
+    /// maintained once, one publish). Returns the new applied epoch. On
+    /// failure — a segment that cannot be fetched or verified, or a chain
+    /// gap — nothing of the tail is applied: the served state is untouched
+    /// and the replication link is marked degraded; readers keep answering
+    /// from the last verified epoch.
     pub fn sync(&mut self) -> Result<u64, ReplicaError> {
         match self.sync_inner() {
             Ok(epoch) => {
@@ -222,25 +226,25 @@ impl Follower {
     fn sync_inner(&mut self) -> Result<u64, ReplicaError> {
         let manifest = fetch_manifest(&self.transport, &self.obs)?;
         self.adopt_manifest(&manifest)?;
-        for meta in &manifest.segments {
-            let applied = self.live.epoch();
-            if meta.last_epoch <= applied {
-                continue;
-            }
-            let records = self.fetch_segment(meta)?;
-            let deltas: Vec<TreeDelta> = records
-                .iter()
+        let applied = self.live.epoch();
+        let mut deltas: Vec<TreeDelta> = Vec::new();
+        for meta in manifest.segments.iter().filter(|m| m.last_epoch > applied) {
+            // `decode_segment` already holds a segment's records contiguous;
+            // across segments, each must continue the running epoch.
+            let mut records = self
+                .fetch_segment(meta)?
+                .into_iter()
                 .filter(|(e, _)| *e > applied)
-                .map(|(_, d)| d.clone())
-                .collect();
-            if let Some((first, _)) = records.iter().find(|(e, _)| *e > applied) {
-                if *first != applied + 1 {
-                    return Err(ReplicaError::ChainBroken {
-                        expected: applied + 1,
-                        found: *first,
-                    });
+                .peekable();
+            let expected = applied + 1 + deltas.len() as u64;
+            if let Some(&(found, _)) = records.peek() {
+                if found != expected {
+                    return Err(ReplicaError::ChainBroken { expected, found });
                 }
             }
+            deltas.extend(records.map(|(_, d)| d));
+        }
+        if !deltas.is_empty() {
             self.live.apply_all(&deltas)?;
         }
         Ok(self.live.epoch())

@@ -13,9 +13,10 @@
 //!   publish-pointer-is-commit-point rule.
 //! * A [`Follower`] bootstraps a read-only engine from the shipped anchor
 //!   and tails the segment chain through a [`Transport`], verifying every
-//!   byte against the manifest before replay. Corrupt or torn ships are
-//!   quarantined and re-fetched; until a verified segment arrives the
-//!   follower keeps serving its last verified epoch.
+//!   byte of the whole tail against the manifest before replaying it as one
+//!   batch. Corrupt or torn ships are quarantined and re-fetched; until
+//!   every segment of the tail verifies, the follower applies none of it
+//!   and keeps serving its last verified epoch.
 //! * [`check_divergence`] proves (or refutes) that a follower's state is
 //!   bit-identical to the primary's at the same epoch: an epoch-stamped
 //!   digest of the canonical export plus conformance probes.

@@ -215,8 +215,10 @@ impl Primary {
         Ok(self.live.apply(delta)?)
     }
 
-    /// Applies a batch atomically after confirming chain ownership.
-    pub fn apply_all(&self, deltas: &[TreeDelta]) -> Result<Vec<AppliedDelta>, ReplicaError> {
+    /// Applies a batch atomically after confirming chain ownership
+    /// ([`LiveEngine::apply_all`]): one outcome for the published epoch,
+    /// whose report covers the whole run, or `None` for an empty batch.
+    pub fn apply_all(&self, deltas: &[TreeDelta]) -> Result<Option<AppliedDelta>, ReplicaError> {
         self.check_fence()?;
         Ok(self.live.apply_all(deltas)?)
     }

@@ -250,6 +250,57 @@ fn follower_keeps_serving_while_the_link_is_down() {
 }
 
 #[test]
+fn sync_applies_nothing_when_a_later_segment_is_unavailable() {
+    let pvfs = FaultVfs::new();
+    let fvfs = FaultVfs::new();
+    let primary = primary(&pvfs);
+    primary.ship().unwrap(); // anchor at 0
+    let mut follower = follower(&pvfs, &fvfs);
+    assert_eq!(follower.applied_epoch(), 0);
+    let before = follower.snapshot().run(&topk(2)).unwrap();
+
+    // Two segments: epochs 1..=2, then 3..=4.
+    let deltas = leaf_deltas(primary.snapshot().tree(), 4);
+    for batch in deltas.chunks(2) {
+        for delta in batch {
+            primary.apply(delta).unwrap();
+        }
+        primary.ship().unwrap();
+    }
+    let manifest = read_manifest_with(&arc(&pvfs), Path::new("/p/outbox")).unwrap();
+    assert_eq!(
+        manifest
+            .segments
+            .iter()
+            .map(|s| (s.first_epoch, s.last_epoch))
+            .collect::<Vec<_>>(),
+        vec![(1, 2), (3, 4)]
+    );
+
+    // The second segment cannot be fetched: the first one, although it
+    // verifies, must not be applied either.
+    let outbox = Path::new("/p/outbox");
+    let second = outbox.join(cpdb_store::ship::segment_file_name(3, 4));
+    let parked = outbox.join("parked-segment");
+    let pv = arc(&pvfs);
+    pv.rename(&second, &parked).unwrap();
+    let err = follower.sync().unwrap_err();
+    assert!(
+        matches!(err, ReplicaError::SegmentUnavailable { .. }),
+        "{err}"
+    );
+    assert_eq!(follower.applied_epoch(), 0);
+    assert_eq!(follower.snapshot().run(&topk(2)).unwrap(), before);
+    assert!(!follower.health().replication.unwrap().link.is_healthy());
+
+    // Once the segment is back, one sync reaches the shipped epoch.
+    pv.rename(&parked, &second).unwrap();
+    assert_eq!(follower.sync().unwrap(), 4);
+    assert_eq!(follower.applied_epoch(), 4);
+    check_divergence(&primary.snapshot(), &follower.snapshot(), &probes()).unwrap();
+}
+
+#[test]
 fn watermark_retains_wal_for_a_lagging_follower() {
     let pvfs = FaultVfs::new();
     let fvfs = FaultVfs::new();

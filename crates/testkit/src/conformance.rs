@@ -1196,6 +1196,27 @@ pub(crate) fn random_live_delta<R: rand::Rng + ?Sized>(
     }
 }
 
+/// Valid random deltas for `steps`, each drawn (kind by its step, as in
+/// [`random_live_delta`]) against the tree the deltas before it produce, so
+/// the whole run applies in order.
+pub(crate) fn random_live_run<R: rand::Rng + ?Sized>(
+    tree: &AndXorTree,
+    steps: std::ops::Range<usize>,
+    rng: &mut R,
+) -> Vec<cpdb_live::TreeDelta> {
+    let mut tree = tree.clone();
+    steps
+        .map(|step| {
+            let delta = random_live_delta(&tree, step, rng);
+            tree = tree
+                .apply_delta(&delta)
+                .expect("generated deltas are valid")
+                .0;
+            delta
+        })
+        .collect()
+}
+
 /// `cpdb_live` end-to-end conformance: a [`cpdb_live::LiveEngine`] absorbs a
 /// seeded random delta sequence covering every [`cpdb_live::TreeDelta`]
 /// kind; after **every** delta, the patched engine's answers over a probe
@@ -1275,6 +1296,107 @@ pub fn check_live_updates(tree: &AndXorTree, seed: u64) -> usize {
             now.epoch()
         );
         checks += probe.len();
+    }
+    checks
+}
+
+/// Batched-replay conformance: a run of deltas applied as one
+/// [`cpdb_live::LiveEngine::apply_all`] batch (artifacts maintained once,
+/// against the run's combined impact) must publish exactly what applying
+/// them one at a time publishes — the same epoch, an equal
+/// [`export`](cpdb_engine::ConsensusEngine::export), and the same `Debug`
+/// text for every probe answer.
+///
+/// Both sides start from one warm engine with every artifact built. The
+/// runs have 1, 2, 8 and 31 deltas, drawn across every
+/// [`cpdb_live::TreeDelta`] kind; one more run updates a leaf value of every
+/// key, so its combined impact covers every key and the batch takes the
+/// all-keys invalidation path while each single delta is patched.
+pub fn check_batched_apply(tree: &AndXorTree, seed: u64) -> usize {
+    use cpdb_live::{ArtifactDecision, LiveEngine, TreeDelta};
+    use rand::Rng;
+    const KENDALL_SAMPLES: usize = 64;
+    const RUNS: [usize; 4] = [1, 2, 8, 31];
+
+    let n = tree.keys().len();
+    let warm = ConsensusEngineBuilder::new(tree.clone())
+        .seed(seed)
+        .kendall_distance_samples(KENDALL_SAMPLES)
+        .k_range(1..=n.max(1))
+        .build()
+        .expect("batched-apply conformance configuration is valid");
+    let probe = live_probe(&[1, 2.min(n.max(1))]);
+    for answer in warm.run_batch_serial(&probe) {
+        answer.expect("probe queries are all supported");
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C_4ED0);
+
+    // The step counter runs on across runs, so short runs cover other kinds.
+    let mut step = 0;
+    let mut runs: Vec<Vec<TreeDelta>> = RUNS
+        .iter()
+        .map(|&len| {
+            step += len;
+            random_live_run(tree, step - len..step, &mut rng)
+        })
+        .collect();
+    let every_key: Vec<TreeDelta> = tree
+        .keys()
+        .iter()
+        .map(|key| TreeDelta::LeafValue {
+            leaf: tree.leaves_of_key(key.0)[0],
+            value: rng.gen_range(0.0..100.0),
+        })
+        .collect();
+    runs.push(every_key);
+
+    let mut checks = 0;
+    for (r, run) in runs.iter().enumerate() {
+        let batched = LiveEngine::new(warm.clone());
+        let outcome = batched
+            .apply_all(run)
+            .expect("generated runs are valid")
+            .expect("runs are non-empty");
+        let sequential = LiveEngine::new(warm.clone());
+        for delta in run {
+            sequential.apply(delta).expect("generated runs are valid");
+        }
+        assert_eq!(outcome.epoch, run.len() as u64, "run {r}: batch epoch");
+        assert_eq!(batched.epoch(), sequential.epoch(), "run {r}: epochs");
+        if r == RUNS.len() {
+            assert!(
+                outcome
+                    .report
+                    .decisions
+                    .iter()
+                    .any(|(label, d)| label == "preference_matrix"
+                        && *d == ArtifactDecision::Invalidated),
+                "run {r}: a run touching every key must invalidate the tournament: {:?}",
+                outcome.report
+            );
+            checks += 1;
+        }
+        let (b, s) = (batched.snapshot(), sequential.snapshot());
+        let answers = |snap: &cpdb_live::Snapshot| {
+            snap.run_batch_serial(&probe)
+                .iter()
+                .map(|a| format!("{a:?}"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            answers(&b),
+            answers(&s),
+            "run {r} of {} deltas: batched answers diverge from sequential",
+            run.len()
+        );
+        // After the probe both sides hold the same built artifacts, whether
+        // each was kept, patched, or rebuilt after an invalidation.
+        assert!(
+            b.export() == s.export(),
+            "run {r} of {} deltas: batched export diverges from sequential",
+            run.len()
+        );
+        checks += 2 + probe.len();
     }
     checks
 }
@@ -1610,8 +1732,10 @@ pub struct ConformanceSummary {
 /// (parallel `run_batch` and multi-thread shared-engine traffic bit-identical
 /// to the serial loop), the live-update conformance (delta-patched
 /// epochs ≡ from-scratch engines after every mutation, with selective
-/// artifact invalidation), and the `cpdb_sync` facade-transparency check
-/// (the synchronization shims are bit-invisible on normal builds).
+/// artifact invalidation), batched replay (`apply_all` ≡ one-at-a-time
+/// `apply` on BID, tuple-independent, nested and clustering trees), and the
+/// `cpdb_sync` facade-transparency check (the synchronization shims are
+/// bit-invisible on normal builds).
 pub fn run_seed(seed: u64) -> ConformanceSummary {
     let ti_db = fixtures::small_tuple_independent(seed);
     let ti_tree = fixtures::small_tuple_independent_tree(seed);
@@ -1647,6 +1771,10 @@ pub fn run_seed(seed: u64) -> ConformanceSummary {
     checks += check_engine_concurrency(&bid_tree, &groupby, seed);
     checks += check_live_updates(&bid_tree, seed);
     checks += check_live_updates(&ti_tree, seed);
+    checks += check_batched_apply(&bid_tree, seed);
+    checks += check_batched_apply(&ti_tree, seed);
+    checks += check_batched_apply(&fixtures::small_nested_tree(seed), seed);
+    checks += check_batched_apply(&fixtures::small_clustering_tree(seed), seed);
     checks += check_persistence(&bid_tree, seed);
     checks += check_persistence(&ti_tree, seed);
     checks += check_sync_shims(&bid_tree, seed);
@@ -1666,6 +1794,18 @@ mod tests {
             summary.checks > 40,
             "expected a full sweep, got {summary:?}"
         );
+    }
+
+    #[test]
+    fn batched_apply_matches_sequential_on_every_tree_family() {
+        for tree in [
+            fixtures::small_bid_tree(1),
+            fixtures::small_tuple_independent_tree(1),
+            fixtures::small_nested_tree(1),
+            fixtures::small_clustering_tree(1),
+        ] {
+            assert!(check_batched_apply(&tree, 1) > 0);
+        }
     }
 
     #[test]

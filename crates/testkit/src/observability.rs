@@ -16,14 +16,16 @@
 //!   `engine.cache.*` entries of the unified snapshot equal the
 //!   [`CacheStats`](cpdb_engine::CacheStats) surface they fold in; each
 //!   artifact's build counter equals its build-latency histogram count;
-//!   query-latency histogram counts sum to the queries issued; and the
+//!   query-latency histogram counts sum to the queries issued; the
+//!   `live.apply.deltas` counter equals the deltas issued, single and
+//!   batched, while `live.apply` takes one sample per call; and the
 //!   flight recorder holds matching query start/finish event counts.
 //! * **Health transitions** — one permanent-outage fault schedule drives
 //!   the engine into degraded mode and back; the flight recorder must show
 //!   the `Degraded` event (and `Recovered` after the outage ends) without
 //!   perturbing the served answers.
 
-use crate::conformance::{live_probe, random_live_delta};
+use crate::conformance::{live_probe, random_live_delta, random_live_run};
 use cpdb_andxor::AndXorTree;
 use cpdb_engine::{
     Answer, ConsensusEngine, ConsensusEngineBuilder, EngineError, Query, SetMetric, TopKMetric,
@@ -38,8 +40,10 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Deltas applied per run (each publishing one epoch).
+/// Single deltas applied per run (each publishing one epoch).
 const STEPS: usize = 3;
+/// Deltas of the one `apply_all` batch that ends each run (one publish).
+const BATCH: usize = 2;
 const KENDALL_SAMPLES: usize = 64;
 const DIR: &str = "/obs/store";
 /// Large enough that no event of the workload is evicted, so event counts
@@ -114,12 +118,17 @@ fn run_workload(tree: &AndXorTree, seed: u64, probe: &[Query], obs: &Obs) -> Run
         live.apply(&delta).expect("generated deltas are valid");
         answers.push(live.snapshot().run_batch_serial(probe));
     }
+    let batch = random_live_run(live.snapshot().tree(), STEPS..STEPS + BATCH, &mut rng);
+    live.apply_all(&batch).expect("generated deltas are valid");
+    answers.push(live.snapshot().run_batch_serial(probe));
+    // Probed at epoch 0, after each single delta, and after the batch.
+    let probed = STEPS + 2;
     Run {
         answers,
         live,
-        queries_issued: ((STEPS + 1) * probe.len()) as u64,
-        jaccard_issued: ((STEPS + 1) * probe.iter().filter(|q| is_jaccard(q)).count()) as u64,
-        median_issued: ((STEPS + 1) * probe.iter().filter(|q| is_median_topk(q)).count()) as u64,
+        queries_issued: (probed * probe.len()) as u64,
+        jaccard_issued: (probed * probe.iter().filter(|q| is_jaccard(q)).count()) as u64,
+        median_issued: (probed * probe.iter().filter(|q| is_median_topk(q)).count()) as u64,
     }
 }
 
@@ -245,18 +254,28 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
     assert_eq!(count(EventKind::QueryFinish), run.queries_issued);
     assert_eq!(
         count(EventKind::EpochPublish),
-        STEPS as u64,
-        "each applied delta must publish exactly one epoch event"
+        STEPS as u64 + 1,
+        "each apply and each batch must publish exactly one epoch event"
     );
     assert_eq!(
         count(EventKind::WalAppend),
-        STEPS as u64,
-        "each applied delta must append exactly one WAL record"
+        STEPS as u64 + 1,
+        "each apply and each batch must make exactly one WAL append"
+    );
+    assert_eq!(
+        snapshot.counter("live.apply.deltas"),
+        Some((STEPS + BATCH) as u64),
+        "live.apply.deltas must count every delta issued, batched or not"
+    );
+    assert_eq!(
+        snapshot.histogram("live.apply").map(|h| h.count),
+        Some(STEPS as u64 + 1),
+        "live.apply takes one sample per call"
     );
 
     // The live gauges folded from Health agree with the epoch reached.
-    assert_eq!(snapshot.gauge("live.epoch"), Some(STEPS as u64));
-    checks + 7
+    assert_eq!(snapshot.gauge("live.epoch"), Some((STEPS + BATCH) as u64));
+    checks + 9
 }
 
 /// One chaos fault schedule: a permanent outage degrades the engine (the
