@@ -609,20 +609,35 @@ fn cocluster_entry(plan: &CopresencePlan, a: &KeySide<'_>, b: &KeySide<'_>) -> f
 /// would cost more than it saves (a live patch touches a few rows only).
 const MIN_PARALLEL_ENTRIES: usize = 4096;
 
+/// Position of the pair `(i, j)`, `i < j < n`, in a strict upper triangle
+/// over `n` keys stored row by row: row `i` holds the pairs `(i, i + 1..n)`,
+/// so the triangle has `n(n − 1)/2` entries.
+#[inline]
+pub fn upper_triangle_index(n: usize, i: usize, j: usize) -> usize {
+    debug_assert!(
+        i < j && j < n,
+        "({i}, {j}) is not an upper-triangle pair of {n}"
+    );
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
+}
+
 /// Evaluates `entry` for the key pairs at the row-major positions `fresh`
-/// of the `keys × keys` matrix `out` (on one shared [`CopresencePlan`], in
-/// parallel when there are enough of them) and writes the results in place.
-/// The plan is built only when there is something to evaluate, so a patch
-/// that touches no key costs one copy of the old matrix.
-fn fill_fresh<F>(
+/// of the `keys × keys` matrix (on one shared [`CopresencePlan`], in
+/// parallel when there are enough of them) and writes each result to
+/// `out[slot(position)]`. The plan is built only when there is something to
+/// evaluate, so a patch that touches no key costs one copy of the old
+/// entries.
+fn fill_fresh<F, S>(
     tree: &AndXorTree,
     keys: &[TupleKey],
     out: &mut [f64],
     fresh: &[usize],
     threads: usize,
     entry: F,
+    slot: S,
 ) where
     F: Fn(&CopresencePlan, &KeySide<'_>, &KeySide<'_>) -> f64 + Sync,
+    S: Fn(usize) -> usize,
 {
     if fresh.is_empty() {
         return;
@@ -640,7 +655,7 @@ fn fill_fresh<F>(
         entry(&plan, &sides[idx / n], &sides[idx % n])
     });
     for (&idx, w) in fresh.iter().zip(values) {
-        out[idx] = w;
+        out[slot(idx)] = w;
     }
 }
 
@@ -745,15 +760,26 @@ impl AndXorTree {
                 }
             }
         }
-        fill_fresh(self, keys, &mut out, &fresh, threads, pairwise_entry);
+        fill_fresh(
+            self,
+            keys,
+            &mut out,
+            &fresh,
+            threads,
+            pairwise_entry,
+            |idx| idx,
+        );
         out
     }
 
     /// The co-clustering weights `w_{ij} = Pr(i, j take the same value) +
-    /// Pr(i, j both absent)` (§6.2) as a row-major symmetric matrix over
-    /// `keys` (diagonal `1`), from the same shared root-path extraction as
-    /// [`AndXorTree::batch_pairwise_order`]. Off-diagonal entries are within
-    /// `1e-12` of `cluster_weight` + the per-pair absence sweep.
+    /// Pr(i, j both absent)` (§6.2) over `keys` as a strict upper triangle:
+    /// `n(n − 1)/2` entries, the pair `(i, j)`, `i < j`, at
+    /// [`upper_triangle_index`]. The matrix is symmetric with a unit
+    /// diagonal, so the triangle is all of it. Computed from the same shared
+    /// root-path extraction as [`AndXorTree::batch_pairwise_order`]; every
+    /// entry is within `1e-12` of `cluster_weight` + the per-pair absence
+    /// sweep.
     ///
     /// `threads = 0` means "auto"; results are bit-identical at any thread
     /// count.
@@ -771,10 +797,10 @@ impl AndXorTree {
 
     /// The **patch path** of [`AndXorTree::batch_cocluster_weights`]: like
     /// [`AndXorTree::batch_pairwise_order_partial`], recomputes only the
-    /// upper-triangle pairs with a flagged key (identical per-pair closed
-    /// form, so the patched matrix is bit-identical to a from-scratch
-    /// rebuild when `old_entry` serves pre-mutation values for untouched
-    /// pairs) and mirrors the result.
+    /// pairs with a flagged key and takes every other pair `(i, j)`, `i < j`,
+    /// from `old_entry(i, j)` (identical per-pair closed form, so the
+    /// patched triangle is bit-identical to a from-scratch rebuild when
+    /// `old_entry` serves pre-mutation values for untouched pairs).
     pub fn batch_cocluster_weights_partial<F>(
         &self,
         keys: &[TupleKey],
@@ -787,24 +813,27 @@ impl AndXorTree {
     {
         assert_eq!(keys.len(), recompute.len(), "one recompute flag per key");
         let n = keys.len();
-        let mut out = vec![0.0; n * n];
+        let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         let mut fresh = Vec::new();
         for i in 0..n {
-            out[i * n + i] = 1.0;
             for j in i + 1..n {
                 if recompute[i] || recompute[j] {
                     fresh.push(i * n + j);
+                    out.push(0.0);
                 } else {
-                    out[i * n + j] = old_entry(i, j);
+                    out.push(old_entry(i, j));
                 }
             }
         }
-        fill_fresh(self, keys, &mut out, &fresh, threads, cocluster_entry);
-        for i in 0..n {
-            for j in i + 1..n {
-                out[j * n + i] = out[i * n + j];
-            }
-        }
+        fill_fresh(
+            self,
+            keys,
+            &mut out,
+            &fresh,
+            threads,
+            cocluster_entry,
+            |idx| upper_triangle_index(n, idx / n, idx % n),
+        );
         out
     }
 }
@@ -986,21 +1015,19 @@ mod tests {
         let keys = tree.keys();
         let n = keys.len();
         let batch = tree.batch_cocluster_weights(&keys, 1);
+        assert_eq!(batch.len(), n * (n - 1) / 2);
         for (i, &a) in keys.iter().enumerate() {
-            for (j, &b) in keys.iter().enumerate() {
-                if i == j {
-                    assert_eq!(batch[i * n + j], 1.0);
-                    continue;
-                }
+            for (j, &b) in keys.iter().enumerate().skip(i + 1) {
+                let t = upper_triangle_index(n, i, j);
                 let same = tree.cluster_weight(a, b);
                 let absent = tree
                     .genfunc1(T::Degree(0), |alt| alt.key == a || alt.key == b)
                     .coeff(0);
                 let reference = (same + absent).clamp(0.0, 1.0);
                 assert!(
-                    (batch[i * n + j] - reference).abs() < 1e-12,
+                    (batch[t] - reference).abs() < 1e-12,
                     "w({a:?},{b:?}): batch {} vs per-pair {reference}",
-                    batch[i * n + j]
+                    batch[t]
                 );
             }
         }

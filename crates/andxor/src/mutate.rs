@@ -586,6 +586,7 @@ fn renumber_visit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::upper_triangle_index;
     use crate::tree::AndXorTreeBuilder;
     use cpdb_genfunc::Poly1;
 
@@ -888,8 +889,12 @@ mod tests {
             .iter()
             .map(|k| impact.affected_keys.contains(k))
             .collect();
-        let patched =
-            new_tree.batch_cocluster_weights_partial(&keys, &recompute, |i, j| old[i * n + j], 1);
+        let patched = new_tree.batch_cocluster_weights_partial(
+            &keys,
+            &recompute,
+            |i, j| old[upper_triangle_index(n, i, j)],
+            1,
+        );
         let full = new_tree.batch_cocluster_weights(&keys, 1);
         for (idx, (a, b)) in patched.iter().zip(&full).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "entry {idx}");

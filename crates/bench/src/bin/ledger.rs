@@ -26,7 +26,8 @@
 //!
 //! Every suite also asserts its own bit-identity contracts (executors,
 //! patched vs rebuilt, recovered vs writer) while it measures. The `median`
-//! suite times the warm Theorem 4 median Top-k and carries no gate.
+//! suite times the warm Theorem 4 median Top-k and the `clustering` suite the
+//! warm `Clustering{restarts: 4}` query; neither carries a gate.
 
 use cpdb_bench::experiments::scaling_tree;
 use cpdb_bench::sample::{time_ms, Sample};
@@ -36,6 +37,7 @@ use cpdb_bench::{
 };
 use cpdb_consensus::topk::median_dp;
 use cpdb_consensus::TopKContext;
+use cpdb_engine::{ConsensusEngineBuilder, Query};
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
@@ -65,6 +67,10 @@ const MEDIAN_NS: [usize; 2] = [120, 400];
 const MEDIAN_KS: [usize; 2] = [5, 10];
 /// A median call takes milliseconds, so it affords a real spread.
 const MEDIAN_REPS: usize = 15;
+const CLUSTERING_NS: [usize; 2] = [120, 400];
+const CLUSTERING_RESTARTS: usize = 4;
+/// A warm clustering query takes milliseconds too.
+const CLUSTERING_REPS: usize = 15;
 
 /// What a row measured: a timing over repeated samples, or one value.
 enum Measure {
@@ -318,6 +324,25 @@ fn median_suite(ns: &[usize], ks: &[usize], reps: usize) -> Suite {
     s
 }
 
+/// The warm `Clustering{restarts}` query on a one-thread engine whose
+/// co-clustering weights are already built.
+fn clustering_suite(ns: &[usize], restarts: usize, reps: usize) -> Suite {
+    let mut s = Suite::new("clustering");
+    let q = Query::Clustering { restarts };
+    for &n in ns {
+        let engine = ConsensusEngineBuilder::new(scaling_tree(n, SEED))
+            .seed(SEED)
+            .threads(1)
+            .build()
+            .expect("default engine configuration is valid");
+        engine.run(&q).expect("clustering is supported");
+        let sample = time_ms(reps, || engine.run(&q));
+        let row = format!("warm n={n} restarts={restarts}");
+        s.timing(&row, "clustering", "ms", &sample);
+    }
+    s
+}
+
 /// One line per failed gate, over every suite.
 fn failed_gates(suites: &[Suite]) -> Vec<String> {
     suites
@@ -494,6 +519,7 @@ fn main() -> ExitCode {
         ),
         observability_suite(DURABLE_N, REPS, OBS_OPS, OBS_SERIES, OBS_EVENTS),
         median_suite(&MEDIAN_NS, &MEDIAN_KS, MEDIAN_REPS),
+        clustering_suite(&CLUSTERING_NS, CLUSTERING_RESTARTS, CLUSTERING_REPS),
     ];
     for table in summary(&suites) {
         table.print();
@@ -588,6 +614,20 @@ mod tests {
             };
             assert_eq!(t.reps(), 3);
             assert!(row.json().contains("\"suite\": \"median\""));
+        }
+    }
+
+    #[test]
+    fn clustering_suite_times_every_size_without_a_gate() {
+        let s = clustering_suite(&[12, 20], 4, 3);
+        assert!(s.gates.is_empty());
+        assert_eq!(s.rows.len(), 2);
+        for row in &s.rows {
+            let Measure::Timing(t) = &row.measure else {
+                panic!("{} is not a timing", row.row);
+            };
+            assert_eq!(t.reps(), 3);
+            assert!(row.json().contains("\"suite\": \"clustering\""));
         }
     }
 }

@@ -103,16 +103,11 @@ pub fn matrix_max_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Largest absolute difference between two co-clustering weight sets.
+/// Largest absolute difference between two co-clustering weight sets over
+/// the same keys, entry by entry of their upper triangles.
 pub fn cocluster_max_diff(a: &CoClusteringWeights, b: &CoClusteringWeights) -> f64 {
-    let keys = a.keys();
-    let mut max = 0.0f64;
-    for (idx, &i) in keys.iter().enumerate() {
-        for &j in keys.iter().skip(idx + 1) {
-            max = max.max((a.weight(i, j) - b.weight(i, j)).abs());
-        }
-    }
-    max
+    assert_eq!(a.keys(), b.keys(), "co-clustering weights over other keys");
+    matrix_max_diff(a.upper_triangle(), b.upper_triangle())
 }
 
 /// One artifact family's cold builds: legacy, batch on one thread, and

@@ -9,28 +9,40 @@
 //! `w_{ij}`, which the generating-function engine computes exactly:
 //! `w_{ij} = Σ_a Pr(i.A = a ∧ j.A = a) + Pr(i absent ∧ j absent)`.
 //!
-//! The pivot (KwikCluster) algorithm gives a constant-factor approximation;
-//! a brute-force optimiser over set partitions provides ground truth on
-//! small instances.
+//! [`CoClusteringWeights`] stores `w` as one strict upper triangle over the
+//! sorted tuple keys (the matrix is symmetric with a unit diagonal), the
+//! same layout the batch evaluator builds, the live patch path rewrites and
+//! the snapshot persists. The pivot (KwikCluster) algorithm gives a
+//! constant-factor approximation; it and its cost run on key *positions*
+//! and per-position cluster labels, and only the winning candidate is
+//! mapped back to keys. A brute-force optimiser over set partitions
+//! provides ground truth on small instances.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use cpdb_andxor::batch::upper_triangle_index;
 use cpdb_andxor::AndXorTree;
 use cpdb_genfunc::Truncation;
 use cpdb_model::TupleKey;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A clustering of tuple keys: each inner vector is one cluster.
 pub type Clustering = Vec<Vec<TupleKey>>;
 
+/// The label of a key a candidate clustering leaves out: it is together
+/// with no other key.
+const UNLABELLED: usize = usize::MAX;
+
 /// Pairwise co-clustering probabilities `w_{ij}` for a set of tuples.
 #[derive(Debug, Clone)]
 pub struct CoClusteringWeights {
+    /// The clustered tuple keys, strictly increasing.
     keys: Vec<TupleKey>,
-    /// Row (and column) of each key in `weights`.
-    index: HashMap<TupleKey, usize>,
-    /// Row-major symmetric `keys.len() × keys.len()` matrix.
-    weights: Vec<f64>,
+    /// `w(keys[i], keys[j])` for `i < j` at [`upper_triangle_index`]`(n, i,
+    /// j)`: `n(n − 1)/2` entries, row by row.
+    tri: Vec<f64>,
 }
 
 impl CoClusteringWeights {
@@ -48,20 +60,10 @@ impl CoClusteringWeights {
     /// (`0` = auto). The batch evaluator is bit-identical at any thread
     /// count.
     pub fn from_tree_with_parallelism(tree: &AndXorTree, threads: usize) -> Self {
+        // `AndXorTree::keys` is sorted and deduplicated.
         let keys = tree.keys();
-        let matrix = tree.batch_cocluster_weights(&keys, threads);
-        Self::from_matrix(keys, matrix)
-    }
-
-    /// Wraps a symmetric row-major matrix over `keys` — the shared back end
-    /// of every constructor.
-    fn from_matrix(keys: Vec<TupleKey>, weights: Vec<f64>) -> Self {
-        let index = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-        CoClusteringWeights {
-            keys,
-            index,
-            weights,
-        }
+        let tri = tree.batch_cocluster_weights(&keys, threads);
+        CoClusteringWeights { keys, tri }
     }
 
     /// The per-pair reference construction (one generating-function sweep per
@@ -69,80 +71,93 @@ impl CoClusteringWeights {
     /// legacy side of the perf ledger's `rank` suite.
     pub fn from_tree_per_pair(tree: &AndXorTree) -> Self {
         let keys = tree.keys();
-        let n = keys.len();
-        let mut weights = vec![0.0; n * n];
+        let mut tri = Vec::with_capacity(triangle_len(keys.len()));
         for (idx, &i) in keys.iter().enumerate() {
-            for (jdx, &j) in keys.iter().enumerate().skip(idx + 1) {
+            for &j in &keys[idx + 1..] {
                 let same_value = tree.cluster_weight(i, j);
                 // Pr(both absent): assign x to every leaf of either key; the
                 // coefficient of x^0 is the probability neither appears.
                 let both_absent = tree
                     .genfunc1(Truncation::Degree(0), |a| a.key == i || a.key == j)
                     .coeff(0);
-                let w = (same_value + both_absent).clamp(0.0, 1.0);
-                weights[idx * n + jdx] = w;
-                weights[jdx * n + idx] = w;
+                tri.push((same_value + both_absent).clamp(0.0, 1.0));
             }
         }
-        Self::from_matrix(keys, weights)
+        CoClusteringWeights { keys, tri }
     }
 
     /// The **patch path** of [`CoClusteringWeights::from_tree`] for live
     /// updates: rebuilds only the pairs with an `affected` key on the
     /// mutated tree (via [`AndXorTree::batch_cocluster_weights_partial`],
     /// the same per-pair closed form as the full batch build) and copies
-    /// every other pair's weight from `self`, the pre-mutation matrix. When
-    /// the mutation's [`cpdb_andxor::DeltaImpact`] certifies that only
+    /// every other pair's weight from `self`, the pre-mutation triangle.
+    /// When the mutation's [`cpdb_andxor::DeltaImpact`] certifies that only
     /// `affected` keys were touched, the result is **bit-identical** to a
     /// from-scratch build on the mutated tree, at `O(|affected|·n)` pair
     /// evaluations instead of `O(n²)`.
     pub fn patched(
         &self,
         tree: &AndXorTree,
-        affected: &std::collections::BTreeSet<TupleKey>,
+        affected: &BTreeSet<TupleKey>,
         threads: usize,
     ) -> Self {
         let keys = tree.keys();
         let recompute: Vec<bool> = keys.iter().map(|k| affected.contains(k)).collect();
-        // Old entries are read by matrix position, not looked up per pair.
-        let old_pos: Vec<Option<usize>> = keys.iter().map(|k| self.index.get(k).copied()).collect();
+        // Old entries are read by triangle position, not looked up per pair.
+        let old_pos: Vec<Option<usize>> = keys.iter().map(|k| self.position(*k)).collect();
         let old_n = self.keys.len();
-        let matrix = tree.batch_cocluster_weights_partial(
+        let tri = tree.batch_cocluster_weights_partial(
             &keys,
             &recompute,
             |i, j| match (old_pos[i], old_pos[j]) {
-                (Some(a), Some(b)) => self.weights[a * old_n + b],
+                // Both keys sorted in both trees, so `a < b` when `i < j`.
+                (Some(a), Some(b)) => self.tri[upper_triangle_index(old_n, a, b)],
                 _ => 0.0,
             },
             threads,
         );
-        Self::from_matrix(keys, matrix)
+        CoClusteringWeights { keys, tri }
     }
 
-    /// Weights from a symmetric row-major `keys.len() × keys.len()` matrix,
-    /// taken as is. `None` when the matrix has the wrong size.
-    pub fn from_row_major(keys: Vec<TupleKey>, weights: Vec<f64>) -> Option<Self> {
-        (weights.len() == keys.len() * keys.len()).then(|| Self::from_matrix(keys, weights))
+    /// Weights from a strict upper triangle over `keys`, taken as is (the
+    /// layout of [`CoClusteringWeights::upper_triangle`]). `None` unless
+    /// `keys` is strictly increasing and `tri` has `n(n − 1)/2` entries.
+    pub fn from_upper_triangle(keys: Vec<TupleKey>, tri: Vec<f64>) -> Option<Self> {
+        (strictly_increasing(&keys) && tri.len() == triangle_len(keys.len()))
+            .then_some(CoClusteringWeights { keys, tri })
     }
 
     /// Builds weights directly from a map (for tests and other models). Only
     /// pairs present in the map are considered co-clustered with non-zero
-    /// probability; pairs with a key outside `keys` are ignored.
-    pub fn from_map(keys: Vec<TupleKey>, weights: HashMap<(TupleKey, TupleKey), f64>) -> Self {
+    /// probability; pairs with a key outside `keys` are ignored. `None`
+    /// unless `keys` is strictly increasing.
+    pub fn from_map(
+        keys: Vec<TupleKey>,
+        weights: HashMap<(TupleKey, TupleKey), f64>,
+    ) -> Option<Self> {
         let n = keys.len();
-        let mut out = Self::from_matrix(keys, vec![0.0; n * n]);
+        let mut out = Self::from_upper_triangle(keys, vec![0.0; triangle_len(n)])?;
         for ((i, j), w) in weights {
-            if let (Some(&a), Some(&b)) = (out.index.get(&i), out.index.get(&j)) {
-                out.weights[a * n + b] = w;
-                out.weights[b * n + a] = w;
+            if let (Some(a), Some(b)) = (out.position(i), out.position(j)) {
+                if a != b {
+                    let slot = out.slot(a, b);
+                    out.tri[slot] = w;
+                }
             }
         }
-        out
+        Some(out)
     }
 
-    /// The tuple keys being clustered.
+    /// The tuple keys being clustered, strictly increasing.
     pub fn keys(&self) -> &[TupleKey] {
         &self.keys
+    }
+
+    /// The strict upper triangle of the weight matrix: `w` of the keys at
+    /// positions `i < j` at [`upper_triangle_index`]`(n, i, j)` — the
+    /// snapshot layout.
+    pub fn upper_triangle(&self) -> &[f64] {
+        &self.tri
     }
 
     /// `w_{ij}` — the probability that `i` and `j` are clustered together in
@@ -151,60 +166,113 @@ impl CoClusteringWeights {
         if i == j {
             return 1.0;
         }
-        match (self.index.get(&i), self.index.get(&j)) {
-            (Some(&a), Some(&b)) => self.weights[a * self.keys.len() + b],
+        match (self.position(i), self.position(j)) {
+            (Some(a), Some(b)) => self.at(a, b),
             _ => 0.0,
         }
     }
 
-    /// The upper-triangle pairs `(i, j, w_{ij})`, `i` before `j` in
-    /// [`keys`](Self::keys) order — the snapshot layout.
-    pub fn pairs(&self) -> impl Iterator<Item = (TupleKey, TupleKey, f64)> + '_ {
-        let n = self.keys.len();
-        self.keys.iter().enumerate().flat_map(move |(idx, &i)| {
-            self.keys
-                .iter()
-                .enumerate()
-                .skip(idx + 1)
-                .map(move |(jdx, &j)| (i, j, self.weights[idx * n + jdx]))
-        })
-    }
-
     /// The expected pairwise-disagreement distance `E[d(C, C_pw)]` of a
     /// candidate clustering: pairs placed together cost `1 − w_{ij}`, pairs
-    /// separated cost `w_{ij}`.
+    /// separated cost `w_{ij}`. Keys the candidate leaves out are together
+    /// with no other key.
     pub fn expected_distance(&self, clustering: &Clustering) -> f64 {
-        let mut cluster_of: HashMap<TupleKey, usize> = HashMap::new();
+        let mut label = vec![UNLABELLED; self.keys.len()];
         for (c, members) in clustering.iter().enumerate() {
             for &t in members {
-                cluster_of.insert(t, c);
+                if let Some(p) = self.position(t) {
+                    label[p] = c;
+                }
             }
         }
-        // Per position of `keys`: the candidate cluster (`None` when the
-        // candidate leaves the key out) and the key's row of `weights`, so
-        // the O(n²) pair loop does no hashing.
-        let cluster: Vec<Option<usize>> = self
-            .keys
-            .iter()
-            .map(|k| cluster_of.get(k).copied())
-            .collect();
-        let row: Vec<usize> = self.keys.iter().map(|k| self.index[k]).collect();
-        let n = self.keys.len();
+        self.labelled_distance(&label)
+    }
+
+    /// The position of `key` in [`keys`](Self::keys).
+    fn position(&self, key: TupleKey) -> Option<usize> {
+        self.keys.binary_search(&key).ok()
+    }
+
+    /// The triangle entry of the distinct positions `a` and `b`, in either
+    /// order.
+    #[inline]
+    fn slot(&self, a: usize, b: usize) -> usize {
+        upper_triangle_index(self.keys.len(), a.min(b), a.max(b))
+    }
+
+    /// `w` of the keys at the distinct positions `a` and `b`.
+    #[inline]
+    fn at(&self, a: usize, b: usize) -> f64 {
+        self.tri[self.slot(a, b)]
+    }
+
+    /// [`expected_distance`](Self::expected_distance) of the candidate that
+    /// puts position `p` in cluster `label[p]`. Sums the pairs in triangle
+    /// order — the key order — so the total does not depend on how the
+    /// candidate was written down.
+    fn labelled_distance(&self, label: &[usize]) -> f64 {
         let mut total = 0.0;
-        for idx in 0..n {
-            for jdx in idx + 1..n {
-                let together = cluster[idx].is_some() && cluster[idx] == cluster[jdx];
-                // Same as `self.weight(keys[idx], keys[jdx])`.
-                let w = if self.keys[idx] == self.keys[jdx] {
-                    1.0
-                } else {
-                    self.weights[row[idx] * n + row[jdx]]
-                };
+        let mut rows = self.tri.as_slice();
+        for (idx, &li) in label.iter().enumerate() {
+            let (row, rest) = rows.split_at(label.len() - idx - 1);
+            rows = rest;
+            for (&w, &lj) in row.iter().zip(&label[idx + 1..]) {
+                let together = li != UNLABELLED && li == lj;
                 total += if together { 1.0 - w } else { w };
             }
         }
         total
     }
+
+    /// Clusters of positions as clusters of keys.
+    fn to_keys(&self, clusters: &[Vec<usize>]) -> Clustering {
+        clusters
+            .iter()
+            .map(|c| c.iter().map(|&p| self.keys[p]).collect())
+            .collect()
+    }
+}
+
+/// Entries of a strict upper triangle over `n` keys.
+fn triangle_len(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+fn strictly_increasing(keys: &[TupleKey]) -> bool {
+    keys.windows(2).all(|w| w[0] < w[1])
+}
+
+/// One KwikCluster run over positions: the clusters in the order they were
+/// formed, each led by its pivot, with `label[p]` set to the cluster of
+/// position `p`.
+fn pivot_positions<R: Rng + ?Sized>(
+    weights: &CoClusteringWeights,
+    rng: &mut R,
+    label: &mut [usize],
+) -> Vec<Vec<usize>> {
+    let mut remaining: Vec<usize> = (0..weights.keys.len()).collect();
+    // `shuffle` draws by slice length only, so positions permute exactly as
+    // the keys at them would.
+    remaining.shuffle(rng);
+    let mut rest = Vec::with_capacity(remaining.len());
+    let mut clusters = Vec::new();
+    while let Some(pivot) = remaining.pop() {
+        let mut cluster = vec![pivot];
+        rest.clear();
+        for &t in &remaining {
+            if weights.at(pivot, t) >= 0.5 {
+                cluster.push(t);
+            } else {
+                rest.push(t);
+            }
+        }
+        std::mem::swap(&mut remaining, &mut rest);
+        for &p in &cluster {
+            label[p] = clusters.len();
+        }
+        clusters.push(cluster);
+    }
+    clusters
 }
 
 /// KwikCluster / pivot consensus clustering: repeatedly pick a random pivot,
@@ -212,23 +280,8 @@ impl CoClusteringWeights {
 /// pivot's cluster, and recurse on the rest. Expected constant-factor
 /// approximation of the optimal consensus clustering.
 pub fn pivot_clustering<R: Rng + ?Sized>(weights: &CoClusteringWeights, rng: &mut R) -> Clustering {
-    let mut remaining: Vec<TupleKey> = weights.keys().to_vec();
-    remaining.shuffle(rng);
-    let mut clusters = Vec::new();
-    while let Some(pivot) = remaining.pop() {
-        let mut cluster = vec![pivot];
-        let mut rest = Vec::with_capacity(remaining.len());
-        for &t in &remaining {
-            if weights.weight(pivot, t) >= 0.5 {
-                cluster.push(t);
-            } else {
-                rest.push(t);
-            }
-        }
-        remaining = rest;
-        clusters.push(cluster);
-    }
-    clusters
+    let mut label = vec![UNLABELLED; weights.keys.len()];
+    weights.to_keys(&pivot_positions(weights, rng, &mut label))
 }
 
 /// Runs [`pivot_clustering`] `trials` times plus the singleton and the
@@ -239,58 +292,66 @@ pub fn pivot_clustering_best_of<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> (Clustering, f64) {
-    let singletons: Clustering = weights.keys().iter().map(|&t| vec![t]).collect();
-    let everything: Clustering = vec![weights.keys().to_vec()];
+    let n = weights.keys.len();
+    let singletons: Vec<Vec<usize>> = (0..n).map(|p| vec![p]).collect();
+    let everything: Vec<Vec<usize>> = vec![(0..n).collect()];
+    let mut label: Vec<usize> = (0..n).collect();
     let mut best = singletons;
-    let mut best_cost = weights.expected_distance(&best);
-    let all_cost = weights.expected_distance(&everything);
+    let mut best_cost = weights.labelled_distance(&label);
+    label.fill(0);
+    let all_cost = weights.labelled_distance(&label);
     if all_cost < best_cost {
         best = everything;
         best_cost = all_cost;
     }
     for _ in 0..trials {
-        let candidate = pivot_clustering(weights, rng);
-        let cost = weights.expected_distance(&candidate);
+        let candidate = pivot_positions(weights, rng, &mut label);
+        let cost = weights.labelled_distance(&label);
         if cost < best_cost {
             best_cost = cost;
             best = candidate;
         }
     }
-    (best, best_cost)
+    (weights.to_keys(&best), best_cost)
 }
 
 /// Brute-force optimal consensus clustering by enumerating every set
-/// partition of the keys (Bell-number many; limited to 10 keys).
+/// partition of the keys (Bell-number many; limited to 10 keys). Starts
+/// from the singleton partition; a later partition wins only when strictly
+/// cheaper.
 pub fn brute_force_clustering(weights: &CoClusteringWeights) -> (Clustering, f64) {
-    let keys = weights.keys().to_vec();
+    let n = weights.keys.len();
     assert!(
-        keys.len() <= 10,
+        n <= 10,
         "brute-force consensus clustering limited to 10 tuples"
     );
-    let mut assignment = vec![0usize; keys.len()];
-    let mut best: Option<(Clustering, f64)> = None;
-    enumerate_partitions(&keys, 0, 0, &mut assignment, &mut |labels| {
-        let num_clusters = labels.iter().copied().max().map_or(0, |m| m + 1);
-        let mut clustering: Clustering = vec![Vec::new(); num_clusters];
-        for (idx, &label) in labels.iter().enumerate() {
-            clustering[label].push(keys[idx]);
-        }
-        let cost = weights.expected_distance(&clustering);
-        if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-            best = Some((clustering, cost));
+    let mut best: Vec<usize> = (0..n).collect();
+    let mut best_cost = weights.labelled_distance(&best);
+    let mut assignment = vec![0usize; n];
+    enumerate_partitions(0, 0, &mut assignment, &mut |labels| {
+        let cost = weights.labelled_distance(labels);
+        if cost < best_cost {
+            best_cost = cost;
+            best.copy_from_slice(labels);
         }
     });
-    best.expect("at least the singleton partition exists")
+    let num_clusters = best.iter().copied().max().map_or(0, |m| m + 1);
+    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); num_clusters];
+    for (p, &label) in best.iter().enumerate() {
+        clusters[label].push(p);
+    }
+    (weights.to_keys(&clusters), best_cost)
 }
 
+/// Visits every restricted-growth labelling of `assignment[idx..]`: each
+/// set partition of the positions exactly once.
 fn enumerate_partitions<F: FnMut(&[usize])>(
-    keys: &[TupleKey],
     idx: usize,
     max_label: usize,
     assignment: &mut Vec<usize>,
     visit: &mut F,
 ) {
-    if idx == keys.len() {
+    if idx == assignment.len() {
         visit(assignment);
         return;
     }
@@ -301,7 +362,7 @@ fn enumerate_partitions<F: FnMut(&[usize])>(
         } else {
             max_label
         };
-        enumerate_partitions(keys, idx + 1, next_max, assignment, visit);
+        enumerate_partitions(idx + 1, next_max, assignment, visit);
     }
 }
 
@@ -454,7 +515,7 @@ mod tests {
     fn brute_force_enumerates_all_partitions_of_three() {
         // Weight structure where the optimum is the all-singletons partition.
         let keys = vec![TupleKey(1), TupleKey(2), TupleKey(3)];
-        let weights = CoClusteringWeights::from_map(keys, HashMap::new());
+        let weights = CoClusteringWeights::from_map(keys, HashMap::new()).unwrap();
         let (best, cost) = brute_force_clustering(&weights);
         assert_eq!(best.len(), 3);
         assert_eq!(cost, 0.0);
@@ -462,8 +523,62 @@ mod tests {
 
     #[test]
     fn self_weight_is_one_and_unknown_pairs_zero() {
-        let weights = CoClusteringWeights::from_map(vec![TupleKey(1), TupleKey(2)], HashMap::new());
+        let weights =
+            CoClusteringWeights::from_map(vec![TupleKey(1), TupleKey(2)], HashMap::new()).unwrap();
         assert_eq!(weights.weight(TupleKey(1), TupleKey(1)), 1.0);
         assert_eq!(weights.weight(TupleKey(1), TupleKey(2)), 0.0);
+        assert_eq!(weights.weight(TupleKey(1), TupleKey(9)), 0.0);
+    }
+
+    #[test]
+    fn from_map_fills_both_orders_of_a_pair() {
+        let keys = vec![TupleKey(1), TupleKey(2), TupleKey(3)];
+        let map = HashMap::from([((TupleKey(3), TupleKey(1)), 0.75)]);
+        let weights = CoClusteringWeights::from_map(keys, map).unwrap();
+        assert_eq!(weights.weight(TupleKey(1), TupleKey(3)), 0.75);
+        assert_eq!(weights.weight(TupleKey(3), TupleKey(1)), 0.75);
+        assert_eq!(weights.upper_triangle(), &[0.0, 0.75, 0.0]);
+    }
+
+    #[test]
+    fn constructors_reject_unsorted_or_duplicate_keys() {
+        let unsorted = vec![TupleKey(2), TupleKey(1)];
+        let duplicate = vec![TupleKey(1), TupleKey(1)];
+        for keys in [unsorted, duplicate] {
+            assert!(CoClusteringWeights::from_upper_triangle(keys.clone(), vec![0.5]).is_none());
+            assert!(CoClusteringWeights::from_map(keys, HashMap::new()).is_none());
+        }
+        let keys = vec![TupleKey(1), TupleKey(2), TupleKey(3)];
+        for len in [2, 4] {
+            assert!(
+                CoClusteringWeights::from_upper_triangle(keys.clone(), vec![0.5; len]).is_none()
+            );
+        }
+        assert!(CoClusteringWeights::from_upper_triangle(keys, vec![0.5; 3]).is_some());
+    }
+
+    #[test]
+    fn tiny_instances_cluster_without_panicking() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let empty = CoClusteringWeights::from_upper_triangle(Vec::new(), Vec::new()).unwrap();
+        assert_eq!(pivot_clustering_best_of(&empty, 4, &mut rng), (vec![], 0.0));
+        assert_eq!(brute_force_clustering(&empty), (vec![], 0.0));
+
+        let one = CoClusteringWeights::from_upper_triangle(vec![TupleKey(4)], Vec::new()).unwrap();
+        assert_eq!(
+            pivot_clustering_best_of(&one, 4, &mut rng),
+            (vec![vec![TupleKey(4)]], 0.0)
+        );
+        assert_eq!(pivot_clustering(&one, &mut rng), vec![vec![TupleKey(4)]]);
+
+        let keys = vec![TupleKey(4), TupleKey(7)];
+        let together = CoClusteringWeights::from_upper_triangle(keys.clone(), vec![0.9]).unwrap();
+        let (best, cost) = pivot_clustering_best_of(&together, 4, &mut rng);
+        assert_eq!(best, vec![keys.clone()]);
+        assert!((cost - 0.1).abs() < 1e-12);
+        let apart = CoClusteringWeights::from_upper_triangle(keys, vec![0.2]).unwrap();
+        let (best, cost) = brute_force_clustering(&apart);
+        assert_eq!(best, vec![vec![TupleKey(4)], vec![TupleKey(7)]]);
+        assert_eq!(cost, 0.2);
     }
 }

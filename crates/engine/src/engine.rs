@@ -1063,43 +1063,6 @@ impl ConsensusEngine {
     }
 }
 
-/// The co-clustering weights of a snapshot. [`ConsensusEngine::export`]
-/// writes every upper-triangle pair once, in key order, so each pair lands
-/// at the next matrix position; an export in any other layout is rejected.
-fn cocluster_from_export(ce: &CoClusterExport) -> Result<CoClusteringWeights, EngineError> {
-    let n = ce.keys.len();
-    let mut weights = vec![0.0; n * n];
-    let mut pairs = ce.pairs.iter();
-    for a in 0..n {
-        weights[a * n + a] = 1.0;
-        for b in a + 1..n {
-            match pairs.next() {
-                Some(&(i, j, w)) if i == ce.keys[a] && j == ce.keys[b] => {
-                    weights[a * n + b] = w;
-                    weights[b * n + a] = w;
-                }
-                _ => {
-                    return Err(EngineError::InvalidConfig {
-                        context: format!(
-                            "co-clustering export lacks the pair ({}, {}) at its place",
-                            ce.keys[a], ce.keys[b]
-                        ),
-                    })
-                }
-            }
-        }
-    }
-    if pairs.next().is_some() {
-        return Err(EngineError::InvalidConfig {
-            context: format!("co-clustering export has more than the {n}-key pairs"),
-        });
-    }
-    let keys = ce.keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
-    CoClusteringWeights::from_row_major(keys, weights).ok_or_else(|| EngineError::InvalidConfig {
-        context: "co-clustering export does not fit its key count".to_string(),
-    })
-}
-
 /// Rejects an exported artifact whose key list is not exactly `keys`, the
 /// tree's sorted tuple keys: injected as is, it would answer over foreign or
 /// missing tuples.
@@ -1172,8 +1135,7 @@ impl ConsensusEngine {
         });
 
         let cocluster = self.cocluster.get().map(|w| CoClusterExport {
-            keys: w.keys().iter().map(|k| k.0).collect(),
-            pairs: w.pairs().map(|(i, j, p)| (i.0, j.0, p)).collect(),
+            weights: w.upper_triangle().to_vec(),
         });
 
         let marginals = self.marginals.get().map(|m| {
@@ -1301,8 +1263,18 @@ impl ConsensusEngine {
         }
 
         if let Some(ce) = &export.cocluster {
-            check_tree_keys("co-clustering export", &ce.keys, &keys)?;
-            engine.cocluster = prebuilt_slot(cocluster_from_export(ce)?);
+            // The triangle is over the tree's sorted keys, so its length is
+            // all there is to check.
+            let tree_keys = keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
+            let w = CoClusteringWeights::from_upper_triangle(tree_keys, ce.weights.clone())
+                .ok_or_else(|| EngineError::InvalidConfig {
+                    context: format!(
+                        "co-clustering export has {} weights for {} keys",
+                        ce.weights.len(),
+                        keys.len()
+                    ),
+                })?;
+            engine.cocluster = prebuilt_slot(w);
         }
 
         if let Some(rows) = &export.marginals {
@@ -2404,18 +2376,17 @@ mod tests {
             Err(EngineError::InvalidConfig { .. })
         ));
 
-        // Co-clustering pairs out of their upper-triangle order, missing, or
-        // surplus are rejected rather than silently zeroed.
+        // A co-clustering triangle one entry short or one entry long is
+        // rejected rather than silently zeroed or truncated.
         for corrupt in [
-            |pairs: &mut Vec<(u64, u64, f64)>| pairs.swap(0, 1),
-            |pairs: &mut Vec<(u64, u64, f64)>| {
-                pairs.pop();
+            |weights: &mut Vec<f64>| {
+                weights.pop();
             },
-            |pairs: &mut Vec<(u64, u64, f64)>| pairs.push((1, 2, 0.5)),
+            |weights: &mut Vec<f64>| weights.push(0.5),
         ] {
             let mut export = engine.export();
             if let Some(ce) = &mut export.cocluster {
-                corrupt(&mut ce.pairs);
+                corrupt(&mut ce.weights);
             }
             assert!(matches!(
                 ConsensusEngine::from_export(&export),
@@ -2432,20 +2403,12 @@ mod tests {
             }
         }
         type Corruption = (&'static str, fn(&mut EngineExport));
-        let corruptions: [Corruption; 8] = [
+        let corruptions: [Corruption; 7] = [
             ("key index misses a key", |e| {
                 e.key_index.as_mut().unwrap().pop();
             }),
             ("preference items out of order", |e| {
                 e.prefs.as_mut().unwrap().items.swap(0, 1);
-            }),
-            ("co-clustering over a foreign key", |e| {
-                let ce = e.cocluster.as_mut().unwrap();
-                ce.keys.iter_mut().for_each(rename_key_1);
-                for (i, j, _) in &mut ce.pairs {
-                    rename_key_1(i);
-                    rename_key_1(j);
-                }
             }),
             ("rank PMFs over a foreign key", |e| {
                 for (key, _) in &mut e.contexts[0].pmf {

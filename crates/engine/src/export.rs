@@ -10,10 +10,11 @@
 //!   thread count, the optional group-by matrix);
 //! * every artifact the engine had actually *built* at export time: the
 //!   per-`k` rank-PMF contexts, the Kendall preference matrix, the
-//!   co-clustering weights, the marginal and Jaccard candidate tables, and
-//!   the sorted key index. Unbuilt artifacts are simply absent and rebuilt
-//!   lazily after import — the ordinary cold path, still bit-identical
-//!   because every builder is deterministic.
+//!   co-clustering weights (a bare strict upper triangle over the tree's
+//!   sorted keys, so import checks only its length), the marginal and
+//!   Jaccard candidate tables, and the sorted key index. Unbuilt artifacts
+//!   are simply absent and rebuilt lazily after import — the ordinary cold
+//!   path, still bit-identical because every builder is deterministic.
 //!
 //! All `f64`s round-trip exactly (the export holds the same bits; encoders
 //! preserve them via [`f64::to_bits`]). Import re-validates the tree and the
@@ -44,14 +45,14 @@ pub struct PreferenceExport {
     pub weights: Vec<f64>,
 }
 
-/// The exported co-clustering weight matrix.
+/// The exported co-clustering weight matrix, over the tree's sorted tuple
+/// keys (which the export does not repeat).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoClusterExport {
-    /// The clustered tuple keys, in matrix order.
-    pub keys: Vec<u64>,
-    /// Upper-triangle `(i, j, w_ij)` entries with `i < j` in key order (the
-    /// matrix is symmetric; the diagonal is implicitly 1).
-    pub pairs: Vec<(u64, u64, f64)>,
+    /// The strict upper triangle, row by row: for `n` keys, `n(n − 1)/2`
+    /// entries, row `i` holding `w_ij` for `j > i` (the matrix is symmetric
+    /// with a unit diagonal, so this is all of it).
+    pub weights: Vec<f64>,
 }
 
 /// A complete, plain-data image of a [`crate::ConsensusEngine`]:

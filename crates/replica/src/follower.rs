@@ -67,7 +67,8 @@ fn fetch_manifest(transport: &Transport, obs: &ReplicaObs) -> Result<Manifest, R
     })
 }
 
-/// Fetches and verifies the manifest's anchor image.
+/// Fetches and verifies the manifest's anchor image, quarantining and
+/// re-fetching damaged copies.
 fn fetch_anchor(
     transport: &Transport,
     manifest: &Manifest,
@@ -85,6 +86,10 @@ fn fetch_anchor(
         match transport.fetch(&name) {
             Ok(bytes) => match verify_anchor_bytes(&bytes, entry) {
                 Ok(export) => return Ok((entry.0, export)),
+                // The file passed its manifest length and checksum, so a
+                // foreign format version is what the primary wrote, not
+                // damage: no re-fetch can fix it.
+                Err(e @ StoreError::UnsupportedVersion { .. }) => return Err(e.into()),
                 Err(e) => {
                     let _ = transport.quarantine(&name);
                     obs.quarantined(&name);
@@ -292,6 +297,9 @@ impl Follower {
             match self.transport.fetch(&name) {
                 Ok(bytes) => match verify_segment_bytes(&bytes, meta) {
                     Ok(records) => return Ok(records),
+                    // As for the anchor: a verified file in a foreign
+                    // format version is not damage.
+                    Err(e @ StoreError::UnsupportedVersion { .. }) => return Err(e.into()),
                     Err(e) => {
                         let _ = self.transport.quarantine(&name);
                         self.obs.quarantined(&name);

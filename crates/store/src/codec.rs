@@ -498,28 +498,18 @@ pub fn decode_prefs(r: &mut ByteReader<'_>) -> Result<PreferenceExport, StoreErr
     Ok(PreferenceExport { items, weights })
 }
 
+/// The co-clustering triangle: a count, then that many `f64`s.
 pub fn encode_cocluster(w: &mut ByteWriter, c: &CoClusterExport) {
-    w.put_usize(c.keys.len());
-    for &key in &c.keys {
-        w.put_u64(key);
-    }
-    w.put_usize(c.pairs.len());
-    for &(i, j, weight) in &c.pairs {
-        w.put_u64(i);
-        w.put_u64(j);
+    w.put_usize(c.weights.len());
+    for &weight in &c.weights {
         w.put_f64(weight);
     }
 }
 
 pub fn decode_cocluster(r: &mut ByteReader<'_>) -> Result<CoClusterExport, StoreError> {
     let n = r.get_count()?;
-    let keys = r.get_records(n, 8)?.map(le_u64).collect();
-    let pairs_len = r.get_count()?;
-    let pairs = r
-        .get_records(pairs_len, 24)?
-        .map(|c| (le_u64(&c[..8]), le_u64(&c[8..16]), le_f64(&c[16..])))
-        .collect();
-    Ok(CoClusterExport { keys, pairs })
+    let weights = r.get_records(n, 8)?.map(le_f64).collect();
+    Ok(CoClusterExport { weights })
 }
 
 /// `(key, value, probability)` triple tables (marginals, Jaccard candidates).

@@ -29,14 +29,15 @@
 //! from-scratch engines on every testkit seed, including torn-tail crash
 //! simulations.
 //!
-//! ## File formats (version 1)
+//! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`):
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 2; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from version 1):
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (1), little-endian `u32` |
+//! | version | 4 | format version (2), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |
@@ -44,7 +45,7 @@
 //! | crc32 | 4 | CRC-32 (IEEE) of tag ‖ len ‖ payload |
 //! | payload | len | section body (fixed-width little-endian; `f64` as bits) |
 //!
-//! WAL (`wal.cpdb`):
+//! WAL (`wal.cpdb`, version 1):
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|

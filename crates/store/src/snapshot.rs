@@ -30,7 +30,13 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 2 writes the co-clustering section as a bare strict upper
+/// triangle — a count, then `n(n − 1)/2` `f64`s over the tree's sorted keys
+/// — where version 1 wrote its key list and one `(u64, u64, f64)` triple per
+/// pair. A version-1 image is refused with
+/// [`StoreError::UnsupportedVersion`]; no decoder for it is kept.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -381,6 +387,16 @@ mod tests {
         assert_eq!(epoch, 7);
         assert_eq!(back, export);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_images_are_refused() {
+        let mut bytes = encode_snapshot(7, &warm_export());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(StoreError::UnsupportedVersion { found: 1 })
+        ));
     }
 
     #[test]

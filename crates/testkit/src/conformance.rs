@@ -511,6 +511,41 @@ pub fn check_clustering(tree: &AndXorTree, seed: u64) -> usize {
     checks + 2
 }
 
+/// The engine's positional KwikCluster against the keyed form it replaced
+/// ([`reference::pivot_clustering_best_of_keyed`]): at every restart count,
+/// on the engine's own RNG stream, the clustering is equal and the expected
+/// distance bit-identical.
+pub fn check_clustering_reference(tree: &AndXorTree, seed: u64) -> usize {
+    let engine = ConsensusEngineBuilder::new(tree.clone())
+        .seed(seed)
+        .build()
+        .expect("default engine configuration is valid");
+    let mut checks = 0;
+    for restarts in [0, 1, 4, 16] {
+        let q = Query::Clustering { restarts };
+        let got = engine.run(&q).expect("supported");
+        let mut rng = engine.query_rng(&q);
+        let (want, want_cost) = reference::pivot_clustering_best_of_keyed(
+            engine.coclustering_weights(),
+            restarts,
+            &mut rng,
+        );
+        assert_eq!(
+            got.value.as_clustering().expect("clustering"),
+            &want,
+            "positional KwikCluster diverges from the keyed reference at restarts={restarts}"
+        );
+        assert_eq!(
+            got.expected_distance.to_bits(),
+            want_cost.to_bits(),
+            "positional clustering cost is not bit-identical to the keyed reference at \
+             restarts={restarts}"
+        );
+        checks += 2;
+    }
+    checks
+}
+
 /// Batch ↔ per-tuple generating-function equivalence: the single-sweep batch
 /// evaluator (`batch_rank_pmfs`, `batch_pairwise_order`,
 /// `batch_cocluster_weights`) must agree with the per-tuple reference paths
@@ -1762,6 +1797,14 @@ pub fn run_seed(seed: u64) -> ConformanceSummary {
     checks += check_kendall(&ti_tree, 2, seed);
     checks += check_aggregate(&fixtures::small_groupby(seed));
     checks += check_clustering(&fixtures::small_clustering_tree(seed), seed);
+    for tree in [
+        &bid_tree,
+        &ti_tree,
+        &fixtures::small_clustering_tree(seed),
+        &fixtures::small_nested_tree(seed),
+    ] {
+        checks += check_clustering_reference(tree, seed);
+    }
     checks += check_batch_genfunc(&ti_tree);
     checks += check_batch_genfunc(&bid_tree);
     checks += check_batch_genfunc(&fixtures::small_clustering_tree(seed));

@@ -13,13 +13,22 @@
 //! rebuilds only the winning witness. This module keeps the literal form:
 //! one recursive knapsack program per score threshold, a witness key set in
 //! every cell.
+//!
+//! And the production KwikCluster in [`cpdb_consensus::clustering`] runs on
+//! key positions over the co-clustering triangle. This module keeps the
+//! keyed form it replaced: pivots and candidates as key lists, every weight
+//! read through [`CoClusteringWeights::weight`], every candidate costed
+//! through a key → cluster map.
 use cpdb_andxor::{AndXorTree, NodeId, NodeKind, VarAssignment};
+use cpdb_consensus::clustering::{Clustering, CoClusteringWeights};
 use cpdb_consensus::jaccard::JaccardConsensus;
 use cpdb_consensus::topk::median_dp::MedianTopK;
 use cpdb_consensus::TopKContext;
 use cpdb_genfunc::Truncation;
 use cpdb_model::{Alternative, ModelError, PossibleWorld, TupleKey};
-use std::collections::HashSet;
+use rand::seq::SliceRandom;
+use rand::Rng;
+use std::collections::{HashMap, HashSet};
 
 /// Lemma 1 read off the full bivariate generating function: the exact
 /// expected Jaccard distance between `candidate` and the random world.
@@ -181,4 +190,136 @@ fn subtree_dp(
         }
     }
     table
+}
+
+/// KwikCluster over keys: shuffle the keys, then repeatedly pop a pivot and
+/// put every remaining key with `w ≥ ½` into its cluster.
+pub fn pivot_clustering_keyed<R: Rng + ?Sized>(
+    weights: &CoClusteringWeights,
+    rng: &mut R,
+) -> Clustering {
+    let mut remaining: Vec<TupleKey> = weights.keys().to_vec();
+    remaining.shuffle(rng);
+    let mut clusters = Vec::new();
+    while let Some(pivot) = remaining.pop() {
+        let mut cluster = vec![pivot];
+        let mut rest = Vec::with_capacity(remaining.len());
+        for &t in &remaining {
+            if weights.weight(pivot, t) >= 0.5 {
+                cluster.push(t);
+            } else {
+                rest.push(t);
+            }
+        }
+        remaining = rest;
+        clusters.push(cluster);
+    }
+    clusters
+}
+
+/// The best of the singleton clustering, the all-in-one clustering and
+/// `trials` keyed KwikCluster runs, each costed by
+/// [`expected_distance_keyed`]; a later candidate wins only when strictly
+/// cheaper.
+pub fn pivot_clustering_best_of_keyed<R: Rng + ?Sized>(
+    weights: &CoClusteringWeights,
+    trials: usize,
+    rng: &mut R,
+) -> (Clustering, f64) {
+    let singletons: Clustering = weights.keys().iter().map(|&t| vec![t]).collect();
+    let everything: Clustering = vec![weights.keys().to_vec()];
+    let mut best = singletons;
+    let mut best_cost = expected_distance_keyed(weights, &best);
+    let all_cost = expected_distance_keyed(weights, &everything);
+    if all_cost < best_cost {
+        best = everything;
+        best_cost = all_cost;
+    }
+    for _ in 0..trials {
+        let candidate = pivot_clustering_keyed(weights, rng);
+        let cost = expected_distance_keyed(weights, &candidate);
+        if cost < best_cost {
+            best_cost = cost;
+            best = candidate;
+        }
+    }
+    (best, best_cost)
+}
+
+/// `E[d(C, C_pw)]` of a candidate over keys: every pair of
+/// [`CoClusteringWeights::keys`] in key order costs `1 − w` when the
+/// candidate puts it together and `w` otherwise.
+pub fn expected_distance_keyed(weights: &CoClusteringWeights, clustering: &Clustering) -> f64 {
+    let mut cluster_of: HashMap<TupleKey, usize> = HashMap::new();
+    for (c, members) in clustering.iter().enumerate() {
+        for &t in members {
+            cluster_of.insert(t, c);
+        }
+    }
+    let keys = weights.keys();
+    let cluster: Vec<Option<usize>> = keys.iter().map(|k| cluster_of.get(k).copied()).collect();
+    let mut total = 0.0;
+    for idx in 0..keys.len() {
+        for jdx in idx + 1..keys.len() {
+            let together = cluster[idx].is_some() && cluster[idx] == cluster[jdx];
+            let w = weights.weight(keys[idx], keys[jdx]);
+            total += if together { 1.0 - w } else { w };
+        }
+    }
+    total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpdb_consensus::clustering::{pivot_clustering, pivot_clustering_best_of};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Triangle weights over `n` keys `10, 20, …` from a fixed pattern that
+    /// mixes strong and weak pairs.
+    fn weights(n: usize) -> CoClusteringWeights {
+        let keys: Vec<TupleKey> = (1..=n as u64).map(|k| TupleKey(10 * k)).collect();
+        let tri = (0..n * n.saturating_sub(1) / 2)
+            .map(|t| ((t * 37 + 11) % 100) as f64 / 100.0)
+            .collect();
+        CoClusteringWeights::from_upper_triangle(keys, tri).unwrap()
+    }
+
+    #[test]
+    fn positional_kwikcluster_matches_the_keyed_reference() {
+        for n in [0, 1, 2, 3, 9] {
+            let w = weights(n);
+            for seed in 0..4 {
+                let keyed = pivot_clustering_keyed(&w, &mut StdRng::seed_from_u64(seed));
+                let positional = pivot_clustering(&w, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(positional, keyed, "n={n} seed={seed}");
+                assert_eq!(
+                    w.expected_distance(&positional).to_bits(),
+                    expected_distance_keyed(&w, &keyed).to_bits()
+                );
+                for trials in [0, 1, 4] {
+                    let (a, a_cost) =
+                        pivot_clustering_best_of(&w, trials, &mut StdRng::seed_from_u64(seed));
+                    let (b, b_cost) = pivot_clustering_best_of_keyed(
+                        &w,
+                        trials,
+                        &mut StdRng::seed_from_u64(seed),
+                    );
+                    assert_eq!(a, b, "n={n} seed={seed} trials={trials}");
+                    assert_eq!(a_cost.to_bits(), b_cost.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expected_distance_ignores_keys_outside_the_weights() {
+        let w = weights(3);
+        let candidate = vec![vec![TupleKey(10), TupleKey(99)], vec![TupleKey(20)]];
+        assert_eq!(
+            w.expected_distance(&candidate).to_bits(),
+            expected_distance_keyed(&w, &candidate).to_bits()
+        );
+    }
 }

@@ -82,6 +82,19 @@ fn median_dp_module_keeps_its_unwrap_gate() {
     );
 }
 
+/// KwikCluster and its cost answer every `Clustering` query; the clustering
+/// module keeps the same panic-freedom gate as the Jaccard scan.
+#[test]
+fn clustering_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("consensus/src/clustering.rs");
+    let src = std::fs::read_to_string(&module).expect("clustering module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}
+
 /// The median answer reads its profits from the rank context and builds its
 /// list through the symmetric-difference module; both keep the median's
 /// panic-freedom gate.
