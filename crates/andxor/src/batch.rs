@@ -32,15 +32,17 @@
 //!
 //! Results match the per-tuple reference paths within `1e-12` (they perform
 //! the same exact computation with a different floating-point association;
-//! the conformance suite pins this), and are **bit-identical at any thread
-//! count**: parallel workers replay the identical operation sequence for
-//! every target, and all reductions happen in a fixed sorted order.
+//! the conformance suite pins this). The rank sweep runs on the calling
+//! thread. The pairwise statistics are **bit-identical at any thread
+//! count**: every entry is one closed form, evaluated on its own and written
+//! back in a fixed order.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::tree::{AndXorTree, Node, NodeKind};
 use cpdb_genfunc::{clamp_probability, Poly1, Truncation};
 use cpdb_model::TupleKey;
-use cpdb_parallel::{parallel_map_indexed, parallel_map_with};
-use std::collections::HashMap;
+use cpdb_parallel::parallel_map_indexed;
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -118,48 +120,63 @@ impl AndSeg {
 // The chronological rank-PMF sweep.
 // ---------------------------------------------------------------------------
 
-/// One distinct target alternative: a `(key, score)` pair together with every
-/// leaf holding it.
+/// How a node hangs off its parent.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    /// A child of the ∨ node `parent`, reached with edge probability `p`.
+    Xor { parent: usize, p: f64 },
+    /// Child `index` of the ∧ node `parent`, whose product tree is
+    /// `SweepState::segs[seg]`.
+    And {
+        parent: usize,
+        seg: usize,
+        index: usize,
+    },
+}
+
+impl Link {
+    fn parent(self) -> usize {
+        match self {
+            Link::Xor { parent, .. } | Link::And { parent, .. } => parent,
+        }
+    }
+}
+
+/// One distinct target alternative: the position of its key in the tree's
+/// sorted keys, together with every leaf holding it.
 #[derive(Debug, Clone)]
 struct Target {
-    key: TupleKey,
+    position: usize,
     leaves: Vec<usize>,
 }
 
-/// Immutable per-batch precomputation shared by every worker thread.
-struct SweepPlan<'a> {
-    tree: &'a AndXorTree,
-    /// `parents[v] = (parent node, index of v among its children)`.
-    parents: Vec<Option<(usize, usize)>>,
+/// Immutable per-batch precomputation.
+struct SweepPlan {
+    /// `links[v]`: how node `v` hangs off its parent (`None` for the root).
+    links: Vec<Option<Link>>,
     /// Distinct alternatives sorted by the out-rank order: decreasing score,
     /// ties broken by increasing key (exactly [`outranks`]'s tie-break, so
     /// when target `t` is queried, the activated set is precisely the set of
     /// alternatives out-ranking `t`).
     targets: Vec<Target>,
-    /// Initial (all leaves ↦ 1) polynomial of every node.
-    init_polys: Vec<Poly1>,
-    /// Initial product trees of the ∧ nodes.
-    init_segs: Vec<Option<AndSeg>>,
+    /// The number of distinct keys.
+    keys: usize,
     /// Truncation at x-degree `max_rank - 1` — coefficients past the last
     /// requested rank are never read, so every product drops them.
     trunc: Truncation,
-    max_rank: usize,
     /// The activated-leaf polynomial `x`, pre-truncated.
     x_poly: Poly1,
     /// The constant polynomial 1 (query accumulator reset value).
     one: Poly1,
 }
 
-/// Per-worker mutable sweep state. Each worker owns a clone and replays the
-/// global activation order up to its queries, so a target's answer does not
-/// depend on how targets were chunked across threads.
+/// The mutable sweep state: every node's current polynomial and every ∧
+/// node's product tree.
 struct SweepState {
     polys: Vec<Poly1>,
-    segs: Vec<Option<AndSeg>>,
+    segs: Vec<AndSeg>,
     scratch: Vec<f64>,
     acc: Poly1,
-    /// Next target (in global order) whose leaves still await activation.
-    next_activation: usize,
 }
 
 /// `outranks`-compatible ordering of targets: decreasing value, then
@@ -168,43 +185,68 @@ fn target_order(a: &(TupleKey, f64), b: &(TupleKey, f64)) -> std::cmp::Ordering 
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
-impl<'a> SweepPlan<'a> {
-    fn new(tree: &'a AndXorTree, max_rank: usize) -> Self {
+impl SweepPlan {
+    /// The plan and the initial state, in which every leaf is the constant 1.
+    fn new(tree: &AndXorTree, max_rank: usize) -> (Self, SweepState) {
         debug_assert!(max_rank >= 1);
         let trunc = Truncation::Degree(max_rank - 1);
         let n = tree.nodes.len();
 
-        let mut parents = vec![None; n];
+        // ∧ nodes number their product trees in id order.
+        let mut links = vec![None; n];
+        let mut and_nodes = 0;
         for (id, node) in tree.nodes.iter().enumerate() {
-            if let Node::Inner { children, .. } = node {
-                for (ci, (c, _)) in children.iter().enumerate() {
+            if let Node::Inner { kind, children } = node {
+                for (index, &(c, p)) in children.iter().enumerate() {
                     debug_assert!(c.0 < id, "builder ids are topological");
-                    parents[c.0] = Some((id, ci));
+                    links[c.0] = Some(match kind {
+                        NodeKind::Xor => Link::Xor { parent: id, p },
+                        NodeKind::And => Link::And {
+                            parent: id,
+                            seg: and_nodes,
+                            index,
+                        },
+                    });
+                }
+                if *kind == NodeKind::And {
+                    and_nodes += 1;
                 }
             }
         }
 
-        // Group leaves by distinct (key, value) alternative and sort.
-        let mut by_alt: HashMap<(TupleKey, u64), (TupleKey, f64, Vec<usize>)> = HashMap::new();
-        for (id, node) in tree.nodes.iter().enumerate() {
-            if let Node::Leaf(a) = node {
-                by_alt
-                    .entry((a.key, a.value.0.to_bits()))
-                    .or_insert_with(|| (a.key, a.value.0, Vec::new()))
-                    .2
-                    .push(id);
+        // Every leaf as `(key, value, leaf id, key position)`. Numbering the
+        // distinct keys in increasing order gives each its position in
+        // [`AndXorTree::keys`].
+        let mut leaves: Vec<(TupleKey, f64, usize, usize)> = tree
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, node)| match node {
+                Node::Leaf(a) => Some((a.key, a.value.0, id, 0)),
+                Node::Inner { .. } => None,
+            })
+            .collect();
+        leaves.sort_unstable_by_key(|l| l.0);
+        let mut keys = 0;
+        for run in leaves.chunk_by_mut(|x, y| x.0 == y.0) {
+            for leaf in run {
+                leaf.3 = keys;
             }
+            keys += 1;
         }
-        // `target_order` is already total here: targets are distinct
-        // (key, value-bits) groups, and `total_cmp` returns `Equal` only for
-        // identical bit patterns, so equal-value groups differ by key.
-        let mut targets: Vec<(TupleKey, f64, Vec<usize>)> = by_alt.into_values().collect();
-        targets.sort_by(|a, b| target_order(&(a.0, a.1), &(b.0, b.1)));
-        let targets = targets
-            .into_iter()
-            .map(|(key, _, mut leaves)| {
-                leaves.sort_unstable();
-                Target { key, leaves }
+        // Group the leaves per distinct (key, value-bits) alternative, in the
+        // out-rank order: `total_cmp` returns `Equal` only for identical bit
+        // patterns, so `target_order` is `Equal` exactly within a group, and
+        // a group's leaves stay in id order.
+        let order = |x: &(TupleKey, f64, usize, usize), y: &(TupleKey, f64, usize, usize)| {
+            target_order(&(x.0, x.1), &(y.0, y.1))
+        };
+        leaves.sort_unstable_by(|x, y| order(x, y).then(x.2.cmp(&y.2)));
+        let targets = leaves
+            .chunk_by(|x, y| order(x, y).is_eq())
+            .map(|run| Target {
+                position: run[0].3,
+                leaves: run.iter().map(|l| l.2).collect(),
             })
             .collect();
 
@@ -212,32 +254,30 @@ impl<'a> SweepPlan<'a> {
         // bottom-up; builder node ids are topological so ascending order
         // visits children first.
         let mut scratch = Vec::new();
-        let mut init_polys: Vec<Poly1> = Vec::with_capacity(n);
-        let mut init_segs: Vec<Option<AndSeg>> = vec![None; n];
-        for (id, node) in tree.nodes.iter().enumerate() {
+        let mut polys: Vec<Poly1> = Vec::with_capacity(n);
+        let mut segs: Vec<AndSeg> = Vec::with_capacity(and_nodes);
+        for node in &tree.nodes {
             let poly = match node {
                 Node::Leaf(_) => Poly1::constant(1.0),
                 Node::Inner { kind, children } => match kind {
                     NodeKind::Xor => {
                         let evaluated: Vec<(f64, Poly1)> = children
                             .iter()
-                            .map(|(c, p)| (*p, init_polys[c.0].clone()))
+                            .map(|(c, p)| (*p, polys[c.0].clone()))
                             .collect();
                         Poly1::xor_combine(&evaluated)
                     }
                     NodeKind::And => {
-                        let child_polys: Vec<Poly1> = children
-                            .iter()
-                            .map(|(c, _)| init_polys[c.0].clone())
-                            .collect();
+                        let child_polys: Vec<Poly1> =
+                            children.iter().map(|(c, _)| polys[c.0].clone()).collect();
                         let seg = AndSeg::new(&child_polys, trunc, &mut scratch);
                         let root = seg.root().clone();
-                        init_segs[id] = Some(seg);
+                        segs.push(seg);
                         root
                     }
                 },
             };
-            init_polys.push(poly);
+            polys.push(poly);
         }
 
         let x_poly = if max_rank == 1 {
@@ -245,53 +285,21 @@ impl<'a> SweepPlan<'a> {
         } else {
             Poly1::x()
         };
-        SweepPlan {
-            tree,
-            parents,
+        let plan = SweepPlan {
+            links,
             targets,
-            init_polys,
-            init_segs,
+            keys,
             trunc,
-            max_rank,
             x_poly,
             one: Poly1::constant(1.0),
-        }
-    }
-
-    fn fresh_state(&self) -> SweepState {
-        SweepState {
-            polys: self.init_polys.clone(),
-            segs: self.init_segs.clone(),
-            scratch: Vec::new(),
+        };
+        let state = SweepState {
+            polys,
+            segs,
+            scratch,
             acc: Poly1::constant(1.0),
-            next_activation: 0,
-        }
-    }
-
-    fn edge_probability(&self, parent: usize, child_index: usize) -> f64 {
-        match &self.tree.nodes[parent] {
-            Node::Inner { children, .. } => children[child_index].1,
-            Node::Leaf(_) => unreachable!("leaves have no children"),
-        }
-    }
-
-    fn kind(&self, id: usize) -> NodeKind {
-        match &self.tree.nodes[id] {
-            Node::Inner { kind, .. } => *kind,
-            Node::Leaf(_) => unreachable!("queried for inner nodes only"),
-        }
-    }
-
-    /// Replays activations so that exactly the targets preceding `t` in the
-    /// out-rank order have their leaves assigned `x`.
-    fn advance_to(&self, st: &mut SweepState, t: usize) {
-        while st.next_activation < t {
-            let target = &self.targets[st.next_activation];
-            for &leaf in &target.leaves {
-                self.activate_leaf(st, leaf);
-            }
-            st.next_activation += 1;
-        }
+        };
+        (plan, state)
     }
 
     /// Flips one leaf from the constant 1 to `x` and refreshes the cached
@@ -300,22 +308,19 @@ impl<'a> SweepPlan<'a> {
     fn activate_leaf(&self, st: &mut SweepState, leaf: usize) {
         let mut old_child = std::mem::replace(&mut st.polys[leaf], self.x_poly.clone());
         let mut child = leaf;
-        while let Some((parent, child_index)) = self.parents[child] {
+        while let Some(link) = self.links[child] {
+            let parent = link.parent();
             let old_parent = st.polys[parent].clone();
-            match self.kind(parent) {
-                NodeKind::Xor => {
-                    let p = self.edge_probability(parent, child_index);
-                    // A_∨ = leftover + Σ p_i · A_i, so a child change is a
-                    // linear delta: A_∨ += p · (new − old). Builder node ids
-                    // are topological (child < parent), so the slice splits
-                    // cleanly into the child's and the parent's halves.
-                    let (lo, hi) = st.polys.split_at_mut(parent);
-                    hi[0].mixture_delta_assign(&lo[child], &old_child, p);
-                }
-                NodeKind::And => {
-                    let seg = st.segs[parent].as_mut().expect("∧ nodes carry a seg");
-                    let (lo, hi) = st.polys.split_at_mut(parent);
-                    seg.update(child_index, &lo[child], self.trunc, &mut st.scratch);
+            // Builder node ids are topological (child < parent), so the slice
+            // splits cleanly into the child's and the parent's halves.
+            let (lo, hi) = st.polys.split_at_mut(parent);
+            match link {
+                // A_∨ = leftover + Σ p_i · A_i, so a child change is a linear
+                // delta: A_∨ += p · (new − old).
+                Link::Xor { p, .. } => hi[0].mixture_delta_assign(&lo[child], &old_child, p),
+                Link::And { seg, index, .. } => {
+                    let seg = &mut st.segs[seg];
+                    seg.update(index, &lo[child], self.trunc, &mut st.scratch);
                     hi[0].copy_from(seg.root());
                 }
             }
@@ -324,42 +329,35 @@ impl<'a> SweepPlan<'a> {
         }
     }
 
-    /// The rank polynomial of target `t` under the current activation state:
-    /// coefficient `i` is `Pr(r(t) = i + 1)` (the coefficient of `x^i y` in
-    /// the bivariate formulation of Example 3). Recovered without a tree
-    /// sweep: for each leaf of the target, the `y`-part propagates to the
-    /// root as (∨-edge probabilities along the path) × (leave-one-out sibling
-    /// products at ∧ ancestors); the contributions of several leaves add.
-    fn query(&self, st: &mut SweepState, t: usize) -> Vec<f64> {
-        self.advance_to(st, t);
-        let target = &self.targets[t];
-        let mut out = vec![0.0; self.max_rank];
+    /// Writes the rank polynomial of `target` under the current activation
+    /// state into `out`: entry `i` is `Pr(r(t) = i + 1)` (the coefficient of
+    /// `x^i y` in the bivariate formulation of Example 3). Recovered without
+    /// a tree sweep: for each leaf of the target, the `y`-part propagates to
+    /// the root as (∨-edge probabilities along the path) × (leave-one-out
+    /// sibling products at ∧ ancestors); the contributions of several leaves
+    /// add.
+    fn query(&self, st: &mut SweepState, target: &Target, out: &mut [f64]) {
+        out.fill(0.0);
         for &leaf in &target.leaves {
             let mut path_probability = 1.0;
             st.acc.copy_from(&self.one);
             let mut child = leaf;
-            while let Some((parent, child_index)) = self.parents[child] {
-                match self.kind(parent) {
-                    NodeKind::Xor => {
-                        path_probability *= self.edge_probability(parent, child_index);
-                    }
-                    NodeKind::And => {
-                        let seg = st.segs[parent].as_ref().expect("∧ nodes carry a seg");
-                        seg.mul_excluding_into(
-                            child_index,
-                            &mut st.acc,
-                            self.trunc,
-                            &mut st.scratch,
-                        );
-                    }
+            while let Some(link) = self.links[child] {
+                match link {
+                    Link::Xor { p, .. } => path_probability *= p,
+                    Link::And { seg, index, .. } => st.segs[seg].mul_excluding_into(
+                        index,
+                        &mut st.acc,
+                        self.trunc,
+                        &mut st.scratch,
+                    ),
                 }
-                child = parent;
+                child = link.parent();
             }
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot += path_probability * st.acc.coeff(i);
             }
         }
-        out
     }
 }
 
@@ -414,11 +412,11 @@ impl CopresencePlan {
         let mut leaves: Vec<(TupleKey, f64, usize, f64)> = Vec::new();
 
         // Iterative DFS carrying the current ∨-edge stack; each stack frame
-        // is `(node, next child index to visit)`.
+        // is `(node, next child index to visit)`, popped and pushed back
+        // with the index advanced while children remain.
         let mut stack: Vec<(usize, usize)> = vec![(tree.root.0, 0)];
         let mut edge_stack: Vec<(usize, usize, f64)> = Vec::new();
-        while let Some(frame) = stack.last().copied() {
-            let (id, next) = frame;
+        while let Some((id, next)) = stack.pop() {
             match &tree.nodes[id] {
                 Node::Leaf(a) => {
                     let len = edge_stack.len();
@@ -434,7 +432,6 @@ impl CopresencePlan {
                     }
                     leaves.push((a.key, a.value.0, paths.len(), suffix[prob_off]));
                     paths.push((edge_off, prob_off, len));
-                    stack.pop();
                 }
                 Node::Inner { kind, children } => {
                     // Returning from a previous ∨ child: drop its edge.
@@ -442,14 +439,13 @@ impl CopresencePlan {
                         edge_stack.pop();
                     }
                     if next == children.len() {
-                        stack.pop();
                         continue;
                     }
                     let (c, p) = children[next];
                     if *kind == NodeKind::Xor {
                         edge_stack.push((id, next, p));
                     }
-                    stack.last_mut().expect("frame exists").1 += 1;
+                    stack.push((id, next + 1));
                     stack.push((c.0, 0));
                 }
             }
@@ -666,43 +662,33 @@ fn fill_fresh<F, S>(
 impl AndXorTree {
     /// Rank distributions of every tuple up to `max_rank`, computed by a
     /// single shared sweep instead of one generating-function sweep per key
-    /// (see the module docs for the algorithm). Returns the same map as
-    /// calling [`AndXorTree::rank_pmf`] per key, with every entry within
-    /// `1e-12` of the per-tuple path.
-    ///
-    /// `threads = 0` means "auto" (the `CPDB_THREADS` environment variable,
-    /// then the machine's parallelism); results are bit-identical at any
-    /// thread count. Parallelism here partitions the *queries*: each worker
-    /// clones the sweep state and replays the shared activation prefix up to
-    /// its own chunk, so activation work (cheap relative to queries, but not
-    /// free) is duplicated per worker and thread scaling is deliberately
-    /// sublinear — prefer modest thread counts for this build.
-    pub fn batch_rank_pmfs(&self, max_rank: usize, threads: usize) -> HashMap<TupleKey, Vec<f64>> {
-        let keys = self.keys();
-        let mut out: HashMap<TupleKey, Vec<f64>> =
-            keys.iter().map(|&k| (k, vec![0.0; max_rank])).collect();
+    /// (see the module docs for the algorithm). Returns a row-major
+    /// `keys().len() × max_rank` table: row `p` belongs to the key at
+    /// position `p` of [`AndXorTree::keys`], with `row[i - 1] = Pr(r(t) =
+    /// i)`. Every entry is within `1e-12` of [`AndXorTree::rank_pmf`].
+    pub fn batch_rank_pmfs(&self, max_rank: usize) -> Vec<f64> {
         if max_rank == 0 {
-            return out;
+            return Vec::new();
         }
-        let plan = SweepPlan::new(self, max_rank);
-        let per_target = parallel_map_with(
-            threads,
-            plan.targets.len(),
-            || plan.fresh_state(),
-            |st, i| plan.query(st, i),
-        );
-        // Reduce per-key in the fixed sorted target order (deterministic and
-        // independent of the thread chunking above).
-        for (target, pmf) in plan.targets.iter().zip(per_target) {
-            let slot = out.get_mut(&target.key).expect("targets come from keys");
-            for (acc, v) in slot.iter_mut().zip(pmf) {
+        let (plan, mut st) = SweepPlan::new(self, max_rank);
+        let mut out = vec![0.0; plan.keys * max_rank];
+        let mut pmf = vec![0.0; max_rank];
+        for (t, target) in plan.targets.iter().enumerate() {
+            plan.query(&mut st, target, &mut pmf);
+            // A key's targets add into its row in the out-rank order.
+            let row = &mut out[target.position * max_rank..][..max_rank];
+            for (acc, v) in row.iter_mut().zip(&pmf) {
                 *acc += v;
             }
-        }
-        for pmf in out.values_mut() {
-            for p in pmf.iter_mut() {
-                *p = clamp_probability(*p);
+            // The next target is out-ranked by this one.
+            if t + 1 < plan.targets.len() {
+                for &leaf in &target.leaves {
+                    plan.activate_leaf(&mut st, leaf);
+                }
             }
+        }
+        for p in &mut out {
+            *p = clamp_probability(*p);
         }
         out
     }
@@ -892,10 +878,11 @@ mod tests {
     }
 
     fn assert_pmfs_match(tree: &AndXorTree, max_rank: usize) {
-        let batch = tree.batch_rank_pmfs(max_rank, 1);
-        for key in tree.keys() {
+        let batch = tree.batch_rank_pmfs(max_rank);
+        let keys = tree.keys();
+        assert_eq!(batch.len(), keys.len() * max_rank);
+        for (key, got) in keys.into_iter().zip(batch.chunks_exact(max_rank)) {
             let reference = tree.rank_pmf(key, max_rank);
-            let got = &batch[&key];
             for i in 0..max_rank {
                 assert!(
                     (got[i] - reference[i]).abs() < 1e-12,
@@ -936,39 +923,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_rank_pmfs_are_thread_count_invariant() {
-        let tree = bid_tree();
-        let one = tree.batch_rank_pmfs(3, 1);
-        for threads in [2, 3, 8] {
-            let many = tree.batch_rank_pmfs(3, threads);
-            for (key, pmf) in &one {
-                let other = &many[key];
-                for i in 0..pmf.len() {
-                    assert_eq!(
-                        pmf[i].to_bits(),
-                        other[i].to_bits(),
-                        "threads {threads}, key {key:?}, rank {}",
-                        i + 1
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_rank_pmfs_zero_rank_and_single_leaf() {
         let tree = independent_tree(&[(1, 9.0, 0.5)]);
-        let zero = tree.batch_rank_pmfs(0, 1);
-        assert_eq!(zero[&TupleKey(1)].len(), 0);
-        let one = tree.batch_rank_pmfs(1, 1);
-        assert!((one[&TupleKey(1)][0] - 0.5).abs() < 1e-12);
+        assert!(tree.batch_rank_pmfs(0).is_empty());
+        let one = tree.batch_rank_pmfs(1);
+        assert_eq!(one.len(), 1);
+        assert!((one[0] - 0.5).abs() < 1e-12);
 
         // A bare-leaf root (always present) is handled too.
         let mut b = AndXorTreeBuilder::new();
         let root = b.leaf_parts(7, 1.0);
         let tree = b.build(root).unwrap();
-        let pmf = tree.batch_rank_pmfs(1, 1);
-        assert!((pmf[&TupleKey(7)][0] - 1.0).abs() < 1e-12);
+        let pmf = tree.batch_rank_pmfs(1);
+        assert!((pmf[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

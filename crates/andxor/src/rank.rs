@@ -24,7 +24,6 @@ use crate::genfunc_eval::VarAssignment;
 use crate::tree::AndXorTree;
 use cpdb_genfunc::{clamp_probability, Truncation};
 use cpdb_model::{Alternative, TupleKey};
-use std::collections::HashMap;
 
 /// Returns `true` when alternative `other` out-ranks an alternative of `key`
 /// with score `score` (strictly higher score, or equal score with a smaller
@@ -95,18 +94,6 @@ impl AndXorTree {
     /// top `k` tuples of the possible world.
     pub fn rank_cdf(&self, key: TupleKey, k: usize) -> f64 {
         clamp_probability(self.rank_pmf(key, k).iter().sum())
-    }
-
-    /// Rank distributions of every tuple, computed up to `max_rank`.
-    /// Returns a map key → pmf vector.
-    ///
-    /// Thin wrapper over [`AndXorTree::batch_rank_pmfs`] (one shared sweep,
-    /// single-threaded so library callers embedding their own parallelism
-    /// get no surprise thread spawns) — per-tuple results agree within
-    /// `1e-12`. Use [`AndXorTree::rank_pmf`] per key for the reference
-    /// per-tuple path, or `batch_rank_pmfs` directly to opt into threads.
-    pub fn rank_pmf_all(&self, max_rank: usize) -> HashMap<TupleKey, Vec<f64>> {
-        self.batch_rank_pmfs(max_rank, 1)
     }
 
     /// `Pr(r(t_a) < r(t_b))` — the probability that tuple `a` ranks strictly
@@ -392,15 +379,5 @@ mod tests {
             1e-12
         ));
         assert_eq!(tree.rank_pmf(TupleKey(1), 0).len(), 0);
-    }
-
-    #[test]
-    fn rank_pmf_all_covers_every_key() {
-        let tree = independent_tree(&[(1, 3.0, 0.5), (2, 2.0, 0.5), (3, 1.0, 0.5)]);
-        let all = tree.rank_pmf_all(3);
-        assert_eq!(all.len(), 3);
-        for (_, pmf) in all {
-            assert_eq!(pmf.len(), 3);
-        }
     }
 }

@@ -25,9 +25,11 @@
 //! | `observability` | sink ≤ 2% of a probe-mix query | interquartile mean |
 //!
 //! Every suite also asserts its own bit-identity contracts (executors,
-//! patched vs rebuilt, recovered vs writer) while it measures. The `median`
-//! suite times the warm Theorem 4 median Top-k and the `clustering` suite the
-//! warm `Clustering{restarts: 4}` query; neither carries a gate.
+//! patched vs rebuilt, recovered vs writer) while it measures. The `rank`
+//! suite also times the two pairwise batch builds at n=400 on one thread and
+//! on `machine_threads`, without a gate. The `median` suite times the warm
+//! Theorem 4 median Top-k and the `clustering` suite the warm
+//! `Clustering{restarts: 4}` query; neither carries a gate.
 
 use cpdb_bench::experiments::scaling_tree;
 use cpdb_bench::sample::{time_ms, Sample};
@@ -44,6 +46,8 @@ const SEED: u64 = 7;
 const REPS: usize = 3;
 const RANK_N: usize = 120;
 const RANK_K: usize = 10;
+/// Blocks of the ungated one-thread vs parallel pairwise builds.
+const FAN_OUT_N: usize = 400;
 /// Blocks in the serving engine of the query and update suites.
 const SERVING_N: usize = 120;
 /// Copies of each distinct query per batch; the all-unique batch is not gated.
@@ -147,13 +151,17 @@ impl Suite {
     }
 }
 
-fn rank_suite(n: usize, k: usize, reps: usize, threads: usize) -> Suite {
+/// The gated legacy-vs-batch builds at `n` blocks, then the ungated
+/// one-thread vs `threads` pairwise builds at `fan_out_n` blocks.
+fn rank_suite(n: usize, fan_out_n: usize, k: usize, reps: usize, threads: usize) -> Suite {
     let mut s = Suite::new("rank");
     for c in rank_artifacts::measure_cold_builds(n, k, SEED, reps, threads) {
         let row = format!("{} n={n} k={k}", c.name);
         s.timing(&row, "legacy", "ms", &c.legacy_ms);
         s.timing(&row, "batch_1_thread", "ms", &c.batch_single_ms);
-        s.timing(&row, "batch_parallel", "ms", &c.batch_parallel_ms);
+        if let Some(parallel) = &c.batch_parallel_ms {
+            s.timing(&row, "batch_parallel", "ms", parallel);
+        }
         s.value(&row, "max_abs_diff", "abs", c.max_abs_diff);
         s.at_least(
             format!("{} legacy_over_batch", c.name),
@@ -161,6 +169,13 @@ fn rank_suite(n: usize, k: usize, reps: usize, threads: usize) -> Suite {
             1.0,
         );
         s.at_most(format!("{} max_abs_diff", c.name), c.max_abs_diff, 1e-9);
+    }
+    for (name, single, parallel) in
+        rank_artifacts::measure_pairwise_fan_out(fan_out_n, SEED, reps, threads)
+    {
+        let row = format!("{name} n={fan_out_n}");
+        s.timing(&row, "batch_1_thread", "ms", &single);
+        s.timing(&row, "batch_parallel", "ms", &parallel);
     }
     s
 }
@@ -505,7 +520,7 @@ fn main() -> ExitCode {
         .chain([RECOVER_TAIL])
         .collect();
     let suites = [
-        rank_suite(RANK_N, RANK_K, REPS, machine_threads),
+        rank_suite(RANK_N, FAN_OUT_N, RANK_K, REPS, machine_threads),
         query_suite(SERVING_N, REPS, &QUERY_DUPS, &QUERY_THREADS),
         update_suite(SERVING_N, REPS),
         persistence_suite(&PERSISTENCE_SIZES, REPS),
@@ -567,7 +582,7 @@ mod tests {
     #[test]
     fn every_row_carries_the_schema() {
         let suites = [
-            rank_suite(16, 3, 2, 1),
+            rank_suite(16, 20, 3, 2, 1),
             query_suite(16, 2, &[1, 2], &[1]),
             update_suite(24, 2),
             persistence_suite(&[24], 2),

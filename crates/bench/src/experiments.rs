@@ -899,7 +899,7 @@ pub fn genfunc_scaling_table() -> Table {
         let _ = tree.world_size_distribution();
         let t_size = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let _ = tree.rank_pmf_all(10);
+        let _ = tree.batch_rank_pmfs(10);
         let t_rank = start.elapsed().as_secs_f64();
         t.add_row(vec![n.to_string(), fmt_ms(t_size), fmt_ms(t_rank)]);
     }

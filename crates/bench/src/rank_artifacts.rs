@@ -11,7 +11,6 @@ use cpdb_andxor::AndXorTree;
 use cpdb_consensus::clustering::CoClusteringWeights;
 use cpdb_model::TupleKey;
 use cpdb_workloads::{random_clustering_tree, ClusteringConfig};
-use std::collections::HashMap;
 
 /// The scored-BID workload both rank-table and tournament measurements run
 /// on (`n` blocks × 2 alternatives, the `scaling_tree` family).
@@ -32,21 +31,18 @@ pub fn clustering_workload(n: usize, seed: u64) -> AndXorTree {
 }
 
 /// Legacy rank-PMF table: one per-tuple generating-function sweep per key
-/// (what `TopKContext::new` did before the batch evaluator).
-pub fn legacy_rank_table(tree: &AndXorTree, k: usize) -> HashMap<TupleKey, Vec<f64>> {
+/// (what `TopKContext::new` did before the batch evaluator), row-major over
+/// the sorted keys.
+pub fn legacy_rank_table(tree: &AndXorTree, k: usize) -> Vec<f64> {
     tree.keys()
         .into_iter()
-        .map(|key| (key, tree.rank_pmf(key, k)))
+        .flat_map(|key| tree.rank_pmf(key, k))
         .collect()
 }
 
 /// Batch rank-PMF table ([`AndXorTree::batch_rank_pmfs`]).
-pub fn batch_rank_table(
-    tree: &AndXorTree,
-    k: usize,
-    threads: usize,
-) -> HashMap<TupleKey, Vec<f64>> {
-    tree.batch_rank_pmfs(k, threads)
+pub fn batch_rank_table(tree: &AndXorTree, k: usize) -> Vec<f64> {
+    tree.batch_rank_pmfs(k)
 }
 
 /// Legacy Kendall tournament: two generating-function sweeps per ordered
@@ -80,22 +76,7 @@ pub fn batch_cocluster(tree: &AndXorTree, threads: usize) -> CoClusteringWeights
     CoClusteringWeights::from_tree_with_parallelism(tree, threads)
 }
 
-/// Largest absolute difference between two rank tables over all keys/ranks.
-pub fn rank_table_max_diff(
-    a: &HashMap<TupleKey, Vec<f64>>,
-    b: &HashMap<TupleKey, Vec<f64>>,
-) -> f64 {
-    let mut max = 0.0f64;
-    for (key, pa) in a {
-        let pb = &b[key];
-        for (x, y) in pa.iter().zip(pb) {
-            max = max.max((x - y).abs());
-        }
-    }
-    max
-}
-
-/// Largest absolute difference between two row-major matrices.
+/// Largest absolute difference between two row-major tables.
 pub fn matrix_max_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
@@ -111,7 +92,8 @@ pub fn cocluster_max_diff(a: &CoClusteringWeights, b: &CoClusteringWeights) -> f
 }
 
 /// One artifact family's cold builds: legacy, batch on one thread, and
-/// batch on `threads`, with how far the batch result strays from legacy.
+/// batch on `threads` where the build fans out, with how far the batch
+/// result strays from legacy.
 pub struct Comparison {
     /// Artifact family label.
     pub name: &'static str,
@@ -119,8 +101,9 @@ pub struct Comparison {
     pub legacy_ms: Sample,
     /// Batch cold build on one thread.
     pub batch_single_ms: Sample,
-    /// Batch cold build on the parallel thread count.
-    pub batch_parallel_ms: Sample,
+    /// Batch cold build on the parallel thread count; `None` for the serial
+    /// rank-PMF sweep.
+    pub batch_parallel_ms: Option<Sample>,
     /// Largest absolute difference between the batch and legacy results.
     pub max_abs_diff: f64,
 }
@@ -134,7 +117,7 @@ impl Comparison {
 
 /// Times the three cold builds (rank-PMF table at `k`, Kendall tournament,
 /// co-clustering weights) legacy vs batch on `n`-block workloads, `reps`
-/// runs each, the parallel batch on `threads` threads.
+/// runs each, the two pairwise batch builds also on `threads` threads.
 pub fn measure_cold_builds(
     n: usize,
     k: usize,
@@ -150,13 +133,13 @@ pub fn measure_cold_builds(
     vec![
         Comparison {
             name: "rank_pmf_table",
-            max_abs_diff: rank_table_max_diff(
+            max_abs_diff: matrix_max_diff(
                 &legacy_rank_table(&tree, k),
-                &batch_rank_table(&tree, k, 1),
+                &batch_rank_table(&tree, k),
             ),
             legacy_ms: time_ms(reps, || legacy_rank_table(&tree, k)),
-            batch_single_ms: time_ms(reps, || batch_rank_table(&tree, k, 1)),
-            batch_parallel_ms: time_ms(reps, || batch_rank_table(&tree, k, threads)),
+            batch_single_ms: time_ms(reps, || batch_rank_table(&tree, k)),
+            batch_parallel_ms: None,
         },
         Comparison {
             name: "kendall_tournament",
@@ -166,7 +149,7 @@ pub fn measure_cold_builds(
             ),
             legacy_ms: time_ms(reps, || legacy_tournament(&tree, &keys)),
             batch_single_ms: time_ms(reps, || batch_tournament(&tree, &keys, 1)),
-            batch_parallel_ms: time_ms(reps, || batch_tournament(&tree, &keys, threads)),
+            batch_parallel_ms: Some(time_ms(reps, || batch_tournament(&tree, &keys, threads))),
         },
         Comparison {
             name: "coclustering_weights",
@@ -176,8 +159,35 @@ pub fn measure_cold_builds(
             ),
             legacy_ms: time_ms(reps, || legacy_cocluster(&ctree)),
             batch_single_ms: time_ms(reps, || batch_cocluster(&ctree, 1)),
-            batch_parallel_ms: time_ms(reps, || batch_cocluster(&ctree, threads)),
+            batch_parallel_ms: Some(time_ms(reps, || batch_cocluster(&ctree, threads))),
         },
+    ]
+}
+
+/// Times the two pairwise batch builds (Kendall tournament, co-clustering
+/// weights) on one thread and on `threads` threads at `n` blocks, with no
+/// legacy run: the evidence that their fan-outs pay. Returns
+/// `(name, one thread, threads)` per build.
+pub fn measure_pairwise_fan_out(
+    n: usize,
+    seed: u64,
+    reps: usize,
+    threads: usize,
+) -> [(&'static str, Sample, Sample); 2] {
+    let tree = rank_workload(n, seed);
+    let keys = tree.keys();
+    let ctree = clustering_workload(n, seed);
+    [
+        (
+            "kendall_tournament",
+            time_ms(reps, || batch_tournament(&tree, &keys, 1)),
+            time_ms(reps, || batch_tournament(&tree, &keys, threads)),
+        ),
+        (
+            "coclustering_weights",
+            time_ms(reps, || batch_cocluster(&ctree, 1)),
+            time_ms(reps, || batch_cocluster(&ctree, threads)),
+        ),
     ]
 }
 
@@ -189,10 +199,7 @@ mod tests {
     fn legacy_and_batch_artifacts_agree_on_a_small_workload() {
         let tree = rank_workload(24, 11);
         let keys = tree.keys();
-        assert!(
-            rank_table_max_diff(&legacy_rank_table(&tree, 5), &batch_rank_table(&tree, 5, 1))
-                < 1e-12
-        );
+        assert!(matrix_max_diff(&legacy_rank_table(&tree, 5), &batch_rank_table(&tree, 5)) < 1e-12);
         assert!(
             matrix_max_diff(
                 &legacy_tournament(&tree, &keys),

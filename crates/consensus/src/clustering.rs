@@ -50,8 +50,7 @@ impl CoClusteringWeights {
     /// including the "both absent" artificial cluster of the paper. Uses the
     /// batch evaluator ([`AndXorTree::batch_cocluster_weights`]) — one shared
     /// root-path extraction instead of one generating-function sweep per pair
-    /// — with an automatic thread count (`CPDB_THREADS`, then machine
-    /// parallelism).
+    /// — with an automatic thread count (the machine's parallelism).
     pub fn from_tree(tree: &AndXorTree) -> Self {
         Self::from_tree_with_parallelism(tree, 0)
     }

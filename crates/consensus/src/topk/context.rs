@@ -11,7 +11,6 @@
 
 use cpdb_andxor::AndXorTree;
 use cpdb_model::TupleKey;
-use std::collections::HashMap;
 
 /// The per-key statistic tables, in slab order.
 const PMF: usize = 0;
@@ -46,47 +45,38 @@ impl TopKContext {
     /// Builds the context for a Top-k query with the given `k`.
     ///
     /// The rank PMFs come from the single-sweep batch evaluator
-    /// ([`AndXorTree::batch_rank_pmfs`]) with an automatic thread count
-    /// (`CPDB_THREADS`, then the machine's parallelism) — one shared
-    /// generating-function sweep instead of one per key.
+    /// ([`AndXorTree::batch_rank_pmfs`]) — one shared generating-function
+    /// sweep instead of one per key — as one row per sorted tree key.
     pub fn new(tree: &AndXorTree, k: usize) -> Self {
-        Self::new_with_parallelism(tree, k, 0)
+        Self::fill(k, tree.keys(), &tree.batch_rank_pmfs(k))
     }
 
-    /// [`TopKContext::new`] with an explicit thread count (`0` = auto). The
-    /// batch evaluator is bit-identical at any thread count, so the context
-    /// does not depend on this knob — only the build time does.
-    pub fn new_with_parallelism(tree: &AndXorTree, k: usize, threads: usize) -> Self {
-        let keys = tree.keys();
-        let pmf = tree.batch_rank_pmfs(k, threads);
-        Self::from_parts(k, keys, &pmf)
-    }
-
-    /// Builds a context directly from per-tuple rank distributions (useful in
-    /// tests and for models other than the and/xor tree). `pmf[t]` must have
-    /// length `k`.
-    pub fn from_pmf(k: usize, pmf: HashMap<TupleKey, Vec<f64>>) -> Self {
-        let mut keys: Vec<TupleKey> = pmf.keys().copied().collect();
-        keys.sort();
-        Self::from_parts(k, keys, &pmf)
+    /// Builds a context from a row-major `keys.len() × k` rank-PMF table
+    /// (row `p` holds `Pr(r(keys[p]) = i)` at `i − 1`), the form
+    /// [`TopKContext::pmf_rows`] exports. `None` unless `keys` strictly
+    /// increase and `rows` has exactly one length-`k` row per key.
+    pub fn from_rows(k: usize, keys: Vec<TupleKey>, rows: &[f64]) -> Option<Self> {
+        let sorted = keys.windows(2).all(|w| w[0] < w[1]);
+        (sorted && keys.len().checked_mul(k) == Some(rows.len())).then(|| Self::fill(k, keys, rows))
     }
 
     /// Derives every cached statistic (prefix sums, harmonic suffix sums)
-    /// from the rank PMFs. All derived tables are O(n·k) to build and
-    /// make the per-(tuple, position) queries of the assignment solvers O(1).
-    /// A key without a PMF gets all-zero tables.
-    fn from_parts(k: usize, keys: Vec<TupleKey>, pmf: &HashMap<TupleKey, Vec<f64>>) -> Self {
+    /// from the rank-PMF rows, one length-`k` row per key. All derived
+    /// tables are O(n·k) to build and make the per-(tuple, position)
+    /// queries of the assignment solvers O(1).
+    fn fill(k: usize, keys: Vec<TupleKey>, rows: &[f64]) -> Self {
         let mut stats = vec![0.0; keys.len() * TABLES * k];
         // `max(1)`: with k = 0 the slab is empty and there is nothing to fill.
-        for (key, tables) in keys.iter().zip(stats.chunks_exact_mut(TABLES * k.max(1))) {
-            let Some(p) = pmf.get(key) else {
-                continue;
-            };
+        let k1 = k.max(1);
+        for (tables, p) in stats
+            .chunks_exact_mut(TABLES * k1)
+            .zip(rows.chunks_exact(k1))
+        {
             let (pmf, rest) = tables.split_at_mut(k);
             let (mass, rest) = rest.split_at_mut(k);
             let (weighted, suffix) = rest.split_at_mut(k);
             let (mut acc, mut wacc) = (0.0, 0.0);
-            for (i, &v) in p.iter().take(k).enumerate() {
+            for (i, &v) in p.iter().enumerate() {
                 acc += v;
                 wacc += (i + 1) as f64 * v;
                 pmf[i] = v;
@@ -100,6 +90,16 @@ impl TopKContext {
             }
         }
         TopKContext { k, keys, stats }
+    }
+
+    /// The rank-PMF rows the context was built from, row-major over
+    /// [`TopKContext::keys`]: the input of [`TopKContext::from_rows`].
+    pub fn pmf_rows(&self) -> Vec<f64> {
+        self.stats
+            .chunks_exact(TABLES * self.k.max(1))
+            .flat_map(|tables| &tables[PMF * self.k..(PMF + 1) * self.k])
+            .copied()
+            .collect()
     }
 
     /// Table `table` of key `t` (`k` entries), or `None` for an unknown key.
@@ -366,13 +366,17 @@ mod tests {
     }
 
     #[test]
-    fn from_pmf_round_trip() {
-        let mut pmf = HashMap::new();
-        pmf.insert(TupleKey(1), vec![0.5, 0.2]);
-        pmf.insert(TupleKey(2), vec![0.3, 0.3]);
-        let ctx = TopKContext::from_pmf(2, pmf);
+    fn from_rows_round_trip() {
+        let keys = vec![TupleKey(1), TupleKey(2)];
+        let rows = [0.5, 0.2, 0.3, 0.3];
+        let ctx = TopKContext::from_rows(2, keys.clone(), &rows).unwrap();
         assert_eq!(ctx.k(), 2);
         assert!((ctx.topk_probability(TupleKey(1)) - 0.7).abs() < 1e-12);
         assert!((ctx.total_topi_mass(1) - 0.8).abs() < 1e-12);
+        assert_eq!(ctx.pmf_rows(), rows);
+        // One entry short or long, or keys out of order, build nothing.
+        assert!(TopKContext::from_rows(2, keys.clone(), &rows[..3]).is_none());
+        assert!(TopKContext::from_rows(2, keys, &[rows.as_slice(), &[0.0]].concat()).is_none());
+        assert!(TopKContext::from_rows(2, vec![TupleKey(2), TupleKey(1)], &rows).is_none());
     }
 }

@@ -32,7 +32,7 @@ use rand::Rng;
 /// over the given keys, using exact generating-function computations via the
 /// batch evaluator ([`AndXorTree::batch_pairwise_order`]): one shared
 /// root-path extraction serves every pair instead of two tree sweeps per
-/// pair. Auto thread count (`CPDB_THREADS`, then machine parallelism).
+/// pair. Auto thread count (the machine's parallelism).
 pub fn preference_matrix(tree: &AndXorTree, keys: &[TupleKey]) -> PreferenceMatrix {
     preference_matrix_with_parallelism(tree, keys, 0)
 }

@@ -133,15 +133,14 @@ impl ConsensusEngineBuilder {
         self
     }
 
-    /// Thread count used both by the batch artifact *builds* (rank-PMF
-    /// tables, Kendall tournament, co-clustering weights — each a
-    /// `cpdb_parallel` fork-join over targets/pairs) and by
-    /// [`crate::ConsensusEngine::run_batch`]'s query *dispatch* (the
-    /// deduplicated queries fan out across worker threads). `0` (the default)
-    /// means "auto": the `CPDB_THREADS` environment variable if set,
-    /// otherwise the machine's available parallelism. Answers never depend on
-    /// this knob — the batch evaluators and per-query RNG streams are
-    /// bit-identical at any thread count; only latency changes.
+    /// Thread count used both by the pairwise artifact *builds* (Kendall
+    /// tournament, co-clustering weights — each a `cpdb_parallel` fork-join
+    /// over pairs) and by [`crate::ConsensusEngine::run_batch`]'s query
+    /// *dispatch* (the deduplicated queries fan out across worker threads).
+    /// `0` (the default) means "auto": the machine's available parallelism.
+    /// Answers never depend on this knob — the batch evaluators and
+    /// per-query RNG streams are bit-identical at any thread count; only
+    /// latency changes.
     #[must_use = "builder methods return the updated builder"]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

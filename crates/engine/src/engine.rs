@@ -828,11 +828,7 @@ impl ConsensusEngine {
                 let _build = self
                     .obs
                     .artifact_span(Artifact::RankContext, || format!("rank_context[k={k}]"));
-                Arc::new(TopKContext::new_with_parallelism(
-                    &self.tree,
-                    k,
-                    self.threads,
-                ))
+                Arc::new(TopKContext::new(&self.tree, k))
             },
         )
         .clone()
@@ -1118,19 +1114,14 @@ impl ConsensusEngine {
             .expect("artifact map lock poisoned")
             .iter()
             .filter_map(|(&k, cell)| cell.get().map(|ctx| (k, Arc::clone(ctx))))
-            .map(|(k, ctx)| {
-                let pmf = ctx
-                    .keys()
-                    .iter()
-                    .map(|&t| (t.0, (1..=k).map(|i| ctx.rank_probability(t, i)).collect()))
-                    .collect();
-                RankContextExport { k, pmf }
+            .map(|(k, ctx)| RankContextExport {
+                k,
+                rows: ctx.pmf_rows(),
             })
             .collect();
         contexts.sort_by_key(|c| c.k);
 
         let prefs = self.prefs.get().map(|m| PreferenceExport {
-            items: m.items().to_vec(),
             weights: m.row_major().to_vec(),
         });
 
@@ -1184,9 +1175,10 @@ impl ConsensusEngine {
     /// produced the export (its cache counters start from zero).
     ///
     /// Malformed exports — an invalid tree, a bad configuration, artifact
-    /// tables whose shapes do not match, artifacts over other keys or
-    /// alternatives than the tree's, rank contexts at a `k` outside the
-    /// k-range or repeated — surface as typed [`EngineError`]s.
+    /// tables whose lengths do not match the tree's key count, a key index
+    /// or rows over other keys or alternatives than the tree's, rank
+    /// contexts at a `k` outside the k-range or repeated — surface as typed
+    /// [`EngineError`]s.
     pub fn from_export(export: &EngineExport) -> Result<ConsensusEngine, EngineError> {
         let tree = AndXorTree::from_raw(&export.tree)?;
         let mut builder = crate::builder::ConsensusEngineBuilder::new(tree)
@@ -1200,7 +1192,10 @@ impl ConsensusEngine {
             builder = builder.groupby(GroupByInstance::new(probs.clone())?);
         }
         let mut engine = builder.build()?;
-        let keys: Vec<u64> = engine.tree.keys().iter().map(|k| k.0).collect();
+        // Every artifact is over the tree's sorted keys, so one length check
+        // per section is all there is to check.
+        let tree_keys = engine.tree.keys();
+        let keys: Vec<u64> = tree_keys.iter().map(|k| k.0).collect();
         let alternatives: HashSet<Alternative> =
             if export.marginals.is_some() || export.jaccard_candidates.is_some() {
                 engine.tree.alternatives().into_iter().collect()
@@ -1222,50 +1217,36 @@ impl ConsensusEngine {
                 });
             }
             previous_k = Some(rce.k);
-            let pmf_keys: Vec<u64> = rce.pmf.iter().map(|(key, _)| *key).collect();
-            check_tree_keys(
-                &format!("rank-context export at k={}", rce.k),
-                &pmf_keys,
-                &keys,
-            )?;
-            let mut pmf = HashMap::with_capacity(rce.pmf.len());
-            for (key, row) in &rce.pmf {
-                if row.len() != rce.k {
-                    return Err(EngineError::InvalidConfig {
+            let ctx =
+                TopKContext::from_rows(rce.k, tree_keys.clone(), &rce.rows).ok_or_else(|| {
+                    EngineError::InvalidConfig {
                         context: format!(
-                            "rank-context export at k={} has a row of length {}",
+                            "rank-context export at k={} has {} entries for {} keys",
                             rce.k,
-                            row.len()
+                            rce.rows.len(),
+                            tree_keys.len()
                         ),
-                    });
-                }
-                pmf.insert(cpdb_model::TupleKey(*key), row.clone());
-            }
-            contexts.insert(
-                rce.k,
-                prebuilt_slot(Arc::new(TopKContext::from_pmf(rce.k, pmf))),
-            );
+                    }
+                })?;
+            contexts.insert(rce.k, prebuilt_slot(Arc::new(ctx)));
         }
         engine.contexts = RwLock::new(contexts);
 
         if let Some(pe) = &export.prefs {
-            check_tree_keys("preference export", &pe.items, &keys)?;
-            let m = PreferenceMatrix::from_row_major(&pe.items, pe.weights.clone()).ok_or_else(
-                || EngineError::InvalidConfig {
-                    context: format!(
-                        "preference export has {} weights for {} items",
-                        pe.weights.len(),
-                        pe.items.len()
-                    ),
-                },
-            )?;
+            let m =
+                PreferenceMatrix::from_row_major(&keys, pe.weights.clone()).ok_or_else(|| {
+                    EngineError::InvalidConfig {
+                        context: format!(
+                            "preference export has {} weights for {} keys",
+                            pe.weights.len(),
+                            keys.len()
+                        ),
+                    }
+                })?;
             engine.prefs = prebuilt_slot(m);
         }
 
         if let Some(ce) = &export.cocluster {
-            // The triangle is over the tree's sorted keys, so its length is
-            // all there is to check.
-            let tree_keys = keys.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
             let w = CoClusteringWeights::from_upper_triangle(tree_keys, ce.weights.clone())
                 .ok_or_else(|| EngineError::InvalidConfig {
                     context: format!(
@@ -2360,67 +2341,51 @@ mod tests {
         for r in engine.run_batch_serial(&warming_batch()) {
             r.unwrap();
         }
-        let mut export = engine.export();
-        export.contexts[0].pmf[0].1.pop();
-        assert!(matches!(
-            ConsensusEngine::from_export(&export),
-            Err(EngineError::InvalidConfig { .. })
-        ));
-
-        let mut export = engine.export();
-        if let Some(pe) = &mut export.prefs {
-            pe.weights.pop();
-        }
-        assert!(matches!(
-            ConsensusEngine::from_export(&export),
-            Err(EngineError::InvalidConfig { .. })
-        ));
-
-        // A co-clustering triangle one entry short or one entry long is
-        // rejected rather than silently zeroed or truncated.
+        // A rank-context table, preference matrix or co-clustering triangle
+        // one entry short or one entry long is rejected rather than silently
+        // zeroed or truncated.
         for corrupt in [
             |weights: &mut Vec<f64>| {
                 weights.pop();
             },
             |weights: &mut Vec<f64>| weights.push(0.5),
         ] {
-            let mut export = engine.export();
-            if let Some(ce) = &mut export.cocluster {
-                corrupt(&mut ce.weights);
+            type Section = (&'static str, fn(&mut EngineExport) -> &mut Vec<f64>);
+            let sections: [Section; 3] = [
+                ("rank context", |e| &mut e.contexts[0].rows),
+                ("preference matrix", |e| {
+                    &mut e.prefs.as_mut().unwrap().weights
+                }),
+                ("co-clustering triangle", |e| {
+                    &mut e.cocluster.as_mut().unwrap().weights
+                }),
+            ];
+            for (what, section) in sections {
+                let mut export = engine.export();
+                corrupt(section(&mut export));
+                assert!(
+                    matches!(
+                        ConsensusEngine::from_export(&export),
+                        Err(EngineError::InvalidConfig { .. })
+                    ),
+                    "{what} of the wrong length was accepted"
+                );
             }
-            assert!(matches!(
-                ConsensusEngine::from_export(&export),
-                Err(EngineError::InvalidConfig { .. })
-            ));
         }
 
-        // Artifacts over other keys or alternatives than the tree's, and rank
-        // contexts at an inadmissible or repeated `k`, are rejected rather
-        // than injected as is.
-        fn rename_key_1(key: &mut u64) {
-            if *key == 1 {
-                *key = 99;
-            }
-        }
+        // A key index or rows over other keys or alternatives than the
+        // tree's, and rank contexts at an inadmissible or repeated `k`, are
+        // rejected rather than injected as is.
         type Corruption = (&'static str, fn(&mut EngineExport));
-        let corruptions: [Corruption; 7] = [
+        let corruptions: [Corruption; 5] = [
             ("key index misses a key", |e| {
                 e.key_index.as_mut().unwrap().pop();
             }),
-            ("preference items out of order", |e| {
-                e.prefs.as_mut().unwrap().items.swap(0, 1);
-            }),
-            ("rank PMFs over a foreign key", |e| {
-                for (key, _) in &mut e.contexts[0].pmf {
-                    rename_key_1(key);
-                }
-            }),
             ("rank context above the k-range", |e| {
+                let n = e.contexts[0].rows.len() / e.contexts[0].k;
                 let k = e.k_range.1 + 1;
                 e.contexts[0].k = k;
-                for (_, row) in &mut e.contexts[0].pmf {
-                    row.resize(k, 0.0);
-                }
+                e.contexts[0].rows.resize(n * k, 0.0);
             }),
             ("rank context repeated", |e| {
                 let again = e.contexts[0].clone();

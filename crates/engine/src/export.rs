@@ -9,10 +9,10 @@
 //! * every configuration knob (seed, k-range, strategies, sample counts,
 //!   thread count, the optional group-by matrix);
 //! * every artifact the engine had actually *built* at export time: the
-//!   per-`k` rank-PMF contexts, the Kendall preference matrix, the
-//!   co-clustering weights (a bare strict upper triangle over the tree's
-//!   sorted keys, so import checks only its length), the marginal and
-//!   Jaccard candidate tables, and the sorted key index. Unbuilt artifacts
+//!   per-`k` rank-PMF contexts, the Kendall preference matrix and the
+//!   co-clustering weights (bare `f64` tables over the tree's sorted keys,
+//!   so import checks only their lengths), the marginal and Jaccard
+//!   candidate tables, and the sorted key index. Unbuilt artifacts
 //!   are simply absent and rebuilt lazily after import — the ordinary cold
 //!   path, still bit-identical because every builder is deterministic.
 //!
@@ -26,22 +26,22 @@ use cpdb_andxor::RawTree;
 
 /// One exported per-`k` rank-PMF context: the raw `Pr(r(t) = i)` table the
 /// context was built from (everything else it caches derives from it
-/// deterministically).
+/// deterministically), over the tree's sorted tuple keys (which the export
+/// does not repeat).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankContextExport {
     /// The query parameter `k`.
     pub k: usize,
-    /// `(tuple key, pmf row)` pairs, sorted by key; each row has length `k`
-    /// with `row[i - 1] = Pr(r(t) = i)`.
-    pub pmf: Vec<(u64, Vec<f64>)>,
+    /// Row-major `n × k` table, one row per sorted key:
+    /// `rows[p·k + i − 1] = Pr(r(t_p) = i)`.
+    pub rows: Vec<f64>,
 }
 
-/// The exported full pairwise-order tournament.
+/// The exported full pairwise-order tournament, over the tree's sorted tuple
+/// keys (which the export does not repeat).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreferenceExport {
-    /// The tournament items (tuple keys), in tournament order.
-    pub items: Vec<u64>,
-    /// Row-major `items.len() × items.len()` weight matrix.
+    /// Row-major `n × n` weight matrix.
     pub weights: Vec<f64>,
 }
 

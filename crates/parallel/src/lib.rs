@@ -1,12 +1,12 @@
 //! # cpdb-parallel — minimal fork-join helpers for artifact builds
 //!
-//! The expensive shared artifacts of the workspace (rank-probability PMF
-//! tables, the Kendall pairwise-order tournament, co-clustering weights) are
-//! embarrassingly parallel across targets/pairs once the batch
-//! generating-function evaluator has removed the per-target sweeps. This
-//! crate provides the *smallest* parallelism layer that can exploit that —
-//! a [`std::thread::scope`] fork-join map over contiguous index chunks — with
-//! three hard guarantees:
+//! The pairwise artifacts of the workspace (the Kendall pairwise-order
+//! tournament, the co-clustering weights) are embarrassingly parallel across
+//! pairs once the batch generating-function evaluator has reduced each entry
+//! to a closed form, and the engine fans a query batch out across threads.
+//! This crate provides the *smallest* parallelism layer that can exploit
+//! that — a [`std::thread::scope`] fork-join map over contiguous index
+//! chunks — with three hard guarantees:
 //!
 //! * **no new dependencies** — plain `std::thread`, nothing vendored;
 //! * **deterministic output ordering** — results come back in input order
@@ -14,34 +14,21 @@
 //! * **thread-count independence** — callers are expected to make each
 //!   per-item computation independent of the chunking, so the same inputs
 //!   produce bit-identical outputs at any thread count (the conformance
-//!   suite asserts this for every batch artifact build).
+//!   suite asserts this for every parallel artifact build).
 //!
 //! The thread count is resolved by [`resolve_threads`]: an explicit non-zero
-//! request wins, otherwise the `CPDB_THREADS` environment variable, otherwise
-//! [`std::thread::available_parallelism`]. `CPDB_THREADS=1` (or passing `1`)
-//! disables spawning entirely — the map runs inline on the caller's thread.
+//! request wins, otherwise [`std::thread::available_parallelism`]. Passing
+//! `1` disables spawning entirely — the map runs inline on the caller's
+//! thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Environment variable consulted by [`resolve_threads`] when the caller
-/// passes `0` ("auto"). Accepts any positive integer; invalid or missing
-/// values fall back to the machine's available parallelism.
-pub const THREADS_ENV: &str = "CPDB_THREADS";
-
-/// Resolves a requested thread count: `0` means "auto" (the `CPDB_THREADS`
-/// environment variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`]); any other value is taken as-is.
+/// Resolves a requested thread count: `0` means "auto"
+/// ([`std::thread::available_parallelism`]); any other value is taken as-is.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested != 0 {
         return requested;
-    }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -61,25 +48,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    parallel_map_with(threads, len, || (), |_, i| f(i))
-}
-
-/// Like [`parallel_map_indexed`], but each worker first builds a per-thread
-/// state with `init` and threads it through every call in its chunk. This is
-/// the shape the batch rank-PMF sweep needs: each worker replays the shared
-/// chronological activation sweep in its own scratch state, so per-item
-/// results stay independent of the chunking (and therefore of the thread
-/// count).
-pub fn parallel_map_with<R, S, I, F>(threads: usize, len: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
     let threads = resolve_threads(threads).min(len.max(1));
     if threads <= 1 || len <= 1 {
-        let mut state = init();
-        return (0..len).map(|i| f(&mut state, i)).collect();
+        return (0..len).map(f).collect();
     }
     let base = len / threads;
     let rem = len % threads;
@@ -90,21 +61,18 @@ where
         start += base + usize::from(t < rem);
         bounds.push(start);
     }
-    let (init, f) = (&init, &f);
+    let f = &f;
     let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
     cpdb_sync::thread::scope(|scope| {
         let handles: Vec<_> = bounds
             .windows(2)
             .map(|w| {
                 let (lo, hi) = (w[0], w[1]);
-                scope.spawn(move || {
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                })
+                scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
             })
             .collect();
         for h in handles {
-            chunks.push(h.join().expect("parallel_map_with worker panicked"));
+            chunks.push(h.join().expect("parallel_map_indexed worker panicked"));
         }
     });
     let mut out = Vec::with_capacity(len);
@@ -137,26 +105,6 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert!(parallel_map_indexed(8, 0, |i| i).is_empty());
         assert_eq!(parallel_map_indexed(8, 1, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn stateful_map_matches_sequential_at_any_thread_count() {
-        // Per-thread state is a scratch buffer; results must not depend on it.
-        let run = |threads| {
-            parallel_map_with(
-                threads,
-                25,
-                Vec::<usize>::new,
-                |scratch: &mut Vec<usize>, i| {
-                    scratch.push(i);
-                    i * 3
-                },
-            )
-        };
-        let seq = run(1);
-        for threads in [2, 5, 16] {
-            assert_eq!(seq, run(threads), "threads = {threads}");
-        }
     }
 
     #[test]

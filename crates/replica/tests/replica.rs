@@ -241,44 +241,46 @@ fn crc32(bytes: &[u8]) -> u32 {
 
 #[test]
 fn anchor_in_a_foreign_version_is_refused_without_quarantine() {
-    let pvfs = FaultVfs::new();
-    let fvfs = FaultVfs::new();
-    let primary = primary(&pvfs);
-    primary.ship().unwrap();
+    for found in [1u32, 2] {
+        let pvfs = FaultVfs::new();
+        let fvfs = FaultVfs::new();
+        let primary = primary(&pvfs);
+        primary.ship().unwrap();
 
-    // Restamp the shipped anchor as a version-1 image and publish a
-    // manifest entry that matches the restamped bytes, as a primary on an
-    // older build would have shipped it.
-    let outbox = Path::new("/p/outbox");
-    let pv = arc(&pvfs);
-    let mut manifest = read_manifest_with(&pv, outbox).unwrap();
-    let (epoch, _, _) = manifest.anchor.unwrap();
-    let anchor_path = outbox.join(cpdb_store::ship::anchor_file_name(epoch));
-    let mut bytes = pvfs.contents(&anchor_path).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let mut file = pv.create_truncated(&anchor_path).unwrap();
-    file.write_all(&bytes).unwrap();
-    file.sync_all().unwrap();
-    drop(file);
-    manifest.anchor = Some((epoch, crc32(&bytes), bytes.len() as u64));
-    write_manifest_with(&pv, outbox, &manifest).unwrap();
+        // Restamp the shipped anchor as an earlier-version image and publish
+        // a manifest entry that matches the restamped bytes, as a primary on
+        // an older build would have shipped it.
+        let outbox = Path::new("/p/outbox");
+        let pv = arc(&pvfs);
+        let mut manifest = read_manifest_with(&pv, outbox).unwrap();
+        let (epoch, _, _) = manifest.anchor.unwrap();
+        let anchor_path = outbox.join(cpdb_store::ship::anchor_file_name(epoch));
+        let mut bytes = pvfs.contents(&anchor_path).unwrap();
+        bytes[8..12].copy_from_slice(&found.to_le_bytes());
+        let mut file = pv.create_truncated(&anchor_path).unwrap();
+        file.write_all(&bytes).unwrap();
+        file.sync_all().unwrap();
+        drop(file);
+        manifest.anchor = Some((epoch, crc32(&bytes), bytes.len() as u64));
+        write_manifest_with(&pv, outbox, &manifest).unwrap();
 
-    let transport = Transport::new(pv, outbox, arc(&fvfs), Path::new("/f/inbox")).unwrap();
-    let err = Follower::open(transport, Path::new("/f/store"), options(&fvfs))
-        .err()
-        .expect("a version-1 anchor must not bootstrap a follower");
-    assert!(
-        matches!(
-            err,
-            ReplicaError::Store(StoreError::UnsupportedVersion { found: 1 })
-        ),
-        "{err}"
-    );
-    let inbox = arc(&fvfs).read_dir_names(Path::new("/f/inbox")).unwrap();
-    assert!(
-        !inbox.iter().any(|n| n.ends_with(".quarantine")),
-        "a well-formed foreign-version anchor was quarantined: {inbox:?}"
-    );
+        let transport = Transport::new(pv, outbox, arc(&fvfs), Path::new("/f/inbox")).unwrap();
+        let err = Follower::open(transport, Path::new("/f/store"), options(&fvfs))
+            .err()
+            .expect("an earlier-version anchor must not bootstrap a follower");
+        assert!(
+            matches!(
+                err,
+                ReplicaError::Store(StoreError::UnsupportedVersion { found: f }) if f == found
+            ),
+            "{err}"
+        );
+        let inbox = arc(&fvfs).read_dir_names(Path::new("/f/inbox")).unwrap();
+        assert!(
+            !inbox.iter().any(|n| n.ends_with(".quarantine")),
+            "a well-formed foreign-version anchor was quarantined: {inbox:?}"
+        );
+    }
 }
 
 #[test]

@@ -340,15 +340,9 @@ pub fn encode_config(w: &mut ByteWriter, e: &EngineExport) {
     match e.kendall {
         KendallStrategy::Pivot { trials } => {
             w.put_u8(KENDALL_PIVOT);
-            // The retired candidate-pool slot: written as 0, ignored on read.
-            w.put_usize(0);
             w.put_usize(trials);
         }
-        KendallStrategy::FootruleProxy => {
-            w.put_u8(KENDALL_FOOTRULE_PROXY);
-            w.put_usize(0);
-            w.put_usize(0);
-        }
+        KendallStrategy::FootruleProxy => w.put_u8(KENDALL_FOOTRULE_PROXY),
     }
     w.put_u8(match e.intersection {
         IntersectionStrategy::Assignment => INTERSECTION_ASSIGNMENT,
@@ -378,16 +372,10 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
     let k_lo = r.get_u64()? as usize;
     let k_hi = r.get_u64()? as usize;
     let kendall = match r.get_u8()? {
-        KENDALL_PIVOT => {
-            let _ = r.get_u64()?;
-            let trials = r.get_u64()? as usize;
-            KendallStrategy::Pivot { trials }
-        }
-        KENDALL_FOOTRULE_PROXY => {
-            let _ = r.get_u64()?;
-            let _ = r.get_u64()?;
-            KendallStrategy::FootruleProxy
-        }
+        KENDALL_PIVOT => KendallStrategy::Pivot {
+            trials: r.get_u64()? as usize,
+        },
+        KENDALL_FOOTRULE_PROXY => KendallStrategy::FootruleProxy,
         other => {
             return Err(StoreError::Corrupt {
                 context: format!("unknown Kendall strategy tag {other}"),
@@ -446,17 +434,13 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
 
 // ---------------------------------------------------------------- artifacts
 
+/// Each rank context: its `k`, a count, then that many `f64`s (the
+/// row-major table over the tree's sorted keys).
 pub fn encode_contexts(w: &mut ByteWriter, contexts: &[RankContextExport]) {
     w.put_usize(contexts.len());
     for ctx in contexts {
         w.put_usize(ctx.k);
-        w.put_usize(ctx.pmf.len());
-        for (key, row) in &ctx.pmf {
-            w.put_u64(*key);
-            for &p in row {
-                w.put_f64(p);
-            }
-        }
+        put_f64s(w, &ctx.rows);
     }
 }
 
@@ -465,51 +449,47 @@ pub fn decode_contexts(r: &mut ByteReader<'_>) -> Result<Vec<RankContextExport>,
     let mut contexts = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.get_bounded(1 << 24)?;
-        let rows = r.get_count()?;
-        let mut pmf = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let key = r.get_u64()?;
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(r.get_f64()?);
-            }
-            pmf.push((key, row));
-        }
-        contexts.push(RankContextExport { k, pmf });
+        contexts.push(RankContextExport {
+            k,
+            rows: get_f64s(r)?,
+        });
     }
     Ok(contexts)
 }
 
+/// The preference matrix: a count, then that many `f64`s.
 pub fn encode_prefs(w: &mut ByteWriter, prefs: &PreferenceExport) {
-    w.put_usize(prefs.items.len());
-    for &item in &prefs.items {
-        w.put_u64(item);
-    }
-    for &weight in &prefs.weights {
-        w.put_f64(weight);
-    }
+    put_f64s(w, &prefs.weights);
 }
 
 pub fn decode_prefs(r: &mut ByteReader<'_>) -> Result<PreferenceExport, StoreError> {
-    let n = r.get_bounded(1 << 20)?;
-    let items = r.get_records(n, 8)?.map(le_u64).collect();
-    // Saturates on a 32-bit target; the bounds check then rejects it.
-    let weights = r.get_records(n.saturating_mul(n), 8)?.map(le_f64).collect();
-    Ok(PreferenceExport { items, weights })
+    Ok(PreferenceExport {
+        weights: get_f64s(r)?,
+    })
 }
 
 /// The co-clustering triangle: a count, then that many `f64`s.
 pub fn encode_cocluster(w: &mut ByteWriter, c: &CoClusterExport) {
-    w.put_usize(c.weights.len());
-    for &weight in &c.weights {
-        w.put_f64(weight);
-    }
+    put_f64s(w, &c.weights);
 }
 
 pub fn decode_cocluster(r: &mut ByteReader<'_>) -> Result<CoClusterExport, StoreError> {
+    Ok(CoClusterExport {
+        weights: get_f64s(r)?,
+    })
+}
+
+/// A bare `f64` array: a count, then that many `f64`s.
+fn put_f64s(w: &mut ByteWriter, values: &[f64]) {
+    w.put_usize(values.len());
+    for &v in values {
+        w.put_f64(v);
+    }
+}
+
+fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, StoreError> {
     let n = r.get_count()?;
-    let weights = r.get_records(n, 8)?.map(le_f64).collect();
-    Ok(CoClusterExport { weights })
+    Ok(r.get_records(n, 8)?.map(le_f64).collect())
 }
 
 /// `(key, value, probability)` triple tables (marginals, Jaccard candidates).
@@ -633,57 +613,57 @@ mod tests {
     }
 
     #[test]
-    fn kendall_config_round_trips_and_reads_the_retired_pool_slot() {
+    fn kendall_config_round_trips_without_a_pool_slot() {
         let tree = RawTree {
             nodes: vec![RawNode::Leaf { key: 1, value: 1.0 }],
             root: 0,
         };
-        let config = EngineExport {
-            tree: tree.clone(),
-            seed: 7,
-            k_range: (1, 3),
-            kendall: KendallStrategy::Pivot { trials: 8 },
-            intersection: IntersectionStrategy::Assignment,
-            kendall_distance_samples: 64,
-            threads: 2,
-            groupby: None,
-            contexts: Vec::new(),
-            prefs: None,
-            cocluster: None,
-            marginals: None,
-            jaccard_candidates: None,
-            key_index: None,
-        };
-        let decode = |bytes: &[u8], pool: u64| {
-            let mut bytes = bytes.to_vec();
-            // seed, k-range low and high, strategy tag, then the pool slot.
-            bytes[25..33].copy_from_slice(&pool.to_le_bytes());
+        for (kendall, tag, trials) in [
+            (
+                KendallStrategy::Pivot { trials: 8 },
+                KENDALL_PIVOT,
+                Some(8u64),
+            ),
+            (KendallStrategy::FootruleProxy, KENDALL_FOOTRULE_PROXY, None),
+        ] {
+            let config = EngineExport {
+                tree: tree.clone(),
+                seed: 7,
+                k_range: (1, 3),
+                kendall,
+                intersection: IntersectionStrategy::Assignment,
+                kendall_distance_samples: 64,
+                threads: 2,
+                groupby: None,
+                contexts: Vec::new(),
+                prefs: None,
+                cocluster: None,
+                marginals: None,
+                jaccard_candidates: None,
+                key_index: None,
+            };
+            let mut w = ByteWriter::new();
+            encode_config(&mut w, &config);
+            let bytes = w.into_bytes();
+            // Seed, k-range, the strategy tag and only the pivot's trials.
+            let mut layout = ByteWriter::new();
+            for field in [7u64, 1, 3] {
+                layout.put_u64(field);
+            }
+            layout.put_u8(tag);
+            if let Some(trials) = trials {
+                layout.put_u64(trials);
+            }
+            layout.put_u8(INTERSECTION_ASSIGNMENT);
+            for field in [64u64, 2] {
+                layout.put_u64(field);
+            }
+            layout.put_u8(0);
+            assert_eq!(bytes, layout.into_bytes());
             let mut r = ByteReader::new(&bytes, "config");
-            let back = decode_config(&mut r, tree.clone()).unwrap();
+            assert_eq!(decode_config(&mut r, tree.clone()).unwrap(), config);
             r.expect_end().unwrap();
-            back
-        };
-        let mut w = ByteWriter::new();
-        encode_config(&mut w, &config);
-        let bytes = w.into_bytes();
-        // The earlier layout, with 0 in the pool slot, byte for byte.
-        let mut earlier = ByteWriter::new();
-        for field in [7u64, 1, 3] {
-            earlier.put_u64(field);
         }
-        earlier.put_u8(KENDALL_PIVOT);
-        for field in [0u64, 8] {
-            earlier.put_u64(field);
-        }
-        earlier.put_u8(INTERSECTION_ASSIGNMENT);
-        for field in [64u64, 2] {
-            earlier.put_u64(field);
-        }
-        earlier.put_u8(0);
-        assert_eq!(bytes, earlier.into_bytes());
-        assert_eq!(decode(&bytes, 0), config);
-        // A non-zero pool from an older snapshot is discarded on read.
-        assert_eq!(decode(&bytes, 5), config);
     }
 
     #[test]

@@ -31,12 +31,21 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
 ///
-/// Version 2 writes the co-clustering section as a bare strict upper
-/// triangle — a count, then `n(n − 1)/2` `f64`s over the tree's sorted keys
-/// — where version 1 wrote its key list and one `(u64, u64, f64)` triple per
-/// pair. A version-1 image is refused with
-/// [`StoreError::UnsupportedVersion`]; no decoder for it is kept.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 writes every pairwise and rank artifact as a bare `f64` array
+/// over the tree's sorted keys, which the tree section already carries:
+///
+/// * each rank context is its `k`, a count, then the row-major `n × k`
+///   rank-PMF table, where version 2 wrote a key before every row;
+/// * the preference section is a count, then the row-major `n × n`
+///   tournament, where version 2 wrote the item keys first;
+/// * the config section no longer carries the retired Kendall-pool slot
+///   (nor the second unused slot after the footrule-proxy tag).
+///
+/// Version 2 had already made the co-clustering section a bare strict upper
+/// triangle (a count, then `n(n − 1)/2` `f64`s). Images of any earlier
+/// version are refused with [`StoreError::UnsupportedVersion`]; no decoder
+/// for them is kept.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -396,6 +405,16 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(StoreError::UnsupportedVersion { found: 1 })
+        ));
+    }
+
+    #[test]
+    fn version_2_images_are_refused() {
+        let mut bytes = encode_snapshot(7, &warm_export());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(StoreError::UnsupportedVersion { found: 2 })
         ));
     }
 

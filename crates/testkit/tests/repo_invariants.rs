@@ -95,6 +95,19 @@ fn clustering_module_keeps_its_unwrap_gate() {
     );
 }
 
+/// The batch generating-function sweeps build every rank context and
+/// pairwise artifact; the module keeps the same panic-freedom gate.
+#[test]
+fn andxor_batch_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("andxor/src/batch.rs");
+    let src = std::fs::read_to_string(&module).expect("batch module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}
+
 /// The median answer reads its profits from the rank context and builds its
 /// list through the symmetric-difference module; both keep the median's
 /// panic-freedom gate.

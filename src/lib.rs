@@ -35,7 +35,7 @@
 //! * [`model`] — probabilistic relation models and possible-world semantics;
 //! * [`andxor`] — the probabilistic and/xor tree (including the single-sweep
 //!   batch evaluator behind the engine's artifact builds);
-//! * [`parallel`] — minimal fork-join helpers (`CPDB_THREADS`);
+//! * [`parallel`] — minimal fork-join helpers;
 //! * [`assignment`] — Hungarian algorithm and min-cost flow;
 //! * [`rankagg`] — Top-k list types, distance metrics, rank aggregation;
 //! * [`consensus`] — the consensus-answer algorithms themselves;
