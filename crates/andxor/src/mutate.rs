@@ -589,6 +589,7 @@ mod tests {
     use crate::batch::upper_triangle_index;
     use crate::tree::AndXorTreeBuilder;
     use cpdb_genfunc::Poly1;
+    use cpdb_model::WorldModel;
 
     /// BID-shaped tree: root ∧ over one ∨ block per key.
     fn bid_tree() -> AndXorTree {
@@ -634,13 +635,15 @@ mod tests {
         assert!(!impact.rank_order_preserved);
         // Node ids are stable for non-structural deltas.
         assert_eq!(new_tree.node_count(), tree.node_count());
-        let probs = new_tree.alternative_probabilities();
-        assert!((probs[&Alternative::new(2, 80.0)] - 0.7).abs() < 1e-12);
+        assert!((new_tree.alternative_probability(&Alternative::new(2, 80.0)) - 0.7).abs() < 1e-12);
         // Untouched keys keep bit-identical marginals.
+        let probs = new_tree.alternative_probabilities();
         let old_probs = tree.alternative_probabilities();
-        for (alt, p) in &old_probs {
+        assert_eq!(probs.len(), old_probs.len());
+        for ((alt, p), (new_alt, new_p)) in old_probs.iter().zip(&probs) {
+            assert_eq!(alt, new_alt);
             if alt.key != TupleKey(2) {
-                assert_eq!(p.to_bits(), probs[alt].to_bits(), "{alt:?}");
+                assert_eq!(p.to_bits(), new_p.to_bits(), "{alt:?}");
             }
         }
     }
@@ -731,8 +734,7 @@ mod tests {
             .unwrap();
         assert!(impact.membership_changed);
         assert_eq!(grown.leaf_count(), tree.leaf_count() + 1);
-        let probs = grown.alternative_probabilities();
-        assert!((probs[&Alternative::new(3, 65.0)] - 0.05).abs() < 1e-12);
+        assert!((grown.alternative_probability(&Alternative::new(3, 65.0)) - 0.05).abs() < 1e-12);
         // Remove it again (ids were renumbered — look the leaf up by content).
         let new_leaf = grown
             .leaves_of_key(3)
@@ -915,16 +917,17 @@ mod tests {
             })
             .unwrap();
         // Patch: keep untouched keys' entries, recompute affected ones.
-        let mut patched: std::collections::HashMap<Alternative, f64> = old
-            .iter()
+        let mut patched: Vec<(Alternative, f64)> = old
+            .into_iter()
             .filter(|(alt, _)| !impact.affected_keys.contains(&alt.key))
-            .map(|(a, p)| (*a, *p))
+            .chain(new_tree.alternative_probabilities_for_keys(&impact.affected_keys))
             .collect();
-        patched.extend(new_tree.alternative_probabilities_for_keys(&impact.affected_keys));
+        patched.sort_by_key(|(alt, _)| *alt);
         let full = new_tree.alternative_probabilities();
         assert_eq!(patched.len(), full.len());
-        for (alt, p) in &full {
-            assert_eq!(patched[alt].to_bits(), p.to_bits(), "{alt:?}");
+        for ((alt, p), (full_alt, full_p)) in patched.iter().zip(&full) {
+            assert_eq!(alt, full_alt);
+            assert_eq!(p.to_bits(), full_p.to_bits(), "{alt:?}");
         }
     }
 

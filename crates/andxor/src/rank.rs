@@ -53,9 +53,9 @@ impl AndXorTree {
         // computed once per tree and cached, not rebuilt per call).
         let alt_probs = self.alternative_probabilities_cached();
         let values: Vec<f64> = alt_probs
-            .keys()
-            .filter(|a| a.key == key)
-            .map(|a| a.value.0)
+            .iter()
+            .filter(|(a, _)| a.key == key)
+            .map(|(a, _)| a.value.0)
             .collect();
         for &score in &values {
             let target = Alternative::new(key.0, score);
@@ -108,9 +108,9 @@ impl AndXorTree {
         }
         let alt_probs = self.alternative_probabilities_cached();
         let values: Vec<f64> = alt_probs
-            .keys()
-            .filter(|alt| alt.key == a)
-            .map(|alt| alt.value.0)
+            .iter()
+            .filter(|(alt, _)| alt.key == a)
+            .map(|(alt, _)| alt.value.0)
             .collect();
         let mut total = 0.0;
         for &score in &values {
@@ -152,16 +152,16 @@ impl AndXorTree {
         }
         let alt_probs = self.alternative_probabilities_cached();
         let mut values: Vec<f64> = alt_probs
-            .keys()
-            .filter(|a| a.key == i)
-            .map(|a| a.value.0)
+            .iter()
+            .filter(|(a, _)| a.key == i)
+            .map(|(a, _)| a.value.0)
             .collect();
         values.sort_by(f64::total_cmp);
         values.dedup();
         let mut total = 0.0;
         for v in values {
             // Only values that j can also take contribute.
-            if alt_probs.keys().any(|a| a.key == j && a.value.0 == v) {
+            if alt_probs.iter().any(|(a, _)| a.key == j && a.value.0 == v) {
                 total += self.cooccurrence_probability(i, j, v);
             }
         }

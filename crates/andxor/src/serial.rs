@@ -288,8 +288,9 @@ mod tests {
                 back.alternative_probabilities(),
             );
             assert_eq!(a.len(), b.len());
-            for (alt, p) in &a {
-                assert_eq!(p.to_bits(), b[alt].to_bits(), "{alt:?}");
+            for ((alt, p), (back_alt, back_p)) in a.iter().zip(&b) {
+                assert_eq!(alt, back_alt);
+                assert_eq!(p.to_bits(), back_p.to_bits(), "{alt:?}");
             }
         }
     }

@@ -16,7 +16,7 @@
 //! reachable from the root).
 
 use cpdb_model::error::{validate_probability, ModelError};
-use cpdb_model::{Alternative, TupleKey};
+use cpdb_model::{fold_marginals, Alternative, TupleKey};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -115,7 +115,7 @@ pub struct AndXorTree {
     /// statistic that needs the distinct alternatives of a key (rank PMFs,
     /// pairwise order, cluster weights). Computed at most once per tree
     /// instead of once per call.
-    alt_probs: OnceLock<HashMap<Alternative, f64>>,
+    alt_probs: OnceLock<Vec<(Alternative, f64)>>,
 }
 
 impl PartialEq for AndXorTree {
@@ -393,14 +393,14 @@ impl AndXorTree {
         }
     }
 
-    /// Per-alternative marginal presence probability, computed like
-    /// [`Self::key_presence_probabilities`] but keyed by the full
-    /// alternative. When the same `(key, value)` pair appears at several
-    /// leaves (allowed under an ∨ node), their probabilities are summed.
-    pub fn alternative_probabilities(&self) -> HashMap<Alternative, f64> {
-        let mut out = HashMap::new();
-        self.accumulate_alt(self.root, 1.0, &mut out);
-        out
+    /// The per-alternative marginal table: `(alternative, Pr(alternative))`
+    /// for every distinct leaf alternative, sorted by alternative (the order
+    /// of [`Self::alternatives`]). Each leaf contributes the product of the
+    /// ∨-edge probabilities on its root path; when the same `(key, value)`
+    /// pair appears at several leaves (allowed under an ∨ node), their
+    /// probabilities are summed in depth-first leaf order.
+    pub fn alternative_probabilities(&self) -> Vec<(Alternative, f64)> {
+        self.alternative_probabilities_where(&|_| true)
     }
 
     /// Cached variant of [`Self::alternative_probabilities`]: the table is
@@ -409,7 +409,7 @@ impl AndXorTree {
     /// (`rank_pmf`, `pairwise_order_probability`, `cluster_weight`) read this
     /// accessor so repeated queries against one tree stop rebuilding the
     /// marginal table from scratch.
-    pub fn alternative_probabilities_cached(&self) -> &HashMap<Alternative, f64> {
+    pub fn alternative_probabilities_cached(&self) -> &[(Alternative, f64)] {
         self.alt_probs
             .get_or_init(|| self.alternative_probabilities())
     }
@@ -418,60 +418,49 @@ impl AndXorTree {
     /// of the given keys — the marginal-table **patch path** for live
     /// updates. The walk visits every leaf in the same depth-first order with
     /// the same cumulative edge-probability products as the full
-    /// accumulation and merely skips inserting other keys' entries, so each
-    /// returned entry is **bit-identical** to the corresponding entry of a
-    /// full [`Self::alternative_probabilities`] call on the same tree.
+    /// accumulation and merely skips other keys' leaves, so each returned
+    /// entry is **bit-identical** to the corresponding entry of a full
+    /// [`Self::alternative_probabilities`] call on the same tree.
     pub fn alternative_probabilities_for_keys(
         &self,
         keys: &BTreeSet<TupleKey>,
-    ) -> HashMap<Alternative, f64> {
-        let mut out = HashMap::new();
-        self.accumulate_alt_filtered(self.root, 1.0, keys, &mut out);
-        out
+    ) -> Vec<(Alternative, f64)> {
+        self.alternative_probabilities_where(&|key| keys.contains(&key))
     }
 
-    fn accumulate_alt_filtered(
+    fn alternative_probabilities_where(
+        &self,
+        keep: &dyn Fn(TupleKey) -> bool,
+    ) -> Vec<(Alternative, f64)> {
+        let mut leaves = Vec::new();
+        self.accumulate_alt(self.root, 1.0, keep, &mut leaves);
+        fold_marginals(leaves)
+    }
+
+    /// Pushes `(alternative, path probability)` for every kept leaf under
+    /// `id`, in depth-first order.
+    fn accumulate_alt(
         &self,
         id: NodeId,
         weight: f64,
-        keys: &BTreeSet<TupleKey>,
-        out: &mut HashMap<Alternative, f64>,
+        keep: &dyn Fn(TupleKey) -> bool,
+        out: &mut Vec<(Alternative, f64)>,
     ) {
         match &self.nodes[id.0] {
             Node::Leaf(a) => {
-                if keys.contains(&a.key) {
-                    *out.entry(*a).or_insert(0.0) += weight;
+                if keep(a.key) {
+                    out.push((*a, weight));
                 }
             }
             Node::Inner { kind, children } => match kind {
                 NodeKind::And => {
                     for (c, _) in children {
-                        self.accumulate_alt_filtered(*c, weight, keys, out);
+                        self.accumulate_alt(*c, weight, keep, out);
                     }
                 }
                 NodeKind::Xor => {
                     for (c, p) in children {
-                        self.accumulate_alt_filtered(*c, weight * p, keys, out);
-                    }
-                }
-            },
-        }
-    }
-
-    fn accumulate_alt(&self, id: NodeId, weight: f64, out: &mut HashMap<Alternative, f64>) {
-        match &self.nodes[id.0] {
-            Node::Leaf(a) => {
-                *out.entry(*a).or_insert(0.0) += weight;
-            }
-            Node::Inner { kind, children } => match kind {
-                NodeKind::And => {
-                    for (c, _) in children {
-                        self.accumulate_alt(*c, weight, out);
-                    }
-                }
-                NodeKind::Xor => {
-                    for (c, p) in children {
-                        self.accumulate_alt(*c, weight * p, out);
+                        self.accumulate_alt(*c, weight * p, keep, out);
                     }
                 }
             },
@@ -638,8 +627,10 @@ mod tests {
         assert!((probs[&TupleKey(2)] - 0.6).abs() < 1e-12);
         assert!((probs[&TupleKey(3)] - 0.6).abs() < 1e-12);
         let alt_probs = tree.alternative_probabilities();
-        assert!((alt_probs[&Alternative::new(1, 1.0)] - 0.3).abs() < 1e-12);
-        assert!((alt_probs[&Alternative::new(1, 2.0)] - 0.2).abs() < 1e-12);
+        let alts: Vec<Alternative> = alt_probs.iter().map(|(a, _)| *a).collect();
+        assert_eq!(alts, tree.alternatives());
+        assert!((alt_probs[0].1 - 0.3).abs() < 1e-12);
+        assert!((alt_probs[1].1 - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -114,10 +114,10 @@ impl WorldModel for AndXorTree {
     }
 
     fn alternative_probability(&self, alt: &Alternative) -> f64 {
-        self.alternative_probabilities()
-            .get(alt)
-            .copied()
-            .unwrap_or(0.0)
+        let table = self.alternative_probabilities_cached();
+        table
+            .binary_search_by(|(a, _)| a.cmp(alt))
+            .map_or(0.0, |at| table[at].1)
     }
 }
 

@@ -22,9 +22,9 @@ fn bench_clustering(c: &mut Criterion) {
             seed: 17,
         });
         group.bench_with_input(BenchmarkId::new("pairwise_weights", n), &tree, |b, tree| {
-            b.iter(|| black_box(CoClusteringWeights::from_tree(tree)))
+            b.iter(|| black_box(CoClusteringWeights::from_tree(tree, 0)))
         });
-        let weights = CoClusteringWeights::from_tree(&tree);
+        let weights = CoClusteringWeights::from_tree(&tree, 0);
         group.bench_with_input(
             BenchmarkId::new("pivot_best_of_16", n),
             &weights,

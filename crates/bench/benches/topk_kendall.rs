@@ -23,7 +23,7 @@ fn bench_topk_kendall(c: &mut Criterion) {
             &tree,
             |b, tree| {
                 let keys = tree.keys();
-                b.iter(|| black_box(kendall::preference_matrix(tree, &keys)))
+                b.iter(|| black_box(kendall::preference_matrix(tree, &keys, 0)))
             },
         );
         group.bench_with_input(

@@ -73,7 +73,7 @@ pub fn legacy_cocluster(tree: &AndXorTree) -> CoClusteringWeights {
 
 /// Batch co-clustering weights.
 pub fn batch_cocluster(tree: &AndXorTree, threads: usize) -> CoClusteringWeights {
-    CoClusteringWeights::from_tree_with_parallelism(tree, threads)
+    CoClusteringWeights::from_tree(tree, threads)
 }
 
 /// Largest absolute difference between two row-major tables.

@@ -50,15 +50,9 @@ impl CoClusteringWeights {
     /// including the "both absent" artificial cluster of the paper. Uses the
     /// batch evaluator ([`AndXorTree::batch_cocluster_weights`]) — one shared
     /// root-path extraction instead of one generating-function sweep per pair
-    /// — with an automatic thread count (the machine's parallelism).
-    pub fn from_tree(tree: &AndXorTree) -> Self {
-        Self::from_tree_with_parallelism(tree, 0)
-    }
-
-    /// [`CoClusteringWeights::from_tree`] with an explicit thread count
-    /// (`0` = auto). The batch evaluator is bit-identical at any thread
-    /// count.
-    pub fn from_tree_with_parallelism(tree: &AndXorTree, threads: usize) -> Self {
+    /// — on `threads` workers (`0` = the machine's parallelism). The batch
+    /// evaluator is bit-identical at any thread count.
+    pub fn from_tree(tree: &AndXorTree, threads: usize) -> Self {
         // `AndXorTree::keys` is sorted and deduplicated.
         let keys = tree.keys();
         let tri = tree.batch_cocluster_weights(&keys, threads);
@@ -428,7 +422,7 @@ mod tests {
     #[test]
     fn batch_weights_match_the_per_pair_reference() {
         let tree = attribute_tree();
-        let batch = CoClusteringWeights::from_tree(&tree);
+        let batch = CoClusteringWeights::from_tree(&tree, 0);
         let reference = CoClusteringWeights::from_tree_per_pair(&tree);
         for (idx, &i) in batch.keys().iter().enumerate() {
             for &j in batch.keys().iter().skip(idx + 1) {
@@ -445,7 +439,7 @@ mod tests {
     #[test]
     fn weights_match_enumeration() {
         let tree = attribute_tree();
-        let weights = CoClusteringWeights::from_tree(&tree);
+        let weights = CoClusteringWeights::from_tree(&tree, 0);
         let ws = tree.enumerate_worlds();
         for (idx, &i) in weights.keys().iter().enumerate() {
             for &j in weights.keys().iter().skip(idx + 1) {
@@ -466,7 +460,7 @@ mod tests {
     #[test]
     fn expected_distance_matches_enumeration() {
         let tree = attribute_tree();
-        let weights = CoClusteringWeights::from_tree(&tree);
+        let weights = CoClusteringWeights::from_tree(&tree, 0);
         let ws = tree.enumerate_worlds();
         let keys = tree.keys();
         let candidates: Vec<Clustering> = vec![
@@ -487,7 +481,7 @@ mod tests {
     #[test]
     fn pivot_close_to_brute_force_on_small_instances() {
         let tree = attribute_tree();
-        let weights = CoClusteringWeights::from_tree(&tree);
+        let weights = CoClusteringWeights::from_tree(&tree, 0);
         let mut rng = StdRng::seed_from_u64(9);
         let (_, pivot_cost) = pivot_clustering_best_of(&weights, 16, &mut rng);
         let (_, opt_cost) = brute_force_clustering(&weights);
@@ -501,7 +495,7 @@ mod tests {
     #[test]
     fn pivot_groups_strongly_correlated_tuples() {
         let tree = attribute_tree();
-        let weights = CoClusteringWeights::from_tree(&tree);
+        let weights = CoClusteringWeights::from_tree(&tree, 0);
         let mut rng = StdRng::seed_from_u64(3);
         let (best, _) = pivot_clustering_best_of(&weights, 16, &mut rng);
         // Tuples 1 and 2 should land in the same cluster, 3 elsewhere.

@@ -101,39 +101,20 @@ pub fn median_world_bid(db: &BidDb) -> Result<JaccardConsensus, ModelError> {
 /// and/xor tree: the highest-marginal-probability alternative of every tuple
 /// key, sorted by decreasing probability (ties broken by key). For
 /// tuple-independent trees this is exactly the Lemma 2 candidate order; for
-/// BID trees it is the §4.2 median candidate order. This is the caching seam
-/// used by `cpdb_engine` — the list is computed once per tree and reused by
-/// every Jaccard query.
+/// BID trees it is the §4.2 median candidate order.
 pub fn prefix_candidates(tree: &AndXorTree) -> Vec<(Alternative, f64)> {
     prefix_candidates_from_marginals(&tree.alternative_probabilities())
 }
 
-/// [`prefix_candidates`] from an already-computed marginal-probability table,
-/// so callers that cache `alternative_probabilities` (the engine does, for
-/// symmetric-difference set queries) avoid a second tree walk.
+/// [`prefix_candidates`] from a marginal table sorted by alternative
+/// ([`AndXorTree::alternative_probabilities`]), in one pass over its key
+/// runs, so callers that cache the table (the engine does, for every set
+/// query) avoid a second tree walk.
 pub fn prefix_candidates_from_marginals(
-    marginals: &HashMap<Alternative, f64>,
+    marginals: &[(Alternative, f64)],
 ) -> Vec<(Alternative, f64)> {
-    let mut best: HashMap<cpdb_model::TupleKey, (Alternative, f64)> = HashMap::new();
-    for (&alt, &p) in marginals {
-        match best.entry(alt.key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((alt, p));
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (cur, cur_p) = *e.get();
-                let better = p
-                    .partial_cmp(&cur_p)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| alt.value.0.total_cmp(&cur.value.0))
-                    .is_gt();
-                if better {
-                    e.insert((alt, p));
-                }
-            }
-        }
-    }
-    let mut sorted: Vec<(Alternative, f64)> = best.into_values().collect();
+    let mut sorted: Vec<(Alternative, f64)> =
+        crate::set_distance::best_alternative_per_key(marginals).collect();
     sorted.sort_by(|(a1, p1), (a2, p2)| {
         p2.partial_cmp(p1)
             .unwrap_or(std::cmp::Ordering::Equal)

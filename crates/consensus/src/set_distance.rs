@@ -12,45 +12,27 @@
 //!   [`median_world_from_worldset`] helper solves the explicit-world version
 //!   by enumeration so the hardness gadget can be exercised end-to-end.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use cpdb_andxor::AndXorTree;
-use cpdb_model::{Alternative, PossibleWorld, WorldModel, WorldSet};
-use std::collections::HashMap;
+use cpdb_model::{fold_marginals, Alternative, PossibleWorld, WorldModel, WorldSet};
+use std::cmp::Ordering;
 
 /// The expected symmetric-difference distance between a candidate world and
-/// the random world, computed in closed form from per-alternative marginals:
+/// the random world, computed in closed form from a marginal table sorted by
+/// alternative ([`AndXorTree::alternative_probabilities`]):
 /// `Σ_{t ∈ S} (1 − Pr(t)) + Σ_{t ∉ S} Pr(t)` (proof of Theorem 2).
 ///
-/// The summation runs in sorted-alternative order, not `HashMap` iteration
-/// order, so the result is bit-identical across map instances — the engine's
-/// concurrent-vs-serial conformance gates compare answers from independently
-/// built engines down to the last bit.
+/// The summation runs in the table's sorted-alternative order, so the result
+/// is bit-identical across independently built tables — the engine's
+/// concurrent-vs-serial conformance gates compare answers down to the last
+/// bit.
 pub fn expected_symmetric_difference(
     candidate: &PossibleWorld,
-    marginals: &HashMap<Alternative, f64>,
-) -> f64 {
-    expected_symmetric_difference_sorted(candidate, &sorted_marginals(marginals), marginals)
-}
-
-/// The marginal table as a sorted slice, the form
-/// [`expected_symmetric_difference_sorted`] consumes. Callers that score many
-/// candidates against one table (the enumerated-median scan) sort once and
-/// reuse it.
-fn sorted_marginals(marginals: &HashMap<Alternative, f64>) -> Vec<(Alternative, f64)> {
-    let mut entries: Vec<(Alternative, f64)> = marginals.iter().map(|(a, p)| (*a, *p)).collect();
-    entries.sort_by_key(|(alt, _)| *alt);
-    entries
-}
-
-/// [`expected_symmetric_difference`] over a pre-sorted marginal slice (the
-/// map is still consulted for the membership test of candidate-only
-/// alternatives).
-fn expected_symmetric_difference_sorted(
-    candidate: &PossibleWorld,
-    entries: &[(Alternative, f64)],
-    marginals: &HashMap<Alternative, f64>,
+    marginals: &[(Alternative, f64)],
 ) -> f64 {
     let mut total = 0.0;
-    for (alt, p) in entries {
+    for (alt, p) in marginals {
         if candidate.contains(alt) {
             total += 1.0 - p;
         } else {
@@ -59,24 +41,52 @@ fn expected_symmetric_difference_sorted(
     }
     // Alternatives in the candidate that never occur contribute 1 each.
     for alt in candidate.alternatives() {
-        if !marginals.contains_key(alt) {
+        if marginals.binary_search_by(|(a, _)| a.cmp(alt)).is_err() {
             total += 1.0;
         }
     }
     total
 }
 
+/// The highest-marginal alternative of every key of a marginal table sorted
+/// by alternative, in key order; of two alternatives with the same marginal
+/// the larger value wins. This is the §4.2 candidate of each BID block, and
+/// the only alternative of its key that Theorem 2 can choose.
+pub(crate) fn best_alternative_per_key(
+    marginals: &[(Alternative, f64)],
+) -> impl Iterator<Item = (Alternative, f64)> + '_ {
+    marginals
+        .chunk_by(|(a, _), (b, _)| a.key == b.key)
+        .filter_map(|run| {
+            run.iter().copied().reduce(|best, (alt, p)| {
+                let better = p
+                    .partial_cmp(&best.1)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| alt.value.0.total_cmp(&best.0.value.0))
+                    .is_gt();
+                if better {
+                    (alt, p)
+                } else {
+                    best
+                }
+            })
+        })
+}
+
 /// Theorem 2: the mean world under symmetric difference for any model that
-/// can report its per-alternative marginals — the set of alternatives with
-/// probability strictly greater than ½.
-pub fn mean_world_from_marginals(marginals: &HashMap<Alternative, f64>) -> PossibleWorld {
-    let chosen: Vec<Alternative> = marginals
-        .iter()
-        .filter(|(_, p)| **p > 0.5)
-        .map(|(a, _)| *a)
-        .collect();
-    PossibleWorld::new(chosen)
-        .expect("two alternatives of one tuple cannot both have probability > 1/2")
+/// can report its per-alternative marginals (sorted by alternative) — the
+/// set of alternatives with probability strictly greater than ½. Each
+/// alternative's term is independent of the others, so under the key
+/// constraint the minimiser keeps, per key, the highest-marginal alternative
+/// above ½ (ties to the larger value). Two alternatives of one key can both
+/// exceed ½ only through the `1 + 1e-9` mass tolerance of ∨ nodes.
+pub fn mean_world_from_marginals(marginals: &[(Alternative, f64)]) -> PossibleWorld {
+    PossibleWorld::from_trusted(
+        best_alternative_per_key(marginals)
+            .filter(|(_, p)| *p > 0.5)
+            .map(|(a, _)| a)
+            .collect(),
+    )
 }
 
 /// Theorem 2 specialised to an and/xor tree: the mean world under the
@@ -106,44 +116,44 @@ pub fn expected_distance(tree: &AndXorTree, candidate: &PossibleWorld) -> f64 {
     expected_symmetric_difference(candidate, &tree.alternative_probabilities())
 }
 
+/// The marginal table of an explicit world set, sorted by alternative; each
+/// alternative's probabilities are added in world order.
+fn worldset_marginals(worlds: &WorldSet) -> Vec<(Alternative, f64)> {
+    fold_marginals(
+        worlds
+            .worlds()
+            .iter()
+            .flat_map(|(w, p)| w.alternatives().iter().map(move |alt| (*alt, *p)))
+            .collect(),
+    )
+}
+
 /// Median world for an *explicitly enumerated* distribution (arbitrary
 /// correlations): the possible world minimising the expected symmetric
 /// difference, found by scanning the support and scoring each candidate with
 /// the closed form. This is the problem shown NP-hard in §4.1 when the
 /// distribution is given implicitly; with the worlds listed explicitly it is
-/// linear in the support size.
-pub fn median_world_from_worldset(worlds: &WorldSet) -> (PossibleWorld, f64) {
-    let mut marginals: HashMap<Alternative, f64> = HashMap::new();
-    for (w, p) in worlds.worlds() {
-        for alt in w.alternatives() {
-            *marginals.entry(*alt).or_insert(0.0) += p;
-        }
-    }
-    let entries = sorted_marginals(&marginals);
+/// linear in the support size. `None` when no world has positive
+/// probability.
+pub fn median_world_from_worldset(worlds: &WorldSet) -> Option<(PossibleWorld, f64)> {
+    let marginals = worldset_marginals(worlds);
     let mut best: Option<(PossibleWorld, f64)> = None;
     for (w, p) in worlds.worlds() {
         if *p <= 0.0 {
             continue;
         }
-        let cost = expected_symmetric_difference_sorted(w, &entries, &marginals);
+        let cost = expected_symmetric_difference(w, &marginals);
         if best.as_ref().is_none_or(|(_, b)| cost < *b) {
             best = Some((w.clone(), cost));
         }
     }
-    best.expect("world set must be non-empty")
+    best
 }
 
 /// Convenience: mean world for any [`WorldModel`] by enumerating its worlds
 /// to obtain marginals. Exponential; intended for small models and tests.
 pub fn mean_world_enumerated<M: WorldModel>(model: &M) -> PossibleWorld {
-    let ws = model.enumerate_worlds();
-    let mut marginals: HashMap<Alternative, f64> = HashMap::new();
-    for (w, p) in ws.worlds() {
-        for alt in w.alternatives() {
-            *marginals.entry(*alt).or_insert(0.0) += p;
-        }
-    }
-    mean_world_from_marginals(&marginals)
+    mean_world_from_marginals(&worldset_marginals(&model.enumerate_worlds()))
 }
 
 #[cfg(test)]
@@ -274,7 +284,7 @@ mod tests {
             })
             .collect();
         let answer_set = WorldSet::new_unchecked(answers).normalize();
-        let (median, _) = median_world_from_worldset(&answer_set);
+        let (median, _) = median_world_from_worldset(&answer_set).unwrap();
         // Every result tuple has probability 3/4 > 1/2, so the median answer
         // is the possible answer with the most tuples — the MAX-2-SAT optimum.
         assert_eq!(median.len(), optimum);
@@ -282,8 +292,7 @@ mod tests {
 
     #[test]
     fn expected_symmetric_difference_counts_never_occurring_alternatives() {
-        let marginals: HashMap<Alternative, f64> =
-            [(Alternative::new(1, 1.0), 0.7)].into_iter().collect();
+        let marginals = [(Alternative::new(1, 1.0), 0.7)];
         let candidate =
             PossibleWorld::new(vec![Alternative::new(1, 1.0), Alternative::new(9, 9.0)]).unwrap();
         let d = expected_symmetric_difference(&candidate, &marginals);

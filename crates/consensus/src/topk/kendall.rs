@@ -32,18 +32,9 @@ use rand::Rng;
 /// over the given keys, using exact generating-function computations via the
 /// batch evaluator ([`AndXorTree::batch_pairwise_order`]): one shared
 /// root-path extraction serves every pair instead of two tree sweeps per
-/// pair. Auto thread count (the machine's parallelism).
-pub fn preference_matrix(tree: &AndXorTree, keys: &[TupleKey]) -> PreferenceMatrix {
-    preference_matrix_with_parallelism(tree, keys, 0)
-}
-
-/// [`preference_matrix`] with an explicit thread count (`0` = auto). The
-/// batch evaluator is bit-identical at any thread count.
-pub fn preference_matrix_with_parallelism(
-    tree: &AndXorTree,
-    keys: &[TupleKey],
-    threads: usize,
-) -> PreferenceMatrix {
+/// pair. `threads` is the worker count (`0` = the machine's parallelism);
+/// the batch evaluator is bit-identical at any thread count.
+pub fn preference_matrix(tree: &AndXorTree, keys: &[TupleKey], threads: usize) -> PreferenceMatrix {
     let weights = tree.batch_pairwise_order(keys, threads);
     matrix_from_weights(keys, weights)
 }
@@ -64,7 +55,7 @@ fn matrix_from_weights(keys: &[TupleKey], weights: Vec<f64>) -> PreferenceMatrix
 /// pre-mutation tournament `old`. When the mutation's
 /// [`cpdb_andxor::DeltaImpact`] certifies that only `affected` keys were
 /// touched, the result is **bit-identical** to a from-scratch
-/// [`preference_matrix_with_parallelism`] on the mutated tree, at
+/// [`preference_matrix`] on the mutated tree, at
 /// `O(|affected|·n)` pair evaluations instead of `O(n²)`.
 pub fn preference_matrix_patched(
     tree: &AndXorTree,
@@ -101,7 +92,7 @@ pub fn mean_topk_kendall_pivot<R: Rng + ?Sized>(
     if ctx.k() == 0 {
         return TopKList::empty();
     }
-    let prefs = preference_matrix(tree, &tree.keys());
+    let prefs = preference_matrix(tree, &tree.keys(), 0);
     mean_topk_kendall_pivot_from_prefs(ctx, &prefs, trials, rng)
 }
 
@@ -194,7 +185,7 @@ mod tests {
     fn preference_matrix_is_consistent_with_enumeration() {
         let tree = figure1_correlated_tree();
         let keys = tree.keys();
-        let prefs = preference_matrix(&tree, &keys);
+        let prefs = preference_matrix(&tree, &keys, 0);
         let ws = tree.enumerate_worlds();
         for &a in &keys {
             for &b in &keys {

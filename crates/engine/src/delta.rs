@@ -4,7 +4,7 @@
 //! [`crate::ConsensusEngine::apply_delta`] builds the next-epoch engine for
 //! `cpdb_live`. For every artifact the current engine has *built* — the
 //! per-`k` rank contexts, the Kendall tournament(s), the co-clustering
-//! weights, the marginal/candidate tables, the key index — it decides one of
+//! weights, the marginal table, the key index — it decides one of
 //! three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
 //!
 //! * [`ArtifactDecision::Kept`] — the artifact's dependencies are untouched;

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 /// Cache instrumentation: how many times each shared artifact was built from
 /// scratch vs. served from memory. `run_batch` amortisation shows up here —
@@ -49,7 +49,7 @@ pub struct CacheStats {
     pub coclustering_hits: usize,
     /// Marginal-probability table constructions (set queries, Jaccard scans).
     pub marginal_builds: usize,
-    /// Queries served from cached marginals / Jaccard candidate lists.
+    /// Set queries served from the cached marginals.
     pub marginal_hits: usize,
     /// Duplicate queries inside one [`ConsensusEngine::run_batch`] call that
     /// were answered by cloning the answer of their first occurrence instead
@@ -162,7 +162,7 @@ where
 {
     RwLock::new(
         map.read()
-            .expect("artifact map lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter(|(_, cell)| cell.get().is_some())
             .map(|(&k, cell)| (k, Arc::clone(cell)))
@@ -173,16 +173,18 @@ where
 /// Fetches (or inserts) the slot for `key` in a sharded per-key artifact map.
 /// The map lock is only held to look up / insert the `Arc` cell — never
 /// across an artifact build — so queries at different `k` build their
-/// artifacts concurrently.
+/// artifacts concurrently. The map holds only `Arc` cells, so a panic in
+/// another holder cannot leave it half-updated: a poisoned lock is read
+/// through.
 fn shard<K, T>(map: &RwLock<HashMap<K, Slot<T>>>, key: K) -> Slot<T>
 where
     K: Copy + Eq + std::hash::Hash,
 {
-    if let Some(cell) = map.read().expect("artifact map lock poisoned").get(&key) {
+    if let Some(cell) = map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
         return cell.clone();
     }
     map.write()
-        .expect("artifact map lock poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .entry(key)
         .or_default()
         .clone()
@@ -283,8 +285,9 @@ pub struct ConsensusEngine {
     /// The full n² pairwise-order tournament every Kendall pivot runs on.
     prefs: Slot<PreferenceMatrix>,
     cocluster: Slot<CoClusteringWeights>,
-    marginals: Slot<HashMap<Alternative, f64>>,
-    jaccard_candidates: Slot<Vec<(Alternative, f64)>>,
+    /// `(alternative, Pr(alternative))`, sorted by alternative; the Jaccard
+    /// candidates are derived from it per query.
+    marginals: Slot<Vec<(Alternative, f64)>>,
     /// The sorted tuple-key table the tournament is built over; caching it
     /// replaces an `O(n log n)` re-sort per build with a shared read. It
     /// depends only on tuple *membership* — not on probabilities or values —
@@ -318,7 +321,6 @@ impl Clone for ConsensusEngine {
             prefs: clone_built_slot(&self.prefs),
             cocluster: clone_built_slot(&self.cocluster),
             marginals: clone_built_slot(&self.marginals),
-            jaccard_candidates: clone_built_slot(&self.jaccard_candidates),
             key_index: clone_built_slot(&self.key_index),
             stats: AtomicCacheStats::from_snapshot(self.stats.snapshot()),
             obs: self.obs.clone(),
@@ -354,7 +356,6 @@ impl ConsensusEngine {
             prefs: Slot::default(),
             cocluster: Slot::default(),
             marginals: Slot::default(),
-            jaccard_candidates: Slot::default(),
             key_index: Slot::default(),
             stats: AtomicCacheStats::default(),
             obs: EngineObs::new(obs),
@@ -475,11 +476,7 @@ impl ConsensusEngine {
                 let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
                     "preference_matrix".to_string()
                 });
-                kendall::preference_matrix_with_parallelism(
-                    &self.tree,
-                    &self.key_index_arc(),
-                    self.threads,
-                )
+                kendall::preference_matrix(&self.tree, &self.key_index_arc(), self.threads)
             },
         )
     }
@@ -495,7 +492,7 @@ impl ConsensusEngine {
                 let _build = self
                     .obs
                     .artifact_span(Artifact::CoClustering, || "coclustering".to_string());
-                CoClusteringWeights::from_tree_with_parallelism(&self.tree, self.threads)
+                CoClusteringWeights::from_tree(&self.tree, self.threads)
             },
         )
     }
@@ -602,8 +599,8 @@ impl ConsensusEngine {
                 ))
             }
             SetMetric::Jaccard => {
-                let candidates = self.jaccard_candidates_ref();
-                let consensus = jaccard::best_prefix_world(&self.tree, candidates)?;
+                let candidates = jaccard::prefix_candidates_from_marginals(self.marginals_ref());
+                let consensus = jaccard::best_prefix_world(&self.tree, &candidates)?;
                 // Lemma 2 proves the prefix structure for tuple-independent
                 // mean worlds; the §4.2 scan over block-best alternatives is
                 // the BID median. Outside those classes the scan is served as
@@ -834,8 +831,8 @@ impl ConsensusEngine {
         .clone()
     }
 
-    /// The memoised marginal-probability table.
-    fn marginals_ref(&self) -> &HashMap<Alternative, f64> {
+    /// The memoised marginal-probability table, sorted by alternative.
+    fn marginals_ref(&self) -> &[(Alternative, f64)] {
         slot_get_or_build(
             &self.marginals,
             &self.stats.marginal_builds,
@@ -847,21 +844,7 @@ impl ConsensusEngine {
                 self.tree.alternative_probabilities()
             },
         )
-    }
-
-    /// The memoised Jaccard candidate list — a cheap derivation of the
-    /// marginal table, so it shares that table with the symmetric-difference
-    /// set queries instead of walking the tree a second time.
-    fn jaccard_candidates_ref(&self) -> &[(Alternative, f64)] {
-        let mut built = false;
-        let candidates = self.jaccard_candidates.get_or_init(|| {
-            built = true;
-            jaccard::prefix_candidates_from_marginals(self.marginals_ref())
-        });
-        if !built {
-            self.stats.marginal_hits.fetch_add(1, Relaxed);
-        }
-        candidates
+        .as_slice()
     }
 
     // ---- delta-aware artifact maintenance (live-update epoch builds) -------
@@ -933,7 +916,10 @@ impl ConsensusEngine {
         };
 
         // Marginal table: recompute the affected keys' entries with the same
-        // filtered depth-first accumulation the full walk performs.
+        // filtered depth-first accumulation the full walk performs, then
+        // merge them into the untouched entries. Both runs are sorted by
+        // alternative, and the stable sort merges two sorted runs in one
+        // linear pass.
         let marginals = match self.marginals.get() {
             None => Slot::default(),
             Some(_) if all_touched => {
@@ -941,30 +927,16 @@ impl ConsensusEngine {
                 Slot::default()
             }
             Some(old) => {
-                let mut table: HashMap<Alternative, f64> = old
+                let mut table: Vec<(Alternative, f64)> = old
                     .iter()
                     .filter(|(alt, _)| !affected.contains(&alt.key))
-                    .map(|(alt, p)| (*alt, *p))
+                    .copied()
+                    .chain(tree.alternative_probabilities_for_keys(affected))
                     .collect();
-                table.extend(tree.alternative_probabilities_for_keys(affected));
+                table.sort_by_key(|(alt, _)| *alt);
                 report.record("marginals", Patched);
                 prebuilt_slot(table)
             }
-        };
-
-        // Jaccard candidates derive from the marginal table.
-        let jaccard_candidates = match self.jaccard_candidates.get() {
-            None => Slot::default(),
-            Some(_) => match marginals.get() {
-                Some(table) => {
-                    report.record("jaccard_candidates", Patched);
-                    prebuilt_slot(jaccard::prefix_candidates_from_marginals(table))
-                }
-                None => {
-                    report.record("jaccard_candidates", Invalidated);
-                    Slot::default()
-                }
-            },
         };
 
         // Full pairwise-order tournament: rebuild affected rows/columns only.
@@ -1006,7 +978,7 @@ impl ConsensusEngine {
             let built: Vec<usize> = self
                 .contexts
                 .read()
-                .expect("artifact map lock poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .filter(|(_, cell)| cell.get().is_some())
                 .map(|(&k, _)| k)
@@ -1050,46 +1022,11 @@ impl ConsensusEngine {
             prefs,
             cocluster,
             marginals,
-            jaccard_candidates,
             key_index,
             stats,
             obs: self.obs.clone(),
         };
         (next, report)
-    }
-}
-
-/// Rejects an exported artifact whose key list is not exactly `keys`, the
-/// tree's sorted tuple keys: injected as is, it would answer over foreign or
-/// missing tuples.
-fn check_tree_keys(artifact: &str, got: &[u64], keys: &[u64]) -> Result<(), EngineError> {
-    if got == keys {
-        return Ok(());
-    }
-    Err(EngineError::InvalidConfig {
-        context: format!(
-            "{artifact} lists {} keys that are not the tree's {} sorted keys",
-            got.len(),
-            keys.len()
-        ),
-    })
-}
-
-/// Rejects an exported `(key, value, probability)` table with a row naming
-/// an alternative the tree does not have.
-fn check_tree_alternatives(
-    artifact: &str,
-    rows: &[(u64, f64, f64)],
-    alternatives: &HashSet<Alternative>,
-) -> Result<(), EngineError> {
-    match rows
-        .iter()
-        .find(|&&(key, value, _)| !alternatives.contains(&Alternative::new(key, value)))
-    {
-        None => Ok(()),
-        Some((key, value, _)) => Err(EngineError::InvalidConfig {
-            context: format!("{artifact} names ({key}, {value}), which is not a tree alternative"),
-        }),
     }
 }
 
@@ -1111,7 +1048,7 @@ impl ConsensusEngine {
         let mut contexts: Vec<RankContextExport> = self
             .contexts
             .read()
-            .expect("artifact map lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter_map(|(&k, cell)| cell.get().map(|ctx| (k, Arc::clone(ctx))))
             .map(|(k, ctx)| RankContextExport {
@@ -1129,25 +1066,10 @@ impl ConsensusEngine {
             weights: w.upper_triangle().to_vec(),
         });
 
-        let marginals = self.marginals.get().map(|m| {
-            let mut rows: Vec<(u64, f64, f64)> = m
-                .iter()
-                .map(|(alt, &p)| (alt.key.0, alt.value.value(), p))
-                .collect();
-            rows.sort_by_key(|a| (a.0, a.1.to_bits()));
-            rows
-        });
-
-        let jaccard_candidates = self.jaccard_candidates.get().map(|c| {
-            c.iter()
-                .map(|(alt, p)| (alt.key.0, alt.value.value(), *p))
-                .collect()
-        });
-
-        let key_index = self
-            .key_index
+        let marginals = self
+            .marginals
             .get()
-            .map(|idx| idx.iter().map(|k| k.0).collect());
+            .map(|m| m.iter().map(|(_, p)| *p).collect());
 
         EngineExport {
             tree: self.tree.to_raw(),
@@ -1162,8 +1084,6 @@ impl ConsensusEngine {
             prefs,
             cocluster,
             marginals,
-            jaccard_candidates,
-            key_index,
         }
     }
 
@@ -1174,11 +1094,13 @@ impl ConsensusEngine {
     /// pre-built. The result answers bit-identically to the engine that
     /// produced the export (its cache counters start from zero).
     ///
+    /// The sorted key index is prebuilt from the tree's keys, which the
+    /// import computes anyway.
+    ///
     /// Malformed exports — an invalid tree, a bad configuration, artifact
-    /// tables whose lengths do not match the tree's key count, a key index
-    /// or rows over other keys or alternatives than the tree's, rank
-    /// contexts at a `k` outside the k-range or repeated — surface as typed
-    /// [`EngineError`]s.
+    /// tables whose lengths do not match the tree's key or alternative
+    /// count, rank contexts at a `k` outside the k-range or repeated —
+    /// surface as typed [`EngineError`]s.
     pub fn from_export(export: &EngineExport) -> Result<ConsensusEngine, EngineError> {
         let tree = AndXorTree::from_raw(&export.tree)?;
         let mut builder = crate::builder::ConsensusEngineBuilder::new(tree)
@@ -1196,12 +1118,6 @@ impl ConsensusEngine {
         // per section is all there is to check.
         let tree_keys = engine.tree.keys();
         let keys: Vec<u64> = tree_keys.iter().map(|k| k.0).collect();
-        let alternatives: HashSet<Alternative> =
-            if export.marginals.is_some() || export.jaccard_candidates.is_some() {
-                engine.tree.alternatives().into_iter().collect()
-            } else {
-                HashSet::new()
-            };
 
         let mut contexts = HashMap::with_capacity(export.contexts.len());
         let (lo, hi) = engine.k_range;
@@ -1247,7 +1163,7 @@ impl ConsensusEngine {
         }
 
         if let Some(ce) = &export.cocluster {
-            let w = CoClusteringWeights::from_upper_triangle(tree_keys, ce.weights.clone())
+            let w = CoClusteringWeights::from_upper_triangle(tree_keys.clone(), ce.weights.clone())
                 .ok_or_else(|| EngineError::InvalidConfig {
                     context: format!(
                         "co-clustering export has {} weights for {} keys",
@@ -1258,31 +1174,26 @@ impl ConsensusEngine {
             engine.cocluster = prebuilt_slot(w);
         }
 
-        if let Some(rows) = &export.marginals {
-            check_tree_alternatives("marginal export", rows, &alternatives)?;
-            let map = rows
-                .iter()
-                .map(|&(key, value, p)| (Alternative::new(key, value), p))
-                .collect::<HashMap<_, _>>();
-            engine.marginals = prebuilt_slot(map);
+        if let Some(probabilities) = &export.marginals {
+            let alternatives = engine.tree.alternatives();
+            if probabilities.len() != alternatives.len() {
+                return Err(EngineError::InvalidConfig {
+                    context: format!(
+                        "marginal export has {} probabilities for {} alternatives",
+                        probabilities.len(),
+                        alternatives.len()
+                    ),
+                });
+            }
+            engine.marginals = prebuilt_slot(
+                alternatives
+                    .into_iter()
+                    .zip(probabilities.iter().copied())
+                    .collect(),
+            );
         }
 
-        if let Some(rows) = &export.jaccard_candidates {
-            check_tree_alternatives("Jaccard-candidate export", rows, &alternatives)?;
-            let list = rows
-                .iter()
-                .map(|&(key, value, p)| (Alternative::new(key, value), p))
-                .collect::<Vec<_>>();
-            engine.jaccard_candidates = prebuilt_slot(list);
-        }
-
-        if let Some(index) = &export.key_index {
-            check_tree_keys("key-index export", index, &keys)?;
-            let idx: Vec<cpdb_model::TupleKey> =
-                index.iter().map(|&k| cpdb_model::TupleKey(k)).collect();
-            engine.key_index = prebuilt_slot(Arc::new(idx));
-        }
-
+        engine.key_index = prebuilt_slot(Arc::new(tree_keys));
         Ok(engine)
     }
 }
@@ -1879,6 +1790,34 @@ mod tests {
     }
 
     #[test]
+    fn set_consensus_answers_when_two_alternatives_of_a_key_exceed_half() {
+        // One ∨ block of mass 1 + 8e-10, inside the builder's 1 + 1e-9
+        // tolerance, whose two alternatives both sit just above ½.
+        let mut b = AndXorTreeBuilder::new();
+        let low = b.leaf_parts(1, 1.0);
+        let high = b.leaf_parts(1, 2.0);
+        let block = b.xor_node(vec![(low, 0.5 + 4e-10), (high, 0.5 + 4e-10)]);
+        let other = b.leaf_parts(2, 3.0);
+        let second = b.xor_node(vec![(other, 0.3)]);
+        let root = b.and_node(vec![block, second]);
+        let engine = ConsensusEngineBuilder::new(b.build(root).unwrap())
+            .build()
+            .unwrap();
+        for metric in [SetMetric::SymmetricDifference, SetMetric::Jaccard] {
+            for variant in [Variant::Mean, Variant::Median] {
+                let answer = engine
+                    .run(&Query::SetConsensus { metric, variant })
+                    .unwrap();
+                assert_eq!(
+                    answer.value.as_world().unwrap().alternatives(),
+                    &[Alternative::new(1, 2.0)],
+                    "{metric:?} {variant:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn exact_u_topk_budget_counts_leaves_not_keys() {
         // 11 BID blocks × 2 alternatives = 22 leaves but only 11 keys: the
         // enumeration guard must trip on the leaves.
@@ -2073,12 +2012,7 @@ mod tests {
             .map(|(n, _)| n.as_str())
             .collect();
         assert!(kept.contains(&"key_index"), "{report:?}");
-        for name in [
-            "marginals",
-            "jaccard_candidates",
-            "preference_matrix",
-            "coclustering_weights",
-        ] {
+        for name in ["marginals", "preference_matrix", "coclustering_weights"] {
             assert!(
                 report
                     .decisions
@@ -2293,6 +2227,49 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_artifact_map_is_read_through() {
+        let engine = delta_engine(bid_tree());
+        let batch = warming_batch();
+        let answers = engine.run_batch_serial(&batch);
+        let export = engine.export();
+        let leaf = engine.tree().leaves_of_key(2)[0];
+        let xor = engine.tree().parent_of(leaf).unwrap();
+        let delta = TreeDelta::XorEdgeProbability {
+            xor,
+            child: leaf,
+            probability: 0.7,
+        };
+        let next_answers = engine
+            .apply_delta(&delta)
+            .unwrap()
+            .0
+            .run_batch_serial(&batch);
+
+        // A thread panics while it holds the per-`k` map's write lock.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = engine.contexts.write().unwrap();
+                panic!("panic while holding the artifact map lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(engine.contexts.is_poisoned());
+
+        assert_eq!(engine.run_batch_serial(&batch), answers);
+        assert_eq!(engine.clone().run_batch_serial(&batch), answers);
+        assert_eq!(engine.export(), export);
+        let (next, _) = engine.apply_delta(&delta).unwrap();
+        assert_eq!(next.run_batch_serial(&batch), next_answers);
+        // A `k` not built yet inserts its cell through the poisoned lock.
+        let fresh_k = Query::TopK {
+            k: 1,
+            metric: TopKMetric::SymmetricDifference,
+            variant: Variant::Mean,
+        };
+        assert_eq!(engine.run(&fresh_k), delta_engine(bid_tree()).run(&fresh_k));
+    }
+
+    #[test]
     fn export_round_trips_warm_engines_bit_identically() {
         let engine = delta_engine(bid_tree());
         let answers: Vec<_> = engine.run_batch_serial(&warming_batch());
@@ -2302,7 +2279,6 @@ mod tests {
         assert!(export.prefs.is_some());
         assert!(export.cocluster.is_some());
         assert!(export.marginals.is_some());
-        assert!(export.key_index.is_some());
 
         let imported = ConsensusEngine::from_export(&export).unwrap();
         // The import injected the artifacts pre-built: answering the same
@@ -2325,8 +2301,6 @@ mod tests {
         assert!(export.prefs.is_none());
         assert!(export.cocluster.is_none());
         assert!(export.marginals.is_none());
-        assert!(export.jaccard_candidates.is_none());
-        assert!(export.key_index.is_none());
         // A cold import still answers identically (ordinary lazy builds).
         let imported = ConsensusEngine::from_export(&export).unwrap();
         assert_eq!(
@@ -2341,9 +2315,9 @@ mod tests {
         for r in engine.run_batch_serial(&warming_batch()) {
             r.unwrap();
         }
-        // A rank-context table, preference matrix or co-clustering triangle
-        // one entry short or one entry long is rejected rather than silently
-        // zeroed or truncated.
+        // A rank-context table, preference matrix, co-clustering triangle or
+        // marginal table one entry short or one entry long is rejected rather
+        // than silently zeroed or truncated.
         for corrupt in [
             |weights: &mut Vec<f64>| {
                 weights.pop();
@@ -2351,7 +2325,7 @@ mod tests {
             |weights: &mut Vec<f64>| weights.push(0.5),
         ] {
             type Section = (&'static str, fn(&mut EngineExport) -> &mut Vec<f64>);
-            let sections: [Section; 3] = [
+            let sections: [Section; 4] = [
                 ("rank context", |e| &mut e.contexts[0].rows),
                 ("preference matrix", |e| {
                     &mut e.prefs.as_mut().unwrap().weights
@@ -2359,6 +2333,7 @@ mod tests {
                 ("co-clustering triangle", |e| {
                     &mut e.cocluster.as_mut().unwrap().weights
                 }),
+                ("marginal table", |e| e.marginals.as_mut().unwrap()),
             ];
             for (what, section) in sections {
                 let mut export = engine.export();
@@ -2373,14 +2348,10 @@ mod tests {
             }
         }
 
-        // A key index or rows over other keys or alternatives than the
-        // tree's, and rank contexts at an inadmissible or repeated `k`, are
-        // rejected rather than injected as is.
+        // Rank contexts at an inadmissible or repeated `k` are rejected
+        // rather than injected as is.
         type Corruption = (&'static str, fn(&mut EngineExport));
-        let corruptions: [Corruption; 5] = [
-            ("key index misses a key", |e| {
-                e.key_index.as_mut().unwrap().pop();
-            }),
+        let corruptions: [Corruption; 2] = [
             ("rank context above the k-range", |e| {
                 let n = e.contexts[0].rows.len() / e.contexts[0].k;
                 let k = e.k_range.1 + 1;
@@ -2390,12 +2361,6 @@ mod tests {
             ("rank context repeated", |e| {
                 let again = e.contexts[0].clone();
                 e.contexts.push(again);
-            }),
-            ("marginal row for a foreign alternative", |e| {
-                e.marginals.as_mut().unwrap().push((9, 1.0, 0.1));
-            }),
-            ("Jaccard candidate for a foreign alternative", |e| {
-                e.jaccard_candidates.as_mut().unwrap()[0].1 = 12345.0;
             }),
         ];
         for (what, corrupt) in corruptions {

@@ -10,11 +10,14 @@
 //!   thread count, the optional group-by matrix);
 //! * every artifact the engine had actually *built* at export time: the
 //!   per-`k` rank-PMF contexts, the Kendall preference matrix and the
-//!   co-clustering weights (bare `f64` tables over the tree's sorted keys,
-//!   so import checks only their lengths), the marginal and Jaccard
-//!   candidate tables, and the sorted key index. Unbuilt artifacts
-//!   are simply absent and rebuilt lazily after import — the ordinary cold
-//!   path, still bit-identical because every builder is deterministic.
+//!   co-clustering weights (bare `f64` tables over the tree's sorted keys),
+//!   and the marginal table (a bare `f64` array over the tree's sorted
+//!   alternatives). No artifact repeats a key or an alternative, so import
+//!   checks only their lengths. Unbuilt artifacts are simply absent and
+//!   rebuilt lazily after import — the ordinary cold path, still
+//!   bit-identical because every builder is deterministic. Artifacts that
+//!   are cheap derivations of the tree or of another artifact (the sorted
+//!   key index, the Jaccard candidate list) are not exported.
 //!
 //! All `f64`s round-trip exactly (the export holds the same bits; encoders
 //! preserve them via [`f64::to_bits`]). Import re-validates the tree and the
@@ -83,12 +86,8 @@ pub struct EngineExport {
     pub prefs: Option<PreferenceExport>,
     /// The built co-clustering weights, if any.
     pub cocluster: Option<CoClusterExport>,
-    /// The built marginal table as `(key, value, probability)` rows, sorted
-    /// by `(key, value)`.
-    pub marginals: Option<Vec<(u64, f64, f64)>>,
-    /// The built Jaccard candidate list as `(key, value, probability)` rows,
-    /// in candidate order (the order is part of the artifact).
-    pub jaccard_candidates: Option<Vec<(u64, f64, f64)>>,
-    /// The built sorted tuple-key index, if any.
-    pub key_index: Option<Vec<u64>>,
+    /// The built marginal table: one probability per tree alternative, in
+    /// the order of [`cpdb_andxor::AndXorTree::alternatives`] (sorted by
+    /// `(key, value)`), which the export does not repeat.
+    pub marginals: Option<Vec<f64>>,
 }

@@ -20,7 +20,7 @@
 //!   affected keys' slice is recomputed, bit-identical to a full rebuild),
 //!   or *invalidated* (dropped for lazy rebuild) according to the delta's
 //!   [`DeltaImpact`] dependency extract. A single-∨ probability update keeps
-//!   the key index, patches the marginal/candidate tables and the pairwise
+//!   the key index, patches the marginal table and the pairwise
 //!   tournaments in `O(n)` pair evaluations, and drops only the global-rank
 //!   PMFs. A batch ([`LiveEngine::apply_all`]) serves only its final epoch,
 //!   so it is maintained once against the run's combined impact
@@ -1198,8 +1198,11 @@ mod tests {
         // New snapshots see the mutated data.
         let now = live.snapshot();
         assert_eq!(now.epoch(), 1);
-        let probs = now.tree().alternative_probabilities();
-        assert!((probs[&cpdb_model::Alternative::new(2, 80.0)] - 0.75).abs() < 1e-12);
+        let p = cpdb_model::WorldModel::alternative_probability(
+            now.tree(),
+            &cpdb_model::Alternative::new(2, 80.0),
+        );
+        assert!((p - 0.75).abs() < 1e-12);
     }
 
     #[test]

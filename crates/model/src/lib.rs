@@ -40,7 +40,7 @@ pub mod xtuple;
 
 pub use bid::{BidBlock, BidDb};
 pub use error::ModelError;
-pub use tuple::{Alternative, AttrValue, TupleKey};
+pub use tuple::{fold_marginals, Alternative, AttrValue, TupleKey};
 pub use tuple_independent::TupleIndependentDb;
 pub use world::{PossibleWorld, WorldModel, WorldSet};
 pub use xtuple::{XTuple, XTupleDb};

@@ -103,6 +103,23 @@ impl Alternative {
     }
 }
 
+/// Folds `(alternative, probability)` occurrences into a marginal table: one
+/// entry per distinct alternative, sorted by alternative, holding the sum of
+/// its occurrences. The sort is stable, so each alternative's occurrences are
+/// added in the order given, starting from `0.0` — the same sums, bit for
+/// bit, as accumulating them into a map in that order.
+pub fn fold_marginals(mut occurrences: Vec<(Alternative, f64)>) -> Vec<(Alternative, f64)> {
+    occurrences.sort_by_key(|(alt, _)| *alt);
+    let mut table: Vec<(Alternative, f64)> = Vec::with_capacity(occurrences.len());
+    for (alt, p) in occurrences {
+        match table.last_mut() {
+            Some((last, sum)) if *last == alt => *sum += p,
+            _ => table.push((alt, 0.0 + p)),
+        }
+    }
+    table
+}
+
 impl fmt::Display for Alternative {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.key, self.value)

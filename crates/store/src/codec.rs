@@ -427,8 +427,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
         prefs: None,
         cocluster: None,
         marginals: None,
-        jaccard_candidates: None,
-        key_index: None,
     })
 }
 
@@ -479,48 +477,18 @@ pub fn decode_cocluster(r: &mut ByteReader<'_>) -> Result<CoClusterExport, Store
     })
 }
 
-/// A bare `f64` array: a count, then that many `f64`s.
-fn put_f64s(w: &mut ByteWriter, values: &[f64]) {
+/// A bare `f64` array: a count, then that many `f64`s (the marginal
+/// section is one).
+pub fn put_f64s(w: &mut ByteWriter, values: &[f64]) {
     w.put_usize(values.len());
     for &v in values {
         w.put_f64(v);
     }
 }
 
-fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, StoreError> {
+pub fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, StoreError> {
     let n = r.get_count()?;
     Ok(r.get_records(n, 8)?.map(le_f64).collect())
-}
-
-/// `(key, value, probability)` triple tables (marginals, Jaccard candidates).
-pub fn encode_triples(w: &mut ByteWriter, rows: &[(u64, f64, f64)]) {
-    w.put_usize(rows.len());
-    for &(key, value, p) in rows {
-        w.put_u64(key);
-        w.put_f64(value);
-        w.put_f64(p);
-    }
-}
-
-pub fn decode_triples(r: &mut ByteReader<'_>) -> Result<Vec<(u64, f64, f64)>, StoreError> {
-    let n = r.get_count()?;
-    let rows = r
-        .get_records(n, 24)?
-        .map(|c| (le_u64(&c[..8]), le_f64(&c[8..16]), le_f64(&c[16..])))
-        .collect();
-    Ok(rows)
-}
-
-pub fn encode_key_index(w: &mut ByteWriter, keys: &[u64]) {
-    w.put_usize(keys.len());
-    for &key in keys {
-        w.put_u64(key);
-    }
-}
-
-pub fn decode_key_index(r: &mut ByteReader<'_>) -> Result<Vec<u64>, StoreError> {
-    let n = r.get_count()?;
-    Ok(r.get_records(n, 8)?.map(le_u64).collect())
 }
 
 #[cfg(test)]
@@ -639,8 +607,6 @@ mod tests {
                 prefs: None,
                 cocluster: None,
                 marginals: None,
-                jaccard_candidates: None,
-                key_index: None,
             };
             let mut w = ByteWriter::new();
             encode_config(&mut w, &config);

@@ -31,15 +31,16 @@
 //!
 //! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`, version 3; see
-//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 and 2).
-//! The rank-context, preference and co-clustering sections are bare `f64`
-//! arrays over the tree's sorted keys:
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 4; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 3).
+//! Only the tree section carries tuple keys: the rank-context, preference
+//! and co-clustering sections are bare `f64` arrays over the tree's sorted
+//! keys, and the marginal section one over its sorted alternatives:
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (3), little-endian `u32` |
+//! | version | 4 | format version (4), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |

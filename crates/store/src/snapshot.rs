@@ -18,9 +18,9 @@
 
 use crate::checksum::crc32_parts;
 use crate::codec::{
-    decode_cocluster, decode_config, decode_contexts, decode_key_index, decode_prefs, decode_tree,
-    decode_triples, encode_cocluster, encode_config, encode_contexts, encode_key_index,
-    encode_prefs, encode_tree, encode_triples, ByteReader, ByteWriter,
+    decode_cocluster, decode_config, decode_contexts, decode_prefs, decode_tree, encode_cocluster,
+    encode_config, encode_contexts, encode_prefs, encode_tree, get_f64s, put_f64s, ByteReader,
+    ByteWriter,
 };
 use crate::vfs::{std_vfs, Vfs};
 use crate::StoreError;
@@ -31,21 +31,24 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
 ///
-/// Version 3 writes every pairwise and rank artifact as a bare `f64` array
-/// over the tree's sorted keys, which the tree section already carries:
+/// Version 4 is the first in which no section carries a tuple key; the tree
+/// section holds the keys and every artifact is a bare `f64` array indexed
+/// by the tree's sorted keys or alternatives:
 ///
-/// * each rank context is its `k`, a count, then the row-major `n × k`
-///   rank-PMF table, where version 2 wrote a key before every row;
-/// * the preference section is a count, then the row-major `n × n`
-///   tournament, where version 2 wrote the item keys first;
-/// * the config section no longer carries the retired Kendall-pool slot
-///   (nor the second unused slot after the footrule-proxy tag).
+/// * the marginal section is a count, then one probability per tree
+///   alternative in sorted `(key, value)` order, where version 3 wrote a
+///   `(key, value, probability)` triple per alternative;
+/// * the Jaccard-candidate section (triples) and the key-index section
+///   (keys) are gone: the engine derives the candidates from the marginals
+///   per query, and the key index from the tree on import.
 ///
-/// Version 2 had already made the co-clustering section a bare strict upper
-/// triangle (a count, then `n(n − 1)/2` `f64`s). Images of any earlier
-/// version are refused with [`StoreError::UnsupportedVersion`]; no decoder
-/// for them is kept.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 3 had made each rank context its `k`, a count, then the
+/// row-major `n × k` rank-PMF table, and the preference section a count,
+/// then the row-major `n × n` tournament; version 2 had made the
+/// co-clustering section a bare strict upper triangle (a count, then
+/// `n(n − 1)/2` `f64`s). Images of any earlier version are refused with
+/// [`StoreError::UnsupportedVersion`]; no decoder for them is kept.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -53,8 +56,6 @@ const SECTION_CONTEXTS: u8 = 3;
 const SECTION_PREFS: u8 = 4;
 const SECTION_COCLUSTER: u8 = 5;
 const SECTION_MARGINALS: u8 = 6;
-const SECTION_JACCARD: u8 = 7;
-const SECTION_KEY_INDEX: u8 = 8;
 
 /// The digest of one section covers its tag and length as well as the
 /// payload, so a bit flip cannot silently relabel a valid payload as a
@@ -97,20 +98,10 @@ pub fn encode_snapshot(epoch: u64, export: &EngineExport) -> Vec<u8> {
         encode_cocluster(&mut w, cocluster);
         sections.push((SECTION_COCLUSTER, w.into_bytes()));
     }
-    if let Some(rows) = &export.marginals {
+    if let Some(probabilities) = &export.marginals {
         let mut w = ByteWriter::new();
-        encode_triples(&mut w, rows);
+        put_f64s(&mut w, probabilities);
         sections.push((SECTION_MARGINALS, w.into_bytes()));
-    }
-    if let Some(rows) = &export.jaccard_candidates {
-        let mut w = ByteWriter::new();
-        encode_triples(&mut w, rows);
-        sections.push((SECTION_JACCARD, w.into_bytes()));
-    }
-    if let Some(keys) = &export.key_index {
-        let mut w = ByteWriter::new();
-        encode_key_index(&mut w, keys);
-        sections.push((SECTION_KEY_INDEX, w.into_bytes()));
     }
 
     let mut out = Vec::new();
@@ -182,8 +173,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
         match tag {
             SECTION_CONFIG => config_payload = Some(payload),
             SECTION_TREE => tree_payload = Some(payload),
-            SECTION_CONTEXTS | SECTION_PREFS | SECTION_COCLUSTER | SECTION_MARGINALS
-            | SECTION_JACCARD | SECTION_KEY_INDEX => artifact_payloads.push((tag, payload)),
+            SECTION_CONTEXTS | SECTION_PREFS | SECTION_COCLUSTER | SECTION_MARGINALS => {
+                artifact_payloads.push((tag, payload))
+            }
             other => {
                 return Err(StoreError::Corrupt {
                     context: format!("unknown snapshot section tag {other}"),
@@ -230,17 +222,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
             }
             SECTION_MARGINALS => {
                 let mut r = ByteReader::new(payload, "snapshot marginals section");
-                export.marginals = Some(decode_triples(&mut r)?);
-                r.expect_end()?;
-            }
-            SECTION_JACCARD => {
-                let mut r = ByteReader::new(payload, "snapshot jaccard section");
-                export.jaccard_candidates = Some(decode_triples(&mut r)?);
-                r.expect_end()?;
-            }
-            SECTION_KEY_INDEX => {
-                let mut r = ByteReader::new(payload, "snapshot key-index section");
-                export.key_index = Some(decode_key_index(&mut r)?);
+                export.marginals = Some(get_f64s(&mut r)?);
                 r.expect_end()?;
             }
             _ => unreachable!("only artifact tags are collected"),
@@ -415,6 +397,16 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(StoreError::UnsupportedVersion { found: 2 })
+        ));
+    }
+
+    #[test]
+    fn version_3_images_are_refused() {
+        let mut bytes = encode_snapshot(7, &warm_export());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(StoreError::UnsupportedVersion { found: 3 })
         ));
     }
 

@@ -473,7 +473,7 @@ pub fn check_aggregate(inst: &GroupByInstance) -> usize {
 /// the enumerated optimal consensus clustering.
 pub fn check_clustering(tree: &AndXorTree, seed: u64) -> usize {
     let ws = tree.enumerate_worlds();
-    let weights = clustering::CoClusteringWeights::from_tree(tree);
+    let weights = clustering::CoClusteringWeights::from_tree(tree, 0);
     let keys = weights.keys().to_vec();
     let mut checks = 0;
 
@@ -619,9 +619,9 @@ pub fn check_batch_genfunc(tree: &AndXorTree) -> usize {
     }
 
     // --- Co-clustering weights: batch vs per-pair reference vs enumeration.
-    let batch = clustering::CoClusteringWeights::from_tree_with_parallelism(tree, 1);
+    let batch = clustering::CoClusteringWeights::from_tree(tree, 1);
     let per_pair = clustering::CoClusteringWeights::from_tree_per_pair(tree);
-    let threaded = clustering::CoClusteringWeights::from_tree_with_parallelism(tree, 3);
+    let threaded = clustering::CoClusteringWeights::from_tree(tree, 3);
     for (idx, &i) in keys.iter().enumerate() {
         for &j in keys.iter().skip(idx + 1) {
             assert!(
@@ -852,7 +852,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
     // --- Clustering. ---
     let q = Query::Clustering { restarts: 8 };
     let got = engine.run(&q).expect("supported");
-    let weights = clustering::CoClusteringWeights::from_tree(tree);
+    let weights = clustering::CoClusteringWeights::from_tree(tree, 0);
     let mut rng = engine.query_rng(&q);
     let (direct, direct_cost) = clustering::pivot_clustering_best_of(&weights, 8, &mut rng);
     assert_eq!(got.value.as_clustering().expect("clustering"), &direct);

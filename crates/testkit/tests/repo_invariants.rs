@@ -108,6 +108,19 @@ fn andxor_batch_module_keeps_its_unwrap_gate() {
     );
 }
 
+/// Theorem 2 answers every `SetConsensus{SymmetricDifference}` query; the
+/// set-distance module keeps the same panic-freedom gate as the Jaccard scan.
+#[test]
+fn set_distance_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("consensus/src/set_distance.rs");
+    let src = std::fs::read_to_string(&module).expect("set_distance module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}
+
 /// The median answer reads its profits from the rank context and builds its
 /// list through the symmetric-difference module; both keep the median's
 /// panic-freedom gate.

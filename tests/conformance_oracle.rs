@@ -8,7 +8,10 @@
 //! algorithms must keep this suite green — it pins the paper's theorems to
 //! executable checks, independently of the per-crate unit tests.
 
-use consensus_pdb::workloads::{random_scored_bid_tree, BidConfig, ScoreDistribution};
+use consensus_pdb::andxor::AndXorTree;
+use consensus_pdb::workloads::{
+    random_andxor_tree, random_scored_bid_tree, AndXorTreeConfig, BidConfig, ScoreDistribution,
+};
 use cpdb_testkit::conformance::{self, run_seed};
 use cpdb_testkit::fixtures;
 
@@ -103,7 +106,7 @@ fn median_sweep_matches_the_reference_with_a_nan_score() {
 /// Tree `j` of the 16 a `serve_mix` load run at seed 1 serves, at `n`
 /// blocks: the scored-BID family with 2 alternatives per block, 30% maybe
 /// blocks and uniform scores in `[0, 1e6)`.
-fn serve_mix_tree(n: usize, j: u64) -> consensus_pdb::andxor::AndXorTree {
+fn serve_mix_tree(n: usize, j: u64) -> AndXorTree {
     random_scored_bid_tree(&BidConfig {
         num_blocks: n,
         alternatives_per_block: 2,
@@ -142,4 +145,58 @@ fn median_sweep_matches_the_reference_on_serving_trees_n120() {
 #[ignore]
 fn median_sweep_matches_the_reference_on_serving_trees_n400() {
     median_sweep_matches_the_reference_on_serving_trees(400);
+}
+
+/// The first `k` columns of the rank table at `K = 24` hold the same bits
+/// as the table at `k`, for every `k ≤ K`: a truncated convolution never
+/// feeds a coefficient above its truncation into one below it. Serving every
+/// `k` from one rank context at the largest `k` needs exactly this.
+#[test]
+fn rank_tables_at_smaller_k_are_bit_identical_prefixes() {
+    const K: usize = 24;
+    let mut trees: Vec<(String, AndXorTree)> = fixtures::jaccard_edge_trees()
+        .into_iter()
+        .map(|(label, tree)| (label.to_string(), tree))
+        .collect();
+    for seed in SEEDS {
+        trees.push((format!("bid {seed}"), fixtures::small_bid_tree(seed)));
+        trees.push((
+            format!("ti {seed}"),
+            fixtures::small_tuple_independent_tree(seed),
+        ));
+        trees.push((
+            format!("clustering {seed}"),
+            fixtures::small_clustering_tree(seed),
+        ));
+        trees.push((format!("nested {seed}"), fixtures::small_nested_tree(seed)));
+    }
+    for seed in 0..3 {
+        trees.push((format!("serving n=120, {seed}"), serve_mix_tree(120, seed)));
+        let config = AndXorTreeConfig {
+            num_leaves: 60,
+            depth: 3,
+            fanout: 3,
+            scores: ScoreDistribution::Uniform { lo: 0.0, hi: 100.0 },
+            seed,
+        };
+        trees.push((format!("depth 3, {seed}"), random_andxor_tree(&config)));
+    }
+    let mut compared = 0;
+    for (label, tree) in &trees {
+        let full = tree.batch_rank_pmfs(K);
+        for k in 1..=K {
+            let table = tree.batch_rank_pmfs(k);
+            assert_eq!(table.len() * K, full.len() * k, "{label}: k={k}");
+            for (p, row) in table.chunks(k).enumerate() {
+                let prefix = &full[p * K..p * K + k];
+                let same = row
+                    .iter()
+                    .zip(prefix)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{label}: row {p} at k={k} is not the k={K} prefix");
+            }
+            compared += table.len();
+        }
+    }
+    assert!(compared > 100_000, "only {compared} entries compared");
 }

@@ -208,7 +208,7 @@ fn aggregate_and_clustering_consensus_end_to_end() {
         absence: 0.1,
         seed: 11,
     });
-    let weights = CoClusteringWeights::from_tree(&tree);
+    let weights = CoClusteringWeights::from_tree(&tree, 0);
     let mut rng = StdRng::seed_from_u64(13);
     let (_, pivot_cost) = pivot_clustering_best_of(&weights, 32, &mut rng);
     let (_, opt_cost) = brute_force_clustering(&weights);
