@@ -109,7 +109,7 @@ pub struct DeltaImpact {
     /// Whether the rank-PMF inputs are untouched: the chronological sweep
     /// (decreasing value, key tie-break) visits the same targets with the
     /// same leaf sets and the same probabilities, so every rank PMF — and
-    /// every [`cpdb_genfunc`]-derived per-`k` context — on the new tree is
+    /// every [`cpdb_genfunc`]-derived rank context — on the new tree is
     /// bit-identical to the old one. Only value updates that preserve the
     /// global score order qualify.
     pub rank_order_preserved: bool,

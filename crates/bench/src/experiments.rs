@@ -450,7 +450,7 @@ pub fn topk_intersection_tables() -> Vec<Table> {
             let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
             let approx_answer = upsilon_engine.run(&query).expect("supported");
             let approx = approx_answer.value.as_topk().expect("Top-k answer");
-            let ctx = exact_engine.context(k).expect("k is in range").clone();
+            let ctx = exact_engine.context(k).expect("k is in range");
             let ratio = intersection::objective_a(&ctx, approx)
                 / intersection::objective_a(&ctx, &opt).max(1e-12);
             validation.add_row(vec![
@@ -869,7 +869,7 @@ pub fn baselines_table() -> Table {
             upsilon.value.as_topk().expect("list").clone(),
         ),
     );
-    let ctx = engine.context(k).expect("k is in range").clone();
+    let ctx = engine.context(k).expect("k is in range");
     let consensus_sym = answers[0].1.clone();
     for (name, answer) in answers {
         let overlap = answer.overlap(&consensus_sym);

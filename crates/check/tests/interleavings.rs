@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use cpdb_andxor::{AndXorTree, AndXorTreeBuilder};
 use cpdb_check::Checker;
-use cpdb_engine::{ConsensusEngine, ConsensusEngineBuilder, Query, TopKMetric, Variant};
+use cpdb_engine::{ConsensusEngine, ConsensusEngineBuilder, Obs, Query, TopKMetric, Variant};
 use cpdb_live::{LiveEngine, Snapshot, TreeDelta};
 use cpdb_sync::thread;
 
@@ -52,8 +52,12 @@ fn tiny_engine() -> ConsensusEngine {
 }
 
 fn topk() -> Query {
+    topk_at(1)
+}
+
+fn topk_at(k: usize) -> Query {
     Query::TopK {
-        k: 1,
+        k,
         metric: TopKMetric::SymmetricDifference,
         variant: Variant::Mean,
     }
@@ -268,6 +272,74 @@ fn concurrent_runs_build_each_artifact_exactly_once() {
         });
     println!("{}", ex.report());
     ex.assert_ok();
+    assert!(
+        ex.schedules >= MIN_SCHEDULES,
+        "only {} schedules explored",
+        ex.schedules
+    );
+}
+
+/// Scenario 4b — one rank context at mixed `k`: three threads run the same
+/// query on a shared engine, two at k = 1 and one at k = 2. On every
+/// interleaving each answer equals the serial one, the context is built at
+/// most twice and each build is at a larger `k` than the one before, the
+/// larger `k` ends up resident, and the build/hit counters conserve (one
+/// counter bump per lookup). The space is explored exhaustively at two
+/// preemptions: a build at k = 1 that overtakes the k = 2 one takes an early
+/// preemption, which a capped search at a deeper bound never reaches.
+#[test]
+fn mixed_k_runs_grow_one_rank_context() {
+    let serial: Vec<_> = [1, 2]
+        .map(|k| tiny_engine().run(&topk_at(k)).expect("serial answer"))
+        .to_vec();
+    let ex = Checker::new("one-rank-context")
+        .max_schedules(20_000)
+        .preemptions(2)
+        .explore(move || {
+            let obs = Obs::enabled();
+            let engine = Arc::new(tiny_engine().with_obs(obs.clone()));
+            let (e1, e2) = (Arc::clone(&engine), Arc::clone(&engine));
+            let h1 = thread::spawn(move || e1.run(&topk_at(1)).expect("t1 answer"));
+            let h2 = thread::spawn(move || e2.run(&topk_at(2)).expect("t2 answer"));
+            let a0 = engine.run(&topk_at(1)).expect("root answer");
+            let a1 = h1.join().expect("t1");
+            let a2 = h2.join().expect("t2");
+            assert_eq!(a0, serial[0], "k = 1 answer diverged from the serial one");
+            assert_eq!(a1, serial[0], "k = 1 answer diverged from the serial one");
+            assert_eq!(a2, serial[1], "k = 2 answer diverged from the serial one");
+            let stats = engine.cache_stats();
+            let built: Vec<usize> = obs
+                .recent_events(usize::MAX)
+                .iter()
+                .filter_map(|e| {
+                    let rest = e.detail.strip_prefix("rank_context[k=")?;
+                    rest.split(']').next()?.parse().ok()
+                })
+                .collect();
+            assert!(
+                stats.rank_context_builds <= 2,
+                "rank context built {} times",
+                stats.rank_context_builds
+            );
+            assert_eq!(built.len(), stats.rank_context_builds, "{built:?}");
+            assert!(
+                built.windows(2).all(|w| w[0] < w[1]),
+                "rank-context builds not at increasing k: {built:?}"
+            );
+            assert_eq!(
+                engine.export().context.map(|c| c.k),
+                Some(2),
+                "the larger k is not resident"
+            );
+            assert_eq!(
+                stats.rank_context_builds + stats.rank_context_hits,
+                3,
+                "context lookups not conserved: {stats:?}"
+            );
+        });
+    println!("{}", ex.report());
+    ex.assert_ok();
+    assert!(ex.exhausted, "schedule space not exhausted");
     assert!(
         ex.schedules >= MIN_SCHEDULES,
         "only {} schedules explored",

@@ -11,34 +11,41 @@
 
 use cpdb_andxor::AndXorTree;
 use cpdb_model::TupleKey;
+use std::sync::Arc;
 
 /// The per-key statistic tables, in slab order.
 const PMF: usize = 0;
 const PREFIX_MASS: usize = 1;
 const PREFIX_WEIGHTED: usize = 2;
-const PROFIT_SUFFIX: usize = 3;
-const TABLES: usize = 4;
+const TABLES: usize = 3;
 
 /// Precomputed rank statistics for a Top-k query over an and/xor tree.
 ///
-/// Every statistic lives in one slab: for the key at position `p` of the
-/// sorted [`TopKContext::keys`], table `T` is the `k` entries from
-/// `(p·4 + T)·k`, entry `i − 1` belonging to position `i`:
+/// Every statistic lives in one slab, shared by every view of it, built at a
+/// row stride `K`: for the key at position `p` of the sorted
+/// [`TopKContext::keys`], table `T` is the `K` entries from `(p·3 + T)·K`,
+/// entry `i − 1` belonging to position `i`:
 ///
 /// * `pmf`: `Pr(r(t) = i)`;
 /// * `prefix_mass`: the raw (unclamped) prefix sums `Σ_{j ≤ i} Pr(r(t) = j)`,
 ///   the O(1) backbone of the footrule placement cost; clamped to 1 it is
 ///   the CDF `Pr(r(t) ≤ i)`;
 /// * `prefix_weighted`: the rank-weighted prefix sums
-///   `Σ_{j ≤ i} j·Pr(r(t) = j)`, whose last entry is Υ₂(t);
-/// * `profit_suffix`: the harmonic suffix sums `Σ_{i' = i..k} Pr(r(t) ≤ i')/i'`,
-///   the intersection-metric position profit in O(1), whose first entry is
-///   Υ_H(t).
+///   `Σ_{j ≤ i} j·Pr(r(t) = j)`, whose entry at `k` is Υ₂(t).
+///
+/// All three are prefix tables: the first `k` entries of a row built at `K`
+/// hold the bits of the row built at `k` ([`AndXorTree::batch_rank_pmfs`]
+/// never feeds a coefficient above its truncation into one below it). So a
+/// view at `k ≤ K` ([`TopKContext::at`]) answers every accessor exactly as
+/// [`TopKContext::new`] at `k` would.
 #[derive(Debug, Clone)]
 pub struct TopKContext {
+    /// The view's query parameter; at most `stride`.
     k: usize,
-    keys: Vec<TupleKey>,
-    stats: Vec<f64>,
+    /// The row stride `K` the slab was built at.
+    stride: usize,
+    keys: Arc<[TupleKey]>,
+    stats: Arc<[f64]>,
 }
 
 impl TopKContext {
@@ -60,10 +67,9 @@ impl TopKContext {
         (sorted && keys.len().checked_mul(k) == Some(rows.len())).then(|| Self::fill(k, keys, rows))
     }
 
-    /// Derives every cached statistic (prefix sums, harmonic suffix sums)
-    /// from the rank-PMF rows, one length-`k` row per key. All derived
-    /// tables are O(n·k) to build and make the per-(tuple, position)
-    /// queries of the assignment solvers O(1).
+    /// Derives the prefix tables from the rank-PMF rows, one length-`k` row
+    /// per key, in O(n·k); they make the per-(tuple, position) queries of
+    /// the assignment solvers O(1).
     fn fill(k: usize, keys: Vec<TupleKey>, rows: &[f64]) -> Self {
         let mut stats = vec![0.0; keys.len() * TABLES * k];
         // `max(1)`: with k = 0 the slab is empty and there is nothing to fill.
@@ -73,8 +79,7 @@ impl TopKContext {
             .zip(rows.chunks_exact(k1))
         {
             let (pmf, rest) = tables.split_at_mut(k);
-            let (mass, rest) = rest.split_at_mut(k);
-            let (weighted, suffix) = rest.split_at_mut(k);
+            let (mass, weighted) = rest.split_at_mut(k);
             let (mut acc, mut wacc) = (0.0, 0.0);
             for (i, &v) in p.iter().enumerate() {
                 acc += v;
@@ -83,29 +88,37 @@ impl TopKContext {
                 mass[i] = acc;
                 weighted[i] = wacc;
             }
-            let mut tail = 0.0;
-            for i in (1..=k).rev() {
-                tail += mass[i - 1].min(1.0) / i as f64;
-                suffix[i - 1] = tail;
-            }
         }
-        TopKContext { k, keys, stats }
+        TopKContext {
+            k,
+            stride: k,
+            keys: keys.into(),
+            stats: stats.into(),
+        }
     }
 
-    /// The rank-PMF rows the context was built from, row-major over
-    /// [`TopKContext::keys`]: the input of [`TopKContext::from_rows`].
+    /// The view of this context at a smaller (or equal) `k`: it shares the
+    /// slab and answers exactly as [`TopKContext::new`] at `k` would, bit for
+    /// bit. `None` when `k` exceeds the stride the slab was built at.
+    pub fn at(&self, k: usize) -> Option<Self> {
+        (k <= self.stride).then(|| TopKContext { k, ..self.clone() })
+    }
+
+    /// The view's rank-PMF rows, row-major over [`TopKContext::keys`]: the
+    /// input of [`TopKContext::from_rows`] at the view's `k`.
     pub fn pmf_rows(&self) -> Vec<f64> {
         self.stats
-            .chunks_exact(TABLES * self.k.max(1))
-            .flat_map(|tables| &tables[PMF * self.k..(PMF + 1) * self.k])
+            .chunks_exact(TABLES * self.stride.max(1))
+            .flat_map(|tables| &tables[PMF * self.stride..PMF * self.stride + self.k])
             .copied()
             .collect()
     }
 
-    /// Table `table` of key `t` (`k` entries), or `None` for an unknown key.
+    /// The view's part of table `table` of key `t` (its first `k` entries),
+    /// or `None` for an unknown key.
     fn table(&self, t: TupleKey, table: usize) -> Option<&[f64]> {
         let at = self.keys.binary_search(&t).ok()?;
-        let start = (at * TABLES + table) * self.k;
+        let start = (at * TABLES + table) * self.stride;
         self.stats.get(start..start + self.k)
     }
 
@@ -113,6 +126,11 @@ impl TopKContext {
     #[inline]
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// The number of `f64`s in the slab, `n·3·K` for `n` keys.
+    pub fn slab_len(&self) -> usize {
+        self.stats.len()
     }
 
     /// The tuple keys of the database, sorted.
@@ -133,10 +151,11 @@ impl TopKContext {
     /// `Pr(r(t) ≤ i)` for `1 ≤ i ≤ k` (0 for `i = 0`, and the value at `k`
     /// for `i > k` since the context never looks past `k`).
     pub fn rank_cdf(&self, t: TupleKey, i: usize) -> f64 {
+        // `min` first: with k = 0 every `i` is out of range.
+        let i = i.min(self.k);
         if i == 0 {
             return 0.0;
         }
-        let i = i.min(self.k);
         self.table(t, PREFIX_MASS)
             .and_then(|c| c.get(i - 1))
             .map_or(0.0, |m| m.min(1.0))
@@ -204,18 +223,6 @@ impl TopKContext {
         }
     }
 
-    /// The intersection-metric position profit `Σ_{i = j..k} Pr(r(t) ≤ i)/i`
-    /// of placing `t` at position `j` (§5.3), in O(1) via the per-tuple
-    /// harmonic suffix sums (`0` outside `1 ≤ j ≤ k` or for unknown tuples).
-    /// [`crate::topk::intersection::position_profit_direct`] keeps the direct
-    /// summation as the test reference.
-    pub fn profit_tail(&self, t: TupleKey, j: usize) -> f64 {
-        if j == 0 || j > self.k {
-            return 0.0;
-        }
-        self.table(t, PROFIT_SUFFIX).map_or(0.0, |s| s[j - 1])
-    }
-
     /// Υ₃(t, i) = `Σ_{j ≤ k} Pr(r(t) = j)·|i − j| + i·Pr(r(t) > k)` (§5.4).
     pub fn upsilon3(&self, t: TupleKey, i: usize) -> f64 {
         let tail = i as f64 * self.beyond_topk_probability(t);
@@ -223,16 +230,6 @@ impl TopKContext {
             .map(|j| self.rank_probability(t, j) * (i as f64 - j as f64).abs())
             .sum::<f64>()
             + tail
-    }
-
-    /// Υ_H(t) = `Σ_{i ≤ k} Pr(r(t) ≤ i)/i` — the harmonic ranking function of
-    /// §5.3 (a parameterised ranking function in the sense of \[29\]). Served
-    /// from the harmonic suffix sums in O(1).
-    pub fn upsilon_h(&self, t: TupleKey) -> f64 {
-        if self.k == 0 {
-            return 0.0;
-        }
-        self.profit_tail(t, 1)
     }
 
     /// The tuples sorted by decreasing `Pr(r(t) ≤ k)`, ties broken by key.
@@ -254,6 +251,7 @@ impl TopKContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::intersection::{position_profit, upsilon_h};
     use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::AndXorTreeBuilder;
 
@@ -307,8 +305,8 @@ mod tests {
             // Υ₃(t, i) at i = 0 is just Σ j·Pr(r=j) = Υ₂.
             assert!((ctx.upsilon3(t, 0) - u2).abs() < 1e-12);
             // Υ_H(t) ≥ Pr(r(t) ≤ 1) and ≤ H_k.
-            assert!(ctx.upsilon_h(t) + 1e-12 >= ctx.rank_cdf(t, 1));
-            assert!(ctx.upsilon_h(t) <= 1.0 + 0.5 + 1e-12);
+            assert!(upsilon_h(&ctx, t) + 1e-12 >= ctx.rank_cdf(t, 1));
+            assert!(upsilon_h(&ctx, t) <= 1.0 + 0.5 + 1e-12);
         }
     }
 
@@ -342,7 +340,7 @@ mod tests {
                 let direct_u2: f64 = (1..=k).map(|i| i as f64 * ctx.rank_probability(t, i)).sum();
                 assert!((ctx.upsilon2(t) - direct_u2).abs() < 1e-12);
                 let direct_uh: f64 = (1..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
-                assert!((ctx.upsilon_h(t) - direct_uh).abs() < 1e-12);
+                assert!((upsilon_h(&ctx, t) - direct_uh).abs() < 1e-12);
                 for i in 0..=k + 1 {
                     let direct: f64 = (1..=k)
                         .map(|j| ctx.rank_probability(t, j) * (i as f64 - j as f64).abs())
@@ -354,14 +352,14 @@ mod tests {
                 }
                 for j in 1..=k {
                     let direct: f64 = (j..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
-                    assert!((ctx.profit_tail(t, j) - direct).abs() < 1e-12);
+                    assert!((position_profit(&ctx, t, j) - direct).abs() < 1e-12);
                 }
             }
             // Unknown tuples and out-of-range positions stay zero.
             assert_eq!(ctx.misplacement_mass(TupleKey(99), 1), 0.0);
-            assert_eq!(ctx.profit_tail(TupleKey(99), 1), 0.0);
-            assert_eq!(ctx.profit_tail(TupleKey(1), 0), 0.0);
-            assert_eq!(ctx.profit_tail(TupleKey(1), k + 1), 0.0);
+            assert_eq!(position_profit(&ctx, TupleKey(99), 1), 0.0);
+            assert_eq!(position_profit(&ctx, TupleKey(1), 0), 0.0);
+            assert_eq!(position_profit(&ctx, TupleKey(1), k + 1), 0.0);
         }
     }
 
@@ -374,9 +372,39 @@ mod tests {
         assert!((ctx.topk_probability(TupleKey(1)) - 0.7).abs() < 1e-12);
         assert!((ctx.total_topi_mass(1) - 0.8).abs() < 1e-12);
         assert_eq!(ctx.pmf_rows(), rows);
+        // A view reads the column prefix of each row; none exists above K.
+        assert_eq!(ctx.at(1).unwrap().pmf_rows(), [0.5, 0.3]);
+        assert!(ctx.at(3).is_none());
         // One entry short or long, or keys out of order, build nothing.
         assert!(TopKContext::from_rows(2, keys.clone(), &rows[..3]).is_none());
         assert!(TopKContext::from_rows(2, keys, &[rows.as_slice(), &[0.0]].concat()).is_none());
         assert!(TopKContext::from_rows(2, vec![TupleKey(2), TupleKey(1)], &rows).is_none());
+    }
+
+    #[test]
+    fn views_answer_every_accessor_as_a_context_built_at_their_k() {
+        let tree = figure1_correlated_tree();
+        let big = TopKContext::new(&tree, 4);
+        for k in 0..=4usize {
+            let (view, fresh) = (big.at(k).unwrap(), TopKContext::new(&tree, k));
+            assert_eq!((view.k(), view.slab_len()), (k, big.slab_len()));
+            let bits = |c: &TopKContext| {
+                let mut out = Vec::new();
+                for &t in c.keys() {
+                    out.extend([c.upsilon1(t), c.upsilon2(t), c.beyond_topk_probability(t)]);
+                    for i in 0..=k + 1 {
+                        out.extend([c.rank_probability(t, i), c.rank_cdf(t, i)]);
+                        out.extend([c.misplacement_mass(t, i), c.upsilon3(t, i)]);
+                        out.push(c.total_topi_mass(i));
+                    }
+                }
+                out.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&view), bits(&fresh), "k={k}");
+            assert_eq!(
+                view.keys_by_topk_probability(),
+                fresh.keys_by_topk_probability()
+            );
+        }
     }
 }

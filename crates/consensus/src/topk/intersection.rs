@@ -26,17 +26,29 @@ use cpdb_model::TupleKey;
 use cpdb_rankagg::TopKList;
 
 /// The profit of placing tuple `t` at result position `j` (1-based):
-/// `Σ_{i=j..k} Pr(r(t) ≤ i)/i`. Served in O(1) from the harmonic suffix sums
-/// cached in [`TopKContext`] ([`TopKContext::profit_tail`]), so the full n×k
-/// assignment profit matrix costs O(n·k) instead of O(n·k²);
-/// [`position_profit_direct`] keeps the direct summation as the test
+/// `Σ_{i=j..k} Pr(r(t) ≤ i)/i`, summed from `i = k` down (`0` outside
+/// `1 ≤ j ≤ k` or for unknown tuples). A suffix depends on `k`, so the rank
+/// context, which holds only prefix tables, does not cache it.
+/// [`position_profit_direct`] keeps the ascending summation as the test
 /// reference.
 pub fn position_profit(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
-    ctx.profit_tail(t, j)
+    if j == 0 {
+        return 0.0;
+    }
+    (j..=ctx.k())
+        .rev()
+        .fold(0.0, |tail, i| tail + ctx.rank_cdf(t, i) / i as f64)
 }
 
-/// [`position_profit`] by direct O(k) summation over the rank CDF — the
-/// reference implementation the suffix-sum hot path is tested against.
+/// Υ_H(t) = `Σ_{i ≤ k} Pr(r(t) ≤ i)/i` — the harmonic ranking function of
+/// §5.3 (a parameterised ranking function in the sense of \[29\]): the
+/// position profit at `j = 1`.
+pub fn upsilon_h(ctx: &TopKContext, t: TupleKey) -> f64 {
+    position_profit(ctx, t, 1)
+}
+
+/// [`position_profit`] by ascending summation over the rank CDF — the
+/// reference implementation the descending sums are tested against.
 pub fn position_profit_direct(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
     (j..=ctx.k()).map(|i| ctx.rank_cdf(t, i) / i as f64).sum()
 }
@@ -82,12 +94,14 @@ pub fn mean_topk_intersection(ctx: &TopKContext) -> TopKList {
         return TopKList::empty();
     }
     let keys = ctx.keys();
-    // Row-major flat profit matrix: O(n·k) to fill (position_profit is O(1))
-    // and one allocation instead of one per row.
-    let mut profit = Vec::with_capacity(keys.len() * k);
-    for &t in keys {
-        for j in 1..=k {
-            profit.push(position_profit(ctx, t, j));
+    // Row-major flat profit matrix, one allocation, filled in O(n·k): each
+    // row is `position_profit` at every j, summed in the same order.
+    let mut profit = vec![0.0; keys.len() * k];
+    for (&t, row) in keys.iter().zip(profit.chunks_exact_mut(k)) {
+        let mut tail = 0.0;
+        for i in (1..=k).rev() {
+            tail += ctx.rank_cdf(t, i) / i as f64;
+            row[i - 1] = tail;
         }
     }
     let assignment = max_profit_assignment_flat(&profit, keys.len(), k);
@@ -105,7 +119,7 @@ pub fn mean_topk_intersection(ctx: &TopKContext) -> TopKList {
 /// fraction of the optimal objective `A(τ*)`.
 pub fn mean_topk_upsilon_h(ctx: &TopKContext) -> TopKList {
     let mut scored: Vec<(TupleKey, f64)> =
-        ctx.keys().iter().map(|&t| (t, ctx.upsilon_h(t))).collect();
+        ctx.keys().iter().map(|&t| (t, upsilon_h(ctx, t))).collect();
     scored.sort_by(|(ka, sa), (kb, sb)| {
         sb.partial_cmp(sa)
             .unwrap_or(std::cmp::Ordering::Equal)

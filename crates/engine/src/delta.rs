@@ -3,7 +3,7 @@
 //!
 //! [`crate::ConsensusEngine::apply_delta`] builds the next-epoch engine for
 //! `cpdb_live`. For every artifact the current engine has *built* — the
-//! per-`k` rank contexts, the Kendall tournament(s), the co-clustering
+//! rank context, the Kendall tournament, the co-clustering
 //! weights, the marginal table, the key index — it decides one of
 //! three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
 //!
@@ -43,7 +43,7 @@ pub struct DeltaReport {
     /// The dependency extract of the applied mutation.
     pub impact: DeltaImpact,
     /// `(artifact label, decision)` per built artifact, e.g.
-    /// `("rank_context[k=3]", Invalidated)`.
+    /// `("rank_context", Invalidated)`.
     pub decisions: Vec<(String, ArtifactDecision)>,
 }
 

@@ -24,19 +24,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, PoisonError, Weak};
 
 /// Cache instrumentation: how many times each shared artifact was built from
 /// scratch vs. served from memory. `run_batch` amortisation shows up here —
-/// a batch of Top-k queries at the same `k` builds the rank-probability PMFs
-/// once and hits the cache thereafter. Builds are counted inside the
+/// a batch of Top-k queries builds the rank-probability PMFs once, at its
+/// largest `k`, and hits the cache thereafter. Builds are counted inside the
 /// artifact's `OnceLock` initialiser, so even under concurrent query traffic
 /// every artifact's build is counted exactly once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// [`TopKContext`] constructions (one set of rank PMFs per distinct `k`).
+    /// [`TopKContext`] constructions: one each time a query's `k` exceeds
+    /// that of the resident context (or no context is resident yet).
     pub rank_context_builds: usize,
-    /// Queries served from an already-built [`TopKContext`].
+    /// Queries served from the resident [`TopKContext`] (a view at their
+    /// `k` of a context built at that `k` or above).
     pub rank_context_hits: usize,
     /// Full Kendall preference-matrix constructions (n² generating-function
     /// evaluations each).
@@ -154,40 +156,41 @@ fn clone_built_slot<T>(slot: &Slot<T>) -> Slot<T> {
     }
 }
 
-/// Clone policy for the sharded artifact maps: keep only the entries whose
-/// cell is built (empty cells are recreated on demand, unshared).
-fn clone_built_map<K, T>(map: &RwLock<HashMap<K, Slot<T>>>) -> RwLock<HashMap<K, Slot<T>>>
-where
-    K: Copy + Eq + std::hash::Hash,
-{
-    RwLock::new(
-        map.read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|(_, cell)| cell.get().is_some())
-            .map(|(&k, cell)| (k, Arc::clone(cell)))
-            .collect(),
-    )
+/// The resident rank context: one cell at the largest `k` asked for in this
+/// epoch, whose views ([`TopKContext::at`]) serve every smaller `k`.
+#[derive(Debug, Default)]
+struct RankSlot {
+    /// The `k` the cell builds at (`0` until a query asks for one).
+    k: usize,
+    /// The context at `k`; `None` when a slot at a larger `k` replaced this
+    /// one before any thread began to build it.
+    cell: OnceLock<Option<TopKContext>>,
+    /// The slot this one replaced: a build of it still running finishes
+    /// before this slot's begins, so builds run at strictly increasing `k`.
+    replaced: Weak<RankSlot>,
 }
 
-/// Fetches (or inserts) the slot for `key` in a sharded per-key artifact map.
-/// The map lock is only held to look up / insert the `Arc` cell — never
-/// across an artifact build — so queries at different `k` build their
-/// artifacts concurrently. The map holds only `Arc` cells, so a panic in
-/// another holder cannot leave it half-updated: a poisoned lock is read
-/// through.
-fn shard<K, T>(map: &RwLock<HashMap<K, Slot<T>>>, key: K) -> Slot<T>
-where
-    K: Copy + Eq + std::hash::Hash,
-{
-    if let Some(cell) = map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        return cell.clone();
+impl RankSlot {
+    /// An unbuilt slot at `k`.
+    fn at(k: usize, replaced: Weak<RankSlot>) -> Arc<Self> {
+        let cell = OnceLock::new();
+        Arc::new(RankSlot { k, cell, replaced })
     }
-    map.write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
-        .or_default()
-        .clone()
+
+    /// The built context, if any.
+    fn resident(&self) -> Option<&TopKContext> {
+        self.cell.get().and_then(Option::as_ref)
+    }
+
+    /// The slot a clone or a next epoch starts with: this one when it is
+    /// built and `keep` holds, else an unbuilt one at the same `k`.
+    fn carried(self: Arc<Self>, keep: bool) -> Arc<Self> {
+        if keep && self.resident().is_some() {
+            self
+        } else {
+            RankSlot::at(self.k, Weak::new())
+        }
+    }
 }
 
 /// Initialises a slot (exactly once, even under races) and keeps the
@@ -237,12 +240,14 @@ enum TreeShape {
 /// expected distance, and an optimality tag.
 ///
 /// The engine lazily computes and memoises the expensive shared artifacts:
-/// the rank-probability PMFs `Pr(r(t) = i)` per `k` (one [`TopKContext`]
-/// each), the Kendall pairwise-order tournament, the co-clustering weight
+/// the rank-probability PMFs `Pr(r(t) = i)` (one [`TopKContext`] at the
+/// largest `k` asked for so far, whose column prefixes serve every smaller
+/// `k`), the Kendall pairwise-order tournament, the co-clustering weight
 /// matrix, and the marginal-probability tables driving the set-query scans.
 /// [`run_batch`](Self::run_batch) therefore amortises the generating-function
-/// work across queries: four Top-k queries at the same `k` build the PMFs
-/// once. [`cache_stats`](Self::cache_stats) exposes the build/hit counters.
+/// work across queries: a batch of Top-k queries builds the PMFs once, at
+/// its largest `k`. [`cache_stats`](Self::cache_stats) exposes the build/hit
+/// counters.
 ///
 /// Randomised paths (Kendall pivot, clustering restarts, sampled baselines)
 /// draw from an owned seeded RNG: each query's stream is derived from the
@@ -255,14 +260,16 @@ enum TreeShape {
 /// The engine is `Sync`: every entry point takes `&self`, so one warm engine
 /// can be shared across threads (`&ConsensusEngine`, or an
 /// `Arc<ConsensusEngine>`) and answer queries concurrently. The memoised
-/// artifacts live in interior-mutable slots — per-`k` sharded maps of
-/// [`std::sync::OnceLock`] cells behind a briefly-held [`std::sync::RwLock`]
-/// (never held across a build), atomic [`CacheStats`] counters — so
-/// concurrent queries that need the same artifact build it exactly once
-/// (the losers of the race block on the `OnceLock` and then read the winner's
-/// value), while queries needing *different* artifacts build them in
-/// parallel. Answers are bit-identical to a serial [`run`](Self::run) loop at
-/// any thread count and under any interleaving.
+/// artifacts live in interior-mutable slots — [`std::sync::OnceLock`] cells,
+/// the rank context's behind a briefly-held [`std::sync::RwLock`] (never held
+/// across a build) that swaps in a cell at a larger `k` — and atomic
+/// [`CacheStats`] counters. Concurrent queries that need the same artifact
+/// build it exactly once (the losers of the race block on the `OnceLock` and
+/// then read the winner's value), while queries needing *different*
+/// artifacts build them in parallel. Rank-context builds run one at a time,
+/// each at a larger `k` than the one before. Answers are bit-identical to a
+/// serial [`run`](Self::run) loop at any thread count and under any
+/// interleaving.
 ///
 /// [`Clone`] is cheap and shares the built artifacts (`Arc` per slot): a
 /// cloned engine starts warm, with its own independent [`CacheStats`]
@@ -280,8 +287,9 @@ pub struct ConsensusEngine {
     /// Thread count for batch artifact builds and [`Self::run_batch`] query
     /// dispatch (`0` = auto); answers never depend on it, only latency does.
     threads: usize,
-    /// Per-`k` rank-PMF contexts, sharded so distinct `k`s build in parallel.
-    contexts: RwLock<HashMap<usize, Slot<Arc<TopKContext>>>>,
+    /// The resident rank-PMF context; the lock guards only the swap to a
+    /// slot at a larger `k`.
+    context: RwLock<Arc<RankSlot>>,
     /// The full n² pairwise-order tournament every Kendall pivot runs on.
     prefs: Slot<PreferenceMatrix>,
     cocluster: Slot<CoClusteringWeights>,
@@ -317,7 +325,7 @@ impl Clone for ConsensusEngine {
             kendall_distance_samples: self.kendall_distance_samples,
             groupby: self.groupby.clone(),
             threads: self.threads,
-            contexts: clone_built_map(&self.contexts),
+            context: RwLock::new(self.resident_slot().carried(true)),
             prefs: clone_built_slot(&self.prefs),
             cocluster: clone_built_slot(&self.cocluster),
             marginals: clone_built_slot(&self.marginals),
@@ -352,7 +360,7 @@ impl ConsensusEngine {
             kendall_distance_samples,
             groupby,
             threads,
-            contexts: RwLock::new(HashMap::new()),
+            context: RwLock::default(),
             prefs: Slot::default(),
             cocluster: Slot::default(),
             marginals: Slot::default(),
@@ -441,12 +449,39 @@ impl ConsensusEngine {
         StdRng::seed_from_u64(splitmix64(self.seed ^ query.rng_tag()))
     }
 
-    /// The memoised [`TopKContext`] for `k`, building it on first use. The
-    /// returned `Arc` is a shared handle into the engine's cache, valid
-    /// independently of the engine's lifetime.
-    pub fn context(&self, k: usize) -> Result<Arc<TopKContext>, EngineError> {
+    /// The memoised [`TopKContext`] at `k`: a view of the resident context,
+    /// which is first built at `k` (exactly once, even under concurrent
+    /// callers) when no context at `k` or above is resident. The view shares
+    /// the engine's cached tables and stays valid independently of the
+    /// engine's lifetime. Each call bumps one counter: a build if it ran the
+    /// build, else a hit.
+    pub fn context(&self, k: usize) -> Result<TopKContext, EngineError> {
         self.check_k(k)?;
-        Ok(self.context_arc(k))
+        loop {
+            let slot = self.rank_slot(k);
+            let mut built = false;
+            let resident = slot.cell.get_or_init(|| {
+                // A slot replaced before its build began is never built: its
+                // callers retry on the slot that replaced it.
+                if !Arc::ptr_eq(&slot, &self.resident_slot()) {
+                    return None;
+                }
+                if let Some(replaced) = slot.replaced.upgrade() {
+                    replaced.cell.get_or_init(|| None);
+                }
+                built = true;
+                let _build = self.obs.artifact_span(Artifact::RankContext, || {
+                    format!("rank_context[k={}]", slot.k)
+                });
+                Some(TopKContext::new(&self.tree, slot.k))
+            });
+            if let Some(view) = resident.as_ref().and_then(|ctx| ctx.at(k)) {
+                let stats = &self.stats;
+                let counter = [&stats.rank_context_hits, &stats.rank_context_builds];
+                counter[usize::from(built)].fetch_add(1, Relaxed);
+                return Ok(view);
+            }
+        }
     }
 
     /// The memoised sorted tuple-key table the tournament build reads.
@@ -519,8 +554,9 @@ impl ConsensusEngine {
     /// ([`CacheStats::batch_dedup_hits`] counts them), and the distinct
     /// queries fan out over [`run`](Self::run) on the engine's thread pool
     /// (the [`threads`](crate::ConsensusEngineBuilder::threads) knob). Each
-    /// artifact is built by the first query that needs it, exactly as in the
-    /// serial loop.
+    /// artifact is built by the first query that needs it, as in the serial
+    /// loop; the rank context is built at the batch's largest `k` (set
+    /// before dispatch), so the batch builds it at most once.
     ///
     /// Every query's result is **bit-identical** to what the serial loop
     /// [`run_batch_serial`](Self::run_batch_serial) returns, at any thread
@@ -543,6 +579,14 @@ impl ConsensusEngine {
                     canonical.push(uniques.len() - 1);
                 }
             }
+        }
+        let ks = uniques.iter().filter_map(|q| match q {
+            Query::TopK { k, .. } => Some(*k),
+            Query::Baseline { kind } => Some(kind.k()),
+            _ => None,
+        });
+        if let Some(k) = ks.filter(|&k| self.check_k(k).is_ok()).max() {
+            self.rank_slot(k);
         }
         let answers = parallel_map_indexed(self.threads, uniques.len(), |i| self.run(uniques[i]));
         canonical
@@ -627,30 +671,27 @@ impl ConsensusEngine {
         variant: Variant,
     ) -> Result<Answer, EngineError> {
         self.check_k(k)?;
-        // Each supported (metric, variant) pair fetches its rank context; the
-        // unsupported pairs are rejected before any artifact is touched.
-        match (metric, variant) {
-            (TopKMetric::SymmetricDifference, Variant::Mean) => {
-                let ctx = self.context_arc(k);
-                let answer = sym_diff::mean_topk_sym_diff(&ctx)?;
-                let expected_distance = sym_diff::expected_sym_diff_distance(&ctx, &answer);
-                Ok(Answer::new(
-                    Value::TopK(answer),
-                    expected_distance,
-                    Optimality::Exact,
-                ))
-            }
-            (TopKMetric::SymmetricDifference, Variant::Median) => {
-                let ctx = self.context_arc(k);
+        if variant == Variant::Median && metric != TopKMetric::SymmetricDifference {
+            return Err(EngineError::Unsupported {
+                query: format!("{query:?}"),
+                reason: "only the symmetric-difference metric has a polynomial median \
+                         algorithm (Theorem 4)"
+                    .to_string(),
+            });
+        }
+        // Every supported (metric, variant) pair reads the rank context at k.
+        let ctx = self.context(k)?;
+        let (answer, expected_distance, optimality) = match metric {
+            TopKMetric::SymmetricDifference if variant == Variant::Median => {
                 let median = median_dp::median_topk_sym_diff(&self.tree, &ctx)?;
-                Ok(Answer::new(
-                    Value::TopK(median.answer),
-                    median.expected_distance,
-                    Optimality::Exact,
-                ))
+                (median.answer, median.expected_distance, Optimality::Exact)
             }
-            (TopKMetric::Intersection, Variant::Mean) => {
-                let ctx = self.context_arc(k);
+            TopKMetric::SymmetricDifference => {
+                let answer = sym_diff::mean_topk_sym_diff(&ctx)?;
+                let distance = sym_diff::expected_sym_diff_distance(&ctx, &answer);
+                (answer, distance, Optimality::Exact)
+            }
+            TopKMetric::Intersection => {
                 let (answer, optimality) = match self.intersection {
                     IntersectionStrategy::Assignment => (
                         intersection::mean_topk_intersection(&ctx),
@@ -663,25 +704,15 @@ impl ConsensusEngine {
                         },
                     ),
                 };
-                let expected_distance = intersection::expected_intersection_distance(&ctx, &answer);
-                Ok(Answer::new(
-                    Value::TopK(answer),
-                    expected_distance,
-                    optimality,
-                ))
+                let distance = intersection::expected_intersection_distance(&ctx, &answer);
+                (answer, distance, optimality)
             }
-            (TopKMetric::Footrule, Variant::Mean) => {
-                let ctx = self.context_arc(k);
+            TopKMetric::Footrule => {
                 let answer = footrule::mean_topk_footrule(&ctx);
-                let expected_distance = footrule::expected_footrule_distance(&ctx, &answer);
-                Ok(Answer::new(
-                    Value::TopK(answer),
-                    expected_distance,
-                    Optimality::Exact,
-                ))
+                let distance = footrule::expected_footrule_distance(&ctx, &answer);
+                (answer, distance, Optimality::Exact)
             }
-            (TopKMetric::Kendall, Variant::Mean) => {
-                let ctx = self.context_arc(k);
+            TopKMetric::Kendall => {
                 let mut rng = self.query_rng(query);
                 let answer = match self.kendall {
                     KendallStrategy::Pivot { trials } => {
@@ -694,28 +725,24 @@ impl ConsensusEngine {
                     }
                     KendallStrategy::FootruleProxy => kendall::mean_topk_kendall_via_footrule(&ctx),
                 };
-                // Evaluating E[d_K] exactly is exponential: report a seeded
-                // Monte-Carlo estimate (sample count is a builder knob).
-                let expected_distance = kendall::expected_kendall_distance_sampled(
+                // The served E[d_K] is a seeded Monte-Carlo estimate (sample
+                // count is a builder knob) until the exact polynomial
+                // evaluator lands.
+                let distance = kendall::expected_kendall_distance_sampled(
                     &self.tree,
                     &ctx,
                     &answer,
                     self.kendall_distance_samples,
                     &mut rng,
                 );
-                Ok(Answer::new(
-                    Value::TopK(answer),
-                    expected_distance,
-                    Optimality::Approx { factor: 2.0 },
-                ))
+                (answer, distance, Optimality::Approx { factor: 2.0 })
             }
-            (_, Variant::Median) => Err(EngineError::Unsupported {
-                query: format!("{query:?}"),
-                reason: "only the symmetric-difference metric has a polynomial median \
-                         algorithm (Theorem 4)"
-                    .to_string(),
-            }),
-        }
+        };
+        Ok(Answer::new(
+            Value::TopK(answer),
+            expected_distance,
+            optimality,
+        ))
     }
 
     fn run_aggregate(&self, variant: Variant) -> Result<Answer, EngineError> {
@@ -777,8 +804,7 @@ impl ConsensusEngine {
             }
         }
         let mut rng = self.query_rng(query);
-        let ctx = self.context_arc(k);
-        let ctx = &*ctx;
+        let ctx = &self.context(k)?;
         let answer = match kind {
             BaselineKind::ExpectedScore { k } => baselines::expected_score_topk(&self.tree, k),
             BaselineKind::ExpectedRank { k, samples } => {
@@ -813,22 +839,24 @@ impl ConsensusEngine {
         Ok(())
     }
 
-    /// The shared handle to the memoised [`TopKContext`] for `k`, building it
-    /// (exactly once, even under concurrent callers) on first use.
-    fn context_arc(&self, k: usize) -> Arc<TopKContext> {
-        let cell = shard(&self.contexts, k);
-        slot_get_or_build(
-            &cell,
-            &self.stats.rank_context_builds,
-            &self.stats.rank_context_hits,
-            || {
-                let _build = self
-                    .obs
-                    .artifact_span(Artifact::RankContext, || format!("rank_context[k={k}]"));
-                Arc::new(TopKContext::new(&self.tree, k))
-            },
-        )
-        .clone()
+    /// The resident rank slot.
+    fn resident_slot(&self) -> Arc<RankSlot> {
+        Arc::clone(&self.context.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The resident rank slot, first replaced by an unbuilt one at `k` when
+    /// it sits below `k`. The lock guards nothing but the `Arc`, so a
+    /// poisoned lock is read through.
+    fn rank_slot(&self, k: usize) -> Arc<RankSlot> {
+        let resident = self.resident_slot();
+        if resident.k >= k {
+            return resident;
+        }
+        let mut slot = self.context.write().unwrap_or_else(PoisonError::into_inner);
+        if slot.k < k {
+            *slot = RankSlot::at(k, Arc::downgrade(&slot));
+        }
+        Arc::clone(&slot)
     }
 
     /// The memoised marginal-probability table, sorted by alternative.
@@ -971,34 +999,15 @@ impl ConsensusEngine {
             }
         };
 
-        // Rank contexts hold global rank PMFs: every tuple's PMF reads every
-        // other tuple's presence, so they survive only the deltas whose
+        // The rank context holds global rank PMFs: every tuple's PMF reads
+        // every other tuple's presence, so it survives only the deltas whose
         // rank-sweep inputs are untouched (order-preserving value updates).
-        let contexts = {
-            let built: Vec<usize> = self
-                .contexts
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .filter(|(_, cell)| cell.get().is_some())
-                .map(|(&k, _)| k)
-                .collect();
-            for &k in &built {
-                report.record(
-                    format!("rank_context[k={k}]"),
-                    if impact.rank_order_preserved {
-                        Kept
-                    } else {
-                        Invalidated
-                    },
-                );
-            }
-            if impact.rank_order_preserved {
-                clone_built_map(&self.contexts)
-            } else {
-                RwLock::new(HashMap::new())
-            }
-        };
+        // A dropped context keeps its `k`, so the next epoch rebuilds once.
+        let (old, keep) = (self.resident_slot(), impact.rank_order_preserved);
+        if old.resident().is_some() {
+            report.record("rank_context", if keep { Kept } else { Invalidated });
+        }
+        let context = old.carried(keep);
 
         let stats = AtomicCacheStats::from_snapshot(self.stats.snapshot());
         stats.delta_kept.fetch_add(report.kept(), Relaxed);
@@ -1018,7 +1027,7 @@ impl ConsensusEngine {
             kendall_distance_samples: self.kendall_distance_samples,
             groupby: self.groupby.clone(),
             threads: self.threads,
-            contexts,
+            context: RwLock::new(context),
             prefs,
             cocluster,
             marginals,
@@ -1045,18 +1054,13 @@ impl ConsensusEngine {
     /// is nothing to save); [`ConsensusEngine::from_export`] rebuilds them
     /// lazily. All `f64`s are exported bit-exactly.
     pub fn export(&self) -> EngineExport {
-        let mut contexts: Vec<RankContextExport> = self
-            .contexts
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter_map(|(&k, cell)| cell.get().map(|ctx| (k, Arc::clone(ctx))))
-            .map(|(k, ctx)| RankContextExport {
-                k,
+        let context = self
+            .resident_slot()
+            .resident()
+            .map(|ctx| RankContextExport {
+                k: ctx.k(),
                 rows: ctx.pmf_rows(),
-            })
-            .collect();
-        contexts.sort_by_key(|c| c.k);
+            });
 
         let prefs = self.prefs.get().map(|m| PreferenceExport {
             weights: m.row_major().to_vec(),
@@ -1080,7 +1084,7 @@ impl ConsensusEngine {
             kendall_distance_samples: self.kendall_distance_samples,
             threads: self.threads,
             groupby: self.groupby.as_ref().map(|g| g.probabilities().to_vec()),
-            contexts,
+            context,
             prefs,
             cocluster,
             marginals,
@@ -1099,8 +1103,8 @@ impl ConsensusEngine {
     ///
     /// Malformed exports — an invalid tree, a bad configuration, artifact
     /// tables whose lengths do not match the tree's key or alternative
-    /// count, rank contexts at a `k` outside the k-range or repeated —
-    /// surface as typed [`EngineError`]s.
+    /// count, a rank context at a `k` outside the k-range — surface as typed
+    /// [`EngineError`]s.
     pub fn from_export(export: &EngineExport) -> Result<ConsensusEngine, EngineError> {
         let tree = AndXorTree::from_raw(&export.tree)?;
         let mut builder = crate::builder::ConsensusEngineBuilder::new(tree)
@@ -1119,34 +1123,25 @@ impl ConsensusEngine {
         let tree_keys = engine.tree.keys();
         let keys: Vec<u64> = tree_keys.iter().map(|k| k.0).collect();
 
-        let mut contexts = HashMap::with_capacity(export.contexts.len());
-        let (lo, hi) = engine.k_range;
-        let mut previous_k = None;
-        for rce in &export.contexts {
-            if rce.k < lo || rce.k > hi || previous_k.is_some_and(|p| rce.k <= p) {
-                return Err(EngineError::InvalidConfig {
+        if let Some(rce) = &export.context {
+            let ctx = engine
+                .check_k(rce.k)
+                .ok()
+                .and_then(|()| TopKContext::from_rows(rce.k, tree_keys.clone(), &rce.rows))
+                .ok_or_else(|| EngineError::InvalidConfig {
                     context: format!(
-                        "rank-context export at k={} is outside the k-range [{lo}, {hi}], \
-                         repeated, or out of order",
-                        rce.k
+                        "rank-context export at k={} with {} entries for {} keys is outside \
+                         the k-range {:?} or of the wrong length",
+                        rce.k,
+                        rce.rows.len(),
+                        tree_keys.len(),
+                        engine.k_range()
                     ),
-                });
-            }
-            previous_k = Some(rce.k);
-            let ctx =
-                TopKContext::from_rows(rce.k, tree_keys.clone(), &rce.rows).ok_or_else(|| {
-                    EngineError::InvalidConfig {
-                        context: format!(
-                            "rank-context export at k={} has {} entries for {} keys",
-                            rce.k,
-                            rce.rows.len(),
-                            tree_keys.len()
-                        ),
-                    }
                 })?;
-            contexts.insert(rce.k, prebuilt_slot(Arc::new(ctx)));
+            let slot = RankSlot::at(rce.k, Weak::new());
+            let _ = slot.cell.set(Some(ctx));
+            engine.context = RwLock::new(slot);
         }
-        engine.contexts = RwLock::new(contexts);
 
         if let Some(pe) = &export.prefs {
             let m =
@@ -1316,6 +1311,18 @@ mod tests {
         }
         let root = b.and_node(xors);
         b.build(root).unwrap()
+    }
+
+    /// The `k` of every rank-context build `obs` recorded, in the order the
+    /// builds finished.
+    fn rank_build_ks(obs: &cpdb_obs::Obs) -> Vec<usize> {
+        obs.recent_events(usize::MAX)
+            .iter()
+            .filter_map(|e| {
+                let rest = e.detail.strip_prefix("rank_context[k=")?;
+                rest.split(']').next()?.parse().ok()
+            })
+            .collect()
     }
 
     fn small_engine() -> ConsensusEngine {
@@ -1529,7 +1536,8 @@ mod tests {
             },
         ];
         let serial = small_engine().run_batch_serial(&queries);
-        let engine = small_engine();
+        let obs = cpdb_obs::Obs::enabled();
+        let engine = small_engine().with_obs(obs.clone());
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
@@ -1550,9 +1558,17 @@ mod tests {
                 h.join().unwrap();
             }
         });
-        // Concurrent traffic built each artifact exactly once.
+        // Concurrent traffic built each artifact exactly once, except the
+        // rank context: a thread may build it at k = 2 before another asks
+        // for k = 3. Whatever the schedule, builds run at increasing k, the
+        // largest k stays resident, and each of the 4 × 2 lookups bumps one
+        // counter.
         let stats = engine.cache_stats();
-        assert_eq!(stats.rank_context_builds, 2, "{stats:?}");
+        assert!(stats.rank_context_builds <= 2, "{stats:?}");
+        assert_eq!(rank_build_ks(&obs).len(), stats.rank_context_builds);
+        assert!(rank_build_ks(&obs).windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(engine.export().context.map(|c| c.k), Some(3));
+        assert_eq!(stats.rank_context_builds + stats.rank_context_hits, 8);
         assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
         assert_eq!(stats.preference_builds, 1, "{stats:?}");
         assert_eq!(stats.marginal_builds, 1, "{stats:?}");
@@ -1877,20 +1893,19 @@ mod tests {
                 "rank_context"
             ]
         );
-        // A write patches that one tournament; the only per-k decisions are
-        // the rank contexts'.
+        // A write patches that one tournament and keeps the one rank
+        // context.
         let leaf = engine.tree().leaves_of_key(2)[0];
         let (_, report) = engine
             .apply_delta(&TreeDelta::LeafValue { leaf, value: 81.0 })
             .unwrap();
-        let mut names: Vec<&str> = report
-            .decisions
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .filter(|n| !n.starts_with("rank_context[k="))
-            .collect();
+        let mut names: Vec<&str> = report.decisions.iter().map(|(n, _)| n.as_str()).collect();
         names.sort_unstable();
-        assert_eq!(names, ["key_index", "preference_matrix"], "{report:?}");
+        assert_eq!(
+            names,
+            ["key_index", "preference_matrix", "rank_context"],
+            "{report:?}"
+        );
         assert!(
             report
                 .decisions
@@ -2051,20 +2066,133 @@ mod tests {
             .apply_delta(&TreeDelta::LeafValue { leaf, value: 72.5 })
             .unwrap();
         assert!(report.impact.rank_order_preserved, "{report:?}");
-        assert!(
+        let rank = |report: &DeltaReport| {
             report
                 .decisions
                 .iter()
-                .any(|(n, d)| n.starts_with("rank_context") && *d == crate::ArtifactDecision::Kept),
-            "{report:?}"
-        );
+                .find(|(n, _)| n == "rank_context")
+                .map(|(_, d)| *d)
+        };
+        assert_eq!(rank(&report), Some(crate::ArtifactDecision::Kept));
         let fresh = delta_engine(next.tree().clone());
         assert_eq!(
             next.run_batch_serial(&warming_batch()),
             fresh.run_batch_serial(&warming_batch())
         );
-        // The kept contexts served the re-run without a single rebuild.
+        // The kept context served the re-run without a single rebuild.
         assert_eq!(next.cache_stats().rank_context_builds, builds_before);
+
+        // An invalidating delta drops the table but keeps its `k`: the next
+        // epoch rebuilds exactly once, at the old K, though its first query
+        // asks for a smaller k.
+        let resident_k = next.export().context.map(|c| c.k);
+        assert_eq!(resident_k, Some(3));
+        let leaf = next.tree().leaves_of_key(2)[0];
+        let (dropped, report) = next
+            .apply_delta(&TreeDelta::XorEdgeProbability {
+                xor: next.tree().parent_of(leaf).unwrap(),
+                child: leaf,
+                probability: 0.7,
+            })
+            .unwrap();
+        assert_eq!(rank(&report), Some(crate::ArtifactDecision::Invalidated));
+        assert_eq!(dropped.export().context, None);
+        let fresh = delta_engine(dropped.tree().clone());
+        assert_eq!(
+            dropped.run_batch_serial(&warming_batch()),
+            fresh.run_batch_serial(&warming_batch())
+        );
+        assert_eq!(dropped.cache_stats().rank_context_builds, builds_before + 1);
+        assert_eq!(dropped.export().context.map(|c| c.k), resident_k);
+    }
+
+    /// Every query that reads the rank context, at `k`.
+    fn rank_queries(k: usize) -> Vec<Query> {
+        let mut queries: Vec<Query> = [
+            TopKMetric::SymmetricDifference,
+            TopKMetric::Intersection,
+            TopKMetric::Footrule,
+            TopKMetric::Kendall,
+        ]
+        .into_iter()
+        .map(|metric| Query::TopK {
+            k,
+            metric,
+            variant: Variant::Mean,
+        })
+        .collect();
+        queries.push(Query::TopK {
+            k,
+            metric: TopKMetric::SymmetricDifference,
+            variant: Variant::Median,
+        });
+        for kind in [
+            BaselineKind::ExpectedScore { k },
+            BaselineKind::ExpectedRank { k, samples: 64 },
+            BaselineKind::UTopK { k, samples: 64 },
+            BaselineKind::UTopKExact { k },
+            BaselineKind::GlobalTopK { k },
+            BaselineKind::ProbabilisticThreshold { k, threshold: 0.4 },
+        ] {
+            queries.push(Query::Baseline { kind });
+        }
+        queries
+    }
+
+    #[test]
+    fn one_context_serves_a_k_sweep_in_either_order() {
+        let tree = bid_tree();
+        let n = tree.keys().len();
+        for strategy in [
+            IntersectionStrategy::Assignment,
+            IntersectionStrategy::Harmonic,
+        ] {
+            let build = || {
+                ConsensusEngineBuilder::new(tree.clone())
+                    .seed(11)
+                    .kendall_distance_samples(64)
+                    .intersection_strategy(strategy)
+                    .build()
+                    .unwrap()
+            };
+            // Each k answered by an engine whose context was built at that
+            // k: `TopKContext::new(tree, k)` fed to the same §5 functions.
+            let fresh: Vec<_> = (1..=n)
+                .map(|k| build().run_batch_serial(&rank_queries(k)))
+                .collect();
+            let engine = build();
+            let sweep = |ks: Vec<usize>| {
+                for k in ks {
+                    let got = engine.run_batch_serial(&rank_queries(k));
+                    for ((query, got), want) in rank_queries(k).iter().zip(got).zip(&fresh[k - 1]) {
+                        let (got, want) = (got.unwrap(), want.as_ref().unwrap());
+                        assert_eq!(got.value, want.value, "{query:?}");
+                        assert_eq!(
+                            got.expected_distance.to_bits(),
+                            want.expected_distance.to_bits(),
+                            "{query:?}"
+                        );
+                        assert_eq!(got.optimality, want.optimality, "{query:?}");
+                    }
+                }
+            };
+            sweep((1..=n).collect());
+            assert_eq!(engine.cache_stats().rank_context_builds, n);
+            sweep((1..=n).rev().collect());
+            assert_eq!(engine.cache_stats().rank_context_builds, n);
+
+            // One context stays resident: every view shares one slab at K = n.
+            for k in 1..=n {
+                let view = engine.context(k).unwrap();
+                assert_eq!((view.k(), view.slab_len()), (k, n * 3 * n));
+                let bits = |rows: Vec<f64>| rows.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(view.pmf_rows()),
+                    bits(TopKContext::new(&tree, k).pmf_rows())
+                );
+            }
+            assert_eq!(engine.cache_stats().rank_context_builds, n);
+        }
     }
 
     #[test]
@@ -2184,7 +2312,7 @@ mod tests {
             report
                 .decisions
                 .iter()
-                .any(|(n, d)| n.starts_with("rank_context") && *d == crate::ArtifactDecision::Kept),
+                .any(|(n, d)| n == "rank_context" && *d == crate::ArtifactDecision::Kept),
             "{report:?}"
         );
     }
@@ -2245,24 +2373,25 @@ mod tests {
             .0
             .run_batch_serial(&batch);
 
-        // A thread panics while it holds the per-`k` map's write lock.
+        // A thread panics while it holds the rank slot's write lock.
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
-                let _guard = engine.contexts.write().unwrap();
-                panic!("panic while holding the artifact map lock");
+                let _guard = engine.context.write().unwrap();
+                panic!("panic while holding the rank slot lock");
             });
             assert!(holder.join().is_err());
         });
-        assert!(engine.contexts.is_poisoned());
+        assert!(engine.context.is_poisoned());
 
         assert_eq!(engine.run_batch_serial(&batch), answers);
         assert_eq!(engine.clone().run_batch_serial(&batch), answers);
         assert_eq!(engine.export(), export);
         let (next, _) = engine.apply_delta(&delta).unwrap();
         assert_eq!(next.run_batch_serial(&batch), next_answers);
-        // A `k` not built yet inserts its cell through the poisoned lock.
+        // A `k` above the resident one swaps in its slot through the
+        // poisoned lock.
         let fresh_k = Query::TopK {
-            k: 1,
+            k: 4,
             metric: TopKMetric::SymmetricDifference,
             variant: Variant::Mean,
         };
@@ -2275,7 +2404,7 @@ mod tests {
         let answers: Vec<_> = engine.run_batch_serial(&warming_batch());
         let export = engine.export();
         // The warming batch built every artifact family.
-        assert!(!export.contexts.is_empty());
+        assert!(export.context.is_some());
         assert!(export.prefs.is_some());
         assert!(export.cocluster.is_some());
         assert!(export.marginals.is_some());
@@ -2297,7 +2426,7 @@ mod tests {
     fn export_of_cold_engines_carries_no_artifacts() {
         let engine = delta_engine(bid_tree());
         let export = engine.export();
-        assert!(export.contexts.is_empty());
+        assert!(export.context.is_none());
         assert!(export.prefs.is_none());
         assert!(export.cocluster.is_none());
         assert!(export.marginals.is_none());
@@ -2326,7 +2455,7 @@ mod tests {
         ] {
             type Section = (&'static str, fn(&mut EngineExport) -> &mut Vec<f64>);
             let sections: [Section; 4] = [
-                ("rank context", |e| &mut e.contexts[0].rows),
+                ("rank context", |e| &mut e.context.as_mut().unwrap().rows),
                 ("preference matrix", |e| {
                     &mut e.prefs.as_mut().unwrap().weights
                 }),
@@ -2348,32 +2477,20 @@ mod tests {
             }
         }
 
-        // Rank contexts at an inadmissible or repeated `k` are rejected
-        // rather than injected as is.
-        type Corruption = (&'static str, fn(&mut EngineExport));
-        let corruptions: [Corruption; 2] = [
-            ("rank context above the k-range", |e| {
-                let n = e.contexts[0].rows.len() / e.contexts[0].k;
-                let k = e.k_range.1 + 1;
-                e.contexts[0].k = k;
-                e.contexts[0].rows.resize(n * k, 0.0);
-            }),
-            ("rank context repeated", |e| {
-                let again = e.contexts[0].clone();
-                e.contexts.push(again);
-            }),
-        ];
-        for (what, corrupt) in corruptions {
-            let mut export = engine.export();
-            corrupt(&mut export);
-            assert!(
-                matches!(
-                    ConsensusEngine::from_export(&export),
-                    Err(EngineError::InvalidConfig { .. })
-                ),
-                "{what} was accepted"
-            );
-        }
+        // A rank context above the k-range is rejected rather than injected
+        // as is, even when its table has the right length for its `k`.
+        let mut export = engine.export();
+        let context = export.context.as_mut().unwrap();
+        let n = context.rows.len() / context.k;
+        context.k = export.k_range.1 + 1;
+        context.rows.resize(n * context.k, 0.0);
+        assert!(
+            matches!(
+                ConsensusEngine::from_export(&export),
+                Err(EngineError::InvalidConfig { .. })
+            ),
+            "rank context above the k-range was accepted"
+        );
 
         // A corrupted tree (mass overflow) is caught by re-validation.
         let mut export = engine.export();

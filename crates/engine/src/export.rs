@@ -8,10 +8,11 @@
 //! * the flattened and/xor tree ([`cpdb_andxor::RawTree`]);
 //! * every configuration knob (seed, k-range, strategies, sample counts,
 //!   thread count, the optional group-by matrix);
-//! * every artifact the engine had actually *built* at export time: the
-//!   per-`k` rank-PMF contexts, the Kendall preference matrix and the
-//!   co-clustering weights (bare `f64` tables over the tree's sorted keys),
-//!   and the marginal table (a bare `f64` array over the tree's sorted
+//! * every artifact the engine had actually *built* at export time: the one
+//!   rank-PMF context (built at the largest `k` the engine has served; its
+//!   column prefixes serve every smaller `k`), the Kendall preference matrix
+//!   and the co-clustering weights (bare `f64` tables over the tree's sorted
+//!   keys), and the marginal table (a bare `f64` array over the tree's sorted
 //!   alternatives). No artifact repeats a key or an alternative, so import
 //!   checks only their lengths. Unbuilt artifacts are simply absent and
 //!   rebuilt lazily after import — the ordinary cold path, still
@@ -27,13 +28,13 @@
 use crate::builder::{IntersectionStrategy, KendallStrategy};
 use cpdb_andxor::RawTree;
 
-/// One exported per-`k` rank-PMF context: the raw `Pr(r(t) = i)` table the
+/// The exported rank-PMF context: the raw `Pr(r(t) = i)` table the resident
 /// context was built from (everything else it caches derives from it
 /// deterministically), over the tree's sorted tuple keys (which the export
 /// does not repeat).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankContextExport {
-    /// The query parameter `k`.
+    /// The `k` the context was built at: the largest the engine has served.
     pub k: usize,
     /// Row-major `n × k` table, one row per sorted key:
     /// `rows[p·k + i − 1] = Pr(r(t_p) = i)`.
@@ -80,8 +81,8 @@ pub struct EngineExport {
     pub threads: usize,
     /// The group-by probability matrix, if an instance is attached.
     pub groupby: Option<Vec<Vec<f64>>>,
-    /// Built per-`k` rank contexts, sorted by `k`.
-    pub contexts: Vec<RankContextExport>,
+    /// The built rank context, if any.
+    pub context: Option<RankContextExport>,
     /// The built full Kendall preference matrix, if any.
     pub prefs: Option<PreferenceExport>,
     /// The built co-clustering weights, if any.

@@ -241,7 +241,7 @@ fn crc32(bytes: &[u8]) -> u32 {
 
 #[test]
 fn anchor_in_a_foreign_version_is_refused_without_quarantine() {
-    for found in [1u32, 2, 3] {
+    for found in [1u32, 2, 3, 4] {
         let pvfs = FaultVfs::new();
         let fvfs = FaultVfs::new();
         let primary = primary(&pvfs);

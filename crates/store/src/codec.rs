@@ -423,7 +423,7 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
         kendall_distance_samples,
         threads,
         groupby,
-        contexts: Vec::new(),
+        context: None,
         prefs: None,
         cocluster: None,
         marginals: None,
@@ -432,27 +432,18 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
 
 // ---------------------------------------------------------------- artifacts
 
-/// Each rank context: its `k`, a count, then that many `f64`s (the
+/// The rank context: its `k`, a count, then that many `f64`s (the
 /// row-major table over the tree's sorted keys).
-pub fn encode_contexts(w: &mut ByteWriter, contexts: &[RankContextExport]) {
-    w.put_usize(contexts.len());
-    for ctx in contexts {
-        w.put_usize(ctx.k);
-        put_f64s(w, &ctx.rows);
-    }
+pub fn encode_context(w: &mut ByteWriter, ctx: &RankContextExport) {
+    w.put_usize(ctx.k);
+    put_f64s(w, &ctx.rows);
 }
 
-pub fn decode_contexts(r: &mut ByteReader<'_>) -> Result<Vec<RankContextExport>, StoreError> {
-    let n = r.get_count()?;
-    let mut contexts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = r.get_bounded(1 << 24)?;
-        contexts.push(RankContextExport {
-            k,
-            rows: get_f64s(r)?,
-        });
-    }
-    Ok(contexts)
+pub fn decode_context(r: &mut ByteReader<'_>) -> Result<RankContextExport, StoreError> {
+    Ok(RankContextExport {
+        k: r.get_bounded(1 << 24)?,
+        rows: get_f64s(r)?,
+    })
 }
 
 /// The preference matrix: a count, then that many `f64`s.
@@ -603,7 +594,7 @@ mod tests {
                 kendall_distance_samples: 64,
                 threads: 2,
                 groupby: None,
-                contexts: Vec::new(),
+                context: None,
                 prefs: None,
                 cocluster: None,
                 marginals: None,

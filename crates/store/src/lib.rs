@@ -2,8 +2,8 @@
 //!
 //! The consensus answers of Li & Deshpande (PODS 2009) are a pure function
 //! of the probabilistic and/xor tree, yet rebuilding the engine's shared
-//! artifacts — the per-`k` rank-PMF contexts, the `n²` Kendall tournament,
-//! the co-clustering weights — costs `O(n²)` generating-function sweeps on
+//! artifacts — the rank-PMF context at the largest `k` served, the `n²`
+//! Kendall tournament, the co-clustering weights — costs `O(n²)` generating-function sweeps on
 //! every process start. This crate makes a `cpdb_live` database **durable**
 //! so restarts warm-start instead:
 //!
@@ -31,16 +31,16 @@
 //!
 //! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`, version 4; see
-//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 3).
-//! Only the tree section carries tuple keys: the rank-context, preference
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 5; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 4).
+//! Only the tree section carries tuple keys: the one rank-context, preference
 //! and co-clustering sections are bare `f64` arrays over the tree's sorted
 //! keys, and the marginal section one over its sorted alternatives:
 //!
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (4), little-endian `u32` |
+//! | version | 4 | format version (5), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |

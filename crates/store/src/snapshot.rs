@@ -18,8 +18,8 @@
 
 use crate::checksum::crc32_parts;
 use crate::codec::{
-    decode_cocluster, decode_config, decode_contexts, decode_prefs, decode_tree, encode_cocluster,
-    encode_config, encode_contexts, encode_prefs, encode_tree, get_f64s, put_f64s, ByteReader,
+    decode_cocluster, decode_config, decode_context, decode_prefs, decode_tree, encode_cocluster,
+    encode_config, encode_context, encode_prefs, encode_tree, get_f64s, put_f64s, ByteReader,
     ByteWriter,
 };
 use crate::vfs::{std_vfs, Vfs};
@@ -31,24 +31,19 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
 ///
-/// Version 4 is the first in which no section carries a tuple key; the tree
-/// section holds the keys and every artifact is a bare `f64` array indexed
-/// by the tree's sorted keys or alternatives:
+/// Version 5 holds one rank context, at the largest `k` the engine has
+/// served (its column prefixes serve every smaller `k`): the contexts
+/// section is its `k`, a count, then the row-major `n × k` rank-PMF table,
+/// where version 4 wrote a count of contexts, each in that form.
 ///
-/// * the marginal section is a count, then one probability per tree
-///   alternative in sorted `(key, value)` order, where version 3 wrote a
-///   `(key, value, probability)` triple per alternative;
-/// * the Jaccard-candidate section (triples) and the key-index section
-///   (keys) are gone: the engine derives the candidates from the marginals
-///   per query, and the key index from the tree on import.
-///
-/// Version 3 had made each rank context its `k`, a count, then the
-/// row-major `n × k` rank-PMF table, and the preference section a count,
-/// then the row-major `n × n` tournament; version 2 had made the
-/// co-clustering section a bare strict upper triangle (a count, then
-/// `n(n − 1)/2` `f64`s). Images of any earlier version are refused with
-/// [`StoreError::UnsupportedVersion`]; no decoder for them is kept.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 4 was the first in which no section carries a tuple key: it
+/// stored the marginals as one probability per tree alternative in sorted
+/// `(key, value)` order, and dropped the Jaccard-candidate and key-index
+/// sections. Version 3 had dropped the keys from the rank-PMF rows and the
+/// preference section, version 2 from the co-clustering section. Images of
+/// any earlier version are refused with [`StoreError::UnsupportedVersion`];
+/// no decoder for them is kept.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -83,9 +78,9 @@ pub fn encode_snapshot(epoch: u64, export: &EngineExport) -> Vec<u8> {
     encode_tree(&mut w, &export.tree);
     sections.push((SECTION_TREE, w.into_bytes()));
 
-    if !export.contexts.is_empty() {
+    if let Some(context) = &export.context {
         let mut w = ByteWriter::new();
-        encode_contexts(&mut w, &export.contexts);
+        encode_context(&mut w, context);
         sections.push((SECTION_CONTEXTS, w.into_bytes()));
     }
     if let Some(prefs) = &export.prefs {
@@ -207,7 +202,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
         match tag {
             SECTION_CONTEXTS => {
                 let mut r = ByteReader::new(payload, "snapshot contexts section");
-                export.contexts = decode_contexts(&mut r)?;
+                export.context = Some(decode_context(&mut r)?);
                 r.expect_end()?;
             }
             SECTION_PREFS => {
@@ -381,43 +376,18 @@ mod tests {
     }
 
     #[test]
-    fn version_1_images_are_refused() {
-        let mut bytes = encode_snapshot(7, &warm_export());
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StoreError::UnsupportedVersion { found: 1 })
-        ));
-    }
-
-    #[test]
-    fn version_2_images_are_refused() {
-        let mut bytes = encode_snapshot(7, &warm_export());
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StoreError::UnsupportedVersion { found: 2 })
-        ));
-    }
-
-    #[test]
-    fn version_3_images_are_refused() {
-        let mut bytes = encode_snapshot(7, &warm_export());
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StoreError::UnsupportedVersion { found: 3 })
-        ));
-    }
-
-    #[test]
-    fn future_versions_are_refused() {
-        let export = warm_export();
-        let mut bytes = encode_snapshot(7, &export);
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(StoreError::UnsupportedVersion { found: 99 })
-        ));
+    fn earlier_and_future_versions_are_refused() {
+        let bytes = encode_snapshot(7, &warm_export());
+        for version in [1u32, 2, 3, 4, 99] {
+            let mut image = bytes.clone();
+            image[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_snapshot(&image),
+                    Err(StoreError::UnsupportedVersion { found }) if found == version
+                ),
+                "version {version} was not refused"
+            );
+        }
     }
 }

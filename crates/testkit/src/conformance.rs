@@ -657,7 +657,8 @@ pub fn check_batch_genfunc(tree: &AndXorTree) -> usize {
 /// for the randomised paths), and the exact answers must still attain the
 /// enumerated oracle optimum. Exercises `run_batch` so the cached-artifact
 /// path is what gets checked, and asserts the rank-probability PMFs were
-/// built once per distinct `k` rather than once per query.
+/// built once, at the batch's largest `k`, rather than once per query or
+/// per `k`.
 pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> usize {
     const KENDALL_SAMPLES: usize = 256;
     const BASELINE_SAMPLES: usize = 500;
@@ -770,11 +771,12 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
         );
         checks += 2;
     }
-    // Rank PMFs must have been built once per distinct k, not once per query.
+    // Rank PMFs must have been built once, at the batch's largest k: every
+    // smaller k read a column prefix of that one context.
     let stats = engine.cache_stats();
     assert_eq!(
         stats.rank_context_builds,
-        ks.len(),
+        usize::from(!ks.is_empty()),
         "engine rebuilt rank PMFs within a batch: {stats:?}"
     );
     checks += 1;
@@ -990,7 +992,14 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
 
     // Parallel run_batch at several thread counts, fresh engine each time,
     // on the batch plus one repeat: the repeat is answered by dedup, and
-    // the distinct queries leave exactly the serial loop's counters.
+    // the distinct queries leave the serial loop's counters, except that the
+    // batch builds its rank context once, at its largest k.
+    let batch_stats = CacheStats {
+        rank_context_builds: n.min(1),
+        rank_context_hits: serial_stats.rank_context_builds + serial_stats.rank_context_hits
+            - n.min(1),
+        ..serial_stats
+    };
     let mut batch = queries.clone();
     batch.push(queries[0].clone());
     let mut expected = serial.clone();
@@ -1004,11 +1013,6 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
         );
         let stats = engine.cache_stats();
         assert_eq!(
-            stats.rank_context_builds,
-            n.min(3),
-            "run_batch rebuilt a rank context at {threads} threads: {stats:?}"
-        );
-        assert_eq!(
             stats.preference_builds, 1,
             "run_batch rebuilt the tournament at {threads} threads: {stats:?}"
         );
@@ -1020,10 +1024,10 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
                 batch_dedup_hits: 0,
                 ..stats
             },
-            serial_stats,
+            batch_stats,
             "run_batch counters differ from the serial loop at {threads} threads"
         );
-        checks += 7;
+        checks += 6;
     }
 
     // A shared engine hammered by raw `run` calls from several threads, each
@@ -1050,10 +1054,11 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
             h.join().expect("hammer thread panicked");
         }
     });
+    // How often the rank context grows depends on the schedule, but never
+    // more than once per distinct k.
     let stats = engine.cache_stats();
-    assert_eq!(
-        stats.rank_context_builds,
-        n.min(3),
+    assert!(
+        stats.rank_context_builds <= n.min(3),
         "shared-engine traffic rebuilt a rank context: {stats:?}"
     );
     assert_eq!(stats.preference_builds, 1, "{stats:?}");

@@ -128,7 +128,7 @@ fn main() {
     // Quantify how good each answer is under the footrule objective, using
     // the engine's cached context.
     println!("\nExpected footrule distance of each answer (lower is better):");
-    let ctx = engine.context(k).expect("k is in range").clone();
+    let ctx = engine.context(k).expect("k is in range");
     for (name, answer) in &answers {
         let list = answer.value.as_topk().expect("all answers are lists");
         println!(

@@ -89,6 +89,18 @@ fn mixed_queries(n: usize) -> Vec<Query> {
     queries
 }
 
+/// The `k` of every rank-context build `obs` recorded, in the order the
+/// builds finished (the engine labels each build event `rank_context[k=…]`).
+fn rank_context_build_ks(obs: &cpdb_obs::Obs) -> Vec<usize> {
+    obs.recent_events(usize::MAX)
+        .iter()
+        .filter_map(|e| {
+            let rest = e.detail.strip_prefix("rank_context[k=")?;
+            rest.split(']').next()?.parse().ok()
+        })
+        .collect()
+}
+
 /// A deterministic per-thread shuffle (seeded LCG Fisher–Yates) so each
 /// thread visits the shared engine in a different order without pulling in
 /// RNG plumbing.
@@ -119,7 +131,8 @@ fn shuffled_thread_batches_match_the_serial_loop_exactly() {
     };
     let serial = build().run_batch_serial(&queries);
 
-    let engine = build();
+    let obs = cpdb_obs::Obs::with_event_capacity(1 << 12);
+    let engine = build().with_obs(obs.clone());
     const THREADS: usize = 6;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -142,11 +155,16 @@ fn shuffled_thread_batches_match_the_serial_loop_exactly() {
         }
     });
 
-    // 6 threads × the full mixed batch, yet every artifact was built exactly
-    // once: 4 valid ks, one tournament, one co-clustering matrix, one
-    // marginal table.
+    // 6 threads × the full mixed batch, yet one tournament, one co-clustering
+    // matrix and one marginal table were built. The rank context is built at
+    // most once per valid k (4 of them), at increasing k whatever the
+    // schedule, and the largest valid k (5) stays resident.
     let stats = engine.cache_stats();
-    assert_eq!(stats.rank_context_builds, 4, "{stats:?}");
+    let built = rank_context_build_ks(&obs);
+    assert!(stats.rank_context_builds <= 4, "{stats:?}");
+    assert_eq!(built.len(), stats.rank_context_builds, "{built:?}");
+    assert!(built.windows(2).all(|w| w[0] < w[1]), "{built:?}");
+    assert_eq!(engine.export().context.map(|c| c.k), Some(5));
     assert_eq!(stats.preference_builds, 1, "{stats:?}");
     assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
     assert_eq!(stats.marginal_builds, 1, "{stats:?}");
