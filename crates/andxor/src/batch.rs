@@ -21,6 +21,10 @@
 //!   whole-tree sweep per target. All products use in-place truncated
 //!   convolution with reusable scratch buffers ([`Poly1`]), so the sweep
 //!   allocates O(tree) once instead of O(tree) per target.
+//! * **Kendall distance terms** ([`AndXorTree::batch_kendall_terms`]) —
+//!   the same chronological sweep, read at the alternatives of a candidate
+//!   list with some leaves masked to 0 along their root paths and rolled
+//!   back, gives the exact expected Kendall Top-k distance of the list.
 //! * **Pairwise statistics** ([`AndXorTree::batch_pairwise_order`],
 //!   [`AndXorTree::batch_cocluster_weights`]) — both reduce to *alternative
 //!   co-presence* probabilities `Pr(α ∧ β)`, which the tree structure gives
@@ -39,7 +43,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::tree::{AndXorTree, Node, NodeKind};
+use crate::tree::{AndXorTree, Node, NodeId, NodeKind};
 use cpdb_genfunc::{clamp_probability, Poly1, Truncation};
 use cpdb_model::TupleKey;
 use cpdb_parallel::parallel_map_indexed;
@@ -63,12 +67,16 @@ struct AndSeg {
 }
 
 impl AndSeg {
-    fn new(children: &[Poly1], trunc: Truncation, scratch: &mut Vec<f64>) -> Self {
+    fn new<'a>(
+        children: impl ExactSizeIterator<Item = &'a Poly1>,
+        trunc: Truncation,
+        scratch: &mut Vec<f64>,
+    ) -> Self {
         let size = children.len().next_power_of_two().max(1);
-        let mut seg = vec![Poly1::constant(1.0); 2 * size];
-        for (i, c) in children.iter().enumerate() {
-            seg[size + i] = c.clone();
-        }
+        let mut seg = Vec::with_capacity(2 * size);
+        seg.resize(size, Poly1::constant(1.0));
+        seg.extend(children.cloned());
+        seg.resize(2 * size, Poly1::constant(1.0));
         let mut s = AndSeg { size, seg };
         for idx in (1..size).rev() {
             s.recompute(idx, trunc, scratch);
@@ -76,12 +84,12 @@ impl AndSeg {
         s
     }
 
-    /// Recomputes one internal product from its two children.
+    /// Recomputes one internal product from its two children, in place.
     fn recompute(&mut self, idx: usize, trunc: Truncation, scratch: &mut Vec<f64>) {
-        let mut prod = std::mem::take(&mut self.seg[idx]);
-        prod.copy_from(&self.seg[2 * idx]);
-        prod.mul_assign_truncated(&self.seg[2 * idx + 1], trunc, scratch);
-        self.seg[idx] = prod;
+        let (parents, children) = self.seg.split_at_mut(2 * idx);
+        let prod = &mut parents[idx];
+        prod.copy_from(&children[0]);
+        prod.mul_assign_truncated(&children[1], trunc, scratch);
     }
 
     /// Replaces child `i`'s polynomial and refreshes the partial products on
@@ -143,11 +151,12 @@ impl Link {
 }
 
 /// One distinct target alternative: the position of its key in the tree's
-/// sorted keys, together with every leaf holding it.
+/// sorted keys, together with every leaf holding it (a range of
+/// [`SweepPlan::target_leaves`]).
 #[derive(Debug, Clone)]
 struct Target {
     position: usize,
-    leaves: Vec<usize>,
+    leaves: Range<usize>,
 }
 
 /// Immutable per-batch precomputation.
@@ -159,8 +168,12 @@ struct SweepPlan {
     /// when target `t` is queried, the activated set is precisely the set of
     /// alternatives out-ranking `t`).
     targets: Vec<Target>,
-    /// The number of distinct keys.
-    keys: usize,
+    /// The leaves of every target, target after target.
+    target_leaves: Vec<usize>,
+    /// The distinct keys, sorted: target positions index into it.
+    keys: Vec<TupleKey>,
+    /// The root node.
+    root: usize,
     /// Truncation at x-degree `max_rank - 1` — coefficients past the last
     /// requested rank are never read, so every product drops them.
     trunc: Truncation,
@@ -168,6 +181,17 @@ struct SweepPlan {
     x_poly: Poly1,
     /// The constant polynomial 1 (query accumulator reset value).
     one: Poly1,
+    /// The zero polynomial.
+    zero: Poly1,
+}
+
+/// A place in [`SweepState`] that holds one polynomial.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The cached polynomial of a node.
+    Node(usize),
+    /// Entry `idx` of the product tree `seg`.
+    Seg { seg: usize, idx: usize },
 }
 
 /// The mutable sweep state: every node's current polynomial and every ∧
@@ -177,6 +201,54 @@ struct SweepState {
     segs: Vec<AndSeg>,
     scratch: Vec<f64>,
     acc: Poly1,
+    /// Nodes whose polynomial a deferred assignment made stale, and the
+    /// same set as one flag per node; [`SweepPlan::flush`] refreshes them.
+    stale: Vec<usize>,
+    is_stale: Vec<bool>,
+    /// Per product tree, the child entries rewritten since its last refresh.
+    stale_entries: Vec<Vec<usize>>,
+    /// The polynomials a logged assignment or flush displaced, in the order
+    /// it displaced them; [`SweepState::rollback`] puts them back.
+    undo: Vec<(Slot, Poly1)>,
+    /// Buffers returned by a rollback, reused by the next logged change.
+    spare: Vec<Poly1>,
+}
+
+impl SweepState {
+    fn slot(&mut self, slot: Slot) -> &mut Poly1 {
+        match slot {
+            Slot::Node(v) => &mut self.polys[v],
+            Slot::Seg { seg, idx } => &mut self.segs[seg].seg[idx],
+        }
+    }
+
+    /// Logs a copy of the polynomial at `slot` before it is overwritten.
+    fn save(&mut self, slot: Slot) {
+        let mut copy = self.spare.pop().unwrap_or_default();
+        copy.copy_from(self.slot(slot));
+        self.undo.push((slot, copy));
+    }
+
+    /// Restores every logged polynomial, newest first, so the state is bit
+    /// for bit what it was before the logged changes (which a flush must
+    /// have followed, so nothing is left stale).
+    fn rollback(&mut self) {
+        while let Some((slot, mut saved)) = self.undo.pop() {
+            std::mem::swap(self.slot(slot), &mut saved);
+            self.spare.push(saved);
+        }
+    }
+}
+
+/// Writes an ∨ node's polynomial `(1 − Σ p) + Σ p·A_child` into `out`, with
+/// the children's polynomials read from `polys` (indexed by node id): the
+/// arithmetic of [`Poly1::xor_combine`], without copying the children.
+fn xor_mix(out: &mut Poly1, children: &[(NodeId, f64)], polys: &[Poly1]) {
+    let leftover = 1.0 - children.iter().map(|(_, p)| p).sum::<f64>();
+    out.set_constant(leftover);
+    for (c, p) in children {
+        out.add_scaled_assign(&polys[c.0], *p);
+    }
 }
 
 /// `outranks`-compatible ordering of targets: decreasing value, then
@@ -188,6 +260,13 @@ fn target_order(a: &(TupleKey, f64), b: &(TupleKey, f64)) -> std::cmp::Ordering 
 impl SweepPlan {
     /// The plan and the initial state, in which every leaf is the constant 1.
     fn new(tree: &AndXorTree, max_rank: usize) -> (Self, SweepState) {
+        let plan = Self::plan(tree, max_rank);
+        let state = plan.state(tree, &plan.one);
+        (plan, state)
+    }
+
+    /// The immutable precomputation for sweeps truncated below `max_rank`.
+    fn plan(tree: &AndXorTree, max_rank: usize) -> Self {
         debug_assert!(max_rank >= 1);
         let trunc = Truncation::Degree(max_rank - 1);
         let n = tree.nodes.len();
@@ -227,12 +306,12 @@ impl SweepPlan {
             })
             .collect();
         leaves.sort_unstable_by_key(|l| l.0);
-        let mut keys = 0;
+        let mut keys = Vec::new();
         for run in leaves.chunk_by_mut(|x, y| x.0 == y.0) {
+            keys.push(run[0].0);
             for leaf in run {
-                leaf.3 = keys;
+                leaf.3 = keys.len() - 1;
             }
-            keys += 1;
         }
         // Group the leaves per distinct (key, value-bits) alternative, in the
         // out-rank order: `total_cmp` returns `Equal` only for identical bit
@@ -242,35 +321,57 @@ impl SweepPlan {
             target_order(&(x.0, x.1), &(y.0, y.1))
         };
         leaves.sort_unstable_by(|x, y| order(x, y).then(x.2.cmp(&y.2)));
+        let mut start = 0;
         let targets = leaves
             .chunk_by(|x, y| order(x, y).is_eq())
-            .map(|run| Target {
-                position: run[0].3,
-                leaves: run.iter().map(|l| l.2).collect(),
+            .map(|run| {
+                start += run.len();
+                Target {
+                    position: run[0].3,
+                    leaves: start - run.len()..start,
+                }
             })
             .collect();
+        let target_leaves = leaves.iter().map(|l| l.2).collect();
 
-        // Initial polynomials (every leaf assigned the constant 1), built
-        // bottom-up; builder node ids are topological so ascending order
-        // visits children first.
+        let x_poly = if max_rank == 1 {
+            Poly1::from_coeffs(vec![0.0])
+        } else {
+            Poly1::x()
+        };
+        SweepPlan {
+            links,
+            targets,
+            target_leaves,
+            keys,
+            root: tree.root.0,
+            trunc,
+            x_poly,
+            one: Poly1::constant(1.0),
+            zero: Poly1::zero(),
+        }
+    }
+
+    /// The state in which every leaf is assigned `leaf`, built bottom-up;
+    /// builder node ids are topological so ascending order visits children
+    /// first.
+    fn state(&self, tree: &AndXorTree, leaf: &Poly1) -> SweepState {
+        let trunc = self.trunc;
         let mut scratch = Vec::new();
-        let mut polys: Vec<Poly1> = Vec::with_capacity(n);
-        let mut segs: Vec<AndSeg> = Vec::with_capacity(and_nodes);
+        let mut polys: Vec<Poly1> = Vec::with_capacity(tree.nodes.len());
+        let mut segs: Vec<AndSeg> = Vec::new();
         for node in &tree.nodes {
             let poly = match node {
-                Node::Leaf(_) => Poly1::constant(1.0),
+                Node::Leaf(_) => leaf.clone(),
                 Node::Inner { kind, children } => match kind {
                     NodeKind::Xor => {
-                        let evaluated: Vec<(f64, Poly1)> = children
-                            .iter()
-                            .map(|(c, p)| (*p, polys[c.0].clone()))
-                            .collect();
-                        Poly1::xor_combine(&evaluated)
+                        let mut mix = Poly1::zero();
+                        xor_mix(&mut mix, children, &polys);
+                        mix
                     }
                     NodeKind::And => {
-                        let child_polys: Vec<Poly1> =
-                            children.iter().map(|(c, _)| polys[c.0].clone()).collect();
-                        let seg = AndSeg::new(&child_polys, trunc, &mut scratch);
+                        let children = children.iter().map(|(c, _)| &polys[c.0]);
+                        let seg = AndSeg::new(children, trunc, &mut scratch);
                         let root = seg.root().clone();
                         segs.push(seg);
                         root
@@ -280,26 +381,17 @@ impl SweepPlan {
             polys.push(poly);
         }
 
-        let x_poly = if max_rank == 1 {
-            Poly1::from_coeffs(vec![0.0])
-        } else {
-            Poly1::x()
-        };
-        let plan = SweepPlan {
-            links,
-            targets,
-            keys,
-            trunc,
-            x_poly,
-            one: Poly1::constant(1.0),
-        };
-        let state = SweepState {
+        SweepState {
+            is_stale: vec![false; polys.len()],
+            stale_entries: vec![Vec::new(); segs.len()],
             polys,
             segs,
             scratch,
             acc: Poly1::constant(1.0),
-        };
-        (plan, state)
+            stale: Vec::new(),
+            undo: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
     /// Flips one leaf from the constant 1 to `x` and refreshes the cached
@@ -329,6 +421,102 @@ impl SweepPlan {
         }
     }
 
+    /// Assigns `poly` to one leaf and marks its root path stale, leaving the
+    /// refresh to [`Self::flush`]: many assignments between two reads then
+    /// refresh each shared ancestor once. With `log`, the overwritten
+    /// polynomial is saved for [`SweepState::rollback`]. The rank sweep
+    /// keeps [`Self::activate_leaf`]: a flush recombines ∨ nodes from
+    /// scratch, which would change the bits of every rank table.
+    fn defer_leaf(&self, st: &mut SweepState, leaf: usize, poly: &Poly1, log: bool) {
+        if log {
+            st.save(Slot::Node(leaf));
+        }
+        st.polys[leaf].copy_from(poly);
+        let mut node = Some(leaf);
+        while let Some(v) = node.filter(|&v| !st.is_stale[v]) {
+            st.is_stale[v] = true;
+            st.stale.push(v);
+            node = self.links[v].map(Link::parent);
+        }
+    }
+
+    /// Refreshes every stale node once, children first: an ∨ node is
+    /// recombined from its children, an ∧ node refreshes each stale entry of
+    /// its product tree once, level by level. With `log`, every overwritten
+    /// polynomial is saved for [`SweepState::rollback`].
+    fn flush(&self, tree: &AndXorTree, st: &mut SweepState, log: bool) {
+        let mut stale = std::mem::take(&mut st.stale);
+        stale.sort_unstable();
+        for &v in &stale {
+            st.is_stale[v] = false;
+            if let Node::Inner { kind, children } = &tree.nodes[v] {
+                if log {
+                    st.save(Slot::Node(v));
+                }
+                match kind {
+                    NodeKind::Xor => {
+                        let (lo, hi) = st.polys.split_at_mut(v);
+                        xor_mix(&mut hi[0], children, lo);
+                    }
+                    NodeKind::And => {
+                        // An ∧ node is stale only through a stale child.
+                        let Some(Link::And { seg, .. }) =
+                            children.first().and_then(|(c, _)| self.links[c.0])
+                        else {
+                            continue;
+                        };
+                        let mut entries = std::mem::take(&mut st.stale_entries[seg]);
+                        entries.sort_unstable();
+                        while entries.first().is_some_and(|&idx| idx > 1) {
+                            for idx in &mut entries {
+                                *idx /= 2;
+                            }
+                            entries.dedup();
+                            for &idx in &entries {
+                                if log {
+                                    st.save(Slot::Seg { seg, idx });
+                                }
+                                st.segs[seg].recompute(idx, self.trunc, &mut st.scratch);
+                            }
+                        }
+                        entries.clear();
+                        st.stale_entries[seg] = entries;
+                        st.polys[v].copy_from(st.segs[seg].root());
+                    }
+                }
+            }
+            if let Some(Link::And { seg, index, .. }) = self.links[v] {
+                let idx = st.segs[seg].size + index;
+                if log {
+                    st.save(Slot::Seg { seg, idx });
+                }
+                st.segs[seg].seg[idx].copy_from(&st.polys[v]);
+                st.stale_entries[seg].push(idx);
+            }
+        }
+        stale.clear();
+        st.stale = stale;
+    }
+
+    /// The leaves of `target`.
+    fn leaves(&self, target: &Target) -> &[usize] {
+        &self.target_leaves[target.leaves.clone()]
+    }
+
+    /// `Pr(leaf present)`: the product of the ∨-edge probabilities on its
+    /// root path.
+    fn presence(&self, leaf: usize) -> f64 {
+        let mut probability = 1.0;
+        let mut child = leaf;
+        while let Some(link) = self.links[child] {
+            if let Link::Xor { p, .. } = link {
+                probability *= p;
+            }
+            child = link.parent();
+        }
+        probability
+    }
+
     /// Writes the rank polynomial of `target` under the current activation
     /// state into `out`: entry `i` is `Pr(r(t) = i + 1)` (the coefficient of
     /// `x^i y` in the bivariate formulation of Example 3). Recovered without
@@ -338,7 +526,7 @@ impl SweepPlan {
     /// add.
     fn query(&self, st: &mut SweepState, target: &Target, out: &mut [f64]) {
         out.fill(0.0);
-        for &leaf in &target.leaves {
+        for &leaf in self.leaves(target) {
             let mut path_probability = 1.0;
             st.acc.copy_from(&self.one);
             let mut child = leaf;
@@ -659,6 +847,20 @@ fn fill_fresh<F, S>(
 // Public batch API.
 // ---------------------------------------------------------------------------
 
+/// The terms of `E[d_K(τ, τ_pw)]` that [`AndXorTree::batch_kendall_terms`]
+/// computes for a candidate `τ` at `k`; entry `p` of each vector belongs to
+/// `τ[p]`. The remaining term, `E[min(A_i, k) · 1{i present}]`, is read off
+/// the rank-PMF row of `i` and its presence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KendallTerms {
+    /// `Pr(i present)`.
+    pub presence: Vec<f64>,
+    /// `E[min(|W|, k) · 1{i absent}]`, where `|W|` is the world's size.
+    pub absent_size: Vec<f64>,
+    /// `Σ_{j before i in τ} Pr(r(j) ≤ k ∧ r(j) < r(i))`.
+    pub ahead: Vec<f64>,
+}
+
 impl AndXorTree {
     /// Rank distributions of every tuple up to `max_rank`, computed by a
     /// single shared sweep instead of one generating-function sweep per key
@@ -671,7 +873,7 @@ impl AndXorTree {
             return Vec::new();
         }
         let (plan, mut st) = SweepPlan::new(self, max_rank);
-        let mut out = vec![0.0; plan.keys * max_rank];
+        let mut out = vec![0.0; plan.keys.len() * max_rank];
         let mut pmf = vec![0.0; max_rank];
         for (t, target) in plan.targets.iter().enumerate() {
             plan.query(&mut st, target, &mut pmf);
@@ -682,7 +884,7 @@ impl AndXorTree {
             }
             // The next target is out-ranked by this one.
             if t + 1 < plan.targets.len() {
-                for &leaf in &target.leaves {
+                for &leaf in plan.leaves(target) {
                     plan.activate_leaf(&mut st, leaf);
                 }
             }
@@ -691,6 +893,118 @@ impl AndXorTree {
             *p = clamp_probability(*p);
         }
         out
+    }
+
+    /// The terms of the exact expected Kendall Top-k distance of a
+    /// candidate list `τ` (without duplicate keys) at `k`: entry `p` of each
+    /// vector belongs to `candidate[p]`. With `A_i` the number of present
+    /// tuples that out-rank `i` (or `|W|` when `i` is absent) and
+    /// `P(j, i) = Pr(r(j) ≤ k ∧ r(j) < r(i))`, an absent tuple ranking ∞,
+    /// the distance is `Σ_{i∈τ} (E[min(A_i, k)] − Σ_{j before i in τ} P(j, i))`.
+    /// These are the parts of it the rank-PMF table does not hold; see
+    /// [`KendallTerms`].
+    ///
+    /// Every term comes from one chronological sweep truncated at x-degree
+    /// `k − 1`, in the out-rank order of [`AndXorTree::batch_rank_pmfs`]:
+    ///
+    /// * at each alternative `a` of a candidate `j` with a later key in `τ`,
+    ///   the leaves out-ranking `a` are `x` and the rest 1. For each later
+    ///   `i`, the leaves of `i` among the `x` ones are set to 0 along their
+    ///   root paths only, `Σ_{d<k} coeff(x^d y)` of `a` is read as in the
+    ///   rank query, and the paths are rolled back;
+    /// * once every leaf is `x`, each candidate's leaves are set to 0 in
+    ///   turn to read `Pr(i absent ∧ |W| = d)`, `d < k`, off the root.
+    ///
+    /// Leaves flip between two reads without refreshing their ancestors;
+    /// the read first refreshes each stale node once (an ∨ node from its
+    /// children, an ∧ node through `O(log fanout)` truncated products per
+    /// stale child in its product tree). So no world is sampled and no
+    /// whole-tree sweep runs per term. At `k = 0` every term is 0, as is the
+    /// distance.
+    pub fn batch_kendall_terms(&self, candidate: &[TupleKey], k: usize) -> KendallTerms {
+        let m = candidate.len();
+        let mut terms = KendallTerms {
+            presence: vec![0.0; m],
+            absent_size: vec![0.0; m],
+            ahead: vec![0.0; m],
+        };
+        if k == 0 || m == 0 {
+            return terms;
+        }
+        let plan = SweepPlan::plan(self, k);
+        // The candidate slot of each key position, and each candidate's
+        // leaves with the index of the target they belong to.
+        let mut slot_of = vec![None; plan.keys.len()];
+        for (p, key) in candidate.iter().enumerate() {
+            if let Ok(at) = plan.keys.binary_search(key) {
+                slot_of[at] = Some(p);
+            }
+        }
+        let mut leaves: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
+        for (t, target) in plan.targets.iter().enumerate() {
+            if let Some(p) = slot_of[target.position] {
+                leaves[p].extend(plan.leaves(target).iter().map(|&leaf| (t, leaf)));
+            }
+        }
+        for (presence, own) in terms.presence.iter_mut().zip(&leaves) {
+            *presence = clamp_probability(own.iter().map(|&(_, leaf)| plan.presence(leaf)).sum());
+        }
+
+        // Σ_{j before i} P(j, i), one alternative of `j` at a time, in the
+        // out-rank order: when target `t` is read, every leaf of an earlier
+        // target is `x`.
+        let mut st = plan.state(self, &plan.one);
+        let mut rank = vec![0.0; k];
+        for (t, target) in plan.targets.iter().enumerate() {
+            if let Some(q) = slot_of[target.position].filter(|&q| q + 1 < m) {
+                plan.flush(self, &mut st, false);
+                plan.query(&mut st, target, &mut rank);
+                let unmasked: f64 = rank.iter().sum();
+                for (ahead, later) in terms.ahead[q + 1..].iter_mut().zip(&leaves[q + 1..]) {
+                    let mut masked = false;
+                    for &(_, leaf) in later.iter().filter(|&&(u, _)| u < t) {
+                        plan.defer_leaf(&mut st, leaf, &plan.zero, true);
+                        masked = true;
+                    }
+                    if masked {
+                        plan.flush(self, &mut st, true);
+                        plan.query(&mut st, target, &mut rank);
+                        st.rollback();
+                        *ahead += rank.iter().sum::<f64>();
+                    } else {
+                        *ahead += unmasked;
+                    }
+                }
+            }
+            for &leaf in plan.leaves(target) {
+                plan.defer_leaf(&mut st, leaf, &plan.x_poly, false);
+            }
+        }
+
+        // Every leaf is `x` now. E[min(|W|, k) · 1{i absent}] from
+        // Pr(i absent ∧ |W| = d), d < k.
+        plan.flush(self, &mut st, false);
+        for ((size, own), presence) in terms
+            .absent_size
+            .iter_mut()
+            .zip(&leaves)
+            .zip(&terms.presence)
+        {
+            for &(_, leaf) in own {
+                plan.defer_leaf(&mut st, leaf, &plan.zero, true);
+            }
+            plan.flush(self, &mut st, true);
+            let sizes = &st.polys[plan.root];
+            let (mut mass, mut weighted) = (0.0, 0.0);
+            for d in 0..k {
+                let c = sizes.coeff(d);
+                mass += c;
+                weighted += d as f64 * c;
+            }
+            st.rollback();
+            *size = weighted + k as f64 * (1.0 - presence - mass);
+        }
+        terms
     }
 
     /// The full pairwise-order tournament `Pr(r(keys[i]) < r(keys[j]))` as a
@@ -829,6 +1143,7 @@ mod tests {
     use super::*;
     use crate::tree::AndXorTreeBuilder;
     use cpdb_genfunc::Truncation as T;
+    use cpdb_model::WorldModel;
 
     fn independent_tree(specs: &[(u64, f64, f64)]) -> AndXorTree {
         let mut b = AndXorTreeBuilder::new();
@@ -936,6 +1251,64 @@ mod tests {
         let tree = b.build(root).unwrap();
         let pmf = tree.batch_rank_pmfs(1);
         assert!((pmf[0] - 1.0).abs() < 1e-12);
+    }
+
+    /// Each Kendall term against its definition over the enumerated worlds.
+    fn assert_kendall_terms_match_worlds(tree: &AndXorTree, candidate: &[TupleKey], k: usize) {
+        let worlds = tree.enumerate_worlds();
+        let terms = tree.batch_kendall_terms(candidate, k);
+        for (p, &i) in candidate.iter().enumerate() {
+            let presence = worlds.marginal_key(i);
+            let absent_size = worlds.expectation(|w| {
+                if w.contains_key(i) {
+                    0.0
+                } else {
+                    w.len().min(k) as f64
+                }
+            });
+            let ahead: f64 = candidate[..p]
+                .iter()
+                .map(|&j| {
+                    worlds.expectation(|w| match (w.rank_of(j), w.rank_of(i)) {
+                        (Some(rj), ri) => f64::from(rj <= k && ri.is_none_or(|ri| rj < ri)),
+                        (None, _) => 0.0,
+                    })
+                })
+                .sum();
+            for (name, got, want) in [
+                ("presence", terms.presence[p], presence),
+                ("absent size", terms.absent_size[p], absent_size),
+                ("ahead", terms.ahead[p], ahead),
+            ] {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "{name} of {i:?} in {candidate:?} at k={k}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kendall_terms_match_the_worlds() {
+        for tree in [
+            bid_tree(),
+            nested_tree(),
+            crate::figure1::figure1_correlated_tree(),
+        ] {
+            let keys = tree.keys();
+            let n = keys.len();
+            for k in 1..=n + 1 {
+                // Every key order in both directions, plus an unknown key.
+                let mut forward = keys.clone();
+                forward.push(TupleKey(99));
+                let backward: Vec<TupleKey> = forward.iter().rev().copied().collect();
+                for candidate in [forward, backward] {
+                    for len in 0..=candidate.len() {
+                        assert_kendall_terms_match_worlds(&tree, &candidate[..len], k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ fn bench_engine_dispatch(c: &mut Criterion) {
                     b.iter(|| {
                         let engine = ConsensusEngineBuilder::new((*tree).clone())
                             .seed(7)
-                            .kendall_distance_samples(64)
                             .build()
                             .expect("valid configuration");
                         let results = engine.run_batch(queries);
@@ -102,7 +101,6 @@ fn bench_engine_dispatch(c: &mut Criterion) {
             let queries = full_metric_batch(k);
             let warm = ConsensusEngineBuilder::new(tree)
                 .seed(7)
-                .kendall_distance_samples(64)
                 .build()
                 .expect("valid configuration");
             let _ = warm.run_batch(&queries);

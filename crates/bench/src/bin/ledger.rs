@@ -28,8 +28,10 @@
 //! patched vs rebuilt, recovered vs writer) while it measures. The `rank`
 //! suite also times the two pairwise batch builds at n=400 on one thread and
 //! on `machine_threads`, without a gate. The `median` suite times the warm
-//! Theorem 4 median Top-k and the `clustering` suite the warm
-//! `Clustering{restarts: 4}` query; neither carries a gate.
+//! Theorem 4 median Top-k, the `clustering` suite the warm
+//! `Clustering{restarts: 4}` query, and the `kendall` suite the warm
+//! `TopK{Kendall}` query and its exact `E[d_K]` evaluator alone; none of
+//! them carries a gate.
 
 use cpdb_bench::experiments::scaling_tree;
 use cpdb_bench::sample::{time_ms, Sample};
@@ -37,9 +39,9 @@ use cpdb_bench::{
     fault_recovery, observability, persistence, query_throughput, rank_artifacts, replication,
     update_throughput, Table,
 };
-use cpdb_consensus::topk::median_dp;
+use cpdb_consensus::topk::{kendall, median_dp};
 use cpdb_consensus::TopKContext;
-use cpdb_engine::{ConsensusEngineBuilder, Query};
+use cpdb_engine::{ConsensusEngineBuilder, Query, TopKMetric, Variant};
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
@@ -75,6 +77,12 @@ const CLUSTERING_NS: [usize; 2] = [120, 400];
 const CLUSTERING_RESTARTS: usize = 4;
 /// A warm clustering query takes milliseconds too.
 const CLUSTERING_REPS: usize = 15;
+const KENDALL_NS: [usize; 2] = [120, 400];
+const KENDALL_KS: [usize; 2] = [5, 10];
+/// A warm Kendall query takes milliseconds (its pivot dominates).
+const KENDALL_REPS: usize = 15;
+/// The evaluator alone takes well under a millisecond.
+const KENDALL_EVALUATOR_REPS: usize = 60;
 
 /// What a row measured: a timing over repeated samples, or one value.
 enum Measure {
@@ -358,6 +366,43 @@ fn clustering_suite(ns: &[usize], restarts: usize, reps: usize) -> Suite {
     s
 }
 
+/// The warm `TopK{Kendall}` query on a one-thread engine whose rank context
+/// and tournament are already built, and the exact `E[d_K]` of its answer
+/// evaluated alone.
+fn kendall_suite(ns: &[usize], ks: &[usize], reps: usize, evaluator_reps: usize) -> Suite {
+    let mut s = Suite::new("kendall");
+    for &n in ns {
+        let tree = scaling_tree(n, SEED);
+        let engine = ConsensusEngineBuilder::new(tree.clone())
+            .seed(SEED)
+            .threads(1)
+            .build()
+            .expect("default engine configuration is valid");
+        for &k in ks {
+            let q = Query::TopK {
+                k,
+                metric: TopKMetric::Kendall,
+                variant: Variant::Mean,
+            };
+            let answer = engine.run(&q).expect("Kendall Top-k is supported");
+            let list = answer.value.as_topk().expect("Top-k queries return lists");
+            let row = format!("warm n={n} k={k}");
+            s.timing(
+                &row,
+                "topk_kendall",
+                "ms",
+                &time_ms(reps, || engine.run(&q)),
+            );
+            let ctx = TopKContext::new(&tree, k);
+            let sample = time_ms(evaluator_reps, || {
+                kendall::expected_kendall_distance(&tree, &ctx, list)
+            });
+            s.timing(&row, "exact_distance", "ms", &sample);
+        }
+    }
+    s
+}
+
 /// One line per failed gate, over every suite.
 fn failed_gates(suites: &[Suite]) -> Vec<String> {
     suites
@@ -535,6 +580,12 @@ fn main() -> ExitCode {
         observability_suite(DURABLE_N, REPS, OBS_OPS, OBS_SERIES, OBS_EVENTS),
         median_suite(&MEDIAN_NS, &MEDIAN_KS, MEDIAN_REPS),
         clustering_suite(&CLUSTERING_NS, CLUSTERING_RESTARTS, CLUSTERING_REPS),
+        kendall_suite(
+            &KENDALL_NS,
+            &KENDALL_KS,
+            KENDALL_REPS,
+            KENDALL_EVALUATOR_REPS,
+        ),
     ];
     for table in summary(&suites) {
         table.print();

@@ -145,7 +145,6 @@ fn ns_per_op(ops: usize, mut f: impl FnMut(usize)) -> f64 {
 fn instrumented_engine(n: usize, seed: u64, obs: Obs) -> ConsensusEngine {
     cpdb_engine::ConsensusEngineBuilder::new(crate::update_throughput::live_tree(n, seed))
         .seed(seed)
-        .kendall_distance_samples(64)
         .obs(obs)
         .build()
         .expect("valid bench configuration")

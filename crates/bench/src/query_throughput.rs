@@ -53,7 +53,6 @@ pub fn serving_groupby(groups: usize, tuples: usize) -> GroupByInstance {
 pub fn serving_engine(n: usize, seed: u64, threads: usize) -> ConsensusEngine {
     ConsensusEngineBuilder::new(serving_tree(n, seed))
         .seed(seed)
-        .kendall_distance_samples(64)
         .groupby(serving_groupby(4, 12))
         .threads(threads)
         .build()

@@ -32,7 +32,6 @@ pub fn live_tree(n: usize, seed: u64) -> cpdb_andxor::AndXorTree {
 pub fn live_engine(tree: cpdb_andxor::AndXorTree, seed: u64) -> ConsensusEngine {
     ConsensusEngineBuilder::new(tree)
         .seed(seed)
-        .kendall_distance_samples(64)
         .build()
         .expect("valid live configuration")
 }

@@ -19,6 +19,30 @@ const PREFIX_MASS: usize = 1;
 const PREFIX_WEIGHTED: usize = 2;
 const TABLES: usize = 3;
 
+/// One key's rank statistics in a [`TopKContext`] view: the first `k`
+/// entries of each of its tables, entry `i − 1` belonging to position `i`.
+#[derive(Debug, Clone, Copy)]
+pub struct RankRow<'a> {
+    /// `Pr(r(t) = i)`.
+    pub pmf: &'a [f64],
+    /// The raw (unclamped) prefix sums `Σ_{j ≤ i} Pr(r(t) = j)`.
+    pub prefix_mass: &'a [f64],
+    /// The rank-weighted prefix sums `Σ_{j ≤ i} j·Pr(r(t) = j)`.
+    pub prefix_weighted: &'a [f64],
+}
+
+impl RankRow<'_> {
+    /// `Pr(r(t) ≤ i)`, the prefix mass clamped to 1, with the context's
+    /// conventions: 0 at `i = 0`, the value at `k` for `i > k`.
+    pub fn cdf(&self, i: usize) -> f64 {
+        // `min` first: with k = 0 every `i` is out of range.
+        let i = i.min(self.prefix_mass.len());
+        i.checked_sub(1)
+            .and_then(|i| self.prefix_mass.get(i))
+            .map_or(0.0, |m| m.min(1.0))
+    }
+}
+
 /// Precomputed rank statistics for a Top-k query over an and/xor tree.
 ///
 /// Every statistic lives in one slab, shared by every view of it, built at a
@@ -114,12 +138,28 @@ impl TopKContext {
             .collect()
     }
 
-    /// The view's part of table `table` of key `t` (its first `k` entries),
-    /// or `None` for an unknown key.
-    fn table(&self, t: TupleKey, table: usize) -> Option<&[f64]> {
-        let at = self.keys.binary_search(&t).ok()?;
-        let start = (at * TABLES + table) * self.stride;
+    /// The view's part of table `table` of the key at `position` of
+    /// [`TopKContext::keys`] (its first `k` entries), or `None` past the
+    /// last key.
+    fn table_at(&self, position: usize, table: usize) -> Option<&[f64]> {
+        let start = (position * TABLES + table) * self.stride;
         self.stats.get(start..start + self.k)
+    }
+
+    /// [`TopKContext::row`] for key `t`, or `None` for an unknown key.
+    pub fn row_of(&self, t: TupleKey) -> Option<RankRow<'_>> {
+        self.row(self.keys.binary_search(&t).ok()?)
+    }
+
+    /// The view's statistics of the key at `position` of
+    /// [`TopKContext::keys`], read without a key search; `None` past the
+    /// last key.
+    pub fn row(&self, position: usize) -> Option<RankRow<'_>> {
+        Some(RankRow {
+            pmf: self.table_at(position, PMF)?,
+            prefix_mass: self.table_at(position, PREFIX_MASS)?,
+            prefix_weighted: self.table_at(position, PREFIX_WEIGHTED)?,
+        })
     }
 
     /// The query parameter `k`.
@@ -145,20 +185,13 @@ impl TopKContext {
         if i == 0 || i > self.k {
             return 0.0;
         }
-        self.table(t, PMF).map_or(0.0, |p| p[i - 1])
+        self.row_of(t).map_or(0.0, |row| row.pmf[i - 1])
     }
 
     /// `Pr(r(t) ≤ i)` for `1 ≤ i ≤ k` (0 for `i = 0`, and the value at `k`
     /// for `i > k` since the context never looks past `k`).
     pub fn rank_cdf(&self, t: TupleKey, i: usize) -> f64 {
-        // `min` first: with k = 0 every `i` is out of range.
-        let i = i.min(self.k);
-        if i == 0 {
-            return 0.0;
-        }
-        self.table(t, PREFIX_MASS)
-            .and_then(|c| c.get(i - 1))
-            .map_or(0.0, |m| m.min(1.0))
+        self.row_of(t).map_or(0.0, |row| row.cdf(i))
     }
 
     /// `Pr(r(t) ≤ k)` — the probability that `t` makes the Top-k at all.
@@ -174,7 +207,10 @@ impl TopKContext {
     /// `Σ_t Pr(r(t) ≤ i)` over all tuples — the expected size of the random
     /// world's Top-i answer.
     pub fn total_topi_mass(&self, i: usize) -> f64 {
-        self.keys.iter().map(|&t| self.rank_cdf(t, i)).sum()
+        (0..self.keys.len())
+            .filter_map(|p| self.row(p))
+            .map(|row| row.cdf(i))
+            .sum()
     }
 
     /// Υ₁(t) = `Σ_{i ≤ k} Pr(r(t) = i)` = `Pr(r(t) ≤ k)` (§5.4).
@@ -185,9 +221,8 @@ impl TopKContext {
     /// Υ₂(t) = `Σ_{i ≤ k} i · Pr(r(t) = i)` (§5.4). Served from the
     /// rank-weighted prefix sums in O(1).
     pub fn upsilon2(&self, t: TupleKey) -> f64 {
-        self.table(t, PREFIX_WEIGHTED)
-            .and_then(|w| w.last())
-            .copied()
+        self.row_of(t)
+            .and_then(|row| row.prefix_weighted.last().copied())
             .unwrap_or(0.0)
     }
 
@@ -204,8 +239,11 @@ impl TopKContext {
     /// [`crate::topk::footrule::placement_cost_direct`] keeps the direct
     /// summation as the test reference.
     pub fn misplacement_mass(&self, t: TupleKey, i: usize) -> f64 {
-        let (Some(mass), Some(weighted)) =
-            (self.table(t, PREFIX_MASS), self.table(t, PREFIX_WEIGHTED))
+        let Some(RankRow {
+            prefix_mass: mass,
+            prefix_weighted: weighted,
+            ..
+        }) = self.row_of(t)
         else {
             return 0.0;
         };
@@ -379,6 +417,24 @@ mod tests {
         assert!(TopKContext::from_rows(2, keys.clone(), &rows[..3]).is_none());
         assert!(TopKContext::from_rows(2, keys, &[rows.as_slice(), &[0.0]].concat()).is_none());
         assert!(TopKContext::from_rows(2, vec![TupleKey(2), TupleKey(1)], &rows).is_none());
+    }
+
+    #[test]
+    fn rows_by_position_match_the_keyed_accessors() {
+        let tree = figure1_correlated_tree();
+        let ctx = TopKContext::new(&tree, 4).at(3).unwrap();
+        for (p, &t) in ctx.keys().iter().enumerate() {
+            let row = ctx.row(p).unwrap();
+            assert_eq!(row.pmf.len(), 3);
+            for i in 0..=4 {
+                assert_eq!(row.cdf(i).to_bits(), ctx.rank_cdf(t, i).to_bits());
+                if (1..=3).contains(&i) {
+                    assert_eq!(row.pmf[i - 1], ctx.rank_probability(t, i));
+                }
+            }
+            assert_eq!(row.prefix_weighted[2], ctx.upsilon2(t));
+        }
+        assert!(ctx.row(ctx.keys().len()).is_none());
     }
 
     #[test]

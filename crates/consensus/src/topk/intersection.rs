@@ -20,7 +20,7 @@
 //! provided, and the experiments measure how close the approximation gets in
 //! practice.
 
-use super::context::TopKContext;
+use super::context::{RankRow, TopKContext};
 use cpdb_assignment::max_profit_assignment_flat;
 use cpdb_model::TupleKey;
 use cpdb_rankagg::TopKList;
@@ -71,14 +71,19 @@ pub fn expected_intersection_distance(ctx: &TopKContext, candidate: &TopKList) -
     if k == 0 {
         return 0.0;
     }
+    // The candidate's rows, found once; an unknown key has none and adds 0.
+    let rows: Vec<Option<RankRow<'_>>> = candidate
+        .items()
+        .iter()
+        .map(|&t| ctx.row_of(TupleKey(t)))
+        .collect();
     let mut total = 0.0;
     for i in 1..=k {
         let prefix_len = candidate.len().min(i);
-        let selected: f64 = candidate
-            .items()
+        let selected: f64 = rows
             .iter()
             .take(i)
-            .map(|&t| ctx.rank_cdf(TupleKey(t), i))
+            .map(|row| row.map_or(0.0, |row| row.cdf(i)))
             .sum();
         let mass = ctx.total_topi_mass(i);
         total += (prefix_len as f64 + mass - 2.0 * selected) / (2.0 * i as f64);
@@ -97,10 +102,11 @@ pub fn mean_topk_intersection(ctx: &TopKContext) -> TopKList {
     // Row-major flat profit matrix, one allocation, filled in O(n·k): each
     // row is `position_profit` at every j, summed in the same order.
     let mut profit = vec![0.0; keys.len() * k];
-    for (&t, row) in keys.iter().zip(profit.chunks_exact_mut(k)) {
+    for (p, row) in profit.chunks_exact_mut(k).enumerate() {
+        let Some(stats) = ctx.row(p) else { break };
         let mut tail = 0.0;
         for i in (1..=k).rev() {
-            tail += ctx.rank_cdf(t, i) / i as f64;
+            tail += stats.cdf(i) / i as f64;
             row[i - 1] = tail;
         }
     }

@@ -15,8 +15,10 @@
 //!   substitutes the combinatorial pivot scheme, whose measured quality is
 //!   reported by experiment E8.)
 //!
-//! The module also provides exact and sampled evaluators for
-//! `E[d_K(τ, τ_pw)]` so the approximation factors can be measured.
+//! The module also evaluates `E[d_K(τ, τ_pw)]` exactly in polynomial time
+//! ([`expected_kendall_distance`], the distance every Kendall answer
+//! reports), and by enumerating the possible worlds for ground truth on
+//! small instances.
 
 use super::context::TopKContext;
 use super::footrule::mean_topk_footrule;
@@ -133,24 +135,40 @@ pub fn expected_kendall_distance_enumerated(
     oracle::expected_topk_distance(candidate, &ws, ctx.k(), kendall_tau_topk)
 }
 
-/// Monte-Carlo estimate of `E[d_K(τ, τ_pw)]` by sampling `samples` worlds.
-pub fn expected_kendall_distance_sampled<R: Rng + ?Sized>(
+/// Exact `E[d_K(τ, τ_pw)]` of a candidate `τ` at the context's `k`, in
+/// polynomial time:
+///
+/// ```text
+/// E[d_K(τ)] = Σ_{i∈τ} ( E[min(A_i, k)] − Σ_{j before i in τ} P(j, i) )
+/// ```
+///
+/// where `A_i` is the number of present tuples that out-rank `i` (or `|W|`
+/// when `i` is absent) and `P(j, i) = Pr(r(j) ≤ k ∧ r(j) < r(i))`, an
+/// absent tuple ranking ∞. The present half of `E[min(A_i, k)]` is read off
+/// `i`'s row of the rank context,
+/// `Σ_{r ≤ k} (r − 1)·Pr(r(i) = r) + k·Pr(i present ∧ r(i) > k)`; every
+/// other term comes from [`AndXorTree::batch_kendall_terms`]. `ctx` must
+/// be built on `tree`.
+pub fn expected_kendall_distance(
     tree: &AndXorTree,
     ctx: &TopKContext,
     candidate: &TopKList,
-    samples: usize,
-    rng: &mut R,
 ) -> f64 {
-    if samples == 0 {
+    let k = ctx.k();
+    if k == 0 {
         return 0.0;
     }
+    let keys: Vec<TupleKey> = candidate.items().iter().map(|&t| TupleKey(t)).collect();
+    let terms = tree.batch_kendall_terms(&keys, k);
     let mut total = 0.0;
-    for _ in 0..samples {
-        let w = tree.sample_world(rng);
-        let answer = oracle::world_topk(&w, ctx.k());
-        total += kendall_tau_topk(candidate, &answer);
+    for (p, key) in keys.iter().enumerate() {
+        let present = ctx.row_of(*key).map_or(0.0, |row| {
+            let (mass, weighted) = (row.prefix_mass[k - 1], row.prefix_weighted[k - 1]);
+            (weighted - mass) + k as f64 * (terms.presence[p] - mass)
+        });
+        total += present + terms.absent_size[p] - terms.ahead[p];
     }
-    total / samples as f64
+    total
 }
 
 #[cfg(test)]
@@ -238,17 +256,22 @@ mod tests {
     }
 
     #[test]
-    fn sampled_distance_converges_to_enumerated() {
-        let tree = tree_small();
-        let ctx = TopKContext::new(&tree, 2);
-        let candidate = TopKList::new(vec![2, 4]).unwrap();
-        let exact = expected_kendall_distance_enumerated(&tree, &ctx, &candidate);
-        let mut rng = StdRng::seed_from_u64(77);
-        let sampled = expected_kendall_distance_sampled(&tree, &ctx, &candidate, 20_000, &mut rng);
-        assert!(
-            (exact - sampled).abs() < 0.05,
-            "exact {exact} vs sampled {sampled}"
-        );
+    fn exact_distance_matches_enumeration() {
+        for tree in [tree_small(), figure1_correlated_tree()] {
+            let n = tree.keys().len();
+            for k in 0..=n + 1 {
+                let ctx = TopKContext::new(&tree, k);
+                for items in [vec![], vec![2], vec![2, 4], vec![4, 3, 1], vec![1, 2, 3, 4]] {
+                    let candidate = TopKList::new(items).unwrap();
+                    let exact = expected_kendall_distance(&tree, &ctx, &candidate);
+                    let enumerated = expected_kendall_distance_enumerated(&tree, &ctx, &candidate);
+                    assert!(
+                        (exact - enumerated).abs() < 1e-12,
+                        "k={k} {candidate:?}: exact {exact} vs enumerated {enumerated}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -272,14 +295,14 @@ mod tests {
         let empty = PreferenceMatrix::new(&[]);
         let ctx = TopKContext::new(&tree, 2);
         assert!(mean_topk_kendall_pivot_from_prefs(&ctx, &empty, 2, &mut rng).is_empty());
+        // At k = 0 every list is at distance 0. The empty list shares no
+        // pair with a world's list, and K^(0) counts a pair confined to one
+        // list as 0, so it is at distance 0 at any k.
+        let list = TopKList::new(vec![2, 1]).unwrap();
+        let zero = TopKContext::new(&tree, 0);
+        assert_eq!(expected_kendall_distance(&tree, &zero, &list), 0.0);
         assert_eq!(
-            expected_kendall_distance_sampled(
-                &tree,
-                &TopKContext::new(&tree, 1),
-                &TopKList::empty(),
-                0,
-                &mut rng
-            ),
+            expected_kendall_distance(&tree, &TopKContext::new(&tree, 1), &TopKList::empty()),
             0.0
         );
     }

@@ -23,4 +23,4 @@ pub mod kendall;
 pub mod median_dp;
 pub mod sym_diff;
 
-pub use context::TopKContext;
+pub use context::{RankRow, TopKContext};

@@ -131,9 +131,10 @@ pub struct Answer {
     pub value: Value,
     /// `E_pw[d(value, answer_pw)]` under the query's distance measure.
     ///
-    /// Exact closed forms where the paper provides them; for Kendall-tau
-    /// queries (where even evaluating the expectation is exponential) this is
-    /// a seeded Monte-Carlo estimate whose sample count is an engine knob.
+    /// Exact for every Top-k and set query: closed forms where the paper
+    /// provides them, and for Kendall-tau queries the polynomial evaluator of
+    /// [`cpdb_consensus::topk::kendall::expected_kendall_distance`] (finding
+    /// the optimal Kendall answer is NP-hard; scoring a given one is not).
     /// Baselines are scored under the normalised symmetric difference `d_Δ`.
     pub expected_distance: f64,
     /// Optimality guarantee of `value` for the query's objective.

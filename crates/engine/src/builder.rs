@@ -57,7 +57,6 @@ pub struct ConsensusEngineBuilder {
     k_range: Option<(usize, usize)>,
     kendall: KendallStrategy,
     intersection: IntersectionStrategy,
-    kendall_distance_samples: usize,
     groupby: Option<GroupByInstance>,
     threads: usize,
     obs: Obs,
@@ -66,9 +65,8 @@ pub struct ConsensusEngineBuilder {
 impl ConsensusEngineBuilder {
     /// Starts a builder for the given and/xor tree with default knobs:
     /// seed 0, k-range `1..=n` (the number of distinct tuple keys), exact
-    /// intersection assignment, Kendall pivot with 8 trials, 1024 samples
-    /// for Kendall expected-distance estimates, and an automatic thread
-    /// count for artifact builds.
+    /// intersection assignment, Kendall pivot with 8 trials, and an
+    /// automatic thread count for artifact builds.
     #[must_use = "builder methods return the updated builder"]
     pub fn new(tree: AndXorTree) -> Self {
         ConsensusEngineBuilder {
@@ -77,7 +75,6 @@ impl ConsensusEngineBuilder {
             k_range: None,
             kendall: KendallStrategy::Pivot { trials: 8 },
             intersection: IntersectionStrategy::Assignment,
-            kendall_distance_samples: 1024,
             groupby: None,
             threads: 0,
             obs: Obs::disabled(),
@@ -85,9 +82,9 @@ impl ConsensusEngineBuilder {
     }
 
     /// Seed for every randomised path (Kendall pivot, clustering restarts,
-    /// sampled baselines, Monte-Carlo distance estimates). Each query derives
-    /// its own deterministic RNG stream from this seed and its
-    /// [`crate::Query::rng_tag`], so answers do not depend on batch order.
+    /// sampled baselines). Each query derives its own deterministic RNG
+    /// stream from this seed and its [`crate::Query::rng_tag`], so answers do
+    /// not depend on batch order.
     #[must_use = "builder methods return the updated builder"]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -117,11 +114,11 @@ impl ConsensusEngineBuilder {
         self
     }
 
-    /// Sample count for the Monte-Carlo estimate of `E[d_K]` reported with
-    /// Kendall answers (evaluating it exactly is exponential).
+    /// Ignored: Kendall answers report their `E[d_K]` exactly, so there is
+    /// no sample count to set. Kept for callers that still pass one.
+    #[deprecated(note = "Kendall expected distances are exact; the sample count is ignored")]
     #[must_use = "builder methods return the updated builder"]
-    pub fn kendall_distance_samples(mut self, samples: usize) -> Self {
-        self.kendall_distance_samples = samples;
+    pub fn kendall_distance_samples(self, _samples: usize) -> Self {
         self
     }
 
@@ -176,11 +173,6 @@ impl ConsensusEngineBuilder {
                 ),
             });
         }
-        if self.kendall_distance_samples == 0 {
-            return Err(EngineError::InvalidConfig {
-                context: "kendall_distance_samples must be at least 1".to_string(),
-            });
-        }
         if let KendallStrategy::Pivot { trials } = self.kendall {
             if trials == 0 {
                 return Err(EngineError::InvalidConfig {
@@ -194,7 +186,6 @@ impl ConsensusEngineBuilder {
             (lo, hi),
             self.kendall,
             self.intersection,
-            self.kendall_distance_samples,
             self.groupby,
             self.threads,
             self.obs,
@@ -246,12 +237,6 @@ mod tests {
             .k_range(3..=1)
             .build();
         assert!(matches!(reversed, Err(EngineError::InvalidConfig { .. })));
-        assert!(matches!(
-            ConsensusEngineBuilder::new(tiny_tree())
-                .kendall_distance_samples(0)
-                .build(),
-            Err(EngineError::InvalidConfig { .. })
-        ));
         assert!(matches!(
             ConsensusEngineBuilder::new(tiny_tree())
                 .kendall_strategy(KendallStrategy::Pivot { trials: 0 })

@@ -282,7 +282,6 @@ pub struct ConsensusEngine {
     k_range: (usize, usize),
     kendall: KendallStrategy,
     intersection: IntersectionStrategy,
-    kendall_distance_samples: usize,
     groupby: Option<GroupByInstance>,
     /// Thread count for batch artifact builds and [`Self::run_batch`] query
     /// dispatch (`0` = auto); answers never depend on it, only latency does.
@@ -322,7 +321,6 @@ impl Clone for ConsensusEngine {
             k_range: self.k_range,
             kendall: self.kendall,
             intersection: self.intersection,
-            kendall_distance_samples: self.kendall_distance_samples,
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(self.resident_slot().carried(true)),
@@ -344,7 +342,6 @@ impl ConsensusEngine {
         k_range: (usize, usize),
         kendall: KendallStrategy,
         intersection: IntersectionStrategy,
-        kendall_distance_samples: usize,
         groupby: Option<GroupByInstance>,
         threads: usize,
         obs: cpdb_obs::Obs,
@@ -357,7 +354,6 @@ impl ConsensusEngine {
             k_range,
             kendall,
             intersection,
-            kendall_distance_samples,
             groupby,
             threads,
             context: RwLock::default(),
@@ -725,16 +721,9 @@ impl ConsensusEngine {
                     }
                     KendallStrategy::FootruleProxy => kendall::mean_topk_kendall_via_footrule(&ctx),
                 };
-                // The served E[d_K] is a seeded Monte-Carlo estimate (sample
-                // count is a builder knob) until the exact polynomial
-                // evaluator lands.
-                let distance = kendall::expected_kendall_distance_sampled(
-                    &self.tree,
-                    &ctx,
-                    &answer,
-                    self.kendall_distance_samples,
-                    &mut rng,
-                );
+                // E[d_K] is exact: truncated generating-function sweeps,
+                // no sampled worlds. Only the pivot draws from the query RNG.
+                let distance = kendall::expected_kendall_distance(&self.tree, &ctx, &answer);
                 (answer, distance, Optimality::Approx { factor: 2.0 })
             }
         };
@@ -1024,7 +1013,6 @@ impl ConsensusEngine {
             k_range: self.k_range,
             kendall: self.kendall,
             intersection: self.intersection,
-            kendall_distance_samples: self.kendall_distance_samples,
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(context),
@@ -1081,7 +1069,6 @@ impl ConsensusEngine {
             k_range: self.k_range,
             kendall: self.kendall,
             intersection: self.intersection,
-            kendall_distance_samples: self.kendall_distance_samples,
             threads: self.threads,
             groupby: self.groupby.as_ref().map(|g| g.probabilities().to_vec()),
             context,
@@ -1112,7 +1099,6 @@ impl ConsensusEngine {
             .k_range(export.k_range.0..=export.k_range.1)
             .kendall_strategy(export.kendall)
             .intersection_strategy(export.intersection)
-            .kendall_distance_samples(export.kendall_distance_samples)
             .threads(export.threads);
         if let Some(probs) = &export.groupby {
             builder = builder.groupby(GroupByInstance::new(probs.clone())?);
@@ -1858,7 +1844,6 @@ mod tests {
         let obs = cpdb_obs::Obs::enabled();
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(16)
             .obs(obs.clone())
             .build()
             .unwrap();
@@ -1994,11 +1979,7 @@ mod tests {
     }
 
     fn delta_engine(tree: AndXorTree) -> ConsensusEngine {
-        ConsensusEngineBuilder::new(tree)
-            .seed(11)
-            .kendall_distance_samples(64)
-            .build()
-            .unwrap()
+        ConsensusEngineBuilder::new(tree).seed(11).build().unwrap()
     }
 
     #[test]
@@ -2150,7 +2131,6 @@ mod tests {
             let build = || {
                 ConsensusEngineBuilder::new(tree.clone())
                     .seed(11)
-                    .kendall_distance_samples(64)
                     .intersection_strategy(strategy)
                     .build()
                     .unwrap()

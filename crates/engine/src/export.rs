@@ -75,8 +75,6 @@ pub struct EngineExport {
     pub kendall: KendallStrategy,
     /// Intersection-metric strategy.
     pub intersection: IntersectionStrategy,
-    /// Monte-Carlo sample count for Kendall `E[d_K]` estimates.
-    pub kendall_distance_samples: usize,
     /// Thread count for artifact builds and batch dispatch (`0` = auto).
     pub threads: usize,
     /// The group-by probability matrix, if an instance is attached.

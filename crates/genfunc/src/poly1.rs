@@ -96,6 +96,13 @@ impl Poly1 {
         self.coeffs.extend_from_slice(&other.coeffs);
     }
 
+    /// Overwrites `self` with the constant polynomial `c`, reusing the
+    /// existing coefficient buffer.
+    pub fn set_constant(&mut self, c: f64) {
+        self.coeffs.clear();
+        self.coeffs.push(c);
+    }
+
     /// Removes trailing exactly-zero coefficients (keeps at least one).
     pub fn trim(&mut self) {
         while self.coeffs.len() > 1 && *self.coeffs.last().unwrap() == 0.0 {

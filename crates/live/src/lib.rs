@@ -1157,7 +1157,6 @@ mod tests {
         LiveEngine::new(
             ConsensusEngineBuilder::new(bid_tree())
                 .seed(5)
-                .kendall_distance_samples(64)
                 .build()
                 .unwrap(),
         )
@@ -1301,7 +1300,6 @@ mod tests {
         let dir = temp_store_dir("atomic");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         {
@@ -1329,7 +1327,6 @@ mod tests {
         let dir = temp_store_dir("roundtrip");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         let expected = {
@@ -1365,7 +1362,6 @@ mod tests {
         let dir = temp_store_dir("compaction");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         {
@@ -1395,7 +1391,6 @@ mod tests {
         let dir = temp_store_dir("compaction_error");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         let live = LiveEngine::new_durable(engine, &dir).unwrap();
@@ -1428,7 +1423,6 @@ mod tests {
         let dir = temp_store_dir("compaction_event");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         let live = LiveEngine::new_durable(engine, &dir)
@@ -1480,7 +1474,6 @@ mod tests {
     fn fault_live(vfs: &cpdb_store::FaultVfs, dir: &std::path::Path) -> LiveEngine {
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         LiveEngine::new_durable_with(
@@ -1592,7 +1585,6 @@ mod tests {
         let dir = temp_store_dir("health_compaction");
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
-            .kendall_distance_samples(64)
             .build()
             .unwrap();
         let live = LiveEngine::new_durable(engine, &dir).unwrap();

@@ -37,7 +37,6 @@ fn bid_tree() -> AndXorTree {
 fn engine() -> ConsensusEngine {
     ConsensusEngineBuilder::new(bid_tree())
         .seed(5)
-        .kendall_distance_samples(64)
         .build()
         .unwrap()
 }

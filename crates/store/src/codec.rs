@@ -348,7 +348,6 @@ pub fn encode_config(w: &mut ByteWriter, e: &EngineExport) {
         IntersectionStrategy::Assignment => INTERSECTION_ASSIGNMENT,
         IntersectionStrategy::Harmonic => INTERSECTION_HARMONIC,
     });
-    w.put_usize(e.kendall_distance_samples);
     w.put_usize(e.threads);
     match &e.groupby {
         None => w.put_u8(0),
@@ -391,7 +390,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
             })
         }
     };
-    let kendall_distance_samples = r.get_u64()? as usize;
     let threads = r.get_u64()? as usize;
     let groupby = match r.get_u8()? {
         0 => None,
@@ -420,7 +418,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
         k_range: (k_lo, k_hi),
         kendall,
         intersection,
-        kendall_distance_samples,
         threads,
         groupby,
         context: None,
@@ -591,7 +588,6 @@ mod tests {
                 k_range: (1, 3),
                 kendall,
                 intersection: IntersectionStrategy::Assignment,
-                kendall_distance_samples: 64,
                 threads: 2,
                 groupby: None,
                 context: None,
@@ -612,9 +608,7 @@ mod tests {
                 layout.put_u64(trials);
             }
             layout.put_u8(INTERSECTION_ASSIGNMENT);
-            for field in [64u64, 2] {
-                layout.put_u64(field);
-            }
+            layout.put_u64(2);
             layout.put_u8(0);
             assert_eq!(bytes, layout.into_bytes());
             let mut r = ByteReader::new(&bytes, "config");

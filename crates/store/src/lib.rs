@@ -31,8 +31,8 @@
 //!
 //! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`, version 5; see
-//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 4).
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 6; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 5).
 //! Only the tree section carries tuple keys: the one rank-context, preference
 //! and co-clustering sections are bare `f64` arrays over the tree's sorted
 //! keys, and the marginal section one over its sorted alternatives:

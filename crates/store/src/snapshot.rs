@@ -31,7 +31,11 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
 ///
-/// Version 5 holds one rank context, at the largest `k` the engine has
+/// Version 6 dropped the Kendall sample count from the config section:
+/// Kendall answers report their `E[d_K]` exactly, so the engine has no
+/// sample count to persist.
+///
+/// Version 5 held one rank context, at the largest `k` the engine has
 /// served (its column prefixes serve every smaller `k`): the contexts
 /// section is its `k`, a count, then the row-major `n × k` rank-PMF table,
 /// where version 4 wrote a count of contexts, each in that form.
@@ -43,7 +47,7 @@ const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// preference section, version 2 from the co-clustering section. Images of
 /// any earlier version are refused with [`StoreError::UnsupportedVersion`];
 /// no decoder for them is kept.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -294,11 +298,7 @@ mod tests {
         }
         let root = b.and_node(xors);
         let tree = b.build(root).unwrap();
-        let engine = ConsensusEngineBuilder::new(tree)
-            .seed(5)
-            .kendall_distance_samples(64)
-            .build()
-            .unwrap();
+        let engine = ConsensusEngineBuilder::new(tree).seed(5).build().unwrap();
         for q in [
             Query::TopK {
                 k: 2,
@@ -407,6 +407,11 @@ mod tests {
     #[test]
     fn version_4_images_are_refused() {
         assert_version_refused(4);
+    }
+
+    #[test]
+    fn version_5_images_are_refused() {
+        assert_version_refused(5);
     }
 
     #[test]

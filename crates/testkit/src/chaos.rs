@@ -46,7 +46,6 @@ const STEPS: usize = 3;
 /// the sweep covers the snapshot-write and WAL-compaction pipelines, not
 /// just appends.
 const PERSIST_AFTER: usize = 1;
-const KENDALL_SAMPLES: usize = 64;
 /// Store directory inside the in-memory [`FaultVfs`] (each run gets a
 /// fresh filesystem, so the fixed path never collides).
 const DIR: &str = "/chaos/live";
@@ -92,7 +91,6 @@ fn build_engine(tree: &AndXorTree, seed: u64) -> ConsensusEngine {
     let n = tree.keys().len();
     ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .k_range(1..=n.max(1))
         .build()
         .expect("chaos conformance configuration is valid")

@@ -389,7 +389,33 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let pivot = kendall::mean_topk_kendall_pivot(tree, &ctx, 4, &mut rng);
     let cost_pivot = kendall::expected_kendall_distance_enumerated(tree, &ctx, &pivot);
     assert_within_factor("topk/kendall pivot", cost_pivot, opt, 2.0);
-    5
+    5 + check_kendall_exact(tree, k)
+}
+
+/// The exact `E[d_K]` evaluator against world enumeration, within `1e-12`,
+/// on candidates of every length `0..=k`: prefixes of the keys in
+/// increasing and in decreasing order, each followed by a key the tree does
+/// not hold (so lists longer than the tree, and `k > n`, are covered too).
+/// Returns the number of candidates checked.
+pub fn check_kendall_exact(tree: &AndXorTree, k: usize) -> usize {
+    let ctx = TopKContext::new(tree, k);
+    let mut keys: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
+    let unknown = keys.last().map_or(0, |&last| last + 1);
+    keys.push(unknown);
+    let mut checks = 0;
+    for order in [keys.clone(), keys.into_iter().rev().collect()] {
+        for len in 0..=k.min(order.len()) {
+            let candidate = TopKList::new(order[..len].to_vec()).expect("keys are distinct");
+            let exact = kendall::expected_kendall_distance(tree, &ctx, &candidate);
+            let enumerated = kendall::expected_kendall_distance_enumerated(tree, &ctx, &candidate);
+            assert!(
+                (exact - enumerated).abs() < 1e-12,
+                "exact E[d_K] of {candidate:?} at k={k}: {exact} vs enumerated {enumerated}"
+            );
+            checks += 1;
+        }
+    }
+    checks
 }
 
 /// §6.1 (Theorem 5 / Corollary 2): the mean aggregate is the exact
@@ -660,11 +686,9 @@ pub fn check_batch_genfunc(tree: &AndXorTree) -> usize {
 /// built once, at the batch's largest `k`, rather than once per query or
 /// per `k`.
 pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> usize {
-    const KENDALL_SAMPLES: usize = 256;
     const BASELINE_SAMPLES: usize = 500;
     let engine = ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .groupby(groupby.clone())
         .build()
         .expect("default engine configuration is valid");
@@ -749,13 +773,14 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
                 // function (8 trials: the default knob).
                 let mut rng = engine.query_rng(query);
                 let list = kendall::mean_topk_kendall_pivot(tree, &ctx, 8, &mut rng);
-                let d = kendall::expected_kendall_distance_sampled(
-                    tree,
-                    &ctx,
-                    &list,
-                    KENDALL_SAMPLES,
-                    &mut rng,
+                let d = kendall::expected_kendall_distance(tree, &ctx, &list);
+                // Exact: the served list's E[d_K] over the enumerated worlds.
+                assert_close(
+                    "engine topk/kendall E[d_K] vs oracle",
+                    d,
+                    kendall::expected_kendall_distance_enumerated(tree, &ctx, &list),
                 );
+                checks += 1;
                 (list, d)
             }
             _ => unreachable!("grid only contains supported combinations"),
@@ -804,7 +829,6 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
     let proxy_engine = ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
         .kendall_strategy(KendallStrategy::FootruleProxy)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .build()
         .expect("valid configuration");
     let q = Query::TopK {
@@ -813,12 +837,18 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
         variant: Variant::Mean,
     };
     let got = proxy_engine.run(&q).expect("supported");
+    let proxy_list = got.value.as_topk().expect("list");
     assert_eq!(
-        got.value.as_topk().expect("list"),
+        proxy_list,
         &kendall::mean_topk_kendall_via_footrule(&ctx),
         "engine footrule-proxy strategy diverges"
     );
-    checks += 2;
+    assert_close(
+        "engine footrule-proxy E[d_K] vs oracle",
+        got.expected_distance,
+        kendall::expected_kendall_distance_enumerated(tree, &ctx, proxy_list),
+    );
+    checks += 3;
 
     // --- Set consensus. ---
     let set_mean = engine
@@ -933,12 +963,10 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
 /// to the serial reference loop — including the errors — and the concurrent
 /// traffic must build each shared artifact exactly once.
 pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> usize {
-    const KENDALL_SAMPLES: usize = 128;
     let n = tree.keys().len();
     let build = |threads: usize| {
         ConsensusEngineBuilder::new(tree.clone())
             .seed(seed)
-            .kendall_distance_samples(KENDALL_SAMPLES)
             .groupby(groupby.clone())
             .threads(threads)
             .build()
@@ -1258,14 +1286,12 @@ pub(crate) fn random_live_run<R: rand::Rng + ?Sized>(
 /// from their own epoch.
 pub fn check_live_updates(tree: &AndXorTree, seed: u64) -> usize {
     use cpdb_live::LiveEngine;
-    const KENDALL_SAMPLES: usize = 64;
     const STEPS: usize = 6;
     let n = tree.keys().len();
     let k_range = 1..=n.max(1);
     let build = |t: &AndXorTree| {
         ConsensusEngineBuilder::new(t.clone())
             .seed(seed)
-            .kendall_distance_samples(KENDALL_SAMPLES)
             .k_range(k_range.clone())
             .build()
             .expect("live conformance configuration is valid")
@@ -1344,13 +1370,11 @@ pub fn check_live_updates(tree: &AndXorTree, seed: u64) -> usize {
 pub fn check_batched_apply(tree: &AndXorTree, seed: u64) -> usize {
     use cpdb_live::{ArtifactDecision, LiveEngine, TreeDelta};
     use rand::Rng;
-    const KENDALL_SAMPLES: usize = 64;
     const RUNS: [usize; 4] = [1, 2, 8, 31];
 
     let n = tree.keys().len();
     let warm = ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .k_range(1..=n.max(1))
         .build()
         .expect("batched-apply conformance configuration is valid");
@@ -1444,7 +1468,6 @@ pub fn check_persistence(tree: &AndXorTree, seed: u64) -> usize {
     use cpdb_live::LiveEngine;
     use std::sync::atomic::{AtomicU64, Ordering};
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    const KENDALL_SAMPLES: usize = 64;
     const STEPS: usize = 6;
 
     let n = tree.keys().len();
@@ -1452,7 +1475,6 @@ pub fn check_persistence(tree: &AndXorTree, seed: u64) -> usize {
     let build = |t: &AndXorTree| {
         ConsensusEngineBuilder::new(t.clone())
             .seed(seed)
-            .kendall_distance_samples(KENDALL_SAMPLES)
             .k_range(k_range.clone())
             .build()
             .expect("persistence conformance configuration is valid")
@@ -1545,7 +1567,6 @@ pub fn check_crash_recovery(tree: &AndXorTree, seed: u64) -> usize {
     use cpdb_live::LiveEngine;
     use std::sync::atomic::{AtomicU64, Ordering};
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    const KENDALL_SAMPLES: usize = 64;
     const STEPS: usize = 3;
 
     let n = tree.keys().len();
@@ -1553,7 +1574,6 @@ pub fn check_crash_recovery(tree: &AndXorTree, seed: u64) -> usize {
     let build = |t: &AndXorTree| {
         ConsensusEngineBuilder::new(t.clone())
             .seed(seed)
-            .kendall_distance_samples(KENDALL_SAMPLES)
             .k_range(k_range.clone())
             .build()
             .expect("crash-recovery conformance configuration is valid")
@@ -1676,7 +1696,6 @@ pub fn check_sync_shims(tree: &AndXorTree, seed: u64) -> usize {
     let n = tree.keys().len();
     let engine = ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(64)
         .k_range(1..=n.max(1))
         .build()
         .expect("sync-shim conformance configuration is valid");
@@ -1710,7 +1729,6 @@ pub fn check_sync_shims(tree: &AndXorTree, seed: u64) -> usize {
     let live = Arc::new(LiveEngine::new(
         ConsensusEngineBuilder::new(tree.clone())
             .seed(seed)
-            .kendall_distance_samples(64)
             .k_range(1..=n.max(1))
             .build()
             .expect("sync-shim conformance configuration is valid"),
@@ -1728,7 +1746,6 @@ pub fn check_sync_shims(tree: &AndXorTree, seed: u64) -> usize {
     .expect("facade reader thread panicked");
     let fresh = ConsensusEngineBuilder::new(live.snapshot().tree().clone())
         .seed(seed)
-        .kendall_distance_samples(64)
         .k_range(1..=n.max(1))
         .build()
         .expect("sync-shim conformance configuration is valid");

@@ -44,7 +44,6 @@ use std::sync::Arc;
 const STEPS: usize = 3;
 /// Deltas of the one `apply_all` batch that ends each run (one publish).
 const BATCH: usize = 2;
-const KENDALL_SAMPLES: usize = 64;
 const DIR: &str = "/obs/store";
 /// Large enough that no event of the workload is evicted, so event counts
 /// can be compared exactly.
@@ -54,7 +53,6 @@ fn build_engine(tree: &AndXorTree, seed: u64, obs: Obs) -> ConsensusEngine {
     let n = tree.keys().len();
     ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .k_range(1..=n.max(1))
         .obs(obs)
         .build()

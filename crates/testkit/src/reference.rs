@@ -19,13 +19,22 @@
 //! keyed form it replaced: pivots and candidates as key lists, every weight
 //! read through [`CoClusteringWeights::weight`], every candidate costed
 //! through a key → cluster map.
+//!
+//! And the production Kendall answers report their `E[d_K]` from the exact
+//! truncated-sweep evaluator
+//! ([`cpdb_consensus::topk::kendall::expected_kendall_distance`]). This
+//! module keeps the Monte-Carlo estimate it replaced, which averages the
+//! distance over sampled worlds.
 use cpdb_andxor::{AndXorTree, NodeId, NodeKind, VarAssignment};
 use cpdb_consensus::clustering::{Clustering, CoClusteringWeights};
 use cpdb_consensus::jaccard::JaccardConsensus;
+use cpdb_consensus::oracle;
 use cpdb_consensus::topk::median_dp::MedianTopK;
 use cpdb_consensus::TopKContext;
 use cpdb_genfunc::Truncation;
-use cpdb_model::{Alternative, ModelError, PossibleWorld, TupleKey};
+use cpdb_model::{Alternative, ModelError, PossibleWorld, TupleKey, WorldModel};
+use cpdb_rankagg::metrics::kendall_tau_topk;
+use cpdb_rankagg::TopKList;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -269,10 +278,34 @@ pub fn expected_distance_keyed(weights: &CoClusteringWeights, clustering: &Clust
     total
 }
 
+/// Monte-Carlo estimate of `E[d_K(τ, τ_pw)]` at the context's `k` from
+/// `samples` sampled worlds (`0` with no samples).
+pub fn expected_kendall_distance_sampled<R: Rng + ?Sized>(
+    tree: &AndXorTree,
+    ctx: &TopKContext,
+    candidate: &TopKList,
+    samples: usize,
+    rng: &mut R,
+) -> f64 {
+    if samples == 0 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for _ in 0..samples {
+        let w = tree.sample_world(rng);
+        let answer = oracle::world_topk(&w, ctx.k());
+        total += kendall_tau_topk(candidate, &answer);
+    }
+    total / samples as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cpdb_consensus::clustering::{pivot_clustering, pivot_clustering_best_of};
+    use cpdb_consensus::topk::kendall::{
+        expected_kendall_distance, expected_kendall_distance_enumerated,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -320,6 +353,38 @@ mod tests {
         assert_eq!(
             w.expected_distance(&candidate).to_bits(),
             expected_distance_keyed(&w, &candidate).to_bits()
+        );
+    }
+
+    #[test]
+    fn sampled_distance_converges_to_enumerated() {
+        let mut b = cpdb_andxor::AndXorTreeBuilder::new();
+        let mut xors = Vec::new();
+        for (key, score, p) in [
+            (1, 90.0, 0.4),
+            (2, 80.0, 0.9),
+            (3, 70.0, 0.6),
+            (4, 60.0, 0.8),
+        ] {
+            let leaf = b.leaf_parts(key, score);
+            xors.push(b.xor_node(vec![(leaf, p)]));
+        }
+        let root = b.and_node(xors);
+        let tree = b.build(root).unwrap();
+        let ctx = TopKContext::new(&tree, 2);
+        let candidate = TopKList::new(vec![2, 4]).unwrap();
+        let enumerated = expected_kendall_distance_enumerated(&tree, &ctx, &candidate);
+        let exact = expected_kendall_distance(&tree, &ctx, &candidate);
+        assert!((exact - enumerated).abs() < 1e-12);
+        let mut rng = StdRng::seed_from_u64(77);
+        let sampled = expected_kendall_distance_sampled(&tree, &ctx, &candidate, 20_000, &mut rng);
+        assert!(
+            (enumerated - sampled).abs() < 0.05,
+            "enumerated {enumerated} vs sampled {sampled}"
+        );
+        assert_eq!(
+            expected_kendall_distance_sampled(&tree, &ctx, &candidate, 0, &mut rng),
+            0.0
         );
     }
 }

@@ -43,7 +43,6 @@ const STEPS: usize = 3;
 /// segment ship, so every sweep also covers the rebase-and-rebootstrap
 /// pipeline.
 const ROTATE_AFTER: usize = 1;
-const KENDALL_SAMPLES: usize = 64;
 const P_STORE: &str = "/p/store";
 const OUTBOX: &str = "/p/outbox";
 const INBOX: &str = "/f/inbox";
@@ -62,7 +61,6 @@ fn build_engine(tree: &AndXorTree, seed: u64) -> ConsensusEngine {
     let n = tree.keys().len();
     ConsensusEngineBuilder::new(tree.clone())
         .seed(seed)
-        .kendall_distance_samples(KENDALL_SAMPLES)
         .k_range(1..=n.max(1))
         .build()
         .expect("replication conformance configuration is valid")

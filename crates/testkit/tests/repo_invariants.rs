@@ -137,6 +137,77 @@ fn median_neighbour_modules_keep_their_unwrap_gates() {
     }
 }
 
+/// The workspace root as a canonical path, so source paths under it compare
+/// by prefix.
+fn workspace_root() -> PathBuf {
+    crates_dir()
+        .join("..")
+        .canonicalize()
+        .expect("the workspace root exists")
+}
+
+/// Every Rust source under `dir`, recursively, sorted.
+fn rust_sources(dir: PathBuf) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir];
+    while let Some(dir) = pending.pop() {
+        for entry in
+            std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{} is readable: {e}", dir.display()))
+        {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The workspace's own Rust sources: every crate plus the facade's `src`,
+/// `tests` and `examples` (not `loadbench/`, its own workspace, nor
+/// `vendor/`).
+fn workspace_sources() -> Vec<PathBuf> {
+    let root = workspace_root();
+    ["crates", "src", "tests", "examples"]
+        .into_iter()
+        .map(|dir| root.join(dir))
+        .filter(|dir| dir.exists())
+        .flat_map(rust_sources)
+        .collect()
+}
+
+/// Kendall answers report their `E[d_K]` exactly. The Monte-Carlo estimate
+/// it replaced is a test reference in `cpdb_testkit`, so no production
+/// source names it, and no workspace crate sets the retired sample count.
+#[test]
+fn kendall_distance_is_never_sampled_outside_the_testkit() {
+    // Split so this file does not match itself.
+    let call = concat!(".kendall_distance", "_samples(");
+    let testkit = workspace_root().join("crates/testkit");
+    let mut named = Vec::new();
+    let mut set = Vec::new();
+    for path in workspace_sources() {
+        let src = std::fs::read_to_string(&path).expect("source is readable");
+        if !path.starts_with(&testkit) && src.contains("expected_kendall_distance_sampled") {
+            named.push(path.display().to_string());
+        }
+        if src.contains(call) {
+            set.push(path.display().to_string());
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "the sampled Kendall estimate is named outside cpdb_testkit: {named:?}"
+    );
+    assert!(
+        set.is_empty(),
+        "the retired Kendall sample count is still set: {set:?}"
+    );
+}
+
 /// Every perf number comes from the one `ledger` driver and lands in
 /// `BENCH_ledger.json`: no per-suite emitter binary or bench JSON grows back.
 #[test]

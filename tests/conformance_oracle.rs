@@ -68,6 +68,83 @@ fn topk_checks_cover_k_beyond_instance_size() {
     assert!(conformance::check_topk_median_dp(&tree, 10) > 0);
 }
 
+/// A tree of independent blocks, one per `(key, [(score, probability)])`
+/// x-tuple.
+fn xtuple_tree(blocks: &[(u64, &[(f64, f64)])]) -> AndXorTree {
+    let mut b = consensus_pdb::andxor::AndXorTreeBuilder::new();
+    let mut xors = Vec::new();
+    for &(key, alternatives) in blocks {
+        let edges = alternatives
+            .iter()
+            .map(|&(score, p)| (b.leaf_parts(key, score), p))
+            .collect();
+        xors.push(b.xor_node(edges));
+    }
+    let root = b.and_node(xors);
+    b.build(root).expect("a valid tree")
+}
+
+#[test]
+fn exact_kendall_distance_matches_the_oracle_on_degenerate_inputs() {
+    let mut b = consensus_pdb::andxor::AndXorTreeBuilder::new();
+    let single = b.leaf_parts(7, 1.0);
+    let single = b.build(single).expect("a one-leaf tree");
+    let trees: Vec<(&str, AndXorTree)> = vec![
+        // Equal scores across keys: the smaller key out-ranks.
+        (
+            "tied scores",
+            xtuple_tree(&[
+                (1, &[(5.0, 0.6)]),
+                (2, &[(5.0, 0.7), (3.0, 0.2)]),
+                (3, &[(5.0, 0.5)]),
+                (4, &[(3.0, 0.9)]),
+            ]),
+        ),
+        ("n = 1, present", single),
+        ("n = 1, maybe", xtuple_tree(&[(3, &[(2.0, 0.4)])])),
+        (
+            "keys with presence 1",
+            xtuple_tree(&[
+                (1, &[(9.0, 1.0)]),
+                (2, &[(8.0, 0.5), (1.0, 0.5)]),
+                (3, &[(4.0, 0.3)]),
+            ]),
+        ),
+        (
+            "multi-alternative x-tuples",
+            xtuple_tree(&[
+                (1, &[(95.0, 0.3), (40.0, 0.5), (10.0, 0.1)]),
+                (2, &[(80.0, 0.6), (55.0, 0.2)]),
+                (3, &[(70.0, 0.35), (45.0, 0.35), (20.0, 0.3)]),
+                (4, &[(60.0, 0.45)]),
+            ]),
+        ),
+        (
+            "figure 1 correlated",
+            consensus_pdb::andxor::figure1::figure1_correlated_tree(),
+        ),
+    ];
+    let random = [2, 3].into_iter().flat_map(|depth| {
+        (0..3).map(move |seed| {
+            let tree = random_andxor_tree(&AndXorTreeConfig {
+                num_leaves: 7,
+                depth,
+                fanout: 2,
+                seed,
+                ..AndXorTreeConfig::default()
+            });
+            ("random and/xor", tree)
+        })
+    });
+    for (label, tree) in trees.into_iter().chain(random) {
+        let n = tree.keys().len();
+        let checks: usize = (1..=n + 2)
+            .map(|k| conformance::check_kendall_exact(&tree, k))
+            .sum();
+        assert!(checks > 0, "{label}: no Kendall checks ran");
+    }
+}
+
 #[test]
 fn median_sweep_matches_the_oracle_on_edge_trees() {
     for (label, tree) in fixtures::jaccard_edge_trees() {

@@ -125,7 +125,6 @@ fn shuffled_thread_batches_match_the_serial_loop_exactly() {
     let build = || {
         ConsensusEngineBuilder::new(tree.clone())
             .seed(2009)
-            .kendall_distance_samples(128)
             .build()
             .expect("valid configuration")
     };
@@ -206,7 +205,6 @@ fn warm_clone_serves_across_threads_without_rebuilding() {
     let tree = hammer_tree();
     let engine = ConsensusEngineBuilder::new(tree)
         .seed(7)
-        .kendall_distance_samples(64)
         .build()
         .expect("valid configuration");
     let queries = vec![

@@ -20,11 +20,7 @@ fn sensor_tree(n: usize) -> AndXorTree {
 }
 
 fn engine(tree: AndXorTree) -> ConsensusEngine {
-    ConsensusEngineBuilder::new(tree)
-        .seed(42)
-        .kendall_distance_samples(32)
-        .build()
-        .unwrap()
+    ConsensusEngineBuilder::new(tree).seed(42).build().unwrap()
 }
 
 fn probe() -> Vec<Query> {
