@@ -115,6 +115,29 @@ pub struct DeltaImpact {
     pub rank_order_preserved: bool,
 }
 
+impl DeltaImpact {
+    /// The impact of an empty run: nothing affected, nothing changed.
+    fn none() -> Self {
+        DeltaImpact {
+            affected_keys: BTreeSet::new(),
+            probabilities_changed: false,
+            values_changed: false,
+            membership_changed: false,
+            rank_order_preserved: true,
+        }
+    }
+
+    /// Folds one more delta's impact into a run's: keys unioned, change
+    /// flags or-ed, `rank_order_preserved` and-ed.
+    fn absorb(&mut self, other: DeltaImpact) {
+        self.affected_keys.extend(other.affected_keys);
+        self.probabilities_changed |= other.probabilities_changed;
+        self.values_changed |= other.values_changed;
+        self.membership_changed |= other.membership_changed;
+        self.rank_order_preserved &= other.rank_order_preserved;
+    }
+}
+
 impl AndXorTree {
     /// Applies a [`TreeDelta`], returning the mutated tree and its
     /// [`DeltaImpact`]. See [`TreeDelta::apply`].
@@ -128,29 +151,27 @@ impl AndXorTree {
     /// delta preserved the rank order. Artifacts maintained once against it
     /// match those maintained after every delta, because each maintained
     /// artifact equals a rebuild on its tree. Fails on the first delta that
-    /// does not apply.
+    /// does not apply, with the error that delta gives on its own.
+    ///
+    /// The run mutates one working copy of the node vector: probability and
+    /// value deltas change it in place, structural deltas renumber from it,
+    /// and once the run's rank order is lost no later value delta sorts the
+    /// leaves to test it again. The tree and the impact are those of
+    /// applying the deltas one at a time with [`TreeDelta::apply`].
     pub fn apply_deltas<'a>(
         &self,
         deltas: impl IntoIterator<Item = &'a TreeDelta>,
     ) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-        let mut tree = self.clone();
-        let mut total = DeltaImpact {
-            affected_keys: BTreeSet::new(),
-            probabilities_changed: false,
-            values_changed: false,
-            membership_changed: false,
-            rank_order_preserved: true,
+        let mut work = Working {
+            nodes: self.nodes.clone(),
+            root: self.root,
         };
+        let mut total = DeltaImpact::none();
         for delta in deltas {
-            let (next, impact) = delta.apply(&tree)?;
-            tree = next;
-            total.affected_keys.extend(impact.affected_keys);
-            total.probabilities_changed |= impact.probabilities_changed;
-            total.values_changed |= impact.values_changed;
-            total.membership_changed |= impact.membership_changed;
-            total.rank_order_preserved &= impact.rank_order_preserved;
+            let impact = work.apply(delta, total.rank_order_preserved)?;
+            total.absorb(impact);
         }
-        Ok((tree, total))
+        Ok((work.into_tree(), total))
     }
 
     /// The parent of a node (`None` for the root). Linear scan — intended
@@ -212,46 +233,45 @@ impl AndXorTree {
     /// The set of tuple keys with a leaf in the subtree rooted at `id`.
     pub fn subtree_keys(&self, id: NodeId) -> BTreeSet<TupleKey> {
         let mut out = BTreeSet::new();
-        self.collect_subtree_keys(id, &mut out);
+        collect_subtree_keys(&self.nodes, id, &mut out);
         out
     }
+}
 
-    fn collect_subtree_keys(&self, id: NodeId, out: &mut BTreeSet<TupleKey>) {
-        match &self.nodes[id.0] {
-            Node::Leaf(a) => {
-                out.insert(a.key);
-            }
-            Node::Inner { children, .. } => {
-                for (c, _) in children {
-                    self.collect_subtree_keys(*c, out);
-                }
+fn collect_subtree_keys(nodes: &[Node], id: NodeId, out: &mut BTreeSet<TupleKey>) {
+    match &nodes[id.0] {
+        Node::Leaf(a) => {
+            out.insert(a.key);
+        }
+        Node::Inner { children, .. } => {
+            for (c, _) in children {
+                collect_subtree_keys(nodes, *c, out);
             }
         }
     }
 }
 
-/// Whether two trees share the rank-sweep signature: the distinct
-/// `(key, value)` alternatives in the chronological activation order
-/// (decreasing value, key tie-break — exactly the batch sweep's target
-/// order) with their sorted leaf ids, values erased. Two trees with equal
-/// signatures and equal edge probabilities produce bit-identical rank PMFs.
-fn same_rank_signature(a: &AndXorTree, b: &AndXorTree) -> bool {
-    let (x, y) = (sweep_order(a), sweep_order(b));
+/// Whether two node vectors share the rank-sweep signature, given their
+/// [`sweep_order`]s: the distinct `(key, value)` alternatives in the
+/// chronological activation order (decreasing value, key tie-break —
+/// exactly the batch sweep's target order) with their sorted leaf ids,
+/// values erased. Two trees with equal signatures and equal edge
+/// probabilities produce bit-identical rank PMFs.
+fn same_rank_signature(x: &[(f64, TupleKey, usize)], y: &[(f64, TupleKey, usize)]) -> bool {
     // A target starts wherever the key or the value's bits change.
     let starts = |v: &[(f64, TupleKey, usize)], i: usize| {
         i == 0 || v[i].1 != v[i - 1].1 || v[i].0.to_bits() != v[i - 1].0.to_bits()
     };
     x.len() == y.len()
         && (0..x.len())
-            .all(|i| x[i].1 == y[i].1 && x[i].2 == y[i].2 && starts(&x, i) == starts(&y, i))
+            .all(|i| x[i].1 == y[i].1 && x[i].2 == y[i].2 && starts(x, i) == starts(y, i))
 }
 
 /// Every leaf as `(value, key, id)`, sorted by decreasing value, then key,
 /// then id: each sweep target's leaves are then adjacent, in ascending id
 /// order.
-fn sweep_order(tree: &AndXorTree) -> Vec<(f64, TupleKey, usize)> {
-    let mut leaves: Vec<(f64, TupleKey, usize)> = tree
-        .nodes
+fn sweep_order(nodes: &[Node]) -> Vec<(f64, TupleKey, usize)> {
+    let mut leaves: Vec<(f64, TupleKey, usize)> = nodes
         .iter()
         .enumerate()
         .filter_map(|(id, node)| match node {
@@ -268,48 +288,280 @@ impl TreeDelta {
     /// and applies it, returning the new tree and the [`DeltaImpact`]
     /// dependency extract. The input tree is untouched.
     pub fn apply(&self, tree: &AndXorTree) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-        match self {
+        let mut work = Working {
+            nodes: tree.nodes.clone(),
+            root: tree.root,
+        };
+        let impact = work.apply(self, true)?;
+        Ok((work.into_tree(), impact))
+    }
+}
+
+/// The node vector and root a delta run mutates. A delta that fails may
+/// leave it half-changed; callers then drop it.
+struct Working {
+    nodes: Vec<Node>,
+    root: NodeId,
+}
+
+impl Working {
+    fn into_tree(self) -> AndXorTree {
+        AndXorTree::from_raw_parts(self.nodes, self.root)
+    }
+
+    /// Validates and applies one delta. `track_rank` asks whether a value
+    /// delta preserves the rank order; without it, such a delta reports
+    /// `rank_order_preserved = false` without sorting the leaves, which is
+    /// all a run whose order is already lost needs.
+    fn apply(&mut self, delta: &TreeDelta, track_rank: bool) -> Result<DeltaImpact, ModelError> {
+        match delta {
             TreeDelta::XorEdgeProbability {
                 xor,
                 child,
                 probability,
-            } => apply_xor_probability(tree, *xor, *child, *probability),
-            TreeDelta::LeafValue { leaf, value } => apply_leaf_value(tree, *leaf, *value),
+            } => self.xor_probability(*xor, *child, *probability),
+            TreeDelta::LeafValue { leaf, value } => self.leaf_value(*leaf, *value, track_rank),
             TreeDelta::InsertAlternative {
                 xor,
                 key,
                 value,
                 probability,
-            } => apply_insert_alternative(tree, *xor, *key, *value, *probability),
-            TreeDelta::RemoveAlternative { xor, leaf } => {
-                apply_remove_alternative(tree, *xor, *leaf)
-            }
+            } => self.insert_alternative(*xor, *key, *value, *probability),
+            TreeDelta::RemoveAlternative { xor, leaf } => self.remove_alternative(*xor, *leaf),
             TreeDelta::InsertTupleBlock {
                 under,
                 key,
                 alternatives,
-            } => apply_insert_block(tree, *under, *key, alternatives),
+            } => self.insert_block(*under, *key, alternatives),
         }
     }
-}
 
-/// Looks up an inner node of the expected kind.
-fn expect_inner<'t>(
-    tree: &'t AndXorTree,
-    id: NodeId,
-    kind: NodeKind,
-    what: &str,
-) -> Result<&'t Vec<(NodeId, f64)>, ModelError> {
-    match tree.nodes.get(id.0) {
-        Some(Node::Inner {
-            kind: k, children, ..
-        }) if *k == kind => Ok(children),
-        Some(_) => Err(ModelError::Invalid {
-            context: format!("node {} is not {what}", id.0),
-        }),
-        None => Err(ModelError::NotFound {
-            context: format!("{what} {}", id.0),
-        }),
+    /// The children of inner node `id`, which must be of `kind`.
+    fn children_mut(
+        &mut self,
+        id: NodeId,
+        kind: NodeKind,
+        what: &str,
+    ) -> Result<&mut Vec<(NodeId, f64)>, ModelError> {
+        match self.nodes.get_mut(id.0) {
+            Some(Node::Inner {
+                kind: k, children, ..
+            }) if *k == kind => Ok(children),
+            Some(_) => Err(ModelError::Invalid {
+                context: format!("node {} is not {what}", id.0),
+            }),
+            None => Err(ModelError::NotFound {
+                context: format!("{what} {}", id.0),
+            }),
+        }
+    }
+
+    fn xor_probability(
+        &mut self,
+        xor: NodeId,
+        child: NodeId,
+        probability: f64,
+    ) -> Result<DeltaImpact, ModelError> {
+        let children = self.children_mut(xor, NodeKind::Xor, "an ∨ node")?;
+        let idx = children
+            .iter()
+            .position(|(c, _)| *c == child)
+            .ok_or_else(|| ModelError::NotFound {
+                context: format!("edge {} → {}", xor.0, child.0),
+            })?;
+        validate_probability(probability, &format!("edge of xor node {}", xor.0))?;
+        let total: f64 = children
+            .iter()
+            .enumerate()
+            .map(|(i, (_, p))| if i == idx { probability } else { *p })
+            .sum();
+        if total > 1.0 + MASS_TOL {
+            return Err(ModelError::ProbabilityMassExceeded {
+                total,
+                context: format!("xor node {}", xor.0),
+            });
+        }
+        children[idx].1 = probability;
+        let mut affected_keys = BTreeSet::new();
+        collect_subtree_keys(&self.nodes, child, &mut affected_keys);
+        Ok(DeltaImpact {
+            affected_keys,
+            probabilities_changed: true,
+            values_changed: false,
+            membership_changed: false,
+            rank_order_preserved: false,
+        })
+    }
+
+    fn leaf_value(
+        &mut self,
+        leaf: NodeId,
+        value: f64,
+        track_rank: bool,
+    ) -> Result<DeltaImpact, ModelError> {
+        let old = match self.nodes.get(leaf.0) {
+            Some(Node::Leaf(a)) => *a,
+            Some(_) => {
+                return Err(ModelError::Invalid {
+                    context: format!("node {} is not a leaf", leaf.0),
+                })
+            }
+            None => {
+                return Err(ModelError::NotFound {
+                    context: format!("leaf {}", leaf.0),
+                })
+            }
+        };
+        validate_value(value, &format!("leaf {}", leaf.0))?;
+        let before = track_rank.then(|| sweep_order(&self.nodes));
+        self.nodes[leaf.0] = Node::Leaf(Alternative::new(old.key.0, value));
+        let rank_order_preserved =
+            before.is_some_and(|before| same_rank_signature(&before, &sweep_order(&self.nodes)));
+        let mut affected_keys = BTreeSet::new();
+        affected_keys.insert(old.key);
+        Ok(DeltaImpact {
+            affected_keys,
+            probabilities_changed: false,
+            values_changed: true,
+            membership_changed: false,
+            rank_order_preserved,
+        })
+    }
+
+    fn insert_alternative(
+        &mut self,
+        xor: NodeId,
+        key: u64,
+        value: f64,
+        probability: f64,
+    ) -> Result<DeltaImpact, ModelError> {
+        let leaf = NodeId(self.nodes.len());
+        let children = self.children_mut(xor, NodeKind::Xor, "an ∨ node")?;
+        validate_probability(probability, &format!("edge of xor node {}", xor.0))?;
+        validate_value(value, &format!("new alternative of key {key}"))?;
+        let total: f64 = children.iter().map(|(_, p)| *p).sum::<f64>() + probability;
+        if total > 1.0 + MASS_TOL {
+            return Err(ModelError::ProbabilityMassExceeded {
+                total,
+                context: format!("xor node {}", xor.0),
+            });
+        }
+        children.push((leaf, probability));
+        self.nodes.push(Node::Leaf(Alternative::new(key, value)));
+        self.finish_structural()?;
+        Ok(DeltaImpact {
+            affected_keys: BTreeSet::from([TupleKey(key)]),
+            probabilities_changed: true,
+            values_changed: false,
+            membership_changed: true,
+            rank_order_preserved: false,
+        })
+    }
+
+    fn remove_alternative(&mut self, xor: NodeId, leaf: NodeId) -> Result<DeltaImpact, ModelError> {
+        let removed = match self.nodes.get(leaf.0) {
+            Some(Node::Leaf(a)) => Some(*a),
+            _ => None,
+        };
+        let children = self.children_mut(xor, NodeKind::Xor, "an ∨ node")?;
+        let idx = children
+            .iter()
+            .position(|(c, _)| *c == leaf)
+            .ok_or_else(|| ModelError::NotFound {
+                context: format!("edge {} → {}", xor.0, leaf.0),
+            })?;
+        let Some(removed) = removed else {
+            return Err(ModelError::Invalid {
+                context: format!(
+                    "node {} is not a leaf; only leaf alternatives can be removed",
+                    leaf.0
+                ),
+            });
+        };
+        if children.len() == 1 {
+            return Err(ModelError::Empty {
+                context: format!(
+                    "removing the last alternative would leave xor node {} childless",
+                    xor.0
+                ),
+            });
+        }
+        children.remove(idx);
+        // Renumbering is reachability-driven, so the detached leaf drops out.
+        self.finish_structural()?;
+        Ok(DeltaImpact {
+            affected_keys: BTreeSet::from([removed.key]),
+            probabilities_changed: true,
+            values_changed: false,
+            membership_changed: true,
+            rank_order_preserved: false,
+        })
+    }
+
+    fn insert_block(
+        &mut self,
+        under: NodeId,
+        key: u64,
+        alternatives: &[(f64, f64)],
+    ) -> Result<DeltaImpact, ModelError> {
+        self.children_mut(under, NodeKind::And, "an ∧ node")?;
+        if alternatives.is_empty() {
+            return Err(ModelError::Empty {
+                context: format!("new tuple block for key {key} has no alternatives"),
+            });
+        }
+        let mut total = 0.0;
+        for &(value, p) in alternatives {
+            validate_probability(p, &format!("alternative of new tuple block {key}"))?;
+            validate_value(value, &format!("alternative of new tuple block {key}"))?;
+            total += p;
+        }
+        if total > 1.0 + MASS_TOL {
+            return Err(ModelError::ProbabilityMassExceeded {
+                total,
+                context: format!("new tuple block for key {key}"),
+            });
+        }
+        let nodes = &mut self.nodes;
+        let edges: Vec<(NodeId, f64)> = alternatives
+            .iter()
+            .map(|&(value, p)| {
+                let leaf = NodeId(nodes.len());
+                nodes.push(Node::Leaf(Alternative::new(key, value)));
+                (leaf, p)
+            })
+            .collect();
+        let xor = NodeId(nodes.len());
+        nodes.push(Node::Inner {
+            kind: NodeKind::Xor,
+            children: edges,
+        });
+        self.children_mut(under, NodeKind::And, "an ∧ node")?
+            .push((xor, 1.0));
+        self.finish_structural()?;
+        Ok(DeltaImpact {
+            affected_keys: BTreeSet::from([TupleKey(key)]),
+            probabilities_changed: true,
+            values_changed: false,
+            membership_changed: true,
+            rank_order_preserved: false,
+        })
+    }
+
+    /// Renumbers a structurally mutated node vector into the canonical
+    /// children-before-parents (post-order DFS) id order the batch sweep
+    /// requires, drops unreachable nodes, and runs full tree validation.
+    /// Nodes move into the new order; none is cloned.
+    fn finish_structural(&mut self) -> Result<(), ModelError> {
+        let mut map: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        let mut out: Vec<Node> = Vec::with_capacity(self.nodes.len());
+        renumber_visit(&mut self.nodes, self.root.0, &mut map, &mut out)?;
+        let root = NodeId(map[self.root.0].expect("root is visited first"));
+        let tree = AndXorTree::from_raw_parts(out, root);
+        tree.validate()?;
+        self.nodes = tree.nodes;
+        self.root = tree.root;
+        Ok(())
     }
 }
 
@@ -323,235 +575,11 @@ fn validate_value(value: f64, context: &str) -> Result<(), ModelError> {
     }
 }
 
-fn apply_xor_probability(
-    tree: &AndXorTree,
-    xor: NodeId,
-    child: NodeId,
-    probability: f64,
-) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-    let children = expect_inner(tree, xor, NodeKind::Xor, "an ∨ node")?;
-    let idx = children
-        .iter()
-        .position(|(c, _)| *c == child)
-        .ok_or_else(|| ModelError::NotFound {
-            context: format!("edge {} → {}", xor.0, child.0),
-        })?;
-    validate_probability(probability, &format!("edge of xor node {}", xor.0))?;
-    let total: f64 = children
-        .iter()
-        .enumerate()
-        .map(|(i, (_, p))| if i == idx { probability } else { *p })
-        .sum();
-    if total > 1.0 + MASS_TOL {
-        return Err(ModelError::ProbabilityMassExceeded {
-            total,
-            context: format!("xor node {}", xor.0),
-        });
-    }
-    let mut nodes = tree.nodes.clone();
-    if let Node::Inner { children, .. } = &mut nodes[xor.0] {
-        children[idx].1 = probability;
-    }
-    let new_tree = AndXorTree::from_raw_parts(nodes, tree.root());
-    let impact = DeltaImpact {
-        affected_keys: tree.subtree_keys(child),
-        probabilities_changed: true,
-        values_changed: false,
-        membership_changed: false,
-        rank_order_preserved: false,
-    };
-    Ok((new_tree, impact))
-}
-
-fn apply_leaf_value(
-    tree: &AndXorTree,
-    leaf: NodeId,
-    value: f64,
-) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-    let old = match tree.nodes.get(leaf.0) {
-        Some(Node::Leaf(a)) => *a,
-        Some(_) => {
-            return Err(ModelError::Invalid {
-                context: format!("node {} is not a leaf", leaf.0),
-            })
-        }
-        None => {
-            return Err(ModelError::NotFound {
-                context: format!("leaf {}", leaf.0),
-            })
-        }
-    };
-    validate_value(value, &format!("leaf {}", leaf.0))?;
-    let mut nodes = tree.nodes.clone();
-    nodes[leaf.0] = Node::Leaf(Alternative::new(old.key.0, value));
-    let new_tree = AndXorTree::from_raw_parts(nodes, tree.root());
-    let rank_order_preserved = same_rank_signature(tree, &new_tree);
-    let mut affected_keys = BTreeSet::new();
-    affected_keys.insert(old.key);
-    let impact = DeltaImpact {
-        affected_keys,
-        probabilities_changed: false,
-        values_changed: true,
-        membership_changed: false,
-        rank_order_preserved,
-    };
-    Ok((new_tree, impact))
-}
-
-fn apply_insert_alternative(
-    tree: &AndXorTree,
-    xor: NodeId,
-    key: u64,
-    value: f64,
-    probability: f64,
-) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-    let children = expect_inner(tree, xor, NodeKind::Xor, "an ∨ node")?;
-    validate_probability(probability, &format!("edge of xor node {}", xor.0))?;
-    validate_value(value, &format!("new alternative of key {key}"))?;
-    let total: f64 = children.iter().map(|(_, p)| *p).sum::<f64>() + probability;
-    if total > 1.0 + MASS_TOL {
-        return Err(ModelError::ProbabilityMassExceeded {
-            total,
-            context: format!("xor node {}", xor.0),
-        });
-    }
-    let mut nodes = tree.nodes.clone();
-    let leaf = NodeId(nodes.len());
-    nodes.push(Node::Leaf(Alternative::new(key, value)));
-    if let Node::Inner { children, .. } = &mut nodes[xor.0] {
-        children.push((leaf, probability));
-    }
-    let new_tree = finish_structural(nodes, tree.root())?;
-    let mut affected_keys = BTreeSet::new();
-    affected_keys.insert(TupleKey(key));
-    let impact = DeltaImpact {
-        affected_keys,
-        probabilities_changed: true,
-        values_changed: false,
-        membership_changed: true,
-        rank_order_preserved: false,
-    };
-    Ok((new_tree, impact))
-}
-
-fn apply_remove_alternative(
-    tree: &AndXorTree,
-    xor: NodeId,
-    leaf: NodeId,
-) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-    let children = expect_inner(tree, xor, NodeKind::Xor, "an ∨ node")?;
-    let idx = children
-        .iter()
-        .position(|(c, _)| *c == leaf)
-        .ok_or_else(|| ModelError::NotFound {
-            context: format!("edge {} → {}", xor.0, leaf.0),
-        })?;
-    let removed = match tree.nodes.get(leaf.0) {
-        Some(Node::Leaf(a)) => *a,
-        _ => {
-            return Err(ModelError::Invalid {
-                context: format!(
-                    "node {} is not a leaf; only leaf alternatives can be removed",
-                    leaf.0
-                ),
-            })
-        }
-    };
-    if children.len() == 1 {
-        return Err(ModelError::Empty {
-            context: format!(
-                "removing the last alternative would leave xor node {} childless",
-                xor.0
-            ),
-        });
-    }
-    let mut nodes = tree.nodes.clone();
-    if let Node::Inner { children, .. } = &mut nodes[xor.0] {
-        children.remove(idx);
-    }
-    // Renumbering is reachability-driven, so the detached leaf drops out.
-    let new_tree = finish_structural(nodes, tree.root())?;
-    let mut affected_keys = BTreeSet::new();
-    affected_keys.insert(removed.key);
-    let impact = DeltaImpact {
-        affected_keys,
-        probabilities_changed: true,
-        values_changed: false,
-        membership_changed: true,
-        rank_order_preserved: false,
-    };
-    Ok((new_tree, impact))
-}
-
-fn apply_insert_block(
-    tree: &AndXorTree,
-    under: NodeId,
-    key: u64,
-    alternatives: &[(f64, f64)],
-) -> Result<(AndXorTree, DeltaImpact), ModelError> {
-    expect_inner(tree, under, NodeKind::And, "an ∧ node")?;
-    if alternatives.is_empty() {
-        return Err(ModelError::Empty {
-            context: format!("new tuple block for key {key} has no alternatives"),
-        });
-    }
-    let mut total = 0.0;
-    for &(value, p) in alternatives {
-        validate_probability(p, &format!("alternative of new tuple block {key}"))?;
-        validate_value(value, &format!("alternative of new tuple block {key}"))?;
-        total += p;
-    }
-    if total > 1.0 + MASS_TOL {
-        return Err(ModelError::ProbabilityMassExceeded {
-            total,
-            context: format!("new tuple block for key {key}"),
-        });
-    }
-    let mut nodes = tree.nodes.clone();
-    let edges: Vec<(NodeId, f64)> = alternatives
-        .iter()
-        .map(|&(value, p)| {
-            let leaf = NodeId(nodes.len());
-            nodes.push(Node::Leaf(Alternative::new(key, value)));
-            (leaf, p)
-        })
-        .collect();
-    let xor = NodeId(nodes.len());
-    nodes.push(Node::Inner {
-        kind: NodeKind::Xor,
-        children: edges,
-    });
-    if let Node::Inner { children, .. } = &mut nodes[under.0] {
-        children.push((xor, 1.0));
-    }
-    let new_tree = finish_structural(nodes, tree.root())?;
-    let mut affected_keys = BTreeSet::new();
-    affected_keys.insert(TupleKey(key));
-    let impact = DeltaImpact {
-        affected_keys,
-        probabilities_changed: true,
-        values_changed: false,
-        membership_changed: true,
-        rank_order_preserved: false,
-    };
-    Ok((new_tree, impact))
-}
-
-/// Renumbers a structurally mutated node vector into the canonical
-/// children-before-parents (post-order DFS) id order the batch sweep
-/// requires, drops unreachable nodes, and runs full tree validation.
-fn finish_structural(nodes: Vec<Node>, root: NodeId) -> Result<AndXorTree, ModelError> {
-    let mut map: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut out: Vec<Node> = Vec::with_capacity(nodes.len());
-    renumber_visit(&nodes, root.0, &mut map, &mut out)?;
-    let new_root = NodeId(map[root.0].expect("root is visited first"));
-    let tree = AndXorTree::from_raw_parts(out, new_root);
-    tree.validate()?;
-    Ok(tree)
-}
-
+/// Moves node `id` and its subtree into `out` in post-order, rewriting
+/// child ids as it goes; each visited inner node's children move with it
+/// and leave an empty list behind.
 fn renumber_visit(
-    nodes: &[Node],
+    nodes: &mut [Node],
     id: usize,
     map: &mut Vec<Option<usize>>,
     out: &mut Vec<Node>,
@@ -564,18 +592,16 @@ fn renumber_visit(
             context: format!("node {id} has two parents; the structure must be a tree"),
         });
     }
-    let new_node = match &nodes[id] {
+    let new_node = match &mut nodes[id] {
         Node::Leaf(a) => Node::Leaf(*a),
         Node::Inner { kind, children } => {
-            let mut remapped = Vec::with_capacity(children.len());
-            for (c, p) in children {
+            let kind = *kind;
+            let mut children = std::mem::take(children);
+            for (c, _) in &mut children {
                 renumber_visit(nodes, c.0, map, out)?;
-                remapped.push((NodeId(map[c.0].expect("child just visited")), *p));
+                *c = NodeId(map[c.0].expect("child just visited"));
             }
-            Node::Inner {
-                kind: *kind,
-                children: remapped,
-            }
+            Node::Inner { kind, children }
         }
     };
     map[id] = Some(out.len());
@@ -928,6 +954,227 @@ mod tests {
         for ((alt, p), (full_alt, full_p)) in patched.iter().zip(&full) {
             assert_eq!(alt, full_alt);
             assert_eq!(p.to_bits(), full_p.to_bits(), "{alt:?}");
+        }
+    }
+
+    /// Applies `run` one delta at a time with [`TreeDelta::apply`], folding
+    /// the impacts; on failure, the index of the failing delta and its error.
+    fn one_at_a_time(
+        tree: &AndXorTree,
+        run: &[TreeDelta],
+    ) -> Result<(AndXorTree, DeltaImpact), (usize, ModelError)> {
+        let mut current = tree.clone();
+        let mut total = DeltaImpact::none();
+        for (i, delta) in run.iter().enumerate() {
+            let (next, impact) = delta.apply(&current).map_err(|e| (i, e))?;
+            current = next;
+            total.absorb(impact);
+        }
+        Ok((current, total))
+    }
+
+    /// `apply_deltas` on `run` must give the tree, root and impact of the
+    /// one-at-a-time fold, bit for bit. Returns the folded impact.
+    fn assert_batch_matches(tree: &AndXorTree, run: &[TreeDelta]) -> DeltaImpact {
+        let (batched, batch_impact) = tree.apply_deltas(run).unwrap();
+        let (single, single_impact) = one_at_a_time(tree, run).unwrap();
+        assert_eq!(batched.root, single.root);
+        assert_eq!(batched.nodes, single.nodes);
+        assert_eq!(
+            format!("{:?}", batched.nodes),
+            format!("{:?}", single.nodes)
+        );
+        assert_eq!(batch_impact, single_impact);
+        batched.validate().unwrap();
+        batch_impact
+    }
+
+    /// A run of `len` deltas cycling through all five kinds, each addressed
+    /// against the tree the deltas before it produce.
+    fn mixed_run(tree: &AndXorTree, len: usize) -> Vec<TreeDelta> {
+        let mut current = tree.clone();
+        let mut run = Vec::new();
+        let mut inserted: Option<(u64, f64)> = None;
+        for step in 0..len {
+            let delta = match step % 5 {
+                0 => {
+                    let (xor, leaf) = first_block(&current, 2);
+                    let p = 0.1 + 0.05 * (step % 7) as f64;
+                    TreeDelta::XorEdgeProbability {
+                        xor,
+                        child: leaf,
+                        probability: p,
+                    }
+                }
+                1 => TreeDelta::LeafValue {
+                    leaf: current.leaves_of_key(4)[0],
+                    value: 10.0 + step as f64,
+                },
+                2 => {
+                    let (xor, _) = first_block(&current, 3);
+                    let value = 30.0 + step as f64 / 8.0;
+                    inserted = Some((3, value));
+                    TreeDelta::InsertAlternative {
+                        xor,
+                        key: 3,
+                        value,
+                        probability: 0.05,
+                    }
+                }
+                3 => {
+                    let (key, value) = inserted.take().unwrap();
+                    let leaf = current
+                        .leaves_of_key(key)
+                        .into_iter()
+                        .find(|&l| {
+                            current.leaf_alternative(l) == Some(Alternative::new(key, value))
+                        })
+                        .unwrap();
+                    TreeDelta::RemoveAlternative {
+                        xor: current.parent_of(leaf).unwrap(),
+                        leaf,
+                    }
+                }
+                _ => TreeDelta::InsertTupleBlock {
+                    under: current.root(),
+                    key: 100 + step as u64,
+                    alternatives: vec![(20.0 + step as f64, 0.4), (5.0, 0.3)],
+                },
+            };
+            current = delta.apply(&current).unwrap().0;
+            run.push(delta);
+        }
+        run
+    }
+
+    #[test]
+    fn batched_runs_mixing_every_kind_match_one_at_a_time() {
+        let tree = bid_tree();
+        for len in [1, 2, 5, 6, 13, 31] {
+            let impact = assert_batch_matches(&tree, &mixed_run(&tree, len));
+            assert!(impact.probabilities_changed);
+            assert!(!impact.rank_order_preserved);
+            assert_eq!(impact.values_changed, len > 1);
+            assert_eq!(impact.membership_changed, len > 2);
+        }
+        // An empty run is the tree itself, with nothing changed.
+        let (same, impact) = tree.apply_deltas(&[]).unwrap();
+        assert_eq!(same, tree);
+        assert_eq!(impact, DeltaImpact::none());
+    }
+
+    #[test]
+    fn batched_order_preserving_value_run_keeps_the_rank_order() {
+        let tree = bid_tree();
+        // Leaf values 95, 80, 70, 60, 55, 50, 40: each nudge stays strictly
+        // between its neighbours, so the sweep order never changes.
+        let leaf = |key: u64, i: usize| tree.leaves_of_key(key)[i];
+        let run = vec![
+            TreeDelta::LeafValue {
+                leaf: leaf(3, 0),
+                value: 72.5,
+            },
+            TreeDelta::LeafValue {
+                leaf: leaf(1, 0),
+                value: 90.0,
+            },
+            TreeDelta::LeafValue {
+                leaf: leaf(3, 0),
+                value: 75.0,
+            },
+            TreeDelta::LeafValue {
+                leaf: leaf(4, 1),
+                value: 52.0,
+            },
+        ];
+        let impact = assert_batch_matches(&tree, &run);
+        assert!(impact.rank_order_preserved && impact.values_changed);
+        assert!(!impact.probabilities_changed && !impact.membership_changed);
+        assert_eq!(
+            impact.affected_keys,
+            BTreeSet::from([TupleKey(1), TupleKey(3), TupleKey(4)])
+        );
+        // One order-changing move anywhere in the run loses the order.
+        let mut broken = run.clone();
+        broken.insert(
+            2,
+            TreeDelta::LeafValue {
+                leaf: leaf(4, 0),
+                value: 99.0,
+            },
+        );
+        assert!(!assert_batch_matches(&tree, &broken).rank_order_preserved);
+    }
+
+    #[test]
+    fn batched_probability_then_values_matches_one_at_a_time() {
+        let tree = bid_tree();
+        let (xor, child) = first_block(&tree, 1);
+        let mut run = vec![TreeDelta::XorEdgeProbability {
+            xor,
+            child,
+            probability: 0.2,
+        }];
+        // Order-preserving nudges after the order is already lost.
+        for (i, value) in [72.5, 73.0, 71.0].into_iter().enumerate() {
+            run.push(TreeDelta::LeafValue {
+                leaf: tree.leaves_of_key(3)[0],
+                value: value + i as f64 / 10.0,
+            });
+        }
+        let impact = assert_batch_matches(&tree, &run);
+        assert!(!impact.rank_order_preserved);
+        assert!(impact.probabilities_changed && impact.values_changed);
+        assert_eq!(
+            impact.affected_keys,
+            BTreeSet::from([TupleKey(1), TupleKey(3)])
+        );
+    }
+
+    #[test]
+    fn batched_runs_fail_with_the_error_of_the_first_invalid_delta() {
+        let tree = bid_tree();
+        let valid = mixed_run(&tree, 7);
+        // Invalid against the tree the valid prefix leaves, whose ids a
+        // structural delta may have renumbered.
+        let invalid = |at: &AndXorTree| {
+            [
+                TreeDelta::LeafValue {
+                    leaf: NodeId(10_000),
+                    value: 1.0,
+                },
+                TreeDelta::LeafValue {
+                    leaf: at.root(),
+                    value: 1.0,
+                },
+                TreeDelta::XorEdgeProbability {
+                    xor: at.root(),
+                    child: NodeId(0),
+                    probability: 0.1,
+                },
+                TreeDelta::InsertTupleBlock {
+                    under: at.root(),
+                    key: 2,
+                    alternatives: vec![(1.0, 0.1)],
+                },
+                TreeDelta::InsertTupleBlock {
+                    under: at.root(),
+                    key: 9,
+                    alternatives: vec![(1.0, 0.7), (2.0, 0.7)],
+                },
+            ]
+        };
+        for at in [0, 3, 7] {
+            let prefix = one_at_a_time(&tree, &valid[..at]).unwrap().0;
+            for bad in invalid(&prefix) {
+                let mut run = valid[..at].to_vec();
+                run.push(bad.clone());
+                run.extend_from_slice(&valid[at..]);
+                let batched = tree.apply_deltas(&run).unwrap_err();
+                let (index, single) = one_at_a_time(&tree, &run).unwrap_err();
+                assert_eq!(index, at, "{bad:?}");
+                assert_eq!(batched, single, "{bad:?} at {at}");
+            }
         }
     }
 

@@ -27,7 +27,9 @@
 //! Every suite also asserts its own bit-identity contracts (executors,
 //! patched vs rebuilt, recovered vs writer) while it measures. The `rank`
 //! suite also times the two pairwise batch builds at n=400 on one thread and
-//! on `machine_threads`, without a gate. The `median` suite times the warm
+//! on `machine_threads`, and the `replication` suite times a cold follower
+//! bootstrap alone (`Follower::open`, no sync) at n=120, both without a
+//! gate. The `median` suite times the warm
 //! Theorem 4 median Top-k, the `clustering` suite the warm
 //! `Clustering{restarts: 4}` query, and the `kendall` suite the warm
 //! `TopK{Kendall}` query and its exact `E[d_K]` evaluator alone; none of
@@ -62,6 +64,10 @@ const WAL_LENS: [usize; 3] = [8, 64, 256];
 /// The cold follower catch-up of loadbench's `recover` workload: a
 /// 31-record tail at the serving size, `(blocks, shipped records)`.
 const RECOVER_TAIL: (usize, usize) = (SERVING_N, 31);
+/// The cold follower bootstrap alone (`Follower::open`, no sync), at the
+/// serving size: `(blocks, reps)`. It takes a few milliseconds, so it
+/// affords a real spread.
+const BOOTSTRAP: (usize, usize) = (SERVING_N, 15);
 const VFS_APPENDS: usize = 256;
 const VFS_BUF_BYTES: usize = 4096;
 const STALENESS_EPOCHS: usize = 48;
@@ -276,17 +282,26 @@ fn fault_suite(n: usize, lens: &[usize], appends: usize, reps: usize) -> Suite {
     s
 }
 
-/// `catch_ups` lists the cold catch-ups as `(blocks, shipped records)`;
+/// `catch_ups` lists the cold catch-ups as `(blocks, shipped records)`,
+/// and `bootstrap` the ungated cold bootstrap alone as `(blocks, reps)`;
 /// the staleness rows run at `n` blocks.
 fn replication_suite(
     n: usize,
     catch_ups: &[(usize, usize)],
+    bootstrap: (usize, usize),
     epochs: usize,
     cadences: &[usize],
     reps: usize,
 ) -> Suite {
     let mut s = Suite::new("replication");
-    let mut diverged = 0;
+    let (blocks, bootstrap_reps) = bootstrap;
+    let (bootstrap_ms, mut diverged) = replication::measure_bootstrap(blocks, SEED, bootstrap_reps);
+    s.timing(
+        &format!("n={blocks} bootstrap"),
+        "bootstrap",
+        "ms",
+        &bootstrap_ms,
+    );
     for &(blocks, records) in catch_ups {
         for r in replication::measure_catch_up(blocks, SEED, reps, &[records]) {
             let row = format!("n={blocks} shipped_records={}", r.shipped_records);
@@ -573,6 +588,7 @@ fn main() -> ExitCode {
         replication_suite(
             DURABLE_N,
             &catch_ups,
+            BOOTSTRAP,
             STALENESS_EPOCHS,
             &SYNC_CADENCES,
             REPS,
@@ -638,7 +654,7 @@ mod tests {
             update_suite(24, 2),
             persistence_suite(&[24], 2),
             fault_suite(16, &[4], 8, 2),
-            replication_suite(16, &[(16, 4)], 6, &[1, 2], 2),
+            replication_suite(16, &[(16, 4)], (16, 2), 6, &[1, 2], 2),
             observability_suite(16, 1, 1000, 6, 16),
         ];
         let mut timed = 0;

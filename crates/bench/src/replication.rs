@@ -11,6 +11,11 @@
 //!   digest and probe answers bit-identical — and counts the followers
 //!   that fail it.
 //!
+//! * **What does the bootstrap alone cost?** A cold [`Follower::open`]
+//!   (transport set-up, anchor fetch and verify, local store seeded with the
+//!   anchor image) is timed on its own, without the sync, and each
+//!   bootstrapped follower is divergence-checked against the primary.
+//!
 //! * **What is the ship throughput?** The one-shot segment cut
 //!   ([`Primary::ship`]: WAL filter, CRC
 //!   framing, atomic write, manifest commit) is timed against the shipped
@@ -120,6 +125,35 @@ fn cold_catch_up(primary: &Primary, outbox: &std::path::Path, probe: &[Query]) -
     let _ = std::fs::remove_dir_all(&inbox);
     let _ = std::fs::remove_dir_all(&fstore);
     (elapsed, identical)
+}
+
+/// Times `reps` cold follower bootstraps ([`Follower::open`] into fresh
+/// inbox and local-store directories, no sync) from a primary over `n`
+/// blocks whose anchor is shipped. Returns the milliseconds and how many
+/// bootstrapped followers were not bit-identical to the primary.
+pub fn measure_bootstrap(n: usize, seed: u64, reps: usize) -> (Sample, usize) {
+    let probe = probe();
+    let (primary, store_dir, outbox) = on_disk_primary(n, seed);
+    let (mut ms, mut diverged) = (Vec::with_capacity(reps.max(1)), 0);
+    for _ in 0..reps.max(1) {
+        let inbox = temp_dir("replication_inbox");
+        let fstore = temp_dir("replication_fstore");
+        let start = Instant::now();
+        let transport = Transport::new(std_vfs(), &outbox, std_vfs(), &inbox)
+            .expect("inbox directory is creatable");
+        let follower = Follower::open(transport, &fstore, StoreOptions::default())
+            .expect("follower bootstraps from the shipped anchor");
+        ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let identical = follower.applied_epoch() == primary.epoch()
+            && check_divergence(&primary.snapshot(), &follower.snapshot(), &probe).is_ok();
+        diverged += usize::from(!identical);
+        drop(follower);
+        let _ = std::fs::remove_dir_all(&inbox);
+        let _ = std::fs::remove_dir_all(&fstore);
+    }
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let _ = std::fs::remove_dir_all(&outbox);
+    (Sample::new(ms), diverged)
 }
 
 /// Measures ship throughput and cold-follower catch-up latency at each

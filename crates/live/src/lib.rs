@@ -123,6 +123,7 @@
 
 use cpdb_engine::{ConsensusEngine, EngineError};
 use cpdb_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Obs};
+use cpdb_store::snapshot::encode_snapshot;
 use cpdb_store::Store;
 use std::fmt;
 use std::ops::Deref;
@@ -409,11 +410,11 @@ struct Durability {
 }
 
 impl Durability {
-    fn new(store: Store, replayed: u64) -> Self {
+    fn new(store: Store) -> Self {
         Durability {
             store: Arc::new(store),
             snapshot_every: AtomicU64::new(DEFAULT_SNAPSHOT_EVERY),
-            deltas_since_snapshot: AtomicU64::new(replayed),
+            deltas_since_snapshot: AtomicU64::new(0),
             compactor: Mutex::new(None),
             last_compaction_error: Arc::new(Mutex::new(None)),
             degraded: Mutex::new(None),
@@ -603,17 +604,27 @@ impl LiveEngine {
         dir: &Path,
         options: StoreOptions,
     ) -> Result<Self, LiveError> {
-        let obs = options.obs.clone();
-        let store = Store::create_with(dir, options)?;
-        store.write_snapshot(0, &engine.export())?;
-        Ok(LiveEngine {
-            current: ArcCell::new(Arc::new(Epoch { epoch: 0, engine })),
+        let image = encode_snapshot(0, &engine.export());
+        let store = Store::create_from_image_with(dir, options, &image)?;
+        Ok(LiveEngine::from_store(store, 0, engine))
+    }
+
+    /// Serves `engine` as `epoch` over `store`, whose newest snapshot is
+    /// that epoch and whose WAL holds no record past it — a store just
+    /// seeded by [`Store::create_from_image_with`], as
+    /// [`new_durable_with`](Self::new_durable_with) and a replica's
+    /// bootstrap make. The live layer reports to the store's
+    /// observability sink.
+    pub fn from_store(store: Store, epoch: u64, engine: ConsensusEngine) -> Self {
+        let obs = store.obs().clone();
+        LiveEngine {
+            current: ArcCell::new(Arc::new(Epoch { epoch, engine })),
             writer: Mutex::new(()),
-            durability: Some(Durability::new(store, 0)),
+            durability: Some(Durability::new(store)),
             replication: Mutex::new(None),
             obs: LiveObs::default(),
         }
-        .with_obs(obs))
+        .with_obs(obs)
     }
 
     /// Warm-starts from the store in `dir`: loads the newest valid snapshot
@@ -626,7 +637,6 @@ impl LiveEngine {
 
     /// [`LiveEngine::open`] with an explicit store configuration.
     pub fn open_with(dir: &Path, options: StoreOptions) -> Result<Self, LiveError> {
-        let obs = options.obs.clone();
         let (store, recovered) = Store::open_with(dir, options)?;
         let (snap_epoch, export) = recovered.snapshot.ok_or(StoreError::NoSnapshot)?;
         let mut engine = ConsensusEngine::from_export(&export)?;
@@ -636,14 +646,14 @@ impl LiveEngine {
             engine = engine.apply_deltas(recovered.wal.iter().map(|(_, d)| d))?.0;
         }
         let epoch = recovered.wal.last().map_or(snap_epoch, |(e, _)| *e);
-        Ok(LiveEngine {
-            current: ArcCell::new(Arc::new(Epoch { epoch, engine })),
-            writer: Mutex::new(()),
-            durability: Some(Durability::new(store, recovered.wal.len() as u64)),
-            replication: Mutex::new(None),
-            obs: LiveObs::default(),
+        let live = LiveEngine::from_store(store, epoch, engine);
+        if let Some(d) = &live.durability {
+            // The replayed records count toward the next background
+            // snapshot, as if they had just been applied.
+            d.deltas_since_snapshot
+                .store(recovered.wal.len() as u64, Ordering::Relaxed);
         }
-        .with_obs(obs))
+        Ok(live)
     }
 
     /// Sets how many deltas may accumulate before a background snapshot
@@ -1344,6 +1354,36 @@ mod tests {
         assert_eq!(reopened.epoch(), 2);
         assert_eq!(reopened.snapshot().run(&topk(2)).unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_creation_writes_one_image_and_compacts_nothing() {
+        let vfs = cpdb_store::FaultVfs::new();
+        let dir = std::path::PathBuf::from("/mem/live");
+        let obs = Obs::enabled();
+        let options = StoreOptions {
+            vfs: Arc::new(vfs.clone()),
+            obs: obs.clone(),
+            ..StoreOptions::default()
+        };
+        let engine = ConsensusEngineBuilder::new(bid_tree())
+            .seed(5)
+            .build()
+            .unwrap();
+        let _ = engine.run(&topk(2)).unwrap();
+        let export = engine.export();
+        let live = LiveEngine::new_durable_with(engine, &dir, options.clone()).unwrap();
+        // The empty WAL and the epoch-0 image fsync once each, and the
+        // image's rename syncs the directory; nothing is compacted.
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("store.vfs.fsyncs"), Some(2));
+        assert_eq!(snap.counter("store.vfs.dir_syncs"), Some(1));
+        assert_eq!(snap.counter("store.vfs.renames"), Some(1));
+        drop(live);
+        vfs.crash();
+        let reopened = LiveEngine::open_with(&dir, options).unwrap();
+        assert_eq!(reopened.epoch(), 0);
+        assert!(reopened.snapshot().export() == export);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::obs::ReplicaObs;
 use crate::{Primary, ReplicaError, Transport, FETCH_ATTEMPTS};
+use cpdb_engine::{ConsensusEngine, EngineExport};
 use cpdb_live::{
     ComponentHealth, Health, LiveEngine, LiveError, ReplicaRole, ReplicationStatus, Snapshot,
     TreeDelta,
@@ -19,6 +20,11 @@ use std::path::{Path, PathBuf};
 /// A read replica: bootstraps from the shipped anchor, replays verified
 /// segments into a local durable [`LiveEngine`], and serves snapshots at
 /// its applied epoch.
+///
+/// A cold bootstrap installs the anchor once: the verified bytes are
+/// written as they are as the local snapshot file, and the engine is
+/// imported from the export their verification decoded. A sync replays
+/// the whole verified tail as one batch on one working tree.
 ///
 /// Every fetched byte is verified against the manifest before replay;
 /// damaged ships are quarantined and re-fetched, and on persistent damage
@@ -68,12 +74,13 @@ fn fetch_manifest(transport: &Transport, obs: &ReplicaObs) -> Result<Manifest, R
 }
 
 /// Fetches and verifies the manifest's anchor image, quarantining and
-/// re-fetching damaged copies.
+/// re-fetching damaged copies. Returns the anchor's epoch, its verified
+/// bytes and the export decoded from them.
 fn fetch_anchor(
     transport: &Transport,
     manifest: &Manifest,
     obs: &ReplicaObs,
-) -> Result<(u64, cpdb_engine::EngineExport), ReplicaError> {
+) -> Result<(u64, Vec<u8>, EngineExport), ReplicaError> {
     let Some(entry) = manifest.anchor else {
         return Err(ReplicaError::SegmentUnavailable {
             name: MANIFEST_FILE.to_string(),
@@ -85,7 +92,7 @@ fn fetch_anchor(
     for _ in 0..FETCH_ATTEMPTS {
         match transport.fetch(&name) {
             Ok(bytes) => match verify_anchor_bytes(&bytes, entry) {
-                Ok(export) => return Ok((entry.0, export)),
+                Ok(export) => return Ok((entry.0, bytes, export)),
                 // The file passed its manifest length and checksum, so a
                 // foreign format version is what the primary wrote, not
                 // damage: no re-fetch can fix it.
@@ -106,7 +113,13 @@ fn fetch_anchor(
 }
 
 /// Creates a fresh local store seeded from the shipped anchor, records the
-/// manifest the state was built from, and opens a durable engine on it.
+/// manifest the state was built from, and serves a durable engine on it.
+///
+/// The anchor is decoded once, when it is verified. Its verified bytes are
+/// already a checksummed snapshot image, so they become the local
+/// `snapshot-<epoch>.cpdb` as they are
+/// ([`Store::create_from_image_with`]), and the engine is imported from the
+/// export the verification decoded; nothing is re-encoded or read back.
 fn bootstrap(
     transport: &Transport,
     manifest: &Manifest,
@@ -114,22 +127,26 @@ fn bootstrap(
     options: StoreOptions,
     obs: &ReplicaObs,
 ) -> Result<LiveEngine, ReplicaError> {
-    let (epoch, export) = fetch_anchor(transport, manifest, obs)?;
+    let (epoch, image, export) = fetch_anchor(transport, manifest, obs)?;
     // Probing for local state leaves an empty WAL behind, and a
     // re-bootstrap abandons whatever is there: start from a clean
-    // directory either way.
+    // directory either way. The removals are made durable before the new
+    // snapshot lands; a directory that held nothing needs no sync.
     let vfs = options.vfs.clone();
     vfs.create_dir_all(store_dir).map_err(StoreError::from)?;
-    for name in vfs.read_dir_names(store_dir).map_err(StoreError::from)? {
-        vfs.remove_file(&store_dir.join(&name))
+    let stale = vfs.read_dir_names(store_dir).map_err(StoreError::from)?;
+    for name in &stale {
+        vfs.remove_file(&store_dir.join(name))
             .map_err(StoreError::from)?;
     }
-    vfs.sync_dir(store_dir).map_err(StoreError::from)?;
-    let store = Store::create_with(store_dir, options.clone())?;
-    store.write_snapshot(epoch, &export)?;
+    if !stale.is_empty() {
+        vfs.sync_dir(store_dir).map_err(StoreError::from)?;
+    }
+    let store = Store::create_from_image_with(store_dir, options, &image)?;
+    drop(image);
     write_replica_manifest_with(&vfs, store_dir, manifest)?;
-    drop(store);
-    Ok(LiveEngine::open_with(store_dir, options)?)
+    let engine = ConsensusEngine::from_export(&export)?;
+    Ok(LiveEngine::from_store(store, epoch, engine))
 }
 
 impl Follower {

@@ -12,9 +12,11 @@
 //!   commit point of each ship, mirroring the store's
 //!   publish-pointer-is-commit-point rule.
 //! * A [`Follower`] bootstraps a read-only engine from the shipped anchor
-//!   and tails the segment chain through a [`Transport`], verifying every
-//!   byte of the whole tail against the manifest before replaying it as one
-//!   batch. Corrupt or torn ships are quarantined and re-fetched; until
+//!   — the verified anchor bytes become its local snapshot file as they
+//!   are, and it serves the export they decoded to, so the anchor is
+//!   decoded once and never re-encoded — and tails the segment chain
+//!   through a [`Transport`], verifying every byte of the whole tail
+//!   against the manifest before replaying it as one batch. Corrupt or torn ships are quarantined and re-fetched; until
 //!   every segment of the tail verifies, the follower applies none of it
 //!   and keeps serving its last verified epoch.
 //! * [`check_divergence`] proves (or refutes) that a follower's state is

@@ -7,13 +7,16 @@ use cpdb_engine::{ConsensusEngine, ConsensusEngineBuilder, Query, TopKMetric, Va
 use cpdb_live::{ComponentHealth, LiveEngine, ReplicaRole, TreeDelta};
 use cpdb_replica::{check_divergence, Follower, Primary, ReplicaError, Transport};
 use cpdb_store::fault::FaultVfs;
-use cpdb_store::ship::{read_manifest_with, write_fence_with, write_manifest_with, MANIFEST_FILE};
+use cpdb_store::ship::{
+    anchor_file_name, read_manifest_with, write_fence_with, write_manifest_with, MANIFEST_FILE,
+    REPLICA_MANIFEST_FILE,
+};
 use cpdb_store::store::StoreOptions;
-use cpdb_store::{RetryPolicy, StoreError, Vfs, VfsFile};
+use cpdb_store::{std_vfs, ObsVfs, RetryPolicy, StoreError, Vfs, VfsFile};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn bid_tree() -> AndXorTree {
     let mut b = AndXorTreeBuilder::new();
@@ -858,4 +861,191 @@ fn replication_metrics_and_events_flow_into_the_shared_sink() {
         "{fkinds:?}"
     );
     assert_eq!(follower.applied_epoch(), 3);
+}
+
+/// A primary whose anchor sits at epoch 3 and carries built artifacts.
+fn primary_anchored_at_3(pvfs: &FaultVfs) -> Primary {
+    let primary = primary(pvfs);
+    primary.ship().unwrap();
+    for delta in &leaf_deltas(primary.snapshot().tree(), 3) {
+        primary.apply(delta).unwrap();
+    }
+    for q in probes() {
+        primary.snapshot().run(&q).unwrap();
+    }
+    assert_eq!(primary.rotate_anchor().unwrap(), 3);
+    primary
+}
+
+#[test]
+fn cold_bootstrap_installs_the_shipped_anchor_byte_for_byte() {
+    let pvfs = FaultVfs::new();
+    let fvfs = FaultVfs::new();
+    let primary = primary_anchored_at_3(&pvfs);
+    let follower = follower(&pvfs, &fvfs);
+    assert_eq!(follower.applied_epoch(), 3);
+    let anchor = pvfs
+        .contents(&Path::new("/p/outbox").join(anchor_file_name(3)))
+        .unwrap();
+    let local = Path::new("/f/store/snapshot-3.cpdb");
+    assert_eq!(fvfs.durable_contents(local), Some(anchor));
+    let served = follower.snapshot().export();
+    assert!(
+        served.context.is_some(),
+        "the anchor carries the rank context"
+    );
+    assert!(served == primary.snapshot().export());
+    check_divergence(&primary.snapshot(), &follower.snapshot(), &probes()).unwrap();
+}
+
+#[test]
+fn fresh_directory_bootstrap_makes_five_fsyncs_and_two_directory_syncs() {
+    let pvfs = FaultVfs::new();
+    let primary = primary_anchored_at_3(&pvfs);
+    let root = std::env::temp_dir().join(format!("cpdb_replica_bootstrap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let obs = cpdb_obs::Obs::enabled();
+    let counted: Arc<dyn Vfs> = Arc::new(ObsVfs::new(std_vfs(), &obs));
+    let transport = Transport::new(
+        arc(&pvfs),
+        Path::new("/p/outbox"),
+        counted.clone(),
+        &root.join("inbox"),
+    )
+    .unwrap();
+    let follower = Follower::open(
+        transport,
+        &root.join("store"),
+        StoreOptions {
+            vfs: counted,
+            ..StoreOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(follower.applied_epoch(), 3);
+    // Manifest and anchor fetches, the empty WAL, the anchor image and the
+    // replica manifest each fsync once; the image and the replica manifest
+    // each sync the directory after their rename. The fresh directory had
+    // nothing to remove, and the empty WAL nothing to compact.
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("store.vfs.fsyncs"), Some(5));
+    assert_eq!(snap.counter("store.vfs.dir_syncs"), Some(2));
+    check_divergence(&primary.snapshot(), &follower.snapshot(), &probes()).unwrap();
+    drop(follower);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Delegating VFS that logs every namespace operation as `op path`.
+#[derive(Debug)]
+struct LoggingVfs {
+    inner: Arc<dyn Vfs>,
+    log: Mutex<Vec<String>>,
+}
+
+impl LoggingVfs {
+    fn note(&self, op: &str, path: &Path) {
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("{op} {}", path.display()));
+    }
+
+    /// The index of the first logged entry equal to `entry`.
+    fn position(&self, entry: &str) -> usize {
+        let log = self.log.lock().unwrap();
+        log.iter()
+            .position(|e| e == entry)
+            .unwrap_or_else(|| panic!("{entry:?} not in {log:?}"))
+    }
+}
+
+impl Vfs for LoggingVfs {
+    fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.inner.open_rw(path)
+    }
+    fn create_truncated(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.inner.create_truncated(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.note("rename", to);
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.note("remove", path);
+        self.inner.remove_file(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.note("sync_dir", dir);
+        self.inner.sync_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.read_dir_names(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+#[test]
+fn rebootstrap_removes_stale_files_durably_before_the_new_snapshot_lands() {
+    let pvfs = FaultVfs::new();
+    let fvfs = FaultVfs::new();
+    let primary = primary(&pvfs);
+    primary.ship().unwrap();
+    let deltas = leaf_deltas(primary.snapshot().tree(), 3);
+    for delta in &deltas[..2] {
+        primary.apply(delta).unwrap();
+    }
+    primary.ship().unwrap();
+    let logged = Arc::new(LoggingVfs {
+        inner: arc(&fvfs),
+        log: Mutex::new(Vec::new()),
+    });
+    let transport = Transport::new(
+        arc(&pvfs),
+        Path::new("/p/outbox"),
+        arc(&fvfs),
+        Path::new("/f/inbox"),
+    )
+    .unwrap();
+    let store = Path::new("/f/store");
+    let options = StoreOptions {
+        vfs: logged.clone(),
+        ..options(&fvfs)
+    };
+    let mut follower = Follower::open(transport, store, options).unwrap();
+    assert_eq!(follower.sync().unwrap(), 2);
+
+    // The anchor moves past the follower: it must rebootstrap over its
+    // WAL (records 1..=2) and epoch-0 snapshot.
+    primary.apply(&deltas[2]).unwrap();
+    assert_eq!(primary.rotate_anchor().unwrap(), 3);
+    logged.log.lock().unwrap().clear();
+    assert_eq!(follower.sync().unwrap(), 3);
+    let synced = logged.position("sync_dir /f/store");
+    for stale in ["snapshot-0.cpdb", "wal.cpdb", REPLICA_MANIFEST_FILE] {
+        let removed = logged.position(&format!("remove /f/store/{stale}"));
+        assert!(removed < synced, "{stale} removed after the directory sync");
+    }
+    assert!(synced < logged.position("rename /f/store/snapshot-3.cpdb"));
+
+    let mut names = fvfs.read_dir_names(store).unwrap();
+    names.sort();
+    assert_eq!(
+        names,
+        ["replica.cpdb", "snapshot-3.cpdb", "wal.cpdb"].map(String::from)
+    );
+    let wal = fvfs.durable_contents(&store.join("wal.cpdb")).unwrap();
+    assert!(cpdb_store::wal::scan_wal_bytes(&wal).unwrap().0.is_empty());
+    assert_eq!(
+        fvfs.durable_contents(&store.join("snapshot-3.cpdb")),
+        pvfs.contents(&Path::new("/p/outbox").join(anchor_file_name(3)))
+    );
+    check_divergence(&primary.snapshot(), &follower.snapshot(), &probes()).unwrap();
 }

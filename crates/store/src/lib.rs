@@ -22,7 +22,9 @@
 //! * [`store`] — the directory layout tying both together: the latest valid
 //!   snapshot plus the WAL suffix with later epochs. Writing a snapshot at
 //!   epoch `E` compacts the WAL (drops records with epoch ≤ `E`) and prunes
-//!   superseded snapshot files.
+//!   superseded snapshot files. A fresh store can instead be seeded with an
+//!   already encoded image, written as it is
+//!   ([`Store::create_from_image_with`]).
 //!
 //! `cpdb_live::LiveEngine::open` builds on these to answer bit-identically
 //! to the engine that wrote the files — conformance-gated against
@@ -40,7 +42,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (5), little-endian `u32` |
+//! | version | 4 | format version (6), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |

@@ -46,7 +46,7 @@ use crate::checksum::crc32;
 use crate::codec::{
     decode_delta, encode_config, encode_delta, encode_tree, le_u32, ByteReader, ByteWriter,
 };
-use crate::vfs::Vfs;
+use crate::vfs::{write_atomic, Vfs};
 use crate::StoreError;
 use cpdb_andxor::TreeDelta;
 use cpdb_engine::EngineExport;
@@ -614,22 +614,6 @@ fn unframe_body<'a>(magic: &[u8; 8], bytes: &'a [u8], what: &str) -> Result<&'a 
         });
     }
     Ok(body)
-}
-
-/// Atomic durable write: tmp file + fsync + rename + directory fsync —
-/// the same idiom as snapshot writes.
-fn write_atomic(vfs: &Arc<dyn Vfs>, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = vfs.create_truncated(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    vfs.rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        vfs.sync_dir(dir)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

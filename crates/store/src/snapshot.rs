@@ -22,7 +22,7 @@ use crate::codec::{
     encode_config, encode_context, encode_prefs, encode_tree, get_f64s, put_f64s, ByteReader,
     ByteWriter,
 };
-use crate::vfs::{std_vfs, Vfs};
+use crate::vfs::{std_vfs, write_atomic, Vfs};
 use crate::StoreError;
 use cpdb_engine::EngineExport;
 use std::path::Path;
@@ -114,10 +114,9 @@ pub fn encode_snapshot(epoch: u64, export: &EngineExport) -> Vec<u8> {
     out
 }
 
-/// Decodes and integrity-checks a snapshot byte image back into
-/// `(epoch, export)`.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> {
-    let mut r = ByteReader::new(bytes, "snapshot header");
+/// Reads and checks the header's magic and version, returning the epoch
+/// stamp.
+fn read_header(r: &mut ByteReader<'_>) -> Result<u64, StoreError> {
     let magic: [u8; 8] = [
         r.get_u8()?,
         r.get_u8()?,
@@ -137,7 +136,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
     if version != SNAPSHOT_VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
-    let epoch = r.get_u64()?;
+    r.get_u64()
+}
+
+/// Decodes and integrity-checks a snapshot byte image back into
+/// `(epoch, export)`.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> {
+    let mut r = ByteReader::new(bytes, "snapshot header");
+    let epoch = read_header(&mut r)?;
     let section_count = r.get_u32()?;
 
     let mut config_payload: Option<&[u8]> = None;
@@ -247,19 +253,14 @@ pub fn write_snapshot_with(
     export: &EngineExport,
 ) -> Result<u64, StoreError> {
     let bytes = encode_snapshot(epoch, export);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = vfs.create_truncated(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    vfs.rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename: fsync the directory entry (best-effort on
-        // platforms that cannot open directories).
-        vfs.sync_dir(dir)?;
-    }
+    write_atomic(vfs, path, &bytes)?;
     Ok(bytes.len() as u64)
+}
+
+/// The epoch stamped in a snapshot image's header, after checking its magic
+/// and version; the sections are not read.
+pub(crate) fn image_epoch(image: &[u8]) -> Result<u64, StoreError> {
+    read_header(&mut ByteReader::new(image, "snapshot header"))
 }
 
 /// Reads and validates a snapshot file.

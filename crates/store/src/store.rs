@@ -27,8 +27,8 @@
 
 use crate::obs::{ObsVfs, StoreObs};
 use crate::retry::{with_retry, with_retry_hook};
-use crate::snapshot::{read_snapshot_with, write_snapshot_with};
-use crate::vfs::{std_vfs, Vfs};
+use crate::snapshot::{image_epoch, read_snapshot_with, write_snapshot_with};
+use crate::vfs::{std_vfs, write_atomic, Vfs};
 use crate::wal::Wal;
 use crate::{RetryPolicy, StoreError};
 use cpdb_andxor::TreeDelta;
@@ -239,6 +239,31 @@ impl Store {
             ship_watermark: AtomicU64::new(NO_WATERMARK),
             obs: StoreObs::new(obs),
         })
+    }
+
+    /// [`Store::create_with`], seeded with `image`: an encoded snapshot
+    /// (from [`crate::snapshot::encode_snapshot`], or a shipped anchor whose
+    /// checksums were verified). The image is written as it is to
+    /// `snapshot-<epoch>.cpdb`, for the epoch its header is stamped with
+    /// (tmp file, fsync, rename, directory fsync): nothing is decoded or
+    /// re-encoded, and the WAL this call created empty needs no compaction.
+    /// Fails with [`StoreError::Corrupt`] or
+    /// [`StoreError::UnsupportedVersion`] before touching `dir` if the
+    /// header is not a current snapshot's.
+    pub fn create_from_image_with(
+        dir: &Path,
+        options: StoreOptions,
+        image: &[u8],
+    ) -> Result<Store, StoreError> {
+        let epoch = image_epoch(image)?;
+        let store = Store::create_with(dir, options)?;
+        {
+            let _span = store.obs.obs.span(&store.obs.snapshot);
+            store.retried("snapshot write", || {
+                write_atomic(&store.vfs, &snapshot_path(dir, epoch), image)
+            })?;
+        }
+        Ok(store)
     }
 
     /// Opens an existing store on the production filesystem and runs
@@ -453,6 +478,11 @@ impl Store {
     /// the replication transport so chaos injection covers shipping too.
     pub fn vfs(&self) -> Arc<dyn Vfs> {
         self.vfs.clone()
+    }
+
+    /// The observability sink this store reports to ([`StoreOptions::obs`]).
+    pub fn obs(&self) -> &Obs {
+        &self.obs.obs
     }
 
     /// The store's retry schedule for durable writes.
@@ -791,5 +821,152 @@ mod tests {
             let (_s, recovered) = Store::open_with(&dir, opts).unwrap();
             assert_eq!(recovered.epoch(), 2, "power cut at op {cut}");
         }
+    }
+
+    /// Passes every call to `inner`, except that the `sync_dir` call with
+    /// index `fail_at` (counted from 0) fails once as interrupted.
+    #[derive(Debug)]
+    struct FlakyDirSync {
+        inner: FaultVfs,
+        dir_syncs: AtomicU64,
+        fail_at: AtomicU64,
+    }
+
+    impl FlakyDirSync {
+        /// Arms the fault on the `nth` directory sync from now (0 = next).
+        fn fail_dir_sync(&self, nth: u64) {
+            let next = self.dir_syncs.load(Ordering::SeqCst);
+            self.fail_at.store(next + nth, Ordering::SeqCst);
+        }
+
+        fn fired(&self) -> bool {
+            self.dir_syncs.load(Ordering::SeqCst) > self.fail_at.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Vfs for FlakyDirSync {
+        fn open_rw(&self, path: &Path) -> io::Result<Box<dyn crate::vfs::VfsFile>> {
+            self.inner.open_rw(path)
+        }
+        fn create_truncated(&self, path: &Path) -> io::Result<Box<dyn crate::vfs::VfsFile>> {
+            self.inner.create_truncated(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            if self.dir_syncs.fetch_add(1, Ordering::SeqCst) == self.fail_at.load(Ordering::SeqCst)
+            {
+                return Err(io::Error::new(io::ErrorKind::Interrupted, "flaky dir sync"));
+            }
+            self.inner.sync_dir(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.inner.read_dir_names(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    #[test]
+    fn compaction_retried_after_a_failed_dir_sync_keeps_every_acknowledged_epoch() {
+        let vfs = FaultVfs::new();
+        let flaky = Arc::new(FlakyDirSync {
+            inner: vfs.clone(),
+            dir_syncs: AtomicU64::new(0),
+            fail_at: AtomicU64::new(u64::MAX),
+        });
+        let options = StoreOptions {
+            vfs: flaky.clone(),
+            retry: RetryPolicy::no_delay(3),
+            ..StoreOptions::default()
+        };
+        let dir = PathBuf::from("/mem/store");
+        let store = Store::create_with(&dir, options.clone()).unwrap();
+        for epoch in 1..=3 {
+            store.append(epoch, &delta(epoch)).unwrap();
+        }
+        // The snapshot's rename syncs the directory first; the compaction's
+        // sync fails once, after its rename. The retry finds no record at
+        // or below epoch 3 left to drop, and must still sync the directory.
+        flaky.fail_dir_sync(1);
+        store.write_snapshot(3, &export_for_seed(3)).unwrap();
+        assert!(flaky.fired());
+        store.append(4, &delta(4)).unwrap();
+        store.append(5, &delta(5)).unwrap();
+        drop(store);
+        vfs.crash();
+        let (_store, recovered) = Store::open_with(&dir, options).unwrap();
+        assert_eq!(recovered.snapshot.as_ref().map(|(e, _)| *e), Some(3));
+        assert_eq!(
+            recovered.wal.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
+            vec![4, 5]
+        );
+    }
+
+    #[test]
+    fn a_store_seeded_from_an_image_holds_it_byte_for_byte() {
+        let vfs = FaultVfs::new();
+        let obs = Obs::enabled();
+        let options = StoreOptions {
+            obs: obs.clone(),
+            ..fault_options(&vfs)
+        };
+        let dir = PathBuf::from("/mem/store");
+        let export = export_for_seed(3);
+        let image = crate::snapshot::encode_snapshot(7, &export);
+        let store = Store::create_from_image_with(&dir, options.clone(), &image).unwrap();
+        assert_eq!(store.snapshot_epochs().unwrap(), vec![7]);
+        // One fsync for the fresh WAL, one for the image, one directory
+        // sync for its rename; the empty WAL is not compacted.
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("store.vfs.fsyncs"), Some(2));
+        assert_eq!(snap.counter("store.vfs.dir_syncs"), Some(1));
+        assert_eq!(
+            snap.histogram("store.snapshot.write").map(|h| h.count),
+            Some(1)
+        );
+        store.append(8, &delta(8)).unwrap();
+        drop(store);
+        vfs.crash();
+        assert_eq!(
+            vfs.durable_contents(&snapshot_path(&dir, 7)),
+            Some(image.clone())
+        );
+        let (_store, recovered) = Store::open_with(&dir, options.clone()).unwrap();
+        assert_eq!(recovered.snapshot, Some((7, export)));
+        assert_eq!(recovered.epoch(), 8);
+        // A seeded directory is a store: seeding it again is refused.
+        assert!(matches!(
+            Store::create_from_image_with(&dir, options, &image),
+            Err(StoreError::AlreadyExists { .. })
+        ));
+    }
+
+    #[test]
+    fn seeding_refuses_a_foreign_image_before_touching_the_directory() {
+        let vfs = FaultVfs::new();
+        let dir = PathBuf::from("/mem/store");
+        let mut image = crate::snapshot::encode_snapshot(7, &export_for_seed(3));
+        image[8..12].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(
+            Store::create_from_image_with(&dir, fault_options(&vfs), &image),
+            Err(StoreError::UnsupportedVersion { found: 5 })
+        ));
+        assert!(matches!(
+            Store::create_from_image_with(&dir, fault_options(&vfs), b"CPDBWAL1"),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(!vfs.exists(&dir.join(WAL_FILE)));
     }
 }

@@ -88,6 +88,28 @@ pub fn std_vfs() -> Arc<dyn Vfs> {
     Arc::new(StdVfs)
 }
 
+/// Writes `bytes` to `path` atomically and durably: the full image goes to
+/// `<path>.tmp`, is fsync'd, renamed over `path`, and the parent directory
+/// is fsync'd so the rename itself survives a power cut. A crash leaves
+/// the old file or the new one, never a hybrid.
+pub(crate) fn write_atomic(
+    vfs: &Arc<dyn Vfs>,
+    path: &Path,
+    bytes: &[u8],
+) -> Result<(), crate::StoreError> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut file = vfs.create_truncated(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    vfs.rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        vfs.sync_dir(dir)?;
+    }
+    Ok(())
+}
+
 struct StdFile(File);
 
 impl VfsFile for StdFile {

@@ -285,6 +285,8 @@ impl Wal {
         let bytes = self.vfs.read(&self.path)?;
         let (records, _) = scan_records(&bytes)?;
 
+        // Rewrite even when no record is at or below `epoch`: a retry after a
+        // failed `sync_dir` must sync again, or a power cut undoes the rename.
         let mut out = Vec::new();
         out.extend_from_slice(&header_bytes());
         for (record_epoch, delta) in &records {
