@@ -31,9 +31,10 @@
 //! bootstrap alone (`Follower::open`, no sync) at n=120, both without a
 //! gate. The `median` suite times the warm
 //! Theorem 4 median Top-k, the `clustering` suite the warm
-//! `Clustering{restarts: 4}` query, and the `kendall` suite the warm
-//! `TopK{Kendall}` query and its exact `E[d_K]` evaluator alone; none of
-//! them carries a gate.
+//! `Clustering{restarts: 4}` query, the `kendall` suite the warm
+//! `TopK{Kendall}` query and its exact `E[d_K]` evaluator alone, and the
+//! `kernels` suite the library kernels that no other row and no
+//! `experiments` scaling table times; none of them carries a gate.
 
 use cpdb_bench::experiments::scaling_tree;
 use cpdb_bench::sample::{time_ms, Sample};
@@ -41,9 +42,17 @@ use cpdb_bench::{
     fault_recovery, observability, persistence, query_throughput, rank_artifacts, replication,
     update_throughput, Table,
 };
-use cpdb_consensus::topk::{kendall, median_dp};
-use cpdb_consensus::TopKContext;
+use cpdb_consensus::aggregate::GroupByInstance;
+use cpdb_consensus::topk::{footrule, kendall, median_dp};
+use cpdb_consensus::{baselines, jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{ConsensusEngineBuilder, Query, TopKMetric, Variant};
+use cpdb_model::{PossibleWorld, WorldModel};
+use cpdb_rankagg::TopKList;
+use cpdb_workloads::{
+    random_groupby_instance, random_tuple_independent, GroupByConfig, TupleIndependentConfig,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
@@ -89,6 +98,15 @@ const KENDALL_KS: [usize; 2] = [5, 10];
 const KENDALL_REPS: usize = 15;
 /// The evaluator alone takes well under a millisecond.
 const KENDALL_EVALUATOR_REPS: usize = 60;
+/// The kernels suite runs on E12's instance: `(n, k)` plus the sample count
+/// of the two sampled baselines.
+const KERNEL_NK: (usize, usize) = (300, 10);
+const KERNEL_SAMPLES: usize = 500;
+const KERNEL_REPS: usize = 7;
+/// Tuples of the enumerated Jaccard oracle (`2^n` worlds).
+const ORACLE_TUPLES: usize = 8;
+/// Groups of the kernels suite's group-by instance.
+const KERNEL_GROUPS: usize = 16;
 
 /// What a row measured: a timing over repeated samples, or one value.
 enum Measure {
@@ -418,6 +436,72 @@ fn kendall_suite(ns: &[usize], ks: &[usize], reps: usize, evaluator_reps: usize)
     s
 }
 
+/// Library kernels that no experiment scaling table and no other ledger row
+/// times: the closed-form expected distances of a given answer, the three
+/// ranking baselines the serving batch does not run, the group-by mean and
+/// the enumerated Jaccard oracle. None carries a gate.
+fn kernel_suite(n: usize, k: usize, samples: usize, reps: usize) -> Suite {
+    let mut s = Suite::new("kernels");
+    let db = random_tuple_independent(&TupleIndependentConfig {
+        num_tuples: n,
+        seed: SEED,
+        ..Default::default()
+    });
+    let ti_tree =
+        cpdb_andxor::convert::from_tuple_independent(&db).expect("generated relations are valid");
+    let half: Vec<_> = db.tuples().iter().take(n / 2).map(|(a, _)| *a).collect();
+    let half = PossibleWorld::from_trusted(half);
+    let mean = set_distance::mean_world(&ti_tree);
+    let row = format!("tuple-independent n={n}");
+    let sample = time_ms(reps, || set_distance::expected_distance(&ti_tree, &mean));
+    s.timing(&row, "sym_diff_expected_distance", "ms", &sample);
+    let sample = time_ms(reps, || jaccard::expected_jaccard_distance(&ti_tree, &half));
+    s.timing(&row, "jaccard_expected_distance", "ms", &sample);
+    let worlds = random_tuple_independent(&TupleIndependentConfig {
+        num_tuples: ORACLE_TUPLES,
+        seed: SEED,
+        ..Default::default()
+    })
+    .enumerate_worlds();
+    let row = format!("tuple-independent n={ORACLE_TUPLES}");
+    let sample = time_ms(reps, || {
+        oracle::brute_force_mean_world(&worlds, |a, w| a.jaccard_distance(w))
+    });
+    s.timing(&row, "jaccard_oracle_mean_world", "ms", &sample);
+
+    let tree = scaling_tree(n, SEED);
+    let ctx = TopKContext::new(&tree, k);
+    let first_k = TopKList::new(tree.keys().iter().take(k).map(|t| t.0).collect())
+        .expect("tree keys are distinct");
+    let row = format!("topk n={n} k={k}");
+    let sample = time_ms(reps, || {
+        footrule::expected_footrule_distance(&ctx, &first_k)
+    });
+    s.timing(&row, "footrule_expected_distance", "ms", &sample);
+    let sample = time_ms(reps, || baselines::expected_score_topk(&tree, k));
+    s.timing(&row, "expected_score", "ms", &sample);
+    let row = format!("topk n={n} k={k} samples={samples}");
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let sample = time_ms(reps, || {
+        baselines::expected_rank_topk(&tree, k, samples, &mut rng)
+    });
+    s.timing(&row, "expected_rank", "ms", &sample);
+    let sample = time_ms(reps, || baselines::u_topk(&tree, k, samples, &mut rng));
+    s.timing(&row, "u_topk", "ms", &sample);
+
+    let groupby = GroupByInstance::new(random_groupby_instance(&GroupByConfig {
+        num_tuples: n,
+        num_groups: KERNEL_GROUPS,
+        skew: 1.2,
+        seed: SEED,
+    }))
+    .expect("generated instances are valid");
+    let row = format!("groupby n={n} m={KERNEL_GROUPS}");
+    let sample = time_ms(reps, || groupby.mean_answer());
+    s.timing(&row, "mean_answer", "ms", &sample);
+    s
+}
+
 /// One line per failed gate, over every suite.
 fn failed_gates(suites: &[Suite]) -> Vec<String> {
     suites
@@ -602,6 +686,7 @@ fn main() -> ExitCode {
             KENDALL_REPS,
             KENDALL_EVALUATOR_REPS,
         ),
+        kernel_suite(KERNEL_NK.0, KERNEL_NK.1, KERNEL_SAMPLES, KERNEL_REPS),
     ];
     for table in summary(&suites) {
         table.print();
@@ -696,6 +781,20 @@ mod tests {
             };
             assert_eq!(t.reps(), 3);
             assert!(row.json().contains("\"suite\": \"median\""));
+        }
+    }
+
+    #[test]
+    fn kernel_suite_times_every_kernel_without_a_gate() {
+        let s = kernel_suite(12, 3, 20, 2);
+        assert!(s.gates.is_empty());
+        assert_eq!(s.rows.len(), 8);
+        for row in &s.rows {
+            let Measure::Timing(t) = &row.measure else {
+                panic!("{} is not a timing", row.row);
+            };
+            assert_eq!(t.reps(), 2);
+            assert!(row.json().contains("\"suite\": \"kernels\""));
         }
     }
 

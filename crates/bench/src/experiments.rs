@@ -1,19 +1,17 @@
 //! The experiment implementations (F1, F2, E1–E13).
 //!
 //! Every function returns one or more [`Table`]s; the `experiments` binary
-//! prints them (see the README's "Benchmarks" section). The Criterion
-//! benches in `benches/` time the same building blocks.
+//! prints them (see the README's "Benchmarks" section).
 
 use crate::table::Table;
 use cpdb_andxor::figure1;
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::clustering::brute_force_clustering;
-use cpdb_consensus::topk::{footrule, intersection, median_dp, sym_diff};
+use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
 use cpdb_consensus::{jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{
-    BaselineKind, ConsensusEngine, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy,
-    Query, SetMetric, TopKMetric, Variant,
+    BaselineKind, ConsensusEngine, ConsensusEngineBuilder, Query, SetMetric, TopKMetric, Variant,
 };
 use cpdb_model::{TupleKey, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
@@ -430,14 +428,9 @@ pub fn topk_intersection_tables() -> Vec<Table> {
         let tree = small_tree(seed);
         let ws = tree.enumerate_worlds();
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        // Two engines over the same tree: the exact assignment solver and the
-        // Υ_H shortcut, selected by the builder's approximation knob.
-        let exact_engine = validation_engine(tree.clone(), seed);
-        let upsilon_engine = ConsensusEngineBuilder::new(tree)
-            .seed(seed)
-            .intersection_strategy(IntersectionStrategy::Harmonic)
-            .build()
-            .expect("valid configuration");
+        // The engine serves the exact assignment; the Υ_H shortcut is the
+        // library function run on the engine's own rank context.
+        let exact_engine = validation_engine(tree, seed);
         for k in [2usize, 3] {
             let query = Query::TopK {
                 k,
@@ -448,10 +441,9 @@ pub fn topk_intersection_tables() -> Vec<Table> {
             let opt = answer.value.as_topk().expect("Top-k answer").clone();
             let cost = answer.expected_distance;
             let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
-            let approx_answer = upsilon_engine.run(&query).expect("supported");
-            let approx = approx_answer.value.as_topk().expect("Top-k answer");
             let ctx = exact_engine.context(k).expect("k is in range");
-            let ratio = intersection::objective_a(&ctx, approx)
+            let approx = intersection::mean_topk_upsilon_h(&ctx);
+            let ratio = intersection::objective_a(&ctx, &approx)
                 / intersection::objective_a(&ctx, &opt).max(1e-12);
             validation.add_row(vec![
                 seed.to_string(),
@@ -544,7 +536,7 @@ pub fn topk_footrule_tables() -> Vec<Table> {
 /// and footrule answers against the brute-force optimum.
 pub fn topk_kendall_table() -> Table {
     let mut t = Table::new(
-        "E8: Kendall-tau consensus answers (engine strategies) — measured approximation ratios",
+        "E8: Kendall-tau consensus answers (engine pivot, footrule proxy) — measured approximation ratios",
         &[
             "seed",
             "k",
@@ -557,13 +549,9 @@ pub fn topk_kendall_table() -> Table {
         let tree = small_tree(seed);
         let ws = tree.enumerate_worlds();
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        // One engine per Kendall strategy knob.
-        let pivot_engine = validation_engine(tree.clone(), seed);
-        let proxy_engine = ConsensusEngineBuilder::new(tree)
-            .seed(seed)
-            .kendall_strategy(KendallStrategy::FootruleProxy)
-            .build()
-            .expect("valid configuration");
+        // The engine serves the pivot; the footrule proxy is the library
+        // function run on the engine's own rank context.
+        let pivot_engine = validation_engine(tree, seed);
         for k in [2usize, 3] {
             let query = Query::TopK {
                 k,
@@ -578,13 +566,9 @@ pub fn topk_kendall_table() -> Table {
                 k,
                 kendall_tau_topk,
             );
-            let foot = proxy_engine.run(&query).expect("supported");
-            let foot_cost = oracle::expected_topk_distance(
-                foot.value.as_topk().expect("Top-k answer"),
-                &ws,
-                k,
-                kendall_tau_topk,
-            );
+            let ctx = pivot_engine.context(k).expect("k is in range");
+            let foot = kendall::mean_topk_kendall_via_footrule(&ctx);
+            let foot_cost = oracle::expected_topk_distance(&foot, &ws, k, kendall_tau_topk);
             let denom = opt.max(1e-12);
             t.add_row(vec![
                 seed.to_string(),
@@ -849,27 +833,9 @@ pub fn baselines_table() -> Table {
             (*name, answer.value.as_topk().expect("Top-k answer").clone())
         })
         .collect();
-    // The Υ_H shortcut comes from a second engine with the harmonic knob set.
-    let upsilon_engine = ConsensusEngineBuilder::new(engine.tree().clone())
-        .seed(7)
-        .intersection_strategy(IntersectionStrategy::Harmonic)
-        .build()
-        .expect("valid configuration");
-    let upsilon = upsilon_engine
-        .run(&Query::TopK {
-            k,
-            metric: TopKMetric::Intersection,
-            variant: Variant::Mean,
-        })
-        .expect("supported");
-    answers.insert(
-        3,
-        (
-            "Υ_H ranking",
-            upsilon.value.as_topk().expect("list").clone(),
-        ),
-    );
+    // The Υ_H shortcut is the library function on the engine's context.
     let ctx = engine.context(k).expect("k is in range");
+    answers.insert(3, ("Υ_H ranking", intersection::mean_topk_upsilon_h(&ctx)));
     let consensus_sym = answers[0].1.clone();
     for (name, answer) in answers {
         let overlap = answer.overlap(&consensus_sym);

@@ -1,15 +1,16 @@
-//! # cpdb-bench — experiment harness shared by the benches, the
-//! `experiments` binary and the `ledger` perf driver.
+//! # cpdb-bench — experiment harness shared by the `experiments` binary and
+//! the `ledger` perf driver.
 //!
 //! The paper has no empirical section, so the "tables and figures" this
 //! harness regenerates are (a) the two figures of the paper, reproduced
 //! exactly, and (b) one validation + one scaling experiment per algorithmic
 //! claim (E1–E13, listed in the `experiments` binary's docs).
 //!
-//! The heavy lifting lives here so that the Criterion benches and the
-//! `experiments` binary print exactly the same numbers. The workload modules
-//! below are the suites of the `ledger` binary, which times them with the one
-//! [`sample`] statistics type and writes `BENCH_ledger.json`.
+//! The experiment tables (E1–E13 validation and scaling) live in
+//! [`experiments`]. The workload modules below are the suites of the
+//! `ledger` binary, which times them with the one [`sample`] statistics type
+//! and writes `BENCH_ledger.json`; its ungated `kernels` suite times the
+//! library kernels that no scaling table covers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

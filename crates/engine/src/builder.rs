@@ -7,31 +7,6 @@ use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_obs::Obs;
 use std::ops::RangeInclusive;
 
-/// How Kendall-tau Top-k queries are approximated (the problem is NP-hard
-/// exactly, §5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KendallStrategy {
-    /// Seeded KwikSort over the pairwise-order tournament of every tuple,
-    /// best of `trials` runs. One cached tournament serves every `k`.
-    Pivot {
-        /// Number of randomised KwikSort runs to take the best of.
-        trials: usize,
-    },
-    /// Serve the footrule-optimal answer, a 2-approximation because the two
-    /// metrics are within a factor 2 of each other (Fagin et al.).
-    FootruleProxy,
-}
-
-/// How intersection-metric Top-k queries are solved (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntersectionStrategy {
-    /// The exact assignment formulation (Hungarian algorithm).
-    Assignment,
-    /// The Υ_H harmonic-ranking shortcut — `O(n log n)` instead of an
-    /// assignment solve, within `1/H_k` of the optimal objective.
-    Harmonic,
-}
-
 /// Builds a [`ConsensusEngine`] from an [`AndXorTree`] plus tuning knobs,
 /// validating the configuration with typed errors.
 ///
@@ -55,8 +30,6 @@ pub struct ConsensusEngineBuilder {
     tree: AndXorTree,
     seed: u64,
     k_range: Option<(usize, usize)>,
-    kendall: KendallStrategy,
-    intersection: IntersectionStrategy,
     groupby: Option<GroupByInstance>,
     threads: usize,
     obs: Obs,
@@ -64,17 +37,16 @@ pub struct ConsensusEngineBuilder {
 
 impl ConsensusEngineBuilder {
     /// Starts a builder for the given and/xor tree with default knobs:
-    /// seed 0, k-range `1..=n` (the number of distinct tuple keys), exact
-    /// intersection assignment, Kendall pivot with 8 trials, and an
-    /// automatic thread count for artifact builds.
+    /// seed 0, k-range `1..=n` (the number of distinct tuple keys), no
+    /// group-by instance, an automatic thread count and a disabled
+    /// observability sink. Each Top-k metric has one algorithm (see
+    /// [`crate::TopKMetric`]), so there is no solver to choose.
     #[must_use = "builder methods return the updated builder"]
     pub fn new(tree: AndXorTree) -> Self {
         ConsensusEngineBuilder {
             tree,
             seed: 0,
             k_range: None,
-            kendall: KendallStrategy::Pivot { trials: 8 },
-            intersection: IntersectionStrategy::Assignment,
             groupby: None,
             threads: 0,
             obs: Obs::disabled(),
@@ -97,20 +69,6 @@ impl ConsensusEngineBuilder {
     #[must_use = "builder methods return the updated builder"]
     pub fn k_range(mut self, range: RangeInclusive<usize>) -> Self {
         self.k_range = Some((*range.start(), *range.end()));
-        self
-    }
-
-    /// Approximation strategy for Kendall-tau Top-k queries.
-    #[must_use = "builder methods return the updated builder"]
-    pub fn kendall_strategy(mut self, strategy: KendallStrategy) -> Self {
-        self.kendall = strategy;
-        self
-    }
-
-    /// Solver for intersection-metric Top-k queries.
-    #[must_use = "builder methods return the updated builder"]
-    pub fn intersection_strategy(mut self, strategy: IntersectionStrategy) -> Self {
-        self.intersection = strategy;
         self
     }
 
@@ -173,19 +131,10 @@ impl ConsensusEngineBuilder {
                 ),
             });
         }
-        if let KendallStrategy::Pivot { trials } = self.kendall {
-            if trials == 0 {
-                return Err(EngineError::InvalidConfig {
-                    context: "Kendall pivot needs at least 1 trial".to_string(),
-                });
-            }
-        }
         Ok(ConsensusEngine::from_parts(
             self.tree,
             self.seed,
             (lo, hi),
-            self.kendall,
-            self.intersection,
             self.groupby,
             self.threads,
             self.obs,
@@ -237,11 +186,5 @@ mod tests {
             .k_range(3..=1)
             .build();
         assert!(matches!(reversed, Err(EngineError::InvalidConfig { .. })));
-        assert!(matches!(
-            ConsensusEngineBuilder::new(tiny_tree())
-                .kendall_strategy(KendallStrategy::Pivot { trials: 0 })
-                .build(),
-            Err(EngineError::InvalidConfig { .. })
-        ));
     }
 }

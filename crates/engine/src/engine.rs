@@ -3,7 +3,6 @@
 //! parallel batch dispatch.
 
 use crate::answer::{Answer, Optimality, Value};
-use crate::builder::{IntersectionStrategy, KendallStrategy};
 use crate::delta::DeltaReport;
 use crate::error::EngineError;
 use crate::export::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
@@ -218,6 +217,9 @@ fn slot_get_or_build<'a, T>(
 /// Leaf-count ceiling for exhaustive U-Top-k world enumeration.
 const UTOPK_EXACT_LEAF_BUDGET: usize = 20;
 
+/// Randomised KwikSort runs a Kendall Top-k query takes the best of.
+const KENDALL_PIVOT_TRIALS: usize = 8;
+
 /// Which model class the engine's tree belongs to — decides whether the
 /// Jaccard prefix scans carry their proven guarantees (Lemma 2 is stated for
 /// tuple-independent relations, the §4.2 median scan for BID relations).
@@ -280,8 +282,6 @@ pub struct ConsensusEngine {
     shape: TreeShape,
     seed: u64,
     k_range: (usize, usize),
-    kendall: KendallStrategy,
-    intersection: IntersectionStrategy,
     groupby: Option<GroupByInstance>,
     /// Thread count for batch artifact builds and [`Self::run_batch`] query
     /// dispatch (`0` = auto); answers never depend on it, only latency does.
@@ -319,8 +319,6 @@ impl Clone for ConsensusEngine {
             shape: self.shape,
             seed: self.seed,
             k_range: self.k_range,
-            kendall: self.kendall,
-            intersection: self.intersection,
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(self.resident_slot().carried(true)),
@@ -335,13 +333,10 @@ impl Clone for ConsensusEngine {
 }
 
 impl ConsensusEngine {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         tree: AndXorTree,
         seed: u64,
         k_range: (usize, usize),
-        kendall: KendallStrategy,
-        intersection: IntersectionStrategy,
         groupby: Option<GroupByInstance>,
         threads: usize,
         obs: cpdb_obs::Obs,
@@ -352,8 +347,6 @@ impl ConsensusEngine {
             shape,
             seed,
             k_range,
-            kendall,
-            intersection,
             groupby,
             threads,
             context: RwLock::default(),
@@ -688,20 +681,9 @@ impl ConsensusEngine {
                 (answer, distance, Optimality::Exact)
             }
             TopKMetric::Intersection => {
-                let (answer, optimality) = match self.intersection {
-                    IntersectionStrategy::Assignment => (
-                        intersection::mean_topk_intersection(&ctx),
-                        Optimality::Exact,
-                    ),
-                    IntersectionStrategy::Harmonic => (
-                        intersection::mean_topk_upsilon_h(&ctx),
-                        Optimality::Approx {
-                            factor: intersection::harmonic(k),
-                        },
-                    ),
-                };
+                let answer = intersection::mean_topk_intersection(&ctx);
                 let distance = intersection::expected_intersection_distance(&ctx, &answer);
-                (answer, distance, optimality)
+                (answer, distance, Optimality::Exact)
             }
             TopKMetric::Footrule => {
                 let answer = footrule::mean_topk_footrule(&ctx);
@@ -710,17 +692,12 @@ impl ConsensusEngine {
             }
             TopKMetric::Kendall => {
                 let mut rng = self.query_rng(query);
-                let answer = match self.kendall {
-                    KendallStrategy::Pivot { trials } => {
-                        kendall::mean_topk_kendall_pivot_from_prefs(
-                            &ctx,
-                            self.preference_matrix(),
-                            trials,
-                            &mut rng,
-                        )
-                    }
-                    KendallStrategy::FootruleProxy => kendall::mean_topk_kendall_via_footrule(&ctx),
-                };
+                let answer = kendall::mean_topk_kendall_pivot_from_prefs(
+                    &ctx,
+                    self.preference_matrix(),
+                    KENDALL_PIVOT_TRIALS,
+                    &mut rng,
+                );
                 // E[d_K] is exact: truncated generating-function sweeps,
                 // no sampled worlds. Only the pivot draws from the query RNG.
                 let distance = kendall::expected_kendall_distance(&self.tree, &ctx, &answer);
@@ -879,8 +856,8 @@ impl ConsensusEngine {
     /// The per-artifact decisions come back as a [`DeltaReport`]; the running
     /// totals accumulate in [`CacheStats::delta_kept`] /
     /// [`CacheStats::delta_patched`] / [`CacheStats::delta_invalidated`] on
-    /// the returned engine. Configuration (seed, k-range, strategies,
-    /// threads, group-by) is inherited unchanged — in particular a k-range
+    /// the returned engine. Configuration (seed, k-range, threads,
+    /// group-by) is inherited unchanged — in particular a k-range
     /// defaulted at build time does not widen when tuples are inserted.
     pub fn apply_delta(
         &self,
@@ -1011,8 +988,6 @@ impl ConsensusEngine {
             shape,
             seed: self.seed,
             k_range: self.k_range,
-            kendall: self.kendall,
-            intersection: self.intersection,
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(context),
@@ -1067,8 +1042,6 @@ impl ConsensusEngine {
             tree: self.tree.to_raw(),
             seed: self.seed,
             k_range: self.k_range,
-            kendall: self.kendall,
-            intersection: self.intersection,
             threads: self.threads,
             groupby: self.groupby.as_ref().map(|g| g.probabilities().to_vec()),
             context,
@@ -1097,8 +1070,6 @@ impl ConsensusEngine {
         let mut builder = crate::builder::ConsensusEngineBuilder::new(tree)
             .seed(export.seed)
             .k_range(export.k_range.0..=export.k_range.1)
-            .kendall_strategy(export.kendall)
-            .intersection_strategy(export.intersection)
             .threads(export.threads);
         if let Some(probs) = &export.groupby {
             builder = builder.groupby(GroupByInstance::new(probs.clone())?);
@@ -2124,55 +2095,59 @@ mod tests {
     fn one_context_serves_a_k_sweep_in_either_order() {
         let tree = bid_tree();
         let n = tree.keys().len();
-        for strategy in [
-            IntersectionStrategy::Assignment,
-            IntersectionStrategy::Harmonic,
-        ] {
-            let build = || {
-                ConsensusEngineBuilder::new(tree.clone())
-                    .seed(11)
-                    .intersection_strategy(strategy)
-                    .build()
-                    .unwrap()
-            };
-            // Each k answered by an engine whose context was built at that
-            // k: `TopKContext::new(tree, k)` fed to the same §5 functions.
-            let fresh: Vec<_> = (1..=n)
-                .map(|k| build().run_batch_serial(&rank_queries(k)))
-                .collect();
-            let engine = build();
-            let sweep = |ks: Vec<usize>| {
-                for k in ks {
-                    let got = engine.run_batch_serial(&rank_queries(k));
-                    for ((query, got), want) in rank_queries(k).iter().zip(got).zip(&fresh[k - 1]) {
-                        let (got, want) = (got.unwrap(), want.as_ref().unwrap());
-                        assert_eq!(got.value, want.value, "{query:?}");
-                        assert_eq!(
-                            got.expected_distance.to_bits(),
-                            want.expected_distance.to_bits(),
-                            "{query:?}"
-                        );
-                        assert_eq!(got.optimality, want.optimality, "{query:?}");
-                    }
+        let build = || {
+            ConsensusEngineBuilder::new(tree.clone())
+                .seed(11)
+                .build()
+                .unwrap()
+        };
+        // Each k answered by an engine whose context was built at that
+        // k: `TopKContext::new(tree, k)` fed to the same §5 functions.
+        let fresh: Vec<_> = (1..=n)
+            .map(|k| build().run_batch_serial(&rank_queries(k)))
+            .collect();
+        let engine = build();
+        let sweep = |ks: Vec<usize>| {
+            for k in ks {
+                let got = engine.run_batch_serial(&rank_queries(k));
+                for ((query, got), want) in rank_queries(k).iter().zip(got).zip(&fresh[k - 1]) {
+                    let (got, want) = (got.unwrap(), want.as_ref().unwrap());
+                    assert_eq!(got.value, want.value, "{query:?}");
+                    assert_eq!(
+                        got.expected_distance.to_bits(),
+                        want.expected_distance.to_bits(),
+                        "{query:?}"
+                    );
+                    assert_eq!(got.optimality, want.optimality, "{query:?}");
                 }
-            };
-            sweep((1..=n).collect());
-            assert_eq!(engine.cache_stats().rank_context_builds, n);
-            sweep((1..=n).rev().collect());
-            assert_eq!(engine.cache_stats().rank_context_builds, n);
-
-            // One context stays resident: every view shares one slab at K = n.
-            for k in 1..=n {
-                let view = engine.context(k).unwrap();
-                assert_eq!((view.k(), view.slab_len()), (k, n * 3 * n));
-                let bits = |rows: Vec<f64>| rows.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(view.pmf_rows()),
-                    bits(TopKContext::new(&tree, k).pmf_rows())
-                );
             }
-            assert_eq!(engine.cache_stats().rank_context_builds, n);
+        };
+        sweep((1..=n).collect());
+        assert_eq!(engine.cache_stats().rank_context_builds, n);
+        sweep((1..=n).rev().collect());
+        assert_eq!(engine.cache_stats().rank_context_builds, n);
+
+        // One context stays resident: every view shares one slab at K = n,
+        // and the library's Υ_H shortcut reads a column-prefix view exactly
+        // as it reads a context built at that k.
+        for k in 1..=n {
+            let view = engine.context(k).unwrap();
+            assert_eq!((view.k(), view.slab_len()), (k, n * 3 * n));
+            let own = TopKContext::new(&tree, k);
+            let bits = |rows: Vec<f64>| rows.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(view.pmf_rows()), bits(own.pmf_rows()));
+            let (got, want) = (
+                intersection::mean_topk_upsilon_h(&view),
+                intersection::mean_topk_upsilon_h(&own),
+            );
+            assert_eq!(got, want, "k={k}");
+            assert_eq!(
+                intersection::expected_intersection_distance(&view, &got).to_bits(),
+                intersection::expected_intersection_distance(&own, &want).to_bits(),
+                "k={k}"
+            );
         }
+        assert_eq!(engine.cache_stats().rank_context_builds, n);
     }
 
     #[test]

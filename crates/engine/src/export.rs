@@ -6,8 +6,8 @@
 //! exporting engine without rebuilding its expensive artifacts:
 //!
 //! * the flattened and/xor tree ([`cpdb_andxor::RawTree`]);
-//! * every configuration knob (seed, k-range, strategies, sample counts,
-//!   thread count, the optional group-by matrix);
+//! * every configuration knob (seed, k-range, thread count, the optional
+//!   group-by matrix);
 //! * every artifact the engine had actually *built* at export time: the one
 //!   rank-PMF context (built at the largest `k` the engine has served; its
 //!   column prefixes serve every smaller `k`), the Kendall preference matrix
@@ -25,7 +25,6 @@
 //! configuration through the ordinary constructors, so corrupt data surfaces
 //! as typed errors rather than invalid engines.
 
-use crate::builder::{IntersectionStrategy, KendallStrategy};
 use cpdb_andxor::RawTree;
 
 /// The exported rank-PMF context: the raw `Pr(r(t) = i)` table the resident
@@ -71,10 +70,6 @@ pub struct EngineExport {
     pub seed: u64,
     /// Admissible `(lo, hi)` Top-k range.
     pub k_range: (usize, usize),
-    /// Kendall Top-k strategy.
-    pub kendall: KendallStrategy,
-    /// Intersection-metric strategy.
-    pub intersection: IntersectionStrategy,
     /// Thread count for artifact builds and batch dispatch (`0` = auto).
     pub threads: usize,
     /// The group-by probability matrix, if an instance is attached.

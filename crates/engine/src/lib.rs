@@ -10,7 +10,7 @@
 //!
 //! This crate exposes it as one API. A [`ConsensusEngine`] is built from a
 //! probabilistic and/xor tree via [`ConsensusEngineBuilder`] (seed, k-range,
-//! approximation knobs); every consensus notion is a [`Query`]; and
+//! thread count; one algorithm per metric); every consensus notion is a [`Query`]; and
 //! [`ConsensusEngine::run`] returns a uniform [`Answer`] carrying the result,
 //! its expected distance, and an [`Optimality`] tag (`Exact` /
 //! `Approx { factor }` / `Heuristic`).
@@ -78,7 +78,7 @@ mod obs;
 mod query;
 
 pub use answer::{Answer, Optimality, Value};
-pub use builder::{ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy};
+pub use builder::ConsensusEngineBuilder;
 pub use delta::{ArtifactDecision, DeltaReport};
 pub use engine::{CacheStats, ConsensusEngine};
 pub use error::EngineError;

@@ -30,12 +30,14 @@ pub enum SetMetric {
 pub enum TopKMetric {
     /// Normalised symmetric difference `d_Δ` — membership only (Theorems 3–4).
     SymmetricDifference,
-    /// Intersection metric `d_I` — prefix-aware (§5.3).
+    /// Intersection metric `d_I` — prefix-aware (§5.3). Served exactly by
+    /// the assignment formulation (Hungarian algorithm).
     Intersection,
     /// Spearman footrule `F^{(k+1)}` — position-aware (§5.4 / Figure 2).
     Footrule,
     /// Kendall tau `K^{(0)}` — pairwise-order-aware; NP-hard exactly, served
-    /// by a constant-factor approximation (§5.5).
+    /// by a constant-factor approximation (§5.5): seeded KwikSort over the
+    /// pairwise-order tournament of every tuple, best of 8 runs.
     Kendall,
 }
 

@@ -6,10 +6,7 @@
 
 use crate::StoreError;
 use cpdb_andxor::{NodeKind, RawDelta, RawNode, RawTree};
-use cpdb_engine::{
-    CoClusterExport, EngineExport, IntersectionStrategy, KendallStrategy, PreferenceExport,
-    RankContextExport,
-};
+use cpdb_engine::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
 
 /// Append-only byte buffer with typed little-endian writers.
 #[derive(Debug, Default)]
@@ -328,26 +325,10 @@ pub fn decode_delta(r: &mut ByteReader<'_>) -> Result<RawDelta, StoreError> {
 
 // ---------------------------------------------------------------- config
 
-const KENDALL_PIVOT: u8 = 0;
-const KENDALL_FOOTRULE_PROXY: u8 = 1;
-const INTERSECTION_ASSIGNMENT: u8 = 0;
-const INTERSECTION_HARMONIC: u8 = 1;
-
 pub fn encode_config(w: &mut ByteWriter, e: &EngineExport) {
     w.put_u64(e.seed);
     w.put_usize(e.k_range.0);
     w.put_usize(e.k_range.1);
-    match e.kendall {
-        KendallStrategy::Pivot { trials } => {
-            w.put_u8(KENDALL_PIVOT);
-            w.put_usize(trials);
-        }
-        KendallStrategy::FootruleProxy => w.put_u8(KENDALL_FOOTRULE_PROXY),
-    }
-    w.put_u8(match e.intersection {
-        IntersectionStrategy::Assignment => INTERSECTION_ASSIGNMENT,
-        IntersectionStrategy::Harmonic => INTERSECTION_HARMONIC,
-    });
     w.put_usize(e.threads);
     match &e.groupby {
         None => w.put_u8(0),
@@ -370,26 +351,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
     let seed = r.get_u64()?;
     let k_lo = r.get_u64()? as usize;
     let k_hi = r.get_u64()? as usize;
-    let kendall = match r.get_u8()? {
-        KENDALL_PIVOT => KendallStrategy::Pivot {
-            trials: r.get_u64()? as usize,
-        },
-        KENDALL_FOOTRULE_PROXY => KendallStrategy::FootruleProxy,
-        other => {
-            return Err(StoreError::Corrupt {
-                context: format!("unknown Kendall strategy tag {other}"),
-            })
-        }
-    };
-    let intersection = match r.get_u8()? {
-        INTERSECTION_ASSIGNMENT => IntersectionStrategy::Assignment,
-        INTERSECTION_HARMONIC => IntersectionStrategy::Harmonic,
-        other => {
-            return Err(StoreError::Corrupt {
-                context: format!("unknown intersection strategy tag {other}"),
-            })
-        }
-    };
     let threads = r.get_u64()? as usize;
     let groupby = match r.get_u8()? {
         0 => None,
@@ -416,8 +377,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
         tree,
         seed,
         k_range: (k_lo, k_hi),
-        kendall,
-        intersection,
         threads,
         groupby,
         context: None,
@@ -569,27 +528,18 @@ mod tests {
     }
 
     #[test]
-    fn kendall_config_round_trips_without_a_pool_slot() {
+    fn config_layout_is_seed_k_range_threads_then_groupby() {
         let tree = RawTree {
             nodes: vec![RawNode::Leaf { key: 1, value: 1.0 }],
             root: 0,
         };
-        for (kendall, tag, trials) in [
-            (
-                KendallStrategy::Pivot { trials: 8 },
-                KENDALL_PIVOT,
-                Some(8u64),
-            ),
-            (KendallStrategy::FootruleProxy, KENDALL_FOOTRULE_PROXY, None),
-        ] {
+        for groupby in [None, Some(vec![vec![0.25, 0.75]])] {
             let config = EngineExport {
                 tree: tree.clone(),
                 seed: 7,
                 k_range: (1, 3),
-                kendall,
-                intersection: IntersectionStrategy::Assignment,
                 threads: 2,
-                groupby: None,
+                groupby: groupby.clone(),
                 context: None,
                 prefs: None,
                 cocluster: None,
@@ -598,18 +548,23 @@ mod tests {
             let mut w = ByteWriter::new();
             encode_config(&mut w, &config);
             let bytes = w.into_bytes();
-            // Seed, k-range, the strategy tag and only the pivot's trials.
+            // Seed, k-range, threads, then the group-by presence tag and
+            // (when present) its shape and row-major probabilities.
             let mut layout = ByteWriter::new();
-            for field in [7u64, 1, 3] {
+            for field in [7u64, 1, 3, 2] {
                 layout.put_u64(field);
             }
-            layout.put_u8(tag);
-            if let Some(trials) = trials {
-                layout.put_u64(trials);
+            match &groupby {
+                None => layout.put_u8(0),
+                Some(rows) => {
+                    layout.put_u8(1);
+                    layout.put_usize(rows.len());
+                    layout.put_usize(rows[0].len());
+                    for &p in rows.iter().flatten() {
+                        layout.put_f64(p);
+                    }
+                }
             }
-            layout.put_u8(INTERSECTION_ASSIGNMENT);
-            layout.put_u64(2);
-            layout.put_u8(0);
             assert_eq!(bytes, layout.into_bytes());
             let mut r = ByteReader::new(&bytes, "config");
             assert_eq!(decode_config(&mut r, tree.clone()).unwrap(), config);

@@ -33,8 +33,8 @@
 //!
 //! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`, version 6; see
-//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 5).
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 7; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 6).
 //! Only the tree section carries tuple keys: the one rank-context, preference
 //! and co-clustering sections are bare `f64` arrays over the tree's sorted
 //! keys, and the marginal section one over its sorted alternatives:
@@ -42,7 +42,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (6), little-endian `u32` |
+//! | version | 4 | format version (7), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |

@@ -31,6 +31,13 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
 ///
+/// Version 7 dropped the Top-k strategy fields from the config section,
+/// which is now seed, k-range, thread count and the optional group-by
+/// matrix: each Top-k metric has one algorithm, so there is no solver to
+/// persist. Version 6 held, after the k-range, a Kendall strategy tag
+/// (pivot or footrule proxy), the pivot's trial count (present only for
+/// the pivot) and an intersection strategy tag (assignment or Υ_H).
+///
 /// Version 6 dropped the Kendall sample count from the config section:
 /// Kendall answers report their `E[d_K]` exactly, so the engine has no
 /// sample count to persist.
@@ -47,7 +54,7 @@ const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// preference section, version 2 from the co-clustering section. Images of
 /// any earlier version are refused with [`StoreError::UnsupportedVersion`];
 /// no decoder for them is kept.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -413,6 +420,11 @@ mod tests {
     #[test]
     fn version_5_images_are_refused() {
         assert_version_refused(5);
+    }
+
+    #[test]
+    fn version_6_images_are_refused() {
+        assert_version_refused(6);
     }
 
     #[test]

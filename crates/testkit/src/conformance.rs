@@ -18,8 +18,7 @@ use cpdb_consensus::jaccard::JaccardConsensus;
 use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
 use cpdb_consensus::{baselines, clustering, jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{
-    BaselineKind, CacheStats, ConsensusEngineBuilder, IntersectionStrategy, KendallStrategy, Query,
-    SetMetric, TopKMetric, Variant,
+    BaselineKind, CacheStats, ConsensusEngineBuilder, Query, SetMetric, TopKMetric, Variant,
 };
 use cpdb_model::{Alternative, BidDb, PossibleWorld, TupleIndependentDb, TupleKey, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
@@ -770,7 +769,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
             }
             (TopKMetric::Kendall, Variant::Mean) => {
                 // Replay the engine's owned RNG stream through the free
-                // function (8 trials: the default knob).
+                // function (8 trials, as the engine runs it).
                 let mut rng = engine.query_rng(query);
                 let list = kendall::mean_topk_kendall_pivot(tree, &ctx, 8, &mut rng);
                 let d = kendall::expected_kendall_distance(tree, &ctx, &list);
@@ -805,50 +804,6 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
         "engine rebuilt rank PMFs within a batch: {stats:?}"
     );
     checks += 1;
-
-    // --- Approximation-knob strategies. ---
-    let k = n.clamp(1, 2);
-    let ctx = TopKContext::new(tree, k);
-    let harmonic_engine = ConsensusEngineBuilder::new(tree.clone())
-        .seed(seed)
-        .intersection_strategy(IntersectionStrategy::Harmonic)
-        .build()
-        .expect("valid configuration");
-    let got = harmonic_engine
-        .run(&Query::TopK {
-            k,
-            metric: TopKMetric::Intersection,
-            variant: Variant::Mean,
-        })
-        .expect("supported");
-    assert_eq!(
-        got.value.as_topk().expect("list"),
-        &intersection::mean_topk_upsilon_h(&ctx),
-        "engine Υ_H strategy diverges"
-    );
-    let proxy_engine = ConsensusEngineBuilder::new(tree.clone())
-        .seed(seed)
-        .kendall_strategy(KendallStrategy::FootruleProxy)
-        .build()
-        .expect("valid configuration");
-    let q = Query::TopK {
-        k,
-        metric: TopKMetric::Kendall,
-        variant: Variant::Mean,
-    };
-    let got = proxy_engine.run(&q).expect("supported");
-    let proxy_list = got.value.as_topk().expect("list");
-    assert_eq!(
-        proxy_list,
-        &kendall::mean_topk_kendall_via_footrule(&ctx),
-        "engine footrule-proxy strategy diverges"
-    );
-    assert_close(
-        "engine footrule-proxy E[d_K] vs oracle",
-        got.expected_distance,
-        kendall::expected_kendall_distance_enumerated(tree, &ctx, proxy_list),
-    );
-    checks += 3;
 
     // --- Set consensus. ---
     let set_mean = engine
@@ -913,6 +868,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
     checks += 2;
 
     // --- Baselines. ---
+    let k = n.clamp(1, 2);
+    let ctx = TopKContext::new(tree, k);
     for kind in [
         BaselineKind::ExpectedScore { k },
         BaselineKind::ExpectedRank {

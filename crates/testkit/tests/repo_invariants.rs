@@ -208,8 +208,37 @@ fn kendall_distance_is_never_sampled_outside_the_testkit() {
     );
 }
 
+/// Each Top-k metric has one algorithm on the serving path: the engine has
+/// no solver to choose, so no workspace source names a strategy type or sets
+/// one on the builder.
+#[test]
+fn topk_metrics_have_no_strategy_knob() {
+    // Split so this file does not match itself.
+    let needles = [
+        concat!("Kendall", "Strategy"),
+        concat!("Intersection", "Strategy"),
+        concat!(".kendall", "_strategy("),
+        concat!(".intersection", "_strategy("),
+    ];
+    let mut named = Vec::new();
+    for path in workspace_sources() {
+        let src = std::fs::read_to_string(&path).expect("source is readable");
+        for needle in needles {
+            if src.contains(needle) {
+                named.push(format!("{}: {needle}", path.display()));
+            }
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "a Top-k strategy knob is named: {named:?}"
+    );
+}
+
 /// Every perf number comes from the one `ledger` driver and lands in
-/// `BENCH_ledger.json`: no per-suite emitter binary or bench JSON grows back.
+/// `BENCH_ledger.json`: no per-suite emitter binary or bench JSON grows back,
+/// and no second timing harness (bench targets or a vendored bench crate)
+/// returns beside it.
 #[test]
 fn perf_numbers_have_one_driver_and_one_ledger() {
     let names_in = |dir: PathBuf| -> Vec<String> {
@@ -233,4 +262,10 @@ fn perf_numbers_have_one_driver_and_one_ledger() {
         .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
         .collect();
     assert_eq!(bench_json, ["BENCH_ledger.json"]);
+    for dir in ["crates/bench/benches", "vendor/criterion"] {
+        assert!(
+            !workspace_root().join(dir).exists(),
+            "{dir} is back: time kernels in the ledger or an experiments table"
+        );
+    }
 }

@@ -104,9 +104,8 @@ pub mod prelude {
     pub use cpdb_consensus::clustering::CoClusteringWeights;
     pub use cpdb_consensus::TopKContext;
     pub use cpdb_engine::{
-        Answer, BaselineKind, ConsensusEngine, ConsensusEngineBuilder, EngineError,
-        IntersectionStrategy, KendallStrategy, Optimality, Query, SetMetric, TopKMetric, Value,
-        Variant,
+        Answer, BaselineKind, ConsensusEngine, ConsensusEngineBuilder, EngineError, Optimality,
+        Query, SetMetric, TopKMetric, Value, Variant,
     };
     pub use cpdb_genfunc::{Poly1, Poly2, Truncation};
     pub use cpdb_live::{AppliedDelta, LiveEngine, Snapshot, TreeDelta};
