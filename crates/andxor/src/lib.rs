@@ -18,14 +18,14 @@
 //! assign a polynomial variable to each leaf, take products at ∧ nodes and
 //! probability-weighted mixtures at ∨ nodes, and read probabilities off the
 //! coefficients of the resulting polynomial. [`genfunc_eval`] implements that
-//! evaluation on top of `cpdb-genfunc`, and [`rank`] packages the specific
-//! computations the consensus algorithms need: world-size distributions,
-//! membership counts, rank distributions `Pr(r(t) = i)` / `Pr(r(t) ≤ k)`,
-//! pairwise order probabilities `Pr(r(t_i) < r(t_j))`, and attribute
-//! co-occurrence probabilities. [`batch`] computes the same statistics for
-//! *all* tuples/pairs at once in shared sweeps (the fast path behind
-//! `TopKContext`, Kendall tournaments, and co-clustering weights), with
-//! optional `std::thread` parallelism via `cpdb_parallel`.
+//! evaluation on top of `cpdb-genfunc` (world-size distributions, membership
+//! counts), and [`batch`] computes the statistics the consensus algorithms
+//! need — rank distributions `Pr(r(t) = i)`, pairwise order probabilities
+//! `Pr(r(t_i) < r(t_j))`, and co-clustering weights — for *all* tuples/pairs
+//! at once in shared sweeps (the path behind `TopKContext`, Kendall
+//! tournaments, and co-clustering weights), with optional `std::thread`
+//! parallelism via `cpdb_parallel`. The one-sweep-per-tuple forms of the
+//! same statistics are test oracles and live in `cpdb_testkit`.
 //!
 //! [`figure1`] reconstructs the paper's Figure 1 examples exactly and is used
 //! by the `figure1` experiment to reproduce the published generating
@@ -39,7 +39,6 @@ pub mod convert;
 pub mod figure1;
 pub mod genfunc_eval;
 pub mod mutate;
-pub mod rank;
 pub mod serial;
 pub mod tree;
 pub mod worlds;

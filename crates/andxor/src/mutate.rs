@@ -872,9 +872,11 @@ mod tests {
         let keys = grown.keys();
         assert_eq!((keys.len(), pmfs.len()), (5, 10));
         let at = keys.binary_search(&TupleKey(9)).unwrap();
-        let reference = grown.rank_pmf(TupleKey(9), 2);
+        let worlds = grown.enumerate_worlds();
         for i in 0..2 {
-            assert!((pmfs[at * 2 + i] - reference[i]).abs() < 1e-12);
+            let reference =
+                worlds.expectation(|w| f64::from(w.rank_of(TupleKey(9)) == Some(i + 1)));
+            assert!((pmfs[at * 2 + i] - reference).abs() < 1e-12);
         }
     }
 

@@ -18,7 +18,6 @@
 use cpdb_model::error::{validate_probability, ModelError};
 use cpdb_model::{fold_marginals, Alternative, TupleKey};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::OnceLock;
 
 /// Identifier of a node inside one tree/builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,7 +98,6 @@ impl AndXorTreeBuilder {
         let tree = AndXorTree {
             nodes: self.nodes,
             root,
-            alt_probs: OnceLock::new(),
         };
         tree.validate()?;
         Ok(tree)
@@ -107,35 +105,18 @@ impl AndXorTreeBuilder {
 }
 
 /// A validated probabilistic and/xor tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AndXorTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeId,
-    /// Lazily computed per-alternative marginal table, shared by every
-    /// statistic that needs the distinct alternatives of a key (rank PMFs,
-    /// pairwise order, cluster weights). Computed at most once per tree
-    /// instead of once per call.
-    alt_probs: OnceLock<Vec<(Alternative, f64)>>,
-}
-
-impl PartialEq for AndXorTree {
-    fn eq(&self, other: &Self) -> bool {
-        // The marginal cache is a derived quantity; equality is structural.
-        self.nodes == other.nodes && self.root == other.root
-    }
 }
 
 impl AndXorTree {
-    /// Assembles a tree from raw parts with a fresh (empty) marginal cache.
-    /// Crate-visible for the mutation layer ([`crate::mutate`]), which
-    /// validates separately; every public construction path still goes
-    /// through [`AndXorTreeBuilder::build`].
+    /// Assembles a tree from raw parts. Crate-visible for the mutation layer
+    /// ([`crate::mutate`]), which validates separately; every public
+    /// construction path still goes through [`AndXorTreeBuilder::build`].
     pub(crate) fn from_raw_parts(nodes: Vec<Node>, root: NodeId) -> Self {
-        AndXorTree {
-            nodes,
-            root,
-            alt_probs: OnceLock::new(),
-        }
+        AndXorTree { nodes, root }
     }
 
     /// The root node id.
@@ -401,17 +382,6 @@ impl AndXorTree {
     /// probabilities are summed in depth-first leaf order.
     pub fn alternative_probabilities(&self) -> Vec<(Alternative, f64)> {
         self.alternative_probabilities_where(&|_| true)
-    }
-
-    /// Cached variant of [`Self::alternative_probabilities`]: the table is
-    /// computed on first use and shared by every subsequent call (and across
-    /// threads — the cache is a [`OnceLock`]). All per-call statistic paths
-    /// (`rank_pmf`, `pairwise_order_probability`, `cluster_weight`) read this
-    /// accessor so repeated queries against one tree stop rebuilding the
-    /// marginal table from scratch.
-    pub fn alternative_probabilities_cached(&self) -> &[(Alternative, f64)] {
-        self.alt_probs
-            .get_or_init(|| self.alternative_probabilities())
     }
 
     /// The restriction of [`Self::alternative_probabilities`] to alternatives

@@ -114,7 +114,7 @@ impl WorldModel for AndXorTree {
     }
 
     fn alternative_probability(&self, alt: &Alternative) -> f64 {
-        let table = self.alternative_probabilities_cached();
+        let table = self.alternative_probabilities();
         table
             .binary_search_by(|(a, _)| a.cmp(alt))
             .map_or(0.0, |at| table[at].1)

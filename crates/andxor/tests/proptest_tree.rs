@@ -83,52 +83,6 @@ proptest! {
         }
     }
 
-    /// Rank distributions (Example 3) match enumeration for every tuple and
-    /// every rank.
-    #[test]
-    fn rank_pmf_matches_enumeration(tree in random_tree()) {
-        let ws = tree.enumerate_worlds();
-        let n = tree.keys().len();
-        for key in tree.keys() {
-            let pmf = tree.rank_pmf(key, n);
-            for i in 1..=n {
-                let brute: f64 = ws
-                    .worlds()
-                    .iter()
-                    .filter(|(w, _)| w.rank_of(key) == Some(i))
-                    .map(|(_, p)| *p)
-                    .sum();
-                prop_assert!(approx_eq_eps(pmf[i - 1], brute, 1e-9),
-                    "key {:?} rank {}: {} vs {}", key, i, pmf[i - 1], brute);
-            }
-        }
-    }
-
-    /// Pairwise order probabilities match enumeration and are antisymmetric
-    /// up to the probability that at least one of the two tuples is missing.
-    #[test]
-    fn pairwise_order_matches_enumeration(tree in random_tree()) {
-        let ws = tree.enumerate_worlds();
-        let keys = tree.keys();
-        for (x, &a) in keys.iter().enumerate() {
-            for &b in keys.iter().skip(x + 1) {
-                let p_ab = tree.pairwise_order_probability(a, b);
-                let p_ba = tree.pairwise_order_probability(b, a);
-                let brute_ab = ws.expectation(|w| match (w.rank_of(a), w.rank_of(b)) {
-                    (Some(ra), Some(rb)) => f64::from(ra < rb),
-                    (Some(_), None) => 1.0,
-                    _ => 0.0,
-                });
-                prop_assert!(approx_eq_eps(p_ab, brute_ab, 1e-9));
-                // p_ab + p_ba + Pr(both absent or tie) = 1; ties are impossible.
-                let both_absent = ws.expectation(|w| {
-                    f64::from(!w.contains_key(a) && !w.contains_key(b))
-                });
-                prop_assert!(approx_eq_eps(p_ab + p_ba + both_absent, 1.0, 1e-9));
-            }
-        }
-    }
-
     /// Sampling respects the enumerated distribution of a chosen statistic
     /// (here: the size of the sampled world), within Monte-Carlo tolerance.
     #[test]
@@ -147,25 +101,6 @@ proptest! {
             "sampled mean size {} vs expected {}", mean, expected);
     }
 
-    /// The cluster weight w_ij is a probability and matches enumeration.
-    #[test]
-    fn cluster_weights_match_enumeration(tree in random_tree()) {
-        let ws = tree.enumerate_worlds();
-        let keys = tree.keys();
-        for (x, &a) in keys.iter().enumerate() {
-            for &b in keys.iter().skip(x + 1) {
-                let w = tree.cluster_weight(a, b);
-                prop_assert!((0.0..=1.0 + 1e-9).contains(&w));
-                let brute = ws.expectation(|world| {
-                    match (world.value_of(a), world.value_of(b)) {
-                        (Some(x), Some(y)) => f64::from(x == y),
-                        _ => 0.0,
-                    }
-                });
-                prop_assert!(approx_eq_eps(w, brute, 1e-9));
-            }
-        }
-    }
 }
 
 /// Deterministic regression: a three-level nested tree mixing ∧ under ∨

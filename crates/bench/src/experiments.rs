@@ -619,7 +619,7 @@ pub fn rank_probability_table() -> Table {
             if x >= y {
                 continue;
             }
-            let exact = tree.pairwise_order_probability(a, b);
+            let exact = cpdb_testkit::rank::pairwise_order_probability(&tree, a, b);
             let sampled = counts[x][y] as f64 / samples as f64;
             t.add_row(vec![
                 format!("Pr(r({a}) < r({b}))"),

@@ -4,12 +4,14 @@
 //! per key for the rank-PMF table, one per ordered pair for the Kendall
 //! tournament, one per pair for the co-clustering weights. "Batch" is the
 //! single-sweep evaluator of `cpdb_andxor::batch` the engine now routes
-//! through.
+//! through. The legacy side runs the per-key references of
+//! [`cpdb_testkit::rank`].
 
 use crate::sample::{time_ms, Sample};
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::clustering::CoClusteringWeights;
 use cpdb_model::TupleKey;
+use cpdb_testkit::rank;
 use cpdb_workloads::{random_clustering_tree, ClusteringConfig};
 
 /// The scored-BID workload both rank-table and tournament measurements run
@@ -36,7 +38,7 @@ pub fn clustering_workload(n: usize, seed: u64) -> AndXorTree {
 pub fn legacy_rank_table(tree: &AndXorTree, k: usize) -> Vec<f64> {
     tree.keys()
         .into_iter()
-        .flat_map(|key| tree.rank_pmf(key, k))
+        .flat_map(|key| rank::rank_pmf(tree, key, k))
         .collect()
 }
 
@@ -54,7 +56,7 @@ pub fn legacy_tournament(tree: &AndXorTree, keys: &[TupleKey]) -> Vec<f64> {
     for (i, &a) in keys.iter().enumerate() {
         for (j, &b) in keys.iter().enumerate() {
             if i != j {
-                out[i * n + j] = tree.pairwise_order_probability(a, b);
+                out[i * n + j] = rank::pairwise_order_probability(tree, a, b);
             }
         }
     }
@@ -68,7 +70,7 @@ pub fn batch_tournament(tree: &AndXorTree, keys: &[TupleKey], threads: usize) ->
 
 /// Legacy co-clustering weights: one generating-function sweep per pair.
 pub fn legacy_cocluster(tree: &AndXorTree) -> CoClusteringWeights {
-    CoClusteringWeights::from_tree_per_pair(tree)
+    rank::coclustering_weights_per_pair(tree)
 }
 
 /// Batch co-clustering weights.
@@ -128,8 +130,8 @@ pub fn measure_cold_builds(
     let tree = rank_workload(n, seed);
     let keys = tree.keys();
     let ctree = clustering_workload(n, seed);
-    // Each literal evaluates its agreement check first: that untimed run
-    // warms the tree's shared caches before any timed one.
+    // Each literal evaluates its agreement check first: an untimed run
+    // before any timed one.
     vec![
         Comparison {
             name: "rank_pmf_table",

@@ -199,7 +199,7 @@ fn wal_append_precedes_publish_on_every_interleaving() {
 fn apply_all_is_atomic_under_every_interleaving() {
     let ex = Checker::new("apply-all-atomic")
         .max_schedules(MAX_SCHEDULES)
-        .preemptions(4)
+        .preemptions(5)
         .explore(|| {
             let live = Arc::new(LiveEngine::new(tiny_engine()));
             let snap = live.snapshot();

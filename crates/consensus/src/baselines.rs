@@ -63,22 +63,46 @@ pub fn expected_rank_topk<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TopKList {
     let keys = tree.keys();
-    let mut totals: HashMap<TupleKey, f64> = keys.iter().map(|&t| (t, 0.0)).collect();
-    for _ in 0..samples.max(1) {
-        let w = tree.sample_world(rng);
-        let m = w.len();
-        for &t in &keys {
-            let rank = w.rank_of(t).unwrap_or(m) as f64;
-            *totals.entry(t).or_insert(0.0) += rank;
-        }
-    }
+    let totals = rank_totals(tree, &keys, samples.max(1), rng);
     // Lower expected rank is better: negate so the shared helper can sort
     // descending.
-    let scores: HashMap<TupleKey, f64> = totals
+    let scores: HashMap<TupleKey, f64> = keys
         .into_iter()
+        .zip(totals)
         .map(|(t, total)| (t, -(total / samples.max(1) as f64)))
         .collect();
     take_topk_by(scores, k)
+}
+
+/// `Σ rank_pw(t)` over `samples` sampled worlds for each of the sorted
+/// `keys`, a key absent from a world of size `m` ranking `m`. Each world is
+/// sorted once (value descending, key ascending, as
+/// [`PossibleWorld::top_k`](cpdb_model::PossibleWorld::top_k) orders it) and
+/// ranks are read off positions: `O(n + m log m)` per sample where a
+/// `rank_of` call per key costs `O(n·m)`. The ranks are `rank_of`'s unless
+/// a world holds a NaN score or both `0.0` and `−0.0`.
+fn rank_totals<R: Rng + ?Sized>(
+    tree: &AndXorTree,
+    keys: &[TupleKey],
+    samples: usize,
+    rng: &mut R,
+) -> Vec<f64> {
+    let mut totals = vec![0.0; keys.len()];
+    let mut ranks = vec![0; keys.len()];
+    for _ in 0..samples {
+        let w = tree.sample_world(rng);
+        let m = w.len();
+        ranks.fill(m);
+        for (position, alt) in w.top_k(m).iter().enumerate() {
+            if let Ok(at) = keys.binary_search(&alt.key) {
+                ranks[at] = position + 1;
+            }
+        }
+        for (total, &rank) in totals.iter_mut().zip(&ranks) {
+            *total += rank as f64;
+        }
+    }
+    totals
 }
 
 /// **U-Top-k** (Soliman et al.): the most probable Top-k *sequence* — the
@@ -163,6 +187,32 @@ mod tests {
             (3, 80.0, 0.85),
             (4, 70.0, 0.4),
         ])
+    }
+
+    #[test]
+    fn rank_totals_match_a_rank_of_loop_bit_for_bit() {
+        let tied = independent_tree(&[(1, 5.0, 0.5), (2, 5.0, 0.7), (3, 9.0, 0.4), (4, 5.0, 0.9)]);
+        let trees = [
+            tree(),
+            tied,
+            cpdb_andxor::figure1::figure1_correlated_tree(),
+        ];
+        for t in &trees {
+            let keys = t.keys();
+            for seed in 0..4 {
+                let got = rank_totals(t, &keys, 200, &mut StdRng::seed_from_u64(seed));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut want = vec![0.0; keys.len()];
+                for _ in 0..200 {
+                    let w = t.sample_world(&mut rng);
+                    for (total, &key) in want.iter_mut().zip(&keys) {
+                        *total += w.rank_of(key).unwrap_or(w.len()) as f64;
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            }
+        }
     }
 
     #[test]

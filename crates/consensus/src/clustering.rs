@@ -22,7 +22,6 @@
 
 use cpdb_andxor::batch::upper_triangle_index;
 use cpdb_andxor::AndXorTree;
-use cpdb_genfunc::Truncation;
 use cpdb_model::TupleKey;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -56,26 +55,6 @@ impl CoClusteringWeights {
         // `AndXorTree::keys` is sorted and deduplicated.
         let keys = tree.keys();
         let tri = tree.batch_cocluster_weights(&keys, threads);
-        CoClusteringWeights { keys, tri }
-    }
-
-    /// The per-pair reference construction (one generating-function sweep per
-    /// pair), kept as the conformance baseline for the batch path and as the
-    /// legacy side of the perf ledger's `rank` suite.
-    pub fn from_tree_per_pair(tree: &AndXorTree) -> Self {
-        let keys = tree.keys();
-        let mut tri = Vec::with_capacity(triangle_len(keys.len()));
-        for (idx, &i) in keys.iter().enumerate() {
-            for &j in &keys[idx + 1..] {
-                let same_value = tree.cluster_weight(i, j);
-                // Pr(both absent): assign x to every leaf of either key; the
-                // coefficient of x^0 is the probability neither appears.
-                let both_absent = tree
-                    .genfunc1(Truncation::Degree(0), |a| a.key == i || a.key == j)
-                    .coeff(0);
-                tri.push((same_value + both_absent).clamp(0.0, 1.0));
-            }
-        }
         CoClusteringWeights { keys, tri }
     }
 
@@ -417,23 +396,6 @@ mod tests {
             }
         }
         total
-    }
-
-    #[test]
-    fn batch_weights_match_the_per_pair_reference() {
-        let tree = attribute_tree();
-        let batch = CoClusteringWeights::from_tree(&tree, 0);
-        let reference = CoClusteringWeights::from_tree_per_pair(&tree);
-        for (idx, &i) in batch.keys().iter().enumerate() {
-            for &j in batch.keys().iter().skip(idx + 1) {
-                assert!(
-                    (batch.weight(i, j) - reference.weight(i, j)).abs() < 1e-12,
-                    "w({i:?},{j:?}): batch {} vs per-pair {}",
-                    batch.weight(i, j),
-                    reference.weight(i, j)
-                );
-            }
-        }
     }
 
     #[test]

@@ -236,8 +236,7 @@ impl TopKContext {
     ///
     /// (split the sum at `j ≤ i` / `j > i`). This is the footrule hot path:
     /// it turns the assignment cost-matrix build from O(n·k²) into O(n·k).
-    /// [`crate::topk::footrule::placement_cost_direct`] keeps the direct
-    /// summation as the test reference.
+    /// The tests pin it to the direct summation.
     pub fn misplacement_mass(&self, t: TupleKey, i: usize) -> f64 {
         let Some(RankRow {
             prefix_mass: mass,

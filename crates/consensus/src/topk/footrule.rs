@@ -40,24 +40,10 @@ use cpdb_rankagg::TopKList;
 ///
 /// Served in O(1) per `(t, i)` from the per-tuple prefix sums cached in
 /// [`TopKContext`] ([`TopKContext::misplacement_mass`]), so the full n×k
-/// assignment cost matrix costs O(n·k) instead of O(n·k²).
-/// [`placement_cost_direct`] keeps the direct O(k) summation as the test
-/// reference.
+/// assignment cost matrix costs O(n·k) instead of O(n·k²); the tests pin
+/// it to the direct O(k) summation over the rank PMF.
 pub fn placement_cost(ctx: &TopKContext, t: TupleKey, i: usize) -> f64 {
     ctx.misplacement_mass(t, i) - i as f64 * ctx.beyond_topk_probability(t) + ctx.upsilon2(t)
-        - 2.0 * (ctx.k() as f64 + 1.0) * ctx.upsilon1(t)
-}
-
-/// [`placement_cost`] by direct O(k) summation over the rank PMF — the
-/// reference implementation the prefix-sum hot path is tested against.
-pub fn placement_cost_direct(ctx: &TopKContext, t: TupleKey, i: usize) -> f64 {
-    let misplacement: f64 = (1..=ctx.k())
-        .map(|j| ctx.rank_probability(t, j) * (i as f64 - j as f64).abs())
-        .sum();
-    let upsilon2: f64 = (1..=ctx.k())
-        .map(|j| j as f64 * ctx.rank_probability(t, j))
-        .sum();
-    misplacement - i as f64 * ctx.beyond_topk_probability(t) + upsilon2
         - 2.0 * (ctx.k() as f64 + 1.0) * ctx.upsilon1(t)
 }
 
@@ -228,7 +214,14 @@ mod tests {
                 for &t in ctx.keys() {
                     for i in 1..=k {
                         let fast = placement_cost(&ctx, t, i);
-                        let direct = placement_cost_direct(&ctx, t, i);
+                        let misplacement: f64 = (1..=k)
+                            .map(|j| ctx.rank_probability(t, j) * (i as f64 - j as f64).abs())
+                            .sum();
+                        let upsilon2: f64 =
+                            (1..=k).map(|j| j as f64 * ctx.rank_probability(t, j)).sum();
+                        let direct = misplacement - i as f64 * ctx.beyond_topk_probability(t)
+                            + upsilon2
+                            - 2.0 * (k as f64 + 1.0) * ctx.upsilon1(t);
                         assert!(
                             (fast - direct).abs() < 1e-12,
                             "k={k} t={t:?} i={i}: prefix-sum {fast} vs direct {direct}"

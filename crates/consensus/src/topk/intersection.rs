@@ -28,9 +28,8 @@ use cpdb_rankagg::TopKList;
 /// The profit of placing tuple `t` at result position `j` (1-based):
 /// `Σ_{i=j..k} Pr(r(t) ≤ i)/i`, summed from `i = k` down (`0` outside
 /// `1 ≤ j ≤ k` or for unknown tuples). A suffix depends on `k`, so the rank
-/// context, which holds only prefix tables, does not cache it.
-/// [`position_profit_direct`] keeps the ascending summation as the test
-/// reference.
+/// context, which holds only prefix tables, does not cache it. The tests
+/// pin it to the ascending summation.
 pub fn position_profit(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
     if j == 0 {
         return 0.0;
@@ -45,12 +44,6 @@ pub fn position_profit(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
 /// position profit at `j = 1`.
 pub fn upsilon_h(ctx: &TopKContext, t: TupleKey) -> f64 {
     position_profit(ctx, t, 1)
-}
-
-/// [`position_profit`] by ascending summation over the rank CDF — the
-/// reference implementation the descending sums are tested against.
-pub fn position_profit_direct(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
-    (j..=ctx.k()).map(|i| ctx.rank_cdf(t, i) / i as f64).sum()
 }
 
 /// The objective `A(τ)` of a candidate list (the paper's §5.3).
@@ -235,7 +228,7 @@ mod tests {
                 for &t in ctx.keys() {
                     for j in 1..=k {
                         let fast = position_profit(&ctx, t, j);
-                        let direct = position_profit_direct(&ctx, t, j);
+                        let direct: f64 = (j..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
                         assert!(
                             (fast - direct).abs() < 1e-12,
                             "k={k} t={t:?} j={j}: suffix-sum {fast} vs direct {direct}"

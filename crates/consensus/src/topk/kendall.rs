@@ -17,15 +17,12 @@
 //!
 //! The module also evaluates `E[d_K(τ, τ_pw)]` exactly in polynomial time
 //! ([`expected_kendall_distance`], the distance every Kendall answer
-//! reports), and by enumerating the possible worlds for ground truth on
-//! small instances.
+//! reports).
 
 use super::context::TopKContext;
 use super::footrule::mean_topk_footrule;
-use crate::oracle;
 use cpdb_andxor::AndXorTree;
-use cpdb_model::{TupleKey, WorldModel};
-use cpdb_rankagg::metrics::kendall_tau_topk;
+use cpdb_model::TupleKey;
 use cpdb_rankagg::pivot::{pivot_best_of, PreferenceMatrix};
 use cpdb_rankagg::TopKList;
 use rand::Rng;
@@ -124,17 +121,6 @@ pub fn mean_topk_kendall_via_footrule(ctx: &TopKContext) -> TopKList {
     mean_topk_footrule(ctx)
 }
 
-/// Exact `E[d_K(τ, τ_pw)]` by enumerating the possible worlds. Exponential;
-/// used for ground truth on small instances.
-pub fn expected_kendall_distance_enumerated(
-    tree: &AndXorTree,
-    ctx: &TopKContext,
-    candidate: &TopKList,
-) -> f64 {
-    let ws = tree.enumerate_worlds();
-    oracle::expected_topk_distance(candidate, &ws, ctx.k(), kendall_tau_topk)
-}
-
 /// Exact `E[d_K(τ, τ_pw)]` of a candidate `τ` at the context's `k`, in
 /// polynomial time:
 ///
@@ -174,8 +160,11 @@ pub fn expected_kendall_distance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::AndXorTreeBuilder;
+    use cpdb_model::WorldModel;
+    use cpdb_rankagg::metrics::kendall_tau_topk;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -229,7 +218,7 @@ mod tests {
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
             let pivot = mean_topk_kendall_pivot(&tree, &ctx, 8, &mut rng);
-            let pivot_cost = expected_kendall_distance_enumerated(&tree, &ctx, &pivot);
+            let pivot_cost = oracle::expected_topk_distance(&pivot, &ws, k, kendall_tau_topk);
             let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
             assert!(
                 pivot_cost <= 2.0 * opt_cost + 1e-9,
@@ -246,7 +235,7 @@ mod tests {
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
             let answer = mean_topk_kendall_via_footrule(&ctx);
-            let cost = expected_kendall_distance_enumerated(&tree, &ctx, &answer);
+            let cost = oracle::expected_topk_distance(&answer, &ws, k, kendall_tau_topk);
             let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
             assert!(
                 cost <= 2.0 * opt_cost + 1e-9,
@@ -259,12 +248,14 @@ mod tests {
     fn exact_distance_matches_enumeration() {
         for tree in [tree_small(), figure1_correlated_tree()] {
             let n = tree.keys().len();
+            let ws = tree.enumerate_worlds();
             for k in 0..=n + 1 {
                 let ctx = TopKContext::new(&tree, k);
                 for items in [vec![], vec![2], vec![2, 4], vec![4, 3, 1], vec![1, 2, 3, 4]] {
                     let candidate = TopKList::new(items).unwrap();
                     let exact = expected_kendall_distance(&tree, &ctx, &candidate);
-                    let enumerated = expected_kendall_distance_enumerated(&tree, &ctx, &candidate);
+                    let enumerated =
+                        oracle::expected_topk_distance(&candidate, &ws, k, kendall_tau_topk);
                     assert!(
                         (exact - enumerated).abs() < 1e-12,
                         "k={k} {candidate:?}: exact {exact} vs enumerated {enumerated}"

@@ -4,8 +4,7 @@
 //! [`crate::ConsensusEngine::apply_delta`] builds the next-epoch engine for
 //! `cpdb_live`. For every artifact the current engine has *built* — the
 //! rank context, the Kendall tournament, the co-clustering
-//! weights, the marginal table, the key index — it decides one of
-//! three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
+//! weights, the marginal table — it decides one of three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
 //!
 //! * [`ArtifactDecision::Kept`] — the artifact's dependencies are untouched;
 //!   the next engine `Arc`-shares it (the warm-`Clone` path).

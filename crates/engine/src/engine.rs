@@ -56,10 +56,10 @@ pub struct CacheStats {
     /// were answered by cloning the answer of their first occurrence instead
     /// of being executed again.
     pub batch_dedup_hits: usize,
-    /// Key-index constructions (the sorted tuple-key table the query paths
-    /// share instead of re-sorting `tree.keys()` per query).
+    /// Always 0: the engine caches no key index (the tournament build reads
+    /// `tree.keys()`). Kept while callers outside the workspace read it.
     pub key_index_builds: usize,
-    /// Queries served from the cached key index.
+    /// Always 0, like [`CacheStats::key_index_builds`].
     pub key_index_hits: usize,
     /// Built artifacts `Arc`-shared unchanged into a delta-built next-epoch
     /// engine ([`ConsensusEngine::apply_delta`]): their dependencies were
@@ -89,8 +89,6 @@ struct AtomicCacheStats {
     marginal_builds: AtomicUsize,
     marginal_hits: AtomicUsize,
     batch_dedup_hits: AtomicUsize,
-    key_index_builds: AtomicUsize,
-    key_index_hits: AtomicUsize,
     delta_kept: AtomicUsize,
     delta_patched: AtomicUsize,
     delta_invalidated: AtomicUsize,
@@ -108,8 +106,8 @@ impl AtomicCacheStats {
             marginal_builds: self.marginal_builds.load(Relaxed),
             marginal_hits: self.marginal_hits.load(Relaxed),
             batch_dedup_hits: self.batch_dedup_hits.load(Relaxed),
-            key_index_builds: self.key_index_builds.load(Relaxed),
-            key_index_hits: self.key_index_hits.load(Relaxed),
+            key_index_builds: 0,
+            key_index_hits: 0,
             delta_kept: self.delta_kept.load(Relaxed),
             delta_patched: self.delta_patched.load(Relaxed),
             delta_invalidated: self.delta_invalidated.load(Relaxed),
@@ -127,8 +125,6 @@ impl AtomicCacheStats {
             marginal_builds: AtomicUsize::new(s.marginal_builds),
             marginal_hits: AtomicUsize::new(s.marginal_hits),
             batch_dedup_hits: AtomicUsize::new(s.batch_dedup_hits),
-            key_index_builds: AtomicUsize::new(s.key_index_builds),
-            key_index_hits: AtomicUsize::new(s.key_index_hits),
             delta_kept: AtomicUsize::new(s.delta_kept),
             delta_patched: AtomicUsize::new(s.delta_patched),
             delta_invalidated: AtomicUsize::new(s.delta_invalidated),
@@ -295,12 +291,6 @@ pub struct ConsensusEngine {
     /// `(alternative, Pr(alternative))`, sorted by alternative; the Jaccard
     /// candidates are derived from it per query.
     marginals: Slot<Vec<(Alternative, f64)>>,
-    /// The sorted tuple-key table the tournament is built over; caching it
-    /// replaces an `O(n log n)` re-sort per build with a shared read. It
-    /// depends only on tuple *membership* — not on probabilities or values —
-    /// so it is the artifact live updates keep across probability-only
-    /// epochs.
-    key_index: Slot<Arc<Vec<cpdb_model::TupleKey>>>,
     stats: AtomicCacheStats,
     /// Pre-registered observability handles (inert unless a sink was
     /// attached via [`crate::ConsensusEngineBuilder::obs`]). Purely
@@ -325,7 +315,6 @@ impl Clone for ConsensusEngine {
             prefs: clone_built_slot(&self.prefs),
             cocluster: clone_built_slot(&self.cocluster),
             marginals: clone_built_slot(&self.marginals),
-            key_index: clone_built_slot(&self.key_index),
             stats: AtomicCacheStats::from_snapshot(self.stats.snapshot()),
             obs: self.obs.clone(),
         }
@@ -353,7 +342,6 @@ impl ConsensusEngine {
             prefs: Slot::default(),
             cocluster: Slot::default(),
             marginals: Slot::default(),
-            key_index: Slot::default(),
             stats: AtomicCacheStats::default(),
             obs: EngineObs::new(obs),
         }
@@ -404,8 +392,6 @@ impl ConsensusEngine {
             ("marginal_builds", stats.marginal_builds),
             ("marginal_hits", stats.marginal_hits),
             ("batch_dedup_hits", stats.batch_dedup_hits),
-            ("key_index_builds", stats.key_index_builds),
-            ("key_index_hits", stats.key_index_hits),
             ("delta_kept", stats.delta_kept),
             ("delta_patched", stats.delta_patched),
             ("delta_invalidated", stats.delta_invalidated),
@@ -473,22 +459,6 @@ impl ConsensusEngine {
         }
     }
 
-    /// The memoised sorted tuple-key table the tournament build reads.
-    fn key_index_arc(&self) -> Arc<Vec<cpdb_model::TupleKey>> {
-        slot_get_or_build(
-            &self.key_index,
-            &self.stats.key_index_builds,
-            &self.stats.key_index_hits,
-            || {
-                let _build = self
-                    .obs
-                    .artifact_span(Artifact::KeyIndex, || "key_index".to_string());
-                Arc::new(self.tree.keys())
-            },
-        )
-        .clone()
-    }
-
     /// The memoised full pairwise-order tournament `Pr(r(t_i) < r(t_j))`,
     /// building it on first use (n² generating-function evaluations).
     pub fn preference_matrix(&self) -> &PreferenceMatrix {
@@ -500,7 +470,7 @@ impl ConsensusEngine {
                 let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
                     "preference_matrix".to_string()
                 });
-                kendall::preference_matrix(&self.tree, &self.key_index_arc(), self.threads)
+                kendall::preference_matrix(&self.tree, &self.tree.keys(), self.threads)
             },
         )
     }
@@ -896,19 +866,6 @@ impl ConsensusEngine {
         // pairwise artifacts instead so the counters stay honest.
         let all_touched = affected.len() >= new_keys.len();
 
-        // Key index: depends on tuple membership only.
-        let key_index = match self.key_index.get() {
-            None => Slot::default(),
-            Some(_) if !impact.membership_changed => {
-                report.record("key_index", Kept);
-                Arc::clone(&self.key_index)
-            }
-            Some(_) => {
-                report.record("key_index", Patched);
-                prebuilt_slot(Arc::new(new_keys.clone()))
-            }
-        };
-
         // Marginal table: recompute the affected keys' entries with the same
         // filtered depth-first accumulation the full walk performs, then
         // merge them into the untouched entries. Both runs are sorted by
@@ -994,7 +951,6 @@ impl ConsensusEngine {
             prefs,
             cocluster,
             marginals,
-            key_index,
             stats,
             obs: self.obs.clone(),
         };
@@ -1058,9 +1014,6 @@ impl ConsensusEngine {
     /// pre-built. The result answers bit-identically to the engine that
     /// produced the export (its cache counters start from zero).
     ///
-    /// The sorted key index is prebuilt from the tree's keys, which the
-    /// import computes anyway.
-    ///
     /// Malformed exports — an invalid tree, a bad configuration, artifact
     /// tables whose lengths do not match the tree's key or alternative
     /// count, a rank context at a `k` outside the k-range — surface as typed
@@ -1115,7 +1068,7 @@ impl ConsensusEngine {
         }
 
         if let Some(ce) = &export.cocluster {
-            let w = CoClusteringWeights::from_upper_triangle(tree_keys.clone(), ce.weights.clone())
+            let w = CoClusteringWeights::from_upper_triangle(tree_keys, ce.weights.clone())
                 .ok_or_else(|| EngineError::InvalidConfig {
                     context: format!(
                         "co-clustering export has {} weights for {} keys",
@@ -1145,7 +1098,6 @@ impl ConsensusEngine {
             );
         }
 
-        engine.key_index = prebuilt_slot(Arc::new(tree_keys));
         Ok(engine)
     }
 }
@@ -1166,11 +1118,10 @@ fn world_is_attainable(tree: &AndXorTree, world: &cpdb_model::PossibleWorld) -> 
         node: cpdb_andxor::NodeId,
         want: &HashMap<cpdb_model::TupleKey, Alternative>,
     ) -> (bool, HashSet<cpdb_model::TupleKey>) {
-        match tree.node_kind(node) {
-            None => {
-                let alt = tree
-                    .leaf_alternative(node)
-                    .expect("nodes are either leaves or inner nodes");
+        match (tree.node_kind(node), tree.leaf_alternative(node)) {
+            // An id outside the tree generates no world at all.
+            (None, None) => (false, HashSet::new()),
+            (None, Some(alt)) => {
                 let mut keys = HashSet::new();
                 if want.contains_key(&alt.key) {
                     keys.insert(alt.key);
@@ -1179,7 +1130,7 @@ fn world_is_attainable(tree: &AndXorTree, world: &cpdb_model::PossibleWorld) -> 
                 // matches exactly when that alternative is the wanted one.
                 (want.get(&alt.key) == Some(&alt), keys)
             }
-            Some(NodeKind::And) => {
+            (Some(NodeKind::And), _) => {
                 // ∧ realises every child; keys are disjoint across children.
                 let mut feasible = true;
                 let mut keys = HashSet::new();
@@ -1190,7 +1141,7 @@ fn world_is_attainable(tree: &AndXorTree, world: &cpdb_model::PossibleWorld) -> 
                 }
                 (feasible, keys)
             }
-            Some(NodeKind::Xor) => {
+            (Some(NodeKind::Xor), _) => {
                 // ∨ realises exactly one child (or nothing, when mass < 1);
                 // the chosen child must cover every wanted key of the block.
                 let children = tree.children(node);
@@ -1843,7 +1794,6 @@ mod tests {
             artifacts,
             [
                 "coclustering",
-                "key_index",
                 "marginals",
                 "preference_matrix",
                 "rank_context"
@@ -1857,11 +1807,7 @@ mod tests {
             .unwrap();
         let mut names: Vec<&str> = report.decisions.iter().map(|(n, _)| n.as_str()).collect();
         names.sort_unstable();
-        assert_eq!(
-            names,
-            ["key_index", "preference_matrix", "rank_context"],
-            "{report:?}"
-        );
+        assert_eq!(names, ["preference_matrix", "rank_context"], "{report:?}");
         assert!(
             report
                 .decisions
@@ -1968,17 +1914,18 @@ mod tests {
                 probability: 0.7,
             })
             .unwrap();
-        // No blanket rebuild: the key index survives untouched, the pairwise
-        // artifacts are patched, only the global-rank artifacts drop.
-        assert!(report.kept() >= 1, "{report:?}");
+        // No blanket rebuild: the pairwise artifacts are patched, only the
+        // global-rank artifact drops. Every built artifact reads the
+        // probabilities, so none is kept as is.
+        assert_eq!(report.kept(), 0, "{report:?}");
         assert!(report.patched() >= 3, "{report:?}");
-        let kept: Vec<&str> = report
-            .decisions
-            .iter()
-            .filter(|(_, d)| *d == crate::ArtifactDecision::Kept)
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert!(kept.contains(&"key_index"), "{report:?}");
+        assert!(
+            report
+                .decisions
+                .iter()
+                .any(|(n, d)| n == "rank_context" && *d == crate::ArtifactDecision::Invalidated),
+            "{report:?}"
+        );
         for name in ["marginals", "preference_matrix", "coclustering_weights"] {
             assert!(
                 report
@@ -2163,14 +2110,15 @@ mod tests {
                 alternatives: vec![(77.0, 0.4), (52.0, 0.35)],
             })
             .unwrap();
-        // The key index must follow the membership change…
+        // The tournament must follow the membership change…
         assert!(
             report
                 .decisions
                 .iter()
-                .any(|(n, d)| n == "key_index" && *d == crate::ArtifactDecision::Patched),
+                .any(|(n, d)| n == "preference_matrix" && *d == crate::ArtifactDecision::Patched),
             "{report:?}"
         );
+        assert!(next.preference_matrix().position(9).is_some());
         // …and the k-range stays as configured (it does not silently widen).
         assert_eq!(next.k_range(), engine.k_range());
         let fresh = delta_engine(next.tree().clone());
@@ -2372,7 +2320,6 @@ mod tests {
         assert_eq!(stats.rank_context_builds, 0, "{stats:?}");
         assert_eq!(stats.preference_builds, 0, "{stats:?}");
         assert_eq!(stats.coclustering_builds, 0, "{stats:?}");
-        assert_eq!(stats.key_index_builds, 0, "{stats:?}");
         // The export itself is reproducible from the imported engine.
         assert_eq!(imported.export(), export);
     }

@@ -16,9 +16,9 @@
 //!   alternatives). No artifact repeats a key or an alternative, so import
 //!   checks only their lengths. Unbuilt artifacts are simply absent and
 //!   rebuilt lazily after import — the ordinary cold path, still
-//!   bit-identical because every builder is deterministic. Artifacts that
-//!   are cheap derivations of the tree or of another artifact (the sorted
-//!   key index, the Jaccard candidate list) are not exported.
+//!   bit-identical because every builder is deterministic. The Jaccard
+//!   candidate list, a cheap derivation of the marginal table, is not
+//!   cached and so not exported.
 //!
 //! All `f64`s round-trip exactly (the export holds the same bits; encoders
 //! preserve them via [`f64::to_bits`]). Import re-validates the tree and the

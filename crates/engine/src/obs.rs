@@ -28,7 +28,6 @@ pub(crate) struct EngineObs {
     artifact_prefs: Histogram,
     artifact_cocluster: Histogram,
     artifact_marginals: Histogram,
-    artifact_key_index: Histogram,
 }
 
 impl EngineObs {
@@ -48,7 +47,6 @@ impl EngineObs {
             artifact_prefs: obs.histogram("engine.artifact.preference_matrix"),
             artifact_cocluster: obs.histogram("engine.artifact.coclustering"),
             artifact_marginals: obs.histogram("engine.artifact.marginals"),
-            artifact_key_index: obs.histogram("engine.artifact.key_index"),
             obs,
         }
     }
@@ -112,7 +110,6 @@ impl EngineObs {
             Artifact::PreferenceMatrix => &self.artifact_prefs,
             Artifact::CoClustering => &self.artifact_cocluster,
             Artifact::Marginals => &self.artifact_marginals,
-            Artifact::KeyIndex => &self.artifact_key_index,
         };
         self.obs
             .span_finishing(histogram, EventKind::ArtifactBuild, label)
@@ -128,5 +125,4 @@ pub(crate) enum Artifact {
     PreferenceMatrix,
     CoClustering,
     Marginals,
-    KeyIndex,
 }

@@ -19,10 +19,10 @@
 //!   (`Arc`-shared; its dependencies are untouched), *patched* (only the
 //!   affected keys' slice is recomputed, bit-identical to a full rebuild),
 //!   or *invalidated* (dropped for lazy rebuild) according to the delta's
-//!   [`DeltaImpact`] dependency extract. A single-∨ probability update keeps
-//!   the key index, patches the marginal table and the pairwise
-//!   tournaments in `O(n)` pair evaluations, and drops only the global-rank
-//!   PMFs. A batch ([`LiveEngine::apply_all`]) serves only its final epoch,
+//!   [`DeltaImpact`] dependency extract. A single-∨ probability update
+//!   patches the marginal table and the pairwise tournaments in `O(n)` pair
+//!   evaluations and drops only the global-rank PMFs; an order-preserving
+//!   value update keeps the rank context too. A batch ([`LiveEngine::apply_all`]) serves only its final epoch,
 //!   so it is maintained once against the run's combined impact
 //!   ([`ConsensusEngine::apply_deltas`]) and reported as one
 //!   [`DeltaReport`] for the whole run.
@@ -1666,14 +1666,17 @@ mod tests {
         };
         let snap0 = live.snapshot();
         let _ = snap0.run(&kendall).unwrap();
-        let key_builds = snap0.engine().cache_stats().key_index_builds;
-        assert!(key_builds >= 1);
-        live.apply(&reweight(&snap0, 2, 0.75)).unwrap();
+        let context_builds = snap0.engine().cache_stats().rank_context_builds;
+        assert!(context_builds >= 1);
+        // 80 → 81 keeps key 2's leaf between 95 and 70: the score order holds.
+        let leaf = snap0.tree().leaves_of_key(2)[0];
+        live.apply(&TreeDelta::LeafValue { leaf, value: 81.0 })
+            .unwrap();
         let snap1 = live.snapshot();
         let _ = snap1.run(&kendall).unwrap();
         let stats = snap1.engine().cache_stats();
-        // The probability delta kept the key index: epoch 1 never rebuilt it.
-        assert_eq!(stats.key_index_builds, key_builds, "{stats:?}");
+        // The value delta kept the rank context: epoch 1 never rebuilt it.
+        assert_eq!(stats.rank_context_builds, context_builds, "{stats:?}");
         assert!(stats.delta_kept >= 1, "{stats:?}");
         assert!(stats.delta_patched >= 1, "{stats:?}");
     }

@@ -14,7 +14,10 @@
 //!   symmetric-difference / intersection / footrule / Kendall, group-by
 //!   aggregates, and clustering) against brute-force enumeration;
 //! * [`reference`](mod@reference) — slow literal implementations kept as oracles (the
-//!   per-prefix `Poly2` Jaccard scan).
+//!   per-prefix `Poly2` Jaccard scan, the recursive median, the keyed
+//!   KwikCluster, the sampled and enumerated Kendall distances);
+//! * [`rank`] — the per-key generating-function forms of the rank,
+//!   pairwise-order and co-clustering statistics the batch sweeps serve.
 //!
 //! The root-level `tests/conformance_oracle.rs` suite sweeps these checks
 //! over many seeds and is the repo's standing conformance gate: any future
@@ -27,6 +30,7 @@ pub mod chaos;
 pub mod conformance;
 pub mod fixtures;
 pub mod observability;
+pub mod rank;
 pub mod reference;
 pub mod replication;
 

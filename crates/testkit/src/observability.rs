@@ -178,8 +178,6 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
         ("coclustering_hits", stats.coclustering_hits),
         ("marginal_builds", stats.marginal_builds),
         ("marginal_hits", stats.marginal_hits),
-        ("key_index_builds", stats.key_index_builds),
-        ("key_index_hits", stats.key_index_hits),
     ] {
         assert_eq!(
             snapshot.counter(&format!("engine.cache.{name}")),
@@ -195,7 +193,6 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
         ("preference_matrix", "preference_builds"),
         ("coclustering", "coclustering_builds"),
         ("marginals", "marginal_builds"),
-        ("key_index", "key_index_builds"),
     ] {
         assert_builds_spanned(&snapshot, artifact, counter);
         checks += 1;

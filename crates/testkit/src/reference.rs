@@ -24,7 +24,14 @@
 //! truncated-sweep evaluator
 //! ([`cpdb_consensus::topk::kendall::expected_kendall_distance`]). This
 //! module keeps the Monte-Carlo estimate it replaced, which averages the
-//! distance over sampled worlds.
+//! distance over sampled worlds, and the enumeration of every possible world
+//! that gives the ground truth on small instances.
+//!
+//! The per-key generating-function forms of the rank statistics that
+//! [`cpdb_andxor::batch`] computes in shared sweeps (rank PMFs, pairwise
+//! order, co-occurrence and co-clustering weights) are in
+//! [`crate::rank`]. None of these paths serves an engine query; no
+//! production crate names them.
 use cpdb_andxor::{AndXorTree, NodeId, NodeKind, VarAssignment};
 use cpdb_consensus::clustering::{Clustering, CoClusteringWeights};
 use cpdb_consensus::jaccard::JaccardConsensus;
@@ -278,6 +285,17 @@ pub fn expected_distance_keyed(weights: &CoClusteringWeights, clustering: &Clust
     total
 }
 
+/// Exact `E[d_K(τ, τ_pw)]` at the context's `k` by enumerating the possible
+/// worlds. Exponential; the ground truth on small instances.
+pub fn expected_kendall_distance_enumerated(
+    tree: &AndXorTree,
+    ctx: &TopKContext,
+    candidate: &TopKList,
+) -> f64 {
+    let ws = tree.enumerate_worlds();
+    oracle::expected_topk_distance(candidate, &ws, ctx.k(), kendall_tau_topk)
+}
+
 /// Monte-Carlo estimate of `E[d_K(τ, τ_pw)]` at the context's `k` from
 /// `samples` sampled worlds (`0` with no samples).
 pub fn expected_kendall_distance_sampled<R: Rng + ?Sized>(
@@ -303,9 +321,7 @@ pub fn expected_kendall_distance_sampled<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use cpdb_consensus::clustering::{pivot_clustering, pivot_clustering_best_of};
-    use cpdb_consensus::topk::kendall::{
-        expected_kendall_distance, expected_kendall_distance_enumerated,
-    };
+    use cpdb_consensus::topk::kendall::expected_kendall_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -208,6 +208,84 @@ fn kendall_distance_is_never_sampled_outside_the_testkit() {
     );
 }
 
+/// Whether `src` names the identifier `ident` (not merely a longer
+/// identifier containing it).
+fn names_identifier(src: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    src.match_indices(ident).any(|(at, _)| {
+        !src[..at].chars().next_back().is_some_and(is_ident)
+            && !src[at + ident.len()..].chars().next().is_some_and(is_ident)
+    })
+}
+
+/// The per-key generating-function references (rank PMFs, pairwise order,
+/// co-occurrence and co-clustering weights, the direct placement and
+/// position sums, the enumerated Kendall distance) are test oracles in
+/// `cpdb_testkit`, and the tree keeps no marginal cache for them: no source
+/// of a production crate — every crate but the testkit, the bench crate,
+/// the checker and the workload generators — names one, and no production
+/// crate depends on the testkit.
+#[test]
+fn production_crates_hold_only_the_serving_path() {
+    // Split so this file does not match itself.
+    let needles = [
+        concat!("rank", "_pmf"),
+        concat!("pairwise_order", "_probability"),
+        concat!("cooccurrence", "_probability"),
+        concat!("cluster", "_weight"),
+        concat!("from_tree", "_per_pair"),
+        concat!("placement_cost", "_direct"),
+        concat!("position_profit", "_direct"),
+        concat!("expected_kendall_distance", "_enumerated"),
+        concat!("alternative_probabilities", "_cached"),
+    ];
+    let mut production: Vec<PathBuf> = std::fs::read_dir(crates_dir())
+        .expect("workspace crates directory exists")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|dir| {
+            let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            dir.join("Cargo.toml").exists()
+                && !["testkit", "bench", "check", "workloads"].contains(&name)
+        })
+        .collect();
+    production.sort();
+    assert!(
+        production.len() >= 13,
+        "expected every production crate, found only {production:?}"
+    );
+    let mut named = Vec::new();
+    let mut depends = Vec::new();
+    for dir in &production {
+        for path in rust_sources(dir.clone()) {
+            let src = std::fs::read_to_string(&path).expect("source is readable");
+            for needle in needles {
+                if names_identifier(&src, needle) {
+                    named.push(format!("{}: {needle}", path.display()));
+                }
+            }
+        }
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+        let in_dependencies = manifest
+            .lines()
+            .skip_while(|line| line.trim() != "[dependencies]")
+            .skip(1)
+            .take_while(|line| !line.trim_start().starts_with('['));
+        for line in in_dependencies {
+            if line.trim_start().starts_with("cpdb_testkit") {
+                depends.push(dir.display().to_string());
+            }
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "a production crate names a test-only reference path: {named:?}"
+    );
+    assert!(
+        depends.is_empty(),
+        "a production crate depends on the testkit: {depends:?}"
+    );
+}
+
 /// Each Top-k metric has one algorithm on the serving path: the engine has
 /// no solver to choose, so no workspace source names a strategy type or sets
 /// one on the builder.

@@ -8,8 +8,8 @@
 //! one sensor per tick; after every tick the current epoch serves the
 //! consensus Top-k. A dashboard that pinned an old epoch keeps its snapshot
 //! — writers never block or change answers under readers — and the cache
-//! counters show the delta maintenance keeping/patching artifacts instead
-//! of rebuilding everything.
+//! counters show the delta maintenance patching artifacts, and dropping only
+//! the rank PMFs, instead of rebuilding everything.
 //!
 //! Run with: `cargo run --example live_updates`
 
@@ -52,9 +52,9 @@ fn main() {
         variant: Variant::Mean,
     };
     // The dashboard's full refresh: warming these builds every artifact
-    // family (rank PMFs, the Kendall tournament + key index, co-clustering
-    // weights, marginal/candidate tables), so each arriving delta has real
-    // maintenance work to keep/patch/invalidate.
+    // family (rank PMFs, the Kendall tournament, co-clustering weights,
+    // the marginal table), so each arriving delta has real maintenance work
+    // to keep/patch/invalidate.
     let refresh = vec![
         topk.clone(),
         Query::TopK {
@@ -133,5 +133,5 @@ fn main() {
         "cumulative delta maintenance: {} kept, {} patched, {} invalidated",
         stats.delta_kept, stats.delta_patched, stats.delta_invalidated
     );
-    assert!(stats.delta_kept >= 1 && stats.delta_patched >= 1);
+    assert!(stats.delta_patched >= 1);
 }

@@ -145,7 +145,7 @@ fn figure1_reproduction_end_to_end() {
     let tree_iii = consensus_pdb::andxor::figure1::figure1_correlated_tree();
     let ws = tree_iii.enumerate_worlds();
     assert_eq!(ws.support_size(), 3);
-    let pmf = tree_iii.rank_pmf(TupleKey(3), 1);
+    let pmf = cpdb_testkit::rank::rank_pmf(&tree_iii, TupleKey(3), 1);
     assert!((pmf[0] - 0.6).abs() < 1e-9); // both alternatives of t3 can be first
 }
 

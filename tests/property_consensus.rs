@@ -159,7 +159,7 @@ proptest! {
         let n = tree.keys().len();
         let presence = tree.key_presence_probabilities();
         for key in tree.keys() {
-            let pmf = tree.rank_pmf(key, n);
+            let pmf = cpdb_testkit::rank::rank_pmf(&tree, key, n);
             let total: f64 = pmf.iter().sum();
             prop_assert!(pmf.iter().all(|&p| (-1e-9..=1.0 + 1e-9).contains(&p)));
             prop_assert!((total - presence[&key]).abs() < 1e-9,
