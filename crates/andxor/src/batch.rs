@@ -21,10 +21,12 @@
 //!   whole-tree sweep per target. All products use in-place truncated
 //!   convolution with reusable scratch buffers ([`Poly1`]), so the sweep
 //!   allocates O(tree) once instead of O(tree) per target.
-//! * **Kendall distance terms** ([`AndXorTree::batch_kendall_terms`]) —
-//!   the same chronological sweep, read at the alternatives of a candidate
-//!   list with some leaves masked to 0 along their root paths and rolled
-//!   back, gives the exact expected Kendall Top-k distance of the list.
+//! * **Kendall distance terms** ([`AndXorTree::batch_kendall_terms`],
+//!   [`AndXorTree::batch_kendall_pool`]) — the same chronological sweep,
+//!   read at the alternatives of a candidate list (or of a pool of keys)
+//!   with some leaves masked to 0 along their root paths and rolled back,
+//!   gives the exact expected Kendall Top-k distance of the list (or of
+//!   every list drawn from the pool).
 //! * **Pairwise statistics** ([`AndXorTree::batch_pairwise_order`],
 //!   [`AndXorTree::batch_cocluster_weights`]) — both reduce to *alternative
 //!   co-presence* probabilities `Pr(α ∧ β)`, which the tree structure gives
@@ -861,6 +863,28 @@ pub struct KendallTerms {
     pub ahead: Vec<f64>,
 }
 
+/// The terms of `E[d_K]` that [`AndXorTree::batch_kendall_pool`] computes
+/// over a pool of `m` keys at `k`: those of [`KendallTerms`] per pool key,
+/// and `P(j, i)` for every ordered pool pair, so the distance of any list
+/// drawn from the pool is a sum over this table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KendallPool {
+    /// `Pr(i present)`, per pool key.
+    pub presence: Vec<f64>,
+    /// `E[min(|W|, k) · 1{i absent}]`, per pool key.
+    pub absent_size: Vec<f64>,
+    /// Row-major `m × m`: entry `j·m + i` is
+    /// `P(j, i) = Pr(r(j) ≤ k ∧ r(j) < r(i))`; the diagonal is 0.
+    pub ahead: Vec<f64>,
+}
+
+impl KendallPool {
+    /// `P(pool[j], pool[i])`.
+    pub fn ahead(&self, j: usize, i: usize) -> f64 {
+        self.ahead[j * self.presence.len() + i]
+    }
+}
+
 impl AndXorTree {
     /// Rank distributions of every tuple up to `max_rank`, computed by a
     /// single shared sweep instead of one generating-function sweep per key
@@ -923,20 +947,59 @@ impl AndXorTree {
     /// whole-tree sweep runs per term. At `k = 0` every term is 0, as is the
     /// distance.
     pub fn batch_kendall_terms(&self, candidate: &[TupleKey], k: usize) -> KendallTerms {
-        let m = candidate.len();
-        let mut terms = KendallTerms {
-            presence: vec![0.0; m],
-            absent_size: vec![0.0; m],
-            ahead: vec![0.0; m],
-        };
+        let mut ahead = vec![0.0; candidate.len()];
+        let (presence, absent_size) =
+            self.kendall_sweep(candidate, k, false, |_, i, v| ahead[i] += v);
+        KendallTerms {
+            presence,
+            absent_size,
+            ahead,
+        }
+    }
+
+    /// The pool form of [`AndXorTree::batch_kendall_terms`]: the same
+    /// per-key terms for every key of `pool` (without duplicate keys), and
+    /// `P(j, i)` for every ordered pair of pool keys rather than a sum over
+    /// the keys listed before `i`. One sweep plan and one chronological
+    /// sweep serve the whole table; each alternative of a pool key is read
+    /// once unmasked and once per other pool key holding an alternative
+    /// that out-ranks it. At `k = 0` every entry is 0.
+    pub fn batch_kendall_pool(&self, pool: &[TupleKey], k: usize) -> KendallPool {
+        let m = pool.len();
+        let mut ahead = vec![0.0; m * m];
+        let (presence, absent_size) =
+            self.kendall_sweep(pool, k, true, |j, i, v| ahead[j * m + i] += v);
+        KendallPool {
+            presence,
+            absent_size,
+            ahead,
+        }
+    }
+
+    /// The sweep behind both Kendall batches (see
+    /// [`AndXorTree::batch_kendall_terms`]). For each alternative of a key
+    /// `keys[j]`, in the out-rank order, and each other key `keys[i]` —
+    /// every one when `every_order`, else those with `i > j` — it passes
+    /// that alternative's share of `P(j, i)` to `add(j, i, share)`. Returns
+    /// the presence and absent-size terms per key.
+    fn kendall_sweep(
+        &self,
+        keys: &[TupleKey],
+        k: usize,
+        every_order: bool,
+        mut add: impl FnMut(usize, usize, f64),
+    ) -> (Vec<f64>, Vec<f64>) {
+        let m = keys.len();
+        let mut presence = vec![0.0; m];
+        let mut absent_size = vec![0.0; m];
         if k == 0 || m == 0 {
-            return terms;
+            return (presence, absent_size);
         }
         let plan = SweepPlan::plan(self, k);
-        // The candidate slot of each key position, and each candidate's
-        // leaves with the index of the target they belong to.
+        // The slot of each key position, and each key's leaves with the
+        // index of the target they belong to.
         let mut slot_of = vec![None; plan.keys.len()];
-        for (p, key) in candidate.iter().enumerate() {
+        for (p, key) in keys.iter().enumerate() {
             if let Ok(at) = plan.keys.binary_search(key) {
                 slot_of[at] = Some(p);
             }
@@ -947,33 +1010,36 @@ impl AndXorTree {
                 leaves[p].extend(plan.leaves(target).iter().map(|&leaf| (t, leaf)));
             }
         }
-        for (presence, own) in terms.presence.iter_mut().zip(&leaves) {
+        for (presence, own) in presence.iter_mut().zip(&leaves) {
             *presence = clamp_probability(own.iter().map(|&(_, leaf)| plan.presence(leaf)).sum());
         }
 
-        // Σ_{j before i} P(j, i), one alternative of `j` at a time, in the
-        // out-rank order: when target `t` is read, every leaf of an earlier
-        // target is `x`.
+        // P(j, i), one alternative of `j` at a time, in the out-rank order:
+        // when target `t` is read, every leaf of an earlier target is `x`.
         let mut st = plan.state(self, &plan.one);
         let mut rank = vec![0.0; k];
         for (t, target) in plan.targets.iter().enumerate() {
-            if let Some(q) = slot_of[target.position].filter(|&q| q + 1 < m) {
-                plan.flush(self, &mut st, false);
-                plan.query(&mut st, target, &mut rank);
-                let unmasked: f64 = rank.iter().sum();
-                for (ahead, later) in terms.ahead[q + 1..].iter_mut().zip(&leaves[q + 1..]) {
-                    let mut masked = false;
-                    for &(_, leaf) in later.iter().filter(|&&(u, _)| u < t) {
-                        plan.defer_leaf(&mut st, leaf, &plan.zero, true);
-                        masked = true;
-                    }
-                    if masked {
-                        plan.flush(self, &mut st, true);
-                        plan.query(&mut st, target, &mut rank);
-                        st.rollback();
-                        *ahead += rank.iter().sum::<f64>();
-                    } else {
-                        *ahead += unmasked;
+            if let Some(j) = slot_of[target.position] {
+                let first = if every_order { 0 } else { j + 1 };
+                let others = (first..m).filter(|&i| i != j);
+                if others.clone().next().is_some() {
+                    plan.flush(self, &mut st, false);
+                    plan.query(&mut st, target, &mut rank);
+                    let unmasked: f64 = rank.iter().sum();
+                    for i in others {
+                        let mut masked = false;
+                        for &(_, leaf) in leaves[i].iter().filter(|&&(u, _)| u < t) {
+                            plan.defer_leaf(&mut st, leaf, &plan.zero, true);
+                            masked = true;
+                        }
+                        if masked {
+                            plan.flush(self, &mut st, true);
+                            plan.query(&mut st, target, &mut rank);
+                            st.rollback();
+                            add(j, i, rank.iter().sum::<f64>());
+                        } else {
+                            add(j, i, unmasked);
+                        }
                     }
                 }
             }
@@ -985,12 +1051,7 @@ impl AndXorTree {
         // Every leaf is `x` now. E[min(|W|, k) · 1{i absent}] from
         // Pr(i absent ∧ |W| = d), d < k.
         plan.flush(self, &mut st, false);
-        for ((size, own), presence) in terms
-            .absent_size
-            .iter_mut()
-            .zip(&leaves)
-            .zip(&terms.presence)
-        {
+        for ((size, own), presence) in absent_size.iter_mut().zip(&leaves).zip(&presence) {
             for &(_, leaf) in own {
                 plan.defer_leaf(&mut st, leaf, &plan.zero, true);
             }
@@ -1005,7 +1066,7 @@ impl AndXorTree {
             st.rollback();
             *size = weighted + k as f64 * (1.0 - presence - mass);
         }
-        terms
+        (presence, absent_size)
     }
 
     /// The full pairwise-order tournament `Pr(r(keys[i]) < r(keys[j]))` as a
@@ -1017,55 +1078,14 @@ impl AndXorTree {
     /// `threads = 0` means "auto"; results are bit-identical at any thread
     /// count.
     pub fn batch_pairwise_order(&self, keys: &[TupleKey], threads: usize) -> Vec<f64> {
-        // The full build is the patch path with every entry recomputed, so
-        // "patched ≡ rebuilt" holds by construction.
-        let recompute = vec![true; keys.len()];
-        self.batch_pairwise_order_partial(
-            keys,
-            &recompute,
-            |_, _| unreachable!("every entry is recomputed"),
-            threads,
-        )
-    }
-
-    /// The **patch path** of [`AndXorTree::batch_pairwise_order`] for live
-    /// updates: recomputes only the entries whose row *or* column key is
-    /// flagged in `recompute` (per `keys` index) and takes every other
-    /// off-diagonal entry from `old_entry(i, j)`. Recomputed entries use the
-    /// identical per-pair closed form as the full batch build, and entries
-    /// whose keys' ∨-edge paths the mutation did not touch are unchanged
-    /// inputs to that closed form — so when `old_entry` serves values from a
-    /// pre-mutation tournament over untouched keys, the patched matrix is
-    /// **bit-identical** to a from-scratch rebuild on the mutated tree, at
-    /// `O(|affected|·n)` pair evaluations instead of `O(n²)`.
-    pub fn batch_pairwise_order_partial<F>(
-        &self,
-        keys: &[TupleKey],
-        recompute: &[bool],
-        old_entry: F,
-        threads: usize,
-    ) -> Vec<f64>
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        assert_eq!(keys.len(), recompute.len(), "one recompute flag per key");
         let n = keys.len();
         let mut out = vec![0.0; n * n];
-        let mut fresh = Vec::new();
-        for i in 0..n {
-            for j in (0..n).filter(|&j| j != i) {
-                if recompute[i] || recompute[j] {
-                    fresh.push(i * n + j);
-                } else {
-                    out[i * n + j] = old_entry(i, j);
-                }
-            }
-        }
+        let off_diagonal: Vec<usize> = (0..n * n).filter(|idx| idx / n != idx % n).collect();
         fill_fresh(
             self,
             keys,
             &mut out,
-            &fresh,
+            &off_diagonal,
             threads,
             pairwise_entry,
             |idx| idx,
@@ -1096,12 +1116,15 @@ impl AndXorTree {
         )
     }
 
-    /// The **patch path** of [`AndXorTree::batch_cocluster_weights`]: like
-    /// [`AndXorTree::batch_pairwise_order_partial`], recomputes only the
-    /// pairs with a flagged key and takes every other pair `(i, j)`, `i < j`,
-    /// from `old_entry(i, j)` (identical per-pair closed form, so the
-    /// patched triangle is bit-identical to a from-scratch rebuild when
-    /// `old_entry` serves pre-mutation values for untouched pairs).
+    /// The **patch path** of [`AndXorTree::batch_cocluster_weights`] for
+    /// live updates: recomputes only the pairs with a key flagged in
+    /// `recompute` and takes every other pair `(i, j)`, `i < j`, from
+    /// `old_entry(i, j)`. Recomputed pairs use the identical per-pair closed
+    /// form as the full build, and pairs whose keys' ∨-edge paths the
+    /// mutation did not touch are unchanged inputs to it, so the patched
+    /// triangle is **bit-identical** to a from-scratch rebuild when
+    /// `old_entry` serves pre-mutation values for untouched pairs, at
+    /// `O(|affected|·n)` pair evaluations instead of `O(n²)`.
     pub fn batch_cocluster_weights_partial<F>(
         &self,
         keys: &[TupleKey],
@@ -1261,6 +1284,52 @@ mod tests {
                     for len in 0..=candidate.len() {
                         assert_kendall_terms_match_worlds(&tree, &candidate[..len], k);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kendall_pool_matches_the_worlds() {
+        for tree in [
+            bid_tree(),
+            nested_tree(),
+            crate::figure1::figure1_correlated_tree(),
+        ] {
+            let worlds = tree.enumerate_worlds();
+            let mut pool = tree.keys();
+            pool.reverse();
+            pool.push(TupleKey(99));
+            let m = pool.len();
+            for k in 0..=m {
+                let table = tree.batch_kendall_pool(&pool, k);
+                assert_eq!(table.ahead.len(), m * m);
+                for (j, &a) in pool.iter().enumerate() {
+                    // The per-key terms are those of a one-key candidate.
+                    let own = tree.batch_kendall_terms(&[a], k);
+                    assert_eq!(table.presence[j], own.presence[0]);
+                    assert_eq!(table.absent_size[j], own.absent_size[0]);
+                    for (i, &b) in pool.iter().enumerate() {
+                        let want = if i == j || k == 0 {
+                            0.0
+                        } else {
+                            worlds.expectation(|w| match (w.rank_of(a), w.rank_of(b)) {
+                                (Some(ra), rb) => f64::from(ra <= k && rb.is_none_or(|rb| ra < rb)),
+                                (None, _) => 0.0,
+                            })
+                        };
+                        let got = table.ahead(j, i);
+                        assert!(
+                            (got - want).abs() < 1e-12,
+                            "P({a:?}, {b:?}) at k={k}: {got} vs {want}"
+                        );
+                    }
+                }
+                // Read in list order, the table gives the candidate's terms.
+                let terms = tree.batch_kendall_terms(&pool, k);
+                for i in 0..m {
+                    let ahead: f64 = (0..i).map(|j| table.ahead(j, i)).sum();
+                    assert!((terms.ahead[i] - ahead).abs() < 1e-12);
                 }
             }
         }

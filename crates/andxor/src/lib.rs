@@ -22,8 +22,8 @@
 //! counts), and [`batch`] computes the statistics the consensus algorithms
 //! need — rank distributions `Pr(r(t) = i)`, pairwise order probabilities
 //! `Pr(r(t_i) < r(t_j))`, and co-clustering weights — for *all* tuples/pairs
-//! at once in shared sweeps (the path behind `TopKContext`, Kendall
-//! tournaments, and co-clustering weights), with optional `std::thread`
+//! at once in shared sweeps (the path behind `TopKContext`, the Kendall
+//! answers, and co-clustering weights), with optional `std::thread`
 //! parallelism via `cpdb_parallel`. The one-sweep-per-tuple forms of the
 //! same statistics are test oracles and live in `cpdb_testkit`.
 //!

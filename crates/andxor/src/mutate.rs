@@ -95,8 +95,8 @@ pub enum TreeDelta {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaImpact {
     /// The tuple keys whose joint presence/value distribution the delta can
-    /// touch. Pairwise artifacts (order tournaments, co-clustering weights)
-    /// and per-alternative tables (marginals) are unchanged outside this
+    /// touch. Pairwise artifacts (co-clustering weights) and per-alternative
+    /// tables (marginals) are unchanged outside this
     /// set; global-rank artifacts (rank PMFs) are governed by
     /// [`Self::rank_order_preserved`] instead.
     pub affected_keys: BTreeSet<TupleKey>,
@@ -877,32 +877,6 @@ mod tests {
             let reference =
                 worlds.expectation(|w| f64::from(w.rank_of(TupleKey(9)) == Some(i + 1)));
             assert!((pmfs[at * 2 + i] - reference).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn partial_pairwise_patch_is_bit_identical_to_full_rebuild() {
-        let tree = bid_tree();
-        let keys = tree.keys();
-        let n = keys.len();
-        let old = tree.batch_pairwise_order(&keys, 1);
-        let (xor, leaf) = first_block(&tree, 2);
-        let (new_tree, impact) = tree
-            .apply_delta(&TreeDelta::XorEdgeProbability {
-                xor,
-                child: leaf,
-                probability: 0.7,
-            })
-            .unwrap();
-        let recompute: Vec<bool> = keys
-            .iter()
-            .map(|k| impact.affected_keys.contains(k))
-            .collect();
-        let patched =
-            new_tree.batch_pairwise_order_partial(&keys, &recompute, |i, j| old[i * n + j], 1);
-        let full = new_tree.batch_pairwise_order(&keys, 1);
-        for (idx, (a, b)) in patched.iter().zip(&full).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "entry {idx}");
         }
     }
 

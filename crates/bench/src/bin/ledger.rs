@@ -400,8 +400,8 @@ fn clustering_suite(ns: &[usize], restarts: usize, reps: usize) -> Suite {
 }
 
 /// The warm `TopK{Kendall}` query on a one-thread engine whose rank context
-/// and tournament are already built, and the exact `E[d_K]` of its answer
-/// evaluated alone.
+/// is already built (the query builds its own pool table), and the exact
+/// `E[d_K]` of its answer evaluated alone.
 fn kendall_suite(ns: &[usize], ks: &[usize], reps: usize, evaluator_reps: usize) -> Suite {
     let mut s = Suite::new("kendall");
     for &n in ns {

@@ -80,8 +80,8 @@ fn probe() -> Vec<Query> {
 
 /// A primary over `n` blocks with its store and outbox on fresh on-disk
 /// temp directories, anchor already shipped. The engine is warm, as a
-/// serving primary's is: the anchor carries the pairwise tournament, the
-/// co-clustering weights and the marginal tables, so every replayed delta
+/// serving primary's is: the anchor carries the co-clustering weights and
+/// the marginal tables, so every replayed delta
 /// maintains them. Returns the primary and the two directories (store,
 /// outbox).
 fn on_disk_primary(n: usize, seed: u64) -> (Primary, PathBuf, PathBuf) {

@@ -10,8 +10,8 @@
 //!   invalidated ones;
 //! * **full rebuild** — the pre-`cpdb_live` alternative: build a fresh
 //!   engine from the mutated tree and recompute the same artifact families
-//!   the patch path hands over warm (the `O(n²)` pairwise tournament, the
-//!   co-clustering weights, and the set-query tables).
+//!   the patch path hands over warm (the co-clustering weights and the
+//!   set-query tables).
 //!
 //! Every measurement first asserts the two engines answer a probe batch
 //! identically — the speedups below are for *bit-identical* serving state.
@@ -37,11 +37,10 @@ pub fn live_engine(tree: cpdb_andxor::AndXorTree, seed: u64) -> ConsensusEngine 
 }
 
 /// Warms exactly the artifact families the delta maintenance manages
-/// eagerly: the pairwise tournament, the co-clustering weights, and the
-/// marginal/candidate tables (via the two set queries). This is also the
+/// eagerly: the co-clustering weights and the marginal table (via the two
+/// set queries). This is also the
 /// "full rebuild" work the patch path is measured against.
 pub fn warm_maintained_artifacts(engine: &ConsensusEngine) {
-    let _ = engine.preference_matrix();
     let _ = engine.coclustering_weights();
     for metric in [SetMetric::SymmetricDifference, SetMetric::Jaccard] {
         engine

@@ -13,7 +13,7 @@ pub enum Optimality {
     Exact,
     /// Within the stated multiplicative factor of the optimum.
     Approx {
-        /// The proven approximation factor (e.g. `2.0` for Kendall pivot,
+        /// The proven approximation factor (e.g. `2.0` for Kendall tau,
         /// `4.0` for the aggregate median, `H_k` for the Υ_H shortcut).
         factor: f64,
     },
@@ -132,9 +132,9 @@ pub struct Answer {
     /// `E_pw[d(value, answer_pw)]` under the query's distance measure.
     ///
     /// Exact for every Top-k and set query: closed forms where the paper
-    /// provides them, and for Kendall-tau queries the polynomial evaluator of
-    /// [`cpdb_consensus::topk::kendall::expected_kendall_distance`] (finding
-    /// the optimal Kendall answer is NP-hard; scoring a given one is not).
+    /// provides them, and for Kendall-tau queries the exact table of
+    /// [`cpdb_consensus::topk::kendall::mean_topk_kendall`] (finding the
+    /// optimal Kendall answer is NP-hard; scoring a given one is not).
     /// Baselines are scored under the normalised symmetric difference `d_Δ`.
     pub expected_distance: f64,
     /// Optimality guarantee of `value` for the query's objective.

@@ -53,8 +53,8 @@ impl ConsensusEngineBuilder {
         }
     }
 
-    /// Seed for every randomised path (Kendall pivot, clustering restarts,
-    /// sampled baselines). Each query derives its own deterministic RNG
+    /// Seed for every randomised path (clustering restarts, sampled
+    /// baselines). Each query derives its own deterministic RNG
     /// stream from this seed and its [`crate::Query::rng_tag`], so answers do
     /// not depend on batch order.
     #[must_use = "builder methods return the updated builder"]
@@ -88,9 +88,8 @@ impl ConsensusEngineBuilder {
         self
     }
 
-    /// Thread count used both by the pairwise artifact *builds* (Kendall
-    /// tournament, co-clustering weights — each a `cpdb_parallel` fork-join
-    /// over pairs) and by [`crate::ConsensusEngine::run_batch`]'s query
+    /// Thread count used both by the pairwise artifact *build* (the
+    /// co-clustering weights, a `cpdb_parallel` fork-join over pairs) and by [`crate::ConsensusEngine::run_batch`]'s query
     /// *dispatch* (the deduplicated queries fan out across worker threads).
     /// `0` (the default) means "auto": the machine's available parallelism.
     /// Answers never depend on this knob — the batch evaluators and

@@ -3,8 +3,8 @@
 //!
 //! [`crate::ConsensusEngine::apply_delta`] builds the next-epoch engine for
 //! `cpdb_live`. For every artifact the current engine has *built* — the
-//! rank context, the Kendall tournament, the co-clustering
-//! weights, the marginal table — it decides one of three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
+//! rank context, the co-clustering weights, the marginal table — it decides
+//! one of three fates based on the mutation's [`cpdb_andxor::DeltaImpact`]:
 //!
 //! * [`ArtifactDecision::Kept`] — the artifact's dependencies are untouched;
 //!   the next engine `Arc`-shares it (the warm-`Clone` path).

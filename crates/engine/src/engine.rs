@@ -5,7 +5,7 @@
 use crate::answer::{Answer, Optimality, Value};
 use crate::delta::DeltaReport;
 use crate::error::EngineError;
-use crate::export::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
+use crate::export::{CoClusterExport, EngineExport, RankContextExport};
 use crate::obs::{Artifact, EngineObs};
 use crate::query::{splitmix64, BaselineKind, Query, SetMetric, TopKMetric, Variant};
 use cpdb_andxor::{AndXorTree, DeltaImpact, NodeKind, TreeDelta};
@@ -16,7 +16,6 @@ use cpdb_consensus::{baselines, jaccard, set_distance, TopKContext};
 use cpdb_model::Alternative;
 use cpdb_obs::MetricsSnapshot;
 use cpdb_parallel::parallel_map_indexed;
-use cpdb_rankagg::pivot::PreferenceMatrix;
 use cpdb_sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use cpdb_sync::{OnceLock, RwLock};
 use rand::rngs::StdRng;
@@ -39,10 +38,11 @@ pub struct CacheStats {
     /// Queries served from the resident [`TopKContext`] (a view at their
     /// `k` of a context built at that `k` or above).
     pub rank_context_hits: usize,
-    /// Full Kendall preference-matrix constructions (n² generating-function
-    /// evaluations each).
+    /// Always 0: the engine keeps no Kendall tournament (a Kendall query
+    /// prices its moves on a per-query pool table). Kept while callers
+    /// outside the workspace read it.
     pub preference_builds: usize,
-    /// Queries served from the cached preference matrix.
+    /// Always 0, like [`CacheStats::preference_builds`].
     pub preference_hits: usize,
     /// Co-clustering weight-matrix constructions.
     pub coclustering_builds: usize,
@@ -56,8 +56,8 @@ pub struct CacheStats {
     /// were answered by cloning the answer of their first occurrence instead
     /// of being executed again.
     pub batch_dedup_hits: usize,
-    /// Always 0: the engine caches no key index (the tournament build reads
-    /// `tree.keys()`). Kept while callers outside the workspace read it.
+    /// Always 0: the engine caches no key index. Kept while callers outside
+    /// the workspace read it.
     pub key_index_builds: usize,
     /// Always 0, like [`CacheStats::key_index_builds`].
     pub key_index_hits: usize,
@@ -82,8 +82,6 @@ pub struct CacheStats {
 struct AtomicCacheStats {
     rank_context_builds: AtomicUsize,
     rank_context_hits: AtomicUsize,
-    preference_builds: AtomicUsize,
-    preference_hits: AtomicUsize,
     coclustering_builds: AtomicUsize,
     coclustering_hits: AtomicUsize,
     marginal_builds: AtomicUsize,
@@ -99,8 +97,8 @@ impl AtomicCacheStats {
         CacheStats {
             rank_context_builds: self.rank_context_builds.load(Relaxed),
             rank_context_hits: self.rank_context_hits.load(Relaxed),
-            preference_builds: self.preference_builds.load(Relaxed),
-            preference_hits: self.preference_hits.load(Relaxed),
+            preference_builds: 0,
+            preference_hits: 0,
             coclustering_builds: self.coclustering_builds.load(Relaxed),
             coclustering_hits: self.coclustering_hits.load(Relaxed),
             marginal_builds: self.marginal_builds.load(Relaxed),
@@ -118,8 +116,6 @@ impl AtomicCacheStats {
         AtomicCacheStats {
             rank_context_builds: AtomicUsize::new(s.rank_context_builds),
             rank_context_hits: AtomicUsize::new(s.rank_context_hits),
-            preference_builds: AtomicUsize::new(s.preference_builds),
-            preference_hits: AtomicUsize::new(s.preference_hits),
             coclustering_builds: AtomicUsize::new(s.coclustering_builds),
             coclustering_hits: AtomicUsize::new(s.coclustering_hits),
             marginal_builds: AtomicUsize::new(s.marginal_builds),
@@ -213,9 +209,6 @@ fn slot_get_or_build<'a, T>(
 /// Leaf-count ceiling for exhaustive U-Top-k world enumeration.
 const UTOPK_EXACT_LEAF_BUDGET: usize = 20;
 
-/// Randomised KwikSort runs a Kendall Top-k query takes the best of.
-const KENDALL_PIVOT_TRIALS: usize = 8;
-
 /// Which model class the engine's tree belongs to — decides whether the
 /// Jaccard prefix scans carry their proven guarantees (Lemma 2 is stated for
 /// tuple-independent relations, the §4.2 median scan for BID relations).
@@ -240,14 +233,14 @@ enum TreeShape {
 /// The engine lazily computes and memoises the expensive shared artifacts:
 /// the rank-probability PMFs `Pr(r(t) = i)` (one [`TopKContext`] at the
 /// largest `k` asked for so far, whose column prefixes serve every smaller
-/// `k`), the Kendall pairwise-order tournament, the co-clustering weight
-/// matrix, and the marginal-probability tables driving the set-query scans.
+/// `k`), the co-clustering weight matrix, and the marginal-probability
+/// tables driving the set-query scans.
 /// [`run_batch`](Self::run_batch) therefore amortises the generating-function
 /// work across queries: a batch of Top-k queries builds the PMFs once, at
 /// its largest `k`. [`cache_stats`](Self::cache_stats) exposes the build/hit
 /// counters.
 ///
-/// Randomised paths (Kendall pivot, clustering restarts, sampled baselines)
+/// Randomised paths (clustering restarts, sampled baselines)
 /// draw from an owned seeded RNG: each query's stream is derived from the
 /// engine seed and the query's [`rng_tag`](Query::rng_tag), so results are
 /// deterministic and independent of batch order — *and* of which thread
@@ -285,8 +278,6 @@ pub struct ConsensusEngine {
     /// The resident rank-PMF context; the lock guards only the swap to a
     /// slot at a larger `k`.
     context: RwLock<Arc<RankSlot>>,
-    /// The full n² pairwise-order tournament every Kendall pivot runs on.
-    prefs: Slot<PreferenceMatrix>,
     cocluster: Slot<CoClusteringWeights>,
     /// `(alternative, Pr(alternative))`, sorted by alternative; the Jaccard
     /// candidates are derived from it per query.
@@ -312,7 +303,6 @@ impl Clone for ConsensusEngine {
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(self.resident_slot().carried(true)),
-            prefs: clone_built_slot(&self.prefs),
             cocluster: clone_built_slot(&self.cocluster),
             marginals: clone_built_slot(&self.marginals),
             stats: AtomicCacheStats::from_snapshot(self.stats.snapshot()),
@@ -339,7 +329,6 @@ impl ConsensusEngine {
             groupby,
             threads,
             context: RwLock::default(),
-            prefs: Slot::default(),
             cocluster: Slot::default(),
             marginals: Slot::default(),
             stats: AtomicCacheStats::default(),
@@ -385,8 +374,6 @@ impl ConsensusEngine {
         for (name, value) in [
             ("rank_context_builds", stats.rank_context_builds),
             ("rank_context_hits", stats.rank_context_hits),
-            ("preference_builds", stats.preference_builds),
-            ("preference_hits", stats.preference_hits),
             ("coclustering_builds", stats.coclustering_builds),
             ("coclustering_hits", stats.coclustering_hits),
             ("marginal_builds", stats.marginal_builds),
@@ -459,21 +446,10 @@ impl ConsensusEngine {
         }
     }
 
-    /// The memoised full pairwise-order tournament `Pr(r(t_i) < r(t_j))`,
-    /// building it on first use (n² generating-function evaluations).
-    pub fn preference_matrix(&self) -> &PreferenceMatrix {
-        slot_get_or_build(
-            &self.prefs,
-            &self.stats.preference_builds,
-            &self.stats.preference_hits,
-            || {
-                let _build = self.obs.artifact_span(Artifact::PreferenceMatrix, || {
-                    "preference_matrix".to_string()
-                });
-                kendall::preference_matrix(&self.tree, &self.tree.keys(), self.threads)
-            },
-        )
-    }
+    /// Does nothing: the engine keeps no Kendall tournament. Kept while
+    /// callers outside the workspace call it.
+    #[deprecated(note = "the engine keeps no Kendall tournament; this does nothing")]
+    pub fn preference_matrix(&self) {}
 
     /// The memoised co-clustering weight matrix `w_ij`, building it on first
     /// use.
@@ -661,16 +637,9 @@ impl ConsensusEngine {
                 (answer, distance, Optimality::Exact)
             }
             TopKMetric::Kendall => {
-                let mut rng = self.query_rng(query);
-                let answer = kendall::mean_topk_kendall_pivot_from_prefs(
-                    &ctx,
-                    self.preference_matrix(),
-                    KENDALL_PIVOT_TRIALS,
-                    &mut rng,
-                );
-                // E[d_K] is exact: truncated generating-function sweeps,
-                // no sampled worlds. Only the pivot draws from the query RNG.
-                let distance = kendall::expected_kendall_distance(&self.tree, &ctx, &answer);
+                // Never worse than the footrule answer, so its factor 2
+                // holds; E[d_K] is exact, read off the same pool table.
+                let (answer, distance) = kendall::mean_topk_kendall(&self.tree, &ctx);
                 (answer, distance, Optimality::Approx { factor: 2.0 })
             }
         };
@@ -860,11 +829,10 @@ impl ConsensusEngine {
         let mut report = DeltaReport::new(impact);
         let impact = report.impact.clone();
         let affected = &impact.affected_keys;
-        let new_keys = tree.keys();
         // When the delta touches (essentially) every key, selective
         // maintenance degenerates into a disguised full rebuild — drop the
         // pairwise artifacts instead so the counters stay honest.
-        let all_touched = affected.len() >= new_keys.len();
+        let all_touched = affected.len() >= tree.keys().len();
 
         // Marginal table: recompute the affected keys' entries with the same
         // filtered depth-first accumulation the full walk performs, then
@@ -890,26 +858,7 @@ impl ConsensusEngine {
             }
         };
 
-        // Full pairwise-order tournament: rebuild affected rows/columns only.
-        let prefs = match self.prefs.get() {
-            None => Slot::default(),
-            Some(_) if all_touched => {
-                report.record("preference_matrix", Invalidated);
-                Slot::default()
-            }
-            Some(old) => {
-                report.record("preference_matrix", Patched);
-                prebuilt_slot(kendall::preference_matrix_patched(
-                    &tree,
-                    &new_keys,
-                    affected,
-                    old,
-                    self.threads,
-                ))
-            }
-        };
-
-        // Co-clustering weights: same row/column patch.
+        // Co-clustering weights: rebuild affected rows/columns only.
         let cocluster = match self.cocluster.get() {
             None => Slot::default(),
             Some(_) if all_touched => {
@@ -948,7 +897,6 @@ impl ConsensusEngine {
             groupby: self.groupby.clone(),
             threads: self.threads,
             context: RwLock::new(context),
-            prefs,
             cocluster,
             marginals,
             stats,
@@ -981,10 +929,6 @@ impl ConsensusEngine {
                 rows: ctx.pmf_rows(),
             });
 
-        let prefs = self.prefs.get().map(|m| PreferenceExport {
-            weights: m.row_major().to_vec(),
-        });
-
         let cocluster = self.cocluster.get().map(|w| CoClusterExport {
             weights: w.upper_triangle().to_vec(),
         });
@@ -1001,7 +945,6 @@ impl ConsensusEngine {
             threads: self.threads,
             groupby: self.groupby.as_ref().map(|g| g.probabilities().to_vec()),
             context,
-            prefs,
             cocluster,
             marginals,
         }
@@ -1031,7 +974,7 @@ impl ConsensusEngine {
         // Every artifact is over the tree's sorted keys, so one length check
         // per section is all there is to check.
         let tree_keys = engine.tree.keys();
-        let keys: Vec<u64> = tree_keys.iter().map(|k| k.0).collect();
+        let key_count = tree_keys.len();
 
         if let Some(rce) = &export.context {
             let ctx = engine
@@ -1044,7 +987,7 @@ impl ConsensusEngine {
                          the k-range {:?} or of the wrong length",
                         rce.k,
                         rce.rows.len(),
-                        tree_keys.len(),
+                        key_count,
                         engine.k_range()
                     ),
                 })?;
@@ -1053,27 +996,13 @@ impl ConsensusEngine {
             engine.context = RwLock::new(slot);
         }
 
-        if let Some(pe) = &export.prefs {
-            let m =
-                PreferenceMatrix::from_row_major(&keys, pe.weights.clone()).ok_or_else(|| {
-                    EngineError::InvalidConfig {
-                        context: format!(
-                            "preference export has {} weights for {} keys",
-                            pe.weights.len(),
-                            keys.len()
-                        ),
-                    }
-                })?;
-            engine.prefs = prebuilt_slot(m);
-        }
-
         if let Some(ce) = &export.cocluster {
             let w = CoClusteringWeights::from_upper_triangle(tree_keys, ce.weights.clone())
                 .ok_or_else(|| EngineError::InvalidConfig {
                     context: format!(
                         "co-clustering export has {} weights for {} keys",
                         ce.weights.len(),
-                        keys.len()
+                        key_count
                     ),
                 })?;
             engine.cocluster = prebuilt_slot(w);
@@ -1412,15 +1341,14 @@ mod tests {
         // the clone must do its own builds (empty cells are never shared).
         let engine = small_engine();
         let cold_clone = engine.clone();
-        let _ = engine.preference_matrix();
         let _ = engine.coclustering_weights();
         let _ = engine.context(2).unwrap();
         assert_eq!(cold_clone.cache_stats(), CacheStats::default());
-        let _ = cold_clone.preference_matrix();
+        let _ = cold_clone.coclustering_weights();
         let _ = cold_clone.context(2).unwrap();
         let stats = cold_clone.cache_stats();
-        assert_eq!(stats.preference_builds, 1, "{stats:?}");
-        assert_eq!(stats.preference_hits, 0, "{stats:?}");
+        assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
+        assert_eq!(stats.coclustering_hits, 0, "{stats:?}");
         assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
     }
 
@@ -1478,7 +1406,6 @@ mod tests {
         assert_eq!(engine.export().context.map(|c| c.k), Some(3));
         assert_eq!(stats.rank_context_builds + stats.rank_context_hits, 8);
         assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
-        assert_eq!(stats.preference_builds, 1, "{stats:?}");
         assert_eq!(stats.marginal_builds, 1, "{stats:?}");
     }
 
@@ -1518,7 +1445,7 @@ mod tests {
     }
 
     #[test]
-    fn kendall_pivot_replays_through_query_rng() {
+    fn kendall_replays_the_free_function() {
         let engine = small_engine();
         let q = Query::TopK {
             k: 2,
@@ -1526,11 +1453,11 @@ mod tests {
             variant: Variant::Mean,
         };
         let a = engine.run(&q).unwrap();
-        // Replay the engine's stream through the free function.
+        // The free function on the same tree and rank context, bit for bit.
         let ctx = TopKContext::new(engine.tree(), 2);
-        let mut rng = engine.query_rng(&q);
-        let direct = kendall::mean_topk_kendall_pivot(engine.tree(), &ctx, 8, &mut rng);
+        let (direct, distance) = kendall::mean_topk_kendall(engine.tree(), &ctx);
         assert_eq!(a.value.as_topk().unwrap(), &direct);
+        assert_eq!(a.expected_distance.to_bits(), distance.to_bits());
         assert_eq!(a.optimality, Optimality::Approx { factor: 2.0 });
         // Determinism: running the same query again gives the same answer.
         assert_eq!(engine.run(&q).unwrap(), a);
@@ -1762,7 +1689,7 @@ mod tests {
     }
 
     #[test]
-    fn kendall_at_every_k_shares_one_tournament() {
+    fn kendall_at_every_k_shares_one_rank_context() {
         let obs = cpdb_obs::Obs::enabled();
         let engine = ConsensusEngineBuilder::new(bid_tree())
             .seed(5)
@@ -1777,12 +1704,15 @@ mod tests {
                 variant: Variant::Mean,
             })
             .collect();
-        for r in engine.run_batch_serial(&queries) {
+        for r in engine.run_batch(&queries) {
             r.unwrap();
         }
+        // The batch builds the rank context once, at its largest k; the
+        // per-query pool tables are no artifact.
         let stats = engine.cache_stats();
-        assert_eq!(stats.preference_builds, 1, "{stats:?}");
-        assert_eq!(stats.preference_hits, queries.len() - 1, "{stats:?}");
+        assert_eq!(stats.rank_context_builds, 1, "{stats:?}");
+        assert_eq!(stats.rank_context_hits, queries.len() - 1, "{stats:?}");
+        assert_eq!(stats.preference_builds, 0, "{stats:?}");
         // One build histogram per artifact family, none per k.
         let snapshot = obs.snapshot();
         let artifacts: Vec<&str> = snapshot
@@ -1790,29 +1720,15 @@ mod tests {
             .iter()
             .filter_map(|(name, _)| name.strip_prefix("engine.artifact."))
             .collect();
-        assert_eq!(
-            artifacts,
-            [
-                "coclustering",
-                "marginals",
-                "preference_matrix",
-                "rank_context"
-            ]
-        );
-        // A write patches that one tournament and keeps the one rank
-        // context.
+        assert_eq!(artifacts, ["coclustering", "marginals", "rank_context"]);
+        // A write has only that one rank context to maintain, and keeps it.
         let leaf = engine.tree().leaves_of_key(2)[0];
         let (_, report) = engine
             .apply_delta(&TreeDelta::LeafValue { leaf, value: 81.0 })
             .unwrap();
-        let mut names: Vec<&str> = report.decisions.iter().map(|(n, _)| n.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["preference_matrix", "rank_context"], "{report:?}");
-        assert!(
-            report
-                .decisions
-                .iter()
-                .any(|(n, d)| n == "preference_matrix" && *d == crate::ArtifactDecision::Patched),
+        assert_eq!(
+            report.decisions,
+            [("rank_context".to_string(), crate::ArtifactDecision::Kept)],
             "{report:?}"
         );
     }
@@ -1918,7 +1834,7 @@ mod tests {
         // global-rank artifact drops. Every built artifact reads the
         // probabilities, so none is kept as is.
         assert_eq!(report.kept(), 0, "{report:?}");
-        assert!(report.patched() >= 3, "{report:?}");
+        assert!(report.patched() >= 2, "{report:?}");
         assert!(
             report
                 .decisions
@@ -1926,7 +1842,7 @@ mod tests {
                 .any(|(n, d)| n == "rank_context" && *d == crate::ArtifactDecision::Invalidated),
             "{report:?}"
         );
-        for name in ["marginals", "preference_matrix", "coclustering_weights"] {
+        for name in ["marginals", "coclustering_weights"] {
             assert!(
                 report
                     .decisions
@@ -1948,7 +1864,6 @@ mod tests {
         );
         // The patched epoch did not rebuild the patched artifacts.
         let after = next.cache_stats();
-        assert_eq!(after.preference_builds, stats.preference_builds);
         assert_eq!(after.coclustering_builds, stats.coclustering_builds);
         assert_eq!(after.marginal_builds, stats.marginal_builds);
     }
@@ -2110,15 +2025,19 @@ mod tests {
                 alternatives: vec![(77.0, 0.4), (52.0, 0.35)],
             })
             .unwrap();
-        // The tournament must follow the membership change…
+        // The co-clustering weights must follow the membership change…
         assert!(
             report
                 .decisions
                 .iter()
-                .any(|(n, d)| n == "preference_matrix" && *d == crate::ArtifactDecision::Patched),
+                .any(|(n, d)| n == "coclustering_weights"
+                    && *d == crate::ArtifactDecision::Patched),
             "{report:?}"
         );
-        assert!(next.preference_matrix().position(9).is_some());
+        assert!(next
+            .coclustering_weights()
+            .keys()
+            .contains(&cpdb_model::TupleKey(9)));
         // …and the k-range stays as configured (it does not silently widen).
         assert_eq!(next.k_range(), engine.k_range());
         let fresh = delta_engine(next.tree().clone());
@@ -2308,7 +2227,6 @@ mod tests {
         let export = engine.export();
         // The warming batch built every artifact family.
         assert!(export.context.is_some());
-        assert!(export.prefs.is_some());
         assert!(export.cocluster.is_some());
         assert!(export.marginals.is_some());
 
@@ -2318,7 +2236,6 @@ mod tests {
         assert_eq!(imported.run_batch_serial(&warming_batch()), answers);
         let stats = imported.cache_stats();
         assert_eq!(stats.rank_context_builds, 0, "{stats:?}");
-        assert_eq!(stats.preference_builds, 0, "{stats:?}");
         assert_eq!(stats.coclustering_builds, 0, "{stats:?}");
         // The export itself is reproducible from the imported engine.
         assert_eq!(imported.export(), export);
@@ -2329,7 +2246,6 @@ mod tests {
         let engine = delta_engine(bid_tree());
         let export = engine.export();
         assert!(export.context.is_none());
-        assert!(export.prefs.is_none());
         assert!(export.cocluster.is_none());
         assert!(export.marginals.is_none());
         // A cold import still answers identically (ordinary lazy builds).
@@ -2346,8 +2262,7 @@ mod tests {
         for r in engine.run_batch_serial(&warming_batch()) {
             r.unwrap();
         }
-        // A rank-context table, preference matrix, co-clustering triangle or
-        // marginal table one entry short or one entry long is rejected rather
+        // A rank-context table, co-clustering triangle or marginal table one entry short or one entry long is rejected rather
         // than silently zeroed or truncated.
         for corrupt in [
             |weights: &mut Vec<f64>| {
@@ -2356,11 +2271,8 @@ mod tests {
             |weights: &mut Vec<f64>| weights.push(0.5),
         ] {
             type Section = (&'static str, fn(&mut EngineExport) -> &mut Vec<f64>);
-            let sections: [Section; 4] = [
+            let sections: [Section; 3] = [
                 ("rank context", |e| &mut e.context.as_mut().unwrap().rows),
-                ("preference matrix", |e| {
-                    &mut e.prefs.as_mut().unwrap().weights
-                }),
                 ("co-clustering triangle", |e| {
                     &mut e.cocluster.as_mut().unwrap().weights
                 }),

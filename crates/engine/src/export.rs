@@ -10,9 +10,8 @@
 //!   group-by matrix);
 //! * every artifact the engine had actually *built* at export time: the one
 //!   rank-PMF context (built at the largest `k` the engine has served; its
-//!   column prefixes serve every smaller `k`), the Kendall preference matrix
-//!   and the co-clustering weights (bare `f64` tables over the tree's sorted
-//!   keys), and the marginal table (a bare `f64` array over the tree's sorted
+//!   column prefixes serve every smaller `k`), the co-clustering weights (a
+//!   bare `f64` table over the tree's sorted keys), and the marginal table (a bare `f64` array over the tree's sorted
 //!   alternatives). No artifact repeats a key or an alternative, so import
 //!   checks only their lengths. Unbuilt artifacts are simply absent and
 //!   rebuilt lazily after import — the ordinary cold path, still
@@ -38,14 +37,6 @@ pub struct RankContextExport {
     /// Row-major `n × k` table, one row per sorted key:
     /// `rows[p·k + i − 1] = Pr(r(t_p) = i)`.
     pub rows: Vec<f64>,
-}
-
-/// The exported full pairwise-order tournament, over the tree's sorted tuple
-/// keys (which the export does not repeat).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreferenceExport {
-    /// Row-major `n × n` weight matrix.
-    pub weights: Vec<f64>,
 }
 
 /// The exported co-clustering weight matrix, over the tree's sorted tuple
@@ -76,8 +67,6 @@ pub struct EngineExport {
     pub groupby: Option<Vec<Vec<f64>>>,
     /// The built rank context, if any.
     pub context: Option<RankContextExport>,
-    /// The built full Kendall preference matrix, if any.
-    pub prefs: Option<PreferenceExport>,
     /// The built co-clustering weights, if any.
     pub cocluster: Option<CoClusterExport>,
     /// The built marginal table: one probability per tree alternative, in

@@ -16,7 +16,7 @@
 //! `Approx { factor }` / `Heuristic`).
 //!
 //! The engine memoises the expensive shared artifacts — rank-probability PMFs
-//! per `k`, the Kendall pairwise-order tournament, co-clustering weights,
+//! (one table at the largest `k` asked for), co-clustering weights,
 //! marginal tables — in concurrency-safe interior-mutable slots, so every
 //! entry point takes `&self`: one warm engine can be shared across threads
 //! and serve queries concurrently, each artifact built exactly once.
@@ -82,7 +82,7 @@ pub use builder::ConsensusEngineBuilder;
 pub use delta::{ArtifactDecision, DeltaReport};
 pub use engine::{CacheStats, ConsensusEngine};
 pub use error::EngineError;
-pub use export::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
+pub use export::{CoClusterExport, EngineExport, RankContextExport};
 pub use query::{BaselineKind, Query, SetMetric, TopKMetric, Variant};
 
 // Re-exported so delta authors work against one crate: the mutation API is

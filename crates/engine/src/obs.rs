@@ -25,7 +25,6 @@ pub(crate) struct EngineObs {
     query_clustering: Histogram,
     query_baseline: Histogram,
     artifact_rank_context: Histogram,
-    artifact_prefs: Histogram,
     artifact_cocluster: Histogram,
     artifact_marginals: Histogram,
 }
@@ -44,7 +43,6 @@ impl EngineObs {
             query_clustering: obs.histogram("engine.query.clustering"),
             query_baseline: obs.histogram("engine.query.baseline"),
             artifact_rank_context: obs.histogram("engine.artifact.rank_context"),
-            artifact_prefs: obs.histogram("engine.artifact.preference_matrix"),
             artifact_cocluster: obs.histogram("engine.artifact.coclustering"),
             artifact_marginals: obs.histogram("engine.artifact.marginals"),
             obs,
@@ -107,7 +105,6 @@ impl EngineObs {
     pub(crate) fn artifact_span(&self, artifact: Artifact, label: impl FnOnce() -> String) -> Span {
         let histogram = match artifact {
             Artifact::RankContext => &self.artifact_rank_context,
-            Artifact::PreferenceMatrix => &self.artifact_prefs,
             Artifact::CoClustering => &self.artifact_cocluster,
             Artifact::Marginals => &self.artifact_marginals,
         };
@@ -122,7 +119,6 @@ impl EngineObs {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Artifact {
     RankContext,
-    PreferenceMatrix,
     CoClustering,
     Marginals,
 }

@@ -36,8 +36,8 @@ pub enum TopKMetric {
     /// Spearman footrule `F^{(k+1)}` — position-aware (§5.4 / Figure 2).
     Footrule,
     /// Kendall tau `K^{(0)}` — pairwise-order-aware; NP-hard exactly, served
-    /// by a constant-factor approximation (§5.5): seeded KwikSort over the
-    /// pairwise-order tournament of every tuple, best of 8 runs.
+    /// by a 2-approximation (§5.5): local search on the exact `E[d_K]` from
+    /// the footrule answer, over a pool of the `3k` likeliest keys.
     Kendall,
 }
 

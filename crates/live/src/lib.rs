@@ -20,7 +20,7 @@
 //!   affected keys' slice is recomputed, bit-identical to a full rebuild),
 //!   or *invalidated* (dropped for lazy rebuild) according to the delta's
 //!   [`DeltaImpact`] dependency extract. A single-∨ probability update
-//!   patches the marginal table and the pairwise tournaments in `O(n)` pair
+//!   patches the marginal table and the co-clustering weights in `O(n)` pair
 //!   evaluations and drops only the global-rank PMFs; an order-preserving
 //!   value update keeps the rank context too. A batch ([`LiveEngine::apply_all`]) serves only its final epoch,
 //!   so it is maintained once against the run's combined impact
@@ -1666,6 +1666,8 @@ mod tests {
         };
         let snap0 = live.snapshot();
         let _ = snap0.run(&kendall).unwrap();
+        // Clustering builds the co-clustering weights, which a write patches.
+        let _ = snap0.run(&Query::Clustering { restarts: 2 }).unwrap();
         let context_builds = snap0.engine().cache_stats().rank_context_builds;
         assert!(context_builds >= 1);
         // 80 → 81 keeps key 2's leaf between 95 and 70: the score order holds.

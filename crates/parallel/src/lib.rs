@@ -1,7 +1,8 @@
 //! # cpdb-parallel — minimal fork-join helpers for artifact builds
 //!
-//! The pairwise artifacts of the workspace (the Kendall pairwise-order
-//! tournament, the co-clustering weights) are embarrassingly parallel across
+//! The pairwise tables of the workspace (the co-clustering weights, and the
+//! Kendall pairwise-order tournament of the library pivot) are
+//! embarrassingly parallel across
 //! pairs once the batch generating-function evaluator has reduced each entry
 //! to a closed form, and the engine fans a query batch out across threads.
 //! This crate provides the *smallest* parallelism layer that can exploit

@@ -6,7 +6,7 @@
 
 use crate::StoreError;
 use cpdb_andxor::{NodeKind, RawDelta, RawNode, RawTree};
-use cpdb_engine::{CoClusterExport, EngineExport, PreferenceExport, RankContextExport};
+use cpdb_engine::{CoClusterExport, EngineExport, RankContextExport};
 
 /// Append-only byte buffer with typed little-endian writers.
 #[derive(Debug, Default)]
@@ -380,7 +380,6 @@ pub fn decode_config(r: &mut ByteReader<'_>, tree: RawTree) -> Result<EngineExpo
         threads,
         groupby,
         context: None,
-        prefs: None,
         cocluster: None,
         marginals: None,
     })
@@ -399,17 +398,6 @@ pub fn decode_context(r: &mut ByteReader<'_>) -> Result<RankContextExport, Store
     Ok(RankContextExport {
         k: r.get_bounded(1 << 24)?,
         rows: get_f64s(r)?,
-    })
-}
-
-/// The preference matrix: a count, then that many `f64`s.
-pub fn encode_prefs(w: &mut ByteWriter, prefs: &PreferenceExport) {
-    put_f64s(w, &prefs.weights);
-}
-
-pub fn decode_prefs(r: &mut ByteReader<'_>) -> Result<PreferenceExport, StoreError> {
-    Ok(PreferenceExport {
-        weights: get_f64s(r)?,
     })
 }
 
@@ -541,7 +529,6 @@ mod tests {
                 threads: 2,
                 groupby: groupby.clone(),
                 context: None,
-                prefs: None,
                 cocluster: None,
                 marginals: None,
             };

@@ -2,9 +2,9 @@
 //!
 //! The consensus answers of Li & Deshpande (PODS 2009) are a pure function
 //! of the probabilistic and/xor tree, yet rebuilding the engine's shared
-//! artifacts — the rank-PMF context at the largest `k` served, the `n²`
-//! Kendall tournament, the co-clustering weights — costs `O(n²)` generating-function sweeps on
-//! every process start. This crate makes a `cpdb_live` database **durable**
+//! artifacts — the rank-PMF context at the largest `k` served, the
+//! co-clustering weights — costs generating-function sweeps and `O(n²)`
+//! pair evaluations on every process start. This crate makes a `cpdb_live` database **durable**
 //! so restarts warm-start instead:
 //!
 //! * [`snapshot`] — a compact, versioned binary image of one engine epoch:
@@ -33,10 +33,10 @@
 //!
 //! ## File formats
 //!
-//! Snapshot (`snapshot-<epoch>.cpdb`, version 7; see
-//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 6).
-//! Only the tree section carries tuple keys: the one rank-context, preference
-//! and co-clustering sections are bare `f64` arrays over the tree's sorted
+//! Snapshot (`snapshot-<epoch>.cpdb`, version 8; see
+//! [`snapshot::SNAPSHOT_VERSION`] for what changed from versions 1 to 7).
+//! Only the tree section carries tuple keys: the one rank-context and the
+//! co-clustering sections are bare `f64` arrays over the tree's sorted
 //! keys, and the marginal section one over its sorted alternatives:
 //!
 //! | field | bytes | meaning |

@@ -18,9 +18,8 @@
 
 use crate::checksum::crc32_parts;
 use crate::codec::{
-    decode_cocluster, decode_config, decode_context, decode_prefs, decode_tree, encode_cocluster,
-    encode_config, encode_context, encode_prefs, encode_tree, get_f64s, put_f64s, ByteReader,
-    ByteWriter,
+    decode_cocluster, decode_config, decode_context, decode_tree, encode_cocluster, encode_config,
+    encode_context, encode_tree, get_f64s, put_f64s, ByteReader, ByteWriter,
 };
 use crate::vfs::{std_vfs, write_atomic, Vfs};
 use crate::StoreError;
@@ -30,6 +29,10 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// Current snapshot format version.
+///
+/// Version 8 dropped the Kendall preference section (tag 4, the row-major
+/// `n × n` tournament): the engine keeps no tournament, so there is none
+/// to persist. Tag 4 is not reused.
 ///
 /// Version 7 dropped the Top-k strategy fields from the config section,
 /// which is now seed, k-range, thread count and the optional group-by
@@ -54,12 +57,11 @@ const MAGIC: &[u8; 8] = b"CPDBSNP1";
 /// preference section, version 2 from the co-clustering section. Images of
 /// any earlier version are refused with [`StoreError::UnsupportedVersion`];
 /// no decoder for them is kept.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 const SECTION_CONFIG: u8 = 1;
 const SECTION_TREE: u8 = 2;
 const SECTION_CONTEXTS: u8 = 3;
-const SECTION_PREFS: u8 = 4;
 const SECTION_COCLUSTER: u8 = 5;
 const SECTION_MARGINALS: u8 = 6;
 
@@ -93,11 +95,6 @@ pub fn encode_snapshot(epoch: u64, export: &EngineExport) -> Vec<u8> {
         let mut w = ByteWriter::new();
         encode_context(&mut w, context);
         sections.push((SECTION_CONTEXTS, w.into_bytes()));
-    }
-    if let Some(prefs) = &export.prefs {
-        let mut w = ByteWriter::new();
-        encode_prefs(&mut w, prefs);
-        sections.push((SECTION_PREFS, w.into_bytes()));
     }
     if let Some(cocluster) = &export.cocluster {
         let mut w = ByteWriter::new();
@@ -185,7 +182,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
         match tag {
             SECTION_CONFIG => config_payload = Some(payload),
             SECTION_TREE => tree_payload = Some(payload),
-            SECTION_CONTEXTS | SECTION_PREFS | SECTION_COCLUSTER | SECTION_MARGINALS => {
+            SECTION_CONTEXTS | SECTION_COCLUSTER | SECTION_MARGINALS => {
                 artifact_payloads.push((tag, payload))
             }
             other => {
@@ -220,11 +217,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, EngineExport), StoreError> 
             SECTION_CONTEXTS => {
                 let mut r = ByteReader::new(payload, "snapshot contexts section");
                 export.context = Some(decode_context(&mut r)?);
-                r.expect_end()?;
-            }
-            SECTION_PREFS => {
-                let mut r = ByteReader::new(payload, "snapshot prefs section");
-                export.prefs = Some(decode_prefs(&mut r)?);
                 r.expect_end()?;
             }
             SECTION_COCLUSTER => {
@@ -425,6 +417,11 @@ mod tests {
     #[test]
     fn version_6_images_are_refused() {
         assert_version_refused(6);
+    }
+
+    #[test]
+    fn version_7_images_are_refused() {
+        assert_version_refused(7);
     }
 
     #[test]

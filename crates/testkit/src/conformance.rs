@@ -324,6 +324,27 @@ pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
     4
 }
 
+/// The served Kendall answer on a tree too large for world enumeration: its
+/// reported `E[d_K]`, read off the pool table, is within `1e-9` of the
+/// exact evaluator on the returned list, and no larger than the footrule
+/// answer's (within `1e-12`). Returns `(served, footrule)` distances.
+pub fn check_kendall_served(tree: &AndXorTree, k: usize) -> (f64, f64) {
+    let ctx = TopKContext::new(tree, k);
+    let (served, distance) = kendall::mean_topk_kendall(tree, &ctx);
+    assert_close(
+        "topk/kendall served E[d_K] vs the exact evaluator",
+        distance,
+        kendall::expected_kendall_distance(tree, &ctx, &served),
+    );
+    let footrule =
+        kendall::expected_kendall_distance(tree, &ctx, &footrule::mean_topk_footrule(&ctx));
+    assert!(
+        distance <= footrule + 1e-12,
+        "topk/kendall k={k}: served {distance} is worse than the footrule answer {footrule}"
+    );
+    (distance, footrule)
+}
+
 /// The median sweep against [`reference::median_topk_sym_diff_recursive`]:
 /// both pick the same key set, or sets whose objectives
 /// `Σ_{t ∈ τ} (Pr(r(t) ≤ k) − ½)` tie within `1e-12` (the two sum in a
@@ -365,6 +386,8 @@ pub fn check_topk_median_reference(tree: &AndXorTree, k: usize) -> bool {
 /// §5.5: the Kendall consensus heuristics never beat the enumerated optimum
 /// and stay within their factor-2 guarantee (footrule proxy by Diaconis–
 /// Graham / Fagin et al.; pivot by the KwikSort expectation, taken best-of).
+/// The served local search reports its exact `E[d_K]` and is never worse
+/// than the footrule answer it starts from.
 pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let ws = tree.enumerate_worlds();
     let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
@@ -389,7 +412,20 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let pivot = kendall::mean_topk_kendall_pivot(tree, &ctx, 4, &mut rng);
     let cost_pivot = reference::expected_kendall_distance_enumerated(tree, &ctx, &pivot);
     assert_within_factor("topk/kendall pivot", cost_pivot, opt, 2.0);
-    5 + check_kendall_exact(tree, k)
+
+    let (served, distance) = kendall::mean_topk_kendall(tree, &ctx);
+    assert_close(
+        "topk/kendall served E[d_K] vs enumeration",
+        distance,
+        reference::expected_kendall_distance_enumerated(tree, &ctx, &served),
+    );
+    let footrule_exact = kendall::expected_kendall_distance(tree, &ctx, &via_footrule);
+    assert!(
+        distance <= footrule_exact + 1e-12,
+        "topk/kendall served {distance} is worse than the footrule answer {footrule_exact}"
+    );
+    assert_within_factor("topk/kendall served", distance, opt, 2.0);
+    8 + check_kendall_exact(tree, k)
 }
 
 /// The exact `E[d_K]` evaluator against world enumeration, within `1e-12`,
@@ -770,11 +806,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
                 (list, d)
             }
             (TopKMetric::Kendall, Variant::Mean) => {
-                // Replay the engine's owned RNG stream through the free
-                // function (8 trials, as the engine runs it).
-                let mut rng = engine.query_rng(query);
-                let list = kendall::mean_topk_kendall_pivot(tree, &ctx, 8, &mut rng);
-                let d = kendall::expected_kendall_distance(tree, &ctx, &list);
+                // The free function the engine serves; it reads no RNG.
+                let (list, d) = kendall::mean_topk_kendall(tree, &ctx);
                 // Exact: the served list's E[d_K] over the enumerated worlds.
                 assert_close(
                     "engine topk/kendall E[d_K] vs oracle",
@@ -1000,8 +1033,8 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
         );
         let stats = engine.cache_stats();
         assert_eq!(
-            stats.preference_builds, 1,
-            "run_batch rebuilt the tournament at {threads} threads: {stats:?}"
+            stats.preference_builds, 0,
+            "run_batch built a tournament at {threads} threads: {stats:?}"
         );
         assert_eq!(stats.coclustering_builds, 1, "{stats:?}");
         assert_eq!(stats.marginal_builds, 1, "{stats:?}");
@@ -1048,7 +1081,7 @@ pub fn check_engine_concurrency(tree: &AndXorTree, groupby: &GroupByInstance, se
         stats.rank_context_builds <= n.min(3),
         "shared-engine traffic rebuilt a rank context: {stats:?}"
     );
-    assert_eq!(stats.preference_builds, 1, "{stats:?}");
+    assert_eq!(stats.preference_builds, 0, "{stats:?}");
     checks + 2
 }
 
@@ -1383,9 +1416,10 @@ pub fn check_batched_apply(tree: &AndXorTree, seed: u64) -> usize {
                     .report
                     .decisions
                     .iter()
-                    .any(|(label, d)| label == "preference_matrix"
+                    .any(|(label, d)| label == "coclustering_weights"
                         && *d == ArtifactDecision::Invalidated),
-                "run {r}: a run touching every key must invalidate the tournament: {:?}",
+                "run {r}: a run touching every key must invalidate the co-clustering \
+                 weights: {:?}",
                 outcome.report
             );
             checks += 1;

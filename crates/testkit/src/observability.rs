@@ -172,8 +172,6 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
     for (name, value) in [
         ("rank_context_builds", stats.rank_context_builds),
         ("rank_context_hits", stats.rank_context_hits),
-        ("preference_builds", stats.preference_builds),
-        ("preference_hits", stats.preference_hits),
         ("coclustering_builds", stats.coclustering_builds),
         ("coclustering_hits", stats.coclustering_hits),
         ("marginal_builds", stats.marginal_builds),
@@ -190,7 +188,6 @@ fn check_counter_conservation(run: &Run, obs: &Obs) -> usize {
     // Every from-scratch build recorded exactly one latency span.
     for (artifact, counter) in [
         ("rank_context", "rank_context_builds"),
-        ("preference_matrix", "preference_builds"),
         ("coclustering", "coclustering_builds"),
         ("marginals", "marginal_builds"),
     ] {

@@ -82,6 +82,19 @@ fn median_dp_module_keeps_its_unwrap_gate() {
     );
 }
 
+/// The local search answers every `TopK{Kendall}` query; the Kendall module
+/// keeps the same panic-freedom gate as the median DP.
+#[test]
+fn kendall_module_keeps_its_unwrap_gate() {
+    let module = crates_dir().join("consensus/src/topk/kendall.rs");
+    let src = std::fs::read_to_string(&module).expect("kendall module is readable");
+    assert!(
+        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
+        "{} lost its unwrap/expect lint gate",
+        module.display()
+    );
+}
+
 /// KwikCluster and its cost answer every `Clustering` query; the clustering
 /// module keeps the same panic-freedom gate as the Jaccard scan.
 #[test]
@@ -283,6 +296,48 @@ fn production_crates_hold_only_the_serving_path() {
     assert!(
         depends.is_empty(),
         "a production crate depends on the testkit: {depends:?}"
+    );
+}
+
+/// The engine keeps no Kendall tournament: neither the engine nor the store
+/// names the tournament, its patch path, its export or the pivot, and the
+/// served Kendall function takes no RNG.
+#[test]
+fn the_kendall_tournament_stays_out_of_the_engine() {
+    // Split so this file does not match itself.
+    let needles = [
+        concat!("Preference", "Matrix"),
+        concat!("Preference", "Export"),
+        concat!("preference_matrix", "_patched"),
+        concat!("pivot_best", "_of"),
+        concat!("KENDALL_PIVOT", "_TRIALS"),
+    ];
+    let mut named = Vec::new();
+    for dir in ["engine/src", "store/src"] {
+        for path in rust_sources(crates_dir().join(dir)) {
+            let src = std::fs::read_to_string(&path).expect("source is readable");
+            for needle in needles {
+                if names_identifier(&src, needle) {
+                    named.push(format!("{}: {needle}", path.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        named.is_empty(),
+        "the engine or the store names the Kendall tournament: {named:?}"
+    );
+
+    let module = crates_dir().join("consensus/src/topk/kendall.rs");
+    let src = std::fs::read_to_string(&module).expect("kendall module is readable");
+    let start = src
+        .find("pub fn mean_topk_kendall(")
+        .expect("the served Kendall function exists");
+    let signature = &src[start..];
+    let signature = &signature[..signature.find('{').expect("the function has a body")];
+    assert!(
+        !signature.contains("Rng"),
+        "the served Kendall function takes an RNG: {signature}"
     );
 }
 

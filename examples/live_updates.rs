@@ -52,9 +52,8 @@ fn main() {
         variant: Variant::Mean,
     };
     // The dashboard's full refresh: warming these builds every artifact
-    // family (rank PMFs, the Kendall tournament, co-clustering weights,
-    // the marginal table), so each arriving delta has real maintenance work
-    // to keep/patch/invalidate.
+    // family (rank PMFs, co-clustering weights, the marginal table), so
+    // each arriving delta has real maintenance work to keep/patch/invalidate.
     let refresh = vec![
         topk.clone(),
         Query::TopK {
@@ -133,5 +132,7 @@ fn main() {
         "cumulative delta maintenance: {} kept, {} patched, {} invalidated",
         stats.delta_kept, stats.delta_patched, stats.delta_invalidated
     );
+    // Every probability update patches the co-clustering weights and the
+    // marginal table.
     assert!(stats.delta_patched >= 1);
 }

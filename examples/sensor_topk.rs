@@ -74,7 +74,7 @@ fn main() {
             },
         ),
         (
-            "Kendall tau (pivot aggregation)       ",
+            "Kendall tau (local search)            ",
             Query::TopK {
                 k,
                 metric: TopKMetric::Kendall,

@@ -44,8 +44,8 @@
 //! ## Quickstart
 //!
 //! Every consensus notion of the paper is a [`Query`](engine::Query) answered
-//! by one engine; batches share the cached rank-probability PMFs, preference
-//! matrices, and co-clustering weights:
+//! by one engine; batches share the cached rank-probability PMFs and
+//! co-clustering weights:
 //!
 //! ```
 //! use consensus_pdb::prelude::*;

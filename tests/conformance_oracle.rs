@@ -224,6 +224,22 @@ fn median_sweep_matches_the_reference_on_serving_trees_n400() {
     median_sweep_matches_the_reference_on_serving_trees(400);
 }
 
+/// On the 16 `serve_mix` trees at k = 5 and 10, the served Kendall answer
+/// reports its exact `E[d_K]` and is never worse than the footrule answer
+/// it starts from.
+#[test]
+fn kendall_local_search_is_no_worse_than_footrule_on_serving_trees() {
+    for k in [5, 10] {
+        let (mut served, mut footrule) = (0.0, 0.0);
+        for j in 0..16 {
+            let (s, f) = conformance::check_kendall_served(&serve_mix_tree(120, j), k);
+            served += s / 16.0;
+            footrule += f / 16.0;
+        }
+        eprintln!("k={k}: mean E[d_K] served {served:.4}, footrule {footrule:.4}");
+    }
+}
+
 /// The first `k` columns of the rank table at `K = 24` hold the same bits
 /// as the table at `k`, for every `k ≤ K`: a truncated convolution never
 /// feeds a coefficient above its truncation into one below it. Serving every

@@ -129,14 +129,10 @@ fn pinned_snapshots_survive_concurrent_epoch_swaps() {
 #[test]
 fn delta_stream_stats_prove_selective_maintenance() {
     let live = LiveEngine::new(engine(sensor_tree(10)));
-    // Kendall builds the pairwise tournament, which the probability deltas
-    // patch beside the marginal table.
+    // Clustering builds the co-clustering weights, which the probability
+    // deltas patch beside the marginal table.
     let mut queries = probe();
-    queries.push(Query::TopK {
-        k: 3,
-        metric: TopKMetric::Kendall,
-        variant: Variant::Mean,
-    });
+    queries.push(Query::Clustering { restarts: 2 });
     for answer in live.snapshot().run_batch_serial(&queries) {
         answer.unwrap();
     }
@@ -148,8 +144,8 @@ fn delta_stream_stats_prove_selective_maintenance() {
         live.apply(&delta_at(snap.tree(), step)).unwrap();
     }
     let stats = live.snapshot().engine().cache_stats();
-    // Five probability epochs: the marginal table and the tournament were
-    // patched five times each, and at most the rank context dropped per
+    // Five probability epochs: the marginal table and the co-clustering
+    // weights were patched five times each, and at most the rank context dropped per
     // epoch — never a blanket rebuild.
     assert!(stats.delta_patched >= 10, "{stats:?}");
     assert!(stats.delta_invalidated <= 5, "{stats:?}");
