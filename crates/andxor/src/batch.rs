@@ -21,12 +21,11 @@
 //!   whole-tree sweep per target. All products use in-place truncated
 //!   convolution with reusable scratch buffers ([`Poly1`]), so the sweep
 //!   allocates O(tree) once instead of O(tree) per target.
-//! * **Kendall distance terms** ([`AndXorTree::batch_kendall_terms`],
-//!   [`AndXorTree::batch_kendall_pool`]) — the same chronological sweep,
-//!   read at the alternatives of a candidate list (or of a pool of keys)
+//! * **Kendall distance table** ([`AndXorTree::batch_kendall_pool`]) — the
+//!   same chronological sweep, read at the alternatives of a pool of keys
 //!   with some leaves masked to 0 along their root paths and rolled back,
-//!   gives the exact expected Kendall Top-k distance of the list (or of
-//!   every list drawn from the pool).
+//!   gives the exact expected Kendall Top-k distance of every list drawn
+//!   from the pool.
 //! * **Pairwise statistics** ([`AndXorTree::batch_pairwise_order`],
 //!   [`AndXorTree::batch_cocluster_weights`]) — both reduce to *alternative
 //!   co-presence* probabilities `Pr(α ∧ β)`, which the tree structure gives
@@ -849,24 +848,12 @@ fn fill_fresh<F, S>(
 // Public batch API.
 // ---------------------------------------------------------------------------
 
-/// The terms of `E[d_K(τ, τ_pw)]` that [`AndXorTree::batch_kendall_terms`]
-/// computes for a candidate `τ` at `k`; entry `p` of each vector belongs to
-/// `τ[p]`. The remaining term, `E[min(A_i, k) · 1{i present}]`, is read off
-/// the rank-PMF row of `i` and its presence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KendallTerms {
-    /// `Pr(i present)`.
-    pub presence: Vec<f64>,
-    /// `E[min(|W|, k) · 1{i absent}]`, where `|W|` is the world's size.
-    pub absent_size: Vec<f64>,
-    /// `Σ_{j before i in τ} Pr(r(j) ≤ k ∧ r(j) < r(i))`.
-    pub ahead: Vec<f64>,
-}
-
 /// The terms of `E[d_K]` that [`AndXorTree::batch_kendall_pool`] computes
-/// over a pool of `m` keys at `k`: those of [`KendallTerms`] per pool key,
-/// and `P(j, i)` for every ordered pool pair, so the distance of any list
-/// drawn from the pool is a sum over this table.
+/// over a pool of `m` keys at `k`: the presence and absent-size terms per
+/// pool key, and `P(j, i)` for every ordered pool pair, so the distance of
+/// any list drawn from the pool is a sum over this table. The remaining
+/// term, `E[min(A_i, k) · 1{i present}]`, is read off the rank-PMF row of
+/// `i` and its presence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KendallPool {
     /// `Pr(i present)`, per pool key.
@@ -920,86 +907,51 @@ impl AndXorTree {
         out
     }
 
-    /// The terms of the exact expected Kendall Top-k distance of a
-    /// candidate list `τ` (without duplicate keys) at `k`: entry `p` of each
-    /// vector belongs to `candidate[p]`. With `A_i` the number of present
-    /// tuples that out-rank `i` (or `|W|` when `i` is absent) and
+    /// The terms of the exact expected Kendall Top-k distance of every list
+    /// drawn from `pool` (without duplicate keys) at `k`; see
+    /// [`KendallPool`]. With `A_i` the number of present tuples that
+    /// out-rank `i` (or `|W|` when `i` is absent) and
     /// `P(j, i) = Pr(r(j) ≤ k ∧ r(j) < r(i))`, an absent tuple ranking ∞,
-    /// the distance is `Σ_{i∈τ} (E[min(A_i, k)] − Σ_{j before i in τ} P(j, i))`.
-    /// These are the parts of it the rank-PMF table does not hold; see
-    /// [`KendallTerms`].
+    /// the distance of a list `τ` is
+    /// `Σ_{i∈τ} (E[min(A_i, k)] − Σ_{j before i in τ} P(j, i))`.
     ///
-    /// Every term comes from one chronological sweep truncated at x-degree
-    /// `k − 1`, in the out-rank order of [`AndXorTree::batch_rank_pmfs`]:
+    /// Every term comes from one sweep plan and one chronological sweep
+    /// truncated at x-degree `k − 1`, in the out-rank order of
+    /// [`AndXorTree::batch_rank_pmfs`]:
     ///
-    /// * at each alternative `a` of a candidate `j` with a later key in `τ`,
-    ///   the leaves out-ranking `a` are `x` and the rest 1. For each later
-    ///   `i`, the leaves of `i` among the `x` ones are set to 0 along their
-    ///   root paths only, `Σ_{d<k} coeff(x^d y)` of `a` is read as in the
-    ///   rank query, and the paths are rolled back;
-    /// * once every leaf is `x`, each candidate's leaves are set to 0 in
-    ///   turn to read `Pr(i absent ∧ |W| = d)`, `d < k`, off the root.
+    /// * at each alternative `a` of a pool key `j`, the leaves out-ranking
+    ///   `a` are `x` and the rest 1. `Σ_{d<k} coeff(x^d y)` of `a` is read
+    ///   once as in the rank query; then, for each other pool key `i`
+    ///   holding an alternative that out-ranks `a`, those leaves of `i` are
+    ///   set to 0 along their root paths only, the sum is read again, and
+    ///   the paths are rolled back. Each read adds `a`'s share of
+    ///   `P(j, i)`;
+    /// * once every leaf is `x`, each pool key's leaves are set to 0 in turn
+    ///   to read `Pr(i absent ∧ |W| = d)`, `d < k`, off the root.
     ///
     /// Leaves flip between two reads without refreshing their ancestors;
     /// the read first refreshes each stale node once (an ∨ node from its
     /// children, an ∧ node through `O(log fanout)` truncated products per
     /// stale child in its product tree). So no world is sampled and no
-    /// whole-tree sweep runs per term. At `k = 0` every term is 0, as is the
-    /// distance.
-    pub fn batch_kendall_terms(&self, candidate: &[TupleKey], k: usize) -> KendallTerms {
-        let mut ahead = vec![0.0; candidate.len()];
-        let (presence, absent_size) =
-            self.kendall_sweep(candidate, k, false, |_, i, v| ahead[i] += v);
-        KendallTerms {
-            presence,
-            absent_size,
-            ahead,
-        }
-    }
-
-    /// The pool form of [`AndXorTree::batch_kendall_terms`]: the same
-    /// per-key terms for every key of `pool` (without duplicate keys), and
-    /// `P(j, i)` for every ordered pair of pool keys rather than a sum over
-    /// the keys listed before `i`. One sweep plan and one chronological
-    /// sweep serve the whole table; each alternative of a pool key is read
-    /// once unmasked and once per other pool key holding an alternative
-    /// that out-ranks it. At `k = 0` every entry is 0.
+    /// whole-tree sweep runs per term. At `k = 0` every entry is 0, as is
+    /// every distance.
     pub fn batch_kendall_pool(&self, pool: &[TupleKey], k: usize) -> KendallPool {
         let m = pool.len();
-        let mut ahead = vec![0.0; m * m];
-        let (presence, absent_size) =
-            self.kendall_sweep(pool, k, true, |j, i, v| ahead[j * m + i] += v);
-        KendallPool {
-            presence,
-            absent_size,
-            ahead,
-        }
-    }
-
-    /// The sweep behind both Kendall batches (see
-    /// [`AndXorTree::batch_kendall_terms`]). For each alternative of a key
-    /// `keys[j]`, in the out-rank order, and each other key `keys[i]` —
-    /// every one when `every_order`, else those with `i > j` — it passes
-    /// that alternative's share of `P(j, i)` to `add(j, i, share)`. Returns
-    /// the presence and absent-size terms per key.
-    fn kendall_sweep(
-        &self,
-        keys: &[TupleKey],
-        k: usize,
-        every_order: bool,
-        mut add: impl FnMut(usize, usize, f64),
-    ) -> (Vec<f64>, Vec<f64>) {
-        let m = keys.len();
         let mut presence = vec![0.0; m];
         let mut absent_size = vec![0.0; m];
+        let mut ahead = vec![0.0; m * m];
         if k == 0 || m == 0 {
-            return (presence, absent_size);
+            return KendallPool {
+                presence,
+                absent_size,
+                ahead,
+            };
         }
         let plan = SweepPlan::plan(self, k);
-        // The slot of each key position, and each key's leaves with the
+        // The slot of each key position, and each pool key's leaves with the
         // index of the target they belong to.
         let mut slot_of = vec![None; plan.keys.len()];
-        for (p, key) in keys.iter().enumerate() {
+        for (p, key) in pool.iter().enumerate() {
             if let Ok(at) = plan.keys.binary_search(key) {
                 slot_of[at] = Some(p);
             }
@@ -1020,13 +972,11 @@ impl AndXorTree {
         let mut rank = vec![0.0; k];
         for (t, target) in plan.targets.iter().enumerate() {
             if let Some(j) = slot_of[target.position] {
-                let first = if every_order { 0 } else { j + 1 };
-                let others = (first..m).filter(|&i| i != j);
-                if others.clone().next().is_some() {
+                if m > 1 {
                     plan.flush(self, &mut st, false);
                     plan.query(&mut st, target, &mut rank);
                     let unmasked: f64 = rank.iter().sum();
-                    for i in others {
+                    for i in (0..m).filter(|&i| i != j) {
                         let mut masked = false;
                         for &(_, leaf) in leaves[i].iter().filter(|&&(u, _)| u < t) {
                             plan.defer_leaf(&mut st, leaf, &plan.zero, true);
@@ -1036,9 +986,9 @@ impl AndXorTree {
                             plan.flush(self, &mut st, true);
                             plan.query(&mut st, target, &mut rank);
                             st.rollback();
-                            add(j, i, rank.iter().sum::<f64>());
+                            ahead[j * m + i] += rank.iter().sum::<f64>();
                         } else {
-                            add(j, i, unmasked);
+                            ahead[j * m + i] += unmasked;
                         }
                     }
                 }
@@ -1066,7 +1016,11 @@ impl AndXorTree {
             st.rollback();
             *size = weighted + k as f64 * (1.0 - presence - mass);
         }
-        (presence, absent_size)
+        KendallPool {
+            presence,
+            absent_size,
+            ahead,
+        }
     }
 
     /// The full pairwise-order tournament `Pr(r(keys[i]) < r(keys[j]))` as a
@@ -1231,64 +1185,9 @@ mod tests {
         assert!((pmf[0] - 1.0).abs() < 1e-12);
     }
 
-    /// Each Kendall term against its definition over the enumerated worlds.
-    fn assert_kendall_terms_match_worlds(tree: &AndXorTree, candidate: &[TupleKey], k: usize) {
-        let worlds = tree.enumerate_worlds();
-        let terms = tree.batch_kendall_terms(candidate, k);
-        for (p, &i) in candidate.iter().enumerate() {
-            let presence = worlds.marginal_key(i);
-            let absent_size = worlds.expectation(|w| {
-                if w.contains_key(i) {
-                    0.0
-                } else {
-                    w.len().min(k) as f64
-                }
-            });
-            let ahead: f64 = candidate[..p]
-                .iter()
-                .map(|&j| {
-                    worlds.expectation(|w| match (w.rank_of(j), w.rank_of(i)) {
-                        (Some(rj), ri) => f64::from(rj <= k && ri.is_none_or(|ri| rj < ri)),
-                        (None, _) => 0.0,
-                    })
-                })
-                .sum();
-            for (name, got, want) in [
-                ("presence", terms.presence[p], presence),
-                ("absent size", terms.absent_size[p], absent_size),
-                ("ahead", terms.ahead[p], ahead),
-            ] {
-                assert!(
-                    (got - want).abs() < 1e-12,
-                    "{name} of {i:?} in {candidate:?} at k={k}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_kendall_terms_match_the_worlds() {
-        for tree in [
-            bid_tree(),
-            nested_tree(),
-            crate::figure1::figure1_correlated_tree(),
-        ] {
-            let keys = tree.keys();
-            let n = keys.len();
-            for k in 1..=n + 1 {
-                // Every key order in both directions, plus an unknown key.
-                let mut forward = keys.clone();
-                forward.push(TupleKey(99));
-                let backward: Vec<TupleKey> = forward.iter().rev().copied().collect();
-                for candidate in [forward, backward] {
-                    for len in 0..=candidate.len() {
-                        assert_kendall_terms_match_worlds(&tree, &candidate[..len], k);
-                    }
-                }
-            }
-        }
-    }
-
+    /// Every entry of the pool table against its definition over the
+    /// enumerated worlds, for the tree's keys plus an unknown key in both
+    /// orders, at every `k` up to the pool size.
     #[test]
     fn batch_kendall_pool_matches_the_worlds() {
         for tree in [
@@ -1297,39 +1196,50 @@ mod tests {
             crate::figure1::figure1_correlated_tree(),
         ] {
             let worlds = tree.enumerate_worlds();
-            let mut pool = tree.keys();
-            pool.reverse();
-            pool.push(TupleKey(99));
-            let m = pool.len();
-            for k in 0..=m {
-                let table = tree.batch_kendall_pool(&pool, k);
-                assert_eq!(table.ahead.len(), m * m);
-                for (j, &a) in pool.iter().enumerate() {
-                    // The per-key terms are those of a one-key candidate.
-                    let own = tree.batch_kendall_terms(&[a], k);
-                    assert_eq!(table.presence[j], own.presence[0]);
-                    assert_eq!(table.absent_size[j], own.absent_size[0]);
-                    for (i, &b) in pool.iter().enumerate() {
-                        let want = if i == j || k == 0 {
-                            0.0
-                        } else {
-                            worlds.expectation(|w| match (w.rank_of(a), w.rank_of(b)) {
-                                (Some(ra), rb) => f64::from(ra <= k && rb.is_none_or(|rb| ra < rb)),
-                                (None, _) => 0.0,
-                            })
-                        };
-                        let got = table.ahead(j, i);
-                        assert!(
-                            (got - want).abs() < 1e-12,
-                            "P({a:?}, {b:?}) at k={k}: {got} vs {want}"
-                        );
+            let mut forward = tree.keys();
+            forward.push(TupleKey(99));
+            let backward: Vec<TupleKey> = forward.iter().rev().copied().collect();
+            for pool in [forward, backward] {
+                let m = pool.len();
+                for k in 0..=m {
+                    let table = tree.batch_kendall_pool(&pool, k);
+                    assert_eq!(table.ahead.len(), m * m);
+                    for (j, &a) in pool.iter().enumerate() {
+                        let presence = if k == 0 { 0.0 } else { worlds.marginal_key(a) };
+                        let absent_size = worlds.expectation(|w| {
+                            if w.contains_key(a) {
+                                0.0
+                            } else {
+                                w.len().min(k) as f64
+                            }
+                        });
+                        for (name, got, want) in [
+                            ("presence", table.presence[j], presence),
+                            ("absent size", table.absent_size[j], absent_size),
+                        ] {
+                            assert!(
+                                (got - want).abs() < 1e-12,
+                                "{name} of {a:?} at k={k}: {got} vs {want}"
+                            );
+                        }
+                        for (i, &b) in pool.iter().enumerate() {
+                            let want = if i == j || k == 0 {
+                                0.0
+                            } else {
+                                worlds.expectation(|w| match (w.rank_of(a), w.rank_of(b)) {
+                                    (Some(ra), rb) => {
+                                        f64::from(ra <= k && rb.is_none_or(|rb| ra < rb))
+                                    }
+                                    (None, _) => 0.0,
+                                })
+                            };
+                            let got = table.ahead(j, i);
+                            assert!(
+                                (got - want).abs() < 1e-12,
+                                "P({a:?}, {b:?}) at k={k}: {got} vs {want}"
+                            );
+                        }
                     }
-                }
-                // Read in list order, the table gives the candidate's terms.
-                let terms = tree.batch_kendall_terms(&pool, k);
-                for i in 0..m {
-                    let ahead: f64 = (0..i).map(|j| table.ahead(j, i)).sum();
-                    assert!((terms.ahead[i] - ahead).abs() < 1e-12);
                 }
             }
         }

@@ -94,7 +94,7 @@ const CLUSTERING_RESTARTS: usize = 4;
 const CLUSTERING_REPS: usize = 15;
 const KENDALL_NS: [usize; 2] = [120, 400];
 const KENDALL_KS: [usize; 2] = [5, 10];
-/// A warm Kendall query takes milliseconds (its pivot dominates).
+/// A warm Kendall query takes milliseconds (its pool sweep dominates).
 const KENDALL_REPS: usize = 15;
 /// The evaluator alone takes well under a millisecond.
 const KENDALL_EVALUATOR_REPS: usize = 60;

@@ -8,7 +8,7 @@ use cpdb_andxor::figure1;
 use cpdb_andxor::AndXorTree;
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::clustering::brute_force_clustering;
-use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
+use cpdb_consensus::topk::{footrule, intersection, median_dp, sym_diff};
 use cpdb_consensus::{jaccard, oracle, set_distance, TopKContext};
 use cpdb_engine::{
     BaselineKind, ConsensusEngine, ConsensusEngineBuilder, Query, SetMetric, TopKMetric, Variant,
@@ -16,6 +16,7 @@ use cpdb_engine::{
 use cpdb_model::{TupleKey, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
 use cpdb_rankagg::TopKList;
+use cpdb_testkit::pivot::mean_topk_kendall_pivot;
 use cpdb_workloads::{
     groupby_tree, random_clustering_tree, random_groupby_instance, random_scored_bid_tree,
     random_tuple_independent, BidConfig, ClusteringConfig, GroupByConfig, ProbabilityDistribution,
@@ -551,9 +552,9 @@ pub fn topk_kendall_table() -> Table {
         let tree = small_tree(seed);
         let ws = tree.enumerate_worlds();
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        // The engine serves the local search; the pivot (best of 8 on the
-        // query's RNG stream) and the footrule proxy are library functions
-        // run on the engine's own rank context.
+        // The engine serves the local search; the pivot reference (best of
+        // 8 on the query's RNG stream) and the footrule proxy run on the
+        // engine's own rank context.
         let engine = validation_engine(tree, seed);
         for k in [2usize, 3] {
             let query = Query::TopK {
@@ -568,8 +569,8 @@ pub fn topk_kendall_table() -> Table {
             let served_cost = cost(served.value.as_topk().expect("Top-k answer"));
             let ctx = engine.context(k).expect("k is in range");
             let mut rng = engine.query_rng(&query);
-            let pivot = kendall::mean_topk_kendall_pivot(engine.tree(), &ctx, 8, &mut rng);
-            let foot = kendall::mean_topk_kendall_via_footrule(&ctx);
+            let pivot = mean_topk_kendall_pivot(engine.tree(), &ctx, 8, &mut rng);
+            let foot = footrule::mean_topk_footrule(&ctx);
             let denom = opt.max(1e-12);
             t.add_row(vec![
                 seed.to_string(),

@@ -15,11 +15,11 @@
 //! a move only when the move lowers `E[d_K]`, so it is never worse than the
 //! footrule answer and keeps its factor 2. It reads no RNG.
 //!
-//! The module also evaluates `E[d_K(τ, τ_pw)]` exactly in polynomial time
-//! ([`expected_kendall_distance`]), and keeps pivot/KwikSort aggregation
-//! over the exact tournament `Pr(r(t_i) < r(t_j))`
-//! ([`mean_topk_kendall_pivot`]) as a library function, whose quality
-//! experiment E8 reports beside the served answer.
+//! The module also evaluates `E[d_K(τ, τ_pw)]` of any list exactly in
+//! polynomial time ([`expected_kendall_distance`]), from the same table the
+//! served answer reads its distance off. The pivot/KwikSort aggregation over
+//! the exact tournament `Pr(r(t_i) < r(t_j))`, whose quality experiment E8
+//! reports beside the served answer, is a reference in `cpdb_testkit::pivot`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -28,52 +28,7 @@ use super::footrule::mean_topk_footrule;
 use cpdb_andxor::batch::KendallPool;
 use cpdb_andxor::AndXorTree;
 use cpdb_model::TupleKey;
-use cpdb_rankagg::pivot::{pivot_best_of, PreferenceMatrix};
 use cpdb_rankagg::TopKList;
-use rand::Rng;
-
-/// Builds the pairwise-preference tournament `w(i, j) = Pr(r(t_i) < r(t_j))`
-/// over the given keys, using exact generating-function computations via the
-/// batch evaluator ([`AndXorTree::batch_pairwise_order`]): one shared
-/// root-path extraction serves every pair instead of two tree sweeps per
-/// pair. `threads` is the worker count (`0` = the machine's parallelism);
-/// the batch evaluator is bit-identical at any thread count. `None` when
-/// `keys` repeats a key.
-pub fn preference_matrix(
-    tree: &AndXorTree,
-    keys: &[TupleKey],
-    threads: usize,
-) -> Option<PreferenceMatrix> {
-    let weights = tree.batch_pairwise_order(keys, threads);
-    let items: Vec<u64> = keys.iter().map(|t| t.0).collect();
-    PreferenceMatrix::from_row_major(&items, weights)
-}
-
-/// Kendall consensus answer via pivot aggregation: run seeded KwikSort over
-/// the pairwise-order tournament of every tuple, take the best of `trials`
-/// runs, and return its Top-k prefix. A tree without keys (whose tournament
-/// has no ranking) yields the empty list.
-pub fn mean_topk_kendall_pivot<R: Rng + ?Sized>(
-    tree: &AndXorTree,
-    ctx: &TopKContext,
-    trials: usize,
-    rng: &mut R,
-) -> TopKList {
-    if ctx.k() == 0 {
-        return TopKList::empty();
-    }
-    match preference_matrix(tree, &tree.keys(), 0).map(|prefs| pivot_best_of(&prefs, trials, rng)) {
-        Some(Ok(ranking)) => ranking.top_k(ctx.k()),
-        _ => TopKList::empty(),
-    }
-}
-
-/// Kendall consensus answer via the footrule-optimal answer — a
-/// 2-approximation because the two metrics are within a factor 2 of each
-/// other (Fagin et al.).
-pub fn mean_topk_kendall_via_footrule(ctx: &TopKContext) -> TopKList {
-    mean_topk_footrule(ctx)
-}
 
 /// The pool of the served answer holds this many keys per unit of `k`.
 const POOL_PER_K: usize = 3;
@@ -119,12 +74,7 @@ pub fn mean_topk_kendall(tree: &AndXorTree, ctx: &TopKContext) -> (TopKList, f64
             pool.push(key);
         }
     }
-    let table = tree.batch_kendall_pool(&pool, k);
-    let cost: Vec<f64> = pool
-        .iter()
-        .zip(table.presence.iter().zip(&table.absent_size))
-        .map(|(&key, (&presence, &absent_size))| own_cost(ctx, key, presence, absent_size))
-        .collect();
+    let (table, cost) = pool_table(tree, ctx, &pool);
 
     let mut list: Vec<usize> = (0..start.len()).collect();
     let mut listed: Vec<bool> = (0..pool.len()).map(|p| p < list.len()).collect();
@@ -140,14 +90,32 @@ pub fn mean_topk_kendall(tree: &AndXorTree, ctx: &TopKContext) -> (TopKList, f64
         }
     }
 
+    // The pool holds distinct keys, so the list has no duplicate.
+    let answer = TopKList::new(list.iter().map(|&p| pool[p].0).collect()).unwrap_or_default();
+    (answer, list_distance(&table, &cost, &list))
+}
+
+/// The table of `pool` (distinct keys) at the context's `k > 0`, and
+/// `c_i = E[min(A_i, k)]` per pool key.
+fn pool_table(tree: &AndXorTree, ctx: &TopKContext, pool: &[TupleKey]) -> (KendallPool, Vec<f64>) {
+    let table = tree.batch_kendall_pool(pool, ctx.k());
+    let cost = pool
+        .iter()
+        .zip(table.presence.iter().zip(&table.absent_size))
+        .map(|(&key, (&presence, &absent_size))| own_cost(ctx, key, presence, absent_size))
+        .collect();
+    (table, cost)
+}
+
+/// `E[d_K]` of the list of pool indices `list`, read off the table:
+/// `Σ_{i∈τ} c_i − Σ_{j before i in τ} P(j, i)`, where `cost[i]` is `c_i`.
+fn list_distance(table: &KendallPool, cost: &[f64], list: &[usize]) -> f64 {
     let mut distance = 0.0;
     for (q, &i) in list.iter().enumerate() {
         let ahead: f64 = list[..q].iter().map(|&j| table.ahead(j, i)).sum();
         distance += cost[i] - ahead;
     }
-    // The pool holds distinct keys, so the list has no duplicate.
-    let answer = TopKList::new(list.iter().map(|&p| pool[p].0).collect()).unwrap_or_default();
-    (answer, distance)
+    distance
 }
 
 /// A local-search move on a list of pool indices.
@@ -221,9 +189,10 @@ fn own_cost(ctx: &TopKContext, key: TupleKey, presence: f64, absent_size: f64) -
 ///
 /// where `A_i` is the number of present tuples that out-rank `i` (or `|W|`
 /// when `i` is absent) and `P(j, i) = Pr(r(j) ≤ k ∧ r(j) < r(i))`, an
-/// absent tuple ranking ∞. The present half of `E[min(A_i, k)]` is read off
-/// `i`'s row of the rank context; every other term comes from
-/// [`AndXorTree::batch_kendall_terms`]. `ctx` must be built on `tree`.
+/// absent tuple ranking ∞. The candidate's keys are the pool of one
+/// [`AndXorTree::batch_kendall_pool`] table, read as [`mean_topk_kendall`]
+/// reads its own distance; the present half of `E[min(A_i, k)]` comes from
+/// `i`'s row of the rank context. `ctx` must be built on `tree`.
 pub fn expected_kendall_distance(
     tree: &AndXorTree,
     ctx: &TopKContext,
@@ -234,12 +203,9 @@ pub fn expected_kendall_distance(
         return 0.0;
     }
     let keys: Vec<TupleKey> = candidate.items().iter().map(|&t| TupleKey(t)).collect();
-    let terms = tree.batch_kendall_terms(&keys, k);
-    let mut total = 0.0;
-    for (p, key) in keys.iter().enumerate() {
-        total += own_cost(ctx, *key, terms.presence[p], terms.absent_size[p]) - terms.ahead[p];
-    }
-    total
+    let (table, cost) = pool_table(tree, ctx, &keys);
+    let list: Vec<usize> = (0..keys.len()).collect();
+    list_distance(&table, &cost, &list)
 }
 
 #[cfg(test)]
@@ -250,8 +216,6 @@ mod tests {
     use cpdb_andxor::AndXorTreeBuilder;
     use cpdb_model::WorldModel;
     use cpdb_rankagg::metrics::kendall_tau_topk;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn independent_tree(specs: &[(u64, f64, f64)]) -> AndXorTree {
         let mut b = AndXorTreeBuilder::new();
@@ -274,52 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn preference_matrix_is_consistent_with_enumeration() {
-        let tree = figure1_correlated_tree();
-        let keys = tree.keys();
-        let prefs = preference_matrix(&tree, &keys, 0).unwrap();
-        let ws = tree.enumerate_worlds();
-        for &a in &keys {
-            for &b in &keys {
-                if a == b {
-                    continue;
-                }
-                let expected = ws.expectation(|w| match (w.rank_of(a), w.rank_of(b)) {
-                    (Some(ra), Some(rb)) => f64::from(ra < rb),
-                    (Some(_), None) => 1.0,
-                    _ => 0.0,
-                });
-                assert!((prefs.weight(a.0, b.0) - expected).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn pivot_answer_is_within_factor_two_of_brute_force() {
-        let tree = tree_small();
-        let ws = tree.enumerate_worlds();
-        let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let pivot = mean_topk_kendall_pivot(&tree, &ctx, 8, &mut rng);
-            let pivot_cost = oracle::expected_topk_distance(&pivot, &ws, k, kendall_tau_topk);
-            let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
-            assert!(
-                pivot_cost <= 2.0 * opt_cost + 1e-9,
-                "k={k}: pivot {pivot_cost} vs optimal {opt_cost}"
-            );
-        }
-    }
-
-    #[test]
     fn footrule_answer_is_within_factor_two_of_brute_force() {
         let tree = tree_small();
         let ws = tree.enumerate_worlds();
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
         for k in 1..=3 {
             let ctx = TopKContext::new(&tree, k);
-            let answer = mean_topk_kendall_via_footrule(&ctx);
+            let answer = mean_topk_footrule(&ctx);
             let cost = oracle::expected_topk_distance(&answer, &ws, k, kendall_tau_topk);
             let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
             assert!(
@@ -356,9 +281,6 @@ mod tests {
         // order should follow the scores.
         let tree = independent_tree(&[(1, 100.0, 0.99), (2, 90.0, 0.99), (3, 80.0, 0.99)]);
         let ctx = TopKContext::new(&tree, 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let pivot = mean_topk_kendall_pivot(&tree, &ctx, 4, &mut rng);
-        assert_eq!(pivot.items(), &[1, 2, 3]);
         assert_eq!(mean_topk_kendall(&tree, &ctx).0.items(), &[1, 2, 3]);
     }
 
@@ -403,8 +325,6 @@ mod tests {
     fn zero_k_and_empty_pool_edge_cases() {
         let tree = tree_small();
         let ctx = TopKContext::new(&tree, 0);
-        let mut rng = StdRng::seed_from_u64(2);
-        assert!(mean_topk_kendall_pivot(&tree, &ctx, 2, &mut rng).is_empty());
         assert_eq!(mean_topk_kendall(&tree, &ctx), (TopKList::empty(), 0.0));
         // At k = 0 every list is at distance 0. The empty list shares no
         // pair with a world's list, and K^(0) counts a pair confined to one

@@ -11,7 +11,7 @@
 //! | [`median_dp`] | `d_Δ` restricted to possible answers | one descending threshold sweep of a (max, +) tree DP (Theorem 4) | exact median |
 //! | [`intersection`] | intersection metric `d_I` | assignment problem; `Υ_H` ranking shortcut | exact mean; `1/H_k` approx |
 //! | [`footrule`] | Spearman footrule `F^{(k+1)}` | assignment problem (Figure 2 decomposition) | exact mean |
-//! | [`kendall`] | Kendall tau `K^{(0)}` | footrule answer (2-approx) and pivot aggregation over `Pr(r(t_i) < r(t_j))` | constant approx (NP-hard exactly) |
+//! | [`kendall`] | Kendall tau `K^{(0)}` | local search from the footrule answer on an exact pool table of `Pr(r(t_j) ≤ k ∧ r(t_j) < r(t_i))` | factor 2 via the footrule answer (NP-hard exactly) |
 //!
 //! All of them consume a [`context::TopKContext`], which precomputes the rank
 //! distributions `Pr(r(t) = i)` for `i ≤ k` from the and/xor tree once.

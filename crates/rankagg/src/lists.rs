@@ -1,9 +1,8 @@
-//! Full rankings and Top-k lists.
+//! Top-k lists.
 //!
 //! Items are opaque `u64` identifiers (in the probabilistic-database setting
-//! they are tuple keys). A [`FullRanking`] orders an entire item set; a
-//! [`TopKList`] orders only its best `k` items, which is the answer shape of
-//! a Top-k query.
+//! they are tuple keys). A [`TopKList`] orders only its best `k` items, which
+//! is the answer shape of a Top-k query.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -18,11 +17,6 @@ pub enum RankError {
     },
     /// The list was empty where a non-empty list is required.
     Empty,
-    /// An item expected in a ranking was not ranked by it.
-    MissingItem {
-        /// The item that was not ranked.
-        item: u64,
-    },
 }
 
 impl fmt::Display for RankError {
@@ -30,9 +24,6 @@ impl fmt::Display for RankError {
         match self {
             RankError::DuplicateItem { item } => write!(f, "item {item} appears more than once"),
             RankError::Empty => write!(f, "ranking must contain at least one item"),
-            RankError::MissingItem { item } => {
-                write!(f, "item {item} is not ranked by the other ranking")
-            }
         }
     }
 }
@@ -138,128 +129,6 @@ impl fmt::Display for TopKList {
     }
 }
 
-/// A full ranking (permutation) of an item set, best first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct FullRanking {
-    items: Vec<u64>,
-}
-
-impl FullRanking {
-    /// Builds a full ranking from items in rank order, rejecting duplicates
-    /// and empty lists.
-    pub fn new(items: Vec<u64>) -> Result<Self, RankError> {
-        if items.is_empty() {
-            return Err(RankError::Empty);
-        }
-        let mut seen = std::collections::HashSet::with_capacity(items.len());
-        for &it in &items {
-            if !seen.insert(it) {
-                return Err(RankError::DuplicateItem { item: it });
-            }
-        }
-        Ok(FullRanking { items })
-    }
-
-    /// The items in rank order.
-    #[inline]
-    pub fn items(&self) -> &[u64] {
-        &self.items
-    }
-
-    /// Number of items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Always false (construction rejects empty rankings); provided for
-    /// API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The 1-based position of `item`, if present.
-    pub fn position_of(&self, item: u64) -> Option<usize> {
-        self.items.iter().position(|&x| x == item).map(|p| p + 1)
-    }
-
-    /// The Top-k prefix of this ranking.
-    pub fn top_k(&self, k: usize) -> TopKList {
-        TopKList {
-            items: self.items.iter().take(k).copied().collect(),
-        }
-    }
-
-    /// Spearman footrule distance to another full ranking over the same item
-    /// set: `Σ_t |σ₁(t) − σ₂(t)|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `other` does not rank every item of `self`. Use
-    /// [`FullRanking::try_footrule_distance`] to get a typed error instead.
-    pub fn footrule_distance(&self, other: &FullRanking) -> usize {
-        self.try_footrule_distance(other)
-            .expect("rankings must be over the same item set")
-    }
-
-    /// Fallible Spearman footrule distance: returns
-    /// [`RankError::MissingItem`] when `other` does not rank every item of
-    /// `self` instead of panicking.
-    pub fn try_footrule_distance(&self, other: &FullRanking) -> Result<usize, RankError> {
-        self.items
-            .iter()
-            .map(|&t| {
-                let p1 = self.position_of(t).expect("item in self");
-                let p2 = other
-                    .position_of(t)
-                    .ok_or(RankError::MissingItem { item: t })?;
-                Ok(p1.abs_diff(p2))
-            })
-            .sum()
-    }
-
-    /// Kendall tau distance to another full ranking over the same item set:
-    /// the number of discordant pairs.
-    pub fn kendall_tau(&self, other: &FullRanking) -> usize {
-        let pos2 = other.position_map();
-        let mut count = 0;
-        for i in 0..self.items.len() {
-            for j in (i + 1)..self.items.len() {
-                let a = self.items[i];
-                let b = self.items[j];
-                let pa = pos2[&a];
-                let pb = pos2[&b];
-                if pa > pb {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
-    /// A position lookup map (item → 1-based position).
-    pub fn position_map(&self) -> HashMap<u64, usize> {
-        self.items
-            .iter()
-            .enumerate()
-            .map(|(i, &it)| (it, i + 1))
-            .collect()
-    }
-}
-
-impl fmt::Display for FullRanking {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨")?;
-        for (i, it) in self.items.iter().enumerate() {
-            if i > 0 {
-                write!(f, " > ")?;
-            }
-            write!(f, "{it}")?;
-        }
-        write!(f, "⟩")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,46 +162,5 @@ mod tests {
         let b = TopKList::new(vec![3, 4, 1]).unwrap();
         assert_eq!(a.overlap(&b), 2);
         assert_eq!(TopKList::empty().overlap(&a), 0);
-    }
-
-    #[test]
-    fn full_ranking_distances() {
-        let a = FullRanking::new(vec![1, 2, 3, 4]).unwrap();
-        let b = FullRanking::new(vec![2, 1, 3, 4]).unwrap();
-        assert_eq!(a.footrule_distance(&b), 2);
-        assert_eq!(a.kendall_tau(&b), 1);
-        let c = FullRanking::new(vec![4, 3, 2, 1]).unwrap();
-        assert_eq!(a.kendall_tau(&c), 6);
-        assert_eq!(a.footrule_distance(&c), 8);
-    }
-
-    #[test]
-    fn full_ranking_validation_and_topk() {
-        assert_eq!(FullRanking::new(vec![]), Err(RankError::Empty));
-        assert!(FullRanking::new(vec![1, 1]).is_err());
-        let r = FullRanking::new(vec![9, 7, 5]).unwrap();
-        assert_eq!(r.top_k(2).items(), &[9, 7]);
-        assert_eq!(r.position_of(5), Some(3));
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn footrule_within_twice_kendall() {
-        // Diaconis–Graham: K ≤ F ≤ 2K for full rankings.
-        let perms = [
-            vec![1u64, 2, 3, 4, 5],
-            vec![5, 4, 3, 2, 1],
-            vec![2, 4, 1, 5, 3],
-            vec![3, 1, 4, 5, 2],
-        ];
-        for a in &perms {
-            for b in &perms {
-                let ra = FullRanking::new(a.clone()).unwrap();
-                let rb = FullRanking::new(b.clone()).unwrap();
-                let k = ra.kendall_tau(&rb);
-                let f = ra.footrule_distance(&rb);
-                assert!(k <= f && f <= 2 * k || (k == 0 && f == 0));
-            }
-        }
     }
 }

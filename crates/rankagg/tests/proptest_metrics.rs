@@ -1,17 +1,10 @@
-//! Property-based tests for the Top-k distance metrics and aggregation
-//! algorithms.
+//! Property-based tests for the Top-k distance metrics.
 
-use cpdb_rankagg::borda::borda_aggregate_topk;
-use cpdb_rankagg::footrule::footrule_aggregate_topk;
-use cpdb_rankagg::kemeny::kemeny_optimal;
 use cpdb_rankagg::metrics::{
     footrule_distance, intersection_metric, kendall_tau_topk, symmetric_difference_topk,
 };
-use cpdb_rankagg::pivot::{pivot_best_of, PreferenceMatrix};
-use cpdb_rankagg::{FullRanking, TopKList};
+use cpdb_rankagg::TopKList;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Strategy: a Top-k list of distinct items drawn from 0..12.
 fn topk_list() -> impl Strategy<Value = TopKList> {
@@ -29,12 +22,6 @@ fn topk_list_exact(len: usize) -> impl Strategy<Value = TopKList> {
     Just((0u64..12).collect::<Vec<u64>>())
         .prop_shuffle()
         .prop_map(move |items| TopKList::new(items.into_iter().take(len).collect()).unwrap())
-}
-
-fn full_ranking() -> impl Strategy<Value = FullRanking> {
-    Just((0u64..6).collect::<Vec<u64>>())
-        .prop_shuffle()
-        .prop_map(|items| FullRanking::new(items).expect("permutation"))
 }
 
 proptest! {
@@ -89,53 +76,5 @@ proptest! {
             footrule_distance(&a, &c)
                 <= footrule_distance(&a, &b) + footrule_distance(&b, &c) + 1e-9
         );
-    }
-
-    /// Kendall and footrule distances of full rankings obey the
-    /// Diaconis–Graham inequalities K ≤ F ≤ 2K.
-    #[test]
-    fn diaconis_graham(a in full_ranking(), b in full_ranking()) {
-        let k = a.kendall_tau(&b);
-        let f = a.footrule_distance(&b);
-        prop_assert!(k <= f);
-        prop_assert!(f <= 2 * k || k == 0);
-    }
-
-    /// Footrule aggregation of Top-k lists is never worse than the Borda
-    /// aggregation under the footrule objective (it is optimal when every
-    /// reference list has at most k items, so the location parameter k+1
-    /// matches the metric's).
-    #[test]
-    fn footrule_aggregation_beats_borda(
-        lists in prop::collection::vec((topk_list_exact(3), 0.1f64..1.0), 1..4),
-        k in 3usize..5,
-    ) {
-        let items: Vec<u64> = (0..12).collect();
-        let foot = footrule_aggregate_topk(&items, &lists, k);
-        let borda = borda_aggregate_topk(&items, &lists, k);
-        let objective = |cand: &TopKList| -> f64 {
-            lists.iter().map(|(l, w)| w * footrule_distance(cand, l)).sum()
-        };
-        prop_assert!(objective(&foot) <= objective(&borda) + 1e-9);
-    }
-
-    /// Pivot aggregation (best of a few runs) is within factor 2 of the
-    /// Kemeny optimum on random weighted tournaments.
-    #[test]
-    fn pivot_within_two_of_kemeny(seed in 0u64..1000) {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let items: Vec<u64> = (0..5).collect();
-        let mut prefs = PreferenceMatrix::new(&items);
-        for i in 0..items.len() {
-            for j in (i + 1)..items.len() {
-                let w: f64 = rng.gen();
-                prefs.set_weight(items[i], items[j], w);
-                prefs.set_weight(items[j], items[i], 1.0 - w);
-            }
-        }
-        let (_, opt) = kemeny_optimal(&items, &prefs).unwrap();
-        let approx = pivot_best_of(&prefs, 6, &mut rng).unwrap();
-        prop_assert!(prefs.disagreement(&approx) <= 2.0 * opt + 1e-9);
     }
 }

@@ -10,6 +10,7 @@
 //! can report coverage.
 
 use crate::fixtures;
+use crate::pivot::mean_topk_kendall_pivot;
 use crate::rank;
 use crate::reference;
 use crate::TOL;
@@ -398,7 +399,7 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let ctx = TopKContext::new(tree, k);
     let (_, opt) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
 
-    let via_footrule = kendall::mean_topk_kendall_via_footrule(&ctx);
+    let via_footrule = footrule::mean_topk_footrule(&ctx);
     let cost_footrule = reference::expected_kendall_distance_enumerated(tree, &ctx, &via_footrule);
     // The enumerated-expectation helper must agree with the generic oracle.
     assert_close(
@@ -409,7 +410,7 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     assert_within_factor("topk/kendall via footrule", cost_footrule, opt, 2.0);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_0FC4);
-    let pivot = kendall::mean_topk_kendall_pivot(tree, &ctx, 4, &mut rng);
+    let pivot = mean_topk_kendall_pivot(tree, &ctx, 4, &mut rng);
     let cost_pivot = reference::expected_kendall_distance_enumerated(tree, &ctx, &pivot);
     assert_within_factor("topk/kendall pivot", cost_pivot, opt, 2.0);
 

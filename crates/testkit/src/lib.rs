@@ -17,7 +17,10 @@
 //!   per-prefix `Poly2` Jaccard scan, the recursive median, the keyed
 //!   KwikCluster, the sampled and enumerated Kendall distances);
 //! * [`rank`] — the per-key generating-function forms of the rank,
-//!   pairwise-order and co-clustering statistics the batch sweeps serve.
+//!   pairwise-order and co-clustering statistics the batch sweeps serve;
+//! * [`pivot`] — the Kendall pivot (KwikSort over the exact pairwise-order
+//!   tournament), full rankings and the exhaustive Kemeny optimum, reported
+//!   beside the served Kendall answer.
 //!
 //! The root-level `tests/conformance_oracle.rs` suite sweeps these checks
 //! over many seeds and is the repo's standing conformance gate: any future
@@ -30,6 +33,7 @@ pub mod chaos;
 pub mod conformance;
 pub mod fixtures;
 pub mod observability;
+pub mod pivot;
 pub mod rank;
 pub mod reference;
 pub mod replication;

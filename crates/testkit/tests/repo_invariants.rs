@@ -41,11 +41,12 @@ fn every_crate_forbids_unsafe_code() {
     );
 }
 
-/// The panic-freedom burn-down of the storage and serving layers is gated
-/// by clippy lints; this pin keeps the gates themselves from regressing.
+/// The panic-freedom burn-down of the storage and serving layers (and of
+/// `cpdb_rankagg`, whose `TopKList` carries every Top-k answer) is gated by
+/// clippy lints; this pin keeps the gates themselves from regressing.
 #[test]
 fn store_and_live_keep_their_unwrap_gates() {
-    for crate_name in ["store", "live", "replica", "obs"] {
+    for crate_name in ["store", "live", "replica", "obs", "rankagg"] {
         let lib = crates_dir().join(crate_name).join("src/lib.rs");
         let src = std::fs::read_to_string(&lib).expect("crate root is readable");
         assert!(
@@ -233,14 +234,19 @@ fn names_identifier(src: &str, ident: &str) -> bool {
 
 /// The per-key generating-function references (rank PMFs, pairwise order,
 /// co-occurrence and co-clustering weights, the direct placement and
-/// position sums, the enumerated Kendall distance) are test oracles in
-/// `cpdb_testkit`, and the tree keeps no marginal cache for them: no source
-/// of a production crate — every crate but the testkit, the bench crate,
-/// the checker and the workload generators — names one, and no production
-/// crate depends on the testkit.
+/// position sums, the enumerated Kendall distance) and the Kendall pivot
+/// (the tournament, KwikSort, full rankings and the Kemeny optimum) are
+/// references in `cpdb_testkit`, and the tree keeps no marginal cache for
+/// them. Kendall has one mechanism in production: the pool table and the
+/// local search. So no source of a production crate — every crate but the
+/// testkit, the bench crate, the checker and the workload generators —
+/// names a reference, the tournament's engine slot, a second Kendall sweep
+/// or a retired rank aggregator; no production crate depends on the
+/// testkit; and the served Kendall function takes no RNG.
 #[test]
 fn production_crates_hold_only_the_serving_path() {
-    // Split so this file does not match itself.
+    // Split so this file does not match itself. `preference_matrix` is no
+    // needle: the engine keeps a deprecated no-op of that name for loadbench.
     let needles = [
         concat!("rank", "_pmf"),
         concat!("pairwise_order", "_probability"),
@@ -251,6 +257,20 @@ fn production_crates_hold_only_the_serving_path() {
         concat!("position_profit", "_direct"),
         concat!("expected_kendall_distance", "_enumerated"),
         concat!("alternative_probabilities", "_cached"),
+        concat!("Preference", "Matrix"),
+        concat!("Preference", "Export"),
+        concat!("preference_matrix", "_patched"),
+        concat!("KENDALL_PIVOT", "_TRIALS"),
+        concat!("pivot_best", "_of"),
+        concat!("kemeny", "_optimal"),
+        concat!("Full", "Ranking"),
+        concat!("mean_topk_kendall", "_pivot"),
+        concat!("Kendall", "Terms"),
+        concat!("batch_kendall", "_terms"),
+        concat!("borda", "_aggregate"),
+        concat!("borda", "_aggregate_topk"),
+        concat!("footrule", "_aggregate"),
+        concat!("footrule", "_aggregate_topk"),
     ];
     let mut production: Vec<PathBuf> = std::fs::read_dir(crates_dir())
         .expect("workspace crates directory exists")
@@ -278,15 +298,11 @@ fn production_crates_hold_only_the_serving_path() {
             }
         }
         let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
-        let in_dependencies = manifest
-            .lines()
-            .skip_while(|line| line.trim() != "[dependencies]")
-            .skip(1)
-            .take_while(|line| !line.trim_start().starts_with('['));
-        for line in in_dependencies {
-            if line.trim_start().starts_with("cpdb_testkit") {
-                depends.push(dir.display().to_string());
-            }
+        if manifest_dependencies(&manifest)
+            .iter()
+            .any(|d| d == "cpdb_testkit")
+        {
+            depends.push(dir.display().to_string());
         }
     }
     assert!(
@@ -296,36 +312,6 @@ fn production_crates_hold_only_the_serving_path() {
     assert!(
         depends.is_empty(),
         "a production crate depends on the testkit: {depends:?}"
-    );
-}
-
-/// The engine keeps no Kendall tournament: neither the engine nor the store
-/// names the tournament, its patch path, its export or the pivot, and the
-/// served Kendall function takes no RNG.
-#[test]
-fn the_kendall_tournament_stays_out_of_the_engine() {
-    // Split so this file does not match itself.
-    let needles = [
-        concat!("Preference", "Matrix"),
-        concat!("Preference", "Export"),
-        concat!("preference_matrix", "_patched"),
-        concat!("pivot_best", "_of"),
-        concat!("KENDALL_PIVOT", "_TRIALS"),
-    ];
-    let mut named = Vec::new();
-    for dir in ["engine/src", "store/src"] {
-        for path in rust_sources(crates_dir().join(dir)) {
-            let src = std::fs::read_to_string(&path).expect("source is readable");
-            for needle in needles {
-                if names_identifier(&src, needle) {
-                    named.push(format!("{}: {needle}", path.display()));
-                }
-            }
-        }
-    }
-    assert!(
-        named.is_empty(),
-        "the engine or the store names the Kendall tournament: {named:?}"
     );
 
     let module = crates_dir().join("consensus/src/topk/kendall.rs");
@@ -338,6 +324,90 @@ fn the_kendall_tournament_stays_out_of_the_engine() {
     assert!(
         !signature.contains("Rng"),
         "the served Kendall function takes an RNG: {signature}"
+    );
+}
+
+/// The dependency names in the `[dependencies]` table of a manifest, sorted.
+fn manifest_dependencies(manifest: &str) -> Vec<String> {
+    let mut names: Vec<String> = manifest
+        .lines()
+        .skip_while(|line| line.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with('['))
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let end = line.find(['.', '=', ' ']).unwrap_or(line.len());
+            line[..end].to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// `loadbench/` is its own workspace, and the load benchmark builds it with
+/// `--locked`. Its `Cargo.lock` pins the dependencies of every workspace
+/// crate it builds, so adding or dropping a `[dependencies]` line of one of
+/// them fails the benchmark with "cannot update the lock file". This pins
+/// each `cpdb_*` package of that lock file to the `[dependencies]` of its
+/// manifest (`crates/<name without cpdb_>`, or `loadbench/` itself), so
+/// such a change fails here first and names the lock file to regenerate
+/// with the benchmark.
+#[test]
+fn loadbench_lock_matches_the_crate_manifests() {
+    let root = workspace_root();
+    let lock = std::fs::read_to_string(root.join("loadbench/Cargo.lock"))
+        .expect("loadbench/Cargo.lock is readable");
+    let mut checked = 0;
+    let mut drifted = Vec::new();
+    for package in lock.split("[[package]]").skip(1) {
+        let field = |key: &str| {
+            package.lines().find_map(|line| {
+                let value = line.strip_prefix(key)?.trim_start().strip_prefix('=')?;
+                Some(value.trim().trim_matches('"').to_string())
+            })
+        };
+        let name = field("name").expect("every locked package has a name");
+        let Some(dir) = name.strip_prefix("cpdb_") else {
+            continue;
+        };
+        let mut locked: Vec<String> = package
+            .lines()
+            .skip_while(|line| !line.starts_with("dependencies"))
+            .skip(1)
+            .take_while(|line| line.trim() != "]")
+            .map(|line| {
+                let entry = line.trim().trim_end_matches(',').trim_matches('"');
+                // A duplicated name is locked as "name version".
+                entry.split(' ').next().unwrap_or(entry).to_string()
+            })
+            .collect();
+        locked.sort();
+        let manifest = if dir == "loadbench" {
+            root.join("loadbench/Cargo.toml")
+        } else {
+            root.join("crates").join(dir).join("Cargo.toml")
+        };
+        let declared = manifest_dependencies(
+            &std::fs::read_to_string(&manifest)
+                .unwrap_or_else(|e| panic!("{} is readable: {e}", manifest.display())),
+        );
+        if declared != locked {
+            drifted.push(format!(
+                "{name}: {} declares {declared:?}, loadbench/Cargo.lock pins {locked:?}",
+                manifest.display()
+            ));
+        }
+        checked += 1;
+    }
+    assert!(
+        checked >= 10,
+        "expected every crate loadbench builds, found only {checked} cpdb packages"
+    );
+    assert!(
+        drifted.is_empty(),
+        "a crate's [dependencies] no longer match loadbench/Cargo.lock, so the \
+         `--locked` benchmark build would fail: {drifted:?}"
     );
 }
 

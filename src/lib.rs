@@ -37,7 +37,7 @@
 //!   batch evaluator behind the engine's artifact builds);
 //! * [`parallel`] — minimal fork-join helpers;
 //! * [`assignment`] — Hungarian algorithm and min-cost flow;
-//! * [`rankagg`] — Top-k list types, distance metrics, rank aggregation;
+//! * [`rankagg`] — Top-k list types and their distance metrics;
 //! * [`consensus`] — the consensus-answer algorithms themselves;
 //! * [`workloads`] — seeded synthetic instance generators.
 //!
@@ -113,7 +113,7 @@ pub mod prelude {
         Alternative, AttrValue, BidBlock, BidDb, PossibleWorld, TupleIndependentDb, TupleKey,
         WorldModel, WorldSet, XTuple, XTupleDb,
     };
-    pub use cpdb_rankagg::{FullRanking, TopKList};
+    pub use cpdb_rankagg::TopKList;
 }
 
 #[cfg(test)]
