@@ -232,46 +232,9 @@ fn names_identifier(src: &str, ident: &str) -> bool {
     })
 }
 
-/// The per-key generating-function references (rank PMFs, pairwise order,
-/// co-occurrence and co-clustering weights, the direct placement and
-/// position sums, the enumerated Kendall distance) and the Kendall pivot
-/// (the tournament, KwikSort, full rankings and the Kemeny optimum) are
-/// references in `cpdb_testkit`, and the tree keeps no marginal cache for
-/// them. Kendall has one mechanism in production: the pool table and the
-/// local search. So no source of a production crate — every crate but the
-/// testkit, the bench crate, the checker and the workload generators —
-/// names a reference, the tournament's engine slot, a second Kendall sweep
-/// or a retired rank aggregator; no production crate depends on the
-/// testkit; and the served Kendall function takes no RNG.
-#[test]
-fn production_crates_hold_only_the_serving_path() {
-    // Split so this file does not match itself. `preference_matrix` is no
-    // needle: the engine keeps a deprecated no-op of that name for loadbench.
-    let needles = [
-        concat!("rank", "_pmf"),
-        concat!("pairwise_order", "_probability"),
-        concat!("cooccurrence", "_probability"),
-        concat!("cluster", "_weight"),
-        concat!("from_tree", "_per_pair"),
-        concat!("placement_cost", "_direct"),
-        concat!("position_profit", "_direct"),
-        concat!("expected_kendall_distance", "_enumerated"),
-        concat!("alternative_probabilities", "_cached"),
-        concat!("Preference", "Matrix"),
-        concat!("Preference", "Export"),
-        concat!("preference_matrix", "_patched"),
-        concat!("KENDALL_PIVOT", "_TRIALS"),
-        concat!("pivot_best", "_of"),
-        concat!("kemeny", "_optimal"),
-        concat!("Full", "Ranking"),
-        concat!("mean_topk_kendall", "_pivot"),
-        concat!("Kendall", "Terms"),
-        concat!("batch_kendall", "_terms"),
-        concat!("borda", "_aggregate"),
-        concat!("borda", "_aggregate_topk"),
-        concat!("footrule", "_aggregate"),
-        concat!("footrule", "_aggregate_topk"),
-    ];
+/// Every production crate: each workspace crate but the testkit, the bench
+/// crate, the checker and the workload generators.
+fn production_crates() -> Vec<PathBuf> {
     let mut production: Vec<PathBuf> = std::fs::read_dir(crates_dir())
         .expect("workspace crates directory exists")
         .map(|entry| entry.expect("readable dir entry").path())
@@ -286,10 +249,14 @@ fn production_crates_hold_only_the_serving_path() {
         production.len() >= 13,
         "expected every production crate, found only {production:?}"
     );
+    production
+}
+
+/// `path: needle` for each production source that names one of `needles`.
+fn production_sources_naming(needles: &[&str]) -> Vec<String> {
     let mut named = Vec::new();
-    let mut depends = Vec::new();
-    for dir in &production {
-        for path in rust_sources(dir.clone()) {
+    for dir in production_crates() {
+        for path in rust_sources(dir) {
             let src = std::fs::read_to_string(&path).expect("source is readable");
             for needle in needles {
                 if names_identifier(&src, needle) {
@@ -297,21 +264,78 @@ fn production_crates_hold_only_the_serving_path() {
                 }
             }
         }
-        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
-        if manifest_dependencies(&manifest)
-            .iter()
-            .any(|d| d == "cpdb_testkit")
-        {
-            depends.push(dir.display().to_string());
-        }
     }
+    named
+}
+
+/// The per-key generating-function references (rank PMFs, pairwise order,
+/// co-occurrence and co-clustering weights, the direct placement and
+/// position sums, the enumerated Kendall distance) are test oracles in
+/// `cpdb_testkit`, and the tree keeps no marginal cache for them. So no
+/// production source names a reference, a second Kendall sweep or a retired
+/// rank aggregator, and no production crate depends on the testkit.
+#[test]
+fn production_crates_hold_only_the_serving_path() {
+    // Split so this file does not match itself.
+    let named = production_sources_naming(&[
+        concat!("rank", "_pmf"),
+        concat!("pairwise_order", "_probability"),
+        concat!("cooccurrence", "_probability"),
+        concat!("cluster", "_weight"),
+        concat!("from_tree", "_per_pair"),
+        concat!("placement_cost", "_direct"),
+        concat!("position_profit", "_direct"),
+        concat!("expected_kendall_distance", "_enumerated"),
+        concat!("alternative_probabilities", "_cached"),
+        concat!("Kendall", "Terms"),
+        concat!("batch_kendall", "_terms"),
+        concat!("borda", "_aggregate"),
+        concat!("borda", "_aggregate_topk"),
+        concat!("footrule", "_aggregate"),
+        concat!("footrule", "_aggregate_topk"),
+    ]);
     assert!(
         named.is_empty(),
         "a production crate names a test-only reference path: {named:?}"
     );
+    let depends: Vec<String> = production_crates()
+        .into_iter()
+        .filter(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+            manifest_dependencies(&manifest)
+                .iter()
+                .any(|d| d == "cpdb_testkit")
+        })
+        .map(|dir| dir.display().to_string())
+        .collect();
     assert!(
         depends.is_empty(),
         "a production crate depends on the testkit: {depends:?}"
+    );
+}
+
+/// Kendall has one mechanism in production: the pool table and the local
+/// search. The pivot (the tournament, KwikSort, full rankings and the Kemeny
+/// optimum) is a reference in `cpdb_testkit`, so no production source names
+/// it or the tournament's engine slot, and the served Kendall function takes
+/// no RNG.
+#[test]
+fn the_kendall_tournament_stays_out_of_the_engine() {
+    // Split so this file does not match itself. `preference_matrix` is no
+    // needle: the engine keeps a deprecated no-op of that name for loadbench.
+    let named = production_sources_naming(&[
+        concat!("Preference", "Matrix"),
+        concat!("Preference", "Export"),
+        concat!("preference_matrix", "_patched"),
+        concat!("KENDALL_PIVOT", "_TRIALS"),
+        concat!("pivot_best", "_of"),
+        concat!("kemeny", "_optimal"),
+        concat!("Full", "Ranking"),
+        concat!("mean_topk_kendall", "_pivot"),
+    ]);
+    assert!(
+        named.is_empty(),
+        "a production crate names the Kendall tournament: {named:?}"
     );
 
     let module = crates_dir().join("consensus/src/topk/kendall.rs");
