@@ -44,10 +44,11 @@ use cpdb_bench::{
 };
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::topk::{footrule, kendall, median_dp};
-use cpdb_consensus::{baselines, jaccard, oracle, set_distance, TopKContext};
+use cpdb_consensus::{baselines, jaccard, set_distance, TopKContext};
 use cpdb_engine::{ConsensusEngineBuilder, Query, TopKMetric, Variant};
 use cpdb_model::{PossibleWorld, WorldModel};
 use cpdb_rankagg::TopKList;
+use cpdb_testkit::oracle;
 use cpdb_workloads::{
     random_groupby_instance, random_tuple_independent, GroupByConfig, TupleIndependentConfig,
 };

@@ -9,13 +9,14 @@ use cpdb_andxor::AndXorTree;
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::clustering::brute_force_clustering;
 use cpdb_consensus::topk::{footrule, intersection, median_dp, sym_diff};
-use cpdb_consensus::{jaccard, oracle, set_distance, TopKContext};
+use cpdb_consensus::{jaccard, set_distance, TopKContext};
 use cpdb_engine::{
     BaselineKind, ConsensusEngine, ConsensusEngineBuilder, Query, SetMetric, TopKMetric, Variant,
 };
 use cpdb_model::{TupleKey, WorldModel};
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric, kendall_tau_topk};
 use cpdb_rankagg::TopKList;
+use cpdb_testkit::oracle;
 use cpdb_testkit::pivot::mean_topk_kendall_pivot;
 use cpdb_workloads::{
     groupby_tree, random_clustering_tree, random_groupby_instance, random_scored_bid_tree,
@@ -443,7 +444,8 @@ pub fn topk_intersection_tables() -> Vec<Table> {
             let cost = answer.expected_distance;
             let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
             let ctx = exact_engine.context(k).expect("k is in range");
-            let approx = intersection::mean_topk_upsilon_h(&ctx);
+            let approx =
+                intersection::mean_topk_upsilon_h(&ctx).expect("context keys are distinct");
             let ratio = intersection::objective_a(&ctx, &approx)
                 / intersection::objective_a(&ctx, &opt).max(1e-12);
             validation.add_row(vec![
@@ -570,7 +572,7 @@ pub fn topk_kendall_table() -> Table {
             let ctx = engine.context(k).expect("k is in range");
             let mut rng = engine.query_rng(&query);
             let pivot = mean_topk_kendall_pivot(engine.tree(), &ctx, 8, &mut rng);
-            let foot = footrule::mean_topk_footrule(&ctx);
+            let foot = footrule::mean_topk_footrule(&ctx).expect("context keys are distinct");
             let denom = opt.max(1e-12);
             t.add_row(vec![
                 seed.to_string(),
@@ -838,7 +840,13 @@ pub fn baselines_table() -> Table {
         .collect();
     // The Υ_H shortcut is the library function on the engine's context.
     let ctx = engine.context(k).expect("k is in range");
-    answers.insert(3, ("Υ_H ranking", intersection::mean_topk_upsilon_h(&ctx)));
+    answers.insert(
+        3,
+        (
+            "Υ_H ranking",
+            intersection::mean_topk_upsilon_h(&ctx).expect("context keys are distinct"),
+        ),
+    );
     let consensus_sym = answers[0].1.clone();
     for (name, answer) in answers {
         let overlap = answer.overlap(&consensus_sym);

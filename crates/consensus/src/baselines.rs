@@ -8,7 +8,10 @@
 //! of the same and/xor tree infrastructure so the comparison is apples to
 //! apples.
 
-use crate::topk::context::TopKContext;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::topk::context::{rank_by_score, TopKContext};
+use crate::topk::sym_diff::topk_list;
 use cpdb_andxor::AndXorTree;
 use cpdb_model::{ModelError, TupleKey, WorldModel};
 use cpdb_rankagg::TopKList;
@@ -17,30 +20,30 @@ use std::collections::HashMap;
 
 /// **Expected score**: rank tuples by `E[score(t) · present(t)]` — the
 /// classic "expected value" heuristic that ignores rank semantics entirely.
-pub fn expected_score_topk(tree: &AndXorTree, k: usize) -> TopKList {
-    let mut scores: HashMap<TupleKey, f64> = HashMap::new();
+pub fn expected_score_topk(tree: &AndXorTree, k: usize) -> Result<TopKList, ModelError> {
+    let keys = tree.keys();
+    let mut scores = vec![0.0; keys.len()];
     for (alt, p) in tree.alternative_probabilities() {
-        *scores.entry(alt.key).or_insert(0.0) += alt.value.0 * p;
+        if let Ok(at) = keys.binary_search(&alt.key) {
+            scores[at] += alt.value.0 * p;
+        }
     }
-    take_topk_by(scores, k)
+    take_topk_by(&keys, scores, k, "expected-score Top-k")
 }
 
 /// **PT-k** (probabilistic threshold Top-k, Hua et al.): return every tuple
 /// with `Pr(r(t) ≤ k) ≥ threshold`. The result size depends on the threshold;
-/// tuples are ordered by the probability.
-pub fn ptk_answer(ctx: &TopKContext, threshold: f64) -> TopKList {
-    let mut selected: Vec<(TupleKey, f64)> = ctx
-        .keys()
-        .iter()
-        .map(|&t| (t, ctx.topk_probability(t)))
-        .filter(|(_, p)| *p >= threshold)
-        .collect();
-    selected.sort_by(|(ka, pa), (kb, pb)| {
-        pb.partial_cmp(pa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| ka.cmp(kb))
-    });
-    TopKList::new(selected.into_iter().map(|(t, _)| t.0).collect()).expect("keys are distinct")
+/// tuples are ordered by the probability. A context naming one key twice is
+/// [`ModelError::DuplicateKey`].
+pub fn ptk_answer(ctx: &TopKContext, threshold: f64) -> Result<TopKList, ModelError> {
+    let ranked = ctx.keys_by_topk_probability();
+    topk_list(
+        ranked
+            .into_iter()
+            .take_while(|&(_, p)| p >= threshold)
+            .map(|(t, _)| t),
+        "PT-k",
+    )
 }
 
 /// **Global Top-k** (Zhang & Chomicki): the `k` tuples with the highest
@@ -61,17 +64,16 @@ pub fn expected_rank_topk<R: Rng + ?Sized>(
     k: usize,
     samples: usize,
     rng: &mut R,
-) -> TopKList {
+) -> Result<TopKList, ModelError> {
     let keys = tree.keys();
     let totals = rank_totals(tree, &keys, samples.max(1), rng);
-    // Lower expected rank is better: negate so the shared helper can sort
+    // Lower expected rank is better: negate so the shared order can sort
     // descending.
-    let scores: HashMap<TupleKey, f64> = keys
+    let scores = totals
         .into_iter()
-        .zip(totals)
-        .map(|(t, total)| (t, -(total / samples.max(1) as f64)))
+        .map(|total| -(total / samples.max(1) as f64))
         .collect();
-    take_topk_by(scores, k)
+    take_topk_by(&keys, scores, k, "expected-rank Top-k")
 }
 
 /// `Σ rank_pw(t)` over `samples` sampled worlds for each of the sorted
@@ -107,58 +109,55 @@ fn rank_totals<R: Rng + ?Sized>(
 
 /// **U-Top-k** (Soliman et al.): the most probable Top-k *sequence* — the
 /// complete Top-k answer (as an ordered list) with the highest total
-/// probability across possible worlds. Computed here by Monte-Carlo
-/// estimation of sequence frequencies (exact enumeration is exponential).
+/// probability across possible worlds, ties going to the smallest sequence.
+/// Computed here by Monte-Carlo estimation of sequence frequencies (exact
+/// enumeration is exponential).
 pub fn u_topk<R: Rng + ?Sized>(
     tree: &AndXorTree,
     k: usize,
     samples: usize,
     rng: &mut R,
-) -> TopKList {
-    let mut counts: HashMap<Vec<u64>, usize> = HashMap::new();
+) -> Result<TopKList, ModelError> {
+    let mut counts: HashMap<Vec<TupleKey>, usize> = HashMap::new();
     for _ in 0..samples.max(1) {
         let w = tree.sample_world(rng);
-        let answer: Vec<u64> = w.top_k(k).iter().map(|a| a.key.0).collect();
+        let answer = w.top_k(k).iter().map(|a| a.key).collect();
         *counts.entry(answer).or_insert(0) += 1;
     }
-    let best = counts
-        .into_iter()
-        .max_by(|(sa, ca), (sb, cb)| ca.cmp(cb).then_with(|| sb.cmp(sa)))
-        .map(|(seq, _)| seq)
-        .unwrap_or_default();
-    TopKList::new(best).expect("a world's Top-k never repeats a key")
+    most_probable(counts.into_iter().map(|(seq, c)| (seq, c as f64)).collect())
 }
 
 /// Exact U-Top-k by exhaustive world enumeration (ground truth for small
 /// trees).
-pub fn u_topk_enumerated(tree: &AndXorTree, k: usize) -> TopKList {
+pub fn u_topk_enumerated(tree: &AndXorTree, k: usize) -> Result<TopKList, ModelError> {
     let ws = tree.enumerate_worlds();
-    let mut freq: HashMap<Vec<u64>, f64> = HashMap::new();
+    let mut freq: HashMap<Vec<TupleKey>, f64> = HashMap::new();
     for (w, p) in ws.worlds() {
-        let answer: Vec<u64> = w.top_k(k).iter().map(|a| a.key.0).collect();
+        let answer = w.top_k(k).iter().map(|a| a.key).collect();
         *freq.entry(answer).or_insert(0.0) += p;
     }
-    let best = freq
-        .into_iter()
-        .max_by(|(sa, pa), (sb, pb)| {
-            pa.partial_cmp(pb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| sb.cmp(sa))
-        })
-        .map(|(seq, _)| seq)
-        .unwrap_or_default();
-    TopKList::new(best).expect("a world's Top-k never repeats a key")
+    most_probable(freq.into_iter().collect())
 }
 
-fn take_topk_by(scores: HashMap<TupleKey, f64>, k: usize) -> TopKList {
-    let mut scored: Vec<(TupleKey, f64)> = scores.into_iter().collect();
-    scored.sort_by(|(ka, sa), (kb, sb)| {
-        sb.partial_cmp(sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| ka.cmp(kb))
-    });
-    TopKList::new(scored.into_iter().take(k).map(|(t, _)| t.0).collect())
-        .expect("keys are distinct")
+/// The sequence of highest weight ([`rank_by_score`]), or the empty list
+/// when there is none. A world's Top-k never repeats a key.
+fn most_probable(mut weighted: Vec<(Vec<TupleKey>, f64)>) -> Result<TopKList, ModelError> {
+    rank_by_score(&mut weighted);
+    let best = weighted.into_iter().next().map(|(seq, _)| seq);
+    topk_list(best.unwrap_or_default(), "U-Top-k")
+}
+
+/// The `k` keys of highest score (`scores[p]` belongs to `keys[p]`), in
+/// decreasing order ([`rank_by_score`]).
+fn take_topk_by(
+    keys: &[TupleKey],
+    scores: Vec<f64>,
+    k: usize,
+    context: &str,
+) -> Result<TopKList, ModelError> {
+    let mut scored: Vec<(TupleKey, f64)> = keys.iter().copied().zip(scores).collect();
+    rank_by_score(&mut scored);
+    topk_list(scored.into_iter().take(k).map(|(t, _)| t), context)
 }
 
 #[cfg(test)]
@@ -218,9 +217,32 @@ mod tests {
     #[test]
     fn expected_score_ranks_by_score_times_probability() {
         let t = tree();
-        let answer = expected_score_topk(&t, 2);
+        let answer = expected_score_topk(&t, 2).unwrap();
         // E[score]: t1 = 20, t2 = 81, t3 = 68, t4 = 28.
         assert_eq!(answer.items(), &[2, 3]);
+    }
+
+    #[test]
+    fn expected_score_ranks_a_nan_score_last() {
+        // 40 keys: enough for the sort to check its order is total.
+        let specs: Vec<(u64, f64, f64)> = (0..40u64)
+            .map(|key| {
+                let score = if key == 3 {
+                    f64::NAN
+                } else {
+                    (key * 37 % 101) as f64
+                };
+                (key, score, 0.5)
+            })
+            .collect();
+        let t = independent_tree(&specs);
+        let answer = expected_score_topk(&t, 40).unwrap();
+        assert_eq!(answer.items().last(), Some(&3));
+        let scores: Vec<f64> = answer.items()[..39]
+            .iter()
+            .map(|&key| (key * 37 % 101) as f64)
+            .collect();
+        assert!(scores.windows(2).all(|w| w[0] >= w[1]), "{answer}");
     }
 
     #[test]
@@ -237,9 +259,9 @@ mod tests {
     fn ptk_threshold_controls_answer_size() {
         let t = tree();
         let ctx = TopKContext::new(&t, 2);
-        let all = ptk_answer(&ctx, 0.0);
-        let some = ptk_answer(&ctx, 0.5);
-        let none = ptk_answer(&ctx, 1.1);
+        let all = ptk_answer(&ctx, 0.0).unwrap();
+        let some = ptk_answer(&ctx, 0.5).unwrap();
+        let none = ptk_answer(&ctx, 1.1).unwrap();
         assert_eq!(all.len(), 4);
         assert!(some.len() < all.len());
         assert!(none.is_empty());
@@ -253,8 +275,8 @@ mod tests {
     fn u_topk_sampled_agrees_with_enumeration() {
         let t = tree();
         let mut rng = StdRng::seed_from_u64(8);
-        let exact = u_topk_enumerated(&t, 2);
-        let sampled = u_topk(&t, 2, 40_000, &mut rng);
+        let exact = u_topk_enumerated(&t, 2).unwrap();
+        let sampled = u_topk(&t, 2, 40_000, &mut rng).unwrap();
         assert_eq!(exact, sampled);
     }
 
@@ -276,7 +298,7 @@ mod tests {
         let expected_top2: Vec<u64> = exact.iter().take(2).map(|(k, _)| k.0).collect();
 
         let mut rng = StdRng::seed_from_u64(4);
-        let answer = expected_rank_topk(&t, 2, 40_000, &mut rng);
+        let answer = expected_rank_topk(&t, 2, 40_000, &mut rng).unwrap();
         for item in &expected_top2 {
             assert!(
                 answer.contains(*item),
@@ -292,7 +314,7 @@ mod tests {
         let t = independent_tree(&[(1, 1000.0, 0.15), (2, 90.0, 0.9), (3, 80.0, 0.85)]);
         let ctx = TopKContext::new(&t, 2);
         let consensus = mean_topk_sym_diff(&ctx).unwrap();
-        let by_score = expected_score_topk(&t, 2);
+        let by_score = expected_score_topk(&t, 2).unwrap();
         assert!(by_score.contains(1));
         assert!(!consensus.contains(1));
     }

@@ -24,7 +24,6 @@
 //! | [`aggregate`] | §6.1, Thm 5, Cor 2 | consensus group-by count vectors |
 //! | [`clustering`] | §6.2 | consensus clustering |
 //! | [`baselines`] | §2 / intro | previously proposed ranking semantics for comparison |
-//! | [`oracle`] | — | brute-force expected-distance minimisers used as ground truth |
 //!
 //! All algorithms take a probabilistic and/xor tree (`cpdb-andxor`) — the
 //! paper's correlation model — or, where the paper requires it, the simpler
@@ -37,7 +36,6 @@ pub mod aggregate;
 pub mod baselines;
 pub mod clustering;
 pub mod jaccard;
-pub mod oracle;
 pub mod set_distance;
 pub mod topk;
 

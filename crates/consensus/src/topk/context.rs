@@ -4,8 +4,14 @@
 //! and each position `i ≤ k`, the probability `Pr(r(t) = i)` that `t` is
 //! ranked exactly `i`-th in the random possible world. [`TopKContext`]
 //! computes them once from the and/xor tree (via the generating-function
-//! engine) and exposes the derived statistics the individual algorithms need:
-//! `Pr(r(t) ≤ i)`, `Pr(r(t) > k)`, and the Υ-statistics of §5.4.
+//! engine), one row per sorted tree key.
+//!
+//! The builders read the rows by position ([`TopKContext::row`],
+//! [`TopKContext::rows`]) and take every statistic they need from the
+//! [`RankRow`]: `Pr(r(t) ≤ i)`, `Pr(r(t) ≤ k)` (Υ₁ of §5.4), Υ₂ and the
+//! misplacement mass of the footrule. A caller that holds only a key finds
+//! its row once with [`TopKContext::row_of`]. Lists ranked by a per-key
+//! score all come from one order, [`rank_by_score`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -21,7 +27,9 @@ const TABLES: usize = 3;
 
 /// One key's rank statistics in a [`TopKContext`] view: the first `k`
 /// entries of each of its tables, entry `i − 1` belonging to position `i`.
-#[derive(Debug, Clone, Copy)]
+/// The default row, with no entries, is the row of a key the context does
+/// not hold: every statistic of it is 0.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RankRow<'a> {
     /// `Pr(r(t) = i)`.
     pub pmf: &'a [f64],
@@ -41,6 +49,58 @@ impl RankRow<'_> {
             .and_then(|i| self.prefix_mass.get(i))
             .map_or(0.0, |m| m.min(1.0))
     }
+
+    /// Υ₁(t) = `Pr(r(t) ≤ k)` (§5.4), the probability that `t` makes the
+    /// Top-k at all: [`RankRow::cdf`] at `k`. `Pr(r(t) > k)`, absence
+    /// included, is `1 −` this.
+    pub fn in_topk(&self) -> f64 {
+        self.cdf(self.pmf.len())
+    }
+
+    /// Υ₂(t) = `Σ_{i ≤ k} i · Pr(r(t) = i)` (§5.4), the rank-weighted
+    /// prefix sum at `k`.
+    pub fn weighted_rank(&self) -> f64 {
+        self.prefix_weighted.last().copied().unwrap_or(0.0)
+    }
+
+    /// The misplacement mass `Σ_{j ≤ k} Pr(r(t) = j)·|i − j|` of placing `t`
+    /// at position `i`, in O(1) from the prefix sums: with
+    /// `S₀(i) = Σ_{j ≤ i} Pr(r(t) = j)` and `S₁(i) = Σ_{j ≤ i} j·Pr(r(t) = j)`,
+    ///
+    /// ```text
+    /// Σ_{j ≤ k} Pr(r(t) = j)·|i − j| = 2(i·S₀(i) − S₁(i)) + S₁(k) − i·S₀(k)
+    /// ```
+    ///
+    /// (split the sum at `j ≤ i` / `j > i`). This is the footrule hot path:
+    /// it turns the assignment cost-matrix build from O(n·k²) into O(n·k).
+    /// The tests pin it to the direct summation.
+    pub fn displacement(&self, i: usize) -> f64 {
+        let (mass, weighted) = (self.prefix_mass, self.prefix_weighted);
+        let (Some(&s0_k), Some(&s1_k)) = (mass.last(), weighted.last()) else {
+            return 0.0;
+        };
+        let i_f = i as f64;
+        if i == 0 {
+            s1_k
+        } else if i >= mass.len() {
+            i_f * s0_k - s1_k
+        } else {
+            2.0 * (i_f * mass[i - 1] - weighted[i - 1]) + s1_k - i_f * s0_k
+        }
+    }
+}
+
+/// Sorts scored items by decreasing score, ties broken by the item: the one
+/// ranking order of the Top-k layer. Over sorted keys, or over positions
+/// into them, a tie goes to the smaller key. `0.0` and `−0.0` tie, and a
+/// NaN score (an expected score over a NaN-scored alternative) ranks last,
+/// so the order is total.
+pub fn rank_by_score<T: Ord>(scored: &mut [(T, f64)]) {
+    scored.sort_by(|(a, sa), (b, sb)| {
+        sb.partial_cmp(sa)
+            .unwrap_or_else(|| sa.is_nan().cmp(&sb.is_nan()))
+            .then_with(|| a.cmp(b))
+    });
 }
 
 /// Precomputed rank statistics for a Top-k query over an and/xor tree.
@@ -155,11 +215,21 @@ impl TopKContext {
     /// [`TopKContext::keys`], read without a key search; `None` past the
     /// last key.
     pub fn row(&self, position: usize) -> Option<RankRow<'_>> {
+        // At k = 0 every table is empty, so the bounds come from the keys.
+        if position >= self.keys.len() {
+            return None;
+        }
         Some(RankRow {
             pmf: self.table_at(position, PMF)?,
             prefix_mass: self.table_at(position, PREFIX_MASS)?,
             prefix_weighted: self.table_at(position, PREFIX_WEIGHTED)?,
         })
+    }
+
+    /// Every key's [`TopKContext::row`], in the order of
+    /// [`TopKContext::keys`].
+    pub fn rows(&self) -> impl Iterator<Item = RankRow<'_>> {
+        (0..self.keys.len()).filter_map(|p| self.row(p))
     }
 
     /// The query parameter `k`.
@@ -179,108 +249,22 @@ impl TopKContext {
         &self.keys
     }
 
-    /// `Pr(r(t) = i)` for `1 ≤ i ≤ k` (0 outside that range or for unknown
-    /// tuples).
-    pub fn rank_probability(&self, t: TupleKey, i: usize) -> f64 {
-        if i == 0 || i > self.k {
-            return 0.0;
-        }
-        self.row_of(t).map_or(0.0, |row| row.pmf[i - 1])
-    }
-
-    /// `Pr(r(t) ≤ i)` for `1 ≤ i ≤ k` (0 for `i = 0`, and the value at `k`
-    /// for `i > k` since the context never looks past `k`).
-    pub fn rank_cdf(&self, t: TupleKey, i: usize) -> f64 {
-        self.row_of(t).map_or(0.0, |row| row.cdf(i))
-    }
-
-    /// `Pr(r(t) ≤ k)` — the probability that `t` makes the Top-k at all.
-    pub fn topk_probability(&self, t: TupleKey) -> f64 {
-        self.rank_cdf(t, self.k)
-    }
-
-    /// `Pr(r(t) > k)` — includes the probability that `t` is absent.
-    pub fn beyond_topk_probability(&self, t: TupleKey) -> f64 {
-        1.0 - self.topk_probability(t)
-    }
-
     /// `Σ_t Pr(r(t) ≤ i)` over all tuples — the expected size of the random
     /// world's Top-i answer.
     pub fn total_topi_mass(&self, i: usize) -> f64 {
-        (0..self.keys.len())
-            .filter_map(|p| self.row(p))
-            .map(|row| row.cdf(i))
-            .sum()
+        self.rows().map(|row| row.cdf(i)).sum()
     }
 
-    /// Υ₁(t) = `Σ_{i ≤ k} Pr(r(t) = i)` = `Pr(r(t) ≤ k)` (§5.4).
-    pub fn upsilon1(&self, t: TupleKey) -> f64 {
-        self.topk_probability(t)
-    }
-
-    /// Υ₂(t) = `Σ_{i ≤ k} i · Pr(r(t) = i)` (§5.4). Served from the
-    /// rank-weighted prefix sums in O(1).
-    pub fn upsilon2(&self, t: TupleKey) -> f64 {
-        self.row_of(t)
-            .and_then(|row| row.prefix_weighted.last().copied())
-            .unwrap_or(0.0)
-    }
-
-    /// The misplacement mass `Σ_{j ≤ k} Pr(r(t) = j)·|i − j|` of placing `t`
-    /// at position `i`, in O(1) via the per-tuple prefix sums: with
-    /// `S₀(i) = Σ_{j ≤ i} Pr(r(t) = j)` and `S₁(i) = Σ_{j ≤ i} j·Pr(r(t) = j)`,
-    ///
-    /// ```text
-    /// Σ_{j ≤ k} Pr(r(t) = j)·|i − j| = 2(i·S₀(i) − S₁(i)) + S₁(k) − i·S₀(k)
-    /// ```
-    ///
-    /// (split the sum at `j ≤ i` / `j > i`). This is the footrule hot path:
-    /// it turns the assignment cost-matrix build from O(n·k²) into O(n·k).
-    /// The tests pin it to the direct summation.
-    pub fn misplacement_mass(&self, t: TupleKey, i: usize) -> f64 {
-        let Some(RankRow {
-            prefix_mass: mass,
-            prefix_weighted: weighted,
-            ..
-        }) = self.row_of(t)
-        else {
-            return 0.0;
-        };
-        if self.k == 0 {
-            return 0.0;
-        }
-        let (s0_k, s1_k) = (mass[self.k - 1], weighted[self.k - 1]);
-        let i_f = i as f64;
-        if i == 0 {
-            s1_k
-        } else if i >= self.k {
-            i_f * s0_k - s1_k
-        } else {
-            2.0 * (i_f * mass[i - 1] - weighted[i - 1]) + s1_k - i_f * s0_k
-        }
-    }
-
-    /// Υ₃(t, i) = `Σ_{j ≤ k} Pr(r(t) = j)·|i − j| + i·Pr(r(t) > k)` (§5.4).
-    pub fn upsilon3(&self, t: TupleKey, i: usize) -> f64 {
-        let tail = i as f64 * self.beyond_topk_probability(t);
-        (1..=self.k)
-            .map(|j| self.rank_probability(t, j) * (i as f64 - j as f64).abs())
-            .sum::<f64>()
-            + tail
-    }
-
-    /// The tuples sorted by decreasing `Pr(r(t) ≤ k)`, ties broken by key.
+    /// The tuples sorted by decreasing `Pr(r(t) ≤ k)`, ties broken by key
+    /// ([`rank_by_score`]), each with that probability.
     pub fn keys_by_topk_probability(&self) -> Vec<(TupleKey, f64)> {
         let mut v: Vec<(TupleKey, f64)> = self
             .keys
             .iter()
-            .map(|&t| (t, self.topk_probability(t)))
+            .copied()
+            .zip(self.rows().map(|row| row.in_topk()))
             .collect();
-        v.sort_by(|(ka, pa), (kb, pb)| {
-            pb.partial_cmp(pa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| ka.cmp(kb))
-        });
+        rank_by_score(&mut v);
         v
     }
 }
@@ -305,15 +289,25 @@ mod tests {
 
     use cpdb_andxor::AndXorTree;
 
+    /// Υ₃(t, i) = `Σ_{j ≤ k} Pr(r(t) = j)·|i − j| + i·Pr(r(t) > k)` (§5.4),
+    /// summed directly over the row's PMF.
+    fn direct_upsilon3(row: &RankRow<'_>, i: usize) -> f64 {
+        let tail = i as f64 * (1.0 - row.in_topk());
+        (1..=row.pmf.len())
+            .map(|j| row.pmf[j - 1] * (i as f64 - j as f64).abs())
+            .sum::<f64>()
+            + tail
+    }
+
     #[test]
     fn cdf_is_cumulative_pmf() {
         let tree = independent_tree();
         let ctx = TopKContext::new(&tree, 3);
-        for &t in ctx.keys() {
+        for row in ctx.rows() {
             let mut acc = 0.0;
             for i in 1..=3 {
-                acc += ctx.rank_probability(t, i);
-                assert!((ctx.rank_cdf(t, i) - acc).abs() < 1e-12);
+                acc += row.pmf[i - 1];
+                assert!((row.cdf(i) - acc).abs() < 1e-12);
             }
         }
     }
@@ -324,8 +318,9 @@ mod tests {
         let ctx = TopKContext::new(&tree, 3);
         let presence = tree.key_presence_probabilities();
         for (&t, &p) in &presence {
-            assert!((ctx.topk_probability(t) - p).abs() < 1e-9);
-            assert!((ctx.beyond_topk_probability(t) - (1.0 - p)).abs() < 1e-9);
+            let row = ctx.row_of(t).unwrap();
+            assert!((row.in_topk() - p).abs() < 1e-9);
+            assert!(((1.0 - row.in_topk()) - (1.0 - p)).abs() < 1e-9);
         }
     }
 
@@ -333,17 +328,17 @@ mod tests {
     fn upsilon_statistics_consistency() {
         let tree = figure1_correlated_tree();
         let ctx = TopKContext::new(&tree, 2);
-        for &t in ctx.keys() {
-            let u1 = ctx.upsilon1(t);
-            let u2 = ctx.upsilon2(t);
+        for row in ctx.rows() {
+            let u1 = row.in_topk();
+            let u2 = row.weighted_rank();
             // Υ₂ is between 1·Υ₁ and k·Υ₁.
             assert!(u2 + 1e-12 >= u1);
             assert!(u2 <= ctx.k() as f64 * u1 + 1e-12);
             // Υ₃(t, i) at i = 0 is just Σ j·Pr(r=j) = Υ₂.
-            assert!((ctx.upsilon3(t, 0) - u2).abs() < 1e-12);
+            assert!((direct_upsilon3(&row, 0) - u2).abs() < 1e-12);
             // Υ_H(t) ≥ Pr(r(t) ≤ 1) and ≤ H_k.
-            assert!(upsilon_h(&ctx, t) + 1e-12 >= ctx.rank_cdf(t, 1));
-            assert!(upsilon_h(&ctx, t) <= 1.0 + 0.5 + 1e-12);
+            assert!(upsilon_h(&row) + 1e-12 >= row.cdf(1));
+            assert!(upsilon_h(&row) <= 1.0 + 0.5 + 1e-12);
         }
     }
 
@@ -351,11 +346,17 @@ mod tests {
     fn out_of_range_queries_are_zero() {
         let tree = independent_tree();
         let ctx = TopKContext::new(&tree, 2);
-        assert_eq!(ctx.rank_probability(TupleKey(1), 0), 0.0);
-        assert_eq!(ctx.rank_probability(TupleKey(1), 5), 0.0);
-        assert_eq!(ctx.rank_probability(TupleKey(99), 1), 0.0);
-        assert_eq!(ctx.rank_cdf(TupleKey(99), 2), 0.0);
-        assert_eq!(ctx.rank_cdf(TupleKey(1), 0), 0.0);
+        let row = ctx.row_of(TupleKey(1)).unwrap();
+        assert_eq!(row.pmf.len(), 2);
+        assert_eq!(row.cdf(0), 0.0);
+        assert_eq!(row.cdf(5), row.cdf(2));
+        // An unknown key has no row; the default row reads 0 everywhere.
+        assert!(ctx.row_of(TupleKey(99)).is_none());
+        let unknown = RankRow::default();
+        assert_eq!(unknown.cdf(2), 0.0);
+        assert_eq!(unknown.in_topk(), 0.0);
+        assert_eq!(unknown.weighted_rank(), 0.0);
+        assert_eq!(unknown.displacement(1), 0.0);
     }
 
     #[test]
@@ -373,30 +374,30 @@ mod tests {
         let tree = figure1_correlated_tree();
         for k in 1..=4usize {
             let ctx = TopKContext::new(&tree, k);
-            for &t in ctx.keys() {
-                let direct_u2: f64 = (1..=k).map(|i| i as f64 * ctx.rank_probability(t, i)).sum();
-                assert!((ctx.upsilon2(t) - direct_u2).abs() < 1e-12);
-                let direct_uh: f64 = (1..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
-                assert!((upsilon_h(&ctx, t) - direct_uh).abs() < 1e-12);
+            for row in ctx.rows() {
+                let pmf = |i: usize| row.pmf[i - 1];
+                let direct_u2: f64 = (1..=k).map(|i| i as f64 * pmf(i)).sum();
+                assert!((row.weighted_rank() - direct_u2).abs() < 1e-12);
+                let direct_uh: f64 = (1..=k).map(|i| row.cdf(i) / i as f64).sum();
+                assert!((upsilon_h(&row) - direct_uh).abs() < 1e-12);
                 for i in 0..=k + 1 {
-                    let direct: f64 = (1..=k)
-                        .map(|j| ctx.rank_probability(t, j) * (i as f64 - j as f64).abs())
-                        .sum();
+                    let direct: f64 = (1..=k).map(|j| pmf(j) * (i as f64 - j as f64).abs()).sum();
                     assert!(
-                        (ctx.misplacement_mass(t, i) - direct).abs() < 1e-12,
-                        "k={k} t={t:?} i={i}"
+                        (row.displacement(i) - direct).abs() < 1e-12,
+                        "k={k} row={row:?} i={i}"
                     );
                 }
                 for j in 1..=k {
-                    let direct: f64 = (j..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
-                    assert!((position_profit(&ctx, t, j) - direct).abs() < 1e-12);
+                    let direct: f64 = (j..=k).map(|i| row.cdf(i) / i as f64).sum();
+                    assert!((position_profit(&row, j) - direct).abs() < 1e-12);
                 }
+                // Out-of-range positions stay zero.
+                assert_eq!(position_profit(&row, 0), 0.0);
+                assert_eq!(position_profit(&row, k + 1), 0.0);
             }
-            // Unknown tuples and out-of-range positions stay zero.
-            assert_eq!(ctx.misplacement_mass(TupleKey(99), 1), 0.0);
-            assert_eq!(position_profit(&ctx, TupleKey(99), 1), 0.0);
-            assert_eq!(position_profit(&ctx, TupleKey(1), 0), 0.0);
-            assert_eq!(position_profit(&ctx, TupleKey(1), k + 1), 0.0);
+            // So does the row of an unknown tuple.
+            assert_eq!(RankRow::default().displacement(1), 0.0);
+            assert_eq!(position_profit(&RankRow::default(), 1), 0.0);
         }
     }
 
@@ -406,7 +407,7 @@ mod tests {
         let rows = [0.5, 0.2, 0.3, 0.3];
         let ctx = TopKContext::from_rows(2, keys.clone(), &rows).unwrap();
         assert_eq!(ctx.k(), 2);
-        assert!((ctx.topk_probability(TupleKey(1)) - 0.7).abs() < 1e-12);
+        assert!((ctx.row(0).unwrap().in_topk() - 0.7).abs() < 1e-12);
         assert!((ctx.total_topi_mass(1) - 0.8).abs() < 1e-12);
         assert_eq!(ctx.pmf_rows(), rows);
         // A view reads the column prefix of each row; none exists above K.
@@ -422,18 +423,23 @@ mod tests {
     fn rows_by_position_match_the_keyed_accessors() {
         let tree = figure1_correlated_tree();
         let ctx = TopKContext::new(&tree, 4).at(3).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rows = ctx.rows();
         for (p, &t) in ctx.keys().iter().enumerate() {
             let row = ctx.row(p).unwrap();
             assert_eq!(row.pmf.len(), 3);
-            for i in 0..=4 {
-                assert_eq!(row.cdf(i).to_bits(), ctx.rank_cdf(t, i).to_bits());
-                if (1..=3).contains(&i) {
-                    assert_eq!(row.pmf[i - 1], ctx.rank_probability(t, i));
-                }
+            for other in [ctx.row_of(t).unwrap(), rows.next().unwrap()] {
+                assert_eq!(bits(row.pmf), bits(other.pmf));
+                assert_eq!(bits(row.prefix_mass), bits(other.prefix_mass));
+                assert_eq!(bits(row.prefix_weighted), bits(other.prefix_weighted));
             }
-            assert_eq!(row.prefix_weighted[2], ctx.upsilon2(t));
+            assert_eq!(row.in_topk().to_bits(), row.cdf(3).to_bits());
+            assert_eq!(row.weighted_rank(), row.prefix_weighted[2]);
         }
+        assert!(rows.next().is_none());
         assert!(ctx.row(ctx.keys().len()).is_none());
+        let empty = TopKContext::new(&tree, 0);
+        assert!(empty.row(0).is_some() && empty.row(ctx.keys().len()).is_none());
     }
 
     #[test]
@@ -445,11 +451,12 @@ mod tests {
             assert_eq!((view.k(), view.slab_len()), (k, big.slab_len()));
             let bits = |c: &TopKContext| {
                 let mut out = Vec::new();
-                for &t in c.keys() {
-                    out.extend([c.upsilon1(t), c.upsilon2(t), c.beyond_topk_probability(t)]);
+                for row in c.rows() {
+                    out.extend([row.in_topk(), row.weighted_rank(), 1.0 - row.in_topk()]);
                     for i in 0..=k + 1 {
-                        out.extend([c.rank_probability(t, i), c.rank_cdf(t, i)]);
-                        out.extend([c.misplacement_mass(t, i), c.upsilon3(t, i)]);
+                        let pmf = i.checked_sub(1).and_then(|i| row.pmf.get(i));
+                        out.extend([pmf.copied().unwrap_or(0.0), row.cdf(i)]);
+                        out.extend([row.displacement(i), direct_upsilon3(&row, i)]);
                         out.push(c.total_topi_mass(i));
                     }
                 }

@@ -19,40 +19,51 @@
 //! `A(τ_H) ≥ A(τ*) / H_k`. Both the exact and the approximate answers are
 //! provided, and the experiments measure how close the approximation gets in
 //! practice.
+//!
+//! Every profit is a function of one [`RankRow`]: the builders read the
+//! context's rows by position and map positions to keys once, for the
+//! answer list.
 
-use super::context::{RankRow, TopKContext};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use super::context::{rank_by_score, RankRow, TopKContext};
+use super::sym_diff::topk_list;
 use cpdb_assignment::max_profit_assignment_flat;
-use cpdb_model::TupleKey;
+use cpdb_model::{ModelError, TupleKey};
 use cpdb_rankagg::TopKList;
 
-/// The profit of placing tuple `t` at result position `j` (1-based):
-/// `Σ_{i=j..k} Pr(r(t) ≤ i)/i`, summed from `i = k` down (`0` outside
-/// `1 ≤ j ≤ k` or for unknown tuples). A suffix depends on `k`, so the rank
-/// context, which holds only prefix tables, does not cache it. The tests
-/// pin it to the ascending summation.
-pub fn position_profit(ctx: &TopKContext, t: TupleKey, j: usize) -> f64 {
+/// The profit of placing the tuple whose row of the context at `k` is `row`
+/// at result position `j` (1-based): `Σ_{i=j..k} Pr(r(t) ≤ i)/i`, summed
+/// from `i = k` down (`0` outside `1 ≤ j ≤ k`). A suffix depends on `k`, so
+/// the rank context, which holds only prefix tables, does not cache it. The
+/// tests pin it to the ascending summation.
+pub fn position_profit(row: &RankRow<'_>, j: usize) -> f64 {
     if j == 0 {
         return 0.0;
     }
-    (j..=ctx.k())
+    (j..=row.pmf.len())
         .rev()
-        .fold(0.0, |tail, i| tail + ctx.rank_cdf(t, i) / i as f64)
+        .fold(0.0, |tail, i| tail + row.cdf(i) / i as f64)
 }
 
 /// Υ_H(t) = `Σ_{i ≤ k} Pr(r(t) ≤ i)/i` — the harmonic ranking function of
 /// §5.3 (a parameterised ranking function in the sense of \[29\]): the
 /// position profit at `j = 1`.
-pub fn upsilon_h(ctx: &TopKContext, t: TupleKey) -> f64 {
-    position_profit(ctx, t, 1)
+pub fn upsilon_h(row: &RankRow<'_>) -> f64 {
+    position_profit(row, 1)
 }
 
-/// The objective `A(τ)` of a candidate list (the paper's §5.3).
+/// The objective `A(τ)` of a candidate list (the paper's §5.3). A key the
+/// context does not hold adds 0.
 pub fn objective_a(ctx: &TopKContext, candidate: &TopKList) -> f64 {
     candidate
         .items()
         .iter()
         .enumerate()
-        .map(|(idx, &t)| position_profit(ctx, TupleKey(t), idx + 1))
+        .map(|(idx, &t)| {
+            let row = ctx.row_of(TupleKey(t)).unwrap_or_default();
+            position_profit(&row, idx + 1)
+        })
         .sum()
 }
 
@@ -64,20 +75,17 @@ pub fn expected_intersection_distance(ctx: &TopKContext, candidate: &TopKList) -
     if k == 0 {
         return 0.0;
     }
-    // The candidate's rows, found once; an unknown key has none and adds 0.
-    let rows: Vec<Option<RankRow<'_>>> = candidate
+    // The candidate's rows, found once; an unknown key has the default row
+    // and adds 0.
+    let rows: Vec<RankRow<'_>> = candidate
         .items()
         .iter()
-        .map(|&t| ctx.row_of(TupleKey(t)))
+        .map(|&t| ctx.row_of(TupleKey(t)).unwrap_or_default())
         .collect();
     let mut total = 0.0;
     for i in 1..=k {
         let prefix_len = candidate.len().min(i);
-        let selected: f64 = rows
-            .iter()
-            .take(i)
-            .map(|row| row.map_or(0.0, |row| row.cdf(i)))
-            .sum();
+        let selected: f64 = rows.iter().take(i).map(|row| row.cdf(i)).sum();
         let mass = ctx.total_topi_mass(i);
         total += (prefix_len as f64 + mass - 2.0 * selected) / (2.0 * i as f64);
     }
@@ -85,47 +93,48 @@ pub fn expected_intersection_distance(ctx: &TopKContext, candidate: &TopKList) -
 }
 
 /// The exact mean Top-k answer under the intersection metric, via the
-/// Hungarian algorithm on the (tuple × position) profit matrix.
-pub fn mean_topk_intersection(ctx: &TopKContext) -> TopKList {
+/// Hungarian algorithm on the (tuple × position) profit matrix. A context
+/// naming one key twice is [`ModelError::DuplicateKey`].
+pub fn mean_topk_intersection(ctx: &TopKContext) -> Result<TopKList, ModelError> {
     let k = ctx.k();
-    if k == 0 || ctx.keys().is_empty() {
-        return TopKList::empty();
-    }
     let keys = ctx.keys();
+    if k == 0 || keys.is_empty() {
+        return Ok(TopKList::empty());
+    }
     // Row-major flat profit matrix, one allocation, filled in O(n·k): each
     // row is `position_profit` at every j, summed in the same order.
     let mut profit = vec![0.0; keys.len() * k];
-    for (p, row) in profit.chunks_exact_mut(k).enumerate() {
-        let Some(stats) = ctx.row(p) else { break };
+    for (out, row) in profit.chunks_exact_mut(k).zip(ctx.rows()) {
         let mut tail = 0.0;
         for i in (1..=k).rev() {
-            tail += stats.cdf(i) / i as f64;
-            row[i - 1] = tail;
+            tail += row.cdf(i) / i as f64;
+            out[i - 1] = tail;
         }
     }
-    let assignment = max_profit_assignment_flat(&profit, keys.len(), k);
-    let mut slots: Vec<Option<u64>> = vec![None; k];
-    for (row, col) in assignment.row_to_col.iter().enumerate() {
-        if let Some(c) = col {
-            slots[*c] = Some(keys[row].0);
-        }
-    }
-    TopKList::new(slots.into_iter().flatten().collect()).expect("keys are distinct")
+    // Position i of the answer holds the key of the row assigned to it.
+    let placed = max_profit_assignment_flat(&profit, keys.len(), k).col_to_row;
+    topk_list(
+        placed.into_iter().flatten().map(|p| keys[p]),
+        "mean Top-k under the intersection metric",
+    )
 }
 
 /// The harmonic-ranking approximation `τ_H`: the `k` tuples with the highest
-/// `Υ_H(t)`, in decreasing order. Guaranteed to achieve at least a `1/H_k`
-/// fraction of the optimal objective `A(τ*)`.
-pub fn mean_topk_upsilon_h(ctx: &TopKContext) -> TopKList {
-    let mut scored: Vec<(TupleKey, f64)> =
-        ctx.keys().iter().map(|&t| (t, upsilon_h(ctx, t))).collect();
-    scored.sort_by(|(ka, sa), (kb, sb)| {
-        sb.partial_cmp(sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| ka.cmp(kb))
-    });
-    TopKList::new(scored.into_iter().take(ctx.k()).map(|(t, _)| t.0).collect())
-        .expect("keys are distinct")
+/// `Υ_H(t)`, in decreasing order ([`rank_by_score`]). Guaranteed to achieve
+/// at least a `1/H_k` fraction of the optimal objective `A(τ*)`. A context
+/// naming one key twice is [`ModelError::DuplicateKey`].
+pub fn mean_topk_upsilon_h(ctx: &TopKContext) -> Result<TopKList, ModelError> {
+    let mut scored: Vec<(TupleKey, f64)> = ctx
+        .keys()
+        .iter()
+        .copied()
+        .zip(ctx.rows().map(|row| upsilon_h(&row)))
+        .collect();
+    rank_by_score(&mut scored);
+    topk_list(
+        scored.into_iter().take(ctx.k()).map(|(t, _)| t),
+        "Υ_H ranking",
+    )
 }
 
 /// The `k`-th harmonic number `H_k = Σ_{i ≤ k} 1/i` (the approximation bound
@@ -137,11 +146,8 @@ pub use cpdb_genfunc::harmonic;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
     use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::{AndXorTree, AndXorTreeBuilder};
-    use cpdb_model::WorldModel;
-    use cpdb_rankagg::metrics::intersection_metric;
 
     fn independent_tree(specs: &[(u64, f64, f64)]) -> AndXorTree {
         let mut b = AndXorTreeBuilder::new();
@@ -164,71 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn expected_distance_formula_matches_enumeration() {
-        let tree = tree_small();
-        let ws = tree.enumerate_worlds();
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let candidates = [
-                TopKList::new((1..=k as u64).collect()).unwrap(),
-                TopKList::new((1..=k as u64).rev().collect()).unwrap(),
-            ];
-            for cand in &candidates {
-                let formula = expected_intersection_distance(&ctx, cand);
-                let direct = oracle::expected_topk_distance(cand, &ws, k, intersection_metric);
-                assert!(
-                    (formula - direct).abs() < 1e-9,
-                    "k={k} cand={cand}: formula {formula} vs direct {direct}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn assignment_answer_matches_brute_force() {
-        let tree = tree_small();
-        let ws = tree.enumerate_worlds();
-        let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_intersection(&ctx);
-            let cost = expected_intersection_distance(&ctx, &mean);
-            let (_, brute_cost) =
-                oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
-            assert!(
-                (cost - brute_cost).abs() < 1e-9,
-                "k={k}: assignment {cost} vs brute force {brute_cost}"
-            );
-        }
-    }
-
-    #[test]
-    fn assignment_answer_matches_brute_force_on_correlated_tree() {
-        let tree = figure1_correlated_tree();
-        let ws = tree.enumerate_worlds();
-        let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_intersection(&ctx);
-            let cost = expected_intersection_distance(&ctx, &mean);
-            let (_, brute_cost) =
-                oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
-            assert!(
-                (cost - brute_cost).abs() < 1e-9,
-                "k={k}: assignment {cost} vs brute force {brute_cost}"
-            );
-        }
-    }
-
-    #[test]
     fn suffix_sum_position_profit_matches_direct_summation() {
         for tree in [tree_small(), figure1_correlated_tree()] {
             for k in 1..=4usize {
                 let ctx = TopKContext::new(&tree, k);
-                for &t in ctx.keys() {
+                for (t, row) in ctx.keys().iter().zip(ctx.rows()) {
                     for j in 1..=k {
-                        let fast = position_profit(&ctx, t, j);
-                        let direct: f64 = (j..=k).map(|i| ctx.rank_cdf(t, i) / i as f64).sum();
+                        let fast = position_profit(&row, j);
+                        let direct: f64 = (j..=k).map(|i| row.cdf(i) / i as f64).sum();
                         assert!(
                             (fast - direct).abs() < 1e-12,
                             "k={k} t={t:?} j={j}: suffix-sum {fast} vs direct {direct}"
@@ -258,8 +207,8 @@ mod tests {
             let tree = independent_tree(&specs);
             let k = rng.gen_range(1..=3usize);
             let ctx = TopKContext::new(&tree, k);
-            let optimal = mean_topk_intersection(&ctx);
-            let approx = mean_topk_upsilon_h(&ctx);
+            let optimal = mean_topk_intersection(&ctx).unwrap();
+            let approx = mean_topk_upsilon_h(&ctx).unwrap();
             let a_opt = objective_a(&ctx, &optimal);
             let a_approx = objective_a(&ctx, &approx);
             assert!(
@@ -296,7 +245,7 @@ mod tests {
     fn empty_context_returns_empty_answer() {
         let tree = independent_tree(&[(1, 1.0, 0.5)]);
         let ctx = TopKContext::new(&tree, 0);
-        assert!(mean_topk_intersection(&ctx).is_empty());
+        assert!(mean_topk_intersection(&ctx).unwrap().is_empty());
         assert_eq!(
             expected_intersection_distance(&ctx, &TopKList::empty()),
             0.0

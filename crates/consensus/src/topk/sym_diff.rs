@@ -25,8 +25,9 @@ pub fn mean_topk_sym_diff(ctx: &TopKContext) -> Result<TopKList, ModelError> {
     )
 }
 
-/// The Top-k list of `keys` in order; a key named twice is
-/// [`ModelError::DuplicateKey`], labelled with `context`.
+/// The Top-k list of `keys` in order: the one constructor of every list the
+/// Top-k layer builds. A key named twice is [`ModelError::DuplicateKey`],
+/// labelled with `context`.
 pub(crate) fn topk_list(
     keys: impl IntoIterator<Item = TupleKey>,
     context: &str,
@@ -55,7 +56,7 @@ pub fn expected_sym_diff_distance(ctx: &TopKContext, candidate: &TopKList) -> f6
     let selected: f64 = candidate
         .items()
         .iter()
-        .map(|&t| ctx.topk_probability(TupleKey(t)))
+        .map(|&t| ctx.row_of(TupleKey(t)).map_or(0.0, |row| row.in_topk()))
         .sum();
     (candidate.len() as f64 + total - 2.0 * selected) / (2.0 * k)
 }
@@ -63,10 +64,7 @@ pub fn expected_sym_diff_distance(ctx: &TopKContext, candidate: &TopKList) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
-    use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::{AndXorTree, AndXorTreeBuilder};
-    use cpdb_model::WorldModel;
 
     fn independent_tree(specs: &[(u64, f64, f64)]) -> AndXorTree {
         let mut b = AndXorTreeBuilder::new();
@@ -77,57 +75,6 @@ mod tests {
         }
         let root = b.and_node(xors);
         b.build(root).unwrap()
-    }
-
-    #[test]
-    fn theorem3_matches_brute_force_on_independent_tuples() {
-        let tree = independent_tree(&[
-            (1, 90.0, 0.3),
-            (2, 80.0, 0.9),
-            (3, 70.0, 0.6),
-            (4, 60.0, 0.7),
-            (5, 50.0, 0.2),
-        ]);
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_sym_diff(&ctx).unwrap();
-            let ws = tree.enumerate_worlds();
-            let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-            let (_, brute_cost) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
-                oracle::sym_diff_distance_fixed_k(k, a, b)
-            });
-            let closed = expected_sym_diff_distance(&ctx, &mean);
-            let direct = oracle::expected_topk_distance(&mean, &ws, k, |a, b| {
-                oracle::sym_diff_distance_fixed_k(k, a, b)
-            });
-            assert!(
-                (closed - direct).abs() < 1e-9,
-                "k={k}: closed form {closed} vs direct {direct}"
-            );
-            assert!(
-                (closed - brute_cost).abs() < 1e-9,
-                "k={k}: algorithm {closed} vs brute force {brute_cost}"
-            );
-        }
-    }
-
-    #[test]
-    fn theorem3_matches_brute_force_on_correlated_tree() {
-        let tree = figure1_correlated_tree();
-        for k in 1..=3 {
-            let ctx = TopKContext::new(&tree, k);
-            let mean = mean_topk_sym_diff(&ctx).unwrap();
-            let ws = tree.enumerate_worlds();
-            let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
-            let (_, brute_cost) = oracle::brute_force_mean_topk(&items, k, &ws, |a, b| {
-                oracle::sym_diff_distance_fixed_k(k, a, b)
-            });
-            let cost = expected_sym_diff_distance(&ctx, &mean);
-            assert!(
-                (cost - brute_cost).abs() < 1e-9,
-                "k={k}: algorithm {cost} vs brute force {brute_cost}"
-            );
-        }
     }
 
     #[test]

@@ -627,19 +627,19 @@ impl ConsensusEngine {
                 (answer, distance, Optimality::Exact)
             }
             TopKMetric::Intersection => {
-                let answer = intersection::mean_topk_intersection(&ctx);
+                let answer = intersection::mean_topk_intersection(&ctx)?;
                 let distance = intersection::expected_intersection_distance(&ctx, &answer);
                 (answer, distance, Optimality::Exact)
             }
             TopKMetric::Footrule => {
-                let answer = footrule::mean_topk_footrule(&ctx);
+                let answer = footrule::mean_topk_footrule(&ctx)?;
                 let distance = footrule::expected_footrule_distance(&ctx, &answer);
                 (answer, distance, Optimality::Exact)
             }
             TopKMetric::Kendall => {
                 // Never worse than the footrule answer, so its factor 2
                 // holds; E[d_K] is exact, read off the same pool table.
-                let (answer, distance) = kendall::mean_topk_kendall(&self.tree, &ctx);
+                let (answer, distance) = kendall::mean_topk_kendall(&self.tree, &ctx)?;
                 (answer, distance, Optimality::Approx { factor: 2.0 })
             }
         };
@@ -711,17 +711,17 @@ impl ConsensusEngine {
         let mut rng = self.query_rng(query);
         let ctx = &self.context(k)?;
         let answer = match kind {
-            BaselineKind::ExpectedScore { k } => baselines::expected_score_topk(&self.tree, k),
+            BaselineKind::ExpectedScore { k } => baselines::expected_score_topk(&self.tree, k)?,
             BaselineKind::ExpectedRank { k, samples } => {
-                baselines::expected_rank_topk(&self.tree, k, samples, &mut rng)
+                baselines::expected_rank_topk(&self.tree, k, samples, &mut rng)?
             }
             BaselineKind::UTopK { k, samples } => {
-                baselines::u_topk(&self.tree, k, samples, &mut rng)
+                baselines::u_topk(&self.tree, k, samples, &mut rng)?
             }
-            BaselineKind::UTopKExact { k } => baselines::u_topk_enumerated(&self.tree, k),
+            BaselineKind::UTopKExact { k } => baselines::u_topk_enumerated(&self.tree, k)?,
             BaselineKind::GlobalTopK { .. } => baselines::global_topk(ctx)?,
             BaselineKind::ProbabilisticThreshold { threshold, .. } => {
-                baselines::ptk_answer(ctx, threshold)
+                baselines::ptk_answer(ctx, threshold)?
             }
         };
         // Baselines are scored under d_Δ so they are directly comparable with
@@ -1434,7 +1434,7 @@ mod tests {
         let a = engine.run(&q).unwrap();
         assert_eq!(
             a.value.as_topk().unwrap(),
-            &footrule::mean_topk_footrule(&ctx)
+            &footrule::mean_topk_footrule(&ctx).unwrap()
         );
         assert!(
             (a.expected_distance
@@ -1455,7 +1455,7 @@ mod tests {
         let a = engine.run(&q).unwrap();
         // The free function on the same tree and rank context, bit for bit.
         let ctx = TopKContext::new(engine.tree(), 2);
-        let (direct, distance) = kendall::mean_topk_kendall(engine.tree(), &ctx);
+        let (direct, distance) = kendall::mean_topk_kendall(engine.tree(), &ctx).unwrap();
         assert_eq!(a.value.as_topk().unwrap(), &direct);
         assert_eq!(a.expected_distance.to_bits(), distance.to_bits());
         assert_eq!(a.optimality, Optimality::Approx { factor: 2.0 });
@@ -1999,8 +1999,8 @@ mod tests {
             let bits = |rows: Vec<f64>| rows.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(view.pmf_rows()), bits(own.pmf_rows()));
             let (got, want) = (
-                intersection::mean_topk_upsilon_h(&view),
-                intersection::mean_topk_upsilon_h(&own),
+                intersection::mean_topk_upsilon_h(&view).unwrap(),
+                intersection::mean_topk_upsilon_h(&own).unwrap(),
             );
             assert_eq!(got, want, "k={k}");
             assert_eq!(

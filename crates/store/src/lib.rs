@@ -42,7 +42,7 @@
 //! | field | bytes | meaning |
 //! |---|---|---|
 //! | magic | 8 | `CPDBSNP1` |
-//! | version | 4 | format version (7), little-endian `u32` |
+//! | version | 4 | format version (8), little-endian `u32` |
 //! | epoch | 8 | the epoch this image serves |
 //! | sections | 4 | section count |
 //! | per section: tag | 1 | config / tree / artifact kind |

@@ -10,6 +10,7 @@
 //! can report coverage.
 
 use crate::fixtures;
+use crate::oracle;
 use crate::pivot::mean_topk_kendall_pivot;
 use crate::rank;
 use crate::reference;
@@ -18,7 +19,7 @@ use cpdb_andxor::AndXorTree;
 use cpdb_consensus::aggregate::GroupByInstance;
 use cpdb_consensus::jaccard::JaccardConsensus;
 use cpdb_consensus::topk::{footrule, intersection, kendall, median_dp, sym_diff};
-use cpdb_consensus::{baselines, clustering, jaccard, oracle, set_distance, TopKContext};
+use cpdb_consensus::{baselines, clustering, jaccard, set_distance, TopKContext};
 use cpdb_engine::{
     BaselineKind, CacheStats, ConsensusEngineBuilder, Query, SetMetric, TopKMetric, Variant,
 };
@@ -257,7 +258,7 @@ pub fn check_topk_means(tree: &AndXorTree, k: usize) -> usize {
     let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, fixed_k);
     assert_close("topk/sym-diff mean optimality (Theorem 3)", closed, brute);
 
-    let mean = intersection::mean_topk_intersection(&ctx);
+    let mean = intersection::mean_topk_intersection(&ctx).expect("context keys are distinct");
     let closed = intersection::expected_intersection_distance(&ctx, &mean);
     let direct = oracle::expected_topk_distance(&mean, &ws, k, intersection_metric);
     assert_close(
@@ -268,7 +269,7 @@ pub fn check_topk_means(tree: &AndXorTree, k: usize) -> usize {
     let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
     assert_close("topk/intersection mean optimality (§5.3)", closed, brute);
 
-    let upsilon = intersection::mean_topk_upsilon_h(&ctx);
+    let upsilon = intersection::mean_topk_upsilon_h(&ctx).expect("context keys are distinct");
     let a_opt = intersection::objective_a(&ctx, &mean);
     let a_ups = intersection::objective_a(&ctx, &upsilon);
     assert!(
@@ -277,7 +278,7 @@ pub fn check_topk_means(tree: &AndXorTree, k: usize) -> usize {
         a_opt / intersection::harmonic(k)
     );
 
-    let mean = footrule::mean_topk_footrule(&ctx);
+    let mean = footrule::mean_topk_footrule(&ctx).expect("context keys are distinct");
     let closed = footrule::expected_footrule_distance(&ctx, &mean);
     let direct = oracle::expected_topk_distance(&mean, &ws, k, footrule_distance);
     assert_close(
@@ -331,14 +332,18 @@ pub fn check_topk_median_dp(tree: &AndXorTree, k: usize) -> usize {
 /// answer's (within `1e-12`). Returns `(served, footrule)` distances.
 pub fn check_kendall_served(tree: &AndXorTree, k: usize) -> (f64, f64) {
     let ctx = TopKContext::new(tree, k);
-    let (served, distance) = kendall::mean_topk_kendall(tree, &ctx);
+    let (served, distance) =
+        kendall::mean_topk_kendall(tree, &ctx).expect("context keys are distinct");
     assert_close(
         "topk/kendall served E[d_K] vs the exact evaluator",
         distance,
         kendall::expected_kendall_distance(tree, &ctx, &served),
     );
-    let footrule =
-        kendall::expected_kendall_distance(tree, &ctx, &footrule::mean_topk_footrule(&ctx));
+    let footrule = kendall::expected_kendall_distance(
+        tree,
+        &ctx,
+        &footrule::mean_topk_footrule(&ctx).expect("context keys are distinct"),
+    );
     assert!(
         distance <= footrule + 1e-12,
         "topk/kendall k={k}: served {distance} is worse than the footrule answer {footrule}"
@@ -370,7 +375,7 @@ pub fn check_topk_median_reference(tree: &AndXorTree, k: usize) -> bool {
         answer
             .items()
             .iter()
-            .map(|&t| ctx.topk_probability(TupleKey(t)) - 0.5)
+            .map(|&t| ctx.row_of(TupleKey(t)).map_or(0.0, |row| row.in_topk()) - 0.5)
             .sum::<f64>()
     };
     let (got, want) = (objective(&sweep.answer), objective(&literal.answer));
@@ -399,7 +404,7 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let ctx = TopKContext::new(tree, k);
     let (_, opt) = oracle::brute_force_mean_topk(&items, k, &ws, kendall_tau_topk);
 
-    let via_footrule = footrule::mean_topk_footrule(&ctx);
+    let via_footrule = footrule::mean_topk_footrule(&ctx).expect("context keys are distinct");
     let cost_footrule = reference::expected_kendall_distance_enumerated(tree, &ctx, &via_footrule);
     // The enumerated-expectation helper must agree with the generic oracle.
     assert_close(
@@ -414,7 +419,8 @@ pub fn check_kendall(tree: &AndXorTree, k: usize, seed: u64) -> usize {
     let cost_pivot = reference::expected_kendall_distance_enumerated(tree, &ctx, &pivot);
     assert_within_factor("topk/kendall pivot", cost_pivot, opt, 2.0);
 
-    let (served, distance) = kendall::mean_topk_kendall(tree, &ctx);
+    let (served, distance) =
+        kendall::mean_topk_kendall(tree, &ctx).expect("context keys are distinct");
     assert_close(
         "topk/kendall served E[d_K] vs enumeration",
         distance,
@@ -790,7 +796,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
                 (median.answer, median.expected_distance)
             }
             (TopKMetric::Intersection, Variant::Mean) => {
-                let list = intersection::mean_topk_intersection(&ctx);
+                let list =
+                    intersection::mean_topk_intersection(&ctx).expect("context keys are distinct");
                 let d = intersection::expected_intersection_distance(&ctx, &list);
                 let (_, brute) =
                     oracle::brute_force_mean_topk(&items, *k, &ws, intersection_metric);
@@ -799,7 +806,7 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
                 (list, d)
             }
             (TopKMetric::Footrule, Variant::Mean) => {
-                let list = footrule::mean_topk_footrule(&ctx);
+                let list = footrule::mean_topk_footrule(&ctx).expect("context keys are distinct");
                 let d = footrule::expected_footrule_distance(&ctx, &list);
                 let (_, brute) = oracle::brute_force_mean_topk(&items, *k, &ws, footrule_distance);
                 assert_close("engine topk/footrule vs oracle", d, brute);
@@ -808,7 +815,8 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
             }
             (TopKMetric::Kendall, Variant::Mean) => {
                 // The free function the engine serves; it reads no RNG.
-                let (list, d) = kendall::mean_topk_kendall(tree, &ctx);
+                let (list, d) =
+                    kendall::mean_topk_kendall(tree, &ctx).expect("context keys are distinct");
                 // Exact: the served list's E[d_K] over the enumerated worlds.
                 assert_close(
                     "engine topk/kendall E[d_K] vs oracle",
@@ -924,17 +932,24 @@ pub fn check_engine(tree: &AndXorTree, groupby: &GroupByInstance, seed: u64) -> 
         let got = engine.run(&q).expect("supported");
         let mut rng = engine.query_rng(&q);
         let direct = match kind {
-            BaselineKind::ExpectedScore { k } => baselines::expected_score_topk(tree, k),
+            BaselineKind::ExpectedScore { k } => {
+                baselines::expected_score_topk(tree, k).expect("tree keys are distinct")
+            }
             BaselineKind::ExpectedRank { k, samples } => {
                 baselines::expected_rank_topk(tree, k, samples, &mut rng)
+                    .expect("tree keys are distinct")
             }
-            BaselineKind::UTopK { k, samples } => baselines::u_topk(tree, k, samples, &mut rng),
-            BaselineKind::UTopKExact { k } => baselines::u_topk_enumerated(tree, k),
+            BaselineKind::UTopK { k, samples } => {
+                baselines::u_topk(tree, k, samples, &mut rng).expect("tree keys are distinct")
+            }
+            BaselineKind::UTopKExact { k } => {
+                baselines::u_topk_enumerated(tree, k).expect("tree keys are distinct")
+            }
             BaselineKind::GlobalTopK { .. } => {
                 baselines::global_topk(&ctx).expect("context keys are distinct")
             }
             BaselineKind::ProbabilisticThreshold { threshold, .. } => {
-                baselines::ptk_answer(&ctx, threshold)
+                baselines::ptk_answer(&ctx, threshold).expect("context keys are distinct")
             }
             _ => unreachable!("fixed list above"),
         };

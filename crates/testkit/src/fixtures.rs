@@ -2,7 +2,7 @@
 //!
 //! Every fixture is a pure function of its `seed`, built on the
 //! [`cpdb_workloads`] generators, with sizes chosen so that the brute-force
-//! oracles in [`cpdb_consensus::oracle`] (possible-world enumeration,
+//! oracles in [`crate::oracle`] (possible-world enumeration,
 //! ordered Top-k candidate enumeration, set-partition enumeration) remain
 //! comfortably cheap. Varying the seed varies both the drawn probabilities
 //! *and* the instance shape, so a seed sweep covers a spread of sizes.

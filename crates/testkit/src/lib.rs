@@ -20,7 +20,9 @@
 //!   pairwise-order and co-clustering statistics the batch sweeps serve;
 //! * [`pivot`] — the Kendall pivot (KwikSort over the exact pairwise-order
 //!   tournament), full rankings and the exhaustive Kemeny optimum, reported
-//!   beside the served Kendall answer.
+//!   beside the served Kendall answer;
+//! * [`oracle`] — the brute-force expected-distance minimisers every check
+//!   above and the experiments compare against.
 //!
 //! The root-level `tests/conformance_oracle.rs` suite sweeps these checks
 //! over many seeds and is the repo's standing conformance gate: any future
@@ -33,10 +35,21 @@ pub mod chaos;
 pub mod conformance;
 pub mod fixtures;
 pub mod observability;
+pub mod oracle;
 pub mod pivot;
 pub mod rank;
 pub mod reference;
 pub mod replication;
+
+// The unit tests of `cpdb_consensus` that check an algorithm against the
+// oracle. They keep the module paths they had in that crate, and so their
+// names.
+#[cfg(test)]
+mod jaccard;
+#[cfg(test)]
+mod set_distance;
+#[cfg(test)]
+mod topk;
 
 /// Absolute tolerance used by all exact-equality conformance checks.
 ///

@@ -1,6 +1,6 @@
 //! Brute-force expected-distance minimisers.
 //!
-//! Every consensus notion in this crate has a definitional form: minimise
+//! Every consensus notion of `cpdb_consensus` has a definitional form: minimise
 //! `E_pw[d(τ, τ_pw)]` over a candidate set Ω. On small instances that
 //! expectation can be computed by enumerating the possible worlds, and the
 //! minimiser found by enumerating Ω. These oracles are deliberately

@@ -405,9 +405,9 @@ pub fn mean_topk_kendall_pivot<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use cpdb_andxor::figure1::figure1_correlated_tree;
     use cpdb_andxor::AndXorTreeBuilder;
-    use cpdb_consensus::oracle;
     use cpdb_model::WorldModel;
     use cpdb_rankagg::metrics::kendall_tau_topk;
     use rand::rngs::StdRng;

@@ -32,10 +32,10 @@
 //! order, co-occurrence and co-clustering weights) are in
 //! [`crate::rank`]. None of these paths serves an engine query; no
 //! production crate names them.
+use crate::oracle;
 use cpdb_andxor::{AndXorTree, NodeId, NodeKind, VarAssignment};
 use cpdb_consensus::clustering::{Clustering, CoClusteringWeights};
 use cpdb_consensus::jaccard::JaccardConsensus;
-use cpdb_consensus::oracle;
 use cpdb_consensus::topk::median_dp::MedianTopK;
 use cpdb_consensus::TopKContext;
 use cpdb_genfunc::Truncation;
@@ -154,7 +154,8 @@ fn subtree_dp(
             if threshold.is_none_or(|a| alt.value.0 >= a) {
                 // An admitted leaf always materialises: size 0 is unreachable.
                 if k >= 1 {
-                    table[1] = Some((ctx.topk_probability(alt.key), vec![alt.key]));
+                    let profit = ctx.row_of(alt.key).map_or(0.0, |row| row.in_topk());
+                    table[1] = Some((profit, vec![alt.key]));
                 }
             } else {
                 table[0] = Some((0.0, Vec::new()));

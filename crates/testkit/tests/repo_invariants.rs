@@ -57,98 +57,85 @@ fn store_and_live_keep_their_unwrap_gates() {
     }
 }
 
+/// Panics unless every module under `crates/` in `modules` keeps the
+/// serving crates' panic-freedom gate.
+fn assert_unwrap_gates(modules: &[&str]) {
+    let gate = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]";
+    for module in modules {
+        let path = crates_dir().join(module);
+        let src = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} is readable: {e}", path.display()));
+        assert!(
+            src.contains(gate),
+            "{} lost its unwrap/expect lint gate",
+            path.display()
+        );
+    }
+}
+
 /// The Jaccard scan runs on the serving path of every set query; its
 /// module keeps the same panic-freedom gate as the serving crates.
 #[test]
 fn jaccard_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("consensus/src/jaccard.rs");
-    let src = std::fs::read_to_string(&module).expect("jaccard module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["consensus/src/jaccard.rs"]);
 }
 
 /// The Theorem-4 median DP answers every `TopK{SymDiff, Median}` query; it
 /// keeps the same panic-freedom gate as the Jaccard scan.
 #[test]
 fn median_dp_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("consensus/src/topk/median_dp.rs");
-    let src = std::fs::read_to_string(&module).expect("median_dp module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["consensus/src/topk/median_dp.rs"]);
 }
 
 /// The local search answers every `TopK{Kendall}` query; the Kendall module
 /// keeps the same panic-freedom gate as the median DP.
 #[test]
 fn kendall_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("consensus/src/topk/kendall.rs");
-    let src = std::fs::read_to_string(&module).expect("kendall module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["consensus/src/topk/kendall.rs"]);
 }
 
 /// KwikCluster and its cost answer every `Clustering` query; the clustering
 /// module keeps the same panic-freedom gate as the Jaccard scan.
 #[test]
 fn clustering_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("consensus/src/clustering.rs");
-    let src = std::fs::read_to_string(&module).expect("clustering module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["consensus/src/clustering.rs"]);
 }
 
 /// The batch generating-function sweeps build every rank context and
 /// pairwise artifact; the module keeps the same panic-freedom gate.
 #[test]
 fn andxor_batch_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("andxor/src/batch.rs");
-    let src = std::fs::read_to_string(&module).expect("batch module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["andxor/src/batch.rs"]);
 }
 
 /// Theorem 2 answers every `SetConsensus{SymmetricDifference}` query; the
 /// set-distance module keeps the same panic-freedom gate as the Jaccard scan.
 #[test]
 fn set_distance_module_keeps_its_unwrap_gate() {
-    let module = crates_dir().join("consensus/src/set_distance.rs");
-    let src = std::fs::read_to_string(&module).expect("set_distance module is readable");
-    assert!(
-        src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-        "{} lost its unwrap/expect lint gate",
-        module.display()
-    );
+    assert_unwrap_gates(&["consensus/src/set_distance.rs"]);
 }
 
-/// The median answer reads its profits from the rank context and builds its
-/// list through the symmetric-difference module; both keep the median's
+/// Every Top-k builder reads the rank context, and every Top-k list is built
+/// by the symmetric-difference module's `topk_list`; both keep the median's
 /// panic-freedom gate.
 #[test]
 fn median_neighbour_modules_keep_their_unwrap_gates() {
-    for module in ["context.rs", "sym_diff.rs"] {
-        let module = crates_dir().join("consensus/src/topk").join(module);
-        let src = std::fs::read_to_string(&module).expect("topk module is readable");
-        assert!(
-            src.contains("#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]"),
-            "{} lost its unwrap/expect lint gate",
-            module.display()
-        );
-    }
+    assert_unwrap_gates(&[
+        "consensus/src/topk/context.rs",
+        "consensus/src/topk/sym_diff.rs",
+    ]);
+}
+
+/// The assignments answer every `TopK{Footrule}` and `TopK{Intersection}`
+/// query, and the engine serves every `Baseline` query from the baselines
+/// module; all three keep the same panic-freedom gate.
+#[test]
+fn assignment_and_baseline_modules_keep_their_unwrap_gates() {
+    assert_unwrap_gates(&[
+        "consensus/src/topk/footrule.rs",
+        "consensus/src/topk/intersection.rs",
+        "consensus/src/baselines.rs",
+    ]);
 }
 
 /// The workspace root as a canonical path, so source paths under it compare
@@ -270,10 +257,12 @@ fn production_sources_naming(needles: &[&str]) -> Vec<String> {
 
 /// The per-key generating-function references (rank PMFs, pairwise order,
 /// co-occurrence and co-clustering weights, the direct placement and
-/// position sums, the enumerated Kendall distance) are test oracles in
-/// `cpdb_testkit`, and the tree keeps no marginal cache for them. So no
-/// production source names a reference, a second Kendall sweep or a retired
-/// rank aggregator, and no production crate depends on the testkit.
+/// position sums, the enumerated Kendall distance) and the brute-force
+/// oracle are test code in `cpdb_testkit`, and the tree keeps no marginal
+/// cache for them. So no production source names a reference, the oracle,
+/// a second Kendall sweep, a retired rank aggregator or a retired keyed
+/// accessor of the rank context, and no production crate depends on the
+/// testkit.
 #[test]
 fn production_crates_hold_only_the_serving_path() {
     // Split so this file does not match itself.
@@ -293,6 +282,17 @@ fn production_crates_hold_only_the_serving_path() {
         concat!("borda", "_aggregate_topk"),
         concat!("footrule", "_aggregate"),
         concat!("footrule", "_aggregate_topk"),
+        concat!("cpdb_consensus::", "oracle"),
+        concat!("crate::", "oracle"),
+        concat!("mod ", "oracle"),
+        concat!("rank", "_probability"),
+        concat!("rank", "_cdf"),
+        concat!("topk", "_probability"),
+        concat!("beyond_topk", "_probability"),
+        concat!("upsilon", "1"),
+        concat!("upsilon", "2"),
+        concat!("upsilon", "3"),
+        concat!("misplacement", "_mass"),
     ]);
     assert!(
         named.is_empty(),
@@ -348,6 +348,46 @@ fn the_kendall_tournament_stays_out_of_the_engine() {
     assert!(
         !signature.contains("Rng"),
         "the served Kendall function takes an RNG: {signature}"
+    );
+}
+
+/// The non-test part of a source: everything before its test module.
+fn non_test(src: &str) -> &str {
+    src.find("#[cfg(test)]").map_or(src, |at| &src[..at])
+}
+
+/// The Top-k layer computes on row positions: `TopKContext` takes one key
+/// only in `row_of`, for callers that hold nothing else, and every list
+/// ranked by a score comes from the one comparator in `rank_by_score`.
+#[test]
+fn topk_layer_looks_keys_up_once_and_ranks_by_one_order() {
+    let consensus = crates_dir().join("consensus/src");
+    let context = std::fs::read_to_string(consensus.join("topk/context.rs")).expect("context");
+    let keyed: Vec<&str> = non_test(&context)
+        .lines()
+        .filter(|line| line.contains("pub fn") && line.contains(": TupleKey"))
+        .collect();
+    assert_eq!(
+        keyed,
+        ["    pub fn row_of(&self, t: TupleKey) -> Option<RankRow<'_>> {"],
+        "TopKContext takes a key outside row_of"
+    );
+    let mut comparators = Vec::new();
+    let mut sources = rust_sources(consensus.join("topk"));
+    sources.push(consensus.join("baselines.rs"));
+    for path in sources {
+        let src = std::fs::read_to_string(&path).expect("source is readable");
+        let code = non_test(&src)
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"));
+        for line in code.filter(|line| line.contains("partial_cmp")) {
+            comparators.push(format!("{}: {}", path.display(), line.trim()));
+        }
+    }
+    assert_eq!(
+        comparators.len(),
+        1,
+        "the Top-k layer ranks by more than one comparator: {comparators:?}"
     );
 }
 

@@ -125,7 +125,8 @@ mod tests {
         let db = TupleIndependentDb::from_triples(&[(1, 10.0, 0.9)]).unwrap();
         let tree = crate::andxor::convert::from_tuple_independent(&db).unwrap();
         let ctx = TopKContext::new(&tree, 1);
-        assert!((ctx.topk_probability(TupleKey(1)) - 0.9).abs() < 1e-9);
+        let row = ctx.row_of(TupleKey(1)).unwrap();
+        assert!((row.in_topk() - 0.9).abs() < 1e-9);
     }
 
     #[test]

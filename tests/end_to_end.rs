@@ -3,13 +3,14 @@
 //! consensus answers validated against brute-force oracles.
 
 use consensus_pdb::consensus::topk::{footrule, intersection, median_dp, sym_diff};
-use consensus_pdb::consensus::{jaccard, oracle, set_distance, TopKContext};
+use consensus_pdb::consensus::{jaccard, set_distance, TopKContext};
 use consensus_pdb::prelude::*;
 use consensus_pdb::workloads::{
     random_scored_bid_tree, random_tuple_independent, BidConfig, ProbabilityDistribution,
     ScoreDistribution, TupleIndependentConfig,
 };
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric};
+use cpdb_testkit::oracle;
 
 /// A small but non-trivial BID workload usable for exhaustive enumeration.
 fn small_bid_tree(seed: u64) -> AndXorTree {
@@ -80,7 +81,7 @@ fn pipeline_topk_consensus_matches_oracle_over_generated_workloads() {
             );
 
             // §5.3 (mean, intersection metric).
-            let inter = intersection::mean_topk_intersection(&ctx);
+            let inter = intersection::mean_topk_intersection(&ctx).unwrap();
             let (_, brute_int) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
             assert!(
                 (intersection::expected_intersection_distance(&ctx, &inter) - brute_int).abs()
@@ -89,7 +90,7 @@ fn pipeline_topk_consensus_matches_oracle_over_generated_workloads() {
             );
 
             // §5.4 (mean, footrule).
-            let foot = footrule::mean_topk_footrule(&ctx);
+            let foot = footrule::mean_topk_footrule(&ctx).unwrap();
             let (_, brute_foot) = oracle::brute_force_mean_topk(&items, k, &ws, footrule_distance);
             assert!(
                 (footrule::expected_footrule_distance(&ctx, &foot) - brute_foot).abs() < 1e-9,

@@ -3,9 +3,10 @@
 //! optima computed by brute force, for *every* generated instance.
 
 use consensus_pdb::consensus::topk::{footrule, intersection, sym_diff};
-use consensus_pdb::consensus::{jaccard, oracle, set_distance, TopKContext};
+use consensus_pdb::consensus::{jaccard, set_distance, TopKContext};
 use consensus_pdb::prelude::*;
 use cpdb_rankagg::metrics::{footrule_distance, intersection_metric};
+use cpdb_testkit::oracle;
 use proptest::prelude::*;
 
 /// Strategy: a small tuple-independent database with distinct scores.
@@ -113,7 +114,7 @@ proptest! {
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
         let k = k.min(items.len());
         let ctx = TopKContext::new(&tree, k);
-        let mean = intersection::mean_topk_intersection(&ctx);
+        let mean = intersection::mean_topk_intersection(&ctx).unwrap();
         let cost = intersection::expected_intersection_distance(&ctx, &mean);
         let (_, brute) = oracle::brute_force_mean_topk(&items, k, &ws, intersection_metric);
         prop_assert!((cost - brute).abs() < 1e-9, "cost {} vs brute {}", cost, brute);
@@ -128,7 +129,7 @@ proptest! {
         let items: Vec<u64> = tree.keys().iter().map(|t| t.0).collect();
         let k = k.min(items.len());
         let ctx = TopKContext::new(&tree, k);
-        let mean = footrule::mean_topk_footrule(&ctx);
+        let mean = footrule::mean_topk_footrule(&ctx).unwrap();
         let closed = footrule::expected_footrule_distance(&ctx, &mean);
         let direct = oracle::expected_topk_distance(&mean, &ws, k, footrule_distance);
         prop_assert!((closed - direct).abs() < 1e-9, "closed {} vs direct {}", closed, direct);
@@ -143,8 +144,8 @@ proptest! {
         let items = tree.keys();
         let k = k.min(items.len());
         let ctx = TopKContext::new(&tree, k);
-        let optimal = intersection::mean_topk_intersection(&ctx);
-        let approx = intersection::mean_topk_upsilon_h(&ctx);
+        let optimal = intersection::mean_topk_intersection(&ctx).unwrap();
+        let approx = intersection::mean_topk_upsilon_h(&ctx).unwrap();
         let a_opt = intersection::objective_a(&ctx, &optimal);
         let a_approx = intersection::objective_a(&ctx, &approx);
         prop_assert!(a_approx + 1e-9 >= a_opt / intersection::harmonic(k));
